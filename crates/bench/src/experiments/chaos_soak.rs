@@ -18,7 +18,7 @@
 //!   requests carrying tight virtual deadlines are cut short into
 //!   partial (uncached) masks.
 //!
-//! Deadlines run in the service's `virtual_deadlines` mode and requests
+//! Deadlines run on the service's `virtual_time` clock and requests
 //! are submitted strictly sequentially, so expiry — and therefore every
 //! breaker decision — is a pure function of the seeded schedule: the
 //! whole chaos phase is replayed a second time and the two transition
@@ -49,6 +49,7 @@
 //!
 //! Results land in `results/BENCH_chaos.json`.
 
+use crate::report::replay_digest;
 use crate::runner::ExperimentCfg;
 use adapt::DdProtocol;
 use adapt_service::{
@@ -146,7 +147,7 @@ fn service_config(cfg: &ExperimentCfg) -> ServiceConfig {
         default_budget: budget(cfg),
         // Expiry as a pure function of the seeded schedule: two
         // identical runs cancel at identical points.
-        virtual_deadlines: true,
+        virtual_time: true,
         breaker: BreakerConfig {
             window: 8,
             min_samples: 4,
@@ -673,6 +674,13 @@ fn write_json(
             )
         })
         .collect();
+    let digest = replay_digest(
+        chaos
+            .transitions
+            .iter()
+            .chain(&chaos.digest)
+            .chain(&tiered.digest),
+    );
     let json = format!(
         "{{\n  \"schema\": 1,\n  \"quick\": {},\n  \"seed\": {},\n  \"faults\": \"{}\",\n  \
          \"ticks\": {total},\n  \
@@ -687,7 +695,8 @@ fn write_json(
          \"transitions\": [{}],\n  \
          \"tiered\": {{ \"stale_served\": {}, \"refines_completed\": {}, \
          \"refines_dropped\": {}, \"heuristic_served\": {}, \"responses\": {} }},\n  \
-         \"worker_panics\": {},\n  \"deterministic_replay\": true\n}}\n",
+         \"worker_panics\": {},\n  \"deterministic_replay\": true,\n  \
+         \"replay_digest\": \"{}\"\n}}\n",
         cfg.quick,
         cfg.seed,
         cfg.fault_name,
@@ -717,8 +726,9 @@ fn write_json(
         tiered.stats.heuristic_served,
         tiered.digest.len(),
         stats.worker_panics,
+        digest,
     );
     let path = out_dir.join("BENCH_chaos.json");
     std::fs::write(&path, json).expect("write BENCH_chaos.json");
-    println!("  wrote {}", path.display());
+    println!("  wrote {} (replay digest {digest})", path.display());
 }

@@ -135,7 +135,7 @@ fn service_config(cfg: &ExperimentCfg) -> ServiceConfig {
             ..RetryPolicy::default()
         },
         default_budget: budget(),
-        virtual_deadlines: true,
+        virtual_time: true,
         ..ServiceConfig::default()
     }
 }

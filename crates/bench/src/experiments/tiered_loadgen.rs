@@ -37,6 +37,7 @@
 //! bit-identically from the same seed. Results land in
 //! `results/BENCH_tiered.json`.
 
+use crate::report::replay_digest;
 use crate::runner::ExperimentCfg;
 use adapt::DdProtocol;
 use adapt_service::{
@@ -124,7 +125,7 @@ fn service_config(cfg: &ExperimentCfg) -> ServiceConfig {
         default_budget: budget(cfg, TierPolicy::default()),
         // Expiry as a pure function of the seeded schedule: two
         // identical runs ladder at identical points.
-        virtual_deadlines: true,
+        virtual_time: true,
         breaker: BreakerConfig {
             window: 8,
             min_samples: 4,
@@ -522,6 +523,7 @@ fn write_json(cfg: &ExperimentCfg, report: &RunReport, within_rate: f64, p50: f6
         .map(|p| format!("\"{p}\""))
         .collect();
     let stats = &report.stats;
+    let digest = replay_digest(&report.digest);
     let json = format!(
         "{{\n  \"schema\": 1,\n  \"quick\": {},\n  \"seed\": {},\n  \"faults\": \"{}\",\n  \
          \"slo_deadline_ms\": {SLO_MS},\n  \
@@ -534,7 +536,8 @@ fn write_json(cfg: &ExperimentCfg, report: &RunReport, within_rate: f64, p50: f6
          \"refines\": {{ \"enqueued\": {}, \"completed\": {}, \"dropped\": {}, \
          \"prewarm_scheduled\": {} }},\n  \
          \"provenance_coverage\": [{}],\n  \
-         \"worker_panics\": {},\n  \"deterministic_replay\": true\n}}\n",
+         \"worker_panics\": {},\n  \"deterministic_replay\": true,\n  \
+         \"replay_digest\": \"{}\"\n}}\n",
         cfg.quick,
         cfg.seed,
         cfg.fault_name,
@@ -555,8 +558,9 @@ fn write_json(cfg: &ExperimentCfg, report: &RunReport, within_rate: f64, p50: f6
         stats.prewarm_scheduled,
         provenances.join(", "),
         stats.worker_panics,
+        digest,
     );
     let path = out_dir.join("BENCH_tiered.json");
     std::fs::write(&path, json).expect("write BENCH_tiered.json");
-    println!("  wrote {}", path.display());
+    println!("  wrote {} (replay digest {digest})", path.display());
 }

@@ -33,6 +33,7 @@
 //! across two same-seed runs. Results land in
 //! `results/BENCH_tenancy.json`.
 
+use crate::report::replay_digest;
 use crate::runner::ExperimentCfg;
 use adapt::DdProtocol;
 use adapt_obs::percentile;
@@ -136,10 +137,7 @@ fn tagged(n: u32, tag: usize) -> qcirc::Circuit {
 /// weight-4 heavy hitter; everyone else runs the default spec. Refills
 /// run on virtual time, driven by [`MaskService::advance_quota_ms`].
 fn tenancy_config() -> TenancyConfig {
-    let mut tenancy = TenancyConfig {
-        virtual_time: true,
-        ..TenancyConfig::default()
-    };
+    let mut tenancy = TenancyConfig::default();
     tenancy.tenants.insert(
         TenantId(0),
         TenantSpec {
@@ -169,8 +167,9 @@ fn replay_config(cfg: &ExperimentCfg) -> ServiceConfig {
         seed: cfg.seed,
         fault_profile: cfg.fault_profile,
         default_budget: budget(cfg, TierPolicy::default()),
-        // Expiry as a pure function of the seeded schedule.
-        virtual_deadlines: true,
+        // Expiry and quota refill as pure functions of the seeded
+        // schedule.
+        virtual_time: true,
         // No finite deadline fits a cold search: deadline-carrying
         // requests ride the ladder, deadline-free ones search inline.
         tiers: TierConfig {
@@ -647,6 +646,7 @@ fn write_json(
         })
         .collect();
     let stats = &report.stats;
+    let digest = replay_digest(&report.digest);
     let json = format!(
         "{{\n  \"schema\": 1,\n  \"quick\": {},\n  \"seed\": {},\n  \"faults\": \"{}\",\n  \
          \"steps\": {},\n  \"tenants\": {},\n  \
@@ -659,7 +659,8 @@ fn write_json(
          \"contended_p99_ms\": {:.3}, \"ratio\": {skew_ratio:.3}, \"bound\": 2.0 }},\n  \
          \"fairness\": {{ \"makespan_a_ms\": {:.3}, \"makespan_b_ms\": {:.3}, \
          \"throughput_ratio\": {fairness_ratio:.3}, \"bound\": 1.5 }},\n  \
-         \"worker_panics\": {},\n  \"deterministic_replay\": true\n}}\n",
+         \"worker_panics\": {},\n  \"deterministic_replay\": true,\n  \
+         \"replay_digest\": \"{}\"\n}}\n",
         cfg.quick,
         cfg.seed,
         cfg.fault_name,
@@ -677,8 +678,9 @@ fn write_json(
         first_us as f64 / 1000.0,
         second_us as f64 / 1000.0,
         stats.worker_panics,
+        digest,
     );
     let path = out_dir.join("BENCH_tenancy.json");
     std::fs::write(&path, json).expect("write BENCH_tenancy.json");
-    println!("  wrote {}", path.display());
+    println!("  wrote {} (replay digest {digest})", path.display());
 }

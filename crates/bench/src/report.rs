@@ -148,6 +148,22 @@ pub fn text_histogram(values: &[f64], lo: f64, hi: f64, bins: usize) -> String {
     out
 }
 
+/// The `replay_digest` a seeded harness writes to its `BENCH_*.json`:
+/// the 64-bit FNV-1a hash of the digest lines its determinism replay
+/// compares, each terminated by a newline, as 16 hex digits. CI pins the
+/// quick-mode values in `results/replay_digests.json`, so a change that
+/// alters any answer fails the smoke job rather than only the two-run
+/// comparison.
+pub fn replay_digest<'a>(lines: impl IntoIterator<Item = &'a String>) -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for line in lines {
+        for &b in line.as_bytes().iter().chain(b"\n") {
+            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    format!("{h:016x}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +192,16 @@ mod tests {
         csv.flush().unwrap();
         let content = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert!(content.starts_with("x,y\n1,2\n3,4.5\n"));
+    }
+
+    #[test]
+    fn replay_digest_is_fnv1a_over_newline_terminated_lines() {
+        // FNV-1a 64 of the empty input is the offset basis.
+        assert_eq!(replay_digest(&[]), "cbf29ce484222325");
+        let ab = ["a".to_string(), "b".to_string()];
+        let joined = ["a\nb".to_string()];
+        assert_eq!(replay_digest(&ab), replay_digest(&joined));
+        assert_ne!(replay_digest(&ab), replay_digest(&ab[..1]));
     }
 
     #[test]

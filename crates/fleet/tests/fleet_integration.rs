@@ -69,7 +69,7 @@ fn service_config() -> ServiceConfig {
         devices: vec![DeviceId::Guadalupe],
         workers: 1,
         seed: SEED,
-        virtual_deadlines: true,
+        virtual_time: true,
         ..ServiceConfig::default()
     }
 }

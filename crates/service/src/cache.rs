@@ -22,13 +22,14 @@
 //!   epochs from the serving map — stale masks must never be served *as
 //!   fresh* (§6.4 shows they decay). The removed values move into a
 //!   bounded **stale store** keyed by [`StaleKey`] (the epoch-independent
-//!   identity of the program), where [`MaskCache::lookup_tiered`] may
+//!   identity of the program), where [`MaskCache::lookup`] may
 //!   serve them explicitly tagged with their age while a background
 //!   refiner runs the real search.
 //! - **Single-flight**: [`MaskCache::lookup`] returns a [`SearchTicket`]
 //!   to exactly one caller per missing key; concurrent requests for the
 //!   same key block until that searcher completes (or abandons) instead
-//!   of launching duplicate searches. An abandoned ticket (worker error
+//!   of launching duplicate searches (a non-blocking lookup returns a
+//!   ticketless miss instead). An abandoned ticket (worker error
 //!   or panic) wakes the waiters and the next one becomes the searcher.
 //!   Stale-capable lookups reuse the same protocol: the *first* stale
 //!   serve per key takes the ticket (handing it to the refiner), so a
@@ -123,9 +124,9 @@ impl MaskKey {
     }
 
     /// A synthetic stale identity derived from the compiled-circuit hash.
-    /// Used by the epoch-agnostic compatibility paths ([`MaskCache::lookup`],
-    /// [`MaskCache::insert`]); such entries land in the stale store under
-    /// an identity no tiered lookup will request, which is harmless.
+    /// Used by the epoch-agnostic [`MaskCache::insert`]; such entries
+    /// land in the stale store under an identity no lookup will request,
+    /// which is harmless.
     fn synthetic_stale_key(&self) -> StaleKey {
         self.stale_key(self.circuit_hash)
     }
@@ -358,24 +359,12 @@ impl std::fmt::Debug for MaskCache {
     }
 }
 
-/// Outcome of [`MaskCache::lookup`].
-#[derive(Debug)]
-pub enum Lookup {
-    /// The key is cached (possibly after waiting out an in-flight search
-    /// for it).
-    Hit(CachedMask),
-    /// This caller owns the search for the key. Every concurrent lookup
-    /// of the same key now blocks until the ticket is completed or
-    /// dropped.
-    Miss(SearchTicket),
-}
-
-/// Outcome of [`MaskCache::lookup_tiered`] — [`Lookup`] plus the
-/// stale-while-revalidate middle rung.
+/// Outcome of [`MaskCache::lookup`]: the rung of the cache ladder that
+/// answered.
 #[derive(Debug)]
 pub enum TieredLookup {
-    /// The key is cached at the requested epoch (possibly after waiting
-    /// out an in-flight search).
+    /// The key is cached at the requested epoch (for a blocking lookup,
+    /// possibly after waiting out an in-flight search).
     Hit(CachedMask),
     /// A superseded-epoch value within the caller's staleness bound.
     /// `refresh` is `Some` only for the *first* stale serve while no
@@ -390,29 +379,11 @@ pub enum TieredLookup {
         /// The refine ticket, for exactly one caller per flight group.
         refresh: Option<SearchTicket>,
     },
-    /// This caller owns the search for the key.
-    Miss(SearchTicket),
-}
-
-/// Outcome of the non-blocking [`MaskCache::lookup_fast`].
-#[derive(Debug)]
-pub enum FastLookup {
-    /// The key is cached at the requested epoch.
-    Hit(CachedMask),
-    /// A superseded-epoch value within the staleness bound (see
-    /// [`TieredLookup::Stale`]).
-    Stale {
-        /// The superseded value.
-        value: CachedMask,
-        /// How many epochs behind the requested key it is (≥ 1).
-        age_epochs: u64,
-        /// The refine ticket, for exactly one caller per flight group.
-        refresh: Option<SearchTicket>,
-    },
     /// Nothing servable without a search. The ticket is `Some` when this
-    /// caller became the searcher (schedule a refine or drop it to
-    /// release the key); `None` when a search is already in flight.
-    Cold(Option<SearchTicket>),
+    /// caller became the searcher (search, schedule a refine, or drop it
+    /// to release the key). A blocking lookup always gets one; a
+    /// non-blocking lookup gets `None` when a search is already in flight.
+    Miss(Option<SearchTicket>),
 }
 
 /// Exclusive right (and obligation) to resolve one missing [`MaskKey`].
@@ -512,37 +483,30 @@ impl MaskCache {
         }
     }
 
-    /// Resolves `key`: a hit, possibly after waiting for a concurrent
-    /// searcher, or a [`SearchTicket`] making the caller the searcher.
-    ///
-    /// Epoch-agnostic compatibility path: equivalent to
-    /// [`Self::lookup_tiered`] with a zero staleness bound (it never
-    /// serves stale values).
-    pub fn lookup(cache: &Arc<MaskCache>, key: MaskKey) -> Lookup {
-        match Self::lookup_tiered(cache, key, key.synthetic_stale_key(), 0) {
-            TieredLookup::Hit(v) => Lookup::Hit(v),
-            TieredLookup::Miss(t) => Lookup::Miss(t),
-            TieredLookup::Stale { .. } => {
-                unreachable!("zero staleness bound never serves stale")
-            }
-        }
-    }
-
-    /// Resolves `key` through the full ladder: a fresh hit; else a
+    /// Resolves `key` through the cache ladder: a fresh hit; else a
     /// superseded-epoch value under `stale_key` at most
     /// `max_stale_epochs` behind (served immediately, *without* blocking
-    /// behind an in-flight refine); else the single-flight protocol of
-    /// [`Self::lookup`].
-    pub fn lookup_tiered(
+    /// behind an in-flight refine); else a miss. On a miss behind an
+    /// in-flight search, a `block`ing caller waits for the searcher and
+    /// re-resolves (becoming the searcher if it abandoned); a
+    /// non-blocking caller returns at once with `Miss(None)`.
+    pub fn lookup(
         cache: &Arc<MaskCache>,
         key: MaskKey,
         stale_key: StaleKey,
         max_stale_epochs: u64,
+        block: bool,
     ) -> TieredLookup {
         let mut inner = cache.lock();
         inner.lookups += 1;
         cache.metrics.lookups.inc();
         cache.record_hot(&mut inner, stale_key);
+        let ticket = || SearchTicket {
+            cache: Arc::clone(cache),
+            key,
+            stale_key,
+            done: false,
+        };
         let mut waited = false;
         loop {
             inner.tick += 1;
@@ -561,29 +525,19 @@ impl MaskCache {
                 // ticket; while the refine is in flight, later stale
                 // serves answer immediately with no ticket (that is the
                 // anti-stampede guarantee).
-                let refresh = inner.inflight.insert(key).then(|| SearchTicket {
-                    cache: Arc::clone(cache),
-                    key,
-                    stale_key,
-                    done: false,
-                });
                 return TieredLookup::Stale {
                     value,
                     age_epochs: age,
-                    refresh,
+                    refresh: inner.inflight.insert(key).then(ticket),
                 };
             }
-            if inner.inflight.insert(key) {
+            let owner = inner.inflight.insert(key);
+            if owner || !block {
                 inner.misses += 1;
                 cache.metrics.misses.inc();
-                return TieredLookup::Miss(SearchTicket {
-                    cache: Arc::clone(cache),
-                    key,
-                    stale_key,
-                    done: false,
-                });
+                return TieredLookup::Miss(owner.then(ticket));
             }
-            // `insert` returned false: someone else is searching this key.
+            // Someone else is searching this key: wait for it.
             if !waited {
                 waited = true;
                 inner.coalesced += 1;
@@ -594,57 +548,6 @@ impl MaskCache {
                 .wait(inner)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
-    }
-
-    /// The non-blocking ladder for deadline-bound callers: a fresh hit,
-    /// a within-bound stale value, or `Cold` — never waits behind an
-    /// in-flight search. A `Cold(Some(ticket))` caller became the
-    /// searcher (hand the ticket to the refiner, or drop it); a
-    /// `Cold(None)` caller found a search already in flight and should
-    /// answer from tier 0.
-    pub fn lookup_fast(
-        cache: &Arc<MaskCache>,
-        key: MaskKey,
-        stale_key: StaleKey,
-        max_stale_epochs: u64,
-    ) -> FastLookup {
-        let mut inner = cache.lock();
-        inner.lookups += 1;
-        cache.metrics.lookups.inc();
-        cache.record_hot(&mut inner, stale_key);
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.map.get_mut(&key) {
-            entry.last_used = tick;
-            let value = entry.value;
-            inner.hits += 1;
-            cache.metrics.hits.inc();
-            return FastLookup::Hit(value);
-        }
-        if let Some((value, age)) = stale_within(&inner, &key, &stale_key, max_stale_epochs) {
-            inner.stale_served += 1;
-            cache.metrics.stale_served.inc();
-            let refresh = inner.inflight.insert(key).then(|| SearchTicket {
-                cache: Arc::clone(cache),
-                key,
-                stale_key,
-                done: false,
-            });
-            return FastLookup::Stale {
-                value,
-                age_epochs: age,
-                refresh,
-            };
-        }
-        inner.misses += 1;
-        cache.metrics.misses.inc();
-        let ticket = inner.inflight.insert(key).then(|| SearchTicket {
-            cache: Arc::clone(cache),
-            key,
-            stale_key,
-            done: false,
-        });
-        FastLookup::Cold(ticket)
     }
 
     /// Tries to become the searcher for `key` without counting a lookup:
@@ -684,20 +587,6 @@ impl MaskCache {
     /// Peeks at `key` without touching LRU order or counters.
     pub fn peek(&self, key: &MaskKey) -> Option<CachedMask> {
         self.lock().map.get(key).map(|e| e.value)
-    }
-
-    /// Peeks at the stale store under `stale_key` without counters;
-    /// returns the value and the epoch it was searched at.
-    pub fn peek_stale(&self, stale_key: &StaleKey) -> Option<(CachedMask, u64)> {
-        self.lock().stale.get(stale_key).map(|s| (s.value, s.epoch))
-    }
-
-    /// Every resident `(key, value)` of the serving map, in unspecified
-    /// order. Test/bench introspection — the tiered harness uses it to
-    /// assert that no heuristic or stale answer (zero `decoy_runs`) was
-    /// ever cached as a fresh search result.
-    pub fn entries(&self) -> Vec<(MaskKey, CachedMask)> {
-        self.lock().map.iter().map(|(k, e)| (*k, e.value)).collect()
     }
 
     /// Removes every serving-map entry of `device` with an epoch below
@@ -1010,6 +899,11 @@ mod tests {
         }
     }
 
+    /// The blocking, stale-free lookup of an epoch-agnostic key.
+    fn blocking(cache: &Arc<MaskCache>, k: MaskKey) -> TieredLookup {
+        MaskCache::lookup(cache, k, k.synthetic_stale_key(), 0, true)
+    }
+
     fn mask(bits: u64) -> CachedMask {
         CachedMask {
             mask: DdMask::from_bits(bits, 5),
@@ -1051,10 +945,7 @@ mod tests {
         cache.insert(key(0, 1), mask(1));
         cache.insert(key(0, 2), mask(2));
         // Touch key 1 so key 2 is the LRU victim.
-        assert!(matches!(
-            MaskCache::lookup(&cache, key(0, 1)),
-            Lookup::Hit(_)
-        ));
+        assert!(matches!(blocking(&cache, key(0, 1)), TieredLookup::Hit(_)));
         cache.insert(key(0, 3), mask(3));
         assert!(cache.peek(&key(0, 1)).is_some());
         assert!(cache.peek(&key(0, 2)).is_none());
@@ -1081,15 +972,15 @@ mod tests {
     fn single_flight_hands_out_one_ticket_and_wakes_waiters() {
         let cache = Arc::new(MaskCache::new(8));
         let k = key(0, 7);
-        let Lookup::Miss(ticket) = MaskCache::lookup(&cache, k) else {
+        let TieredLookup::Miss(Some(ticket)) = blocking(&cache, k) else {
             panic!("first lookup must miss");
         };
         let waiters: Vec<_> = (0..4)
             .map(|_| {
                 let cache = Arc::clone(&cache);
-                thread::spawn(move || match MaskCache::lookup(&cache, k) {
-                    Lookup::Hit(v) => v,
-                    Lookup::Miss(_) => panic!("waiter must not become a searcher"),
+                thread::spawn(move || match blocking(&cache, k) {
+                    TieredLookup::Hit(v) => v,
+                    other => panic!("waiter must not become a searcher: {other:?}"),
                 })
             })
             .collect();
@@ -1108,17 +999,17 @@ mod tests {
     fn abandoned_ticket_promotes_a_waiter_to_searcher() {
         let cache = Arc::new(MaskCache::new(8));
         let k = key(0, 8);
-        let Lookup::Miss(ticket) = MaskCache::lookup(&cache, k) else {
+        let TieredLookup::Miss(Some(ticket)) = blocking(&cache, k) else {
             panic!("first lookup must miss");
         };
         let waiter = {
             let cache = Arc::clone(&cache);
-            thread::spawn(move || match MaskCache::lookup(&cache, k) {
-                Lookup::Miss(t) => {
+            thread::spawn(move || match blocking(&cache, k) {
+                TieredLookup::Miss(Some(t)) => {
                     t.complete(mask(9));
                     true
                 }
-                Lookup::Hit(_) => false,
+                _ => false,
             })
         };
         thread::sleep(std::time::Duration::from_millis(30));
@@ -1151,9 +1042,12 @@ mod tests {
                 thread::spawn(move || {
                     for r in 0..ROUNDS {
                         let k = key(0, ((t * ROUNDS + r) as u64 * 7) % KEYS);
-                        match MaskCache::lookup(&cache, k) {
-                            Lookup::Hit(_) => {}
-                            Lookup::Miss(ticket) => {
+                        match blocking(&cache, k) {
+                            TieredLookup::Hit(_) => {}
+                            TieredLookup::Stale { .. } | TieredLookup::Miss(None) => {
+                                unreachable!("a blocking stale-free lookup hits or owns")
+                            }
+                            TieredLookup::Miss(Some(ticket)) => {
                                 // Roughly every third searcher abandons its
                                 // ticket, forcing waiter promotion.
                                 if (t + r) % 3 == 0 {
@@ -1203,8 +1097,8 @@ mod tests {
     /// Insert a value at `epoch` under a real stale identity, via the
     /// tiered single-flight path.
     fn seed_tiered(cache: &Arc<MaskCache>, epoch: u64, hash: u64, value: CachedMask) {
-        match MaskCache::lookup_tiered(cache, key(epoch, hash), stale_key_of(hash), 2) {
-            TieredLookup::Miss(t) => t.complete(value),
+        match MaskCache::lookup(cache, key(epoch, hash), stale_key_of(hash), 2, true) {
+            TieredLookup::Miss(Some(t)) => t.complete(value),
             _ => panic!("seed must miss"),
         }
     }
@@ -1219,7 +1113,7 @@ mod tests {
 
         // Within the bound: a stale serve carrying the refine ticket.
         let k1 = key(1, 99); // new epoch compiles to a new circuit hash
-        match MaskCache::lookup_tiered(&cache, k1, stale_key_of(1), 2) {
+        match MaskCache::lookup(&cache, k1, stale_key_of(1), 2, true) {
             TieredLookup::Stale {
                 value,
                 age_epochs,
@@ -1229,7 +1123,7 @@ mod tests {
                 assert_eq!(age_epochs, 1);
                 let ticket = refresh.expect("first stale serve takes the ticket");
                 // Second stale lookup: served, but no duplicate ticket.
-                match MaskCache::lookup_tiered(&cache, k1, stale_key_of(1), 2) {
+                match MaskCache::lookup(&cache, k1, stale_key_of(1), 2, true) {
                     TieredLookup::Stale { refresh: None, .. } => {}
                     other => panic!("expected deduped stale serve, got {other:?}"),
                 }
@@ -1239,7 +1133,7 @@ mod tests {
             other => panic!("expected stale serve, got {other:?}"),
         }
         assert!(matches!(
-            MaskCache::lookup_tiered(&cache, k1, stale_key_of(1), 2),
+            MaskCache::lookup(&cache, k1, stale_key_of(1), 2, true),
             TieredLookup::Hit(v) if v.mask == mask(7).mask
         ));
         assert_eq!(cache.stats().stale_len, 0, "upgrade drops the stale entry");
@@ -1258,13 +1152,13 @@ mod tests {
         seed_tiered(&cache, 0, 1, mask(3));
         cache.invalidate_before(DeviceId::Rome, 1);
         // Age 3 exceeds the bound of 2: cold, caller becomes searcher.
-        match MaskCache::lookup_tiered(&cache, key(3, 55), stale_key_of(1), 2) {
-            TieredLookup::Miss(t) => drop(t),
+        match MaskCache::lookup(&cache, key(3, 55), stale_key_of(1), 2, true) {
+            TieredLookup::Miss(Some(t)) => drop(t),
             other => panic!("an over-age stale value must not serve: {other:?}"),
         }
         // A zero bound disables stale serving entirely.
-        match MaskCache::lookup_tiered(&cache, key(1, 56), stale_key_of(1), 0) {
-            TieredLookup::Miss(t) => drop(t),
+        match MaskCache::lookup(&cache, key(1, 56), stale_key_of(1), 0, true) {
+            TieredLookup::Miss(Some(t)) => drop(t),
             other => panic!("zero bound must never serve stale: {other:?}"),
         }
     }
@@ -1281,29 +1175,32 @@ mod tests {
     }
 
     #[test]
-    fn lookup_fast_never_blocks_and_hands_out_one_cold_ticket() {
+    fn non_blocking_lookup_never_waits_and_hands_out_one_cold_ticket() {
         let registry = adapt_obs::Registry::new();
         let cache = Arc::new(MaskCache::with_tiers(8, 4, 16, &registry));
         let k = key(0, 5);
         let sk = stale_key_of(5);
-        let FastLookup::Cold(Some(ticket)) = MaskCache::lookup_fast(&cache, k, sk, 2) else {
-            panic!("cold fast lookup must take the ticket");
+        let TieredLookup::Miss(Some(ticket)) = MaskCache::lookup(&cache, k, sk, 2, false) else {
+            panic!("a cold non-blocking lookup must take the ticket");
         };
-        // While the search is in flight, fast lookups stay non-blocking.
+        // While the search is in flight, the lookup returns at once with
+        // a ticketless miss instead of waiting.
         assert!(matches!(
-            MaskCache::lookup_fast(&cache, k, sk, 2),
-            FastLookup::Cold(None)
+            MaskCache::lookup(&cache, k, sk, 2, false),
+            TieredLookup::Miss(None)
         ));
         ticket.complete(mask(9));
         assert!(matches!(
-            MaskCache::lookup_fast(&cache, k, sk, 2),
-            FastLookup::Hit(v) if v.mask == mask(9).mask
+            MaskCache::lookup(&cache, k, sk, 2, false),
+            TieredLookup::Hit(v) if v.mask == mask(9).mask
         ));
         let stats = cache.stats();
         assert_eq!(
             stats.hits + stats.misses + stats.stale_served,
             stats.lookups
         );
+        // The in-flight miss is a miss, never a coalesced wait.
+        assert_eq!((stats.misses, stats.coalesced), (2, 0));
     }
 
     #[test]
@@ -1323,13 +1220,17 @@ mod tests {
     fn hot_keys_ranks_by_frequency_then_first_seen() {
         let registry = adapt_obs::Registry::new();
         let cache = Arc::new(MaskCache::with_tiers(8, 4, 8, &registry));
-        let serve =
-            |hash: u64| match MaskCache::lookup_tiered(&cache, key(0, hash), stale_key_of(hash), 0)
-            {
-                TieredLookup::Miss(t) => t.complete(mask(hash)),
-                TieredLookup::Hit(_) => {}
-                other => panic!("unexpected {other:?}"),
-            };
+        let serve = |hash: u64| match MaskCache::lookup(
+            &cache,
+            key(0, hash),
+            stale_key_of(hash),
+            0,
+            true,
+        ) {
+            TieredLookup::Miss(Some(t)) => t.complete(mask(hash)),
+            TieredLookup::Hit(_) => {}
+            other => panic!("unexpected {other:?}"),
+        };
         for hash in [1u64, 2, 1, 3, 1, 2] {
             serve(hash);
         }

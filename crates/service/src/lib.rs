@@ -32,18 +32,17 @@
 //!   conservative mask ([`Provenance::BreakerFallback`]) until a
 //!   half-open probe closes the breaker again.
 //! - A three-tier degradation ladder (opt-in via
-//!   [`ServiceConfig::tiers`]): requests whose deadline cannot fit a
-//!   search are answered instantly from the calibration-only heuristic
-//!   ([`Provenance::Heuristic`], `core::heuristic`), superseded-epoch
-//!   cache values are served within a staleness bound
-//!   ([`Provenance::StaleServed`]) while a bounded low-priority refine
-//!   lane re-searches the key in the background, and
+//!   [`ServiceConfig::tiers`]): the pure [`choose_rung`] picks, per
+//!   request, the breaker fallback, a blocking search, or an instant
+//!   answer — a superseded-epoch value within a staleness bound
+//!   ([`Provenance::StaleServed`]) or the calibration-only heuristic
+//!   ([`Provenance::Heuristic`]) while a bounded low-priority lane
+//!   refines the key. Only completed searches are ever cached.
 //!   [`MaskService::prewarm_epoch`] re-characterizes the hottest keys
 //!   against the *next* calibration epoch before drift lands, so an
-//!   epoch advance never causes a cold-miss storm. Heuristic and stale
-//!   answers are never cached as fresh; per-request
+//!   epoch advance never causes a cold-miss storm; per-request
 //!   [`SearchBudget::tier`] ([`TierPolicy`]) pins a request to
-//!   heuristic-only or search-only when auto laddering is unwanted.
+//!   heuristic-only or search-only.
 //! - Multi-tenant scheduling (opt-in via [`ServiceConfig::tenancy`]):
 //!   every request carries a [`Tenancy`] (tenant id + strictly-ordered
 //!   [`PriorityClass`]), admission draws per-tenant token buckets
@@ -117,8 +116,8 @@ pub use breaker::{
     Admission, BreakerConfig, BreakerFallback, BreakerState, HealthTracker, Transition,
 };
 pub use cache::{
-    logical_hash, CacheEvent, CachedMask, FastLookup, Lookup, MaskCache, MaskCacheStats, MaskKey,
-    SearchTicket, StaleKey, TieredLookup,
+    logical_hash, CacheEvent, CachedMask, MaskCache, MaskCacheStats, MaskKey, SearchTicket,
+    StaleKey, TieredLookup,
 };
 pub use persist::{
     CrashPoint, PersistConfig, PersistError, PersistStats, Persister, RecoveryReport,
@@ -127,8 +126,9 @@ pub use persist::{
 pub use registry::{DeviceId, DeviceRegistry};
 pub use sched::TenantScheduler;
 pub use service::{
-    BudgetError, Execution, MaskService, Pending, Provenance, Recommendation, Request, Response,
-    SearchBudget, ServiceConfig, ServiceError, ServiceStats, TierConfig, TierPolicy, Timing,
+    choose_rung, BudgetError, Execution, MaskService, Pending, Provenance, Recommendation, Request,
+    Response, Rung, SearchBudget, ServiceConfig, ServiceError, ServiceStats, TierConfig,
+    TierPolicy, Timing,
 };
 pub use tenancy::{
     PriorityClass, QuotaBook, Tenancy, TenancyConfig, TenantId, TenantQuota, TenantSpec,

@@ -24,8 +24,8 @@
 
 use crate::breaker::{Admission, BreakerConfig, BreakerState, HealthTracker, Transition};
 use crate::cache::{
-    logical_hash, CachedMask, FastLookup, MaskCache, MaskCacheStats, MaskKey, SearchTicket,
-    StaleKey, TieredLookup,
+    logical_hash, CachedMask, MaskCache, MaskCacheStats, MaskKey, SearchTicket, StaleKey,
+    TieredLookup,
 };
 use crate::persist::{PersistConfig, PersistStats, Persister, RecoveryReport};
 use crate::registry::{DeviceId, DeviceRegistry};
@@ -241,6 +241,67 @@ impl TierConfig {
     }
 }
 
+/// The rung of the degradation ladder a request is served from, as
+/// chosen by [`choose_rung`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rung {
+    /// The device's breaker is open: serve the key's cached mask, else
+    /// the conservative all-DD mask, without touching the backend or the
+    /// cache counters.
+    Breaker,
+    /// Look the key up, waiting out an in-flight search; serve a stale
+    /// value at most `max_stale` epochs old (refining it in the
+    /// background); search inline on a miss.
+    Search {
+        /// Staleness bound of the lookup (0: never stale).
+        max_stale: u64,
+    },
+    /// Answer at once: a cache hit, a stale value at most `max_stale`
+    /// epochs old, or the tier-0 heuristic. A search ticket the lookup
+    /// hands out goes to the background refine lane when `refine` is
+    /// set, and is dropped (releasing the key) otherwise.
+    Instant {
+        /// Staleness bound of the lookup (0: never stale).
+        max_stale: u64,
+        /// Whether the key may be refined in the background.
+        refine: bool,
+    },
+}
+
+/// Which rung of the ladder answers a request (DESIGN §13): a pure
+/// function of the breaker's admission verdict, the request's tier
+/// policy, the deadline budget left (`None`: unbounded) and the ladder
+/// tuning.
+///
+/// - An open breaker always gets [`Rung::Breaker`].
+/// - [`TierPolicy::SearchOnly`] always searches and never serves stale.
+/// - [`TierPolicy::HeuristicOnly`] never searches and never refines.
+/// - [`TierPolicy::Auto`] searches when at least
+///   [`TierConfig::min_search_ms`] remain, and otherwise answers at once
+///   and refines in the background.
+pub fn choose_rung(
+    admission: Admission,
+    tier: TierPolicy,
+    remaining_ms: Option<u64>,
+    tiers: &TierConfig,
+) -> Rung {
+    let max_stale = tiers.max_stale_epochs;
+    let fits_search = remaining_ms.is_none_or(|ms| ms >= tiers.min_search_ms);
+    match (admission, tier) {
+        (Admission::Fallback | Admission::FailFast { .. }, _) => Rung::Breaker,
+        (_, TierPolicy::SearchOnly) => Rung::Search { max_stale: 0 },
+        (_, TierPolicy::Auto) if fits_search => Rung::Search { max_stale },
+        (_, TierPolicy::Auto) => Rung::Instant {
+            max_stale,
+            refine: true,
+        },
+        (_, TierPolicy::HeuristicOnly) => Rung::Instant {
+            max_stale,
+            refine: false,
+        },
+    }
+}
+
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -274,13 +335,15 @@ pub struct ServiceConfig {
     /// opt in where that trade is wanted (production, the chaos
     /// harness).
     pub breaker: BreakerConfig,
-    /// Build request deadlines from charged virtual time only
-    /// ([`Deadline::virtual_only`]) instead of wall time
-    /// ([`Deadline::within_ms`]). With charged-only deadlines expiry is
-    /// a pure function of the seeded fault schedule, so deadline
-    /// behaviour replays bit-identically — the mode the chaos harness
-    /// and the deterministic tests run in.
-    pub virtual_deadlines: bool,
+    /// Run the service on virtual time instead of wall time. Request
+    /// deadlines count charged virtual time only
+    /// ([`Deadline::virtual_only`] instead of [`Deadline::within_ms`]),
+    /// and tenant quota buckets refill only when
+    /// [`MaskService::advance_quota_ms`] advances the clock. Expiry and
+    /// quota admission are then pure functions of the seeded schedule,
+    /// so both replay bit-identically — the mode the chaos and replay
+    /// harnesses and the deterministic tests run in.
+    pub virtual_time: bool,
     /// Metrics registry the service publishes `adapt_service_*` metrics
     /// into. Defaults to a fresh private registry, so every service
     /// instance keeps isolated counters (and [`MaskService::stats`] is
@@ -315,7 +378,7 @@ impl Default for ServiceConfig {
             default_budget: SearchBudget::default(),
             tiers: TierConfig::default(),
             breaker: BreakerConfig::disabled(),
-            virtual_deadlines: false,
+            virtual_time: false,
             registry: Arc::new(adapt_obs::Registry::new()),
             tenancy: TenancyConfig::default(),
             persist: PersistConfig::default(),
@@ -858,7 +921,10 @@ struct Job {
 /// drops the ticket, releasing the key.
 struct RefineJob {
     ticket: SearchTicket,
-    circuit: qcirc::Circuit,
+    /// The program compiled for the key's epoch.
+    compiled: transpiler::TranspiledCircuit,
+    /// Qubits of the logical program.
+    qubits: usize,
     budget: SearchBudget,
     enqueued: Instant,
 }
@@ -882,10 +948,10 @@ struct QueueState {
 }
 
 impl QueueState {
-    fn new(tenancy: TenancyConfig) -> Self {
+    fn new(tenancy: TenancyConfig, virtual_time: bool) -> Self {
         QueueState {
             jobs: TenantScheduler::new(),
-            quotas: QuotaBook::new(tenancy),
+            quotas: QuotaBook::new(tenancy, virtual_time),
             refine: VecDeque::new(),
             refine_active: 0,
             refiner_enabled: true,
@@ -903,9 +969,9 @@ struct Queue {
 }
 
 impl Queue {
-    fn new(tenancy: TenancyConfig) -> Self {
+    fn new(tenancy: TenancyConfig, virtual_time: bool) -> Self {
         Queue {
-            state: Mutex::new(QueueState::new(tenancy)),
+            state: Mutex::new(QueueState::new(tenancy, virtual_time)),
             available: Condvar::new(),
             refine_idle: Condvar::new(),
         }
@@ -1073,7 +1139,7 @@ impl MaskService {
         let shared = Arc::new(Shared {
             registry,
             cache,
-            queue: Queue::new(config.tenancy.clone()),
+            queue: Queue::new(config.tenancy.clone(), config.virtual_time),
             metrics: Metrics::for_registry(&obs),
             obs,
             health,
@@ -1146,7 +1212,7 @@ impl MaskService {
                 })?;
         }
         let deadline = match request.deadline_ms() {
-            Some(b) if shared.config.virtual_deadlines => Deadline::virtual_only(b),
+            Some(b) if shared.config.virtual_time => Deadline::virtual_only(b),
             Some(b) => Deadline::within_ms(b),
             None => Deadline::none(),
         };
@@ -1284,16 +1350,17 @@ impl MaskService {
             let Some(circuit) = lock(&shared.programs).get(&stale_key) else {
                 continue;
             };
-            let compiled = transpile(&circuit, machine.device(), &TranspileOptions::default());
-            let key = MaskKey {
+            let r = resolve(
+                shared,
+                &circuit,
                 device,
-                epoch: next_epoch,
-                circuit_hash: machine::structural_hash(&compiled.timed),
-                protocol: stale_key.protocol,
-                decoy: stale_key.decoy,
-            };
-            if let Some(ticket) = MaskCache::try_ticket(&shared.cache, key, stale_key) {
-                if enqueue_refine(shared, ticket, circuit, shared.config.default_budget) {
+                next_epoch,
+                &machine,
+                stale_key.protocol,
+            );
+            if let Some(ticket) = MaskCache::try_ticket(&shared.cache, r.key, r.stale_key) {
+                let budget = shared.config.default_budget;
+                if enqueue_refine(shared, ticket, &r.compiled, circuit.num_qubits(), budget) {
                     scheduled += 1;
                 }
             }
@@ -1499,7 +1566,7 @@ impl MaskService {
 
     /// Advances the virtual quota clock by `ms`: refills every tenant's
     /// token bucket as if `ms` milliseconds of wall time had passed.
-    /// Only meaningful with [`TenancyConfig::virtual_time`] set (it is a
+    /// Only meaningful with [`ServiceConfig::virtual_time`] set (it is a
     /// no-op otherwise) — the trace-replay harness drives admission
     /// entirely from this, so quota rejections are a pure function of
     /// the replayed schedule.
@@ -1692,10 +1759,8 @@ fn worker_loop(shared: &Arc<Shared>) {
             continue;
         }
         let served = Instant::now();
-        let admission = job.admission;
-        let deadline = job.deadline.clone();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_request(shared, job.request, queued_us, &deadline, admission)
+            handle_request(shared, job.request, queued_us, &job.deadline, job.admission)
         }));
         let service_us = served.elapsed().as_micros() as u64;
         m.completed.inc();
@@ -1707,7 +1772,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // conversion: breaker transitions then depend only on the seeded
         // search outcomes and the admission order, not on wall-clock
         // luck.
-        record_health(shared, device, admission, &outcome);
+        record_health(shared, device, job.admission, &outcome);
         let reply = match outcome {
             Ok(result) => {
                 let result = finalize_deadline(result, &job.deadline, m);
@@ -1730,16 +1795,9 @@ fn worker_loop(shared: &Arc<Shared>) {
         // Only search-running completions feed the retry-after
         // estimator: a rejected client is waiting behind search work,
         // not behind cache hits (see `retry_estimate_ms`).
-        if let Ok(response) = &reply {
-            if matches!(
-                provenance_of(response),
-                Some(
-                    Provenance::FreshSearch | Provenance::DegradedAllDd | Provenance::PartialSearch
-                )
-            ) {
-                m.fresh_service_us_total.add(service_us);
-                m.fresh_completed.inc();
-            }
+        if reply.as_ref().is_ok_and(|r| disposition_of(r).searched) {
+            m.fresh_service_us_total.add(service_us);
+            m.fresh_completed.inc();
         }
         tm.completed.inc();
         if matches!(reply, Err(ServiceError::DeadlineExceeded { .. })) {
@@ -1761,20 +1819,57 @@ fn deadline_error(deadline: &Deadline) -> ServiceError {
     }
 }
 
-/// The provenance a response carries, if any.
-fn provenance_of(response: &Response) -> Option<Provenance> {
-    match response {
-        Response::Mask(r) => Some(r.provenance),
-        Response::Execution(e) => e.provenance,
+/// What the service does with an answer of one provenance.
+#[derive(Debug, Clone, Copy, Default)]
+struct Disposition {
+    /// The answer is itself a conservative deadline or breaker outcome:
+    /// it may be served after the deadline, and it is never cached.
+    conservative: bool,
+    /// A search ran for it, so its service time feeds the retry-after
+    /// estimate (see `retry_estimate_ms`).
+    searched: bool,
+    /// What it tells the device's breaker: `Some(failure)`, or `None`
+    /// when it says nothing about device health.
+    verdict: Option<bool>,
+}
+
+/// The provenance table (DESIGN §13): the one place that decides, per
+/// provenance, deadline crossing and caching, the retry-after estimate
+/// and the breaker verdict.
+fn disposition(provenance: Provenance) -> Disposition {
+    let row = |conservative, searched, verdict| Disposition {
+        conservative,
+        searched,
+        verdict,
+    };
+    match provenance {
+        Provenance::CacheHit => row(false, false, None),
+        Provenance::FreshSearch => row(false, true, Some(false)),
+        Provenance::DegradedAllDd => row(false, true, Some(true)),
+        Provenance::PartialSearch => row(true, true, None),
+        Provenance::BreakerFallback => row(true, false, None),
+        Provenance::Heuristic => row(true, false, None),
+        Provenance::StaleServed { .. } => row(true, false, None),
     }
 }
 
-/// Feeds one request outcome into the device's breaker. Only
-/// backend-touching verdicts count: a fresh search is a success, a
-/// degraded or failed one a failure; cache hits, fallbacks and
-/// deadline interruptions say nothing about device health. A worker
-/// panic counts as a failure (the device's stack brought a worker
-/// down).
+/// The disposition of a response: its provenance's row. An execution
+/// ran the program on the backend whatever its mask's provenance, so a
+/// successful one always tells the breaker the device works.
+fn disposition_of(response: &Response) -> Disposition {
+    match response {
+        Response::Mask(r) => disposition(r.provenance),
+        Response::Execution(e) => Disposition {
+            verdict: Some(false),
+            ..e.provenance.map_or(Disposition::default(), disposition)
+        },
+    }
+}
+
+/// Feeds one request outcome into the device's breaker: the response's
+/// verdict from the provenance table, a typed failure or a worker panic
+/// (the device's stack brought a worker down) as a failure, and any
+/// other error as inconclusive.
 fn record_health(
     shared: &Shared,
     device: DeviceId,
@@ -1782,13 +1877,8 @@ fn record_health(
     outcome: &Result<Result<Response, ServiceError>, Box<dyn std::any::Any + Send>>,
 ) {
     let verdict: Option<bool> = match outcome {
-        Err(_) => Some(true),
-        Ok(Ok(response)) => match provenance_of(response) {
-            Some(Provenance::FreshSearch) => Some(false),
-            Some(Provenance::DegradedAllDd) => Some(true),
-            _ => None,
-        },
-        Ok(Err(ServiceError::Failed(_))) => Some(true),
+        Err(_) | Ok(Err(ServiceError::Failed(_))) => Some(true),
+        Ok(Ok(response)) => disposition_of(response).verdict,
         Ok(Err(_)) => None,
     };
     match (admission, verdict) {
@@ -1800,40 +1890,27 @@ fn record_health(
 }
 
 /// Boundary enforcement of the deadline contract: a response may cross
-/// the deadline only if it is itself the deadline outcome — a partial
-/// or breaker-fallback mask, or a typed error. Anything else that
-/// finished late is converted to [`ServiceError::DeadlineExceeded`], so
-/// "no full response after its deadline" holds by construction.
+/// the deadline only if it is itself a conservative outcome (see
+/// [`disposition`]) or a typed error. Anything else that finished late
+/// is converted to [`ServiceError::DeadlineExceeded`], so "no full
+/// response after its deadline" holds by construction.
 fn finalize_deadline(
     result: Result<Response, ServiceError>,
     deadline: &Deadline,
     metrics: &Metrics,
 ) -> Result<Response, ServiceError> {
-    match result {
-        Ok(response) => {
-            let conservative = matches!(
-                provenance_of(&response),
-                Some(
-                    Provenance::PartialSearch
-                        | Provenance::BreakerFallback
-                        | Provenance::Heuristic
-                        | Provenance::StaleServed { .. }
-                )
-            );
-            if !conservative && deadline.check().is_err() {
-                metrics.deadline_exceeded.inc();
-                Err(deadline_error(deadline))
-            } else {
-                Ok(response)
-            }
-        }
+    let late = match &result {
+        Ok(response) => !disposition_of(response).conservative && deadline.check().is_err(),
         // In-flight interruptions surface as the executor's typed error
         // wrapped in Failed; unwrap them to the service-level variant.
-        Err(ServiceError::Failed(AdaptError::Exec(e))) if e.is_interruption() => {
-            metrics.deadline_exceeded.inc();
-            Err(deadline_error(deadline))
-        }
-        Err(e) => Err(e),
+        Err(ServiceError::Failed(AdaptError::Exec(e))) => e.is_interruption(),
+        Err(_) => false,
+    };
+    if late {
+        metrics.deadline_exceeded.inc();
+        Err(deadline_error(deadline))
+    } else {
+        result
     }
 }
 
@@ -1844,6 +1921,11 @@ fn handle_request(
     deadline: &Deadline,
     admission: Admission,
 ) -> Result<Response, ServiceError> {
+    let served = Instant::now();
+    let timing = || Timing {
+        queued_us,
+        service_us: served.elapsed().as_micros() as u64,
+    };
     match request {
         Request::RecommendMask {
             circuit,
@@ -1852,17 +1934,19 @@ fn handle_request(
             budget,
             ..
         } => {
-            let served = Instant::now();
-            let (rec, _) = if admission == Admission::Fallback {
-                breaker_fallback(shared, &circuit, device, protocol)?
-            } else {
-                recommend(shared, &circuit, device, protocol, budget, deadline)?
-            };
-            let timing = Timing {
-                queued_us,
-                service_us: served.elapsed().as_micros() as u64,
-            };
-            Ok(Response::Mask(Recommendation { timing, ..rec }))
+            let (epoch, machine) = snapshot(shared, device)?;
+            let r = resolve(shared, &circuit, device, epoch, &machine, protocol);
+            let (cached, provenance) =
+                recommend(shared, &circuit, &r, &machine, budget, deadline, admission)?;
+            Ok(Response::Mask(Recommendation {
+                key: r.key,
+                mask: cached.mask,
+                decoy_fidelity: cached.decoy_fidelity,
+                decoy_runs: cached.decoy_runs,
+                provenance,
+                degraded: cached.degraded,
+                timing: timing(),
+            }))
         }
         Request::Execute {
             circuit,
@@ -1879,31 +1963,41 @@ fn handle_request(
                     retry_after_ms: shared.health.retry_hint_ms(device),
                 });
             }
-            let served = Instant::now();
-            let exec = execute(shared, &circuit, device, policy, deadline)?;
-            let timing = Timing {
-                queued_us,
-                service_us: served.elapsed().as_micros() as u64,
-            };
-            Ok(Response::Execution(Execution { timing, ..exec }))
+            let exec = execute(shared, &circuit, device, policy, deadline, admission)?;
+            Ok(Response::Execution(Execution {
+                timing: timing(),
+                ..exec
+            }))
         }
     }
 }
 
-/// Serves a request whose device breaker is open without touching the
-/// backend: the cached mask when one exists (any epoch match), the
-/// conservative all-DD mask otherwise. Never cached, never counted as a
-/// search.
-fn breaker_fallback(
-    shared: &Arc<Shared>,
-    circuit: &qcirc::Circuit,
-    device: DeviceId,
-    protocol: DdProtocol,
-) -> Result<(Recommendation, Machine), ServiceError> {
-    let (epoch, machine) = shared
+/// The current calibration epoch of `device` and its machine.
+fn snapshot(shared: &Shared, device: DeviceId) -> Result<(u64, Machine), ServiceError> {
+    shared
         .registry
         .snapshot(device)
-        .ok_or(ServiceError::DeviceNotServed(device))?;
+        .ok_or(ServiceError::DeviceNotServed(device))
+}
+
+/// A logical program resolved against one calibration epoch: the
+/// compiled circuit and both of its cache identities.
+struct Resolved {
+    compiled: transpiler::TranspiledCircuit,
+    key: MaskKey,
+    stale_key: StaleKey,
+}
+
+/// Transpiles `circuit` for `machine` (the device at `epoch`) and builds
+/// its [`MaskKey`] and [`StaleKey`].
+fn resolve(
+    shared: &Shared,
+    circuit: &qcirc::Circuit,
+    device: DeviceId,
+    epoch: u64,
+    machine: &Machine,
+    protocol: DdProtocol,
+) -> Resolved {
     let compiled = transpile(circuit, machine.device(), &TranspileOptions::default());
     let key = MaskKey {
         device,
@@ -1912,29 +2006,11 @@ fn breaker_fallback(
         protocol,
         decoy: shared.config.decoy,
     };
-    // `adapt_service_breaker_fallbacks_total` was already incremented by
-    // the tracker when it handed out this Fallback admission.
-    let rec = match shared.cache.peek(&key) {
-        Some(cached) => Recommendation {
-            key,
-            mask: cached.mask,
-            decoy_fidelity: cached.decoy_fidelity,
-            decoy_runs: cached.decoy_runs,
-            provenance: Provenance::BreakerFallback,
-            degraded: cached.degraded,
-            timing: Timing::default(),
-        },
-        None => Recommendation {
-            key,
-            mask: DdMask::all(circuit.num_qubits()),
-            decoy_fidelity: 0.0,
-            decoy_runs: 0,
-            provenance: Provenance::BreakerFallback,
-            degraded: true,
-            timing: Timing::default(),
-        },
-    };
-    Ok((rec, machine))
+    Resolved {
+        compiled,
+        key,
+        stale_key: key.stale_key(logical_hash(circuit)),
+    }
 }
 
 /// Builds the deterministic per-request backend stack for `key` (see the
@@ -1991,33 +2067,32 @@ fn adapt_config(
 fn enqueue_refine(
     shared: &Arc<Shared>,
     ticket: SearchTicket,
-    circuit: qcirc::Circuit,
+    compiled: &transpiler::TranspiledCircuit,
+    qubits: usize,
     budget: SearchBudget,
 ) -> bool {
-    let accepted = {
-        let mut state = lock(&shared.queue.state);
-        if shared.shutdown.load(Ordering::SeqCst)
-            || !state.refiner_enabled
-            || state.refine.len() >= shared.config.tiers.refine_queue_capacity
-        {
-            false
-        } else {
-            state.refine.push_back(RefineJob {
-                ticket,
-                circuit,
-                budget,
-                enqueued: Instant::now(),
-            });
-            true
-        }
+    let job = RefineJob {
+        ticket,
+        compiled: compiled.clone(),
+        qubits,
+        budget,
+        enqueued: Instant::now(),
     };
+    let mut state = lock(&shared.queue.state);
+    let accepted = !shared.shutdown.load(Ordering::SeqCst)
+        && state.refiner_enabled
+        && state.refine.len() < shared.config.tiers.refine_queue_capacity;
+    if accepted {
+        state.refine.push_back(job);
+    }
+    drop(state);
     if accepted {
         shared.metrics.refines_enqueued.inc();
         shared.queue.available.notify_one();
     } else {
-        // The ticket was not moved into a job: it drops when this
-        // function returns (after the queue lock is released), which
-        // releases the key to future lookups.
+        // The job was not queued: it drops when this function returns
+        // (after the queue lock is released), and its ticket releases
+        // the key to future lookups.
         shared.metrics.refines_dropped.inc();
     }
     accepted
@@ -2032,40 +2107,27 @@ fn enqueue_refine(
 /// key — a refine of yesterday's calibration helps nobody.
 fn run_refine(shared: &Arc<Shared>, job: RefineJob) {
     let key = job.ticket.key();
-    let Some((current_epoch, current_machine)) = shared.registry.snapshot(key.device) else {
-        shared.metrics.refines_dropped.inc();
-        return;
-    };
     // Current-epoch refines (stale-serve upgrades) use the live machine;
     // next-epoch refines (prewarm) characterize against the peeked one.
-    let machine = if key.epoch == current_epoch {
-        current_machine
-    } else {
-        match shared.registry.peek_next_epoch(key.device) {
-            Some((next, m)) if key.epoch == next => m,
-            _ => {
-                shared.metrics.refines_dropped.inc();
-                return;
-            }
-        }
+    let machine = match shared.registry.snapshot(key.device) {
+        Some((epoch, machine)) if epoch == key.epoch => Some(machine),
+        _ => shared
+            .registry
+            .peek_next_epoch(key.device)
+            .and_then(|(next, machine)| (next == key.epoch).then_some(machine)),
     };
-    let compiled = transpile(&job.circuit, machine.device(), &TranspileOptions::default());
-    let fingerprint = key.fingerprint();
-    let deadline = Deadline::none();
-    let adapt = backend_for(shared, machine, key.device, fingerprint, &deadline);
-    let cfg = adapt_config(shared, key.protocol, job.budget, fingerprint);
-    let Ok(decoy) = make_decoy(&compiled.timed, cfg.decoy_kind) else {
-        shared.metrics.refines_dropped.inc();
-        return;
-    };
-    match adapt.choose_mask_with_decoy_deadline(
-        &compiled,
-        &decoy,
-        job.circuit.num_qubits(),
-        &cfg,
-        deadline,
-    ) {
-        Ok(result) if !result.partial => {
+    let searched = machine.and_then(|machine| {
+        let fingerprint = key.fingerprint();
+        let deadline = Deadline::none();
+        let adapt = backend_for(shared, machine, key.device, fingerprint, &deadline);
+        let cfg = adapt_config(shared, key.protocol, job.budget, fingerprint);
+        let decoy = make_decoy(&job.compiled.timed, cfg.decoy_kind).ok()?;
+        adapt
+            .choose_mask_with_decoy_deadline(&job.compiled, &decoy, job.qubits, &cfg, deadline)
+            .ok()
+    });
+    match searched {
+        Some(result) if !result.partial => {
             job.ticket.complete(cached_from(&result));
             shared.metrics.refines_completed.inc();
             shared
@@ -2073,11 +2135,10 @@ fn run_refine(shared: &Arc<Shared>, job: RefineJob) {
                 .refine_us
                 .record(job.enqueued.elapsed().as_micros() as u64);
         }
-        // Failed or (impossibly, with no deadline) partial: release the
-        // key by dropping the ticket, count the drop.
-        _ => {
-            shared.metrics.refines_dropped.inc();
-        }
+        // The epoch moved on, the search failed, or (impossibly, with no
+        // deadline) it came back partial: release the key by dropping
+        // the ticket, count the drop.
+        _ => shared.metrics.refines_dropped.inc(),
     }
 }
 
@@ -2099,172 +2160,109 @@ fn cached_from(result: &adapt::SearchResult) -> CachedMask {
     }
 }
 
-/// Resolves a recommendation through the cache (single-flight on miss).
-/// Returns the recommendation (timing zeroed — the caller stamps it) and
-/// the epoch machine, so `execute` can reuse both.
+/// Serves a mask for the resolved program from the rung [`choose_rung`]
+/// picks — the one place the ladder's rungs meet the cache. `machine`
+/// must be the epoch snapshot `r` was resolved against.
 fn recommend(
     shared: &Arc<Shared>,
     circuit: &qcirc::Circuit,
-    device: DeviceId,
-    protocol: DdProtocol,
+    r: &Resolved,
+    machine: &Machine,
     budget: SearchBudget,
     deadline: &Deadline,
-) -> Result<(Recommendation, Machine), ServiceError> {
-    let (epoch, machine) = shared
-        .registry
-        .snapshot(device)
-        .ok_or(ServiceError::DeviceNotServed(device))?;
-    let compiled = transpile(circuit, machine.device(), &TranspileOptions::default());
-    let key = MaskKey {
-        device,
-        epoch,
-        circuit_hash: machine::structural_hash(&compiled.timed),
-        protocol,
-        decoy: shared.config.decoy,
-    };
-    let tiers = shared.config.tiers;
-    let stale_key = key.stale_key(logical_hash(circuit));
+    admission: Admission,
+) -> Result<(CachedMask, Provenance), ServiceError> {
+    let tiers = &shared.config.tiers;
+    let (max_stale, block, refine) =
+        match choose_rung(admission, budget.tier, deadline.remaining_ms(), tiers) {
+            // The tracker already counted this fallback when it handed
+            // out the admission.
+            Rung::Breaker => {
+                let all_dd = CachedMask {
+                    mask: DdMask::all(circuit.num_qubits()),
+                    decoy_fidelity: 0.0,
+                    decoy_runs: 0,
+                    degraded: true,
+                };
+                let cached = shared.cache.peek(&r.key).unwrap_or(all_dd);
+                return Ok((cached, Provenance::BreakerFallback));
+            }
+            Rung::Search { max_stale } => (max_stale, true, true),
+            Rung::Instant { max_stale, refine } => (max_stale, false, refine),
+        };
     // Remember the logical program under its epoch-independent identity,
     // so a later prewarm of this (hot) key can rebuild the circuit.
-    lock(&shared.programs).record(stale_key, circuit, shared.config.cache_capacity);
-
-    // Which rung of the ladder does this request start on? SearchOnly
-    // and a comfortably-remaining deadline take the blocking search
-    // path; HeuristicOnly and a too-tight deadline take the
-    // never-blocking fast path (tier 0 floor).
-    let fits_search = deadline
-        .remaining_ms()
-        .is_none_or(|remaining| remaining >= tiers.min_search_ms);
-    let search_path = match budget.tier {
-        TierPolicy::SearchOnly => true,
-        TierPolicy::HeuristicOnly => false,
-        TierPolicy::Auto => fits_search,
+    lock(&shared.programs).record(r.stale_key, circuit, shared.config.cache_capacity);
+    // A ticket the rung may not refine drops here, releasing the key.
+    let refine_with = |ticket: Option<SearchTicket>| {
+        if let Some(ticket) = ticket.filter(|_| refine) {
+            enqueue_refine(shared, ticket, &r.compiled, circuit.num_qubits(), budget);
+        }
     };
-
-    let (cached, provenance) = if search_path {
-        // SearchOnly pins pre-ladder semantics: no stale serving at all.
-        let max_stale = if budget.tier == TierPolicy::SearchOnly {
-            0
-        } else {
-            tiers.max_stale_epochs
-        };
-        match MaskCache::lookup_tiered(&shared.cache, key, stale_key, max_stale) {
+    Ok(
+        match MaskCache::lookup(&shared.cache, r.key, r.stale_key, max_stale, block) {
             TieredLookup::Hit(cached) => (cached, Provenance::CacheHit),
             TieredLookup::Stale {
                 value,
                 age_epochs,
                 refresh,
-            } => serve_stale(shared, circuit, budget, value, age_epochs, refresh),
-            TieredLookup::Miss(ticket) => search_inline(
-                shared,
-                circuit,
-                &compiled,
-                &key,
-                machine.clone(),
-                budget,
-                deadline,
-                ticket,
-            )?,
-        }
-    } else {
-        match MaskCache::lookup_fast(&shared.cache, key, stale_key, tiers.max_stale_epochs) {
-            FastLookup::Hit(cached) => (cached, Provenance::CacheHit),
-            FastLookup::Stale {
-                value,
-                age_epochs,
-                refresh,
-            } => serve_stale(shared, circuit, budget, value, age_epochs, refresh),
-            FastLookup::Cold(ticket) => {
-                // Tier 0: answer from calibration alone, instantly. The
-                // heuristic mask is served but never cached — only a
-                // real search may publish under the key. An Auto caller
-                // holding the cold ticket hands it to the refiner so the
-                // key upgrades to FreshSearch in the background;
-                // HeuristicOnly pinned "no search work", so its ticket
-                // drops here, releasing the key.
-                if let Some(ticket) = ticket {
-                    if budget.tier == TierPolicy::Auto {
-                        enqueue_refine(shared, ticket, circuit.clone(), budget);
-                    }
-                }
+            } => {
+                refine_with(refresh);
+                shared.metrics.stale_served.inc();
+                (value, Provenance::StaleServed { age_epochs })
+            }
+            TieredLookup::Miss(Some(ticket)) if block => {
+                search_inline(shared, circuit, r, machine, budget, deadline, ticket)?
+            }
+            // Tier 0: answer from calibration alone, instantly.
+            TieredLookup::Miss(ticket) => {
+                refine_with(ticket);
                 let h = heuristic_mask(
-                    &compiled,
+                    &r.compiled,
                     machine.device(),
                     circuit.num_qubits(),
                     &tiers.heuristic,
                 );
                 shared.metrics.heuristic_served.inc();
-                (
-                    CachedMask {
-                        mask: h.mask,
-                        decoy_fidelity: 0.0,
-                        decoy_runs: 0,
-                        degraded: false,
-                    },
-                    Provenance::Heuristic,
-                )
+                let cached = CachedMask {
+                    mask: h.mask,
+                    decoy_fidelity: 0.0,
+                    decoy_runs: 0,
+                    degraded: false,
+                };
+                (cached, Provenance::Heuristic)
             }
-        }
-    };
-    Ok((
-        Recommendation {
-            key,
-            mask: cached.mask,
-            decoy_fidelity: cached.decoy_fidelity,
-            decoy_runs: cached.decoy_runs,
-            provenance,
-            degraded: cached.degraded,
-            timing: Timing::default(),
         },
-        machine,
-    ))
-}
-
-/// Serves a superseded-epoch value (tier 1). The first serve per flight
-/// group carries the refine ticket — hand it to the background lane so
-/// the key upgrades to a fresh search; a HeuristicOnly caller pinned "no
-/// search work", so its ticket drops, releasing the key.
-fn serve_stale(
-    shared: &Arc<Shared>,
-    circuit: &qcirc::Circuit,
-    budget: SearchBudget,
-    value: CachedMask,
-    age_epochs: u64,
-    refresh: Option<SearchTicket>,
-) -> (CachedMask, Provenance) {
-    if let Some(ticket) = refresh {
-        if budget.tier == TierPolicy::HeuristicOnly {
-            drop(ticket);
-        } else {
-            enqueue_refine(shared, ticket, circuit.clone(), budget);
-        }
-    }
-    shared.metrics.stale_served.inc();
-    (value, Provenance::StaleServed { age_epochs })
+    )
 }
 
 /// The inline (blocking) search a request runs when it owns the key's
 /// single-flight ticket and its deadline affords one. `machine` must be
-/// the epoch snapshot the key was built from.
-#[allow(clippy::too_many_arguments)]
+/// the epoch snapshot `r` was resolved against.
 fn search_inline(
     shared: &Arc<Shared>,
     circuit: &qcirc::Circuit,
-    compiled: &transpiler::TranspiledCircuit,
-    key: &MaskKey,
-    machine: Machine,
+    r: &Resolved,
+    machine: &Machine,
     budget: SearchBudget,
     deadline: &Deadline,
     ticket: SearchTicket,
 ) -> Result<(CachedMask, Provenance), ServiceError> {
     // This request owns the search. Any failure drops the ticket,
     // releasing the key to coalesced waiters.
-    let adapt = backend_for(shared, machine, key.device, key.fingerprint(), deadline);
+    let key = r.key;
+    let adapt = backend_for(
+        shared,
+        machine.clone(),
+        key.device,
+        key.fingerprint(),
+        deadline,
+    );
     let cfg = adapt_config(shared, key.protocol, budget, key.fingerprint());
-    let decoy =
-        make_decoy(&compiled.timed, cfg.decoy_kind).map_err(|e| ServiceError::Failed(e.into()))?;
+    let decoy = make_decoy(&r.compiled.timed, cfg.decoy_kind)
+        .map_err(|e| ServiceError::Failed(e.into()))?;
     let result = adapt.choose_mask_with_decoy_deadline(
-        compiled,
+        &r.compiled,
         &decoy,
         circuit.num_qubits(),
         &cfg,
@@ -2272,24 +2270,25 @@ fn search_inline(
     )?;
     shared.metrics.searches.inc();
     let cached = cached_from(&result);
-    if result.partial {
+    let provenance = if result.partial {
+        shared.metrics.partial_searches.inc();
+        Provenance::PartialSearch
+    } else if cached.degraded {
+        Provenance::DegradedAllDd
+    } else {
+        Provenance::FreshSearch
+    };
+    if disposition(provenance).conservative {
         // A deadline-truncated mask is served but never cached: dropping
         // the ticket releases the key, so the next request (or a
         // coalesced waiter) searches afresh with its own budget. Caching
         // it would let one tight deadline poison every later request for
         // the key.
         drop(ticket);
-        shared.metrics.partial_searches.inc();
-        Ok((cached, Provenance::PartialSearch))
     } else {
         ticket.complete(cached);
-        let provenance = if cached.degraded {
-            Provenance::DegradedAllDd
-        } else {
-            Provenance::FreshSearch
-        };
-        Ok((cached, provenance))
     }
+    Ok((cached, provenance))
 }
 
 fn execute(
@@ -2298,71 +2297,44 @@ fn execute(
     device: DeviceId,
     policy: Policy,
     deadline: &Deadline,
+    admission: Admission,
 ) -> Result<Execution, ServiceError> {
     let n = circuit.num_qubits();
     let budget = shared.config.default_budget;
     let protocol = DdProtocol::default();
-    // ADAPT goes through the cache; the fixed policies skip straight to
-    // the final run. Runtime-Best delegates to the framework sweep (its
-    // oversized-program rejection surfaces as a typed error here).
-    let (mask, provenance, epoch, machine) = match policy {
-        Policy::Adapt => {
-            let (rec, machine) = recommend(shared, circuit, device, protocol, budget, deadline)?;
-            (rec.mask, Some(rec.provenance), rec.key.epoch, machine)
-        }
-        Policy::NoDd | Policy::AllDd => {
-            let (epoch, machine) = shared
-                .registry
-                .snapshot(device)
-                .ok_or(ServiceError::DeviceNotServed(device))?;
-            let mask = if policy == Policy::NoDd {
-                DdMask::none(n)
-            } else {
-                DdMask::all(n)
-            };
-            (mask, None, epoch, machine)
-        }
-        Policy::RuntimeBest => {
-            let (epoch, machine) = shared
-                .registry
-                .snapshot(device)
-                .ok_or(ServiceError::DeviceNotServed(device))?;
-            let fingerprint = 0x5EED_0DD5u64 ^ (epoch << 32);
-            let adapt = backend_for(shared, machine, device, fingerprint, deadline);
-            let cfg = adapt_config(shared, protocol, budget, fingerprint);
-            let run = adapt.run_policy(circuit, policy, &cfg)?;
-            return Ok(Execution {
-                device,
-                epoch,
-                policy,
-                mask: run.mask,
-                fidelity: run.fidelity,
-                pulse_count: run.pulse_count,
-                provenance: None,
-                timing: Timing::default(),
-            });
-        }
+    let (epoch, machine) = snapshot(shared, device)?;
+    let (mask, fidelity, pulse_count, provenance) = if policy == Policy::RuntimeBest {
+        // Runtime-Best delegates to the framework sweep (its
+        // oversized-program rejection surfaces as a typed error here).
+        let fingerprint = 0x5EED_0DD5u64 ^ (epoch << 32);
+        let adapt = backend_for(shared, machine, device, fingerprint, deadline);
+        let cfg = adapt_config(shared, protocol, budget, fingerprint);
+        let run = adapt.run_policy(circuit, policy, &cfg)?;
+        (run.mask, run.fidelity, run.pulse_count, None)
+    } else {
+        // ADAPT goes through the ladder like a recommendation; the fixed
+        // policies skip straight to the final run.
+        let r = resolve(shared, circuit, device, epoch, &machine, protocol);
+        let (mask, provenance) = match policy {
+            Policy::Adapt => {
+                let (cached, provenance) =
+                    recommend(shared, circuit, &r, &machine, budget, deadline, admission)?;
+                (cached.mask, Some(provenance))
+            }
+            Policy::NoDd => (DdMask::none(n), None),
+            _ => (DdMask::all(n), None),
+        };
+        // The final run is seeded from the same key material as the
+        // search, so executions are deterministic per (device, epoch,
+        // circuit) too.
+        let fingerprint = r.key.fingerprint();
+        let adapt = backend_for(shared, machine, device, fingerprint ^ 0xEC5E_C0DE, deadline);
+        let cfg = adapt_config(shared, protocol, budget, fingerprint);
+        let ideal = adapt.ideal_output(circuit)?;
+        let (_counts, fidelity, pulse_count) =
+            adapt.run_with_mask(&r.compiled, &ideal, mask, &cfg)?;
+        (mask, fidelity, pulse_count, provenance)
     };
-    // The final run is seeded from the same key material as the search,
-    // so executions are deterministic per (device, epoch, circuit) too.
-    let compiled = transpile(circuit, machine.device(), &TranspileOptions::default());
-    let key = MaskKey {
-        device,
-        epoch,
-        circuit_hash: machine::structural_hash(&compiled.timed),
-        protocol,
-        decoy: shared.config.decoy,
-    };
-    let adapt = backend_for(
-        shared,
-        machine,
-        device,
-        key.fingerprint() ^ 0xEC5E_C0DE,
-        deadline,
-    );
-    let cfg = adapt_config(shared, protocol, budget, key.fingerprint());
-    let ideal = adapt.ideal_output(circuit)?;
-    let (_counts, fidelity, pulse_count) = adapt.run_with_mask(&compiled, &ideal, mask, &cfg)?;
     Ok(Execution {
         device,
         epoch,

@@ -11,11 +11,11 @@
 //! # Clocks
 //!
 //! Token buckets refill on wall-clock time by default. For deterministic
-//! replay (the trace-replay harness, tests) set
-//! [`TenancyConfig::virtual_time`] and drive the bucket clock explicitly
-//! via [`QuotaBook::advance_ms`] — refill then becomes a pure function
-//! of the replayed schedule, so two identical runs reject the exact same
-//! requests.
+//! replay (the trace-replay harness, tests) the service's single virtual
+//! clock (`ServiceConfig::virtual_time`) builds the book in virtual mode
+//! and drives the bucket clock explicitly via [`QuotaBook::advance_ms`]
+//! — refill then becomes a pure function of the replayed schedule, so
+//! two identical runs reject the exact same requests.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -146,10 +146,6 @@ pub struct TenancyConfig {
     pub default_spec: TenantSpec,
     /// Per-tenant overrides.
     pub tenants: BTreeMap<TenantId, TenantSpec>,
-    /// Refill buckets from an explicitly-advanced virtual clock
-    /// ([`QuotaBook::advance_ms`]) instead of wall time — the
-    /// determinism mode used by trace replay.
-    pub virtual_time: bool,
 }
 
 impl TenancyConfig {
@@ -208,14 +204,12 @@ impl TenancyConfig {
 struct Bucket {
     /// Tokens currently available (fractional between refills).
     tokens: f64,
-    /// Wall-clock instant of the last refill (wall mode only).
-    last_wall: Instant,
-    /// Virtual milliseconds already credited (virtual mode only).
-    last_virtual_ms: f64,
+    /// Clock reading of the last refill (see [`QuotaBook::now_ms`]).
+    last_ms: f64,
 }
 
 /// Live admission state: lazily-created token buckets per tenant,
-/// refilled from wall or virtual time per the config.
+/// refilled from wall or virtual time.
 ///
 /// Callers hold this behind the service queue lock, so the methods take
 /// `&mut self` and do no internal locking.
@@ -223,24 +217,24 @@ struct Bucket {
 pub struct QuotaBook {
     config: TenancyConfig,
     buckets: BTreeMap<TenantId, Bucket>,
+    /// Creation instant of a wall-clock book; `None` runs the book on
+    /// the virtual clock alone.
+    wall_start: Option<Instant>,
     /// The virtual clock, in milliseconds since book creation.
     virtual_now_ms: f64,
 }
 
 impl QuotaBook {
-    /// A book enforcing `config`. Buckets start full and are created on
-    /// a tenant's first request.
-    pub fn new(config: TenancyConfig) -> Self {
+    /// A book enforcing `config`, refilling from wall time or, with
+    /// `virtual_time`, only from [`Self::advance_ms`]. Buckets start full
+    /// and are created on a tenant's first request.
+    pub fn new(config: TenancyConfig, virtual_time: bool) -> Self {
         QuotaBook {
             config,
             buckets: BTreeMap::new(),
+            wall_start: (!virtual_time).then(Instant::now),
             virtual_now_ms: 0.0,
         }
-    }
-
-    /// The governing config.
-    pub fn config(&self) -> &TenancyConfig {
-        &self.config
     }
 
     /// Advances the virtual clock by `ms`. No-op in wall mode.
@@ -248,6 +242,13 @@ impl QuotaBook {
         if ms.is_finite() && ms > 0.0 {
             self.virtual_now_ms += ms;
         }
+    }
+
+    /// Milliseconds since book creation on the book's clock.
+    fn now_ms(&self) -> f64 {
+        self.wall_start.map_or(self.virtual_now_ms, |start| {
+            start.elapsed().as_secs_f64() * 1000.0
+        })
     }
 
     /// Takes one token from `tenant`'s bucket.
@@ -260,23 +261,13 @@ impl QuotaBook {
         let Some(quota) = self.config.spec(tenant).quota else {
             return Ok(());
         };
-        let virtual_time = self.config.virtual_time;
-        let virtual_now = self.virtual_now_ms;
-        let bucket = self.buckets.entry(tenant).or_insert_with(|| Bucket {
+        let now_ms = self.now_ms();
+        let bucket = self.buckets.entry(tenant).or_insert(Bucket {
             tokens: quota.burst,
-            last_wall: Instant::now(),
-            last_virtual_ms: virtual_now,
+            last_ms: now_ms,
         });
-        let elapsed_ms = if virtual_time {
-            let dt = (virtual_now - bucket.last_virtual_ms).max(0.0);
-            bucket.last_virtual_ms = virtual_now;
-            dt
-        } else {
-            let now = Instant::now();
-            let dt = now.duration_since(bucket.last_wall).as_secs_f64() * 1000.0;
-            bucket.last_wall = now;
-            dt
-        };
+        let elapsed_ms = (now_ms - bucket.last_ms).max(0.0);
+        bucket.last_ms = now_ms;
         bucket.tokens = (bucket.tokens + elapsed_ms * quota.rate_per_s / 1000.0).min(quota.burst);
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
@@ -286,12 +277,6 @@ impl QuotaBook {
             let retry_ms = (deficit * 1000.0 / quota.rate_per_s).ceil() as u64;
             Err(retry_ms.max(1))
         }
-    }
-
-    /// Tokens currently in `tenant`'s bucket without refilling —
-    /// `None` if the tenant is unlimited or has never been seen.
-    pub fn tokens(&self, tenant: TenantId) -> Option<f64> {
-        self.buckets.get(&tenant).map(|b| b.tokens)
     }
 }
 
@@ -306,13 +291,12 @@ mod tests {
                 quota: Some(TenantQuota { rate_per_s, burst }),
             },
             tenants: BTreeMap::new(),
-            virtual_time: true,
         }
     }
 
     #[test]
     fn unlimited_tenant_always_admitted() {
-        let mut book = QuotaBook::new(TenancyConfig::default());
+        let mut book = QuotaBook::new(TenancyConfig::default(), true);
         for _ in 0..10_000 {
             assert_eq!(book.try_take(TenantId(7)), Ok(()));
         }
@@ -320,7 +304,7 @@ mod tests {
 
     #[test]
     fn burst_then_reject_then_refill() {
-        let mut book = QuotaBook::new(limited(10.0, 3.0));
+        let mut book = QuotaBook::new(limited(10.0, 3.0), true);
         let t = TenantId(1);
         assert_eq!(book.try_take(t), Ok(()));
         assert_eq!(book.try_take(t), Ok(()));
@@ -336,7 +320,7 @@ mod tests {
 
     #[test]
     fn refill_caps_at_burst() {
-        let mut book = QuotaBook::new(limited(1000.0, 2.0));
+        let mut book = QuotaBook::new(limited(1000.0, 2.0), true);
         let t = TenantId(2);
         assert_eq!(book.try_take(t), Ok(()));
         book.advance_ms(3_600_000.0);
@@ -348,7 +332,7 @@ mod tests {
 
     #[test]
     fn buckets_are_per_tenant() {
-        let mut book = QuotaBook::new(limited(1.0, 1.0));
+        let mut book = QuotaBook::new(limited(1.0, 1.0), true);
         assert_eq!(book.try_take(TenantId(1)), Ok(()));
         assert!(book.try_take(TenantId(1)).is_err());
         // Tenant 2's bucket is untouched.
@@ -358,7 +342,7 @@ mod tests {
     #[test]
     fn virtual_replay_rejects_identically() {
         let run = || {
-            let mut book = QuotaBook::new(limited(20.0, 2.0));
+            let mut book = QuotaBook::new(limited(20.0, 2.0), true);
             let mut outcomes = Vec::new();
             for step in 0..50u32 {
                 book.advance_ms(17.0);

@@ -273,7 +273,7 @@ fn invalidate_after_recovery_respects_stale_bound_and_accounting() {
         // `insert` records the synthetic stale identity
         // `stale_key(circuit_hash)`, so the epoch-1 request matches the
         // demoted entry through the same key.
-        match MaskCache::lookup_tiered(&cache2, k1, k1.stale_key(h), 2) {
+        match MaskCache::lookup(&cache2, k1, k1.stale_key(h), 2, true) {
             TieredLookup::Stale {
                 value: v, refresh, ..
             } => {
@@ -285,8 +285,8 @@ fn invalidate_after_recovery_respects_stale_bound_and_accounting() {
                     .expect("first stale serve owns the refine")
                     .complete(v);
             }
-            TieredLookup::Miss(ticket) => ticket.complete(value(h + 1)),
-            TieredLookup::Hit(_) => panic!("epoch-1 key cannot be warm yet"),
+            TieredLookup::Miss(Some(ticket)) => ticket.complete(value(h + 1)),
+            other => panic!("epoch-1 key cannot be warm yet: {other:?}"),
         }
     }
     assert!(
@@ -296,9 +296,9 @@ fn invalidate_after_recovery_respects_stale_bound_and_accounting() {
     // Hit: the completed searches above are warm at epoch 1 now.
     for h in 0..4u64 {
         let k1 = MaskKey { epoch: 1, ..key(h) };
-        match MaskCache::lookup(&cache2, k1) {
-            adapt_service::Lookup::Hit(v) => assert_eq!(v.mask, value(h + 1).mask),
-            adapt_service::Lookup::Miss(_) => panic!("epoch-1 key {h} must be warm"),
+        match MaskCache::lookup(&cache2, k1, k1.stale_key(h), 0, true) {
+            TieredLookup::Hit(v) => assert_eq!(v.mask, value(h + 1).mask),
+            other => panic!("epoch-1 key {h} must be warm: {other:?}"),
         }
     }
 

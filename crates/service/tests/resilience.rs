@@ -2,7 +2,7 @@
 //! born-expired submissions, queue-lapsed drops, mid-search partial
 //! masks, breaker trip/fallback/probe/recovery, and config validation.
 
-use adapt::{DdMask, DdProtocol};
+use adapt::{DdMask, DdProtocol, Policy};
 use adapt_service::{
     BreakerConfig, BreakerFallback, BreakerState, DeviceId, MaskService, Provenance, Request,
     Response, SearchBudget, ServiceConfig, ServiceError, TierPolicy,
@@ -323,4 +323,50 @@ fn invalid_configs_surface_typed_errors_instead_of_panics() {
     };
     let svc = MaskService::try_start(disabled).expect("disabled breaker tuning is ignored");
     svc.shutdown();
+}
+
+/// Every execution runs the program on the backend, so a successful one
+/// is a success verdict for the breaker. Under Execute-only traffic a
+/// minority of failures must therefore never trip it.
+#[test]
+fn successful_executions_keep_the_breaker_closed() {
+    let svc = MaskService::start(ServiceConfig {
+        devices: vec![DeviceId::Rome],
+        workers: 1,
+        breaker: BreakerConfig {
+            window: 8,
+            min_samples: 4,
+            failure_threshold: 0.5,
+            fallback: BreakerFallback::ConservativeMask,
+            ..BreakerConfig::enabled()
+        },
+        ..ServiceConfig::default()
+    });
+    let mut failures = 0;
+    for tag in 0..24 {
+        // Every fourth request runs while the device is dead: a quarter
+        // of any window fails.
+        if tag % 4 == 3 {
+            svc.set_fault_profile(DeviceId::Rome, dead_profile());
+        } else {
+            svc.clear_fault_profile(DeviceId::Rome);
+        }
+        match svc.call(Request::Execute {
+            circuit: tagged(4, tag),
+            device: DeviceId::Rome,
+            policy: Policy::NoDd,
+            deadline_ms: None,
+            tenancy: Default::default(),
+        }) {
+            Ok(Response::Execution(e)) => assert_eq!(e.mask, DdMask::none(4)),
+            Err(ServiceError::Failed(_)) => failures += 1,
+            other => panic!("request {tag}: unexpected outcome {other:?}"),
+        }
+    }
+    assert_eq!(failures, 6, "exactly the dead-device executions fail");
+    assert_eq!(
+        svc.breaker_state(DeviceId::Rome),
+        Some(BreakerState::Closed)
+    );
+    assert_eq!(svc.shutdown().breaker_trips, 0);
 }

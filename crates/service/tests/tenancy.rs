@@ -30,7 +30,7 @@ fn ladder_config(tenancy: TenancyConfig) -> ServiceConfig {
         workers: 2,
         queue_capacity: 256,
         seed: 7,
-        virtual_deadlines: true,
+        virtual_time: true,
         // No finite deadline fits a search: deadline-carrying requests
         // answer instantly from the heuristic tier.
         tiers: TierConfig {
@@ -138,10 +138,7 @@ proptest! {
 
 #[test]
 fn quota_rejections_and_virtual_refill_through_the_service() {
-    let mut tenancy = TenancyConfig {
-        virtual_time: true,
-        ..TenancyConfig::default()
-    };
+    let mut tenancy = TenancyConfig::default();
     tenancy.tenants.insert(
         TenantId(3),
         TenantSpec {

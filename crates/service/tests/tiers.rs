@@ -28,7 +28,7 @@ fn tiered_service(devices: Vec<DeviceId>) -> MaskService {
         queue_capacity: 64,
         cache_capacity: 32,
         seed: 2021,
-        virtual_deadlines: true,
+        virtual_time: true,
         tiers: TierConfig {
             min_search_ms: 600_000,
             max_stale_epochs: 2,
