@@ -113,7 +113,10 @@ pub fn run(cfg: &ExperimentCfg) {
         .collect();
     let serial_ms = t0.elapsed().as_secs_f64() * 1000.0;
     let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let batched_ctx = ctx(&cdc, host_threads.max(4));
+    // The thread budget the batches request: at least four workers, so the
+    // batched path is exercised (and reported) even on a one-core host.
+    let batch_budget = host_threads.max(4);
+    let batched_ctx = ctx(&cdc, batch_budget);
     let t0 = Instant::now();
     let batched: Vec<_> = batched_ctx
         .score_batch(&masks)
@@ -146,7 +149,7 @@ pub fn run(cfg: &ExperimentCfg) {
 
     // The same masks through the seeded decoy: non-Clifford phases force
     // the state-vector engine, giving the CHP-vs-dense routing split.
-    let dense_ctx = ctx(&sdc, host_threads.max(4));
+    let dense_ctx = ctx(&sdc, batch_budget);
     let t0 = Instant::now();
     let dense: Vec<_> = dense_ctx
         .score_batch(&masks)
@@ -184,7 +187,7 @@ pub fn run(cfg: &ExperimentCfg) {
     let json = format!(
         "{{\n  \"schema\": 2,\n  \"device\": \"{}\",\n  \"benchmark\": \"QFT-{n}\",\n  \
          \"shots\": {shots},\n  \"trajectories\": {trajectories},\n  \"host_threads\": {host_threads},\n  \
-         \"batch\": {{ \"workers\": {batch_workers}, \"job_threads\": {batch_job_threads} }},\n  \
+         \"batch\": {{ \"budget\": {batch_budget}, \"workers\": {batch_workers}, \"job_threads\": {batch_job_threads} }},\n  \
          \"engines\": {{ \"chp_executions\": {}, \"statevec_executions\": {} }},\n  \
          \"search\": {{ \"decoy\": \"clifford\", \"engine\": \"chp\", \"first_ms\": {first_ms:.1}, \
          \"second_ms\": {second_ms:.1}, \"decoy_runs\": {}, \"cache\": {{ \"hits\": {}, \

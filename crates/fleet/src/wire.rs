@@ -633,6 +633,10 @@ fn put_sim_error(w: &mut W, e: &SimError) {
             w.u64(*num_qubits as u64);
         }
         SimError::InvalidAmplitudes => w.u8(2),
+        SimError::DuplicateOperand { qubit } => {
+            w.u8(3);
+            w.u64(*qubit as u64);
+        }
     }
 }
 
@@ -647,6 +651,9 @@ fn get_sim_error(r: &mut R) -> Result<SimError, WireError> {
             num_qubits: r.u64()? as usize,
         },
         2 => SimError::InvalidAmplitudes,
+        3 => SimError::DuplicateOperand {
+            qubit: r.u64()? as usize,
+        },
         tag => {
             return Err(WireError::UnknownTag {
                 what: "SimError",

@@ -65,12 +65,13 @@ fn adapt_error_index(e: &AdaptError) -> usize {
     }
 }
 
-const SIM_ERROR_VARIANTS: usize = 3;
+const SIM_ERROR_VARIANTS: usize = 4;
 fn sim_error_index(e: &SimError) -> usize {
     match e {
         SimError::TooManyQubits { .. } => 0,
         SimError::QubitOutOfRange { .. } => 1,
         SimError::InvalidAmplitudes => 2,
+        SimError::DuplicateOperand { .. } => 3,
     }
 }
 
@@ -124,6 +125,7 @@ fn sim_error_samples() -> Vec<SimError> {
             num_qubits: 16,
         },
         SimError::InvalidAmplitudes,
+        SimError::DuplicateOperand { qubit: 5 },
     ]
 }
 

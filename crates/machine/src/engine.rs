@@ -44,6 +44,29 @@
 //! [`NoiseToggles::coherent_twirl`] or pin the dense engine with
 //! [`EnginePolicy::ForceStateVector`].
 //!
+//! # One-qubit ops on the dense engine: the monomial frame
+//!
+//! Most ops of a dense trajectory are one-qubit *monomials*: diagonal
+//! (idle `RZ` phases, Z-type kernels) or anti-diagonal (every X/Y DD
+//! pulse). The dense runner holds one pending monomial per qubit, either
+//! `diag(c0, c1)` or `[[0, c0], [c1, 0]]`, and composes into it instead
+//! of making a pass over the `2^k` amplitudes. Products of monomials are
+//! monomials, so composing costs two complex multiplies.
+//!
+//! - **Absorbed:** idle phases, `Kernel1::Diag`, `Kernel1::AntiDiag`, and
+//!   every Pauli the `Err1`/`Err2`/`Floor`/idle-floor channels sample.
+//! - **`Kernel1::Full`:** applied once as `m · pending`.
+//! - **Flushed** (applied as one diagonal or anti-diagonal pass): both
+//!   operands before a two-qubit gate, the qubit before a `Measure` or
+//!   `Reset`, and every qubit when the op stream ends, before
+//!   normalization and sampling.
+//!
+//! Unitaries on different qubits commute, and a qubit's measurement
+//! statistics do not depend on unitaries pending on other qubits, so the
+//! flushed state equals the eagerly evolved one up to floating-point
+//! rounding. Random draws happen in the same order and number as an eager
+//! run would make them, so trajectories and outputs are unchanged.
+//!
 //! # Determinism contract
 //!
 //! Each engine's results are a pure function of `(plan, seed)`. The two
@@ -56,7 +79,7 @@
 use crate::executor::{ExecError, Machine, NoiseToggles, CROSSTALK_JITTER};
 use crate::noise::{standard_normal, z_twirl_probability, QubitDetuning};
 use crate::plan::{CliffOp, CompiledPlan, DenseOp, IdleOp, Kernel1, Kernel2};
-use qcirc::math::C64;
+use qcirc::math::{Mat2, C64};
 use qcirc::{Counts, Gate};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -302,55 +325,144 @@ impl IdleContext {
     }
 }
 
-fn dense_pauli1(sv: &mut SoaStateVector, q: usize, which: u8) -> Result<(), statevec::SimError> {
-    match which {
-        // X = antidiag(1, 1); Y = antidiag(-i, i); Z = diag(1, -1).
-        1 => sv.apply_antidiag1(C64::ONE, C64::ONE, q),
-        2 => sv.apply_antidiag1(C64::new(0.0, -1.0), C64::I, q),
-        3 => sv.apply_diag1(C64::ONE, C64::real(-1.0), q),
-        _ => Ok(()),
+/// A pending one-qubit operator of the dense frame: `diag(c0, c1)`, or
+/// `[[0, c0], [c1, 0]]` when `anti`. Monomial matrices are closed under
+/// multiplication, so a run of diagonal and anti-diagonal ops on one qubit
+/// collapses to a single one of these, and reaches the state vector as
+/// one kernel pass.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Monomial {
+    anti: bool,
+    c0: C64,
+    c1: C64,
+}
+
+impl Monomial {
+    const IDENTITY: Monomial = Monomial {
+        anti: false,
+        c0: C64::ONE,
+        c1: C64::ONE,
+    };
+
+    /// Left-multiplies by `diag(d0, d1)`.
+    fn diag(&mut self, d0: C64, d1: C64) {
+        self.c0 = d0 * self.c0;
+        self.c1 = d1 * self.c1;
+    }
+
+    /// Left-multiplies by `[[0, a01], [a10, 0]]`.
+    fn antidiag(&mut self, a01: C64, a10: C64) {
+        (self.c0, self.c1) = (a01 * self.c1, a10 * self.c0);
+        self.anti = !self.anti;
+    }
+
+    /// Left-multiplies by a Pauli index (0 = I, 1 = X, 2 = Y, 3 = Z).
+    fn pauli(&mut self, which: u8) {
+        match which {
+            // X = antidiag(1, 1); Y = antidiag(-i, i); Z = diag(1, -1).
+            1 => self.antidiag(C64::ONE, C64::ONE),
+            2 => self.antidiag(C64::new(0.0, -1.0), C64::I),
+            3 => self.diag(C64::ONE, C64::real(-1.0)),
+            _ => {}
+        }
+    }
+
+    fn matrix(&self) -> Mat2 {
+        let z = C64::ZERO;
+        if self.anti {
+            Mat2::new([[z, self.c0], [self.c1, z]])
+        } else {
+            Mat2::new([[self.c0, z], [z, self.c1]])
+        }
     }
 }
 
-/// Dense-engine trajectory over the plan's lowered kernel stream.
-fn run_trajectory_dense(
-    machine: &Machine,
-    plan: &CompiledPlan,
-    shots: u64,
+/// The state vector plus one pending [`Monomial`] per qubit: one-qubit
+/// diagonal and anti-diagonal ops compose into the frame, and reach the
+/// amplitudes only when a flush point needs them (see the module docs).
+struct DenseFrame {
+    sv: SoaStateVector,
+    pending: Vec<Monomial>,
+}
+
+impl DenseFrame {
+    fn new(k: usize) -> Result<Self, statevec::SimError> {
+        Ok(DenseFrame {
+            sv: SoaStateVector::try_new(k)?,
+            pending: vec![Monomial::IDENTITY; k],
+        })
+    }
+
+    /// Applies qubit `q`'s pending operator to the amplitudes as one
+    /// diagonal or anti-diagonal pass; a no-op for the exact identity.
+    fn flush(&mut self, q: usize) -> Result<(), statevec::SimError> {
+        let m = std::mem::replace(&mut self.pending[q], Monomial::IDENTITY);
+        if m == Monomial::IDENTITY {
+            Ok(())
+        } else if m.anti {
+            self.sv.apply_antidiag1(m.c0, m.c1, q)
+        } else {
+            self.sv.apply_diag1(m.c0, m.c1, q)
+        }
+    }
+
+    /// Flushes every qubit, leaving the state vector fully evolved.
+    fn into_state(mut self) -> Result<SoaStateVector, statevec::SimError> {
+        for q in 0..self.pending.len() {
+            self.flush(q)?;
+        }
+        Ok(self.sv)
+    }
+}
+
+/// Runs the plan's dense op stream through the [`DenseFrame`], returning
+/// the evolved (unnormalized) state and the mid-circuit classical record.
+fn evolve_dense(
+    ops: &[DenseOp],
+    k: usize,
+    ctx: &mut IdleContext,
     rng: &mut StdRng,
-) -> Result<Counts, ExecError> {
-    let mut sv = SoaStateVector::try_new(plan.active_qubits())?;
-    let mut ctx = IdleContext::sample(machine, plan, rng);
+) -> Result<(SoaStateVector, u64), statevec::SimError> {
+    let mut f = DenseFrame::new(k)?;
     let mut clbits = 0u64;
-    for op in &plan.dense {
+    for op in ops {
         match op {
             DenseOp::Idle(idle) => {
+                let q = idle.q as usize;
                 let phase = ctx.phase(idle, rng);
                 if phase != 0.0 {
-                    sv.apply_diag1(
-                        C64::cis(-phase / 2.0),
-                        C64::cis(phase / 2.0),
-                        idle.q as usize,
-                    )?;
+                    f.pending[q].diag(C64::cis(-phase / 2.0), C64::cis(phase / 2.0));
                 }
                 if let Some(floor) = &idle.floor {
-                    dense_pauli1(&mut sv, idle.q as usize, floor.sample(rng))?;
+                    f.pending[q].pauli(floor.sample(rng));
                 }
             }
-            DenseOp::K1 { q, k } => match k {
-                Kernel1::Full(m) => sv.apply1(m, *q as usize)?,
-                Kernel1::Diag(d0, d1) => sv.apply_diag1(*d0, *d1, *q as usize)?,
-                Kernel1::AntiDiag(a01, a10) => sv.apply_antidiag1(*a01, *a10, *q as usize)?,
-            },
-            DenseOp::K2 { a, b, k } => match k {
-                Kernel2::Full(m) => sv.apply2(m, *a as usize, *b as usize)?,
-                Kernel2::Cx => sv.apply_cx(*a as usize, *b as usize)?,
-                Kernel2::Cz => sv.apply_cz(*a as usize, *b as usize)?,
-                Kernel2::Swap => sv.apply_swap(*a as usize, *b as usize)?,
-            },
+            DenseOp::K1 { q, k } => {
+                let q = *q as usize;
+                match k {
+                    Kernel1::Full(m) => {
+                        let u = *m * f.pending[q].matrix();
+                        f.pending[q] = Monomial::IDENTITY;
+                        f.sv.apply1(&u, q)?;
+                    }
+                    Kernel1::Diag(d0, d1) => f.pending[q].diag(*d0, *d1),
+                    Kernel1::AntiDiag(a01, a10) => f.pending[q].antidiag(*a01, *a10),
+                }
+            }
+            DenseOp::K2 { a, b, k } => {
+                let (a, b) = (*a as usize, *b as usize);
+                f.flush(a)?;
+                f.flush(b)?;
+                match k {
+                    Kernel2::Full(m) => f.sv.apply2(m, a, b)?,
+                    Kernel2::Cx => f.sv.apply_cx(a, b)?,
+                    Kernel2::Cz => f.sv.apply_cz(a, b)?,
+                    Kernel2::Swap => f.sv.apply_swap(a, b)?,
+                }
+            }
             DenseOp::Err1 { q, p } => {
                 if rng.gen::<f64>() < *p {
-                    dense_pauli1(&mut sv, *q as usize, rng.gen_range(1..4))?;
+                    f.pending[*q as usize].pauli(rng.gen_range(1..4));
                 }
             }
             DenseOp::Err2 { a, b, p, reps } => {
@@ -358,16 +470,16 @@ fn run_trajectory_dense(
                     if rng.gen::<f64>() < *p {
                         // One of the 15 non-identity two-qubit Paulis.
                         let idx = rng.gen_range(1..16);
-                        dense_pauli1(&mut sv, *a as usize, (idx & 3) as u8)?;
-                        dense_pauli1(&mut sv, *b as usize, (idx >> 2) as u8)?;
+                        f.pending[*a as usize].pauli((idx & 3) as u8);
+                        f.pending[*b as usize].pauli((idx >> 2) as u8);
                     }
                 }
             }
-            DenseOp::Floor { q, floor } => {
-                dense_pauli1(&mut sv, *q as usize, floor.sample(rng))?;
-            }
+            DenseOp::Floor { q, floor } => f.pending[*q as usize].pauli(floor.sample(rng)),
             DenseOp::Measure { q, c, p_flip } => {
-                let mut bit = sv.measure(*q as usize, rng)?;
+                let q = *q as usize;
+                f.flush(q)?;
+                let mut bit = f.sv.measure(q, rng)?;
                 if rng.gen::<f64>() < *p_flip {
                     bit = !bit;
                 }
@@ -377,9 +489,25 @@ fn run_trajectory_dense(
                     clbits &= !(1 << *c);
                 }
             }
-            DenseOp::Reset { q } => sv.reset(*q as usize, rng)?,
+            DenseOp::Reset { q } => {
+                let q = *q as usize;
+                f.flush(q)?;
+                f.sv.reset(q, rng)?;
+            }
         }
     }
+    Ok((f.into_state()?, clbits))
+}
+
+/// Dense-engine trajectory over the plan's lowered kernel stream.
+fn run_trajectory_dense(
+    machine: &Machine,
+    plan: &CompiledPlan,
+    shots: u64,
+    rng: &mut StdRng,
+) -> Result<Counts, ExecError> {
+    let mut ctx = IdleContext::sample(machine, plan, rng);
+    let (mut sv, clbits) = evolve_dense(&plan.dense, plan.active_qubits(), &mut ctx, rng)?;
 
     let mut counts = Counts::new(plan.num_clbits);
     if plan.terminal_measurements {
@@ -573,6 +701,221 @@ fn run_trajectory_chp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::PauliFloor;
+    use crate::plan::IdleOp;
+    use device::Device;
+    use proptest::prelude::*;
+    use qcirc::math::Mat4;
+    use rand::SeedableRng;
+
+    /// The reference the frame must match: every op applied to the
+    /// amplitudes as soon as it is seen, with the plain SoA kernels.
+    fn evolve_eager(
+        ops: &[DenseOp],
+        k: usize,
+        ctx: &mut IdleContext,
+        rng: &mut StdRng,
+    ) -> (SoaStateVector, u64) {
+        fn pauli(sv: &mut SoaStateVector, q: usize, which: u8) {
+            match which {
+                1 => sv.apply_antidiag1(C64::ONE, C64::ONE, q).unwrap(),
+                2 => sv.apply_antidiag1(C64::new(0.0, -1.0), C64::I, q).unwrap(),
+                3 => sv.apply_diag1(C64::ONE, C64::real(-1.0), q).unwrap(),
+                _ => {}
+            }
+        }
+        let mut sv = SoaStateVector::try_new(k).unwrap();
+        let mut clbits = 0u64;
+        for op in ops {
+            match op {
+                DenseOp::Idle(idle) => {
+                    let q = idle.q as usize;
+                    let phase = ctx.phase(idle, rng);
+                    if phase != 0.0 {
+                        let (d0, d1) = (C64::cis(-phase / 2.0), C64::cis(phase / 2.0));
+                        sv.apply_diag1(d0, d1, q).unwrap();
+                    }
+                    if let Some(floor) = &idle.floor {
+                        pauli(&mut sv, q, floor.sample(rng));
+                    }
+                }
+                DenseOp::K1 { q, k } => match k {
+                    Kernel1::Full(m) => sv.apply1(m, *q as usize).unwrap(),
+                    Kernel1::Diag(d0, d1) => sv.apply_diag1(*d0, *d1, *q as usize).unwrap(),
+                    Kernel1::AntiDiag(a, b) => sv.apply_antidiag1(*a, *b, *q as usize).unwrap(),
+                },
+                DenseOp::K2 { a, b, k } => {
+                    let (a, b) = (*a as usize, *b as usize);
+                    match k {
+                        Kernel2::Full(m) => sv.apply2(m, a, b),
+                        Kernel2::Cx => sv.apply_cx(a, b),
+                        Kernel2::Cz => sv.apply_cz(a, b),
+                        Kernel2::Swap => sv.apply_swap(a, b),
+                    }
+                    .unwrap()
+                }
+                DenseOp::Err1 { q, p } => {
+                    if rng.gen::<f64>() < *p {
+                        pauli(&mut sv, *q as usize, rng.gen_range(1..4));
+                    }
+                }
+                DenseOp::Err2 { a, b, p, reps } => {
+                    for _ in 0..*reps {
+                        if rng.gen::<f64>() < *p {
+                            let idx = rng.gen_range(1..16);
+                            pauli(&mut sv, *a as usize, (idx & 3) as u8);
+                            pauli(&mut sv, *b as usize, (idx >> 2) as u8);
+                        }
+                    }
+                }
+                DenseOp::Floor { q, floor } => pauli(&mut sv, *q as usize, floor.sample(rng)),
+                DenseOp::Measure { q, c, p_flip } => {
+                    let mut bit = sv.measure(*q as usize, rng).unwrap();
+                    if rng.gen::<f64>() < *p_flip {
+                        bit = !bit;
+                    }
+                    if bit {
+                        clbits |= 1 << *c;
+                    } else {
+                        clbits &= !(1 << *c);
+                    }
+                }
+                DenseOp::Reset { q } => sv.reset(*q as usize, rng).unwrap(),
+            }
+        }
+        (sv, clbits)
+    }
+
+    /// A detuning/jitter context with coherent and crosstalk channels on.
+    fn idle_context(k: usize, seed: u64) -> IdleContext {
+        let dev = Device::ibmq_toronto(3);
+        let mut rng = StdRng::seed_from_u64(seed);
+        IdleContext {
+            detuning: (0..k)
+                .map(|q| QubitDetuning::sample(dev.qubit(q as u32), &mut rng))
+                .collect(),
+            jitter: (0..k)
+                .map(|_| (0..3).map(|_| 1.0 + standard_normal(&mut rng)).collect())
+                .collect(),
+        }
+    }
+
+    const HIGH_FLOOR: PauliFloor = PauliFloor {
+        px: 0.2,
+        py: 0.15,
+        pz: 0.25,
+    };
+
+    /// One raw draw: `(kind, qubit, offset to a second qubit, x, y, p)`.
+    type RawOp = (u8, u16, u16, f64, f64, f64);
+
+    /// Maps a raw draw onto a dense op over `k` qubits, covering every
+    /// `DenseOp`, `Kernel1` and `Kernel2` variant.
+    fn dense_op(k: u16, (kind, q, d, x, y, p): RawOp) -> DenseOp {
+        let q = q % k;
+        let b = (q + 1 + d % k.max(2)) % k;
+        let kind = if k < 2 || b == q { kind % 5 } else { kind };
+        match kind {
+            0 => DenseOp::Idle(IdleOp {
+                q,
+                dt_ns: 40.0 + 400.0 * p,
+                detune: d % 2 == 0,
+                xtalk: vec![((d % 3) as u32, 0.3 * x)],
+                floor: (p > 0.3).then_some(HIGH_FLOOR),
+            }),
+            1 => DenseOp::K1 {
+                q,
+                k: Kernel1::Full(Gate::U(x, y, p).unitary1().unwrap()),
+            },
+            2 => DenseOp::K1 {
+                q,
+                k: Kernel1::Diag(C64::cis(x), C64::cis(y)),
+            },
+            3 => DenseOp::K1 {
+                q,
+                k: Kernel1::AntiDiag(C64::cis(x), C64::cis(y)),
+            },
+            4 => DenseOp::Err1 {
+                q,
+                p: 0.5 + p / 2.0,
+            },
+            5 => DenseOp::Floor {
+                q,
+                floor: HIGH_FLOOR,
+            },
+            6 => DenseOp::Measure {
+                q,
+                c: q,
+                p_flip: p / 4.0,
+            },
+            7 => DenseOp::Reset { q },
+            8 => {
+                let local = Gate::U(x, y, p).unitary1().unwrap();
+                let m: Mat4 =
+                    Gate::CX.unitary2().unwrap() * local.kron(&Gate::RY(y).unitary1().unwrap());
+                DenseOp::K2 {
+                    a: q,
+                    b,
+                    k: Kernel2::Full(Box::new(m)),
+                }
+            }
+            9 => DenseOp::K2 {
+                a: q,
+                b,
+                k: Kernel2::Cx,
+            },
+            10 => DenseOp::K2 {
+                a: q,
+                b,
+                k: Kernel2::Cz,
+            },
+            11 => DenseOp::K2 {
+                a: q,
+                b,
+                k: Kernel2::Swap,
+            },
+            _ => DenseOp::Err2 {
+                a: q,
+                b,
+                p: 0.5 + p / 2.0,
+                reps: 1 + (d % 3) as u8,
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn frame_matches_eager_kernels(
+            k in 1u16..7,
+            raw in prop::collection::vec(
+                (0u8..13, 0u16..6, 0u16..6, -3.0..3.0f64, -3.0..3.0f64, 0.0..1.0f64),
+                1..80,
+            ),
+            seed in any::<u64>(),
+        ) {
+            let ops: Vec<DenseOp> = raw.into_iter().map(|r| dense_op(k, r)).collect();
+            let n = k as usize;
+            let (mut r_frame, mut r_eager) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let mut ctx = idle_context(n, seed ^ 1);
+            let (frame, c_frame) = evolve_dense(&ops, n, &mut ctx, &mut r_frame).unwrap();
+            let mut ctx = idle_context(n, seed ^ 1);
+            let (eager, c_eager) = evolve_eager(&ops, n, &mut ctx, &mut r_eager);
+
+            prop_assert_eq!(&r_frame, &r_eager, "the frame must consume the same draws");
+            prop_assert_eq!(c_frame, c_eager);
+            // Align the global phase on the overlap, then compare amplitudes.
+            let overlap = (0..1u64 << n).fold(C64::ZERO, |acc, i| {
+                acc + eager.amplitude(i).conj() * frame.amplitude(i)
+            });
+            let phase = overlap.scale(1.0 / overlap.norm());
+            for i in 0..1u64 << n {
+                let (e, f) = (eager.amplitude(i) * phase, frame.amplitude(i));
+                prop_assert!(f.approx_eq(e, 1e-12), "amplitude {}: frame {:?} vs eager {:?}", i, f, e);
+            }
+        }
+    }
 
     #[test]
     fn clifford_lowering_covers_quarter_angles() {

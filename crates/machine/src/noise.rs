@@ -60,17 +60,25 @@ pub struct QubitDetuning {
     ou_tau_ns: f64,
     /// Integration sub-step (ns).
     step_ns: f64,
+    /// OU decay `exp(-step_ns/τ)` over one full sub-step.
+    step_decay: f64,
+    /// `sqrt(1 - step_decay²)`: the full sub-step's diffusion per unit σ.
+    step_unit: f64,
 }
 
 impl QubitDetuning {
     /// Draws a fresh trajectory realization from qubit calibration.
     pub fn sample<R: Rng + ?Sized>(cal: &QubitCalibration, rng: &mut R) -> Self {
+        let step_ns = 40.0;
+        let (step_decay, step_unit) = ou_step(step_ns, cal.ou_tau_ns);
         QubitDetuning {
             static_offset: cal.static_sigma * standard_normal(rng),
             ou_value: cal.ou_sigma * standard_normal(rng),
             ou_sigma: cal.ou_sigma,
             ou_tau_ns: cal.ou_tau_ns,
-            step_ns: 40.0,
+            step_ns,
+            step_decay,
+            step_unit,
         }
     }
 
@@ -88,8 +96,12 @@ impl QubitDetuning {
             let step = remaining.min(self.step_ns);
             // Trapezoidal phase contribution of the OU value over the step.
             let before = self.ou_value;
-            let decay = (-step / self.ou_tau_ns).exp();
-            let diffusion = self.ou_sigma * (1.0 - decay * decay).sqrt();
+            let (decay, unit) = if step == self.step_ns {
+                (self.step_decay, self.step_unit)
+            } else {
+                ou_step(step, self.ou_tau_ns)
+            };
+            let diffusion = self.ou_sigma * unit;
             self.ou_value = before * decay + diffusion * standard_normal(rng);
             phase += 0.5 * (before + self.ou_value) * step / 1000.0;
             remaining -= step;
@@ -101,6 +113,13 @@ impl QubitDetuning {
     pub fn ou_value(&self) -> f64 {
         self.ou_value
     }
+}
+
+/// Exact OU transition over `step` ns: the decay `exp(-step/τ)` and the
+/// diffusion per unit stationary σ, `sqrt(1 - decay²)`.
+fn ou_step(step: f64, tau_ns: f64) -> (f64, f64) {
+    let decay = (-step / tau_ns).exp();
+    (decay, (1.0 - decay * decay).sqrt())
 }
 
 /// Stochastic (non-echoable) idling floor: amplitude damping and white

@@ -55,6 +55,11 @@ pub enum SimError {
     /// The provided amplitude vector is not a power-of-two length or is not
     /// normalized.
     InvalidAmplitudes,
+    /// A two-qubit gate names the same qubit for both operands.
+    DuplicateOperand {
+        /// The repeated index.
+        qubit: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -70,11 +75,23 @@ impl std::fmt::Display for SimError {
                 )
             }
             SimError::InvalidAmplitudes => write!(f, "invalid amplitude vector"),
+            SimError::DuplicateOperand { qubit } => {
+                write!(f, "two-qubit gate uses qubit {qubit} for both operands")
+            }
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+/// Rejects a two-qubit gate whose operands coincide.
+fn check_distinct(q0: usize, q1: usize) -> Result<(), SimError> {
+    if q0 == q1 {
+        Err(SimError::DuplicateOperand { qubit: q0 })
+    } else {
+        Ok(())
+    }
+}
 
 /// Hard cap on register size (2^26 amplitudes = 1 GiB of `C64`).
 pub const MAX_QUBITS: usize = 26;
@@ -189,15 +206,12 @@ impl StateVector {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::QubitOutOfRange`] for a bad operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when `q0 == q1`.
+    /// Returns [`SimError::QubitOutOfRange`] for a bad operand and
+    /// [`SimError::DuplicateOperand`] when `q0 == q1`.
     pub fn apply2(&mut self, u: &Mat4, q0: usize, q1: usize) -> Result<(), SimError> {
         self.check_qubit(q0)?;
         self.check_qubit(q1)?;
-        debug_assert_ne!(q0, q1, "two-qubit gate needs distinct operands");
+        check_distinct(q0, q1)?;
         let b0 = 1usize << q0;
         let b1 = 1usize << q1;
         let len = self.amps.len();

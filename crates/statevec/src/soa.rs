@@ -19,7 +19,7 @@
 //! for any gate sequence and rng, both simulators produce the same
 //! amplitudes and consume the same number of random draws.
 
-use crate::{SimError, MAX_QUBITS};
+use crate::{check_distinct, SimError, MAX_QUBITS};
 use qcirc::math::{Mat2, Mat4, C64};
 use rand::Rng;
 
@@ -172,11 +172,12 @@ impl SoaStateVector {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::QubitOutOfRange`] for a bad operand.
+    /// Returns [`SimError::QubitOutOfRange`] for a bad operand and
+    /// [`SimError::DuplicateOperand`] when `q0 == q1`.
     pub fn apply2(&mut self, u: &Mat4, q0: usize, q1: usize) -> Result<(), SimError> {
         self.check_qubit(q0)?;
         self.check_qubit(q1)?;
-        debug_assert_ne!(q0, q1, "two-qubit gate needs distinct operands");
+        check_distinct(q0, q1)?;
         let b0 = 1usize << q0;
         let b1 = 1usize << q1;
         for idx in 0..self.re.len() {
@@ -204,10 +205,12 @@ impl SoaStateVector {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::QubitOutOfRange`] for a bad operand.
+    /// Returns [`SimError::QubitOutOfRange`] for a bad operand and
+    /// [`SimError::DuplicateOperand`] when `c == t`.
     pub fn apply_cx(&mut self, c: usize, t: usize) -> Result<(), SimError> {
         self.check_qubit(c)?;
         self.check_qubit(t)?;
+        check_distinct(c, t)?;
         let cb = 1usize << c;
         let tb = 1usize << t;
         for idx in 0..self.re.len() {
@@ -223,10 +226,12 @@ impl SoaStateVector {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::QubitOutOfRange`] for a bad operand.
+    /// Returns [`SimError::QubitOutOfRange`] for a bad operand and
+    /// [`SimError::DuplicateOperand`] when `a == b`.
     pub fn apply_cz(&mut self, a: usize, b: usize) -> Result<(), SimError> {
         self.check_qubit(a)?;
         self.check_qubit(b)?;
+        check_distinct(a, b)?;
         let mask = (1usize << a) | (1usize << b);
         for idx in 0..self.re.len() {
             if idx & mask == mask {
@@ -241,10 +246,12 @@ impl SoaStateVector {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::QubitOutOfRange`] for a bad operand.
+    /// Returns [`SimError::QubitOutOfRange`] for a bad operand and
+    /// [`SimError::DuplicateOperand`] when `a == b`.
     pub fn apply_swap(&mut self, a: usize, b: usize) -> Result<(), SimError> {
         self.check_qubit(a)?;
         self.check_qubit(b)?;
+        check_distinct(a, b)?;
         let ab = 1usize << a;
         let bb = 1usize << b;
         for idx in 0..self.re.len() {
@@ -526,6 +533,35 @@ mod tests {
             SoaStateVector::try_new(MAX_QUBITS + 1),
             Err(SimError::TooManyQubits { .. })
         ));
+    }
+
+    fn assert_duplicate_rejected(apply: impl Fn(&mut SoaStateVector) -> Result<(), SimError>) {
+        let mut sv = SoaStateVector::try_new(3).unwrap();
+        sv.apply1(&Gate::H.unitary1().unwrap(), 1).unwrap();
+        let before = sv.clone();
+        assert_eq!(apply(&mut sv), Err(SimError::DuplicateOperand { qubit: 1 }));
+        assert_eq!(sv, before, "a rejected gate must leave the state untouched");
+    }
+
+    #[test]
+    fn apply2_rejects_duplicate_operand() {
+        let u = Gate::CX.unitary2().unwrap();
+        assert_duplicate_rejected(|sv| sv.apply2(&u, 1, 1));
+    }
+
+    #[test]
+    fn cx_rejects_duplicate_operand() {
+        assert_duplicate_rejected(|sv| sv.apply_cx(1, 1));
+    }
+
+    #[test]
+    fn cz_rejects_duplicate_operand() {
+        assert_duplicate_rejected(|sv| sv.apply_cz(1, 1));
+    }
+
+    #[test]
+    fn swap_rejects_duplicate_operand() {
+        assert_duplicate_rejected(|sv| sv.apply_swap(1, 1));
     }
 
     #[test]
