@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the simulation substrates: dense state-vector
 //! gate throughput, CHP tableau sampling at application and scalability
-//! sizes (the Table 2 "SimTime" axis), and Heisenberg-propagation
-//! expectations as the seed count grows.
+//! sizes (the Table 2 "SimTime" axis), per-gate and terminal-sampling
+//! costs of the CHP tableau, and Heisenberg-propagation expectations as
+//! the seed count grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcirc::{Circuit, Gate};
@@ -11,7 +12,8 @@ use statevec::StateVector;
 use std::hint::black_box;
 
 fn ghz_clifford(n: usize) -> Circuit {
-    let mut c = Circuit::new(n);
+    // `Counts` holds at most 64 classical bits.
+    let mut c = Circuit::with_clbits(n, n.min(64));
     c.h(0);
     for q in 0..(n - 1) as u32 {
         c.cx(q, q + 1);
@@ -60,7 +62,54 @@ fn bench_chp(c: &mut Criterion) {
             b.iter(|| black_box(stab::exact_distribution(&circuit).expect("Clifford")));
         });
     }
+    // Gate cost on the packed columns, one layer of n (or n − 1) gates per
+    // iteration: one word per column up to 32 qubits (n = 16), two at
+    // n = 40.
+    for &n in &[16usize, 40] {
+        let mut t = scrambled(n);
+        group.bench_with_input(BenchmarkId::new("h", n), &n, |b, &n| {
+            b.iter(|| (0..n).for_each(|q| t.h(black_box(q))));
+        });
+        group.bench_with_input(BenchmarkId::new("s", n), &n, |b, &n| {
+            b.iter(|| (0..n).for_each(|q| t.s(black_box(q))));
+        });
+        group.bench_with_input(BenchmarkId::new("cx", n), &n, |b, &n| {
+            b.iter(|| (0..n - 1).for_each(|q| t.cx(black_box(q), q + 1)));
+        });
+        // Terminal sampling as the CHP engine does it: one symbolic pass
+        // over every qubit, then 32 shots of draws and parities.
+        group.bench_with_input(BenchmarkId::new("terminal_32_shots", n), &n, |b, &n| {
+            let mut rng = StdRng::seed_from_u64(7);
+            b.iter(|| {
+                let outcomes = t.clone().measure_symbolic(0..n);
+                let mut acc = 0u64;
+                for _ in 0..32 {
+                    let mut drawn = 0u64;
+                    for (i, o) in outcomes.iter().enumerate() {
+                        acc ^= (o.sample(&mut drawn, &mut rng) as u64) << (i % 64);
+                    }
+                }
+                black_box(acc)
+            });
+        });
+    }
     group.finish();
+}
+
+/// A stabilizer state with entangled, signed rows: H on every qubit, a
+/// CX ladder, S on every other qubit.
+fn scrambled(n: usize) -> stab::Tableau {
+    let mut t = stab::Tableau::new(n);
+    for q in 0..n {
+        t.h(q);
+    }
+    for q in 0..n - 1 {
+        t.cx(q, q + 1);
+    }
+    for q in (0..n).step_by(2) {
+        t.s(q);
+    }
+    t
 }
 
 fn bench_heisenberg(c: &mut Criterion) {

@@ -44,6 +44,22 @@
 //! [`NoiseToggles::coherent_twirl`] or pin the dense engine with
 //! [`EnginePolicy::ForceStateVector`].
 //!
+//! # Terminal sampling on the CHP engine: one symbolic pass
+//!
+//! When a plan's measurements are terminal, a CHP trajectory evolves one
+//! tableau and then samples its shots from it. It measures the deferred
+//! qubits once, in `plan.deferred` order, with
+//! [`Tableau::measure_symbolic`]: each outcome comes back as an affine form
+//! `constant ^ parity(mask & drawn)` over the random outcomes before it.
+//! Each shot then draws, per deferred measurement and in order, one
+//! `bool` if that outcome is random and one `f64` for the readout flip,
+//! and evaluates the forms.
+//!
+//! Those are exactly the draws that measuring a fresh tableau clone per
+//! shot would make, because whether an outcome is random depends only on
+//! the tableau's X/Z bits, never on earlier outcomes. The forms are exact,
+//! so counts are bit-identical to the clone-per-shot loop they replace.
+//!
 //! # One-qubit ops on the dense engine: the monomial frame
 //!
 //! Most ops of a dense trajectory are one-qubit *monomials*: diagonal
@@ -677,12 +693,17 @@ fn run_trajectory_chp(
     let mut counts = Counts::new(plan.num_clbits);
     if plan.terminal_measurements {
         // Pending phases are diagonal: they cannot change Z-basis
-        // probabilities, so terminal sampling ignores them exactly.
+        // probabilities, so terminal sampling ignores them exactly. One
+        // symbolic pass gives every deferred outcome as an affine form in
+        // the random ones (at most one per active qubit, and the plan caps
+        // those at `statevec::MAX_QUBITS` ≤ 64, so each form's `u64` mask
+        // holds them all); each shot then only draws and evaluates.
+        let outcomes = tab.measure_symbolic(plan.deferred.iter().map(|&(q, _, _)| q as usize));
         for _ in 0..shots {
-            let mut shot_tab = tab.clone();
+            let mut drawn = 0u64;
             let mut out = 0u64;
-            for &(q, c, p_flip) in &plan.deferred {
-                let mut bit = shot_tab.measure(q as usize, rng).bit();
+            for (o, &(_, c, p_flip)) in outcomes.iter().zip(&plan.deferred) {
+                let mut bit = o.sample(&mut drawn, rng);
                 if rng.gen::<f64>() < p_flip {
                     bit = !bit;
                 }

@@ -47,12 +47,32 @@ fn small_budget() -> SearchBudget {
     }
 }
 
+/// A budget whose search runs far longer than the few-millisecond
+/// deadlines the deadline tests race it against.
+fn slow_budget() -> SearchBudget {
+    SearchBudget {
+        shots: 2048,
+        trajectories: 64,
+        neighborhood: 4,
+        tier: TierPolicy::default(),
+    }
+}
+
 fn recommend(circuit: qcirc::Circuit, device: DeviceId, deadline_ms: Option<u64>) -> Request {
+    recommend_with(circuit, device, small_budget(), deadline_ms)
+}
+
+fn recommend_with(
+    circuit: qcirc::Circuit,
+    device: DeviceId,
+    budget: SearchBudget,
+    deadline_ms: Option<u64>,
+) -> Request {
     Request::RecommendMask {
         circuit,
         device,
         protocol: DdProtocol::Xy4,
-        budget: small_budget(),
+        budget,
         deadline_ms,
         tenancy: Default::default(),
     }
@@ -107,7 +127,12 @@ fn deadline_lapsing_in_queue_drops_the_job_uncounted_unexecuted() {
     // (a fresh 8-qubit search on the 16-qubit device); the 1 ms job
     // behind it expires queued.
     let slow = svc
-        .submit(recommend(ghz(8), DeviceId::Guadalupe, None))
+        .submit(recommend_with(
+            ghz(8),
+            DeviceId::Guadalupe,
+            slow_budget(),
+            None,
+        ))
         .expect("submit slow");
     // Wait for the worker to take the slow job: the scheduler is
     // deadline-aware now, so a tight-deadline job submitted while the
@@ -144,12 +169,7 @@ fn deadline_mid_search_serves_a_conservative_partial_mask_and_skips_the_cache() 
     // Generous enough to be dequeued and start searching, far too tight
     // for the full search (hundreds of decoy simulations).
     let circuit = ghz(7);
-    let budget = SearchBudget {
-        shots: 256,
-        trajectories: 8,
-        neighborhood: 4,
-        tier: TierPolicy::default(),
-    };
+    let budget = slow_budget();
     let rec = unwrap_mask(
         svc.call(Request::RecommendMask {
             circuit: circuit.clone(),

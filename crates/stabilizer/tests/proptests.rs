@@ -53,6 +53,36 @@ fn build(n: u8, ops: &[CliffOp], seeds: &[(u8, f64)]) -> Circuit {
     c
 }
 
+/// Appends `ops` to `c` with operand `i` mapped to qubit `at[i]`.
+fn push_mapped(c: &mut Circuit, ops: &[CliffOp], at: &[u32]) {
+    let one_gates = [
+        Gate::H,
+        Gate::S,
+        Gate::Sdg,
+        Gate::X,
+        Gate::Y,
+        Gate::Z,
+        Gate::SX,
+        Gate::SXdg,
+        Gate::I,
+    ];
+    for op in ops {
+        match *op {
+            CliffOp::One(g, q) => {
+                c.gate(one_gates[g as usize], &[at[q as usize]]);
+            }
+            CliffOp::Two(g, a, b) => {
+                let (a, b) = (at[a as usize], at[b as usize]);
+                if g == 0 {
+                    c.cx(a, b);
+                } else {
+                    c.cz(a, b);
+                }
+            }
+        }
+    }
+}
+
 fn dense_parity(c: &Circuit, qubits: &[u32]) -> f64 {
     let sv = statevec::run_ideal(c).expect("small");
     sv.probabilities()
@@ -80,6 +110,36 @@ proptest! {
         c.measure_all();
         let chp = stab::exact_distribution(&c).expect("Clifford");
         let dense = statevec::ideal_distribution(&c).expect("small");
+        prop_assert_eq!(chp.len(), dense.len());
+        for (k, v) in &dense {
+            let w = chp.get(k).copied().unwrap_or(0.0);
+            prop_assert!((v - w).abs() < 1e-9, "outcome {}: {} vs {}", k, v, w);
+        }
+    }
+
+    #[test]
+    fn chp_matches_dense_across_column_words(
+        ops in proptest::collection::vec(arb_cliff(5), 1..40),
+        filler in proptest::collection::vec(arb_cliff(6), 0..40),
+    ) {
+        // A 5-qubit circuit embedded in 40 qubits, on either side of the
+        // 64-row word boundary of the tableau's columns, next to unrelated
+        // gates on other qubits: its marginal must equal the dense output.
+        let at = [0u32, 20, 31, 32, 39];
+        let others = [1u32, 15, 30, 33, 34, 38];
+        let mut small = Circuit::new(5);
+        push_mapped(&mut small, &ops, &[0, 1, 2, 3, 4]);
+        small.measure_all();
+        let mut wide = Circuit::new(40);
+        let half = filler.len() / 2;
+        push_mapped(&mut wide, &filler[..half], &others);
+        push_mapped(&mut wide, &ops, &at);
+        push_mapped(&mut wide, &filler[half..], &others);
+        for (c, &q) in at.iter().enumerate() {
+            wide.measure(q, c as u32);
+        }
+        let chp = stab::exact_distribution(&wide).expect("Clifford");
+        let dense = statevec::ideal_distribution(&small).expect("small");
         prop_assert_eq!(chp.len(), dense.len());
         for (k, v) in &dense {
             let w = chp.get(k).copied().unwrap_or(0.0);
