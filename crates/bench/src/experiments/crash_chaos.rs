@@ -34,6 +34,7 @@
 //! `replay_bit_identical`, `warm_restart_hit_rate` are the keys CI
 //! greps for).
 
+use crate::report::replay_digest;
 use crate::runner::ExperimentCfg;
 use adapt::DdProtocol;
 use adapt_fleet::{FleetRouter, RouterConfig, ShardConfig, ShardId, ShardServer};
@@ -554,6 +555,7 @@ fn write_json(
 ) {
     let out_dir = cfg.out_dir();
     std::fs::create_dir_all(&out_dir).expect("create results dir");
+    let digest = replay_digest(&storm.log);
     let json = format!(
         "{{\n  \"schema\": 1,\n  \"quick\": {},\n  \"seed\": {},\n  \
          \"zero_panics\": {},\n  \
@@ -564,7 +566,8 @@ fn write_json(
          \"corruption_quarantined\": true, \"answers_bit_identical\": true }},\n  \
          \"mid_snapshot_kill_points_survived\": {kill_points},\n  \
          \"fleet_restart\": {{ \"keys\": {}, \"warm_hits\": {}, \"bit_identical\": true }},\n  \
-         \"replay\": {{ \"replay_bit_identical\": true, \"responses\": {} }}\n}}\n",
+         \"replay\": {{ \"replay_bit_identical\": true, \"responses\": {} }},\n  \
+         \"replay_digest\": \"{digest}\"\n}}\n",
         cfg.quick,
         cfg.seed,
         worker_panics == 0,
@@ -583,5 +586,5 @@ fn write_json(
     );
     let path = out_dir.join("BENCH_crash.json");
     std::fs::write(&path, json).expect("write BENCH_crash.json");
-    println!("  wrote {}", path.display());
+    println!("  wrote {} (replay digest {digest})", path.display());
 }

@@ -36,6 +36,7 @@
 //! single-instance `fleet_baseline` block `service_loadgen` writes into
 //! `BENCH_service.json`, so the two files compose into one curve.
 
+use crate::report::replay_digest;
 use crate::runner::ExperimentCfg;
 use adapt::DdProtocol;
 use adapt_fleet::ring::route_key;
@@ -524,6 +525,7 @@ fn write_json(
             )
         })
         .collect();
+    let digest = replay_digest(chaos.per_shard.values().flatten());
     let json = format!(
         "{{\n  \"schema\": 1,\n  \"quick\": {},\n  \"seed\": {},\n  \
          \"scaling\": [\n    {}\n  ],\n  \
@@ -532,7 +534,8 @@ fn write_json(
          \"healthy_shard_p99_ms_during_kill\": {:.2}, \
          \"rerouted_requests\": {}, \"reroutes_deterministic\": true, \
          \"failover_semantics_identical\": true, \"worker_panics\": {} }},\n  \
-         \"replay\": {{ \"per_shard_digests_match\": true, \"responses\": {replayed} }}\n}}\n",
+         \"replay\": {{ \"per_shard_digests_match\": true, \"responses\": {replayed} }},\n  \
+         \"replay_digest\": \"{digest}\"\n}}\n",
         cfg.quick,
         cfg.seed,
         points.join(",\n    "),
@@ -544,5 +547,5 @@ fn write_json(
     );
     let path = out_dir.join("BENCH_fleet.json");
     std::fs::write(&path, json).expect("write BENCH_fleet.json");
-    println!("  wrote {}", path.display());
+    println!("  wrote {} (replay digest {digest})", path.display());
 }

@@ -23,6 +23,7 @@
 //! bit-identity replay service keeps the default private registry so its
 //! traffic does not pollute the exported counters.
 
+use crate::report::replay_digest;
 use crate::runner::ExperimentCfg;
 use adapt::DdProtocol;
 use adapt_service::{
@@ -249,6 +250,16 @@ pub fn run(cfg: &ExperimentCfg) {
         warm_restart * 100.0
     );
 
+    // The pinned answer set: every audited key with its mask and
+    // fidelity bits, sorted by key. Which requests were rejected varies
+    // with worker timing, so the served sequence is never digested.
+    let mut answers: Vec<String> = observed
+        .iter()
+        .map(|(key, o)| format!("{key:?} {} {:016x}", o.mask, o.fidelity_bits))
+        .collect();
+    answers.sort_unstable();
+    let digest = replay_digest(&answers);
+
     let out_dir = cfg.out_dir();
     std::fs::create_dir_all(&out_dir).expect("create results dir");
     let json = format!(
@@ -268,7 +279,7 @@ pub fn run(cfg: &ExperimentCfg) {
          \"cache\": {{ \"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \
          \"invalidated\": {}, \"hit_rate\": {:.4} }},\n  \
          \"searches\": {},\n  \"worker_panics\": {},\n  \
-         \"bit_identical_keys\": {replayed}\n}}\n",
+         \"bit_identical_keys\": {replayed},\n  \"replay_digest\": \"{digest}\"\n}}\n",
         cfg.fault_name,
         cfg.quick,
         pct(0.50),
@@ -290,7 +301,7 @@ pub fn run(cfg: &ExperimentCfg) {
     );
     let path = out_dir.join("BENCH_service.json");
     std::fs::write(&path, json).expect("write BENCH_service.json");
-    println!("  wrote {}", path.display());
+    println!("  wrote {} (replay digest {digest})", path.display());
 
     render_registry(&out_dir, &latencies_us, &client_hist);
 }
