@@ -8,8 +8,6 @@ pub mod ablation_decoy;
 pub mod ablation_noise;
 pub mod ablation_protocols;
 pub mod ablation_search;
-pub mod chaos_soak;
-pub mod crash_chaos;
 pub mod fig03;
 pub mod fig04;
 pub mod fig05;
@@ -20,14 +18,10 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fig16;
-pub mod fleet_chaos;
 pub mod search_perf;
-pub mod service_loadgen;
 pub mod table1;
 pub mod table2;
 pub mod table5;
-pub mod tiered_loadgen;
-pub mod trace_replay;
 
 use crate::checkpoint::{config_hash, Checkpoint};
 use crate::report::Table;

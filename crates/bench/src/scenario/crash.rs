@@ -2,10 +2,11 @@
 //! service (`adapt_service::persist`, DESIGN.md §17) and checks the
 //! §17 recovery contract end to end:
 //!
-//! 1. **Clean restart.** A persisted service serves a tagged key pool,
-//!    shuts down (final snapshot), and restarts from disk: every key
-//!    must come back as a cache hit with a bit-identical response, and
-//!    the warm-restart hit rate must be ≥ 90%.
+//! 1. **Clean restart.** The [warm-restart drill](super::warm_restart):
+//!    a persisted service serves a tagged key pool, shuts down (final
+//!    snapshot), and restarts from disk: every key must come back with
+//!    a bit-identical response, and the warm-restart hit rate must be
+//!    ≥ 90%.
 //! 2. **Drift restart.** Calibration epochs advance before the
 //!    shutdown: the reborn registry must replay to the same epoch and
 //!    the superseded entries must land in the stale store, never be
@@ -17,7 +18,10 @@
 //!    quarantine the injected corruption (typed, counted, zero panics)
 //!    and the reborn service must answer the whole key pool
 //!    bit-identically to the undamaged reference — lost entries
-//!    re-search to the same seeded answer.
+//!    re-search to the same seeded answer. The whole storm runs
+//!    [`twice`](super::twice) from scratch under the same seed: damage
+//!    schedule, quarantine counts, and the full response log must
+//!    match exactly; the replay digest covers the log.
 //! 4. **Mid-snapshot kill.** Snapshots killed between temp write and
 //!    rename (both crash points) must leave the previous snapshot
 //!    published and fully recoverable.
@@ -25,16 +29,16 @@
 //!    (`ShardServer::stop`) and restarted under its old identity with
 //!    the same persist directory: wire responses must be cache hits,
 //!    bit-identical to pre-kill answers.
-//! 6. **Replay.** The whole corruption storm runs a second time from
-//!    scratch under the same seed: damage schedule, quarantine counts,
-//!    and the full response log must match the first run exactly.
 //!
 //! Zero worker panics are tolerated anywhere. Results land in
 //! `results/BENCH_crash.json` (`zero_panics`, `corruption_quarantined`,
 //! `replay_bit_identical`, `warm_restart_hit_rate` are the keys CI
-//! greps for).
+//! checks).
 
-use crate::report::replay_digest;
+use super::{
+    durable, ghz_xz, recommend, response_line, scratch_dir, semantic, small_budget, twice,
+    warm_restart, write_report, Json, Replay,
+};
 use crate::runner::ExperimentCfg;
 use adapt::DdProtocol;
 use adapt_fleet::{FleetRouter, RouterConfig, ShardConfig, ShardId, ShardServer};
@@ -44,112 +48,34 @@ use adapt_service::persist::{
     SNAPSHOT_MAGIC,
 };
 use adapt_service::{
-    DeviceId, DeviceRegistry, MaskCache, MaskService, PersistConfig, Provenance, Request, Response,
-    SearchBudget, ServiceConfig,
+    DeviceId, DeviceRegistry, MaskCache, MaskService, Provenance, Request, Response, ServiceConfig,
 };
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 const QUBITS: u32 = 5;
 const DEVICE: DeviceId = DeviceId::Rome;
 
-/// GHZ prefixed with a per-qubit {I, X, Z, XZ} stamp drawn from two tag
-/// bits (the `fleet_chaos` workload shape): structurally distinct
-/// Clifford circuits, one cache key each.
-fn tagged(tag: usize) -> qcirc::Circuit {
-    let mut c = qcirc::Circuit::new(QUBITS as usize);
-    for q in 0..QUBITS {
-        match (tag >> (2 * q)) & 3 {
-            1 => {
-                c.x(q);
-            }
-            2 => {
-                c.z(q);
-            }
-            3 => {
-                c.x(q);
-                c.z(q);
-            }
-            _ => {}
-        }
-    }
-    c.h(0);
-    for q in 0..QUBITS - 1 {
-        c.cx(q, q + 1);
-    }
-    c.measure_all();
-    c
-}
-
-fn budget() -> SearchBudget {
-    SearchBudget {
-        shots: 32,
-        trajectories: 2,
-        neighborhood: 4,
-        ..SearchBudget::default()
-    }
-}
-
 fn request(tag: usize) -> Request {
-    Request::RecommendMask {
-        circuit: tagged(tag),
-        device: DEVICE,
-        protocol: DdProtocol::Xy4,
-        budget: budget(),
-        deadline_ms: None,
-        tenancy: Default::default(),
-    }
+    recommend(ghz_xz(QUBITS, tag), DEVICE, small_budget(), None)
 }
 
-/// A durable single-device service over `dir`. The snapshot interval is
-/// long and fsync off: snapshots in this harness come from shutdown and
-/// explicit calls, so every on-disk state is schedule-pure.
-fn service_config(cfg: &ExperimentCfg, dir: &Path) -> ServiceConfig {
+/// The single-device service of every phase, before [`durable`].
+fn service_config(cfg: &ExperimentCfg) -> ServiceConfig {
     ServiceConfig {
         devices: vec![DEVICE],
         workers: 2,
         queue_capacity: 64,
         cache_capacity: 64,
         seed: cfg.seed,
-        default_budget: budget(),
-        persist: PersistConfig {
-            snapshot_interval_ms: 600_000,
-            fsync: false,
-            ..PersistConfig::at(dir)
-        },
+        default_budget: small_budget(),
         ..ServiceConfig::default()
     }
 }
 
-/// Wall-clock-free identity of a response (the `fleet_chaos` digest
-/// shape): what must replay bit-identically across restarts.
-fn digest(tag: usize, response: &Response) -> String {
-    match response {
-        Response::Mask(r) => format!(
-            "{tag}|{:?}|{:?}|{:016x}|{}",
-            r.provenance,
-            r.mask,
-            r.decoy_fidelity.to_bits(),
-            r.decoy_runs
-        ),
-        Response::Execution(_) => panic!("workload is RecommendMask-only"),
-    }
-}
-
-/// Digest with provenance masked out: equal for a cache hit and the
-/// fresh search that would replace it (the §17 bit-identity contract).
-fn semantic(d: &str) -> String {
-    let mut parts: Vec<&str> = d.split('|').collect();
-    parts.remove(1);
-    parts.join("|")
-}
-
-fn fresh_dir(name: &str, seed: u64) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("adapt_crash_chaos")
-        .join(format!("{name}_{seed:016x}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// The service of every phase, [`durable`] over `dir`.
+fn durable_config(cfg: &ExperimentCfg, dir: PathBuf) -> ServiceConfig {
+    durable(service_config(cfg), dir)
 }
 
 fn call_mask(svc: &MaskService, tag: usize) -> Response {
@@ -160,53 +86,23 @@ fn call_mask(svc: &MaskService, tag: usize) -> Response {
 // Phase 1+2: clean restart, drift restart
 // ---------------------------------------------------------------------------
 
-struct CleanRestart {
-    digests: Vec<String>,
-    hit_rate: f64,
-    worker_panics: u64,
-}
-
-fn clean_restart(cfg: &ExperimentCfg, keys: usize) -> CleanRestart {
-    let dir = fresh_dir("clean", cfg.seed);
-    let svc = MaskService::start(service_config(cfg, &dir));
-    let before: Vec<String> = (0..keys).map(|t| digest(t, &call_mask(&svc, t))).collect();
-    let mut panics = svc.shutdown().worker_panics;
-
-    let reborn = MaskService::start(service_config(cfg, &dir));
-    let report = reborn.recovery_report().expect("recovery ran");
-    assert_eq!(report.quarantined, 0, "clean restart must not quarantine");
-    let mut hits = 0usize;
-    let after: Vec<String> = (0..keys)
-        .map(|t| {
-            let resp = call_mask(&reborn, t);
-            if let Response::Mask(r) = &resp {
-                hits += usize::from(r.provenance == Provenance::CacheHit);
-            }
-            digest(t, &resp)
-        })
-        .collect();
-    panics += reborn.shutdown().worker_panics;
-
-    // Pre-kill digests say FreshSearch, post-restart ones CacheHit; the
-    // semantic payload (mask, fidelity bits, decoy runs) must be equal.
-    for (b, a) in before.iter().zip(&after) {
-        assert_eq!(semantic(b), semantic(a), "clean restart changed a response");
-    }
-    let hit_rate = hits as f64 / keys as f64;
-    assert!(
-        hit_rate >= 0.9,
-        "clean shutdown must recover >=90% of the warm set, got {hit_rate:.2}"
+/// The warm-restart drill over the key pool. Returns the pre-restart
+/// response lines (the undamaged reference of the storm) and the hit
+/// rate.
+fn clean_restart(cfg: &ExperimentCfg, keys: usize) -> (Vec<String>, f64) {
+    let requests: Vec<Request> = (0..keys).map(request).collect();
+    let drill = warm_restart(service_config(cfg), "crash_clean", &requests);
+    assert_eq!(
+        drill.warmed, keys,
+        "every key must be cached before the restart"
     );
-    CleanRestart {
-        digests: before,
-        hit_rate,
-        worker_panics: panics,
-    }
+    let hit_rate = drill.hit_rate();
+    (drill.lines.into_iter().flatten().collect(), hit_rate)
 }
 
 fn drift_restart(cfg: &ExperimentCfg, keys: usize) -> u64 {
-    let dir = fresh_dir("drift", cfg.seed);
-    let svc = MaskService::start(service_config(cfg, &dir));
+    let dir = scratch_dir("drift", cfg.seed);
+    let svc = MaskService::start(durable_config(cfg, dir.clone()));
     for t in 0..keys {
         let _ = call_mask(&svc, t);
     }
@@ -215,7 +111,7 @@ fn drift_restart(cfg: &ExperimentCfg, keys: usize) -> u64 {
     let epoch = svc.epoch(DEVICE).expect("epoch");
     let mut panics = svc.shutdown().worker_panics;
 
-    let reborn = MaskService::start(service_config(cfg, &dir));
+    let reborn = MaskService::start(durable_config(cfg, dir));
     let report = reborn.recovery_report().expect("recovery ran");
     assert_eq!(
         reborn.epoch(DEVICE),
@@ -242,9 +138,10 @@ fn drift_restart(cfg: &ExperimentCfg, keys: usize) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Phase 3 (+6 when run twice): corruption storm
+// Phase 3: corruption storm, run twice
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct StormOutcome {
     rounds: usize,
     damage: StorageFaultCounts,
@@ -252,6 +149,15 @@ struct StormOutcome {
     /// Full response log across all rounds — the replay unit.
     log: Vec<String>,
     worker_panics: u64,
+}
+
+impl Replay for StormOutcome {
+    fn lines(&self) -> Vec<&String> {
+        self.log.iter().collect()
+    }
+    fn counters(&self) -> String {
+        format!("{:?} quarantined={}", self.damage, self.quarantined)
+    }
 }
 
 /// One storm: per round, warm + cleanly shut down a durable service,
@@ -266,14 +172,11 @@ fn corruption_storm(
     let plan = StorageFaultPlan::new(StorageFaultProfile::gremlin(), cfg.seed ^ 0xC4A5_4CA0);
     let mut out = StormOutcome {
         rounds,
-        damage: StorageFaultCounts::default(),
-        quarantined: 0,
-        log: Vec::new(),
-        worker_panics: 0,
+        ..StormOutcome::default()
     };
     for round in 0..rounds {
-        let dir = fresh_dir(&format!("storm_{round}"), cfg.seed);
-        let svc = MaskService::start(service_config(cfg, &dir));
+        let dir = scratch_dir(&format!("storm_{round}"), cfg.seed);
+        let svc = MaskService::start(durable_config(cfg, dir.clone()));
         for t in 0..keys {
             let _ = call_mask(&svc, t);
         }
@@ -311,7 +214,7 @@ fn corruption_storm(
             predicted += errors.len();
         }
 
-        let reborn = MaskService::start(service_config(cfg, &dir));
+        let reborn = MaskService::start(durable_config(cfg, dir.clone()));
         let report = reborn.recovery_report().expect("recovery ran");
         out.quarantined += report.quarantined;
         assert_eq!(
@@ -326,7 +229,7 @@ fn corruption_storm(
         // Recovered-or-researched, every answer matches the undamaged
         // reference bit for bit.
         for (t, undamaged) in reference.iter().enumerate().take(keys) {
-            let d = digest(t, &call_mask(&reborn, t));
+            let d = response_line(t, &call_mask(&reborn, t));
             assert_eq!(
                 semantic(&d),
                 semantic(undamaged),
@@ -361,7 +264,7 @@ fn mid_snapshot_kill(cfg: &ExperimentCfg, keys: usize) -> usize {
     use adapt::{DdMask, DecoyKind};
     use adapt_service::{CachedMask, MaskKey};
 
-    let dir = fresh_dir("midkill", cfg.seed);
+    let dir = scratch_dir("midkill", cfg.seed);
     let obs = adapt_obs::Registry::new();
     let registry = DeviceRegistry::new(&[DEVICE], cfg.seed);
     let cache = Arc::new(MaskCache::with_registry(64, &obs));
@@ -419,21 +322,16 @@ fn mid_snapshot_kill(cfg: &ExperimentCfg, keys: usize) -> usize {
 // Phase 5: fleet warm restart
 // ---------------------------------------------------------------------------
 
-struct FleetRestart {
-    keys: usize,
-    warm_hits: usize,
-    worker_panics: u64,
-}
-
 /// A persisted shard killed abruptly and reborn under its old identity
 /// and persist directory: wire answers must be warm and bit-identical.
-fn fleet_restart(cfg: &ExperimentCfg, keys: usize) -> FleetRestart {
-    let dir = fresh_dir("fleet", cfg.seed);
+/// Returns the warm hits and the worker panics.
+fn fleet_restart(cfg: &ExperimentCfg, keys: usize) -> (usize, u64) {
+    let dir = scratch_dir("fleet", cfg.seed);
     let shard_id = ShardId(11);
     let start = |cfg: &ExperimentCfg| {
         ShardServer::start(ShardConfig {
             shard: shard_id,
-            service: service_config(cfg, &dir),
+            service: durable_config(cfg, dir.clone()),
             max_frame_bytes: 1 << 20,
             fleet: None,
         })
@@ -442,7 +340,7 @@ fn fleet_restart(cfg: &ExperimentCfg, keys: usize) -> FleetRestart {
     let shard = start(cfg);
     let router = FleetRouter::new(RouterConfig::default(), &[(shard_id, shard.addr())]);
     let before: Vec<String> = (0..keys)
-        .map(|t| digest(t, &router.call(request(t)).expect("warm call").response))
+        .map(|t| response_line(t, &router.call(request(t)).expect("warm call").response))
         .collect();
     // Abrupt stop: sockets die like a crash; the final snapshot is the
     // service's shutdown path, same as a SIGTERM drain.
@@ -458,7 +356,7 @@ fn fleet_restart(cfg: &ExperimentCfg, keys: usize) -> FleetRestart {
             warm_hits += usize::from(r.provenance == Provenance::CacheHit);
         }
         assert_eq!(
-            semantic(&digest(t, &routed.response)),
+            semantic(&response_line(t, &routed.response)),
             semantic(b),
             "fleet restart changed the answer for tag {t}"
         );
@@ -469,11 +367,7 @@ fn fleet_restart(cfg: &ExperimentCfg, keys: usize) -> FleetRestart {
         "fleet warm restart must serve >=90% from the recovered cache: {warm_hits}/{keys}"
     );
     let _ = std::fs::remove_dir_all(&dir);
-    FleetRestart {
-        keys,
-        warm_hits,
-        worker_panics: panics,
-    }
+    (warm_hits, panics)
 }
 
 // ---------------------------------------------------------------------------
@@ -484,10 +378,10 @@ fn fleet_restart(cfg: &ExperimentCfg, keys: usize) -> FleetRestart {
 ///
 /// # Panics
 ///
-/// Panics (failing the CI job) on any violated §17 invariant: a worker
-/// panic, a quarantine miss on injected corruption, a response that is
-/// not bit-identical after recovery, a warm-restart hit rate below 90%,
-/// or a storm replay divergence.
+/// Panics on any violated §17 invariant: a worker panic, a quarantine
+/// miss on injected corruption, a response that is not bit-identical
+/// after recovery, a warm-restart hit rate below 90%, or a storm replay
+/// divergence.
 pub fn run(cfg: &ExperimentCfg) {
     println!("\n== Crash chaos: durable mask service under kill/corrupt/restart ==");
     let keys = if cfg.quick { 6 } else { 12 };
@@ -495,96 +389,72 @@ pub fn run(cfg: &ExperimentCfg) {
     let mut worker_panics = 0u64;
 
     println!("  phase 1: clean shutdown -> warm restart ({keys} keys)");
-    let clean = clean_restart(cfg, keys);
-    worker_panics += clean.worker_panics;
-    println!(
-        "    warm restart hit rate {:.0}%, responses bit-identical",
-        clean.hit_rate * 100.0
-    );
+    let (reference, hit_rate) = clean_restart(cfg, keys);
 
     println!("  phase 2: drift -> restart (epoch replay, stale demotion)");
     worker_panics += drift_restart(cfg, keys.min(4));
-    println!("    epochs replayed, superseded entries demoted to stale");
 
-    println!("  phase 3: corruption storm ({rounds} rounds, gremlin profile)");
-    let storm = corruption_storm(cfg, keys, rounds, &clean.digests);
-    worker_panics += storm.worker_panics;
-    println!(
-        "    damage {}; {} record(s) quarantined, all answers bit-identical",
-        storm.damage, storm.quarantined
-    );
+    println!("  phase 3: corruption storm ({rounds} rounds, gremlin profile), run twice");
+    let storm = twice("corruption storm", || {
+        let storm = corruption_storm(cfg, keys, rounds, &reference);
+        worker_panics += storm.worker_panics;
+        storm
+    });
 
     println!("  phase 4: mid-snapshot kills (both crash points)");
     let kill_points = mid_snapshot_kill(cfg, keys.min(5));
-    println!("    {kill_points} kill points left the published snapshot intact");
 
     println!("  phase 5: fleet shard kill -> warm restart");
-    let fleet = fleet_restart(cfg, keys.min(6));
-    worker_panics += fleet.worker_panics;
-    println!(
-        "    {}/{} wire answers warm after rebirth, all bit-identical",
-        fleet.warm_hits, fleet.keys
-    );
-
-    println!("  phase 6: storm replay (same seed, from scratch)");
-    let replay = corruption_storm(cfg, keys, rounds, &clean.digests);
-    worker_panics += replay.worker_panics;
-    assert_eq!(storm.damage, replay.damage, "damage schedule must replay");
-    assert_eq!(
-        storm.quarantined, replay.quarantined,
-        "quarantine counts must replay"
-    );
-    assert_eq!(storm.log, replay.log, "storm response log must replay");
-    println!(
-        "    {} responses across {} rounds replayed bit-identically",
-        replay.log.len(),
-        replay.rounds
-    );
+    let fleet_keys = keys.min(6);
+    let (fleet_hits, fleet_panics) = fleet_restart(cfg, fleet_keys);
+    worker_panics += fleet_panics;
 
     assert_eq!(worker_panics, 0, "a service worker panicked");
-    write_json(cfg, &clean, &storm, kill_points, &fleet, worker_panics);
-}
-
-fn write_json(
-    cfg: &ExperimentCfg,
-    clean: &CleanRestart,
-    storm: &StormOutcome,
-    kill_points: usize,
-    fleet: &FleetRestart,
-    worker_panics: u64,
-) {
-    let out_dir = cfg.out_dir();
-    std::fs::create_dir_all(&out_dir).expect("create results dir");
-    let digest = replay_digest(&storm.log);
-    let json = format!(
-        "{{\n  \"schema\": 1,\n  \"quick\": {},\n  \"seed\": {},\n  \
-         \"zero_panics\": {},\n  \
-         \"warm_restart_hit_rate\": {:.4},\n  \
-         \"clean_restart\": {{ \"keys\": {}, \"bit_identical\": true }},\n  \
-         \"corruption\": {{ \"rounds\": {}, \"ops\": {}, \"torn\": {}, \"truncated\": {}, \
-         \"flipped\": {}, \"stray_temps\": {}, \"quarantined_records\": {}, \
-         \"corruption_quarantined\": true, \"answers_bit_identical\": true }},\n  \
-         \"mid_snapshot_kill_points_survived\": {kill_points},\n  \
-         \"fleet_restart\": {{ \"keys\": {}, \"warm_hits\": {}, \"bit_identical\": true }},\n  \
-         \"replay\": {{ \"replay_bit_identical\": true, \"responses\": {} }},\n  \
-         \"replay_digest\": \"{digest}\"\n}}\n",
-        cfg.quick,
-        cfg.seed,
-        worker_panics == 0,
-        clean.hit_rate,
-        clean.digests.len(),
-        storm.rounds,
-        storm.damage.ops,
-        storm.damage.torn,
-        storm.damage.truncated,
-        storm.damage.flipped,
-        storm.damage.kills,
-        storm.quarantined,
-        fleet.keys,
-        fleet.warm_hits,
-        storm.log.len(),
+    let d = &storm.damage;
+    write_report(
+        cfg,
+        "BENCH_crash.json",
+        vec![
+            ("zero_panics", (worker_panics == 0).into()),
+            ("warm_restart_hit_rate", Json::Num(hit_rate, 4)),
+            (
+                "clean_restart",
+                Json::obj([
+                    ("keys", reference.len().into()),
+                    ("bit_identical", true.into()),
+                ]),
+            ),
+            (
+                "corruption",
+                Json::obj([
+                    ("rounds", storm.rounds.into()),
+                    ("ops", d.ops.into()),
+                    ("torn", d.torn.into()),
+                    ("truncated", d.truncated.into()),
+                    ("flipped", d.flipped.into()),
+                    ("stray_temps", d.kills.into()),
+                    ("quarantined_records", storm.quarantined.into()),
+                    ("corruption_quarantined", true.into()),
+                    ("answers_bit_identical", true.into()),
+                ]),
+            ),
+            ("mid_snapshot_kill_points_survived", kill_points.into()),
+            (
+                "fleet_restart",
+                Json::obj([
+                    ("keys", fleet_keys.into()),
+                    ("warm_hits", fleet_hits.into()),
+                    ("bit_identical", true.into()),
+                ]),
+            ),
+            (
+                "replay",
+                Json::obj([
+                    ("replay_bit_identical", true.into()),
+                    ("responses", storm.log.len().into()),
+                ]),
+            ),
+        ],
+        storm.lines(),
     );
-    let path = out_dir.join("BENCH_crash.json");
-    std::fs::write(&path, json).expect("write BENCH_crash.json");
-    println!("  wrote {} (replay digest {digest})", path.display());
 }

@@ -12,23 +12,32 @@
 //! After the run, every distinct cache key is replayed against a *fresh*
 //! service built from the same seed: responses must be bit-identical to
 //! the originals whether they were served from cache or fresh search
-//! (the service's determinism contract). The binary fails loudly when
-//! any worker panicked, the cache hit rate lands at or below 50%, or a
-//! replayed key diverges. Metrics land in `results/BENCH_service.json`,
-//! and the process-wide observability registry (service, mask-cache,
-//! plan-cache, search and resilient-executor metrics in one document) is
-//! rendered to `results/BENCH_service_metrics.prom` / `.json`.
+//! (the service's determinism contract). Then the
+//! [warm-restart drill](super::warm_restart) answers every distinct
+//! key once on a durable service, restarts it from disk, and reports
+//! the share served from the recovered cache. The run fails loudly
+//! when any worker panicked, the cache hit rate lands at or below 50%,
+//! a replayed key diverges, or the warm restart recovers under 90%.
+//! Its replay digest covers the sorted key → answer set (which
+//! requests the small queue rejects depends on worker timing, so the
+//! served sequence is never digested). Metrics land in
+//! `results/BENCH_service.json`, and the process-wide observability
+//! registry (service, mask-cache, plan-cache, search and
+//! resilient-executor metrics in one document) is rendered to
+//! `results/BENCH_service_metrics.prom` / `.json`.
 //!
 //! The main service publishes into [`adapt_obs::global()`]; the
 //! bit-identity replay service keeps the default private registry so its
 //! traffic does not pollute the exported counters.
 
-use crate::report::replay_digest;
+use super::{
+    budget, latency_ms, load_point, recommend, service_config, stats_json, warm_restart,
+    write_report, Json,
+};
 use crate::runner::ExperimentCfg;
-use adapt::DdProtocol;
 use adapt_service::{
-    DeviceId, MaskKey, MaskService, PersistConfig, Provenance, Request, Response, SearchBudget,
-    ServiceConfig, ServiceError, TierPolicy,
+    DeviceId, MaskKey, MaskService, Request, Response, SearchBudget, ServiceConfig, ServiceError,
+    TierPolicy,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,45 +53,26 @@ struct Observed {
     device: DeviceId,
 }
 
-fn service_config(cfg: &ExperimentCfg, budget: SearchBudget) -> ServiceConfig {
-    ServiceConfig {
-        devices: vec![DeviceId::Guadalupe, DeviceId::Toronto, DeviceId::Rome],
-        workers: 4,
-        // Smaller than a submission burst: workers that fall behind make
-        // admission control visible in the rejection metrics.
-        queue_capacity: 6,
-        cache_capacity: 64,
-        seed: cfg.seed,
-        fault_profile: cfg.fault_profile,
-        default_budget: budget,
-        ..ServiceConfig::default()
-    }
+const DEVICES: [DeviceId; 3] = [DeviceId::Guadalupe, DeviceId::Toronto, DeviceId::Rome];
+
+/// Four workers over [`DEVICES`]. The queue is smaller than a
+/// submission burst: workers that fall behind make admission control
+/// visible in the rejection metrics.
+fn loadgen_config(cfg: &ExperimentCfg) -> ServiceConfig {
+    service_config(cfg, &DEVICES, 4, 6, 64)
 }
 
 /// Runs the load generation and writes `results/BENCH_service.json`.
 ///
 /// # Panics
 ///
-/// Panics (failing the CI job) when a worker panics, the cache hit rate
-/// is ≤ 50%, a response for one key diverges within the run, or the
-/// fresh-service replay is not bit-identical to the original responses.
+/// Panics when a worker panics, the cache hit rate is ≤ 50%, a response
+/// for one key diverges within the run, the fresh-service replay is not
+/// bit-identical to the original responses, or the warm-restart drill
+/// fails.
 pub fn run(cfg: &ExperimentCfg) {
     println!("\n== Service loadgen: skewed open-loop workload on the mask service ==");
-    let budget = if cfg.quick {
-        SearchBudget {
-            shots: 64,
-            trajectories: 2,
-            neighborhood: 4,
-            tier: TierPolicy::default(),
-        }
-    } else {
-        SearchBudget {
-            shots: 128,
-            trajectories: 4,
-            neighborhood: 4,
-            tier: TierPolicy::default(),
-        }
-    };
+    let budget = budget(cfg.quick, TierPolicy::default());
     let total_requests: usize = if cfg.quick { 72 } else { 200 };
     let burst = 8;
     let benches = benchmarks::suite::table1_suite();
@@ -90,7 +80,7 @@ pub fn run(cfg: &ExperimentCfg) {
     // the machine/search metrics its backends record there.
     let svc = MaskService::start(ServiceConfig {
         registry: adapt_obs::global(),
-        ..service_config(cfg, budget)
+        ..loadgen_config(cfg)
     });
     // Client-observed end-to-end latency, mirrored into the registry so
     // the JSON percentiles below and the exposition describe the same
@@ -155,14 +145,7 @@ pub fn run(cfg: &ExperimentCfg) {
                     tenancy: Default::default(),
                 }
             } else {
-                Request::RecommendMask {
-                    circuit,
-                    device,
-                    protocol: DdProtocol::Xy4,
-                    budget,
-                    deadline_ms: None,
-                    tenancy: Default::default(),
-                }
+                recommend(circuit, device, budget, None)
             };
             submitted += 1;
             match svc.submit(request) {
@@ -179,14 +162,16 @@ pub fn run(cfg: &ExperimentCfg) {
                     client_hist.record(resp.timing().total_us());
                     match resp {
                         Response::Mask(rec) => {
-                            audit(
-                                &mut observed,
-                                rec.key,
-                                rec.mask,
-                                rec.decoy_fidelity,
+                            let entry = Observed {
+                                mask: rec.mask,
+                                fidelity_bits: rec.decoy_fidelity.to_bits(),
                                 bench,
                                 device,
-                            );
+                            };
+                            // In-run consistency: one key, one answer.
+                            if let Some(prev) = observed.insert(rec.key, entry) {
+                                assert!(prev == entry, "responses diverged for key {:?}", rec.key);
+                            }
                         }
                         Response::Execution(_) => executions += 1,
                     }
@@ -202,35 +187,8 @@ pub fn run(cfg: &ExperimentCfg) {
     let cache = svc.cache_stats();
     let served = latencies_us.len();
     latencies_us.sort_unstable();
-    // Nearest-rank percentiles. The old `((len-1)*q).round()` indexing
-    // was off by one sample: at n=2 it reported the maximum as the
-    // median, and at n=100 it read p50 from the 51st sample.
-    let pct = |q: f64| -> f64 { adapt_obs::percentile(&latencies_us, q) / 1000.0 };
     let throughput = served as f64 / elapsed.max(1e-9);
     let ttfur_ms = ttfur_us.unwrap_or(0) as f64 / 1000.0;
-    // Cold-miss storm: requests that piled up behind another caller's
-    // in-flight search for the same key (single-flight coalescing). Each
-    // one would have been a redundant ~80 s search without dedup.
-    let cold_miss_storm = cache.coalesced;
-    println!(
-        "  {served} served / {rejected} rejected / {failed} failed in {elapsed:.1} s \
-         ({throughput:.1} req/s), p50 {:.1} ms, p99 {:.1} ms, \
-         first usable answer after {ttfur_ms:.1} ms",
-        pct(0.50),
-        pct(0.99)
-    );
-    println!(
-        "  cache: {} hits + {} coalesced / {} misses ({:.0}% hit rate), \
-         {} invalidated, {} evicted; {} searches, {} worker panics",
-        cache.hits,
-        cache.coalesced,
-        cache.misses,
-        cache.hit_rate() * 100.0,
-        cache.invalidated,
-        cache.evictions,
-        stats.searches,
-        stats.worker_panics
-    );
     assert_eq!(stats.worker_panics, 0, "worker pool must survive the run");
     assert!(
         cache.hit_rate() > 0.5,
@@ -243,65 +201,77 @@ pub fn run(cfg: &ExperimentCfg) {
     println!("  bit-identity: {replayed} keys replayed on a fresh service, all identical");
 
     // Warm-restart drill: the durable counterpart of the cold-miss
-    // storm — how much of the storm a persisted cache absorbs.
-    let warm_restart = warm_restart_hit_rate(cfg, budget, &benches, &observed);
+    // storm — how much of the storm a persisted cache absorbs. Every
+    // distinct (benchmark, device, protocol) answers once at epoch 0.
+    let mut pairs: Vec<(usize, DeviceId)> =
+        observed.values().map(|o| (o.bench, o.device)).collect();
+    pairs.sort_by_key(|&(bench, device)| (bench, device as u8));
+    pairs.dedup();
+    let requests: Vec<Request> = pairs
+        .iter()
+        .map(|&(bench, device)| recommend(benches[bench].circuit.clone(), device, budget, None))
+        .collect();
+    let warm = warm_restart(loadgen_config(cfg), "service_warm_restart", &requests);
     println!(
         "  warm restart: {:.0}% of distinct keys served from the recovered cache",
-        warm_restart * 100.0
+        warm.hit_rate() * 100.0
     );
 
     // The pinned answer set: every audited key with its mask and
-    // fidelity bits, sorted by key. Which requests were rejected varies
-    // with worker timing, so the served sequence is never digested.
+    // fidelity bits, sorted by key.
     let mut answers: Vec<String> = observed
         .iter()
         .map(|(key, o)| format!("{key:?} {} {:016x}", o.mask, o.fidelity_bits))
         .collect();
     answers.sort_unstable();
-    let digest = replay_digest(&answers);
 
     let out_dir = cfg.out_dir();
-    std::fs::create_dir_all(&out_dir).expect("create results dir");
-    let json = format!(
-        "{{\n  \"schema\": 1,\n  \"faults\": \"{}\",\n  \"quick\": {},\n  \"workers\": 4,\n  \
-         \"devices\": [\"guadalupe\", \"toronto\", \"rome\"],\n  \
-         \"requests\": {{ \"submitted\": {total_requests}, \"served\": {served}, \
-         \"rejected\": {rejected}, \"failed\": {failed}, \"executions\": {executions} }},\n  \
-         \"throughput_rps\": {throughput:.2},\n  \
-         \"latency_ms\": {{ \"p50\": {:.2}, \"p99\": {:.2} }},\n  \
-         \"fleet_baseline\": {{ \"shards\": 1, \"requests\": {served}, \
-         \"throughput_rps\": {throughput:.2}, \
-         \"latency_ms\": {{ \"p50\": {:.2}, \"p99\": {:.2} }} }},\n  \
-         \"time_to_first_usable_ms\": {ttfur_ms:.2},\n  \
-         \"cold_miss_storm\": {cold_miss_storm},\n  \
-         \"warm_restart_hit_rate\": {warm_restart:.4},\n  \
-         \"rejection_rate\": {:.4},\n  \
-         \"cache\": {{ \"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \
-         \"invalidated\": {}, \"hit_rate\": {:.4} }},\n  \
-         \"searches\": {},\n  \"worker_panics\": {},\n  \
-         \"bit_identical_keys\": {replayed},\n  \"replay_digest\": \"{digest}\"\n}}\n",
-        cfg.fault_name,
-        cfg.quick,
-        pct(0.50),
-        pct(0.99),
-        // The `fleet_baseline` block repeats the single-instance numbers
-        // in the exact schema of `BENCH_fleet.json`'s scaling entries,
-        // so the two files compose into one 1→N-shard curve.
-        pct(0.50),
-        pct(0.99),
-        rejected as f64 / total_requests as f64,
-        cache.hits,
-        cache.misses,
-        cache.coalesced,
-        cache.evictions,
-        cache.invalidated,
-        cache.hit_rate(),
-        stats.searches,
-        stats.worker_panics,
+    write_report(
+        cfg,
+        "BENCH_service.json",
+        vec![
+            ("faults", cfg.fault_name.into()),
+            ("workers", 4u32.into()),
+            ("devices", DEVICES.map(|d| d.name()).to_vec().into()),
+            (
+                "requests",
+                Json::obj([
+                    ("submitted", total_requests.into()),
+                    ("served", served.into()),
+                    ("rejected", rejected.into()),
+                    ("failed", failed.into()),
+                    ("executions", executions.into()),
+                ]),
+            ),
+            ("throughput_rps", Json::Num(throughput, 2)),
+            ("latency_ms", latency_ms(&latencies_us)),
+            ("fleet_baseline", load_point(1, &latencies_us, throughput)),
+            ("time_to_first_usable_ms", Json::Num(ttfur_ms, 2)),
+            // Cold-miss storm: requests that piled up behind another
+            // caller's in-flight search for the same key (single-flight
+            // coalescing), each a redundant search without dedup.
+            ("cold_miss_storm", cache.coalesced.into()),
+            ("warm_restart_hit_rate", Json::Num(warm.hit_rate(), 4)),
+            (
+                "rejection_rate",
+                Json::Num(rejected as f64 / total_requests as f64, 4),
+            ),
+            (
+                "cache",
+                Json::obj([
+                    ("hits", cache.hits.into()),
+                    ("misses", cache.misses.into()),
+                    ("coalesced", cache.coalesced.into()),
+                    ("evictions", cache.evictions.into()),
+                    ("invalidated", cache.invalidated.into()),
+                    ("hit_rate", Json::Num(cache.hit_rate(), 4)),
+                ]),
+            ),
+            ("stats", stats_json(&stats)),
+            ("bit_identical_keys", replayed.into()),
+        ],
+        &answers,
     );
-    let path = out_dir.join("BENCH_service.json");
-    std::fs::write(&path, json).expect("write BENCH_service.json");
-    println!("  wrote {} (replay digest {digest})", path.display());
 
     render_registry(&out_dir, &latencies_us, &client_hist);
 }
@@ -363,29 +333,6 @@ fn render_registry(
     );
 }
 
-/// Records one recommendation, asserting in-run consistency per key.
-fn audit(
-    observed: &mut HashMap<MaskKey, Observed>,
-    key: MaskKey,
-    mask: adapt::DdMask,
-    fidelity: f64,
-    bench: usize,
-    device: DeviceId,
-) {
-    let entry = Observed {
-        mask,
-        fidelity_bits: fidelity.to_bits(),
-        bench,
-        device,
-    };
-    if let Some(prev) = observed.insert(key, entry) {
-        assert!(
-            prev == entry,
-            "responses diverged within the run for key {key:?}"
-        );
-    }
-}
-
 /// Replays every observed key on a cold same-seed service and checks
 /// bit-identity. Returns the number of keys replayed.
 fn replay_bit_identity(
@@ -394,14 +341,14 @@ fn replay_bit_identity(
     benches: &[benchmarks::BenchmarkSpec],
     observed: &HashMap<MaskKey, Observed>,
 ) -> usize {
-    let fresh = MaskService::start(service_config(cfg, budget));
+    let fresh = MaskService::start(loadgen_config(cfg));
     // Epochs only move forward, so replay epoch 0 keys first, then tick
     // each drifted device and replay its epoch 1 keys, and so on.
     let max_epoch = observed.keys().map(|k| k.epoch).max().unwrap_or(0);
     let mut replayed = 0usize;
     for epoch in 0..=max_epoch {
         if epoch > 0 {
-            for device in [DeviceId::Guadalupe, DeviceId::Toronto, DeviceId::Rome] {
+            for device in DEVICES {
                 if observed
                     .keys()
                     .any(|k| k.device == device && k.epoch >= epoch)
@@ -411,15 +358,9 @@ fn replay_bit_identity(
             }
         }
         for (key, prev) in observed.iter().filter(|(k, _)| k.epoch == epoch) {
+            let circuit = benches[prev.bench].circuit.clone();
             let resp = fresh
-                .call(Request::RecommendMask {
-                    circuit: benches[prev.bench].circuit.clone(),
-                    device: prev.device,
-                    protocol: key.protocol,
-                    budget,
-                    deadline_ms: None,
-                    tenancy: Default::default(),
-                })
+                .call(recommend(circuit, prev.device, budget, None))
                 .expect("replay recommendation");
             let Response::Mask(rec) = resp else {
                 panic!("replay returned a non-mask response");
@@ -444,100 +385,4 @@ fn replay_bit_identity(
         "replay must search every key once"
     );
     replayed
-}
-
-/// Warm-restart drill, the durable counterpart of `cold_miss_storm`: a
-/// same-seed service with persistence enabled answers every distinct
-/// `(benchmark, device, protocol)` pair once, shuts down cleanly (final
-/// snapshot), and restarts from disk. Returns the fraction of those
-/// pairs the reborn service serves straight from the recovered cache —
-/// each one a cold-start search the durable warm set absorbed.
-///
-/// # Panics
-///
-/// Panics when the reborn service recovers less than 90% of the keys
-/// the warm pass actually cached (the DESIGN.md §17 clean-shutdown
-/// floor).
-fn warm_restart_hit_rate(
-    cfg: &ExperimentCfg,
-    budget: SearchBudget,
-    benches: &[benchmarks::BenchmarkSpec],
-    observed: &HashMap<MaskKey, Observed>,
-) -> f64 {
-    let mut pairs: Vec<(usize, DeviceId, DdProtocol)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for (key, prev) in observed {
-        if seen.insert((prev.bench, prev.device, key.protocol)) {
-            pairs.push((prev.bench, prev.device, key.protocol));
-        }
-    }
-    pairs.sort_by_key(|&(bench, device, _)| (bench, device as u8));
-
-    let dir = std::env::temp_dir().join(format!("adapt_loadgen_warm_restart_{:016x}", cfg.seed));
-    let _ = std::fs::remove_dir_all(&dir);
-    let durable = || {
-        MaskService::start(ServiceConfig {
-            persist: PersistConfig {
-                // Snapshots come from the shutdown path only, so the
-                // on-disk state is a pure function of the schedule.
-                snapshot_interval_ms: 600_000,
-                fsync: false,
-                ..PersistConfig::at(dir.clone())
-            },
-            ..service_config(cfg, budget)
-        })
-    };
-    let call = |svc: &MaskService, (bench, device, protocol): (usize, DeviceId, DdProtocol)| {
-        svc.call(Request::RecommendMask {
-            circuit: benches[bench].circuit.clone(),
-            device,
-            protocol,
-            budget,
-            deadline_ms: None,
-            tenancy: Default::default(),
-        })
-    };
-
-    // Warm pass at epoch 0 (no drift): only answers the cache actually
-    // stores count toward the recovery denominator — under an injected
-    // fault profile some searches fail or degrade to uncached masks.
-    let warm = durable();
-    let warmed: Vec<(usize, DeviceId, DdProtocol)> = pairs
-        .iter()
-        .copied()
-        .filter(|&p| match call(&warm, p) {
-            Ok(Response::Mask(rec)) => matches!(
-                rec.provenance,
-                Provenance::CacheHit | Provenance::FreshSearch | Provenance::DegradedAllDd
-            ),
-            _ => false,
-        })
-        .collect();
-    let stats = warm.shutdown();
-    assert_eq!(stats.worker_panics, 0, "warm pass must not panic");
-
-    let reborn = durable();
-    let report = reborn
-        .recovery_report()
-        .expect("persistence enabled for the drill");
-    let hits = warmed
-        .iter()
-        .filter(|&&p| {
-            matches!(
-                call(&reborn, p),
-                Ok(Response::Mask(rec)) if rec.provenance == Provenance::CacheHit
-            )
-        })
-        .count();
-    let stats = reborn.shutdown();
-    assert_eq!(stats.worker_panics, 0, "reborn service must not panic");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let rate = hits as f64 / warmed.len().max(1) as f64;
-    assert!(
-        rate >= 0.9,
-        "clean shutdown must recover >=90% of the warm set: {hits}/{} (report {report:?})",
-        warmed.len()
-    );
-    rate
 }

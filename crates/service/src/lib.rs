@@ -63,7 +63,7 @@
 //!   thread with a kill-switch and write-temp-fsync-rename atomicity
 //!   keeps the on-disk image fresh, and a `machine::fault`-style seeded
 //!   storage-fault injector ([`persist::StorageFaultPlan`]) backs the
-//!   `crash_chaos` harness.
+//!   bench harness's `crash` scenario.
 //!
 //! Responses are deterministic: for one service seed, the answer for a
 //! given [`MaskKey`] is bit-identical whether it comes from a fresh

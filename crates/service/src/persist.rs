@@ -25,7 +25,7 @@
 //!   inside [`atomic_write_with_crash`] (torn temp writes, kills before
 //!   rename), and [`StorageFaultPlan`] is a `machine::fault`-style
 //!   seeded corruption campaign (truncated tails, bit flips) for the
-//!   `crash_chaos` harness.
+//!   bench harness's `crash` scenario.
 //!
 //! The dependency arrow points `fleet → service`, so this module cannot
 //! import `fleet::wire`; instead it exposes its own table-based
@@ -768,8 +768,8 @@ impl StorageFaults {
 
 /// A seeded per-operation storage-damage schedule: `faults_for(op)` is a
 /// pure function of `(seed, op)`, so two plans with the same seed injure
-/// the same operations identically — the property the `crash_chaos`
-/// replay-determinism assertion rests on.
+/// the same operations identically — the property the `crash`
+/// scenario's replay-determinism assertion rests on.
 #[derive(Debug)]
 pub struct StorageFaultPlan {
     profile: StorageFaultProfile,
@@ -1248,7 +1248,7 @@ impl Persister {
     }
 
     /// [`Self::snapshot`] with an injected [`CrashPoint`] — the
-    /// `crash_chaos` harness's mid-snapshot-kill scenario. A crashed
+    /// `crash` scenario's mid-snapshot-kill phase. A crashed
     /// snapshot leaves the previous snapshot published and the journal
     /// untouched, and reports a failure rather than a publication.
     pub fn snapshot_with_crash(
