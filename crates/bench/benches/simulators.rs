@@ -1,14 +1,15 @@
-//! Criterion benchmarks of the simulation substrates: dense state-vector
-//! gate throughput, CHP tableau sampling at application and scalability
+//! Criterion benchmarks of the simulation substrates: the dense
+//! state-vector kernels the engine calls, CHP tableau sampling at application and scalability
 //! sizes (the Table 2 "SimTime" axis), per-gate and terminal-sampling
 //! costs of the CHP tableau, and Heisenberg-propagation expectations as
 //! the seed count grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use qcirc::math::C64;
 use qcirc::{Circuit, Gate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use statevec::StateVector;
+use statevec::{SimError, SoaStateVector};
 use std::hint::black_box;
 
 fn ghz_clifford(n: usize) -> Circuit {
@@ -24,27 +25,35 @@ fn ghz_clifford(n: usize) -> Circuit {
     c
 }
 
+/// Each kernel the dense engine calls, one layer per iteration: a gate on
+/// every qubit (1q) or on every neighbour pair (2q).
 fn bench_statevec(c: &mut Criterion) {
+    type Kernel<'a> = &'a dyn Fn(&mut SoaStateVector, usize) -> Result<(), SimError>;
+    let h = Gate::H.unitary1().expect("1q");
+    let cx = Gate::CX.unitary2().expect("2q");
+    let (d0, d1) = (C64::cis(-0.3), C64::cis(0.3));
+    // (kernel, qubits per gate, the gate on qubit q and up)
+    let kernels: [(&str, usize, Kernel); 5] = [
+        ("apply1", 1, &|sv, q| sv.apply1(&h, q)),
+        ("apply_diag1", 1, &|sv, q| sv.apply_diag1(d0, d1, q)),
+        ("apply_antidiag1", 1, &|sv, q| {
+            sv.apply_antidiag1(C64::ONE, C64::ONE, q)
+        }),
+        ("apply_cx", 2, &|sv, q| sv.apply_cx(q, q + 1)),
+        ("apply2", 2, &|sv, q| sv.apply2(&cx, q, q + 1)),
+    ];
     let mut group = c.benchmark_group("statevec");
-    for &n in &[10usize, 14, 18] {
-        group.bench_with_input(BenchmarkId::new("layer_1q", n), &n, |b, &n| {
-            let h = Gate::H.unitary1().expect("1q");
-            let mut sv = StateVector::new(n);
-            b.iter(|| {
-                for q in 0..n {
-                    sv.apply1(black_box(&h), q).expect("in range");
-                }
+    for (name, arity, gate) in kernels {
+        for &n in &[10usize, 14, 18] {
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
+                let mut sv = SoaStateVector::try_new(n).expect("small");
+                b.iter(|| {
+                    for q in 0..=n - arity {
+                        gate(black_box(&mut sv), q).expect("in range");
+                    }
+                });
             });
-        });
-        group.bench_with_input(BenchmarkId::new("layer_2q", n), &n, |b, &n| {
-            let cx = Gate::CX.unitary2().expect("2q");
-            let mut sv = StateVector::new(n);
-            b.iter(|| {
-                for q in 0..n - 1 {
-                    sv.apply2(black_box(&cx), q, q + 1).expect("in range");
-                }
-            });
-        });
+        }
     }
     group.finish();
 }

@@ -36,7 +36,7 @@ const FULL_MODE_MASKS_PER_S_FLOOR: f64 = 10.0;
 /// Panics (failing the CI job) when the second search records no plan
 /// cache hits, when batched scoring diverges from serial scoring, when no
 /// execution routed to the CHP engine, or — in full mode — when batched
-/// CHP scoring falls below [`FULL_MODE_MASKS_PER_S_FLOOR`].
+/// CHP scoring falls below `FULL_MODE_MASKS_PER_S_FLOOR`.
 pub fn run(cfg: &ExperimentCfg) {
     println!("\n== Search perf: plan cache + engine routing + scoring throughput ==");
     // Guadalupe's 16-wire topology. QFT-10 is the headline configuration

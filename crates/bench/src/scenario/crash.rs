@@ -19,7 +19,7 @@
 //!    and the reborn service must answer the whole key pool
 //!    bit-identically to the undamaged reference — lost entries
 //!    re-search to the same seeded answer. The whole storm runs
-//!    [`twice`](super::twice) from scratch under the same seed: damage
+//!    [`twice`] from scratch under the same seed: damage
 //!    schedule, quarantine counts, and the full response log must
 //!    match exactly; the replay digest covers the log.
 //! 4. **Mid-snapshot kill.** Snapshots killed between temp write and

@@ -25,14 +25,14 @@
 //!    shard's p99 over its own keys stays within 2× its steady-state
 //!    p99 (+5 ms scheduler epsilon). The shard is then restarted under
 //!    its old identity — ownership must return, again bit-identically.
-//! 3. **Replay.** The chaos phase runs [`twice`](super::twice) from
+//! 3. **Replay.** The chaos phase runs [`twice`] from
 //!    scratch; the per-shard response logs (provenance, mask, fidelity
 //!    bits — everything except wall-clock timing) must match line for
 //!    line. The replay digest covers them, shards in ring-id order.
 //!
 //! Zero worker panics are tolerated anywhere. Results land in
 //! `results/BENCH_fleet.json`; the scaling entries are
-//! [`load_point`](super::load_point)s, like the single-instance
+//! [`load_point`]s, like the single-instance
 //! `fleet_baseline` of `BENCH_service.json`, so the two files compose
 //! into one curve. The curve measures overlapped *slept* backoff, not
 //! CPU-bound serving.

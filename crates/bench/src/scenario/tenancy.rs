@@ -15,7 +15,7 @@
 //!   *virtual* time (`advance_quota_ms` per step), so every admission
 //!   decision — including each `QuotaExhausted` retry hint — is a pure
 //!   function of the seed. The whole trace runs
-//!   [`twice`](super::twice), bit-identically.
+//!   [`twice`], bit-identically.
 //! * **Skew** — a 10:1 two-tenant load (majority batch flood vs a
 //!   minority interactive tenant) on one device. The minority tenant's
 //!   p99 must stay within 2× its *solo* p99: strict class priority

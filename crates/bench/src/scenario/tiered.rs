@@ -34,7 +34,7 @@
 //! panics; heuristic and stale answers are tagged and never re-served as
 //! fresh (`cache-hit` / `fresh-search` responses always carry decoy
 //! evidence, heuristic answers never do); and the whole schedule runs
-//! [`twice`](super::twice), bit-identically. Results land in
+//! [`twice`], bit-identically. Results land in
 //! `results/BENCH_tiered.json`.
 
 use super::{

@@ -113,6 +113,15 @@ pub enum QasmError {
         /// The unsupported construct.
         construct: String,
     },
+    /// A `creg` is wider than the 64-bit outcome word.
+    TooManyClbits {
+        /// 1-based line number.
+        line: usize,
+        /// 1-based column of the register name.
+        column: usize,
+        /// Declared register width.
+        requested: usize,
+    },
 }
 
 impl std::fmt::Display for QasmError {
@@ -133,11 +142,23 @@ impl std::fmt::Display for QasmError {
                     "line {line}, column {column}: unsupported construct {construct}"
                 )
             }
+            QasmError::TooManyClbits {
+                line,
+                column,
+                requested,
+            } => write!(
+                f,
+                "line {line}, column {column}: creg of {requested} bits exceeds {MAX_CLBITS}"
+            ),
         }
     }
 }
 
 impl std::error::Error for QasmError {}
+
+/// Widest accepted `creg`: the width of [`Counts`](crate::Counts) and of
+/// every simulator's outcome word.
+const MAX_CLBITS: usize = u64::BITS as usize;
 
 /// Source location of the statement being parsed; locates error tokens by
 /// their offset inside the statement slice.
@@ -221,6 +242,13 @@ pub fn from_qasm(text: &str) -> Result<Circuit, QasmError> {
             }
             if let Some(rest) = piece.strip_prefix("creg") {
                 num_clbits = parse_reg_size(rest, &ctx)?;
+                if num_clbits > MAX_CLBITS {
+                    return Err(QasmError::TooManyClbits {
+                        line,
+                        column: ctx.col_of(rest.trim_start()),
+                        requested: num_clbits,
+                    });
+                }
                 continue;
             }
             if piece.starts_with("gate ") || piece.starts_with("if") || piece.starts_with("opaque")
@@ -498,6 +526,21 @@ mod tests {
             }
             other => panic!("expected Syntax, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn creg_wider_than_the_outcome_word_is_rejected() {
+        let text = "qreg q[1]; creg c[70]; x q[0]; measure q[0] -> c[69];";
+        assert_eq!(
+            from_qasm(text).unwrap_err(),
+            QasmError::TooManyClbits {
+                line: 1,
+                column: 17,
+                requested: 70
+            }
+        );
+        let text = "qreg q[1]; creg c[64]; x q[0]; measure q[0] -> c[63];";
+        assert_eq!(from_qasm(text).unwrap().num_clbits(), 64);
     }
 
     #[test]

@@ -379,7 +379,7 @@ const EXHAUSTIVE_BATCH: usize = 64;
 
 /// Exhaustively scores all `2^N` masks (the Runtime-Best oracle uses the
 /// same sweep on the real circuit). Masks are submitted in batches of
-/// [`EXHAUSTIVE_BATCH`], which pristine machines score in parallel.
+/// `EXHAUSTIVE_BATCH`, which pristine machines score in parallel.
 ///
 /// # Errors
 ///

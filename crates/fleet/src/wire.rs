@@ -620,6 +620,8 @@ fn get_gate(r: &mut R) -> Result<Gate, WireError> {
     })
 }
 
+/// `SimError` tags. Tag 2 is reserved: it named a variant that no longer
+/// exists, so it decodes as [`WireError::UnknownTag`].
 fn put_sim_error(w: &mut W, e: &SimError) {
     match e {
         SimError::TooManyQubits { requested, limit } => {
@@ -632,7 +634,6 @@ fn put_sim_error(w: &mut W, e: &SimError) {
             w.u64(*qubit as u64);
             w.u64(*num_qubits as u64);
         }
-        SimError::InvalidAmplitudes => w.u8(2),
         SimError::DuplicateOperand { qubit } => {
             w.u8(3);
             w.u64(*qubit as u64);
@@ -650,7 +651,6 @@ fn get_sim_error(r: &mut R) -> Result<SimError, WireError> {
             qubit: r.u64()? as usize,
             num_qubits: r.u64()? as usize,
         },
-        2 => SimError::InvalidAmplitudes,
         3 => SimError::DuplicateOperand {
             qubit: r.u64()? as usize,
         },
@@ -1450,6 +1450,17 @@ mod tests {
         payload.extend_from_slice(&[0xde, 0xad, 0xbe]);
         let (decoded, _) = decode_request(&payload).unwrap();
         assert_eq!(decoded.tenancy(), tenancy, "known ext still decoded");
+    }
+
+    #[test]
+    fn retired_sim_error_tag_is_unknown() {
+        assert_eq!(
+            get_sim_error(&mut R::new(&[2])),
+            Err(WireError::UnknownTag {
+                what: "SimError",
+                tag: 2
+            })
+        );
     }
 
     #[test]

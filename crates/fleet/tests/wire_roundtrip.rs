@@ -65,13 +65,12 @@ fn adapt_error_index(e: &AdaptError) -> usize {
     }
 }
 
-const SIM_ERROR_VARIANTS: usize = 4;
+const SIM_ERROR_VARIANTS: usize = 3;
 fn sim_error_index(e: &SimError) -> usize {
     match e {
         SimError::TooManyQubits { .. } => 0,
         SimError::QubitOutOfRange { .. } => 1,
-        SimError::InvalidAmplitudes => 2,
-        SimError::DuplicateOperand { .. } => 3,
+        SimError::DuplicateOperand { .. } => 2,
     }
 }
 
@@ -124,7 +123,6 @@ fn sim_error_samples() -> Vec<SimError> {
             qubit: 17,
             num_qubits: 16,
         },
-        SimError::InvalidAmplitudes,
         SimError::DuplicateOperand { qubit: 5 },
     ]
 }

@@ -1,6 +1,6 @@
 //! The simulator-routing engine: one trajectory, two substrates.
 //!
-//! Every execution compiles to a [`CompiledPlan`](crate::plan::CompiledPlan)
+//! Every execution compiles to a [`CompiledPlan`]
 //! whose lowered op stream runs on one of two engines:
 //!
 //! - [`SimEngine::Chp`] — the `stabilizer` crate's Aaronson–Gottesman

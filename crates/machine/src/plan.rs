@@ -1,12 +1,12 @@
 //! Compiled execution plans, engine routing and the plan cache.
 //!
-//! Executing a [`TimedCircuit`](transpiler::TimedCircuit) requires a
+//! Executing a [`TimedCircuit`] requires a
 //! *compilation* step before any trajectory runs: find the active qubits,
 //! compact them into dense simulator indices, extract the crosstalk
 //! episodes every spectator sees from the schedule's two-qubit activity,
 //! decide whether the fast terminal-measurement sampling path applies —
 //! and, since the simulator-routing refactor, pick the engine
-//! ([`SimEngine`](crate::engine::SimEngine)) and lower the event stream
+//! ([`SimEngine`]) and lower the event stream
 //! into that engine's op list. None of that depends on seeds, shots or
 //! trajectories — only on the circuit structure, the device calibration
 //! and the noise toggles — yet the executor used to redo it for every

@@ -18,7 +18,7 @@
 //! Worker panics are caught per request: the client gets a typed
 //! [`ServiceError::Internal`], the panic counter increments, and the
 //! worker thread keeps serving. A panicking searcher's
-//! [`SearchTicket`](crate::cache::SearchTicket) is released by its Drop
+//! [`SearchTicket`] is released by its Drop
 //! impl, so blocked waiters never deadlock — one of them becomes the new
 //! searcher.
 

@@ -11,8 +11,12 @@
 //!   `φ ~ N(0, σ²)`) has the closed form of off-diagonal decay
 //!   `e^{−σ²/2}`, which is what a quasi-static detuning does to an idle
 //!   qubit between DD pulses.
+//!
+//! It is also the exact reference the dense simulator
+//! ([`SoaStateVector`]) is checked against: on unitary circuits its
+//! diagonal must equal the state vector's probabilities.
 
-use crate::{SimError, StateVector};
+use crate::{SimError, SoaStateVector};
 use qcirc::math::{Mat2, C64};
 use qcirc::Gate;
 
@@ -20,7 +24,7 @@ use qcirc::Gate;
 pub const MAX_DM_QUBITS: usize = 10;
 
 /// A density matrix over `n ≤ MAX_DM_QUBITS` qubits, row-major,
-/// little-endian basis indexing (matching [`StateVector`]).
+/// little-endian basis indexing (matching [`SoaStateVector`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DensityMatrix {
     n: usize,
@@ -44,26 +48,6 @@ impl DensityMatrix {
         let dim = 1 << n;
         let mut rho = vec![C64::ZERO; dim * dim];
         rho[0] = C64::ONE;
-        Ok(DensityMatrix { n, dim, rho })
-    }
-
-    /// Builds `|ψ⟩⟨ψ|` from a pure state.
-    pub fn from_pure(sv: &StateVector) -> Result<Self, SimError> {
-        let n = sv.num_qubits();
-        if n > MAX_DM_QUBITS {
-            return Err(SimError::TooManyQubits {
-                requested: n,
-                limit: MAX_DM_QUBITS,
-            });
-        }
-        let dim = 1 << n;
-        let amps = sv.amplitudes();
-        let mut rho = vec![C64::ZERO; dim * dim];
-        for r in 0..dim {
-            for c in 0..dim {
-                rho[r * dim + c] = amps[r] * amps[c].conj();
-            }
-        }
         Ok(DensityMatrix { n, dim, rho })
     }
 
@@ -105,9 +89,9 @@ impl DensityMatrix {
     /// # Panics
     ///
     /// Panics on register-size mismatch.
-    pub fn fidelity_pure(&self, sv: &StateVector) -> f64 {
+    pub fn fidelity_pure(&self, sv: &SoaStateVector) -> f64 {
         assert_eq!(self.n, sv.num_qubits(), "register size mismatch");
-        let amps = sv.amplitudes();
+        let amps: Vec<C64> = (0..self.dim as u64).map(|i| sv.amplitude(i)).collect();
         let mut f = C64::ZERO;
         for r in 0..self.dim {
             for c in 0..self.dim {
@@ -155,7 +139,7 @@ impl DensityMatrix {
     }
 
     /// Applies `ρ ← U ρ U†` for a two-qubit gate (same operand convention
-    /// as [`StateVector::apply2`]).
+    /// as [`SoaStateVector::apply2`]).
     ///
     /// # Errors
     ///

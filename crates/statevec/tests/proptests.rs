@@ -1,11 +1,12 @@
 //! Property-based tests of the dense simulator: norm preservation,
-//! unitary composition, and measurement consistency.
+//! unitary composition, measurement consistency, and agreement with the
+//! exact density-matrix reference.
 
 use proptest::prelude::*;
 use qcirc::{Circuit, Gate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use statevec::StateVector;
+use statevec::{DensityMatrix, SoaStateVector};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -38,7 +39,7 @@ fn arb_op(n: usize) -> impl Strategy<Value = Op> {
     prop_oneof![3 => one, 1 => two]
 }
 
-fn apply_ops(sv: &mut StateVector, ops: &[Op]) {
+fn apply_ops(sv: &mut SoaStateVector, ops: &[Op]) {
     for op in ops {
         match op {
             Op::One(g, q) => sv.apply1(&g.unitary1().expect("1q"), *q).expect("apply1"),
@@ -54,7 +55,7 @@ proptest! {
 
     #[test]
     fn random_circuits_preserve_norm(ops in proptest::collection::vec(arb_op(4), 1..50)) {
-        let mut sv = StateVector::new(4);
+        let mut sv = SoaStateVector::try_new(4).expect("small");
         apply_ops(&mut sv, &ops);
         let norm: f64 = sv.probabilities().iter().sum();
         prop_assert!((norm - 1.0).abs() < 1e-9);
@@ -62,7 +63,7 @@ proptest! {
 
     #[test]
     fn forward_then_inverse_returns_to_start(ops in proptest::collection::vec(arb_op(3), 1..30)) {
-        let mut sv = StateVector::new(3);
+        let mut sv = SoaStateVector::try_new(3).expect("small");
         apply_ops(&mut sv, &ops);
         let mid = sv.clone();
         // Apply inverses in reverse order.
@@ -76,8 +77,8 @@ proptest! {
                     .expect("apply2"),
             }
         }
-        let start = StateVector::new(3);
-        prop_assert!((sv.fidelity(&start) - 1.0).abs() < 1e-7);
+        // Back at |000⟩ up to a global phase.
+        prop_assert!((sv.amplitude(0).norm_sqr() - 1.0).abs() < 1e-7);
         // And the midpoint state was normalized too.
         let norm: f64 = mid.probabilities().iter().sum();
         prop_assert!((norm - 1.0).abs() < 1e-9);
@@ -85,7 +86,7 @@ proptest! {
 
     #[test]
     fn prob_one_matches_probability_mass(ops in proptest::collection::vec(arb_op(4), 1..40), q in 0usize..4) {
-        let mut sv = StateVector::new(4);
+        let mut sv = SoaStateVector::try_new(4).expect("small");
         apply_ops(&mut sv, &ops);
         let p1 = sv.prob_one(q).expect("in range");
         let direct: f64 = sv
@@ -104,7 +105,7 @@ proptest! {
         q in 0usize..3,
         seed in 0u64..1000,
     ) {
-        let mut sv = StateVector::new(3);
+        let mut sv = SoaStateVector::try_new(3).expect("small");
         apply_ops(&mut sv, &ops);
         let mut rng = StdRng::seed_from_u64(seed);
         let outcome = sv.measure(q, &mut rng).expect("in range");
@@ -115,6 +116,35 @@ proptest! {
         // State still normalized.
         let norm: f64 = sv.probabilities().iter().sum();
         prop_assert!((norm - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn probabilities_match_density_matrix(
+        n in 1usize..5,
+        ops in proptest::collection::vec(arb_op(4), 1..40),
+    ) {
+        // Fold the 4-qubit ops onto n qubits; drop 2q ops whose operands meet.
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .filter_map(|op| match op {
+                Op::One(g, q) => Some(Op::One(g, q % n)),
+                Op::Two(g, a, b) => (a % n != b % n).then_some(Op::Two(g, a % n, b % n)),
+            })
+            .collect();
+        let mut sv = SoaStateVector::try_new(n).expect("small");
+        apply_ops(&mut sv, &ops);
+        let mut dm = DensityMatrix::new(n).expect("small");
+        for op in &ops {
+            match op {
+                Op::One(g, q) => dm.apply_gate(*g, &[*q]),
+                Op::Two(g, a, b) => dm.apply_gate(*g, &[*a, *b]),
+            }
+            .expect("in range");
+        }
+        for (p_sv, p_dm) in sv.probabilities().iter().zip(dm.probabilities()) {
+            prop_assert!((p_sv - p_dm).abs() < 1e-9, "state vector {p_sv} vs density matrix {p_dm}");
+        }
+        prop_assert!((dm.fidelity_pure(&sv) - 1.0).abs() < 1e-9);
     }
 
     #[test]

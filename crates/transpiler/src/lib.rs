@@ -4,9 +4,9 @@
 //!
 //! 1. [`decompose`]: rewrite into the IBMQ physical basis {RZ, SX, X, CX};
 //! 2. [`layout`]: noise-adaptive initial placement (Murali et al. style);
-//! 3. [`route`]: SABRE-style SWAP insertion for restricted connectivity;
+//! 3. [`route`](mod@route): SABRE-style SWAP insertion for restricted connectivity;
 //! 4. [`optimize`]: peephole cancellation (RZ merging, X·X / CX·CX);
-//! 5. [`schedule`]: ASAP/ALAP timestamps from per-link calibration
+//! 5. [`schedule`](mod@schedule): ASAP/ALAP timestamps from per-link calibration
 //!    latencies, producing the [`TimedCircuit`] that ADAPT's Gate Sequence
 //!    Table is built from.
 //!
