@@ -1,10 +1,13 @@
 //! Criterion benchmarks of the simulation substrates: the dense
-//! state-vector kernels the engine calls, CHP tableau sampling at application and scalability
+//! state-vector kernels the engine calls, the per-channel noise draws
+//! both engines make, CHP tableau sampling at application and scalability
 //! sizes (the Table 2 "SimTime" axis), per-gate and terminal-sampling
 //! costs of the CHP tableau, and Heisenberg-propagation expectations as
 //! the seed count grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use device::Device;
+use machine::noise::{standard_normal, MemoCursor, NormalSource, PauliFloor, QubitDetuning};
 use qcirc::math::C64;
 use qcirc::{Circuit, Gate};
 use rand::rngs::StdRng;
@@ -55,6 +58,48 @@ fn bench_statevec(c: &mut Criterion) {
             });
         }
     }
+    group.finish();
+}
+
+/// The noise channels' draws, 1024 per iteration where a single draw is
+/// too short to time: a Box–Muller normal, the same normal served from a
+/// filled per-seed memo, a Pauli-floor sample, and the OU detuning
+/// integrated over a 1 µs idle window (25 sub-steps of 40 ns).
+fn bench_noise(c: &mut Criterion) {
+    const DRAWS: usize = 1024;
+    let dev = Device::ibmq_toronto(3);
+    let mut group = c.benchmark_group("noise");
+    group.bench_function("standard_normal_x1024", |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        b.iter(|| (0..DRAWS).map(|_| standard_normal(&mut rng)).sum::<f64>());
+    });
+    group.bench_function("memo_hit_normal_x1024", |b| {
+        let mut memo = Vec::new();
+        let mut fill = MemoCursor::new(StdRng::seed_from_u64(7), &mut memo);
+        (0..DRAWS).for_each(|_| {
+            fill.normal();
+        });
+        b.iter(|| {
+            let mut rng = MemoCursor::new(StdRng::seed_from_u64(7), &mut memo);
+            let sum = (0..DRAWS).map(|_| rng.normal()).sum::<f64>();
+            assert_eq!(rng.misses(), 0, "every draw is a memo hit");
+            sum
+        });
+    });
+    group.bench_function("pauli_floor_sample_x1024", |b| {
+        let floor = PauliFloor::for_idle(dev.qubit(0), 1000.0);
+        let mut rng = StdRng::seed_from_u64(7);
+        b.iter(|| {
+            (0..DRAWS)
+                .map(|_| u64::from(floor.sample(&mut rng)))
+                .sum::<u64>()
+        });
+    });
+    group.bench_function("detuning_advance_1us", |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut detuning = QubitDetuning::sample(dev.qubit(0), &mut rng);
+        b.iter(|| detuning.advance(black_box(1000.0), &mut rng));
+    });
     group.finish();
 }
 
@@ -151,5 +196,11 @@ fn bench_heisenberg(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_statevec, bench_chp, bench_heisenberg);
+criterion_group!(
+    benches,
+    bench_statevec,
+    bench_noise,
+    bench_chp,
+    bench_heisenberg
+);
 criterion_main!(benches);

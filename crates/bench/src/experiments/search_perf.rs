@@ -9,9 +9,10 @@
 //! plan cache (the binary fails loudly when the hit counter stays at
 //! zero, so CI catches a regression in the routing-keyed cache). A
 //! scoring step then runs one neighborhood's 16 masks serially and as one
-//! batch on the CHP path (bit-identity checked), re-scores the same masks
-//! through a seeded decoy on the state-vector engine for the routing
-//! split, and writes `results/BENCH_search.json` (schema 2).
+//! batch on the CHP path (bit-identity checked, normal-memo hit rate
+//! recorded), re-scores the same masks through a seeded decoy on the
+//! state-vector engine for the routing split, and writes
+//! `results/BENCH_search.json` (schema 2).
 //!
 //! In full (non-`--quick`) mode the binary asserts the performance
 //! contract from the roadmap: batched CHP scoring sustains ≥ 10 masks/s
@@ -29,12 +30,23 @@ use transpiler::{transpile, TranspileOptions};
 /// Minimum batched CHP throughput (masks/s) asserted in full mode.
 const FULL_MODE_MASKS_PER_S_FLOOR: f64 = 10.0;
 
+/// The process-wide normal-memo `(hits, misses)` counters of the machine
+/// crate.
+fn normal_memo_counts() -> (u64, u64) {
+    let r = adapt_obs::global();
+    (
+        r.counter("adapt_machine_normal_memo_hits_total").get(),
+        r.counter("adapt_machine_normal_memo_misses_total").get(),
+    )
+}
+
 /// Runs the smoke check and writes `results/BENCH_search.json`.
 ///
 /// # Panics
 ///
 /// Panics (failing the CI job) when the second search records no plan
-/// cache hits, when batched scoring diverges from serial scoring, when no
+/// cache hits, when batched scoring diverges from serial scoring, when the
+/// batched CHP pass takes no normal from the per-seed memo, when no
 /// execution routed to the CHP engine, or — in full mode — when batched
 /// CHP scoring falls below `FULL_MODE_MASKS_PER_S_FLOOR`.
 pub fn run(cfg: &ExperimentCfg) {
@@ -117,6 +129,7 @@ pub fn run(cfg: &ExperimentCfg) {
     // batched path is exercised (and reported) even on a one-core host.
     let batch_budget = host_threads.max(4);
     let batched_ctx = ctx(&cdc, batch_budget);
+    let memo_before = normal_memo_counts();
     let t0 = Instant::now();
     let batched: Vec<_> = batched_ctx
         .score_batch(&masks)
@@ -124,6 +137,7 @@ pub fn run(cfg: &ExperimentCfg) {
         .map(|r| r.expect("batched score"))
         .collect();
     let batched_ms = t0.elapsed().as_secs_f64() * 1000.0;
+    let memo_after = normal_memo_counts();
     for (s, b) in serial.iter().zip(&batched) {
         assert_eq!(s.mask, b.mask);
         assert_eq!(
@@ -133,18 +147,25 @@ pub fn run(cfg: &ExperimentCfg) {
             s.mask
         );
     }
-    // The batch layout actually used, read back from the engine counters
-    // rather than assumed from the host — this is what the report records.
-    let engines_after_chp = machine.engine_stats();
-    let batch_workers = engines_after_chp.last_batch_workers;
-    let batch_job_threads = engines_after_chp.last_batch_job_threads;
+    // The batch's worker count, read back from the engine counters rather
+    // than assumed from the host — this is what the report records.
+    let batch_workers = machine.engine_stats().last_batch_workers;
+    // The 16 masks share trajectory seeds, so the batch serves normals
+    // from the per-seed memo; the check below only asks that it does.
+    let (hits, misses) = (memo_after.0 - memo_before.0, memo_after.1 - memo_before.1);
+    let memo_hit_rate = hits as f64 / (hits + misses).max(1) as f64;
     let per_s = |ms: f64| masks.len() as f64 / (ms / 1000.0).max(1e-9);
     let chp_serial_per_s = per_s(serial_ms);
     let chp_batched_per_s = per_s(batched_ms);
     println!(
         "  chp scoring: serial {serial_ms:.0} ms ({chp_serial_per_s:.1} masks/s), \
          batched {batched_ms:.0} ms ({chp_batched_per_s:.1} masks/s, \
-         {batch_workers} workers x {batch_job_threads} threads), bit-identical"
+         {batch_workers} workers), bit-identical; normal memo hit rate {memo_hit_rate:.3} \
+         ({hits} hits / {misses} misses)"
+    );
+    assert!(
+        memo_hit_rate > 0.0,
+        "the batched CHP pass served no normal from the per-seed memo"
     );
 
     // The same masks through the seeded decoy: non-Clifford phases force
@@ -187,14 +208,15 @@ pub fn run(cfg: &ExperimentCfg) {
     let json = format!(
         "{{\n  \"schema\": 2,\n  \"device\": \"{}\",\n  \"benchmark\": \"QFT-{n}\",\n  \
          \"shots\": {shots},\n  \"trajectories\": {trajectories},\n  \"host_threads\": {host_threads},\n  \
-         \"batch\": {{ \"budget\": {batch_budget}, \"workers\": {batch_workers}, \"job_threads\": {batch_job_threads} }},\n  \
+         \"batch\": {{ \"budget\": {batch_budget}, \"workers\": {batch_workers} }},\n  \
          \"engines\": {{ \"chp_executions\": {}, \"statevec_executions\": {} }},\n  \
          \"search\": {{ \"decoy\": \"clifford\", \"engine\": \"chp\", \"first_ms\": {first_ms:.1}, \
          \"second_ms\": {second_ms:.1}, \"decoy_runs\": {}, \"cache\": {{ \"hits\": {}, \
          \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4} }} }},\n  \
          \"mask_scoring\": {{ \"masks\": {}, \"chp\": {{ \"serial_ms\": {serial_ms:.1}, \
          \"batched_ms\": {batched_ms:.1}, \"serial_masks_per_s\": {chp_serial_per_s:.2}, \
-         \"batched_masks_per_s\": {chp_batched_per_s:.2}, \"bit_identical\": true }}, \
+         \"batched_masks_per_s\": {chp_batched_per_s:.2}, \"bit_identical\": true, \
+         \"normal_memo_hit_rate\": {memo_hit_rate:.4} }}, \
          \"statevector\": {{ \"batched_ms\": {dense_ms:.1}, \
          \"batched_masks_per_s\": {dense_per_s:.2} }} }}\n}}\n",
         dev.name(),

@@ -147,7 +147,8 @@ pub struct JobSpec<'a> {
 ///
 /// - [`Machine`]: the pristine trajectory simulator; always returns
 ///   complete batches and overrides [`Backend::execute_batch`] with a
-///   scoped-thread parallel implementation.
+///   trajectory-major, scoped-thread parallel implementation that shares
+///   each trajectory seed's normals across the batch's jobs.
 /// - [`crate::fault::FaultyBackend`]: wraps a [`Machine`] and injects
 ///   seeded transient failures, timeouts, truncation, readout dropouts
 ///   and calibration staleness. Keeps the default (serial) batch path:
@@ -189,9 +190,10 @@ pub trait Backend: Send + Sync {
     /// implementation *is* that serial loop, which is what keeps
     /// stateful backends (fault injectors with job counters, retry
     /// wrappers) exactly equivalent to serial execution. [`Machine`]
-    /// overrides it with scoped-thread parallelism, which preserves the
-    /// contract because its executions are stateless and thread-count
-    /// invariant.
+    /// overrides it with a trajectory-major loop on scoped threads, which
+    /// preserves the contract because its executions are stateless, its
+    /// trajectories are seeded independently of the thread layout, and
+    /// its shared per-seed normals equal the ones each stream would draw.
     ///
     /// The contract holds *across simulator routing* too: a batch may mix
     /// CHP-routed Clifford jobs with state-vector jobs, and each job's

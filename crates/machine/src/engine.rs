@@ -83,6 +83,27 @@
 //! rounding. Random draws happen in the same order and number as an eager
 //! run would make them, so trajectories and outputs are unchanged.
 //!
+//! # Shared draws across a batch
+//!
+//! The runners are generic over [`NormalSource`], the trajectory's random
+//! stream plus its source of standard normals. [`Machine::execute_timed`]
+//! passes a plain `StdRng`, whose `normal()` is the Box–Muller draw
+//! [`crate::noise::standard_normal`], so it runs exactly the code it
+//! would without the trait.
+//!
+//! A batch passes a [`crate::noise::MemoCursor`] instead. The jobs of a
+//! search neighbourhood share their trajectory seeds (common random
+//! numbers), so the `k`-th word of trajectory `i` is the same in every
+//! job, and so is any normal drawn at that stream position. The batch runs
+//! each seed's trajectories of every job back to back over one memo
+//! indexed by stream position. The first job to draw a normal at a
+//! position computes and stores it; the rest read it, and step the
+//! generator the same two words. Masks differ only in DD pulses, so their
+//! streams stay aligned through long stretches, and most of the normals
+//! that drive the OU idle integration (the bulk of a CHP trajectory)
+//! become memo hits. Every draw, and so every count, equals the plain
+//! run's (`memo_cursor_matches_plain_runs`).
+//!
 //! # Determinism contract
 //!
 //! Each engine's results are a pure function of `(plan, seed)`. The two
@@ -93,11 +114,10 @@
 //! of silently reusing a stale plan across engines.
 
 use crate::executor::{ExecError, Machine, NoiseToggles, CROSSTALK_JITTER};
-use crate::noise::{standard_normal, z_twirl_probability, QubitDetuning};
+use crate::noise::{z_twirl_probability, NormalSource, QubitDetuning};
 use crate::plan::{CliffOp, CompiledPlan, DenseOp, IdleOp, Kernel1, Kernel2};
 use qcirc::math::{Mat2, C64};
 use qcirc::{Counts, Gate};
-use rand::rngs::StdRng;
 use rand::Rng;
 use stab::Tableau;
 use statevec::SoaStateVector;
@@ -246,7 +266,6 @@ pub(crate) struct EngineCounters {
     pub chp: AtomicU64,
     pub statevec: AtomicU64,
     pub batch_workers: AtomicU64,
-    pub batch_job_threads: AtomicU64,
 }
 
 impl EngineCounters {
@@ -255,12 +274,11 @@ impl EngineCounters {
             chp_executions: self.chp.load(Ordering::Relaxed),
             statevec_executions: self.statevec.load(Ordering::Relaxed),
             last_batch_workers: self.batch_workers.load(Ordering::Relaxed),
-            last_batch_job_threads: self.batch_job_threads.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Snapshot of a machine's engine-routing split and the thread layout of
+/// Snapshot of a machine's engine-routing split and the worker count of
 /// its most recent batch (see [`Machine::engine_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
@@ -270,16 +288,14 @@ pub struct EngineStats {
     pub statevec_executions: u64,
     /// Scoped worker threads used by the most recent `execute_batch`.
     pub last_batch_workers: u64,
-    /// Trajectory threads granted to each job of that batch.
-    pub last_batch_job_threads: u64,
 }
 
 /// Runs one noise realization of a compiled plan on its engine.
-pub(crate) fn run_trajectory(
+pub(crate) fn run_trajectory<R: NormalSource>(
     machine: &Machine,
     plan: &CompiledPlan,
     shots: u64,
-    rng: &mut StdRng,
+    rng: &mut R,
 ) -> Result<Counts, ExecError> {
     match plan.engine {
         SimEngine::StateVector => run_trajectory_dense(machine, plan, shots, rng),
@@ -296,7 +312,7 @@ struct IdleContext {
 }
 
 impl IdleContext {
-    fn sample(machine: &Machine, plan: &CompiledPlan, rng: &mut StdRng) -> Self {
+    fn sample<R: NormalSource>(machine: &Machine, plan: &CompiledPlan, rng: &mut R) -> Self {
         let cal = machine.device().calibration();
         let detuning = if plan.needs_detuning {
             plan.phys_of
@@ -316,7 +332,7 @@ impl IdleContext {
                 .iter()
                 .map(|eps| {
                     eps.iter()
-                        .map(|_| 1.0 + CROSSTALK_JITTER * standard_normal(rng))
+                        .map(|_| 1.0 + CROSSTALK_JITTER * rng.normal())
                         .collect()
                 })
                 .collect()
@@ -327,7 +343,7 @@ impl IdleContext {
     }
 
     /// The coherent phase accumulated over one idle window.
-    fn phase(&mut self, idle: &IdleOp, rng: &mut StdRng) -> f64 {
+    fn phase<R: NormalSource>(&mut self, idle: &IdleOp, rng: &mut R) -> f64 {
         let q = idle.q as usize;
         let mut phase = if idle.detune {
             self.detuning[q].advance(idle.dt_ns, rng)
@@ -433,11 +449,11 @@ impl DenseFrame {
 
 /// Runs the plan's dense op stream through the [`DenseFrame`], returning
 /// the evolved (unnormalized) state and the mid-circuit classical record.
-fn evolve_dense(
+fn evolve_dense<R: NormalSource>(
     ops: &[DenseOp],
     k: usize,
     ctx: &mut IdleContext,
-    rng: &mut StdRng,
+    rng: &mut R,
 ) -> Result<(SoaStateVector, u64), statevec::SimError> {
     let mut f = DenseFrame::new(k)?;
     let mut clbits = 0u64;
@@ -516,11 +532,11 @@ fn evolve_dense(
 }
 
 /// Dense-engine trajectory over the plan's lowered kernel stream.
-fn run_trajectory_dense(
+fn run_trajectory_dense<R: NormalSource>(
     machine: &Machine,
     plan: &CompiledPlan,
     shots: u64,
-    rng: &mut StdRng,
+    rng: &mut R,
 ) -> Result<Counts, ExecError> {
     let mut ctx = IdleContext::sample(machine, plan, rng);
     let (mut sv, clbits) = evolve_dense(&plan.dense, plan.active_qubits(), &mut ctx, rng)?;
@@ -570,7 +586,7 @@ fn chp_pauli1(tab: &mut Tableau, theta: &mut [f64], q: usize, which: u8) {
 
 /// Flushes a pending phase as a stochastic Z (the Pauli twirl of
 /// `RZ(θ)`), consuming one uniform draw unless `θ` is exactly zero.
-fn chp_flush(tab: &mut Tableau, theta: &mut [f64], q: usize, rng: &mut StdRng) {
+fn chp_flush<R: Rng>(tab: &mut Tableau, theta: &mut [f64], q: usize, rng: &mut R) {
     if theta[q] != 0.0 {
         if rng.gen::<f64>() < z_twirl_probability(theta[q]) {
             tab.z(q);
@@ -581,11 +597,11 @@ fn chp_flush(tab: &mut Tableau, theta: &mut [f64], q: usize, rng: &mut StdRng) {
 
 /// CHP-engine trajectory: tableau evolution with the toggling-frame
 /// phase twirl described in the module docs.
-fn run_trajectory_chp(
+fn run_trajectory_chp<R: NormalSource>(
     machine: &Machine,
     plan: &CompiledPlan,
     shots: u64,
-    rng: &mut StdRng,
+    rng: &mut R,
 ) -> Result<Counts, ExecError> {
     let k = plan.active_qubits();
     let mut tab = Tableau::new(k);
@@ -722,11 +738,12 @@ fn run_trajectory_chp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::noise::PauliFloor;
+    use crate::noise::{standard_normal, MemoCursor, PauliFloor};
     use crate::plan::IdleOp;
     use device::Device;
     use proptest::prelude::*;
     use qcirc::math::Mat4;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// The reference the frame must match: every op applied to the
@@ -904,6 +921,115 @@ mod tests {
         }
     }
 
+    /// Maps a raw draw onto a CHP op over `k` qubits, covering every
+    /// `CliffOp`, `CliffGate1` and `CliffGate2` variant.
+    fn cliff_op(k: u16, (kind, q, d, x, _, p): RawOp) -> CliffOp {
+        let gates1 = [
+            CliffGate1::I,
+            CliffGate1::X,
+            CliffGate1::Y,
+            CliffGate1::Z,
+            CliffGate1::H,
+            CliffGate1::S,
+            CliffGate1::Sdg,
+            CliffGate1::Sx,
+            CliffGate1::Sxdg,
+        ];
+        let gates2 = [CliffGate2::Cx, CliffGate2::Cz, CliffGate2::Swap];
+        let q = q % k;
+        let b = (q + 1 + d % k.max(2)) % k;
+        let kind = if k < 2 || b == q { kind % 6 } else { kind };
+        match kind {
+            0 => CliffOp::Idle(IdleOp {
+                q,
+                dt_ns: 40.0 + 400.0 * p,
+                detune: d % 2 == 0,
+                xtalk: vec![((d % 3) as u32, 0.3 * x)],
+                floor: (p > 0.3).then_some(HIGH_FLOOR),
+            }),
+            1 | 2 => CliffOp::G1 {
+                q,
+                g: gates1[d as usize % gates1.len()],
+            },
+            3 => CliffOp::Err1 {
+                q,
+                p: 0.5 + p / 2.0,
+            },
+            4 => CliffOp::Floor {
+                q,
+                floor: HIGH_FLOOR,
+            },
+            5 => CliffOp::Measure {
+                q,
+                c: q,
+                p_flip: p / 4.0,
+            },
+            6 => CliffOp::Reset { q },
+            7..=9 => CliffOp::G2 {
+                a: q,
+                b,
+                g: gates2[d as usize % gates2.len()],
+            },
+            _ => CliffOp::Err2 {
+                a: q,
+                b,
+                p: 0.5 + p / 2.0,
+                reps: 1 + (d % 3) as u8,
+            },
+        }
+    }
+
+    /// A hand-built plan over `k` compact qubits (physical 0..k) on one
+    /// engine, with detuning, three crosstalk episodes per qubit, and
+    /// terminal sampling of every qubit unless the stream measures or
+    /// resets mid-circuit.
+    fn plan_of(k: u16, raw: &[RawOp], chp: bool) -> CompiledPlan {
+        let n = k as usize;
+        let (dense, cliff): (Vec<DenseOp>, Vec<CliffOp>) = if chp {
+            (Vec::new(), raw.iter().map(|&r| cliff_op(k, r)).collect())
+        } else {
+            (raw.iter().map(|&r| dense_op(k, r)).collect(), Vec::new())
+        };
+        let terminal = !dense
+            .iter()
+            .any(|op| matches!(op, DenseOp::Measure { .. } | DenseOp::Reset { .. }))
+            && !cliff
+                .iter()
+                .any(|op| matches!(op, CliffOp::Measure { .. } | CliffOp::Reset { .. }));
+        CompiledPlan {
+            compact_of: (0..n).map(Some).collect(),
+            phys_of: (0..k as u32).collect(),
+            xtalk: vec![vec![(0.0, 0.0, 0.0); 3]; n],
+            terminal_measurements: terminal,
+            engine: if chp {
+                SimEngine::Chp
+            } else {
+                SimEngine::StateVector
+            },
+            num_clbits: n,
+            deferred: (0..k).map(|q| (q, q, 0.05)).collect(),
+            needs_detuning: true,
+            needs_jitter: true,
+            dense,
+            cliff,
+        }
+    }
+
+    /// Raw op draws for the generated streams.
+    fn raw_ops() -> impl Strategy<Value = Vec<RawOp>> {
+        prop::collection::vec(
+            (
+                0u8..13,
+                0u16..6,
+                0u16..6,
+                -3.0..3.0f64,
+                -3.0..3.0f64,
+                0.0..1.0f64,
+            ),
+            1..80,
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -935,6 +1061,47 @@ mod tests {
                 let (e, f) = (eager.amplitude(i) * phase, frame.amplitude(i));
                 prop_assert!(f.approx_eq(e, 1e-12), "amplitude {}: frame {:?} vs eager {:?}", i, f, e);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn memo_cursor_matches_plain_runs(
+            k in 1u16..6,
+            fill in raw_ops(),
+            run in raw_ops(),
+            engines in (any::<bool>(), any::<bool>()),
+            shots in 1u64..24,
+            seed in any::<u64>(),
+        ) {
+            // A trajectory through a memo that a *different* op stream
+            // (maybe on the other engine) already filled must sample
+            // exactly what a plain run does and leave the generator in the
+            // same state.
+            let machine = Machine::new(Device::ibmq_toronto(3));
+            let (fill, run) = (plan_of(k, &fill, engines.0), plan_of(k, &run, engines.1));
+            let mut memo = Vec::new();
+            let mut cursor = MemoCursor::new(StdRng::seed_from_u64(seed), &mut memo);
+            run_trajectory(&machine, &fill, shots, &mut cursor).unwrap();
+
+            let mut cursor = MemoCursor::new(StdRng::seed_from_u64(seed), &mut memo);
+            let memoised = run_trajectory(&machine, &run, shots, &mut cursor).unwrap();
+            // Both streams start by sampling every qubit's detuning (two
+            // normals each): those always come from the memo.
+            prop_assert!(cursor.hits() >= 2 * k as u64, "hits {}", cursor.hits());
+            let memo_rng = cursor.into_rng();
+            let mut plain = StdRng::seed_from_u64(seed);
+            let expected = run_trajectory(&machine, &run, shots, &mut plain).unwrap();
+            prop_assert_eq!(&memoised, &expected);
+            prop_assert_eq!(&memo_rng, &plain, "the memo must consume the same draws");
+
+            // Replaying the same stream is served entirely from the memo.
+            let mut cursor = MemoCursor::new(StdRng::seed_from_u64(seed), &mut memo);
+            let replay = run_trajectory(&machine, &run, shots, &mut cursor).unwrap();
+            prop_assert_eq!(cursor.misses(), 0);
+            prop_assert_eq!(&replay, &expected);
         }
     }
 

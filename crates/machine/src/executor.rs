@@ -3,11 +3,11 @@
 //! Executes a [`TimedCircuit`] under the device noise model by Monte-Carlo
 //! trajectories. Each trajectory draws one realization of every stochastic
 //! process (static detunings, OU paths, gate/readout error events) and
-//! replays the circuit's compiled op stream
-//! ([`CompiledPlan`](crate::plan::CompiledPlan)) on the engine the plan
-//! routed to — the CHP stabilizer tableau for Clifford circuits under
-//! Pauli-expressible noise, the dense SoA state vector otherwise (see
-//! [`crate::engine`]). Shots are distributed over trajectories.
+//! replays the circuit's compiled op stream ([`CompiledPlan`]) on the
+//! engine the plan routed to — the CHP stabilizer tableau for Clifford
+//! circuits under Pauli-expressible noise, the dense SoA state vector
+//! otherwise (see [`crate::engine`]). Shots are distributed over
+//! trajectories.
 //!
 //! The crucial property: DD pulses inserted by ADAPT are ordinary gates
 //! here. Echo cancellation of the coherent detuning, its degradation at
@@ -18,11 +18,14 @@
 
 use crate::backend::{JobSpec, ShotBatch};
 use crate::engine::{EngineCounters, EnginePolicy, EngineStats, SimEngine};
-use crate::plan::{PlanCache, PlanCacheStats};
+use crate::noise::MemoCursor;
+use crate::plan::{CompiledPlan, PlanCache, PlanCacheStats};
 use device::{Device, SeedSpawner};
 use qcirc::{Circuit, Counts};
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 use statevec::SimError;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use transpiler::{try_schedule, ScheduleError, SchedulePolicy, TimedCircuit};
@@ -361,7 +364,7 @@ impl Machine {
         self.plans.stats()
     }
 
-    /// Engine-routing split and last-batch thread layout (shared across
+    /// Engine-routing split and last-batch worker count (shared across
     /// clones).
     pub fn engine_stats(&self) -> EngineStats {
         self.engines.snapshot()
@@ -393,71 +396,35 @@ impl Machine {
         timed: &TimedCircuit,
         config: &ExecutionConfig,
     ) -> Result<Counts, ExecError> {
-        let m = crate::metrics::metrics();
-        m.executions.inc();
-        let _span = m.execute_us.time();
-        let compiled = self
-            .plans
-            .get_or_build(timed, &self.device, &self.toggles, self.policy)?;
-        match compiled.engine {
-            SimEngine::Chp => {
-                self.engines.chp.fetch_add(1, Ordering::Relaxed);
-                m.engine_chp.inc();
-            }
-            SimEngine::StateVector => {
-                self.engines.statevec.fetch_add(1, Ordering::Relaxed);
-                m.engine_statevec.inc();
-            }
-        }
-        let trajectories = config.trajectories.max(1);
-        let shots_per_traj = config.shots.div_ceil(trajectories as u64).max(1);
-        let spawner = SeedSpawner::new(config.seed);
-
-        // Both paths cap at one thread per trajectory: extra workers
-        // would only idle (and results are thread-count invariant anyway).
-        let threads = if config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.threads
-        }
-        .min(trajectories as usize)
-        .max(1);
-
-        let traj_seeds: Vec<u64> = (0..trajectories)
-            .map(|i| spawner.derive(i as u64))
-            .collect();
-        let mut remaining = config.shots;
-        let mut traj_shots = Vec::with_capacity(trajectories as usize);
-        for _ in 0..trajectories {
-            let s = remaining.min(shots_per_traj);
-            traj_shots.push(s);
-            remaining -= s;
-        }
+        let _span = crate::metrics::metrics().execute_us.time();
+        let compiled = self.plan_for(timed)?;
+        let runs = trajectory_runs(config);
+        // Capped at one thread per trajectory: extra workers would only
+        // idle (and results are thread-count invariant anyway).
+        let threads = thread_budget(config.threads).min(runs.len()).max(1);
 
         let run_range = |range: std::ops::Range<usize>| -> Result<Counts, ExecError> {
             let mut counts = Counts::new(timed.num_clbits());
-            for i in range {
-                if traj_shots[i] == 0 {
+            for &(seed, shots) in &runs[range] {
+                if shots == 0 {
                     continue;
                 }
-                let mut rng = StdRng::from_seed_u64(traj_seeds[i]);
-                let c = crate::engine::run_trajectory(self, &compiled, traj_shots[i], &mut rng)?;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let c = crate::engine::run_trajectory(self, &compiled, shots, &mut rng)?;
                 counts.merge(&c);
             }
             Ok(counts)
         };
 
         if threads <= 1 {
-            return run_range(0..trajectories as usize);
+            return run_range(0..runs.len());
         }
-        let chunk = (trajectories as usize).div_ceil(threads);
+        let chunk = runs.len().div_ceil(threads);
         let results: Vec<Result<Counts, ExecError>> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for t in 0..threads {
                 let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(trajectories as usize);
+                let hi = ((t + 1) * chunk).min(runs.len());
                 if lo >= hi {
                     break;
                 }
@@ -476,15 +443,47 @@ impl Machine {
         Ok(counts)
     }
 
-    /// Executes a slice of jobs with scoped worker threads, preserving
-    /// the per-job result order. The thread budget (the largest per-job
-    /// request; 0 = all cores) is split two ways: up to `budget` workers
-    /// run jobs concurrently, and each job gets `budget / workers`
-    /// trajectory threads of its own — so a batch smaller than the core
-    /// count still saturates the machine by parallelizing *inside* jobs.
-    /// Valid because [`Machine::execute_timed`] results are thread-count
-    /// invariant: results are bit-identical to executing the jobs
-    /// serially, whatever the split.
+    /// Counts one execution, fetches (or compiles) its plan and records
+    /// which engine it routed to.
+    fn plan_for(&self, timed: &TimedCircuit) -> Result<Arc<CompiledPlan>, ExecError> {
+        let m = crate::metrics::metrics();
+        m.executions.inc();
+        let compiled = self
+            .plans
+            .get_or_build(timed, &self.device, &self.toggles, self.policy)?;
+        match compiled.engine {
+            SimEngine::Chp => {
+                self.engines.chp.fetch_add(1, Ordering::Relaxed);
+                m.engine_chp.inc();
+            }
+            SimEngine::StateVector => {
+                self.engines.statevec.fetch_add(1, Ordering::Relaxed);
+                m.engine_statevec.inc();
+            }
+        }
+        Ok(compiled)
+    }
+
+    /// Executes a slice of jobs trajectory-major, preserving the per-job
+    /// result order.
+    ///
+    /// Every job's plan is compiled first, in submission order. Then, for
+    /// each trajectory seed, the trajectories of every job deriving that
+    /// seed run back to back through one [`MemoCursor`] memo, so a batch
+    /// on common random numbers (a neighbourhood's masks all carry the
+    /// same seed) computes each Box–Muller normal once instead of once per
+    /// job. A work unit is one seed and a contiguous slice of its jobs:
+    /// with `S` seeds and a thread budget `B` (the largest per-job
+    /// request, `0` counting as all cores), each seed's jobs are cut into
+    /// `⌈B/S⌉` slices, and up to `B` scoped workers claim units. Each unit
+    /// owns its memo and drops it when done.
+    ///
+    /// Results are bit-identical to executing the jobs serially: a memo
+    /// hit returns exactly the normal the stream would compute there and
+    /// leaves the stream where a plain run leaves it, and a job's counts
+    /// are integer sums over its trajectories, whatever the order. A
+    /// failing job reports the error of its earliest failing trajectory,
+    /// as [`Machine::execute_timed`] does.
     pub(crate) fn execute_batch_jobs(
         &self,
         jobs: &[JobSpec<'_>],
@@ -493,69 +492,155 @@ impl Machine {
         m.batches.inc();
         m.batch_jobs.add(jobs.len() as u64);
         m.batch_fanout.record(jobs.len() as u64);
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
+        let plans: Vec<Result<Arc<CompiledPlan>, ExecError>> =
+            jobs.iter().map(|j| self.plan_for(j.timed)).collect();
+
+        // Each trajectory seed with the runs deriving it, in submission order.
+        let mut seeds: Vec<(u64, Vec<Run>)> = Vec::new();
+        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        for (job, spec) in jobs.iter().enumerate() {
+            if plans[job].is_err() {
+                continue;
+            }
+            for (traj, (seed, shots)) in trajectory_runs(&spec.config).into_iter().enumerate() {
+                if shots == 0 {
+                    continue;
+                }
+                let slot = *slot_of.entry(seed).or_insert_with(|| {
+                    seeds.push((seed, Vec::new()));
+                    seeds.len() - 1
+                });
+                seeds[slot].1.push(Run { job, traj, shots });
+            }
+        }
+        let budget = jobs
+            .iter()
+            .map(|j| thread_budget(j.config.threads))
+            .max()
             .unwrap_or(1);
-        let hint = jobs.iter().map(|j| j.config.threads).max().unwrap_or(0);
-        let budget = if hint == 0 { avail } else { hint };
-        let workers = budget.min(jobs.len()).max(1);
-        let per_job_threads = (budget / workers).max(1);
+        let slices = budget.div_ceil(seeds.len().max(1));
+        let units: Vec<(u64, &[Run])> = seeds
+            .iter()
+            .flat_map(|(seed, runs)| {
+                runs.chunks(runs.len().div_ceil(slices))
+                    .map(move |slice| (*seed, slice))
+            })
+            .collect();
+        let workers = budget.min(units.len()).max(1);
         self.engines
             .batch_workers
             .store(workers as u64, Ordering::Relaxed);
-        self.engines
-            .batch_job_threads
-            .store(per_job_threads as u64, Ordering::Relaxed);
         m.batch_workers.set(workers as i64);
-        m.batch_job_threads.set(per_job_threads as i64);
 
-        let run_one = |job: &JobSpec<'_>| -> Result<ShotBatch, ExecError> {
-            let cfg = ExecutionConfig {
-                threads: per_job_threads,
-                ..job.config
-            };
-            let counts = self.execute_timed(job.timed, &cfg)?;
-            Ok(ShotBatch::complete(counts, cfg.shots))
+        let tallies: Vec<Mutex<JobTally>> = jobs
+            .iter()
+            .map(|j| {
+                Mutex::new(JobTally {
+                    counts: Counts::new(j.timed.num_clbits()),
+                    error: None,
+                })
+            })
+            .collect();
+        let run_unit = |&(seed, runs): &(u64, &[Run])| {
+            let mut memo = Vec::new();
+            for run in runs {
+                let plan = plans[run.job]
+                    .as_ref()
+                    .expect("only compiled jobs have runs");
+                let mut rng = MemoCursor::new(StdRng::seed_from_u64(seed), &mut memo);
+                let result = crate::engine::run_trajectory(self, plan, run.shots, &mut rng);
+                m.normal_memo_hits.add(rng.hits());
+                m.normal_memo_misses.add(rng.misses());
+                tallies[run.job]
+                    .lock()
+                    .expect("batch tally lock")
+                    .add(run.traj, result);
+            }
         };
 
         if workers <= 1 {
-            return jobs.iter().map(run_one).collect();
+            units.iter().for_each(run_unit);
+        } else {
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| {
+                        while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            run_unit(unit);
+                        }
+                    });
+                }
+            });
         }
 
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<ShotBatch, ExecError>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    *slots[i].lock().expect("batch slot lock") = Some(run_one(&jobs[i]));
-                });
-            }
-        });
-        slots
+        plans
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("batch slot lock")
-                    .expect("every job index was claimed by a worker")
+            .zip(tallies)
+            .zip(jobs)
+            .map(|((plan, tally), job)| {
+                plan?;
+                let tally = tally.into_inner().expect("batch tally lock");
+                match tally.error {
+                    Some((_, e)) => Err(e),
+                    None => Ok(ShotBatch::complete(tally.counts, job.config.shots)),
+                }
             })
             .collect()
     }
 }
 
-/// Extension trait: seed an [`StdRng`] from a `u64` (newtype-free helper).
-trait SeedU64 {
-    fn from_seed_u64(seed: u64) -> Self;
+/// One trajectory of one batch job: the job's index, the trajectory's
+/// index within the job, and its shots.
+struct Run {
+    job: usize,
+    traj: usize,
+    shots: u64,
 }
 
-impl SeedU64 for StdRng {
-    fn from_seed_u64(seed: u64) -> Self {
-        use rand::SeedableRng;
-        StdRng::seed_from_u64(seed)
+/// A batch job's counts merged over its finished trajectories, and the
+/// error of its earliest failing trajectory (the one a serial run stops
+/// at).
+struct JobTally {
+    counts: Counts,
+    error: Option<(usize, ExecError)>,
+}
+
+impl JobTally {
+    fn add(&mut self, traj: usize, result: Result<Counts, ExecError>) {
+        match result {
+            Ok(c) => self.counts.merge(&c),
+            Err(e) => {
+                if self.error.as_ref().is_none_or(|&(t, _)| traj < t) {
+                    self.error = Some((traj, e));
+                }
+            }
+        }
+    }
+}
+
+/// Each trajectory's `(seed, shots)`: seeds derived from the master seed
+/// by trajectory index, shots spread evenly (the last trajectories may
+/// get fewer, or none).
+fn trajectory_runs(config: &ExecutionConfig) -> Vec<(u64, u64)> {
+    let trajectories = config.trajectories.max(1);
+    let shots_per_traj = config.shots.div_ceil(trajectories as u64).max(1);
+    let spawner = SeedSpawner::new(config.seed);
+    let mut remaining = config.shots;
+    (0..trajectories)
+        .map(|i| {
+            let shots = remaining.min(shots_per_traj);
+            remaining -= shots;
+            (spawner.derive(i as u64), shots)
+        })
+        .collect()
+}
+
+/// A thread request resolved to a count: `0` means every available core.
+fn thread_budget(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
     }
 }
 

@@ -12,9 +12,9 @@ use std::sync::OnceLock;
 const FANOUT_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
 pub(crate) struct Metrics {
-    /// Executions started (`Machine::execute_timed`).
+    /// Executions started (`Machine::execute_timed` and every batch job).
     pub executions: Counter,
-    /// Wall time per execution, µs.
+    /// Wall time per `Machine::execute_timed`, µs.
     pub execute_us: Histogram,
     pub plan_hits: Counter,
     pub plan_misses: Counter,
@@ -28,10 +28,12 @@ pub(crate) struct Metrics {
     pub batch_jobs: Counter,
     /// Jobs per batch (distribution of fan-out width).
     pub batch_fanout: Histogram,
-    /// Thread layout of the most recent batch: concurrent job workers
-    /// and trajectory threads granted to each job.
+    /// Worker threads of the most recent batch.
     pub batch_workers: Gauge,
-    pub batch_job_threads: Gauge,
+    /// Batch trajectories' normals served from, or computed into, their
+    /// seed's memo (added once per trajectory).
+    pub normal_memo_hits: Counter,
+    pub normal_memo_misses: Counter,
     /// Resilient-executor accounting.
     pub retry_requests: Counter,
     pub retry_attempts: Counter,
@@ -62,7 +64,8 @@ pub(crate) fn metrics() -> &'static Metrics {
             batch_jobs: r.counter("adapt_machine_batch_jobs_total"),
             batch_fanout: r.histogram_with_buckets("adapt_machine_batch_fanout", FANOUT_BUCKETS),
             batch_workers: r.gauge("adapt_machine_batch_workers"),
-            batch_job_threads: r.gauge("adapt_machine_batch_job_threads"),
+            normal_memo_hits: r.counter("adapt_machine_normal_memo_hits_total"),
+            normal_memo_misses: r.counter("adapt_machine_normal_memo_misses_total"),
             retry_requests: r.counter("adapt_machine_retry_requests_total"),
             retry_attempts: r.counter("adapt_machine_retry_attempts_total"),
             retry_job_failed: r.counter("adapt_machine_retry_errors_job_failed_total"),

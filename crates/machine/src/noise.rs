@@ -11,13 +11,129 @@
 //! unprotected gaps (§6.4), and every inserted pulse pays gate error.
 
 use device::QubitCalibration;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
 
-/// Gaussian sample via Box–Muller (avoids a rand_distr dependency).
+/// Gaussian sample via Box–Muller (avoids a rand_distr dependency). It
+/// consumes exactly two words of the stream and never returns NaN
+/// (`u1 ≥ 1e-12`, so the logarithm is finite).
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(1e-12..1.0);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// A random stream that also hands out standard normals.
+///
+/// The default [`NormalSource::normal`] is [`standard_normal`], and
+/// [`StdRng`] keeps it, so code generic over this trait runs exactly the
+/// plain Box–Muller path on a plain generator. [`MemoCursor`] overrides it
+/// to share normals between runs of one trajectory seed.
+pub trait NormalSource: Rng {
+    /// One standard normal, drawn from the next two words of the stream.
+    fn normal(&mut self) -> f64 {
+        standard_normal(self)
+    }
+}
+
+impl NormalSource for StdRng {}
+
+/// A trajectory seed's [`StdRng`] that memoises its normals by stream
+/// position, so runs of that seed through different op streams compute
+/// each Box–Muller normal once.
+///
+/// The memo holds, at index `p`, the normal of words `p` and `p + 1` of the
+/// seed's stream, or NaN when none was computed there. An entry is a pure
+/// function of the seed and `p`, so any run of the seed may fill it and
+/// any other may read it. On a hit the cursor returns the stored value and
+/// still steps the generator two words, so the stream, every later draw
+/// and the final generator state are exactly those of a plain run.
+///
+/// # Examples
+///
+/// ```
+/// use machine::noise::{MemoCursor, NormalSource};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let mut memo = Vec::new();
+/// let first = MemoCursor::new(StdRng::seed_from_u64(3), &mut memo).normal();
+/// let mut again = MemoCursor::new(StdRng::seed_from_u64(3), &mut memo);
+/// assert_eq!(again.normal(), first);
+/// assert_eq!((again.hits(), again.misses()), (1, 0));
+/// assert_eq!(again.into_rng(), {
+///     let mut plain = StdRng::seed_from_u64(3);
+///     plain.normal();
+///     plain
+/// });
+/// ```
+#[derive(Debug)]
+pub struct MemoCursor<'m> {
+    rng: StdRng,
+    /// Words drawn from `rng` so far: the stream position of the next draw.
+    pos: usize,
+    memo: &'m mut Vec<f64>,
+    hits: u64,
+    misses: u64,
+}
+
+impl<'m> MemoCursor<'m> {
+    /// Starts a run of the stream `rng` (freshly seeded) over `memo`, which
+    /// must only ever hold normals of that same seed.
+    pub fn new(rng: StdRng, memo: &'m mut Vec<f64>) -> Self {
+        MemoCursor {
+            rng,
+            pos: 0,
+            memo,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Normals served from the memo so far.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Normals computed (and stored) so far.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// The underlying generator, in the state a plain run would leave.
+    pub fn into_rng(self) -> StdRng {
+        self.rng
+    }
+}
+
+impl RngCore for MemoCursor<'_> {
+    fn next_u64(&mut self) -> u64 {
+        self.pos += 1;
+        self.rng.next_u64()
+    }
+}
+
+impl NormalSource for MemoCursor<'_> {
+    fn normal(&mut self) -> f64 {
+        let p = self.pos;
+        match self.memo.get(p) {
+            Some(&v) if !v.is_nan() => {
+                self.rng.next_u64();
+                self.rng.next_u64();
+                self.pos += 2;
+                self.hits += 1;
+                v
+            }
+            _ => {
+                let v = standard_normal(self);
+                if self.memo.len() <= p {
+                    self.memo.resize(p + 1, f64::NAN);
+                }
+                self.memo[p] = v;
+                self.misses += 1;
+                v
+            }
+        }
+    }
 }
 
 /// Pauli-twirl probability of a coherent `RZ(theta)`: the twirled
@@ -64,21 +180,31 @@ pub struct QubitDetuning {
     step_decay: f64,
     /// `sqrt(1 - step_decay²)`: the full sub-step's diffusion per unit σ.
     step_unit: f64,
+    /// The last partial sub-step seen, as `f64::to_bits` (NaN bits until
+    /// the first one), and its `(decay, unit)`: DD-padded windows repeat
+    /// one pulse spacing, so the same remainder comes back window after
+    /// window.
+    rem_bits: u64,
+    rem_decay: f64,
+    rem_unit: f64,
 }
 
 impl QubitDetuning {
     /// Draws a fresh trajectory realization from qubit calibration.
-    pub fn sample<R: Rng + ?Sized>(cal: &QubitCalibration, rng: &mut R) -> Self {
+    pub fn sample<R: NormalSource + ?Sized>(cal: &QubitCalibration, rng: &mut R) -> Self {
         let step_ns = 40.0;
         let (step_decay, step_unit) = ou_step(step_ns, cal.ou_tau_ns);
         QubitDetuning {
-            static_offset: cal.static_sigma * standard_normal(rng),
-            ou_value: cal.ou_sigma * standard_normal(rng),
+            static_offset: cal.static_sigma * rng.normal(),
+            ou_value: cal.ou_sigma * rng.normal(),
             ou_sigma: cal.ou_sigma,
             ou_tau_ns: cal.ou_tau_ns,
             step_ns,
             step_decay,
             step_unit,
+            rem_bits: f64::NAN.to_bits(),
+            rem_decay: 0.0,
+            rem_unit: 0.0,
         }
     }
 
@@ -86,7 +212,7 @@ impl QubitDetuning {
     /// (radians) contributed by the static offset and the OU fluctuation
     /// over that interval. Crosstalk contributions are added by the caller
     /// (they depend on which links are active when).
-    pub fn advance<R: Rng + ?Sized>(&mut self, dt_ns: f64, rng: &mut R) -> f64 {
+    pub fn advance<R: NormalSource + ?Sized>(&mut self, dt_ns: f64, rng: &mut R) -> f64 {
         if dt_ns <= 0.0 {
             return 0.0;
         }
@@ -99,10 +225,14 @@ impl QubitDetuning {
             let (decay, unit) = if step == self.step_ns {
                 (self.step_decay, self.step_unit)
             } else {
-                ou_step(step, self.ou_tau_ns)
+                if step.to_bits() != self.rem_bits {
+                    (self.rem_decay, self.rem_unit) = ou_step(step, self.ou_tau_ns);
+                    self.rem_bits = step.to_bits();
+                }
+                (self.rem_decay, self.rem_unit)
             };
             let diffusion = self.ou_sigma * unit;
-            self.ou_value = before * decay + diffusion * standard_normal(rng);
+            self.ou_value = before * decay + diffusion * rng.normal();
             phase += 0.5 * (before + self.ou_value) * step / 1000.0;
             remaining -= step;
         }
@@ -263,6 +393,39 @@ mod tests {
         let long = corr((c.ou_tau_ns as usize / 50) * 4); // lag 4τ
         assert!(short > 0.8, "short-lag correlation {short}");
         assert!(long < 0.3, "long-lag correlation {long}");
+    }
+
+    #[test]
+    fn remainder_memo_is_bit_identical_to_recomputing() {
+        // The reference: today's loop with the partial step's transition
+        // computed afresh every time.
+        fn reference(d: &mut QubitDetuning, dt_ns: f64, rng: &mut StdRng) -> f64 {
+            let mut phase = d.static_offset * dt_ns / 1000.0;
+            let mut remaining = dt_ns;
+            while remaining > 0.0 {
+                let step = remaining.min(d.step_ns);
+                let before = d.ou_value;
+                let (decay, unit) = ou_step(step, d.ou_tau_ns);
+                d.ou_value = before * decay + d.ou_sigma * unit * standard_normal(rng);
+                phase += 0.5 * (before + d.ou_value) * step / 1000.0;
+                remaining -= step;
+            }
+            phase
+        }
+        let c = cal();
+        let mut rng = SeedSpawner::new(8).rng();
+        let mut memo = QubitDetuning::sample(&c, &mut rng);
+        let mut plain = memo.clone();
+        let mut r_plain = rng.clone();
+        for dt in [
+            100.0, 100.0, 70.0, 100.0, 30.0, 30.0, 40.0, 0.5, 1000.0, 100.0,
+        ] {
+            let a = memo.advance(dt, &mut rng);
+            let b = reference(&mut plain, dt, &mut r_plain);
+            assert_eq!(a.to_bits(), b.to_bits(), "phase over {dt} ns");
+            assert_eq!(memo.ou_value.to_bits(), plain.ou_value.to_bits());
+        }
+        assert_eq!(rng, r_plain);
     }
 
     #[test]

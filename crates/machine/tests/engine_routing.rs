@@ -156,33 +156,111 @@ fn batch_is_bit_identical_to_serial_on_both_engines() {
     let stats = m.engine_stats();
     assert!(stats.chp_executions > 0 && stats.statevec_executions > 0);
     assert!(stats.last_batch_workers >= 1);
-    assert!(stats.last_batch_job_threads >= 1);
+}
+
+/// Runs one batch of Clifford-circuit jobs, one per `(seed, trajectories,
+/// threads)` spec, and checks that every job succeeds.
+fn clifford_batch(m: &Machine, specs: &[(u64, u32, usize)]) {
+    let cliff = timed_of(&clifford_circuit(), m.device());
+    let jobs: Vec<JobSpec<'_>> = specs
+        .iter()
+        .map(|&(seed, trajectories, threads)| JobSpec {
+            timed: &cliff,
+            config: ExecutionConfig {
+                shots: 256,
+                trajectories,
+                seed,
+                threads,
+            },
+        })
+        .collect();
+    assert!(m.execute_batch(&jobs).iter().all(|r| r.is_ok()));
 }
 
 #[test]
 fn batch_reports_actual_thread_layout() {
-    // Satellite: the reported batch thread layout must reflect the real
-    // split, not a hardcoded 1. With an explicit hint of 4 threads and 2
-    // jobs, 2 workers run jobs concurrently and each job gets 2
-    // trajectory threads.
+    // The batch runs (trajectory seed, slice of jobs) units on one level
+    // of workers: min(budget, units), where each of S seeds is cut into
+    // ⌈budget / S⌉ slices of its jobs.
     let m = Machine::new(Device::ibmq_rome(9));
+    // Two master seeds × 8 trajectories = 16 trajectory seeds, one slice
+    // each: 16 units, so the whole budget of 4 is used.
+    clifford_batch(&m, &[(0, 8, 4), (1, 8, 4)]);
+    assert_eq!(m.engine_stats().last_batch_workers, 4);
+    // One seed shared by four jobs, budget 4: four one-job slices.
+    clifford_batch(&m, &[(5, 1, 4); 4]);
+    assert_eq!(m.engine_stats().last_batch_workers, 4);
+    // One seed shared by two jobs: only two non-empty slices to run.
+    clifford_batch(&m, &[(5, 1, 4); 2]);
+    assert_eq!(m.engine_stats().last_batch_workers, 2);
+    // A hint of 1 runs the batch on the calling thread.
+    clifford_batch(&m, &[(0, 8, 1), (1, 8, 1)]);
+    assert_eq!(m.engine_stats().last_batch_workers, 1);
+}
+
+#[test]
+fn batch_budget_counts_zero_as_every_core() {
+    // `threads: 0` asks for all cores, so it must dominate an explicit
+    // `1` in the batch budget rather than lose to it as the smaller
+    // number.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let m = Machine::new(Device::ibmq_rome(9));
+    clifford_batch(&m, &[(0, 16, 0), (0, 16, 1)]);
+    assert_eq!(m.engine_stats().last_batch_workers, cores.min(16) as u64);
+}
+
+#[test]
+fn mixed_batch_matches_serial_at_every_budget() {
+    // Two master seeds, different shot and trajectory counts, a
+    // CHP-routed job, a dense-routed job and one oversized job that must
+    // fail in its own slot: every result equals a serial `execute_timed`,
+    // whatever the thread budget.
+    let m = Machine::new(Device::all_to_all(27, 3));
     let cliff = timed_of(&clifford_circuit(), m.device());
-    let jobs: Vec<JobSpec<'_>> = (0..2)
-        .map(|i| JobSpec {
-            timed: &cliff,
-            config: ExecutionConfig {
-                shots: 256,
-                trajectories: 8,
-                seed: i,
-                threads: 4,
-            },
-        })
+    let dense = timed_of(&non_clifford_circuit(), m.device());
+    let mut wide = Circuit::new(27);
+    for q in 0..27 {
+        wide.h(q);
+    }
+    wide.measure_all();
+    let oversized = timed_of(&wide, m.device());
+    let specs: [(&TimedCircuit, u64, u64, u32); 6] = [
+        (&cliff, 11, 300, 8),
+        (&dense, 11, 257, 5),
+        (&oversized, 11, 64, 4),
+        (&cliff, 12, 100, 3),
+        (&dense, 12, 512, 8),
+        (&cliff, 11, 77, 12),
+    ];
+    let config = |seed, shots, trajectories, threads| ExecutionConfig {
+        shots,
+        trajectories,
+        seed,
+        threads,
+    };
+    let serial: Vec<_> = specs
+        .iter()
+        .map(|&(t, seed, shots, traj)| m.execute_timed(t, &config(seed, shots, traj, 1)))
         .collect();
-    let results = m.execute_batch(&jobs);
-    assert!(results.iter().all(|r| r.is_ok()));
-    let stats = m.engine_stats();
-    assert_eq!(stats.last_batch_workers, 2, "{stats:?}");
-    assert_eq!(stats.last_batch_job_threads, 2, "{stats:?}");
+    assert!(serial[2].is_err());
+    for budget in [0, 1, 2, 4] {
+        let jobs: Vec<JobSpec<'_>> = specs
+            .iter()
+            .map(|&(timed, seed, shots, traj)| JobSpec {
+                timed,
+                config: config(seed, shots, traj, budget),
+            })
+            .collect();
+        let batched = m.execute_batch(&jobs);
+        assert_eq!(batched.len(), serial.len());
+        for (i, (s, b)) in serial.iter().zip(&batched).enumerate() {
+            match (s, b) {
+                (Ok(s), Ok(b)) => assert_eq!(s, &b.counts, "budget {budget}, job {i}"),
+                (Err(s), Err(b)) => assert_eq!(s, b, "budget {budget}, job {i}"),
+                _ => panic!("budget {budget}, job {i}: serial {s:?} vs batched {b:?}"),
+            }
+        }
+    }
 }
 
 #[test]
