@@ -601,3 +601,263 @@ mod checksum_frames {
         assert_eq!(got, payload);
     }
 }
+
+// --- golden byte digests ----------------------------------------------------
+//
+// Round trips pass even when encoder and decoder change a format
+// together; these pins do not. Each entry is the FNV-1a 64 digest of
+// one encoded payload (or frame), recorded from the v2 codec. A
+// mismatch means a byte format changed: that needs a version bump, not
+// a new digest.
+
+mod golden {
+    use super::*;
+    use adapt_fleet::wire::{write_frame, FrameKind, FLAG_CHECKSUM, FLAG_FORWARDED};
+    use adapt_service::{PriorityClass, Tenancy};
+
+    fn fnv64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    fn assert_golden(what: &str, encodings: &[Vec<u8>], golden: &[u64]) {
+        let got: Vec<u64> = encodings.iter().map(|b| fnv64(b)).collect();
+        let changed: Vec<usize> = (0..got.len().max(golden.len()))
+            .filter(|&i| got.get(i) != golden.get(i))
+            .collect();
+        assert!(
+            changed.is_empty(),
+            "{what}: encoded bytes changed at sample indices {changed:?}; digests now {got:#018x?}"
+        );
+    }
+
+    const PROTOCOLS: [DdProtocol; 5] = [
+        DdProtocol::Xy4,
+        DdProtocol::IbmqDd,
+        DdProtocol::Cpmg,
+        DdProtocol::Xy8,
+        DdProtocol::Udd { pulses: 6 },
+    ];
+    const DECOYS: [DecoyKind; 3] = [
+        DecoyKind::Clifford,
+        DecoyKind::CnotOnly,
+        DecoyKind::Seeded { max_seed_qubits: 2 },
+    ];
+    const POLICIES: [Policy; 4] = [
+        Policy::NoDd,
+        Policy::AllDd,
+        Policy::Adapt,
+        Policy::RuntimeBest,
+    ];
+    const PROVENANCES: [Provenance; 7] = [
+        Provenance::CacheHit,
+        Provenance::FreshSearch,
+        Provenance::DegradedAllDd,
+        Provenance::PartialSearch,
+        Provenance::BreakerFallback,
+        Provenance::Heuristic,
+        Provenance::StaleServed { age_epochs: 3 },
+    ];
+
+    /// Both request variants, each with the default tenancy and with an
+    /// explicit one, under a bounded and an unbounded deadline.
+    pub(super) fn request_corpus() -> Vec<Vec<u8>> {
+        let circuit = benchmarks::ghz(3);
+        let mut out = Vec::new();
+        for tenancy in [
+            Tenancy::default(),
+            Tenancy::with_class(42, PriorityClass::Interactive),
+        ] {
+            let recommend = Request::RecommendMask {
+                circuit: circuit.clone(),
+                device: DeviceId::Toronto,
+                protocol: DdProtocol::Udd { pulses: 4 },
+                budget: SearchBudget {
+                    shots: 256,
+                    trajectories: 8,
+                    neighborhood: 3,
+                    tier: TierPolicy::HeuristicOnly,
+                },
+                deadline_ms: None,
+                tenancy,
+            };
+            let execute = Request::Execute {
+                circuit: circuit.clone(),
+                device: DeviceId::London,
+                policy: Policy::AllDd,
+                deadline_ms: None,
+                tenancy,
+            };
+            for request in [&recommend, &execute] {
+                for deadline in [
+                    WireDeadline::unbounded(),
+                    WireDeadline {
+                        budget_ms: Some(300),
+                        elapsed_ms: 45,
+                    },
+                ] {
+                    out.push(encode_request(request, deadline));
+                }
+            }
+        }
+        out
+    }
+
+    /// `Response::Mask` for every provenance (cycling every protocol and
+    /// decoy through the key), then `Response::Execution` for every
+    /// policy without a provenance and for every provenance.
+    pub(super) fn response_corpus() -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        for (i, &provenance) in PROVENANCES.iter().enumerate() {
+            out.push(encode_response(&Response::Mask(Recommendation {
+                key: MaskKey {
+                    device: DeviceId::ALL[i % DeviceId::ALL.len()],
+                    epoch: i as u64,
+                    circuit_hash: 0x0123_4567_89ab_cdef ^ i as u64,
+                    protocol: PROTOCOLS[i % PROTOCOLS.len()],
+                    decoy: DECOYS[i % DECOYS.len()],
+                },
+                mask: DdMask::from_bits(0b1011_0110 >> i, 8),
+                decoy_fidelity: 0.5 + i as f64 / 16.0,
+                decoy_runs: 3 * i + 1,
+                provenance,
+                degraded: i % 2 == 1,
+                timing: Timing {
+                    queued_us: 10 * i as u64,
+                    service_us: 1_000 + i as u64,
+                },
+            })));
+        }
+        let provenances = POLICIES.iter().map(|_| None).chain(PROVENANCES.map(Some));
+        let policies = POLICIES.iter().chain(std::iter::repeat(&Policy::Adapt));
+        for (i, (&policy, provenance)) in policies.zip(provenances).enumerate() {
+            out.push(encode_response(&Response::Execution(Execution {
+                device: DeviceId::ALL[i % DeviceId::ALL.len()],
+                epoch: 7 + i as u64,
+                policy,
+                mask: DdMask::from_bits(i as u64, 5),
+                fidelity: 1.0 / (i as f64 + 2.0),
+                pulse_count: 4 * i,
+                provenance,
+                timing: Timing {
+                    queued_us: i as u64,
+                    service_us: 250 + i as u64,
+                },
+            })));
+        }
+        out
+    }
+
+    pub(super) fn error_corpus() -> Vec<Vec<u8>> {
+        service_error_samples().iter().map(encode_error).collect()
+    }
+
+    /// One forwarded, checksummed request frame (header, payload, CRC).
+    pub(super) fn frame_corpus() -> Vec<Vec<u8>> {
+        let mut frame = Vec::new();
+        write_frame(
+            &mut frame,
+            FrameKind::Request,
+            FLAG_FORWARDED | FLAG_CHECKSUM,
+            &request_corpus()[1],
+        )
+        .unwrap();
+        vec![frame]
+    }
+
+    #[test]
+    fn request_bytes_are_pinned() {
+        assert_golden("encode_request", &request_corpus(), &REQUEST_GOLDEN);
+    }
+
+    #[test]
+    fn response_bytes_are_pinned() {
+        assert_golden("encode_response", &response_corpus(), &RESPONSE_GOLDEN);
+    }
+
+    #[test]
+    fn error_bytes_are_pinned() {
+        assert_golden("encode_error", &error_corpus(), &ERROR_GOLDEN);
+    }
+
+    #[test]
+    fn checksummed_frame_bytes_are_pinned() {
+        assert_golden("write_frame", &frame_corpus(), &FRAME_GOLDEN);
+    }
+
+    const REQUEST_GOLDEN: [u64; 8] = [
+        0x8b59_c410_57ed_961a,
+        0x494f_5792_f4b0_88b0,
+        0x5c58_5a0b_d44c_9be5,
+        0x275a_cfa0_04f0_95a3,
+        0xa261_4ab7_1cc0_bc4f,
+        0x5e00_9d8b_83b7_fea1,
+        0x1295_46bb_1a3b_cc24,
+        0x3c0c_1398_93f8_082e,
+    ];
+    const RESPONSE_GOLDEN: [u64; 18] = [
+        0xeeea_d624_4e37_a9ed,
+        0x593a_be16_7acf_6b83,
+        0xd988_3d62_3078_b1b5,
+        0x664e_e3b8_2f4a_01fa,
+        0xba92_194f_23e5_7514,
+        0x14f6_5047_71ee_60dc,
+        0x9800_56ff_4e13_61e0,
+        0x00b8_ca06_ecd6_a8de,
+        0x1f92_dba6_b558_1285,
+        0x2682_ea60_2c31_86bf,
+        0x93cc_8e1f_2ebd_085f,
+        0x3871_7083_0dcd_d76f,
+        0x010c_cdbf_1996_8822,
+        0x61c9_1168_5ed3_cc4d,
+        0x04e1_8ce5_2cb9_3976,
+        0x7b6c_0396_6e81_d4a8,
+        0x9b9f_a85b_6a3a_213f,
+        0x94e3_1e74_8829_0618,
+    ];
+    const ERROR_GOLDEN: [u64; 41] = [
+        0x153f_aedb_3b09_92d7,
+        0xfd4d_e565_9468_3dc8,
+        0xfba1_cab7_f23c_3804,
+        0xc711_1b92_cba7_46dd,
+        0xe2bc_b111_ee06_6adc,
+        0xaf63_bb4c_8601_b479,
+        0x1584_7e6d_51f0_7fa3,
+        0xaf63_c54c_8601_c577,
+        0xe1a0_f56a_af20_c2d8,
+        0x754b_4da9_9879_1ea4,
+        0x6d9a_0d0b_2a51_a58e,
+        0x1fe3_ba50_fc4c_0891,
+        0x3120_1a9c_814b_c58c,
+        0x32c1_dbb3_155c_8a2b,
+        0xadfd_b218_5387_4245,
+        0xe0ef_8360_45e1_fffb,
+        0x5397_2792_837a_3257,
+        0x8362_22d0_5334_fbd5,
+        0x94fc_7755_ba71_e07d,
+        0x5da0_eea4_7baf_7bdc,
+        0x35e9_9a55_f3a9_6c4a,
+        0x284e_636b_6e58_9b84,
+        0x9440_ea4f_b7d0_7281,
+        0xd870_d3e3_8441_4fd0,
+        0x8606_76ae_e406_1554,
+        0x73da_2722_299c_002a,
+        0x6bb0_99b7_78cf_0bc0,
+        0xf908_f585_3b36_d964,
+        0xd7e0_ec7f_991e_9e3a,
+        0x50d4_3354_3775_ba93,
+        0x4787_751f_cd51_e63c,
+        0x411e_4c46_8297_4516,
+        0x1e80_5cf1_9aa7_b0f9,
+        0xd965_c50b_1140_0e24,
+        0x3bd0_6c3d_d523_f093,
+        0x4739_2c55_fd76_89dd,
+        0x3b36_f113_c22c_d723,
+        0x8d02_8a76_db51_6b9f,
+        0x553c_803c_d033_5c1d,
+        0xdac3_6f4a_723e_f145,
+        0x3c89_82dd_5fee_f094,
+    ];
+    const FRAME_GOLDEN: [u64; 1] = [0xe358_8bb9_fe20_e6b7];
+}

@@ -10,10 +10,10 @@ use std::sync::Arc;
 
 use adapt::{DdMask, DdProtocol, DecoyKind};
 use adapt_service::cache::TieredLookup;
-use adapt_service::persist::{journal_path, snapshot_path};
+use adapt_service::persist::{encode_record, journal_path, snapshot_path, PersistRecord};
 use adapt_service::{
     CachedMask, DeviceId, DeviceRegistry, MaskCache, MaskKey, MaskService, PersistConfig,
-    Persister, Provenance, Request, Response, SearchBudget, ServiceConfig,
+    Persister, Provenance, Request, Response, SearchBudget, ServiceConfig, StaleKey,
 };
 
 fn tmp(name: &str) -> PathBuf {
@@ -311,3 +311,136 @@ fn invalidate_after_recovery_respects_stale_bound_and_accounting() {
     assert!(stats.stale_len <= stats.stale_capacity);
     let _ = journal_path(&dir);
 }
+
+// --- golden byte digests ----------------------------------------------------
+//
+// Round trips pass even when encoder and decoder change a format
+// together; these pins do not. Each entry is the FNV-1a 64 digest of
+// one encoded record (or published file), recorded from format
+// version 1. A mismatch means the on-disk format changed: that needs a
+// `PERSIST_VERSION` bump, not a new digest.
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn assert_golden(what: &str, encodings: &[Vec<u8>], golden: &[u64]) {
+    let got: Vec<u64> = encodings.iter().map(|b| fnv64(b)).collect();
+    let changed: Vec<usize> = (0..got.len().max(golden.len()))
+        .filter(|&i| got.get(i) != golden.get(i))
+        .collect();
+    assert!(
+        changed.is_empty(),
+        "{what}: encoded bytes changed at sample indices {changed:?}; digests now {got:#018x?}"
+    );
+}
+
+/// All four record kinds: a `Warm` record for every protocol (cycling
+/// every decoy kind), a `Stale` record with `Udd` and `Seeded`
+/// payloads, an `Epoch` and an `Invalidate`.
+fn record_corpus() -> Vec<PersistRecord> {
+    let protocols = [
+        DdProtocol::Xy4,
+        DdProtocol::IbmqDd,
+        DdProtocol::Cpmg,
+        DdProtocol::Xy8,
+        DdProtocol::Udd { pulses: 6 },
+    ];
+    let decoys = [
+        DecoyKind::Clifford,
+        DecoyKind::CnotOnly,
+        DecoyKind::Seeded { max_seed_qubits: 3 },
+    ];
+    let value = |i: usize| CachedMask {
+        mask: DdMask::from_bits(0b1_0110_1001 >> i, 9),
+        decoy_fidelity: 0.625 + i as f64 / 64.0,
+        decoy_runs: 5 * i + 2,
+        degraded: i.is_multiple_of(2),
+    };
+    let mut records: Vec<PersistRecord> = protocols
+        .iter()
+        .enumerate()
+        .map(|(i, &protocol)| PersistRecord::Warm {
+            key: MaskKey {
+                device: DeviceId::ALL[i % DeviceId::ALL.len()],
+                epoch: i as u64,
+                circuit_hash: 0xdead_beef_0000_0000 | i as u64,
+                protocol,
+                decoy: decoys[i % decoys.len()],
+            },
+            logical_hash: 0x1234 + i as u64,
+            value: value(i),
+        })
+        .collect();
+    records.push(PersistRecord::Stale {
+        key: StaleKey {
+            device: DeviceId::Paris,
+            logical_hash: 0xfeed,
+            protocol: DdProtocol::Udd { pulses: 8 },
+            decoy: DecoyKind::Seeded { max_seed_qubits: 2 },
+        },
+        value: value(5),
+        epoch: 11,
+    });
+    records.push(PersistRecord::Epoch {
+        device: DeviceId::Guadalupe,
+        epoch: 9,
+    });
+    records.push(PersistRecord::Invalidate {
+        device: DeviceId::Toronto,
+        min_epoch: 4,
+    });
+    records
+}
+
+#[test]
+fn record_bytes_are_pinned() {
+    let encodings: Vec<Vec<u8>> = record_corpus().iter().map(encode_record).collect();
+    assert_golden("encode_record", &encodings, &RECORD_GOLDEN);
+}
+
+/// A published snapshot (file header, epoch record, warm records in
+/// recency order) and the empty journal it resets, byte for byte.
+#[test]
+fn published_store_bytes_are_pinned() {
+    let dir = tmp("golden_store");
+    let obs = adapt_obs::Registry::noop();
+    let registry = DeviceRegistry::new(&[DeviceId::Rome], 7);
+    let cache = MaskCache::with_tiers(16, 2, 8, &obs);
+    for h in 0..2u64 {
+        cache.insert(
+            MaskKey {
+                device: DeviceId::Rome,
+                epoch: 0,
+                circuit_hash: 0xabc0 + h,
+                protocol: DdProtocol::Xy8,
+                decoy: DecoyKind::CnotOnly,
+            },
+            CachedMask {
+                mask: DdMask::from_bits(0b101 << h, 5),
+                decoy_fidelity: 0.8125,
+                decoy_runs: 9,
+                degraded: h == 1,
+            },
+        );
+    }
+    let persister = Persister::new(&dir, false, &obs).expect("persister");
+    persister.snapshot(&cache, &registry).expect("snapshot");
+    let files = [snapshot_path(&dir), journal_path(&dir)]
+        .map(|path| std::fs::read(path).expect("read published file"));
+    assert_golden("snapshot", &files, &STORE_GOLDEN);
+}
+
+const RECORD_GOLDEN: [u64; 8] = [
+    0xf656_4f69_f5ca_a1d4,
+    0xc72e_edf9_fdf8_d7be,
+    0x0a33_811b_d6f8_55f0,
+    0x6ec1_590d_1a75_df3d,
+    0xb5e6_9f6c_e977_a388,
+    0x6054_4979_2310_0817,
+    0x224f_836b_b271_0143,
+    0x6733_98ee_6824_3e59,
+];
+const STORE_GOLDEN: [u64; 2] = [0x40ac_9032_55e5_0c5b, 0x0bda_2915_ae6d_f086];
