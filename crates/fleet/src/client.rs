@@ -1,7 +1,7 @@
 //! Blocking wire client for one shard.
 
 use crate::wire::{self, FrameError, FrameKind, WireError, DEFAULT_MAX_FRAME_BYTES};
-use adapt_service::{Request, Response, ServiceError};
+use adapt_service::{CodecError, Request, Response, ServiceError};
 use machine::WireDeadline;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -120,10 +120,7 @@ impl ShardClient {
             FrameKind::Error => Err(ClientError::Service(
                 wire::decode_error(&body).map_err(ClientError::Wire)?,
             )),
-            other => Err(ClientError::Wire(WireError::UnknownTag {
-                what: "reply kind",
-                tag: other as u8,
-            })),
+            other => Err(unexpected_reply(other)),
         }
     }
 
@@ -136,15 +133,22 @@ impl ShardClient {
         let (kind, body) = self.roundtrip(FrameKind::MetricsRequest, &[])?;
         match kind {
             FrameKind::MetricsResponse => {
-                String::from_utf8(body).map_err(|_| ClientError::Wire(WireError::BadUtf8))
+                String::from_utf8(body).map_err(|_| ClientError::Wire(CodecError::BadUtf8.into()))
             }
             FrameKind::Error => Err(ClientError::Service(
                 wire::decode_error(&body).map_err(ClientError::Wire)?,
             )),
-            other => Err(ClientError::Wire(WireError::UnknownTag {
-                what: "reply kind",
-                tag: other as u8,
-            })),
+            other => Err(unexpected_reply(other)),
         }
     }
+}
+
+fn unexpected_reply(kind: FrameKind) -> ClientError {
+    ClientError::Wire(
+        CodecError::UnknownTag {
+            what: "reply kind",
+            tag: kind as u8,
+        }
+        .into(),
+    )
 }

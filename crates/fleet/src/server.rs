@@ -24,7 +24,7 @@ use crate::wire::{
     self, FrameError, FrameKind, WireError, DEFAULT_MAX_FRAME_BYTES, FLAG_CHECKSUM, FLAG_FORWARDED,
 };
 use adapt_service::{
-    logical_hash, MaskService, Request, ServiceConfig, ServiceError, ServiceStats,
+    logical_hash, CodecError, MaskService, Request, ServiceConfig, ServiceError, ServiceStats,
 };
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -435,10 +435,10 @@ fn forward(
     let (header, body) = wire::read_frame(&mut stream, max_frame)?;
     match header.kind {
         FrameKind::Response | FrameKind::Error => Ok((header.kind, body)),
-        other => Err(WireError::UnknownTag {
+        other => Err(WireError::from(CodecError::UnknownTag {
             what: "forwarded reply kind",
             tag: other as u8,
-        }
+        })
         .into()),
     }
 }

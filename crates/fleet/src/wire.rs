@@ -15,8 +15,8 @@
 //! ```
 //!
 //! With [`FLAG_CHECKSUM`] set, the declared length covers the payload
-//! *plus* a 4-byte CRC32 trailer (the `adapt_service::persist` CRC —
-//! one implementation across the durability and wire layers);
+//! *plus* a 4-byte CRC32 trailer ([`adapt_service::codec::crc32`], the
+//! CRC the durability store's records carry too);
 //! [`read_frame`] verifies and strips the trailer, turning in-flight
 //! corruption into a typed [`WireError::ChecksumMismatch`] instead of a
 //! garbled payload. The flag is opt-in per sender, so `MIN_VERSION`
@@ -34,14 +34,16 @@
 //! protocol is deliberately tolerant; unknown *enum tags* inside known
 //! fields are still typed errors (below).
 //!
-//! All integers are little-endian; `f64` payloads travel as their exact
-//! IEEE-754 bit pattern (`to_bits`/`from_bits` — loss-free, including
-//! NaN and infinities inside error payloads). Strings and circuits are
-//! length-prefixed UTF-8; circuits travel as their OpenQASM rendering,
-//! which `qcirc::qasm` round-trips exactly.
+//! Every field goes through [`adapt_service::codec`], the byte codec
+//! the durability store shares: little-endian integers, `f64` as its
+//! exact IEEE-754 bit pattern (loss-free, including NaN and infinities
+//! inside error payloads), length-prefixed UTF-8 strings, and one
+//! encoding each for devices, protocols, decoy kinds, masks and cache
+//! keys. Circuits travel as their OpenQASM rendering, which
+//! `qcirc::qasm` round-trips exactly.
 //!
 //! Enums are encoded as a `u8` tag plus variant payload. Decoders
-//! reject unknown tags with a typed [`WireError::UnknownTag`] rather
+//! reject unknown tags with a typed [`CodecError::UnknownTag`] rather
 //! than guessing — a version bump is the upgrade path, silent
 //! misdecodes are not. The exhaustive-match tests in
 //! `tests/wire_roundtrip.rs` pin that every [`ServiceError`] variant
@@ -49,17 +51,22 @@
 //! encode → decode loss-free.
 //!
 //! The request deadline crosses the wire in-band as a
-//! [`machine::WireDeadline`] — total budget plus time already counted
-//! upstream — so a hop never resets the clock: the receiving shard
-//! serves within `budget − upstream_elapsed`.
+//! [`machine::WireDeadline`]: two `u64` fields, the total budget
+//! (`u64::MAX` = unbounded) and the time already counted upstream. A
+//! hop never resets the clock: the receiving shard serves within
+//! `budget − upstream_elapsed`.
 
 use adapt::decoy::DecoyError;
-use adapt::{AdaptError, DdMask, DdProtocol, DecoyKind, Policy, SearchError};
-use adapt_service::{
-    DeviceId, Execution, MaskKey, PriorityClass, Provenance, Recommendation, Request, Response,
-    SearchBudget, ServiceError, Tenancy, TenantId, TierPolicy, Timing,
+use adapt::{AdaptError, Policy, SearchError};
+use adapt_service::codec::{
+    crc32, get_device, get_mask, get_mask_key, get_protocol, put_device, put_mask, put_mask_key,
+    put_protocol, unknown_tag, CodecError, Reader, Writer,
 };
-use machine::{ExecError, WireDeadline, WIRE_DEADLINE_BYTES};
+use adapt_service::{
+    Execution, PriorityClass, Provenance, Recommendation, Request, Response, SearchBudget,
+    ServiceError, Tenancy, TenantId, TierPolicy, Timing,
+};
+use machine::{ExecError, WireDeadline};
 use qcirc::Gate;
 use statevec::SimError;
 use std::io::{Read, Write};
@@ -129,32 +136,17 @@ pub struct FrameHeader {
 /// Typed wire-level failures: framing, versioning, and codec errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The buffer ended before the field did.
-    UnexpectedEof {
-        /// Bytes the field needed.
-        needed: usize,
-        /// Bytes left in the buffer.
-        have: usize,
-    },
+    /// A payload field failed to decode (short buffer, unknown tag,
+    /// unknown device, bad UTF-8, too-wide mask, trailing bytes).
+    Codec(CodecError),
     /// The frame did not start with [`MAGIC`].
     BadMagic(u32),
     /// The peer speaks a different protocol version.
     BadVersion(u8),
     /// Unknown frame type byte.
     UnknownFrame(u8),
-    /// An enum tag no decoder for this version knows.
-    UnknownTag {
-        /// Which enum the tag belongs to.
-        what: &'static str,
-        /// The offending tag byte.
-        tag: u8,
-    },
-    /// A device name with no [`DeviceId`].
-    BadDevice(String),
     /// The circuit payload failed to parse back from QASM.
     BadCircuit(String),
-    /// A string field was not valid UTF-8.
-    BadUtf8,
     /// The payload length exceeds the configured frame cap.
     Oversize {
         /// Declared payload length.
@@ -162,13 +154,6 @@ pub enum WireError {
         /// The cap it exceeded.
         max: u32,
     },
-    /// The payload had bytes left after the last field.
-    TrailingBytes {
-        /// How many bytes were left over.
-        extra: usize,
-    },
-    /// A 16-byte deadline field was malformed.
-    BadDeadline,
     /// The payload's CRC32 trailer did not match its content — the
     /// frame was corrupted in flight.
     ChecksumMismatch {
@@ -182,26 +167,14 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::UnexpectedEof { needed, have } => {
-                write!(
-                    f,
-                    "unexpected end of payload: needed {needed} bytes, {have} left"
-                )
-            }
+            WireError::Codec(e) => write!(f, "{e}"),
             WireError::BadMagic(m) => write!(f, "bad frame magic {m:#010x}"),
             WireError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
             WireError::UnknownFrame(k) => write!(f, "unknown frame type {k:#04x}"),
-            WireError::UnknownTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
-            WireError::BadDevice(name) => write!(f, "unknown device {name:?}"),
             WireError::BadCircuit(e) => write!(f, "circuit payload rejected: {e}"),
-            WireError::BadUtf8 => write!(f, "string payload is not valid UTF-8"),
             WireError::Oversize { len, max } => {
                 write!(f, "frame payload of {len} bytes exceeds the {max}-byte cap")
             }
-            WireError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after the last field")
-            }
-            WireError::BadDeadline => write!(f, "malformed in-band deadline"),
             WireError::ChecksumMismatch { expected, got } => write!(
                 f,
                 "payload checksum mismatch: sender {expected:#010x}, received {got:#010x}"
@@ -212,98 +185,9 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// ---------------------------------------------------------------------------
-// Primitive writer / reader
-// ---------------------------------------------------------------------------
-
-/// Append-only payload builder.
-#[derive(Debug, Default)]
-struct W {
-    buf: Vec<u8>,
-}
-
-impl W {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn boolean(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Cursor over a received payload.
-struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> R<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        R { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let have = self.buf.len() - self.pos;
-        if have < n {
-            return Err(WireError::UnexpectedEof { needed: n, have });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn boolean(&mut self) -> Result<bool, WireError> {
-        Ok(self.u8()? != 0)
-    }
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-
-    /// Whether any bytes remain — how decoders detect an optional
-    /// trailing extension block.
-    fn has_remaining(&self) -> bool {
-        self.pos < self.buf.len()
-    }
-
-    /// Consume and discard `n` bytes (an unknown extension's payload).
-    fn skip(&mut self, n: usize) -> Result<(), WireError> {
-        self.take(n).map(|_| ())
-    }
-
-    /// Rejects payloads with unconsumed bytes — a framing bug upstream.
-    fn finish(self) -> Result<(), WireError> {
-        let extra = self.buf.len() - self.pos;
-        if extra != 0 {
-            return Err(WireError::TrailingBytes { extra });
-        }
-        Ok(())
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError::Codec(e)
     }
 }
 
@@ -311,49 +195,11 @@ impl<'a> R<'a> {
 // Domain codecs
 // ---------------------------------------------------------------------------
 
-fn put_device(w: &mut W, d: DeviceId) {
-    w.str(d.name());
-}
-
-fn get_device(r: &mut R) -> Result<DeviceId, WireError> {
-    let name = r.str()?;
-    DeviceId::by_name(&name).ok_or(WireError::BadDevice(name))
-}
-
-fn put_protocol(w: &mut W, p: DdProtocol) {
-    match p {
-        DdProtocol::Xy4 => w.u8(0),
-        DdProtocol::IbmqDd => w.u8(1),
-        DdProtocol::Cpmg => w.u8(2),
-        DdProtocol::Xy8 => w.u8(3),
-        DdProtocol::Udd { pulses } => {
-            w.u8(4);
-            w.u32(pulses);
-        }
-    }
-}
-
-fn get_protocol(r: &mut R) -> Result<DdProtocol, WireError> {
-    Ok(match r.u8()? {
-        0 => DdProtocol::Xy4,
-        1 => DdProtocol::IbmqDd,
-        2 => DdProtocol::Cpmg,
-        3 => DdProtocol::Xy8,
-        4 => DdProtocol::Udd { pulses: r.u32()? },
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "DdProtocol",
-                tag,
-            })
-        }
-    })
-}
-
 /// Request-extension tag: tenancy (u32 tenant id + u8 priority class).
 const EXT_TENANCY: u8 = 1;
 
 /// The tenancy extension body (not the tag/length envelope).
-fn put_tenancy_body(w: &mut W, t: Tenancy) {
+fn put_tenancy_body(w: &mut Writer, t: Tenancy) {
     w.u32(t.tenant.0);
     w.u8(match t.class {
         PriorityClass::Interactive => 0,
@@ -362,50 +208,18 @@ fn put_tenancy_body(w: &mut W, t: Tenancy) {
     });
 }
 
-fn get_tenancy_body(r: &mut R) -> Result<Tenancy, WireError> {
+fn get_tenancy_body(r: &mut Reader<'_>) -> Result<Tenancy, CodecError> {
     let tenant = TenantId(r.u32()?);
     let class = match r.u8()? {
         0 => PriorityClass::Interactive,
         1 => PriorityClass::Standard,
         2 => PriorityClass::Batch,
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "PriorityClass",
-                tag,
-            })
-        }
+        tag => unknown_tag("PriorityClass", tag)?,
     };
     Ok(Tenancy { tenant, class })
 }
 
-fn put_decoy_kind(w: &mut W, d: DecoyKind) {
-    match d {
-        DecoyKind::Clifford => w.u8(0),
-        DecoyKind::CnotOnly => w.u8(1),
-        DecoyKind::Seeded { max_seed_qubits } => {
-            w.u8(2);
-            w.u64(max_seed_qubits as u64);
-        }
-    }
-}
-
-fn get_decoy_kind(r: &mut R) -> Result<DecoyKind, WireError> {
-    Ok(match r.u8()? {
-        0 => DecoyKind::Clifford,
-        1 => DecoyKind::CnotOnly,
-        2 => DecoyKind::Seeded {
-            max_seed_qubits: r.u64()? as usize,
-        },
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "DecoyKind",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_tier(w: &mut W, t: TierPolicy) {
+fn put_tier(w: &mut Writer, t: TierPolicy) {
     w.u8(match t {
         TierPolicy::Auto => 0,
         TierPolicy::HeuristicOnly => 1,
@@ -413,28 +227,23 @@ fn put_tier(w: &mut W, t: TierPolicy) {
     });
 }
 
-fn get_tier(r: &mut R) -> Result<TierPolicy, WireError> {
+fn get_tier(r: &mut Reader<'_>) -> Result<TierPolicy, CodecError> {
     Ok(match r.u8()? {
         0 => TierPolicy::Auto,
         1 => TierPolicy::HeuristicOnly,
         2 => TierPolicy::SearchOnly,
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "TierPolicy",
-                tag,
-            })
-        }
+        tag => unknown_tag("TierPolicy", tag)?,
     })
 }
 
-fn put_budget(w: &mut W, b: &SearchBudget) {
+fn put_budget(w: &mut Writer, b: &SearchBudget) {
     w.u64(b.shots);
     w.u32(b.trajectories);
     w.u64(b.neighborhood as u64);
     put_tier(w, b.tier);
 }
 
-fn get_budget(r: &mut R) -> Result<SearchBudget, WireError> {
+fn get_budget(r: &mut Reader<'_>) -> Result<SearchBudget, CodecError> {
     Ok(SearchBudget {
         shots: r.u64()?,
         trajectories: r.u32()?,
@@ -443,7 +252,7 @@ fn get_budget(r: &mut R) -> Result<SearchBudget, WireError> {
     })
 }
 
-fn put_policy(w: &mut W, p: Policy) {
+fn put_policy(w: &mut Writer, p: Policy) {
     w.u8(match p {
         Policy::NoDd => 0,
         Policy::AllDd => 1,
@@ -452,33 +261,17 @@ fn put_policy(w: &mut W, p: Policy) {
     });
 }
 
-fn get_policy(r: &mut R) -> Result<Policy, WireError> {
+fn get_policy(r: &mut Reader<'_>) -> Result<Policy, CodecError> {
     Ok(match r.u8()? {
         0 => Policy::NoDd,
         1 => Policy::AllDd,
         2 => Policy::Adapt,
         3 => Policy::RuntimeBest,
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "Policy",
-                tag,
-            })
-        }
+        tag => unknown_tag("Policy", tag)?,
     })
 }
 
-fn put_mask(w: &mut W, m: DdMask) {
-    w.u64(m.bits());
-    w.u64(m.num_qubits() as u64);
-}
-
-fn get_mask(r: &mut R) -> Result<DdMask, WireError> {
-    let bits = r.u64()?;
-    let n = r.u64()? as usize;
-    Ok(DdMask::from_bits(bits, n))
-}
-
-fn put_provenance(w: &mut W, p: Provenance) {
+fn put_provenance(w: &mut Writer, p: Provenance) {
     match p {
         Provenance::CacheHit => w.u8(0),
         Provenance::FreshSearch => w.u8(1),
@@ -493,7 +286,7 @@ fn put_provenance(w: &mut W, p: Provenance) {
     }
 }
 
-fn get_provenance(r: &mut R) -> Result<Provenance, WireError> {
+fn get_provenance(r: &mut Reader<'_>) -> Result<Provenance, CodecError> {
     Ok(match r.u8()? {
         0 => Provenance::CacheHit,
         1 => Provenance::FreshSearch,
@@ -504,57 +297,41 @@ fn get_provenance(r: &mut R) -> Result<Provenance, WireError> {
         6 => Provenance::StaleServed {
             age_epochs: r.u64()?,
         },
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "Provenance",
-                tag,
-            })
-        }
+        tag => unknown_tag("Provenance", tag)?,
     })
 }
 
-fn put_timing(w: &mut W, t: Timing) {
+fn put_timing(w: &mut Writer, t: Timing) {
     w.u64(t.queued_us);
     w.u64(t.service_us);
 }
 
-fn get_timing(r: &mut R) -> Result<Timing, WireError> {
+fn get_timing(r: &mut Reader<'_>) -> Result<Timing, CodecError> {
     Ok(Timing {
         queued_us: r.u64()?,
         service_us: r.u64()?,
     })
 }
 
-fn put_mask_key(w: &mut W, k: &MaskKey) {
-    put_device(w, k.device);
-    w.u64(k.epoch);
-    w.u64(k.circuit_hash);
-    put_protocol(w, k.protocol);
-    put_decoy_kind(w, k.decoy);
+/// Sentinel budget for an unbounded deadline.
+const UNBOUNDED_MS: u64 = u64::MAX;
+
+fn put_deadline(w: &mut Writer, d: WireDeadline) {
+    w.u64(d.budget_ms.unwrap_or(UNBOUNDED_MS));
+    w.u64(d.elapsed_ms);
 }
 
-fn get_mask_key(r: &mut R) -> Result<MaskKey, WireError> {
-    Ok(MaskKey {
-        device: get_device(r)?,
-        epoch: r.u64()?,
-        circuit_hash: r.u64()?,
-        protocol: get_protocol(r)?,
-        decoy: get_decoy_kind(r)?,
+fn get_deadline(r: &mut Reader<'_>) -> Result<WireDeadline, CodecError> {
+    let budget = r.u64()?;
+    Ok(WireDeadline {
+        budget_ms: (budget != UNBOUNDED_MS).then_some(budget),
+        elapsed_ms: r.u64()?,
     })
-}
-
-fn put_deadline(w: &mut W, d: WireDeadline) {
-    w.buf.extend_from_slice(&d.encode());
-}
-
-fn get_deadline(r: &mut R) -> Result<WireDeadline, WireError> {
-    let bytes = r.take(WIRE_DEADLINE_BYTES)?;
-    WireDeadline::decode(bytes).ok_or(WireError::BadDeadline)
 }
 
 // --- error taxonomy ---------------------------------------------------------
 
-fn put_gate(w: &mut W, g: Gate) {
+fn put_gate(w: &mut Writer, g: Gate) {
     match g {
         Gate::I => w.u8(0),
         Gate::X => w.u8(1),
@@ -595,7 +372,7 @@ fn put_gate(w: &mut W, g: Gate) {
     }
 }
 
-fn get_gate(r: &mut R) -> Result<Gate, WireError> {
+fn get_gate(r: &mut Reader<'_>) -> Result<Gate, CodecError> {
     Ok(match r.u8()? {
         0 => Gate::I,
         1 => Gate::X,
@@ -616,13 +393,13 @@ fn get_gate(r: &mut R) -> Result<Gate, WireError> {
         16 => Gate::CX,
         17 => Gate::CZ,
         18 => Gate::Swap,
-        tag => return Err(WireError::UnknownTag { what: "Gate", tag }),
+        tag => unknown_tag("Gate", tag)?,
     })
 }
 
 /// `SimError` tags. Tag 2 is reserved: it named a variant that no longer
-/// exists, so it decodes as [`WireError::UnknownTag`].
-fn put_sim_error(w: &mut W, e: &SimError) {
+/// exists, so it decodes as [`CodecError::UnknownTag`].
+fn put_sim_error(w: &mut Writer, e: &SimError) {
     match e {
         SimError::TooManyQubits { requested, limit } => {
             w.u8(0);
@@ -641,7 +418,7 @@ fn put_sim_error(w: &mut W, e: &SimError) {
     }
 }
 
-fn get_sim_error(r: &mut R) -> Result<SimError, WireError> {
+fn get_sim_error(r: &mut Reader<'_>) -> Result<SimError, CodecError> {
     Ok(match r.u8()? {
         0 => SimError::TooManyQubits {
             requested: r.u64()? as usize,
@@ -654,16 +431,11 @@ fn get_sim_error(r: &mut R) -> Result<SimError, WireError> {
         3 => SimError::DuplicateOperand {
             qubit: r.u64()? as usize,
         },
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "SimError",
-                tag,
-            })
-        }
+        tag => unknown_tag("SimError", tag)?,
     })
 }
 
-fn put_schedule_error(w: &mut W, e: &ScheduleError) {
+fn put_schedule_error(w: &mut Writer, e: &ScheduleError) {
     match e {
         ScheduleError::NonFiniteTime {
             event,
@@ -688,7 +460,7 @@ fn put_schedule_error(w: &mut W, e: &ScheduleError) {
     }
 }
 
-fn get_schedule_error(r: &mut R) -> Result<ScheduleError, WireError> {
+fn get_schedule_error(r: &mut Reader<'_>) -> Result<ScheduleError, CodecError> {
     Ok(match r.u8()? {
         0 => ScheduleError::NonFiniteTime {
             event: r.u64()? as usize,
@@ -700,16 +472,11 @@ fn get_schedule_error(r: &mut R) -> Result<ScheduleError, WireError> {
             start_ns: r.f64()?,
             end_ns: r.f64()?,
         },
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "ScheduleError",
-                tag,
-            })
-        }
+        tag => unknown_tag("ScheduleError", tag)?,
     })
 }
 
-fn put_exec_error(w: &mut W, e: &ExecError) {
+fn put_exec_error(w: &mut Writer, e: &ExecError) {
     match e {
         ExecError::TooManyActiveQubits { active, limit } => {
             w.u8(0);
@@ -751,7 +518,7 @@ fn put_exec_error(w: &mut W, e: &ExecError) {
     }
 }
 
-fn get_exec_error(r: &mut R) -> Result<ExecError, WireError> {
+fn get_exec_error(r: &mut Reader<'_>) -> Result<ExecError, CodecError> {
     Ok(match r.u8()? {
         0 => ExecError::TooManyActiveQubits {
             active: r.u64()? as usize,
@@ -761,7 +528,7 @@ fn get_exec_error(r: &mut R) -> Result<ExecError, WireError> {
         2 => ExecError::Schedule(get_schedule_error(r)?),
         3 => ExecError::JobFailed {
             job: r.u64()?,
-            reason: r.str()?,
+            reason: r.str()?.to_string(),
         },
         4 => ExecError::Timeout {
             job: r.u64()?,
@@ -776,16 +543,11 @@ fn get_exec_error(r: &mut R) -> Result<ExecError, WireError> {
             budget_ms: r.u64()?,
         },
         7 => ExecError::Cancelled,
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "ExecError",
-                tag,
-            })
-        }
+        tag => unknown_tag("ExecError", tag)?,
     })
 }
 
-fn put_decoy_error(w: &mut W, e: &DecoyError) {
+fn put_decoy_error(w: &mut Writer, e: &DecoyError) {
     match e {
         DecoyError::UnsupportedGate(g) => {
             w.u8(0);
@@ -798,20 +560,15 @@ fn put_decoy_error(w: &mut W, e: &DecoyError) {
     }
 }
 
-fn get_decoy_error(r: &mut R) -> Result<DecoyError, WireError> {
+fn get_decoy_error(r: &mut Reader<'_>) -> Result<DecoyError, CodecError> {
     Ok(match r.u8()? {
         0 => DecoyError::UnsupportedGate(get_gate(r)?),
         1 => DecoyError::Sim(get_sim_error(r)?),
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "DecoyError",
-                tag,
-            })
-        }
+        tag => unknown_tag("DecoyError", tag)?,
     })
 }
 
-fn put_search_error(w: &mut W, e: &SearchError) {
+fn put_search_error(w: &mut Writer, e: &SearchError) {
     match e {
         SearchError::TooLarge { qubits, limit } => {
             w.u8(0);
@@ -825,23 +582,18 @@ fn put_search_error(w: &mut W, e: &SearchError) {
     }
 }
 
-fn get_search_error(r: &mut R) -> Result<SearchError, WireError> {
+fn get_search_error(r: &mut Reader<'_>) -> Result<SearchError, CodecError> {
     Ok(match r.u8()? {
         0 => SearchError::TooLarge {
             qubits: r.u64()? as usize,
             limit: r.u64()? as usize,
         },
         1 => SearchError::Exec(get_exec_error(r)?),
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "SearchError",
-                tag,
-            })
-        }
+        tag => unknown_tag("SearchError", tag)?,
     })
 }
 
-fn put_adapt_error(w: &mut W, e: &AdaptError) {
+fn put_adapt_error(w: &mut Writer, e: &AdaptError) {
     match e {
         AdaptError::Exec(x) => {
             w.u8(0);
@@ -862,22 +614,17 @@ fn put_adapt_error(w: &mut W, e: &AdaptError) {
     }
 }
 
-fn get_adapt_error(r: &mut R) -> Result<AdaptError, WireError> {
+fn get_adapt_error(r: &mut Reader<'_>) -> Result<AdaptError, CodecError> {
     Ok(match r.u8()? {
         0 => AdaptError::Exec(get_exec_error(r)?),
         1 => AdaptError::Decoy(get_decoy_error(r)?),
         2 => AdaptError::Sim(get_sim_error(r)?),
         3 => AdaptError::Search(get_search_error(r)?),
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "AdaptError",
-                tag,
-            })
-        }
+        tag => unknown_tag("AdaptError", tag)?,
     })
 }
 
-fn put_service_error(w: &mut W, e: &ServiceError) {
+fn put_service_error(w: &mut Writer, e: &ServiceError) {
     match e {
         ServiceError::Rejected {
             queue_depth,
@@ -932,7 +679,7 @@ fn put_service_error(w: &mut W, e: &ServiceError) {
     }
 }
 
-fn get_service_error(r: &mut R) -> Result<ServiceError, WireError> {
+fn get_service_error(r: &mut Reader<'_>) -> Result<ServiceError, CodecError> {
     Ok(match r.u8()? {
         0 => ServiceError::Rejected {
             queue_depth: r.u64()? as usize,
@@ -947,21 +694,20 @@ fn get_service_error(r: &mut R) -> Result<ServiceError, WireError> {
             device: get_device(r)?,
             retry_after_ms: r.u64()?,
         },
-        4 => ServiceError::InvalidConfig { reason: r.str()? },
+        4 => ServiceError::InvalidConfig {
+            reason: r.str()?.to_string(),
+        },
         5 => ServiceError::Failed(get_adapt_error(r)?),
         6 => ServiceError::ShuttingDown,
-        7 => ServiceError::Internal { reason: r.str()? },
+        7 => ServiceError::Internal {
+            reason: r.str()?.to_string(),
+        },
         8 => ServiceError::Lost,
         9 => ServiceError::QuotaExhausted {
             tenant: TenantId(r.u32()?),
             retry_after_ms: r.u64()?,
         },
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "ServiceError",
-                tag,
-            })
-        }
+        tag => unknown_tag("ServiceError", tag)?,
     })
 }
 
@@ -975,7 +721,7 @@ fn get_service_error(r: &mut R) -> Result<ServiceError, WireError> {
 /// [`WireDeadline`] is authoritative on the wire (it carries upstream
 /// spend, which a bare `deadline_ms` cannot).
 pub fn encode_request(req: &Request, deadline: WireDeadline) -> Vec<u8> {
-    let mut w = W::default();
+    let mut w = Writer::default();
     put_deadline(&mut w, deadline);
     match req {
         Request::RecommendMask {
@@ -1007,11 +753,11 @@ pub fn encode_request(req: &Request, deadline: WireDeadline) -> Vec<u8> {
     // tag/length-prefixed bodies. Tenancy is the only extension today.
     w.u8(1);
     w.u8(EXT_TENANCY);
-    let mut body = W::default();
+    let mut body = Writer::default();
     put_tenancy_body(&mut body, req.tenancy());
-    w.u32(body.buf.len() as u32);
-    w.buf.extend_from_slice(&body.buf);
-    w.buf
+    w.u32(body.as_bytes().len() as u32);
+    w.bytes(body.as_bytes());
+    w.into_bytes()
 }
 
 /// Decode a request payload into a service [`Request`] plus the in-band
@@ -1025,7 +771,7 @@ pub fn encode_request(req: &Request, deadline: WireDeadline) -> Vec<u8> {
 ///
 /// Any [`WireError`] the payload triggers, including trailing bytes.
 pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireError> {
-    let mut r = R::new(payload);
+    let mut r = Reader::new(payload);
     let deadline = get_deadline(&mut r)?;
     let remaining = deadline.remaining_ms();
     let tag = r.u8()?;
@@ -1036,7 +782,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
             let budget = get_budget(&mut r)?;
             let qasm = r.str()?;
             let circuit =
-                qcirc::qasm::from_qasm(&qasm).map_err(|e| WireError::BadCircuit(e.to_string()))?;
+                qcirc::qasm::from_qasm(qasm).map_err(|e| WireError::BadCircuit(e.to_string()))?;
             Request::RecommendMask {
                 circuit,
                 device,
@@ -1051,7 +797,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
             let policy = get_policy(&mut r)?;
             let qasm = r.str()?;
             let circuit =
-                qcirc::qasm::from_qasm(&qasm).map_err(|e| WireError::BadCircuit(e.to_string()))?;
+                qcirc::qasm::from_qasm(qasm).map_err(|e| WireError::BadCircuit(e.to_string()))?;
             Request::Execute {
                 circuit,
                 device,
@@ -1060,12 +806,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
                 tenancy: Tenancy::default(),
             }
         }
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "Request",
-                tag,
-            })
-        }
+        tag => unknown_tag("Request", tag)?,
     };
     // Optional extension block: absent on a v1 payload (defaults
     // already in place), present on v2. Unknown extension tags are
@@ -1079,7 +820,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
             match ext {
                 EXT_TENANCY => {
                     let bytes = r.take(len)?;
-                    let mut er = R::new(bytes);
+                    let mut er = Reader::new(bytes);
                     let tenancy = get_tenancy_body(&mut er)?;
                     er.finish()?;
                     match &mut body {
@@ -1097,7 +838,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
 
 /// Encode a successful response payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut w = W::default();
+    let mut w = Writer::default();
     match resp {
         Response::Mask(rec) => {
             w.u8(0);
@@ -1106,7 +847,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             w.f64(rec.decoy_fidelity);
             w.u64(rec.decoy_runs as u64);
             put_provenance(&mut w, rec.provenance);
-            w.boolean(rec.degraded);
+            w.bool(rec.degraded);
             put_timing(&mut w, rec.timing);
         }
         Response::Execution(exec) => {
@@ -1118,16 +859,16 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             w.f64(exec.fidelity);
             w.u64(exec.pulse_count as u64);
             match exec.provenance {
-                None => w.boolean(false),
+                None => w.bool(false),
                 Some(p) => {
-                    w.boolean(true);
+                    w.bool(true);
                     put_provenance(&mut w, p);
                 }
             }
             put_timing(&mut w, exec.timing);
         }
     }
-    w.buf
+    w.into_bytes()
 }
 
 /// Decode a response payload.
@@ -1136,7 +877,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 ///
 /// Any [`WireError`] the payload triggers, including trailing bytes.
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut r = R::new(payload);
+    let mut r = Reader::new(payload);
     let resp = match r.u8()? {
         0 => Response::Mask(Recommendation {
             key: get_mask_key(&mut r)?,
@@ -1144,7 +885,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             decoy_fidelity: r.f64()?,
             decoy_runs: r.u64()? as usize,
             provenance: get_provenance(&mut r)?,
-            degraded: r.boolean()?,
+            degraded: r.bool()?,
             timing: get_timing(&mut r)?,
         }),
         1 => Response::Execution(Execution {
@@ -1154,19 +895,14 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             mask: get_mask(&mut r)?,
             fidelity: r.f64()?,
             pulse_count: r.u64()? as usize,
-            provenance: if r.boolean()? {
+            provenance: if r.bool()? {
                 Some(get_provenance(&mut r)?)
             } else {
                 None
             },
             timing: get_timing(&mut r)?,
         }),
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "Response",
-                tag,
-            })
-        }
+        tag => unknown_tag("Response", tag)?,
     };
     r.finish()?;
     Ok(resp)
@@ -1174,9 +910,9 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 
 /// Encode a typed service error payload.
 pub fn encode_error(err: &ServiceError) -> Vec<u8> {
-    let mut w = W::default();
+    let mut w = Writer::default();
     put_service_error(&mut w, err);
-    w.buf
+    w.into_bytes()
 }
 
 /// Decode a typed service error payload.
@@ -1185,7 +921,7 @@ pub fn encode_error(err: &ServiceError) -> Vec<u8> {
 ///
 /// Any [`WireError`] the payload triggers, including trailing bytes.
 pub fn decode_error(payload: &[u8]) -> Result<ServiceError, WireError> {
-    let mut r = R::new(payload);
+    let mut r = Reader::new(payload);
     let e = get_service_error(&mut r)?;
     r.finish()?;
     Ok(e)
@@ -1253,7 +989,7 @@ pub fn write_frame(
     stream.write_all(&head)?;
     stream.write_all(payload)?;
     if checksummed {
-        stream.write_all(&adapt_service::persist::crc32(payload).to_le_bytes())?;
+        stream.write_all(&crc32(payload).to_le_bytes())?;
     }
     stream.flush()
 }
@@ -1291,16 +1027,10 @@ pub fn read_frame(
     let mut payload = vec![0u8; len as usize];
     stream.read_exact(&mut payload)?;
     if flags & FLAG_CHECKSUM != 0 {
-        if payload.len() < 4 {
-            return Err(WireError::UnexpectedEof {
-                needed: 4,
-                have: payload.len(),
-            }
-            .into());
-        }
-        let trailer = payload.split_off(payload.len() - 4);
-        let expected = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        let got = adapt_service::persist::crc32(&payload);
+        let at = payload.len().saturating_sub(4);
+        let expected = Reader::new(&payload[at..]).u32().map_err(WireError::from)?;
+        payload.truncate(at);
+        let got = crc32(&payload);
         if got != expected {
             return Err(WireError::ChecksumMismatch { expected, got }.into());
         }
@@ -1313,6 +1043,8 @@ pub fn read_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adapt::DdProtocol;
+    use adapt_service::DeviceId;
 
     #[test]
     fn frame_header_round_trips_over_a_buffer() {
@@ -1359,7 +1091,7 @@ mod tests {
         payload.push(0);
         assert_eq!(
             decode_error(&payload),
-            Err(WireError::TrailingBytes { extra: 1 })
+            Err(WireError::Codec(CodecError::TrailingBytes { extra: 1 }))
         );
     }
 
@@ -1367,10 +1099,10 @@ mod tests {
     fn unknown_tags_are_typed_not_guessed() {
         assert_eq!(
             decode_error(&[250]),
-            Err(WireError::UnknownTag {
+            Err(WireError::Codec(CodecError::UnknownTag {
                 what: "ServiceError",
                 tag: 250
-            })
+            }))
         );
     }
 
@@ -1397,6 +1129,36 @@ mod tests {
         let (decoded, deadline) = decode_request(&payload).unwrap();
         assert_eq!(deadline, wire);
         assert_eq!(decoded.deadline_ms(), Some(140));
+    }
+
+    #[test]
+    fn deadline_round_trips_exactly_and_a_short_field_is_eof() {
+        for wd in [
+            WireDeadline::unbounded(),
+            WireDeadline::fresh(Some(250)),
+            WireDeadline {
+                budget_ms: Some(100),
+                elapsed_ms: 37,
+            },
+            WireDeadline {
+                budget_ms: Some(5),
+                elapsed_ms: 5_000,
+            },
+            WireDeadline {
+                budget_ms: None,
+                elapsed_ms: 123,
+            },
+        ] {
+            let payload = encode_request(&tenancy_request(Tenancy::default()), wd);
+            assert_eq!(decode_request(&payload).unwrap().1, wd);
+        }
+        assert_eq!(
+            decode_request(&[0; 15]).err(),
+            Some(WireError::Codec(CodecError::UnexpectedEof {
+                needed: 8,
+                have: 7
+            }))
+        );
     }
 
     fn tenancy_request(tenancy: Tenancy) -> Request {
@@ -1455,8 +1217,8 @@ mod tests {
     #[test]
     fn retired_sim_error_tag_is_unknown() {
         assert_eq!(
-            get_sim_error(&mut R::new(&[2])),
-            Err(WireError::UnknownTag {
+            get_sim_error(&mut Reader::new(&[2])),
+            Err(CodecError::UnknownTag {
                 what: "SimError",
                 tag: 2
             })

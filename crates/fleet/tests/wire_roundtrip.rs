@@ -514,6 +514,7 @@ mod checksum_frames {
         read_frame, write_frame, FrameError, FrameKind, WireError, FLAG_CHECKSUM, HEADER_BYTES,
         MAGIC, VERSION,
     };
+    use adapt_service::CodecError;
 
     fn checksummed_frame(payload: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -582,7 +583,10 @@ mod checksum_frames {
         buf.extend_from_slice(&2u32.to_le_bytes());
         buf.extend_from_slice(&[0xAA, 0xBB]);
         match read_frame(&mut buf.as_slice(), 1024) {
-            Err(FrameError::Wire(WireError::UnexpectedEof { needed: 4, have: 2 })) => {}
+            Err(FrameError::Wire(WireError::Codec(CodecError::UnexpectedEof {
+                needed: 4,
+                have: 2,
+            }))) => {}
             other => panic!("want UnexpectedEof {{4, 2}}, got {other:?}"),
         }
     }
@@ -860,4 +864,97 @@ mod golden {
         0x3c89_82dd_5fee_f094,
     ];
     const FRAME_GOLDEN: [u64; 1] = [0xe358_8bb9_fe20_e6b7];
+}
+
+// --- untrusted bytes ----------------------------------------------------------
+
+/// A `Response::Mask` whose mask-width field claims 65 qubits — one more
+/// than a `DdMask` holds — is a typed error, not a panic in the reply
+/// path every `ShardClient` call decodes.
+#[test]
+fn too_wide_mask_in_a_response_is_a_typed_error() {
+    let response = Response::Mask(Recommendation {
+        key: MaskKey {
+            device: DeviceId::Rome,
+            epoch: 1,
+            circuit_hash: 2,
+            protocol: DdProtocol::Xy4,
+            decoy: DecoyKind::Clifford,
+        },
+        mask: DdMask::from_bits(0b101, 3),
+        decoy_fidelity: 0.5,
+        decoy_runs: 4,
+        provenance: Provenance::CacheHit,
+        degraded: false,
+        timing: Timing {
+            queued_us: 0,
+            service_us: 0,
+        },
+    });
+    let mut bytes = encode_response(&response);
+    // tag, device "rome", epoch, circuit hash, Xy4, Clifford, mask bits:
+    // the mask width follows.
+    let width_at = 1 + (4 + 4) + 8 + 8 + 1 + 1 + 8;
+    assert_eq!(bytes[width_at..width_at + 8], 3u64.to_le_bytes());
+    bytes[width_at..width_at + 8].copy_from_slice(&65u64.to_le_bytes());
+    assert_eq!(
+        decode_response(&bytes).err(),
+        Some(adapt_fleet::WireError::Codec(
+            adapt_service::CodecError::MaskTooWide { width: 65 }
+        ))
+    );
+}
+
+mod fuzz {
+    use super::golden;
+    use adapt_fleet::wire::{
+        decode_error, decode_request, decode_response, read_frame, DEFAULT_MAX_FRAME_BYTES,
+    };
+    use proptest::prelude::*;
+
+    /// Runs every payload decoder and the frame reader over `bytes`.
+    /// Each must return `Ok` or a typed error; a panic fails the test.
+    fn decode_everything(bytes: &[u8]) {
+        let _ = decode_request(bytes);
+        let _ = decode_response(bytes);
+        let _ = decode_error(bytes);
+        if let Ok((head, payload)) = read_frame(&mut &bytes[..], DEFAULT_MAX_FRAME_BYTES) {
+            // The payload allocation is bounded by the input, never by
+            // the declared length alone.
+            assert!(payload.len() <= bytes.len());
+            assert_eq!(head.len as usize, payload.len());
+        }
+    }
+
+    /// Every golden encoding: requests, responses, errors and a frame.
+    fn corpus() -> Vec<Vec<u8>> {
+        let mut all = golden::request_corpus();
+        all.extend(golden::response_corpus());
+        all.extend(golden::error_corpus());
+        all.extend(golden::frame_corpus());
+        all
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..96)) {
+            decode_everything(&bytes);
+        }
+
+        #[test]
+        fn mutated_golden_bytes_never_panic(
+            pick in any::<usize>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let corpus = corpus();
+            let clean = &corpus[pick % corpus.len()];
+            let mut overwritten = clean.clone();
+            overwritten[at % clean.len()] = byte;
+            decode_everything(&overwritten);
+            decode_everything(&clean[..at % clean.len()]);
+        }
+    }
 }

@@ -253,10 +253,8 @@ impl Deadline {
 /// `DeadlineExceeded { elapsed_ms, budget_ms }` errors meaningful
 /// end-to-end — the numbers a downstream shard reports refer to the
 /// *request's* budget, not to whatever slice of it crossed the hop.
-///
-/// `budget_ms = None` encodes as `u64::MAX` (no real budget gets there:
-/// it would overflow every clamp long before). Encode/decode is exact —
-/// 16 little-endian bytes, no lossy unit conversion.
+/// Both fields are whole milliseconds, so the fleet wire carries them
+/// as two `u64`s with no lossy unit conversion.
 ///
 /// # Examples
 ///
@@ -266,8 +264,8 @@ impl Deadline {
 /// let upstream = Deadline::virtual_only(100);
 /// upstream.charge_ms(30.0);
 /// let wire = WireDeadline::capture(&upstream);
-/// let bytes = wire.encode();
-/// let downstream = WireDeadline::decode(&bytes).unwrap().rebuild(true);
+/// assert_eq!(wire.remaining_ms(), Some(70));
+/// let downstream = wire.rebuild(true);
 /// assert_eq!(downstream.budget_ms(), Some(100));
 /// assert_eq!(downstream.remaining_ms(), Some(70));
 /// ```
@@ -278,12 +276,6 @@ pub struct WireDeadline {
     /// Time already counted against the budget upstream, in ms.
     pub elapsed_ms: u64,
 }
-
-/// Sentinel for an unbounded budget on the wire.
-const WIRE_UNBOUNDED: u64 = u64::MAX;
-
-/// Exact size of the encoded form, in bytes.
-pub const WIRE_DEADLINE_BYTES: usize = 16;
 
 impl WireDeadline {
     /// An unbounded deadline (nothing charged).
@@ -338,28 +330,6 @@ impl WireDeadline {
             d.charge_us(self.elapsed_ms * 1000);
         }
         d
-    }
-
-    /// Encode as 16 little-endian bytes: budget (`u64::MAX` =
-    /// unbounded) then elapsed.
-    pub fn encode(&self) -> [u8; WIRE_DEADLINE_BYTES] {
-        let mut out = [0u8; WIRE_DEADLINE_BYTES];
-        out[..8].copy_from_slice(&self.budget_ms.unwrap_or(WIRE_UNBOUNDED).to_le_bytes());
-        out[8..].copy_from_slice(&self.elapsed_ms.to_le_bytes());
-        out
-    }
-
-    /// Decode the 16-byte form; `None` if `bytes` is the wrong length.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != WIRE_DEADLINE_BYTES {
-            return None;
-        }
-        let budget = u64::from_le_bytes(bytes[..8].try_into().ok()?);
-        let elapsed = u64::from_le_bytes(bytes[8..].try_into().ok()?);
-        Some(WireDeadline {
-            budget_ms: (budget != WIRE_UNBOUNDED).then_some(budget),
-            elapsed_ms: elapsed,
-        })
     }
 }
 
@@ -465,31 +435,6 @@ mod tests {
         assert_eq!(d.edf_key_us(), 60_000);
         d.charge_ms(100.0);
         assert_eq!(d.edf_key_us(), 0);
-    }
-
-    #[test]
-    fn wire_deadline_round_trips_exactly() {
-        for wd in [
-            WireDeadline::unbounded(),
-            WireDeadline::fresh(Some(250)),
-            WireDeadline {
-                budget_ms: Some(100),
-                elapsed_ms: 37,
-            },
-            WireDeadline {
-                budget_ms: Some(5),
-                elapsed_ms: 5_000,
-            },
-            WireDeadline {
-                budget_ms: None,
-                elapsed_ms: 123,
-            },
-        ] {
-            let back = WireDeadline::decode(&wd.encode()).unwrap();
-            assert_eq!(back, wd);
-        }
-        assert!(WireDeadline::decode(&[0u8; 15]).is_none());
-        assert!(WireDeadline::decode(&[0u8; 17]).is_none());
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod plan;
 pub mod resilient;
 
 pub use backend::{Anomaly, Backend, JobSpec, ShotBatch};
-pub use deadline::{CancelToken, Deadline, WireDeadline, WIRE_DEADLINE_BYTES};
+pub use deadline::{CancelToken, Deadline, WireDeadline};
 pub use engine::{EnginePolicy, EngineStats, SimEngine};
 pub use executor::{ExecError, ExecutionConfig, Machine, NoiseToggles};
 pub use fault::{FaultCounts, FaultPlan, FaultProfile, FaultyBackend, JobFaults};

@@ -64,6 +64,9 @@
 //!   keeps the on-disk image fresh, and a `machine::fault`-style seeded
 //!   storage-fault injector ([`persist::StorageFaultPlan`]) backs the
 //!   bench harness's `crash` scenario.
+//! - [`codec`]: the one byte codec of the durability store and the
+//!   fleet wire — a bounds-checked reader and a writer, one encoding
+//!   per shared type, and the CRC32 both formats use.
 //!
 //! Responses are deterministic: for one service seed, the answer for a
 //! given [`MaskKey`] is bit-identical whether it comes from a fresh
@@ -106,6 +109,7 @@
 
 pub mod breaker;
 pub mod cache;
+pub mod codec;
 pub mod persist;
 pub mod registry;
 pub mod sched;
@@ -119,6 +123,7 @@ pub use cache::{
     logical_hash, CacheEvent, CachedMask, MaskCache, MaskCacheStats, MaskKey, SearchTicket,
     StaleKey, TieredLookup,
 };
+pub use codec::CodecError;
 pub use persist::{
     CrashPoint, PersistConfig, PersistError, PersistStats, Persister, RecoveryReport,
     StorageFaultCounts, StorageFaultPlan, StorageFaultProfile,

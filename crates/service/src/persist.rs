@@ -7,9 +7,9 @@
 //!
 //! - **Snapshot**: a periodic, atomically-published image of the whole
 //!   cache (serving map, stale store, and per-device registry epochs) in
-//!   a hand-rolled length-prefixed binary format mirroring the
-//!   `fleet::wire` codec idiom. Every record is CRC32-checksummed and
-//!   version-tagged.
+//!   a length-prefixed binary format written through [`crate::codec`],
+//!   the byte codec the fleet wire uses too. Every record is
+//!   CRC32-checksummed and version-tagged.
 //! - **Write-ahead journal**: an append-only log of the cache mutations
 //!   between snapshots — inserts and epoch invalidations — emitted in
 //!   mutation order from under the cache lock, so replay reconstructs
@@ -26,15 +26,13 @@
 //!   rename), and [`StorageFaultPlan`] is a `machine::fault`-style
 //!   seeded corruption campaign (truncated tails, bit flips) for the
 //!   bench harness's `crash` scenario.
-//!
-//! The dependency arrow points `fleet → service`, so this module cannot
-//! import `fleet::wire`; instead it exposes its own table-based
-//! [`crc32`], which `fleet::wire` reuses for its optional frame-checksum
-//! trailer — one CRC implementation across both layers.
 
 use crate::cache::{CachedMask, MaskCache, MaskKey, StaleKey};
+use crate::codec::{
+    crc32, get_decoy_kind, get_device, get_mask, get_mask_key, get_protocol, put_decoy_kind,
+    put_device, put_mask, put_mask_key, put_protocol, unknown_tag, CodecError, Reader, Writer,
+};
 use crate::registry::{DeviceId, DeviceRegistry};
-use adapt::{DdProtocol, DecoyKind};
 use device::SeedSpawner;
 use std::fmt;
 use std::fs;
@@ -62,42 +60,6 @@ const SNAPSHOT_FILE: &str = "snapshot.bin";
 const JOURNAL_FILE: &str = "journal.wal";
 
 // ---------------------------------------------------------------------------
-// CRC32
-// ---------------------------------------------------------------------------
-
-/// CRC32 lookup table (IEEE 802.3 reflected polynomial `0xEDB88320`),
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of `bytes`. Shared by the persistence record framing
-/// here and the `fleet::wire` frame-checksum trailer.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-// ---------------------------------------------------------------------------
 // Errors
 // ---------------------------------------------------------------------------
 
@@ -122,36 +84,18 @@ pub enum PersistError {
         /// CRC32 recomputed over the body as read.
         got: u32,
     },
-    /// The file ends inside a record (torn write / truncated tail).
-    Truncated {
-        /// Bytes the record claimed.
-        needed: usize,
-        /// Bytes actually remaining.
-        have: usize,
-    },
     /// A record length field exceeds [`MAX_RECORD_BYTES`]; framing is
     /// untrustworthy from this point on.
     Oversize {
         /// The implausible length read.
         len: u32,
     },
-    /// Unknown record tag or enum tag inside a record body.
-    UnknownTag {
-        /// Which field carried the tag.
-        what: &'static str,
-        /// The unrecognized tag value.
-        tag: u8,
-    },
-    /// A device name that no [`DeviceId`] preset matches, or a device
-    /// this registry does not serve.
-    BadDevice(String),
-    /// Record body was not valid UTF-8 where a string was expected.
-    BadUtf8,
-    /// Record body had bytes left over after all fields were read.
-    TrailingBytes {
-        /// Number of unread bytes.
-        extra: usize,
-    },
+    /// A field failed to decode: the file ends inside a record (torn
+    /// write / truncated tail), or a body holds an unknown tag, an
+    /// unknown device, invalid UTF-8, a too-wide mask or leftover bytes.
+    Codec(CodecError),
+    /// A record names a device this registry does not serve.
+    UnservedDevice(DeviceId),
 }
 
 impl fmt::Display for PersistError {
@@ -167,187 +111,39 @@ impl fmt::Display for PersistError {
                     "record checksum mismatch: stored {expected:#010x}, computed {got:#010x}"
                 )
             }
-            PersistError::Truncated { needed, have } => {
-                write!(f, "truncated record: needed {needed} bytes, have {have}")
-            }
             PersistError::Oversize { len } => {
                 write!(
                     f,
                     "implausible record length {len} (max {MAX_RECORD_BYTES})"
                 )
             }
-            PersistError::UnknownTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
-            PersistError::BadDevice(name) => write!(f, "unknown or unserved device {name:?}"),
-            PersistError::BadUtf8 => write!(f, "invalid utf-8 in record"),
-            PersistError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after record fields")
-            }
+            PersistError::Codec(e) => write!(f, "{e}"),
+            PersistError::UnservedDevice(d) => write!(f, "device {:?} is not served", d.name()),
         }
     }
 }
 
 impl std::error::Error for PersistError {}
 
-// ---------------------------------------------------------------------------
-// Codec (mirrors the private fleet::wire writer/reader idiom)
-// ---------------------------------------------------------------------------
-
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> R<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        R { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let have = self.buf.len() - self.pos;
-        if have < n {
-            return Err(PersistError::Truncated { needed: n, have });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<&'a str, PersistError> {
-        let len = self.u32()? as usize;
-        let b = self.take(len)?;
-        std::str::from_utf8(b).map_err(|_| PersistError::BadUtf8)
-    }
-
-    fn finish(&self) -> Result<(), PersistError> {
-        let extra = self.buf.len() - self.pos;
-        if extra != 0 {
-            return Err(PersistError::TrailingBytes { extra });
-        }
-        Ok(())
+impl From<CodecError> for PersistError {
+    fn from(e: CodecError) -> Self {
+        PersistError::Codec(e)
     }
 }
 
-fn put_device(buf: &mut Vec<u8>, d: DeviceId) {
-    put_str(buf, d.name());
+fn put_cached(w: &mut Writer, v: &CachedMask) {
+    put_mask(w, v.mask);
+    w.f64(v.decoy_fidelity);
+    w.u64(v.decoy_runs as u64);
+    w.bool(v.degraded);
 }
 
-fn get_device(r: &mut R<'_>) -> Result<DeviceId, PersistError> {
-    let name = r.str()?;
-    DeviceId::by_name(name).ok_or_else(|| PersistError::BadDevice(name.to_string()))
-}
-
-fn put_protocol(buf: &mut Vec<u8>, p: DdProtocol) {
-    match p {
-        DdProtocol::Xy4 => put_u8(buf, 0),
-        DdProtocol::IbmqDd => put_u8(buf, 1),
-        DdProtocol::Cpmg => put_u8(buf, 2),
-        DdProtocol::Xy8 => put_u8(buf, 3),
-        DdProtocol::Udd { pulses } => {
-            put_u8(buf, 4);
-            put_u32(buf, pulses);
-        }
-    }
-}
-
-fn get_protocol(r: &mut R<'_>) -> Result<DdProtocol, PersistError> {
-    match r.u8()? {
-        0 => Ok(DdProtocol::Xy4),
-        1 => Ok(DdProtocol::IbmqDd),
-        2 => Ok(DdProtocol::Cpmg),
-        3 => Ok(DdProtocol::Xy8),
-        4 => Ok(DdProtocol::Udd { pulses: r.u32()? }),
-        tag => Err(PersistError::UnknownTag {
-            what: "protocol",
-            tag,
-        }),
-    }
-}
-
-fn put_decoy(buf: &mut Vec<u8>, d: DecoyKind) {
-    match d {
-        DecoyKind::Clifford => put_u8(buf, 0),
-        DecoyKind::CnotOnly => put_u8(buf, 1),
-        DecoyKind::Seeded { max_seed_qubits } => {
-            put_u8(buf, 2);
-            put_u64(buf, max_seed_qubits as u64);
-        }
-    }
-}
-
-fn get_decoy(r: &mut R<'_>) -> Result<DecoyKind, PersistError> {
-    match r.u8()? {
-        0 => Ok(DecoyKind::Clifford),
-        1 => Ok(DecoyKind::CnotOnly),
-        2 => Ok(DecoyKind::Seeded {
-            max_seed_qubits: r.u64()? as usize,
-        }),
-        tag => Err(PersistError::UnknownTag { what: "decoy", tag }),
-    }
-}
-
-fn put_cached(buf: &mut Vec<u8>, v: &CachedMask) {
-    put_u64(buf, v.mask.bits());
-    put_u64(buf, v.mask.num_qubits() as u64);
-    put_f64(buf, v.decoy_fidelity);
-    put_u64(buf, v.decoy_runs as u64);
-    put_u8(buf, v.degraded as u8);
-}
-
-fn get_cached(r: &mut R<'_>) -> Result<CachedMask, PersistError> {
-    let bits = r.u64()?;
-    let nq = r.u64()?;
-    if nq > 64 {
-        return Err(PersistError::UnknownTag {
-            what: "mask width",
-            tag: 255,
-        });
-    }
+fn get_cached(r: &mut Reader<'_>) -> Result<CachedMask, CodecError> {
     Ok(CachedMask {
-        mask: adapt::DdMask::from_bits(bits, nq as usize),
+        mask: get_mask(r)?,
         decoy_fidelity: r.f64()?,
         decoy_runs: r.u64()? as usize,
-        degraded: r.u8()? != 0,
+        degraded: r.bool()?,
     })
 }
 
@@ -405,95 +201,69 @@ pub enum PersistRecord {
 /// where the CRC covers the body and the body starts with the format
 /// version and record tag.
 pub fn encode_record(rec: &PersistRecord) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    put_u8(&mut body, PERSIST_VERSION);
+    let mut body = Writer::with_capacity(64);
+    body.u8(PERSIST_VERSION);
     match rec {
         PersistRecord::Warm {
             key,
             logical_hash,
             value,
         } => {
-            put_u8(&mut body, REC_WARM);
-            put_device(&mut body, key.device);
-            put_u64(&mut body, key.epoch);
-            put_u64(&mut body, key.circuit_hash);
-            put_protocol(&mut body, key.protocol);
-            put_decoy(&mut body, key.decoy);
-            put_u64(&mut body, *logical_hash);
+            body.u8(REC_WARM);
+            put_mask_key(&mut body, key);
+            body.u64(*logical_hash);
             put_cached(&mut body, value);
         }
         PersistRecord::Stale { key, value, epoch } => {
-            put_u8(&mut body, REC_STALE);
+            body.u8(REC_STALE);
             put_device(&mut body, key.device);
-            put_u64(&mut body, key.logical_hash);
+            body.u64(key.logical_hash);
             put_protocol(&mut body, key.protocol);
-            put_decoy(&mut body, key.decoy);
+            put_decoy_kind(&mut body, key.decoy);
             put_cached(&mut body, value);
-            put_u64(&mut body, *epoch);
+            body.u64(*epoch);
         }
         PersistRecord::Epoch { device, epoch } => {
-            put_u8(&mut body, REC_EPOCH);
+            body.u8(REC_EPOCH);
             put_device(&mut body, *device);
-            put_u64(&mut body, *epoch);
+            body.u64(*epoch);
         }
         PersistRecord::Invalidate { device, min_epoch } => {
-            put_u8(&mut body, REC_INVALIDATE);
+            body.u8(REC_INVALIDATE);
             put_device(&mut body, *device);
-            put_u64(&mut body, *min_epoch);
+            body.u64(*min_epoch);
         }
     }
-    let mut framed = Vec::with_capacity(body.len() + 8);
-    put_u32(&mut framed, body.len() as u32);
-    put_u32(&mut framed, crc32(&body));
-    framed.extend_from_slice(&body);
-    framed
+    let body = body.as_bytes();
+    let mut framed = Writer::with_capacity(body.len() + 8);
+    framed.u32(body.len() as u32);
+    framed.u32(crc32(body));
+    framed.bytes(body);
+    framed.into_bytes()
 }
 
 fn decode_body(body: &[u8]) -> Result<PersistRecord, PersistError> {
-    let mut r = R::new(body);
+    let mut r = Reader::new(body);
     let version = r.u8()?;
     if version > PERSIST_VERSION {
         return Err(PersistError::BadVersion(version));
     }
     let rec = match r.u8()? {
-        REC_WARM => {
-            let device = get_device(&mut r)?;
-            let epoch = r.u64()?;
-            let circuit_hash = r.u64()?;
-            let protocol = get_protocol(&mut r)?;
-            let decoy = get_decoy(&mut r)?;
-            let logical_hash = r.u64()?;
-            let value = get_cached(&mut r)?;
-            PersistRecord::Warm {
-                key: MaskKey {
-                    device,
-                    epoch,
-                    circuit_hash,
-                    protocol,
-                    decoy,
-                },
-                logical_hash,
-                value,
-            }
-        }
-        REC_STALE => {
-            let device = get_device(&mut r)?;
-            let logical_hash = r.u64()?;
-            let protocol = get_protocol(&mut r)?;
-            let decoy = get_decoy(&mut r)?;
-            let value = get_cached(&mut r)?;
-            let epoch = r.u64()?;
-            PersistRecord::Stale {
-                key: StaleKey {
-                    device,
-                    logical_hash,
-                    protocol,
-                    decoy,
-                },
-                value,
-                epoch,
-            }
-        }
+        REC_WARM => PersistRecord::Warm {
+            key: get_mask_key(&mut r)?,
+            logical_hash: r.u64()?,
+            value: get_cached(&mut r)?,
+        },
+        REC_STALE => PersistRecord::Stale {
+            key: StaleKey {
+                device: get_device(&mut r)?,
+                logical_hash: r.u64()?,
+                protocol: get_protocol(&mut r)?,
+                decoy: get_decoy_kind(&mut r)?,
+            },
+            value: get_cached(&mut r)?,
+            epoch: r.u64()?,
+        },
         REC_EPOCH => PersistRecord::Epoch {
             device: get_device(&mut r)?,
             epoch: r.u64()?,
@@ -502,12 +272,7 @@ fn decode_body(body: &[u8]) -> Result<PersistRecord, PersistError> {
             device: get_device(&mut r)?,
             min_epoch: r.u64()?,
         },
-        tag => {
-            return Err(PersistError::UnknownTag {
-                what: "record",
-                tag,
-            })
-        }
+        tag => unknown_tag("record", tag)?,
     };
     r.finish()?;
     Ok(rec)
@@ -527,72 +292,55 @@ pub fn decode_store(buf: &[u8], expected_magic: u32) -> (Vec<PersistRecord>, Vec
     if buf.is_empty() {
         return (records, errors);
     }
-    let mut r = R::new(buf);
-    let magic = match r.u32() {
-        Ok(m) => m,
-        Err(e) => {
-            errors.push(e);
-            return (records, errors);
-        }
-    };
-    if magic != expected_magic {
-        errors.push(PersistError::BadMagic {
-            got: magic,
-            expected: expected_magic,
-        });
+    let mut r = Reader::new(buf);
+    if let Err(e) = read_store_header(&mut r, expected_magic) {
+        errors.push(e);
         return (records, errors);
     }
-    match r.u8() {
-        Ok(v) if v <= PERSIST_VERSION => {}
-        Ok(v) => {
-            errors.push(PersistError::BadVersion(v));
-            return (records, errors);
-        }
-        Err(e) => {
-            errors.push(e);
-            return (records, errors);
-        }
-    }
-    while r.pos < buf.len() {
-        let len = match r.u32() {
-            Ok(l) => l,
+    while r.has_remaining() {
+        match read_record(&mut r) {
+            Ok(Ok(rec)) => records.push(rec),
+            Ok(Err(e)) => errors.push(e),
             Err(e) => {
                 errors.push(e);
                 break;
             }
-        };
-        if len > MAX_RECORD_BYTES {
-            errors.push(PersistError::Oversize { len });
-            break;
-        }
-        let stored_crc = match r.u32() {
-            Ok(c) => c,
-            Err(e) => {
-                errors.push(e);
-                break;
-            }
-        };
-        let body = match r.take(len as usize) {
-            Ok(b) => b,
-            Err(e) => {
-                errors.push(e);
-                break;
-            }
-        };
-        let computed = crc32(body);
-        if computed != stored_crc {
-            errors.push(PersistError::ChecksumMismatch {
-                expected: stored_crc,
-                got: computed,
-            });
-            continue;
-        }
-        match decode_body(body) {
-            Ok(rec) => records.push(rec),
-            Err(e) => errors.push(e),
         }
     }
     (records, errors)
+}
+
+/// A store file's 5-byte header: magic, then format version.
+fn put_store_header(w: &mut Writer, magic: u32) {
+    w.u32(magic);
+    w.u8(PERSIST_VERSION);
+}
+
+fn read_store_header(r: &mut Reader<'_>, expected: u32) -> Result<(), PersistError> {
+    let got = r.u32()?;
+    if got != expected {
+        return Err(PersistError::BadMagic { got, expected });
+    }
+    match r.u8()? {
+        v if v <= PERSIST_VERSION => Ok(()),
+        v => Err(PersistError::BadVersion(v)),
+    }
+}
+
+/// Reads one framed record. The outer error means the framing itself is
+/// lost (stop decoding); the inner one quarantines just this record.
+fn read_record(r: &mut Reader<'_>) -> Result<Result<PersistRecord, PersistError>, PersistError> {
+    let len = r.u32()?;
+    if len > MAX_RECORD_BYTES {
+        return Err(PersistError::Oversize { len });
+    }
+    let expected = r.u32()?;
+    let body = r.take(len as usize)?;
+    let got = crc32(body);
+    if got != expected {
+        return Ok(Err(PersistError::ChecksumMismatch { expected, got }));
+    }
+    Ok(decode_body(body))
 }
 
 // ---------------------------------------------------------------------------
@@ -1146,9 +894,7 @@ impl Persister {
                 min_epoch: epoch,
             } => {
                 if registry.epoch(device).is_none() {
-                    report
-                        .errors
-                        .push(PersistError::BadDevice(device.name().to_string()));
+                    report.errors.push(PersistError::UnservedDevice(device));
                     return;
                 }
                 // The registry's drift is seeded: advancing to the
@@ -1171,9 +917,7 @@ impl Persister {
                 value,
             } => {
                 let Some(current) = registry.epoch(key.device) else {
-                    report
-                        .errors
-                        .push(PersistError::BadDevice(key.device.name().to_string()));
+                    report.errors.push(PersistError::UnservedDevice(key.device));
                     return;
                 };
                 let stale_key = key.stale_key(logical_hash);
@@ -1188,9 +932,7 @@ impl Persister {
             }
             PersistRecord::Stale { key, value, epoch } => {
                 if registry.epoch(key.device).is_none() {
-                    report
-                        .errors
-                        .push(PersistError::BadDevice(key.device.name().to_string()));
+                    report.errors.push(PersistError::UnservedDevice(key.device));
                     return;
                 }
                 cache.restore_stale(key, value, epoch);
@@ -1275,16 +1017,15 @@ impl Persister {
             .filter_map(|d| registry.epoch(d).map(|e| (d, e)))
             .collect();
         cache.with_export(|warm, stale| {
-            let mut buf = Vec::with_capacity(64 * (warm.len() + stale.len() + epochs.len()) + 8);
-            put_u32(&mut buf, SNAPSHOT_MAGIC);
-            put_u8(&mut buf, PERSIST_VERSION);
+            let mut buf = Writer::with_capacity(64 * (warm.len() + stale.len() + epochs.len()) + 8);
+            put_store_header(&mut buf, SNAPSHOT_MAGIC);
             let mut records = 0usize;
             for &(device, epoch) in &epochs {
-                buf.extend_from_slice(&encode_record(&PersistRecord::Epoch { device, epoch }));
+                buf.bytes(&encode_record(&PersistRecord::Epoch { device, epoch }));
                 records += 1;
             }
             for &(key, stale_key, value) in warm {
-                buf.extend_from_slice(&encode_record(&PersistRecord::Warm {
+                buf.bytes(&encode_record(&PersistRecord::Warm {
                     key,
                     logical_hash: stale_key.logical_hash,
                     value,
@@ -1292,11 +1033,11 @@ impl Persister {
                 records += 1;
             }
             for &(key, value, epoch) in stale {
-                buf.extend_from_slice(&encode_record(&PersistRecord::Stale { key, value, epoch }));
+                buf.bytes(&encode_record(&PersistRecord::Stale { key, value, epoch }));
                 records += 1;
             }
             let published =
-                atomic_write_with_crash(&self.snapshot_file(), &buf, self.fsync, crash)?;
+                atomic_write_with_crash(&self.snapshot_file(), buf.as_bytes(), self.fsync, crash)?;
             if !published {
                 // Simulated crash: the previous snapshot (if any) is
                 // still the published truth and the journal still
@@ -1311,10 +1052,9 @@ impl Persister {
     fn reset_journal(&self) -> io::Result<()> {
         let mut wal = lock(&self.wal);
         let mut f = fs::File::create(self.journal_file())?;
-        let mut header = Vec::with_capacity(5);
-        put_u32(&mut header, JOURNAL_MAGIC);
-        put_u8(&mut header, PERSIST_VERSION);
-        f.write_all(&header)?;
+        let mut header = Writer::with_capacity(5);
+        put_store_header(&mut header, JOURNAL_MAGIC);
+        f.write_all(header.as_bytes())?;
         f.flush()?;
         if self.fsync {
             f.sync_all()?;
@@ -1355,7 +1095,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adapt::DdMask;
+    use adapt::{DdMask, DdProtocol, DecoyKind};
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -1389,13 +1129,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_known_vectors() {
-        // IEEE CRC32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn record_roundtrip_all_variants() {
         let recs = [
             PersistRecord::Warm {
@@ -1419,7 +1152,7 @@ mod tests {
         ];
         for rec in &recs {
             let framed = encode_record(rec);
-            let mut r = R::new(&framed);
+            let mut r = Reader::new(&framed);
             let len = r.u32().expect("len") as usize;
             let crc = r.u32().expect("crc");
             let body = r.take(len).expect("body");
@@ -1443,30 +1176,38 @@ mod tests {
                 logical_hash: 8,
                 value: cached(7),
             };
-            let framed = encode_record(&rec);
-            let (records, errors) = decode_store(
-                &{
-                    let mut buf = Vec::new();
-                    put_u32(&mut buf, SNAPSHOT_MAGIC);
-                    put_u8(&mut buf, PERSIST_VERSION);
-                    buf.extend_from_slice(&framed);
-                    buf
-                },
-                SNAPSHOT_MAGIC,
-            );
+            let (records, errors) = decode_store(&store_with(&[rec]), SNAPSHOT_MAGIC);
             assert!(errors.is_empty(), "{errors:?}");
             assert_eq!(records, vec![rec]);
         }
     }
 
+    #[test]
+    fn too_wide_mask_is_a_typed_error() {
+        let framed = encode_record(&PersistRecord::Warm {
+            key: key(1, 5),
+            logical_hash: 8,
+            value: cached(7),
+        });
+        let mut body = framed[8..].to_vec();
+        // version, tag, device "rome", epoch, hash, Xy4, Seeded, logical
+        // hash, mask bits: the mask width follows.
+        let width_at = 1 + 1 + (4 + 4) + 8 + 8 + 1 + (1 + 8) + 8 + 8;
+        assert_eq!(body[width_at..width_at + 8], 5u64.to_le_bytes());
+        body[width_at..width_at + 8].copy_from_slice(&65u64.to_le_bytes());
+        assert_eq!(
+            decode_body(&body),
+            Err(PersistError::Codec(CodecError::MaskTooWide { width: 65 }))
+        );
+    }
+
     fn store_with(records: &[PersistRecord]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, SNAPSHOT_MAGIC);
-        put_u8(&mut buf, PERSIST_VERSION);
+        let mut buf = Writer::default();
+        put_store_header(&mut buf, SNAPSHOT_MAGIC);
         for rec in records {
-            buf.extend_from_slice(&encode_record(rec));
+            buf.bytes(&encode_record(rec));
         }
-        buf
+        buf.into_bytes()
     }
 
     #[test]
@@ -1519,7 +1260,10 @@ mod tests {
         let (records, errors) = decode_store(&clean[..cut], SNAPSHOT_MAGIC);
         assert_eq!(records.len(), 1);
         assert!(
-            matches!(errors[0], PersistError::Truncated { .. }),
+            matches!(
+                errors[0],
+                PersistError::Codec(CodecError::UnexpectedEof { .. })
+            ),
             "{errors:?}"
         );
     }
@@ -1527,8 +1271,8 @@ mod tests {
     #[test]
     fn oversize_length_stops_decode() {
         let mut buf = store_with(&[]);
-        put_u32(&mut buf, MAX_RECORD_BYTES + 1);
-        put_u32(&mut buf, 0);
+        buf.extend_from_slice(&(MAX_RECORD_BYTES + 1).to_le_bytes());
+        buf.extend_from_slice(&[0; 4]);
         let (records, errors) = decode_store(&buf, SNAPSHOT_MAGIC);
         assert!(records.is_empty());
         assert!(

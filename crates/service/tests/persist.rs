@@ -10,11 +10,15 @@ use std::sync::Arc;
 
 use adapt::{DdMask, DdProtocol, DecoyKind};
 use adapt_service::cache::TieredLookup;
-use adapt_service::persist::{encode_record, journal_path, snapshot_path, PersistRecord};
+use adapt_service::persist::{
+    decode_store, encode_record, journal_path, snapshot_path, PersistRecord, JOURNAL_MAGIC,
+    PERSIST_VERSION, SNAPSHOT_MAGIC,
+};
 use adapt_service::{
     CachedMask, DeviceId, DeviceRegistry, MaskCache, MaskKey, MaskService, PersistConfig,
     Persister, Provenance, Request, Response, SearchBudget, ServiceConfig, StaleKey,
 };
+use proptest::prelude::*;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -444,3 +448,78 @@ const RECORD_GOLDEN: [u64; 8] = [
     0x6733_98ee_6824_3e59,
 ];
 const STORE_GOLDEN: [u64; 2] = [0x40ac_9032_55e5_0c5b, 0x0bda_2915_ae6d_f086];
+
+// --- untrusted bytes ----------------------------------------------------------
+
+/// A store file holding every golden record.
+fn golden_store() -> Vec<u8> {
+    let mut buf = SNAPSHOT_MAGIC.to_le_bytes().to_vec();
+    buf.push(PERSIST_VERSION);
+    for rec in record_corpus() {
+        buf.extend_from_slice(&encode_record(&rec));
+    }
+    buf
+}
+
+/// Decodes `bytes` as both store kinds. Each outcome must be records
+/// plus typed quarantine reasons; a panic fails the test.
+fn decode_both(bytes: &[u8]) {
+    for magic in [SNAPSHOT_MAGIC, JOURNAL_MAGIC] {
+        let (records, errors) = decode_store(bytes, magic);
+        // Every record costs at least its 8-byte frame plus a body.
+        assert!(records.len() + errors.len() <= bytes.len() / 8 + 1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn arbitrary_store_bytes_never_panic(
+        header in any::<bool>(),
+        tail in prop::collection::vec(any::<u8>(), 0..128),
+    ) {
+        // Half the cases get a valid header, so the record framing and
+        // bodies see arbitrary bytes too.
+        let mut bytes = Vec::new();
+        if header {
+            bytes.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
+            bytes.push(PERSIST_VERSION);
+        }
+        bytes.extend_from_slice(&tail);
+        decode_both(&bytes);
+    }
+
+    #[test]
+    fn mutated_golden_store_never_panics(at in any::<usize>(), byte in any::<u8>()) {
+        let clean = golden_store();
+        let mut overwritten = clean.clone();
+        overwritten[at % clean.len()] = byte;
+        decode_both(&overwritten);
+        decode_both(&clean[..at % clean.len()]);
+    }
+}
+
+/// Record bodies whose checksum still matches reach the field decoders:
+/// rewrite one body byte, then re-stamp the CRC, so a corrupt tag,
+/// length or mask width is decoded rather than caught by the checksum.
+#[test]
+fn rechecksummed_record_corruption_is_typed() {
+    use adapt_service::codec::crc32;
+    for rec in record_corpus() {
+        let clean = encode_record(&rec);
+        for at in 8..clean.len() {
+            for byte in [0x00, 0x41, 0xff] {
+                let mut framed = clean.clone();
+                framed[at] = byte;
+                let crc = crc32(&framed[8..]);
+                framed[4..8].copy_from_slice(&crc.to_le_bytes());
+                let mut store = SNAPSHOT_MAGIC.to_le_bytes().to_vec();
+                store.push(PERSIST_VERSION);
+                store.extend_from_slice(&framed);
+                let (records, errors) = decode_store(&store, SNAPSHOT_MAGIC);
+                assert_eq!(records.len() + errors.len(), 1);
+            }
+        }
+    }
+}
