@@ -518,7 +518,12 @@ fn put_exec_error(w: &mut Writer, e: &ExecError) {
     }
 }
 
-fn get_exec_error(r: &mut Reader<'_>) -> Result<ExecError, CodecError> {
+/// Longest `RetriesExhausted` chain a decoder follows. The decode
+/// recurses per link, so without a bound a frame repeating the 5-byte
+/// link would overflow the stack; real retry chains nest a few deep.
+const MAX_RETRY_NESTING: u32 = 32;
+
+fn get_exec_error(r: &mut Reader<'_>, depth: u32) -> Result<ExecError, CodecError> {
     Ok(match r.u8()? {
         0 => ExecError::TooManyActiveQubits {
             active: r.u64()? as usize,
@@ -534,9 +539,15 @@ fn get_exec_error(r: &mut Reader<'_>) -> Result<ExecError, CodecError> {
             job: r.u64()?,
             budget_ms: r.u64()?,
         },
+        5 if depth == MAX_RETRY_NESTING => {
+            return Err(CodecError::TooDeep {
+                what: "ExecError",
+                limit: MAX_RETRY_NESTING,
+            })
+        }
         5 => ExecError::RetriesExhausted {
             attempts: r.u32()?,
-            last: Box::new(get_exec_error(r)?),
+            last: Box::new(get_exec_error(r, depth + 1)?),
         },
         6 => ExecError::DeadlineExceeded {
             elapsed_ms: r.u64()?,
@@ -588,7 +599,7 @@ fn get_search_error(r: &mut Reader<'_>) -> Result<SearchError, CodecError> {
             qubits: r.u64()? as usize,
             limit: r.u64()? as usize,
         },
-        1 => SearchError::Exec(get_exec_error(r)?),
+        1 => SearchError::Exec(get_exec_error(r, 0)?),
         tag => unknown_tag("SearchError", tag)?,
     })
 }
@@ -616,7 +627,7 @@ fn put_adapt_error(w: &mut Writer, e: &AdaptError) {
 
 fn get_adapt_error(r: &mut Reader<'_>) -> Result<AdaptError, CodecError> {
     Ok(match r.u8()? {
-        0 => AdaptError::Exec(get_exec_error(r)?),
+        0 => AdaptError::Exec(get_exec_error(r, 0)?),
         1 => AdaptError::Decoy(get_decoy_error(r)?),
         2 => AdaptError::Sim(get_sim_error(r)?),
         3 => AdaptError::Search(get_search_error(r)?),
@@ -1223,6 +1234,37 @@ mod tests {
                 tag: 2
             })
         );
+    }
+
+    #[test]
+    fn retry_chains_decode_to_a_bound_not_to_a_stack_overflow() {
+        let chain = |links: u32| {
+            let mut e = ExecError::Cancelled;
+            for _ in 0..links {
+                e = ExecError::RetriesExhausted {
+                    attempts: 2,
+                    last: Box::new(e),
+                };
+            }
+            ServiceError::Failed(AdaptError::Exec(e))
+        };
+        let deepest = chain(MAX_RETRY_NESTING);
+        assert_eq!(decode_error(&encode_error(&deepest)), Ok(deepest));
+        let too_deep = Err(WireError::Codec(CodecError::TooDeep {
+            what: "ExecError",
+            limit: MAX_RETRY_NESTING,
+        }));
+        assert_eq!(
+            decode_error(&encode_error(&chain(MAX_RETRY_NESTING + 1))),
+            too_deep
+        );
+        // A hostile payload: Failed(Exec(...)) around a million links.
+        let mut hostile = vec![5, 0];
+        for _ in 0..1_000_000 {
+            hostile.extend_from_slice(&[5, 2, 0, 0, 0]);
+        }
+        hostile.push(7);
+        assert_eq!(decode_error(&hostile), too_deep);
     }
 
     #[test]

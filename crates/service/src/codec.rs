@@ -42,6 +42,13 @@ pub enum CodecError {
     BadDevice(String),
     /// A string field was not valid UTF-8.
     BadUtf8,
+    /// A recursive field nested deeper than its decoder follows.
+    TooDeep {
+        /// Which type nests.
+        what: &'static str,
+        /// The deepest nesting accepted.
+        limit: u32,
+    },
     /// A mask wider than the 64 qubits a [`DdMask`] holds.
     MaskTooWide {
         /// The width read.
@@ -64,6 +71,9 @@ impl fmt::Display for CodecError {
             CodecError::UnknownTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
             CodecError::BadDevice(name) => write!(f, "unknown device {name:?}"),
             CodecError::BadUtf8 => write!(f, "string payload is not valid UTF-8"),
+            CodecError::TooDeep { what, limit } => {
+                write!(f, "{what} nested deeper than {limit} levels")
+            }
             CodecError::MaskTooWide { width } => {
                 write!(f, "mask width {width} exceeds the 64-qubit limit")
             }
