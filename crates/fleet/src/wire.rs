@@ -48,7 +48,9 @@
 //! misdecodes are not. The exhaustive-match tests in
 //! `tests/wire_roundtrip.rs` pin that every [`ServiceError`] variant
 //! (and every error nested inside [`ServiceError::Failed`]) survives
-//! encode → decode loss-free.
+//! encode → decode loss-free; golden digests there pin every encoder's
+//! bytes, and proptest properties feed every decoder arbitrary and
+//! mutated bytes.
 //!
 //! The request deadline crosses the wire in-band as a
 //! [`machine::WireDeadline`]: two `u64` fields, the total budget
