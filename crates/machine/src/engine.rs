@@ -305,14 +305,16 @@ pub(crate) fn run_trajectory<R: NormalSource>(
 
 /// Per-trajectory stochastic context shared by both engines: sampled
 /// detunings (when the coherent channel is on) and per-episode crosstalk
-/// jitter (when the crosstalk channel is on).
-struct IdleContext {
+/// jitter (when the crosstalk channel is on), beside the plan's overlap
+/// arena that idle windows index into.
+struct IdleContext<'p> {
     detuning: Vec<QubitDetuning>,
     jitter: Vec<Vec<f64>>,
+    overlaps: &'p [(u32, f64)],
 }
 
-impl IdleContext {
-    fn sample<R: NormalSource>(machine: &Machine, plan: &CompiledPlan, rng: &mut R) -> Self {
+impl<'p> IdleContext<'p> {
+    fn sample<R: NormalSource>(machine: &Machine, plan: &'p CompiledPlan, rng: &mut R) -> Self {
         let cal = machine.device().calibration();
         let detuning = if plan.needs_detuning {
             plan.phys_of
@@ -339,7 +341,11 @@ impl IdleContext {
         } else {
             Vec::new()
         };
-        IdleContext { detuning, jitter }
+        IdleContext {
+            detuning,
+            jitter,
+            overlaps: &plan.overlaps,
+        }
     }
 
     /// The coherent phase accumulated over one idle window.
@@ -350,7 +356,8 @@ impl IdleContext {
         } else {
             0.0
         };
-        for &(ei, chi_overlap) in &idle.xtalk {
+        let xtalk = idle.xtalk.start as usize..idle.xtalk.end as usize;
+        for &(ei, chi_overlap) in &self.overlaps[xtalk] {
             phase += chi_overlap * self.jitter[q][ei as usize];
         }
         phase
@@ -824,8 +831,9 @@ mod tests {
         (sv, clbits)
     }
 
-    /// A detuning/jitter context with coherent and crosstalk channels on.
-    fn idle_context(k: usize, seed: u64) -> IdleContext {
+    /// A detuning/jitter context with coherent and crosstalk channels on,
+    /// over the overlap arena `overlaps`.
+    fn idle_context(k: usize, seed: u64, overlaps: &[(u32, f64)]) -> IdleContext<'_> {
         let dev = Device::ibmq_toronto(3);
         let mut rng = StdRng::seed_from_u64(seed);
         IdleContext {
@@ -835,6 +843,7 @@ mod tests {
             jitter: (0..k)
                 .map(|_| (0..3).map(|_| 1.0 + standard_normal(&mut rng)).collect())
                 .collect(),
+            overlaps,
         }
     }
 
@@ -847,9 +856,17 @@ mod tests {
     /// One raw draw: `(kind, qubit, offset to a second qubit, x, y, p)`.
     type RawOp = (u8, u16, u16, f64, f64, f64);
 
+    /// Appends one crosstalk entry to the overlap arena and returns its
+    /// range, as plan lowering does for a window with one overlap.
+    fn one_overlap(overlaps: &mut Vec<(u32, f64)>, d: u16, x: f64) -> std::ops::Range<u32> {
+        overlaps.push(((d % 3) as u32, 0.3 * x));
+        overlaps.len() as u32 - 1..overlaps.len() as u32
+    }
+
     /// Maps a raw draw onto a dense op over `k` qubits, covering every
-    /// `DenseOp`, `Kernel1` and `Kernel2` variant.
-    fn dense_op(k: u16, (kind, q, d, x, y, p): RawOp) -> DenseOp {
+    /// `DenseOp`, `Kernel1` and `Kernel2` variant; idle windows put their
+    /// crosstalk entry in `overlaps`.
+    fn dense_op(k: u16, (kind, q, d, x, y, p): RawOp, overlaps: &mut Vec<(u32, f64)>) -> DenseOp {
         let q = q % k;
         let b = (q + 1 + d % k.max(2)) % k;
         let kind = if k < 2 || b == q { kind % 5 } else { kind };
@@ -858,7 +875,7 @@ mod tests {
                 q,
                 dt_ns: 40.0 + 400.0 * p,
                 detune: d % 2 == 0,
-                xtalk: vec![((d % 3) as u32, 0.3 * x)],
+                xtalk: one_overlap(overlaps, d, x),
                 floor: (p > 0.3).then_some(HIGH_FLOOR),
             }),
             1 => DenseOp::K1 {
@@ -922,8 +939,9 @@ mod tests {
     }
 
     /// Maps a raw draw onto a CHP op over `k` qubits, covering every
-    /// `CliffOp`, `CliffGate1` and `CliffGate2` variant.
-    fn cliff_op(k: u16, (kind, q, d, x, _, p): RawOp) -> CliffOp {
+    /// `CliffOp`, `CliffGate1` and `CliffGate2` variant; idle windows put
+    /// their crosstalk entry in `overlaps`.
+    fn cliff_op(k: u16, (kind, q, d, x, _, p): RawOp, overlaps: &mut Vec<(u32, f64)>) -> CliffOp {
         let gates1 = [
             CliffGate1::I,
             CliffGate1::X,
@@ -944,7 +962,7 @@ mod tests {
                 q,
                 dt_ns: 40.0 + 400.0 * p,
                 detune: d % 2 == 0,
-                xtalk: vec![((d % 3) as u32, 0.3 * x)],
+                xtalk: one_overlap(overlaps, d, x),
                 floor: (p > 0.3).then_some(HIGH_FLOOR),
             }),
             1 | 2 => CliffOp::G1 {
@@ -985,10 +1003,13 @@ mod tests {
     /// resets mid-circuit.
     fn plan_of(k: u16, raw: &[RawOp], chp: bool) -> CompiledPlan {
         let n = k as usize;
+        let mut overlaps = Vec::new();
         let (dense, cliff): (Vec<DenseOp>, Vec<CliffOp>) = if chp {
-            (Vec::new(), raw.iter().map(|&r| cliff_op(k, r)).collect())
+            let cliff = raw.iter().map(|&r| cliff_op(k, r, &mut overlaps));
+            (Vec::new(), cliff.collect())
         } else {
-            (raw.iter().map(|&r| dense_op(k, r)).collect(), Vec::new())
+            let dense = raw.iter().map(|&r| dense_op(k, r, &mut overlaps));
+            (dense.collect(), Vec::new())
         };
         let terminal = !dense
             .iter()
@@ -1010,6 +1031,7 @@ mod tests {
             deferred: (0..k).map(|q| (q, q, 0.05)).collect(),
             needs_detuning: true,
             needs_jitter: true,
+            overlaps,
             dense,
             cliff,
         }
@@ -1042,12 +1064,13 @@ mod tests {
             ),
             seed in any::<u64>(),
         ) {
-            let ops: Vec<DenseOp> = raw.into_iter().map(|r| dense_op(k, r)).collect();
+            let mut overlaps = Vec::new();
+            let ops: Vec<DenseOp> = raw.into_iter().map(|r| dense_op(k, r, &mut overlaps)).collect();
             let n = k as usize;
             let (mut r_frame, mut r_eager) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-            let mut ctx = idle_context(n, seed ^ 1);
+            let mut ctx = idle_context(n, seed ^ 1, &overlaps);
             let (frame, c_frame) = evolve_dense(&ops, n, &mut ctx, &mut r_frame).unwrap();
-            let mut ctx = idle_context(n, seed ^ 1);
+            let mut ctx = idle_context(n, seed ^ 1, &overlaps);
             let (eager, c_eager) = evolve_eager(&ops, n, &mut ctx, &mut r_eager);
 
             prop_assert_eq!(&r_frame, &r_eager, "the frame must consume the same draws");

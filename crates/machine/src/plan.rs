@@ -47,10 +47,11 @@ use crate::engine::{
 };
 use crate::executor::{ExecError, NoiseToggles};
 use crate::noise::PauliFloor;
-use device::Device;
+use device::{Calibration, Device, QubitCalibration};
 use qcirc::math::{Mat2, Mat4};
 use qcirc::{Gate, OpKind};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 use transpiler::TimedCircuit;
 
@@ -71,9 +72,10 @@ pub(crate) struct IdleOp {
     pub dt_ns: f64,
     /// Whether the coherent detuning process advances over this window.
     pub detune: bool,
+    /// The range of [`CompiledPlan::overlaps`] holding this window's
     /// `(episode index into the trajectory's jitter table, chi·overlap/1000)`
-    /// for every crosstalk episode intersecting this window.
-    pub xtalk: Vec<(u32, f64)>,
+    /// entries, one per crosstalk episode intersecting it.
+    pub xtalk: Range<u32>,
     /// Stochastic T1/white-dephasing floor over the window, when enabled.
     pub floor: Option<PauliFloor>,
 }
@@ -158,7 +160,7 @@ pub struct CompiledPlan {
     /// Compact simulator index → physical qubit.
     pub phys_of: Vec<u32>,
     /// Per compact qubit: `(start_ns, end_ns, chi rad/µs)` crosstalk
-    /// episodes from concurrently firing two-qubit gates.
+    /// episodes from concurrently firing two-qubit gates, in start order.
     pub xtalk: Vec<Vec<(f64, f64, f64)>>,
     /// Whether the fast measurement-terminated sampling path applies
     /// (no gate/reset follows a measurement on the same qubit).
@@ -174,14 +176,17 @@ pub struct CompiledPlan {
     pub(crate) needs_detuning: bool,
     /// Whether trajectories sample per-episode crosstalk jitter.
     pub(crate) needs_jitter: bool,
+    /// The overlap arena: every idle window's crosstalk entries, back to
+    /// back in op order; each [`IdleOp::xtalk`] is a range into it.
+    pub(crate) overlaps: Vec<(u32, f64)>,
     /// Dense-engine op stream (empty when routed to CHP).
     pub(crate) dense: Vec<DenseOp>,
     /// CHP-engine op stream (empty when routed dense).
     pub(crate) cliff: Vec<CliffOp>,
 }
 
-/// Engine-neutral lowering step; specialized into [`DenseOp`] or
-/// [`CliffOp`] after engine selection.
+/// Engine-neutral lowering step, specialized into [`DenseOp`] or
+/// [`CliffOp`] as soon as it is emitted.
 enum Step {
     Idle(IdleOp),
     Gate1 { q: u16, g: Gate },
@@ -211,6 +216,21 @@ impl CompiledPlan {
         toggles: &NoiseToggles,
         policy: EnginePolicy,
     ) -> Result<CompiledPlan, ExecError> {
+        Self::build_for(
+            timed,
+            device,
+            toggles,
+            select_engine(timed, toggles, policy),
+        )
+    }
+
+    /// [`CompiledPlan::build`] for an engine already selected.
+    fn build_for(
+        timed: &TimedCircuit,
+        device: &Device,
+        toggles: &NoiseToggles,
+        engine: SimEngine,
+    ) -> Result<CompiledPlan, ExecError> {
         let n_phys = timed.num_qubits();
         let mut active = vec![false; n_phys];
         for e in timed.events() {
@@ -237,7 +257,7 @@ impl CompiledPlan {
             compact_of[p as usize] = Some(c);
         }
 
-        // Crosstalk episodes per active qubit.
+        // Crosstalk episodes per active qubit, in event (start) order.
         let topo = device.topology();
         let cal = device.calibration();
         let mut xtalk = vec![Vec::new(); phys_of.len()];
@@ -253,7 +273,6 @@ impl CompiledPlan {
             }
         }
 
-        let engine = select_engine(timed, toggles, policy);
         let mut plan = CompiledPlan {
             compact_of,
             phys_of,
@@ -264,123 +283,65 @@ impl CompiledPlan {
             deferred: Vec::new(),
             needs_detuning: toggles.idle_coherent,
             needs_jitter: toggles.idle_crosstalk,
+            overlaps: Vec::new(),
             dense: Vec::new(),
             cliff: Vec::new(),
         };
-        let steps = plan.lower_steps(timed, device, toggles);
-        match engine {
-            SimEngine::StateVector => plan.dense = lower_dense(steps),
-            SimEngine::Chp => plan.cliff = lower_cliff(steps),
-        }
+        plan.lower(timed, device, toggles);
         Ok(plan)
     }
 
     /// Walks the event stream once, maintaining each qubit's frame time,
-    /// and emits engine-neutral steps. All timing is structural, so the
-    /// entire walk happens at compile time; trajectories just replay the
-    /// step list.
-    fn lower_steps(
-        &mut self,
-        timed: &TimedCircuit,
-        device: &Device,
-        toggles: &NoiseToggles,
-    ) -> Vec<Step> {
+    /// and lowers every event straight into the selected engine's op
+    /// stream. All timing is structural, so the entire walk happens at
+    /// compile time; trajectories just replay the op list.
+    fn lower(&mut self, timed: &TimedCircuit, device: &Device, toggles: &NoiseToggles) {
         let cal = device.calibration();
-        let mut frame = vec![0.0f64; self.phys_of.len()];
-        let mut steps = Vec::new();
-
-        let emit_idle = |steps: &mut Vec<Step>,
-                         frame: &mut [f64],
-                         xtalk: &[Vec<(f64, f64, f64)>],
-                         q: usize,
-                         phys: u32,
-                         until: f64| {
-            let dt = until - frame[q];
-            if dt <= 1e-9 {
-                frame[q] = frame[q].max(until);
-                return;
-            }
-            let t0 = frame[q];
-            let mut overlaps = Vec::new();
-            if toggles.idle_crosstalk {
-                // Crosstalk from CNOTs active during [t0, until]; the
-                // per-trajectory jitter factor is applied at run time by
-                // episode index.
-                for (ei, &(s, e, chi)) in xtalk[q].iter().enumerate() {
-                    let overlap = (e.min(until) - s.max(t0)).max(0.0);
-                    if overlap > 0.0 {
-                        overlaps.push((ei as u32, chi * overlap / 1000.0));
-                    }
-                }
-            }
-            let floor = if toggles.idle_floor {
-                Some(PauliFloor::for_idle(cal.qubit(phys), dt))
-            } else {
-                None
-            };
-            if toggles.idle_coherent || floor.is_some() || !overlaps.is_empty() {
-                steps.push(Step::Idle(IdleOp {
-                    q: q as u16,
-                    dt_ns: dt,
-                    detune: toggles.idle_coherent,
-                    xtalk: overlaps,
-                    floor,
-                }));
-            }
-            frame[q] = until;
-        };
-
+        let mut st = Lowering::new(self.phys_of.len());
         for e in timed.events() {
+            let compact = |i: usize| self.compact_of[e.instr.qubits[i].index()].expect("active");
             match &e.instr.kind {
                 OpKind::Gate(g) => {
-                    let qs: Vec<usize> = e
-                        .instr
-                        .qubits
-                        .iter()
-                        .map(|q| self.compact_of[q.index()].expect("active qubit"))
-                        .collect();
-                    for &q in &qs {
-                        emit_idle(
-                            &mut steps,
-                            &mut frame,
-                            &self.xtalk,
-                            q,
-                            self.phys_of[q],
-                            e.start_ns,
-                        );
+                    let ops = [compact(0), e.instr.qubits.get(1).map_or(0, |_| compact(1))];
+                    let qs = &ops[..e.instr.qubits.len()];
+                    for &q in qs {
+                        st.idle(self, toggles, cal, q, e.start_ns);
                     }
-                    match qs.len() {
-                        1 => {
-                            let q = qs[0];
+                    match *qs {
+                        [q] => {
                             let phys = self.phys_of[q];
-                            steps.push(Step::Gate1 { q: q as u16, g: *g });
+                            st.push(self, Step::Gate1 { q: q as u16, g: *g });
                             let dur = device.gate_duration(*g, &[phys]);
                             if dur > 0.0 && toggles.gate_err {
-                                steps.push(Step::Err1 {
-                                    q: q as u16,
-                                    p: cal.qubit(phys).err_1q,
-                                });
+                                let p = cal.qubit(phys).err_1q;
+                                st.push(self, Step::Err1 { q: q as u16, p });
                             }
                         }
-                        2 => {
-                            let (a, b) = (qs[0], qs[1]);
-                            steps.push(Step::Gate2 {
-                                a: a as u16,
-                                b: b as u16,
-                                g: *g,
-                            });
+                        [a, b] => {
+                            let (a16, b16) = (a as u16, b as u16);
+                            st.push(
+                                self,
+                                Step::Gate2 {
+                                    a: a16,
+                                    b: b16,
+                                    g: *g,
+                                },
+                            );
                             if toggles.gate_err {
                                 let p = device
                                     .cnot_error(self.phys_of[a], self.phys_of[b])
                                     .unwrap_or(device.profile().cnot_err_mean);
                                 // SWAP = 3 CNOTs worth of error opportunities.
                                 let reps = if matches!(g, Gate::Swap) { 3 } else { 1 };
-                                steps.push(Step::Err2 {
-                                    a: a as u16,
-                                    b: b as u16,
-                                    p,
-                                    reps,
-                                });
+                                st.push(
+                                    self,
+                                    Step::Err2 {
+                                        a: a16,
+                                        b: b16,
+                                        p,
+                                        reps,
+                                    },
+                                );
                             }
                         }
                         _ => unreachable!("gates are one- or two-qubit"),
@@ -391,65 +352,276 @@ impl CompiledPlan {
                     // relaxation).
                     let dur = e.end_ns - e.start_ns;
                     if dur > 0.0 && toggles.idle_floor {
-                        for &q in &qs {
-                            steps.push(Step::Floor {
-                                q: q as u16,
-                                floor: PauliFloor::for_idle(cal.qubit(self.phys_of[q]), dur),
-                            });
+                        for &q in qs {
+                            let floor = st.floors.get(cal.qubit(self.phys_of[q]), q, dur);
+                            st.push(self, Step::Floor { q: q as u16, floor });
                         }
                     }
-                    for &q in &qs {
-                        frame[q] = e.end_ns;
+                    for &q in qs {
+                        st.frame[q] = e.end_ns;
                     }
                 }
                 OpKind::Measure(c) => {
-                    let q = self.compact_of[e.instr.qubits[0].index()].expect("active qubit");
-                    emit_idle(
-                        &mut steps,
-                        &mut frame,
-                        &self.xtalk,
-                        q,
-                        self.phys_of[q],
-                        e.start_ns,
-                    );
-                    frame[q] = e.end_ns;
+                    let q = compact(0);
+                    st.idle(self, toggles, cal, q, e.start_ns);
+                    st.frame[q] = e.end_ns;
                     let p_flip = if toggles.readout_err {
                         cal.qubit(self.phys_of[q]).err_readout
                     } else {
                         0.0
                     };
+                    let (q, c) = (q as u16, c.index() as u16);
                     if self.terminal_measurements {
-                        self.deferred.push((q as u16, c.index() as u16, p_flip));
+                        self.deferred.push((q, c, p_flip));
                     } else {
-                        steps.push(Step::Measure {
-                            q: q as u16,
-                            c: c.index() as u16,
-                            p_flip,
-                        });
+                        st.push(self, Step::Measure { q, c, p_flip });
                     }
                 }
                 OpKind::Reset => {
-                    let q = self.compact_of[e.instr.qubits[0].index()].expect("active qubit");
-                    emit_idle(
-                        &mut steps,
-                        &mut frame,
-                        &self.xtalk,
-                        q,
-                        self.phys_of[q],
-                        e.start_ns,
-                    );
-                    steps.push(Step::Reset { q: q as u16 });
-                    frame[q] = e.end_ns;
+                    let q = compact(0);
+                    st.idle(self, toggles, cal, q, e.start_ns);
+                    st.push(self, Step::Reset { q: q as u16 });
+                    st.frame[q] = e.end_ns;
                 }
                 OpKind::Delay(_) | OpKind::Barrier => {}
             }
         }
-        steps
+        // Fused products (e.g. RZ·SX·RZ → full 2×2) classify on their
+        // final shape, not their parts.
+        for op in &mut self.dense {
+            if let DenseOp::K1 { k, .. } = op {
+                if let Kernel1::Full(m) = *k {
+                    *k = classify1(m);
+                }
+            }
+        }
     }
 
     /// Number of active (simulated) qubits.
     pub fn active_qubits(&self) -> usize {
         self.phys_of.len()
+    }
+}
+
+/// One build's walk state beside the plan being filled, per compact
+/// qubit: the frame time, the crosstalk sweep cursor and the dense fusion
+/// slot; plus the floor memo.
+struct Lowering {
+    frame: Vec<f64>,
+    cursor: Vec<usize>,
+    /// Index into `CompiledPlan::dense` of the qubit's open `K1` kernel,
+    /// and what has happened on the qubit since.
+    slot: Vec<Option<(usize, FuseState)>>,
+    floors: FloorMemo,
+}
+
+impl Lowering {
+    fn new(k: usize) -> Self {
+        Lowering {
+            frame: vec![0.0; k],
+            cursor: vec![0; k],
+            slot: vec![None; k],
+            floors: FloorMemo(vec![None; FLOOR_MEMO_SLOTS]),
+        }
+    }
+
+    /// Emits qubit `q`'s idle window up to `until`, if any: its overlaps go
+    /// to the plan's arena via the crosstalk sweep.
+    fn idle(
+        &mut self,
+        plan: &mut CompiledPlan,
+        toggles: &NoiseToggles,
+        cal: &Calibration,
+        q: usize,
+        until: f64,
+    ) {
+        let t0 = self.frame[q];
+        let dt = until - t0;
+        if dt <= 1e-9 {
+            self.frame[q] = t0.max(until);
+            return;
+        }
+        let first = plan.overlaps.len() as u32;
+        if toggles.idle_crosstalk {
+            // The per-trajectory jitter factor is applied at run time by
+            // episode index.
+            let eps = &plan.xtalk[q];
+            sweep_overlaps(eps, &mut self.cursor[q], t0, until, &mut plan.overlaps);
+        }
+        let xtalk = first..plan.overlaps.len() as u32;
+        let floor = toggles
+            .idle_floor
+            .then(|| self.floors.get(cal.qubit(plan.phys_of[q]), q, dt));
+        if toggles.idle_coherent || floor.is_some() || !xtalk.is_empty() {
+            let detune = toggles.idle_coherent;
+            let q16 = q as u16;
+            let idle = IdleOp {
+                q: q16,
+                dt_ns: dt,
+                detune,
+                xtalk,
+                floor,
+            };
+            self.push(plan, Step::Idle(idle));
+        }
+        self.frame[q] = until;
+    }
+
+    /// Appends one step to the plan's engine stream. On the dense stream
+    /// one-qubit gates fuse into the qubit's open kernel in place (see
+    /// [`FuseState`]); classification waits until the walk ends. CHP gates
+    /// are guaranteed lowerable: engine selection already verified
+    /// [`crate::engine::clifford_lowerable`] on the same event stream.
+    fn push(&mut self, plan: &mut CompiledPlan, step: Step) {
+        if plan.engine == SimEngine::Chp {
+            plan.cliff.push(match step {
+                Step::Idle(idle) => CliffOp::Idle(idle),
+                Step::Gate1 { q, g } => CliffOp::G1 {
+                    q,
+                    g: lower_clifford1(g).expect("checked by clifford_lowerable"),
+                },
+                Step::Gate2 { a, b, g } => CliffOp::G2 {
+                    a,
+                    b,
+                    g: lower_clifford2(g).expect("checked by clifford_lowerable"),
+                },
+                Step::Err1 { q, p } => CliffOp::Err1 { q, p },
+                Step::Err2 { a, b, p, reps } => CliffOp::Err2 { a, b, p, reps },
+                Step::Floor { q, floor } => CliffOp::Floor { q, floor },
+                Step::Measure { q, c, p_flip } => CliffOp::Measure { q, c, p_flip },
+                Step::Reset { q } => CliffOp::Reset { q },
+            });
+            return;
+        }
+        let ops = &mut plan.dense;
+        // A Pauli channel or an idle window (a diagonal RZ plus maybe a
+        // Pauli floor) leaves the qubit's kernel open to diagonal gates.
+        let mut pauli_only = |q: u16| {
+            if let Some((idx, _)) = self.slot[q as usize] {
+                self.slot[q as usize] = Some((idx, FuseState::PauliOnly));
+            }
+        };
+        let op = match step {
+            Step::Gate1 { q, g } => {
+                let m = g.unitary1().expect("one-qubit gate has a 2x2 unitary");
+                let fusible = match self.slot[q as usize] {
+                    Some((idx, FuseState::Clean)) => Some(idx),
+                    Some((idx, FuseState::PauliOnly)) if is_diagonal(&m) => Some(idx),
+                    _ => None,
+                };
+                if let Some(idx) = fusible {
+                    if let DenseOp::K1 {
+                        k: Kernel1::Full(prev),
+                        ..
+                    } = &mut ops[idx]
+                    {
+                        *prev = m * *prev;
+                        return;
+                    }
+                }
+                self.slot[q as usize] = Some((ops.len(), FuseState::Clean));
+                DenseOp::K1 {
+                    q,
+                    k: Kernel1::Full(m),
+                }
+            }
+            Step::Gate2 { a, b, g } => {
+                self.slot[a as usize] = None;
+                self.slot[b as usize] = None;
+                let k = match g {
+                    Gate::CX => Kernel2::Cx,
+                    Gate::CZ => Kernel2::Cz,
+                    Gate::Swap => Kernel2::Swap,
+                    _ => Kernel2::Full(Box::new(
+                        g.unitary2().expect("two-qubit gate has a 4x4 unitary"),
+                    )),
+                };
+                DenseOp::K2 { a, b, k }
+            }
+            Step::Idle(idle) => {
+                pauli_only(idle.q);
+                DenseOp::Idle(idle)
+            }
+            Step::Err1 { q, p } => {
+                pauli_only(q);
+                DenseOp::Err1 { q, p }
+            }
+            Step::Err2 { a, b, p, reps } => {
+                pauli_only(a);
+                pauli_only(b);
+                DenseOp::Err2 { a, b, p, reps }
+            }
+            Step::Floor { q, floor } => {
+                pauli_only(q);
+                DenseOp::Floor { q, floor }
+            }
+            Step::Measure { q, c, p_flip } => {
+                self.slot[q as usize] = None;
+                DenseOp::Measure { q, c, p_flip }
+            }
+            Step::Reset { q } => {
+                self.slot[q as usize] = None;
+                DenseOp::Reset { q }
+            }
+        };
+        ops.push(op);
+    }
+}
+
+/// Slots of the [`FloorMemo`] table.
+const FLOOR_MEMO_SLOTS: usize = 128;
+
+/// [`PauliFloor::for_idle`] memoised within one build by (compact qubit,
+/// duration bits), in a direct-mapped table: durations repeat across DD
+/// windows and gates, equal inputs give equal bits, and a slot collision
+/// only costs a recomputation.
+struct FloorMemo(Vec<Option<(usize, u64, PauliFloor)>>);
+
+impl FloorMemo {
+    fn get(&mut self, cal: &QubitCalibration, q: usize, dt: f64) -> PauliFloor {
+        const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+        let bits = dt.to_bits();
+        let slot = ((bits ^ (q as u64).wrapping_mul(MIX)).wrapping_mul(MIX)
+            >> (64 - FLOOR_MEMO_SLOTS.trailing_zeros())) as usize;
+        match self.0[slot] {
+            Some((sq, sb, floor)) if (sq, sb) == (q, bits) => floor,
+            _ => {
+                let floor = PauliFloor::for_idle(cal, dt);
+                self.0[slot] = Some((q, bits, floor));
+                floor
+            }
+        }
+    }
+}
+
+/// Appends `(episode, chi·overlap/1000)` to `out` for every episode of
+/// `eps` that overlaps the window `[t0, t1]`, in episode order.
+///
+/// `eps` must be start-sorted, and a qubit's windows never start earlier
+/// than its previous one ended, so `cursor` skips for good every leading
+/// episode that ended by `t0`, and the scan stops at the first episode
+/// that starts at or after `t1`. Ends need not be monotone: an episode
+/// past the cursor that already ended gets the same overlap test as in a
+/// full scan, and fails it. The output is bit-identical to testing every
+/// episode.
+fn sweep_overlaps(
+    eps: &[(f64, f64, f64)],
+    cursor: &mut usize,
+    t0: f64,
+    t1: f64,
+    out: &mut Vec<(u32, f64)>,
+) {
+    while eps.get(*cursor).is_some_and(|&(_, e, _)| e <= t0) {
+        *cursor += 1;
+    }
+    for (ei, &(s, e, chi)) in eps.iter().enumerate().skip(*cursor) {
+        if s >= t1 {
+            break;
+        }
+        let overlap = (e.min(t1) - s.max(t0)).max(0.0);
+        if overlap > 0.0 {
+            out.push((ei as u32, chi * overlap / 1000.0));
+        }
     }
 }
 
@@ -484,148 +656,6 @@ fn classify1(m: Mat2) -> Kernel1 {
     } else {
         Kernel1::Full(m)
     }
-}
-
-/// Specializes neutral steps into the dense op stream, fusing runs of
-/// one-qubit gates into single matrices and classifying each kernel.
-fn lower_dense(steps: Vec<Step>) -> Vec<DenseOp> {
-    // Working stream holds raw matrices; classification happens last so
-    // fused products (e.g. RZ·SX·RZ → full 2×2) classify on their final
-    // shape, not their parts.
-    enum Work {
-        Mat { q: u16, m: Mat2 },
-        Done(DenseOp),
-    }
-    fn slot_of(q: u16, slots: &mut Vec<Option<(usize, FuseState)>>) -> usize {
-        let q = q as usize;
-        if q >= slots.len() {
-            slots.resize(q + 1, None);
-        }
-        q
-    }
-    let mut work: Vec<Work> = Vec::new();
-    // Per-qubit fusion slot: (index into `work`, state since that op).
-    let mut slot: Vec<Option<(usize, FuseState)>> = Vec::new();
-    for step in steps {
-        match step {
-            Step::Gate1 { q, g } => {
-                let m = g.unitary1().expect("one-qubit gate has a 2x2 unitary");
-                let qi = slot_of(q, &mut slot);
-                let fused = match slot[qi] {
-                    Some((idx, FuseState::Clean)) => {
-                        if let Work::Mat { m: prev, .. } = &mut work[idx] {
-                            *prev = m * *prev;
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    Some((idx, FuseState::PauliOnly)) if is_diagonal(&m) => {
-                        if let Work::Mat { m: prev, .. } = &mut work[idx] {
-                            *prev = m * *prev;
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    _ => false,
-                };
-                if !fused {
-                    slot[qi] = Some((work.len(), FuseState::Clean));
-                    work.push(Work::Mat { q, m });
-                }
-            }
-            Step::Gate2 { a, b, g } => {
-                let ai = slot_of(a, &mut slot);
-                let bi = slot_of(b, &mut slot);
-                slot[ai] = None;
-                slot[bi] = None;
-                let k = match g {
-                    Gate::CX => Kernel2::Cx,
-                    Gate::CZ => Kernel2::Cz,
-                    Gate::Swap => Kernel2::Swap,
-                    _ => Kernel2::Full(Box::new(
-                        g.unitary2().expect("two-qubit gate has a 4x4 unitary"),
-                    )),
-                };
-                work.push(Work::Done(DenseOp::K2 { a, b, k }));
-            }
-            Step::Idle(idle) => {
-                // An idle window applies a diagonal RZ plus (possibly) a
-                // Pauli floor: diagonal follow-ups may still fuse across.
-                let qi = slot_of(idle.q, &mut slot);
-                if let Some((idx, _)) = slot[qi] {
-                    slot[qi] = Some((idx, FuseState::PauliOnly));
-                }
-                work.push(Work::Done(DenseOp::Idle(idle)));
-            }
-            Step::Err1 { q, p } => {
-                let qi = slot_of(q, &mut slot);
-                if let Some((idx, _)) = slot[qi] {
-                    slot[qi] = Some((idx, FuseState::PauliOnly));
-                }
-                work.push(Work::Done(DenseOp::Err1 { q, p }));
-            }
-            Step::Err2 { a, b, p, reps } => {
-                for q in [a, b] {
-                    let qi = slot_of(q, &mut slot);
-                    if let Some((idx, _)) = slot[qi] {
-                        slot[qi] = Some((idx, FuseState::PauliOnly));
-                    }
-                }
-                work.push(Work::Done(DenseOp::Err2 { a, b, p, reps }));
-            }
-            Step::Floor { q, floor } => {
-                let qi = slot_of(q, &mut slot);
-                if let Some((idx, _)) = slot[qi] {
-                    slot[qi] = Some((idx, FuseState::PauliOnly));
-                }
-                work.push(Work::Done(DenseOp::Floor { q, floor }));
-            }
-            Step::Measure { q, c, p_flip } => {
-                let qi = slot_of(q, &mut slot);
-                slot[qi] = None;
-                work.push(Work::Done(DenseOp::Measure { q, c, p_flip }));
-            }
-            Step::Reset { q } => {
-                let qi = slot_of(q, &mut slot);
-                slot[qi] = None;
-                work.push(Work::Done(DenseOp::Reset { q }));
-            }
-        }
-    }
-    work.into_iter()
-        .map(|w| match w {
-            Work::Mat { q, m } => DenseOp::K1 { q, k: classify1(m) },
-            Work::Done(op) => op,
-        })
-        .collect()
-}
-
-/// Specializes neutral steps into the CHP op stream. Gates are
-/// guaranteed lowerable: engine selection already verified
-/// [`crate::engine::clifford_lowerable`] on the same event stream.
-fn lower_cliff(steps: Vec<Step>) -> Vec<CliffOp> {
-    steps
-        .into_iter()
-        .map(|step| match step {
-            Step::Idle(idle) => CliffOp::Idle(idle),
-            Step::Gate1 { q, g } => CliffOp::G1 {
-                q,
-                g: lower_clifford1(g).expect("checked by clifford_lowerable"),
-            },
-            Step::Gate2 { a, b, g } => CliffOp::G2 {
-                a,
-                b,
-                g: lower_clifford2(g).expect("checked by clifford_lowerable"),
-            },
-            Step::Err1 { q, p } => CliffOp::Err1 { q, p },
-            Step::Err2 { a, b, p, reps } => CliffOp::Err2 { a, b, p, reps },
-            Step::Floor { q, floor } => CliffOp::Floor { q, floor },
-            Step::Measure { q, c, p_flip } => CliffOp::Measure { q, c, p_flip },
-            Step::Reset { q } => CliffOp::Reset { q },
-        })
-        .collect()
 }
 
 /// True when no gate/reset follows a measurement on the same qubit.
@@ -748,10 +778,15 @@ fn toggles_fingerprint(t: &NoiseToggles) -> u64 {
 /// [`NoiseToggles::coherent_twirl`] while coherent idling is on) changes
 /// the key, so stale cached plans can never cross engines.
 pub fn routing_key(timed: &TimedCircuit, toggles: &NoiseToggles, policy: EnginePolicy) -> u64 {
+    key_for(timed, toggles, select_engine(timed, toggles, policy))
+}
+
+/// [`routing_key`] for an engine already selected.
+fn key_for(timed: &TimedCircuit, toggles: &NoiseToggles, engine: SimEngine) -> u64 {
     let mut h = StructuralHasher::new();
     h.mix(structural_hash(timed));
     h.mix(toggles_fingerprint(toggles));
-    h.mix(match select_engine(timed, toggles, policy) {
+    h.mix(match engine {
         SimEngine::StateVector => 1,
         SimEngine::Chp => 2,
     });
@@ -843,7 +878,8 @@ impl PlanCache {
         policy: EnginePolicy,
     ) -> Result<Arc<CompiledPlan>, ExecError> {
         let m = crate::metrics::metrics();
-        let key = routing_key(timed, toggles, policy);
+        let engine = select_engine(timed, toggles, policy);
+        let key = key_for(timed, toggles, engine);
         {
             let mut inner = self.lock();
             inner.tick += 1;
@@ -860,7 +896,7 @@ impl PlanCache {
         }
         // Compile outside the lock: concurrent batch workers missing on
         // different circuits must not serialize on each other's compiles.
-        let plan = Arc::new(CompiledPlan::build(timed, device, toggles, policy)?);
+        let plan = Arc::new(CompiledPlan::build_for(timed, device, toggles, engine)?);
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -919,8 +955,76 @@ impl Default for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qcirc::Circuit;
     use transpiler::{try_schedule, SchedulePolicy};
+
+    /// The full scan [`sweep_overlaps`] replaces: every episode tested
+    /// against the window.
+    fn naive_overlaps(eps: &[(f64, f64, f64)], t0: f64, t1: f64) -> Vec<(u32, f64)> {
+        let mut out = Vec::new();
+        for (ei, &(s, e, chi)) in eps.iter().enumerate() {
+            let overlap = (e.min(t1) - s.max(t0)).max(0.0);
+            if overlap > 0.0 {
+                out.push((ei as u32, chi * overlap / 1000.0));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn sweep_matches_naive_scan(
+            raw in prop::collection::vec((0.0..1000.0f64, 0.0..300.0f64, -3.0..3.0f64), 0..40),
+            extra in prop::collection::vec(0.0..1400.0f64, 0..20),
+            steps in prop::collection::vec((0usize..4, 0usize..3), 1..40),
+        ) {
+            // Start-sorted episodes with independently drawn lengths, so
+            // their ends are not monotone.
+            let mut eps: Vec<(f64, f64, f64)> =
+                raw.iter().map(|&(s, len, chi)| (s, s + len, chi)).collect();
+            eps.sort_by(|a, b| a.0.total_cmp(&b.0));
+            // Window edges: every episode start and end, so windows touch
+            // episodes exactly, plus free points.
+            let mut times: Vec<f64> = eps.iter().flat_map(|&(s, e, _)| [s, e]).chain(extra).collect();
+            times.sort_by(f64::total_cmp);
+            // Walk forward: each window spans `len` edges (0 = zero
+            // length) and the next starts `gap` edges after it ends (0 =
+            // touching).
+            let (mut i, mut cursor, mut out) = (0, 0, Vec::new());
+            for (len, gap) in steps {
+                let (Some(&t0), Some(&t1)) = (times.get(i), times.get(i + len)) else { break };
+                let first = out.len();
+                sweep_overlaps(&eps, &mut cursor, t0, t1, &mut out);
+                let want = naive_overlaps(&eps, t0, t1);
+                let bits = |v: &[(u32, f64)]| v.iter().map(|&(ei, x)| (ei, x.to_bits())).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&out[first..]), bits(&want), "window [{}, {}]", t0, t1);
+                i += len + gap;
+            }
+        }
+    }
+
+    #[test]
+    fn floor_memo_returns_for_idle_bits() {
+        // More distinct keys than slots, each asked for three times, so
+        // hits, misses and slot collisions all occur.
+        let dev = Device::ibmq_toronto(3);
+        let mut memo = FloorMemo(vec![None; FLOOR_MEMO_SLOTS]);
+        for _ in 0..3 {
+            for q in 0..5usize {
+                let cal = dev.qubit(q as u32);
+                for i in 0..100 {
+                    let dt = 35.5 + 0.1 * f64::from(i) * f64::from(i);
+                    let got = memo.get(cal, q, dt);
+                    let want = PauliFloor::for_idle(cal, dt);
+                    let bits = |f: PauliFloor| [f.px.to_bits(), f.py.to_bits(), f.pz.to_bits()];
+                    assert_eq!(bits(got), bits(want), "qubit {q}, dt {dt}");
+                }
+            }
+        }
+    }
 
     fn timed_of(c: &Circuit, dev: &Device) -> TimedCircuit {
         try_schedule(c, dev, SchedulePolicy::Alap).unwrap()
