@@ -2,18 +2,22 @@
 //! state-vector kernels the engine calls, the per-channel noise draws
 //! both engines make, CHP tableau sampling at application and scalability
 //! sizes (the Table 2 "SimTime" axis), per-gate and terminal-sampling
-//! costs of the CHP tableau, and Heisenberg-propagation expectations as
-//! the seed count grows.
+//! costs of the CHP tableau, Heisenberg-propagation expectations as the
+//! seed count grows, and plan compilation of the search's decoy inputs.
 
+use adapt::dd::{insert_dd, mask_to_wires, DdConfig, DdMask};
+use adapt::decoy::{make_decoy, DecoyKind};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use device::Device;
 use machine::noise::{standard_normal, MemoCursor, NormalSource, PauliFloor, QubitDetuning};
+use machine::{routing_key, CompiledPlan, EnginePolicy, NoiseToggles};
 use qcirc::math::C64;
 use qcirc::{Circuit, Gate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use statevec::{SimError, SoaStateVector};
 use std::hint::black_box;
+use transpiler::{transpile, TranspileOptions};
 
 fn ghz_clifford(n: usize) -> Circuit {
     // `Counts` holds at most 64 classical bits.
@@ -196,11 +200,60 @@ fn bench_heisenberg(c: &mut Criterion) {
     group.finish();
 }
 
+/// Plan compilation of what a search scores: the All-DD (XY4) decoy of a
+/// suite program on Guadalupe, for a Clifford decoy (lowered to the CHP
+/// stream) and a seeded one (lowered to the dense stream). `build` is one
+/// `CompiledPlan::build`, `routing_key` the plan-cache key every lookup
+/// computes; each iteration does 100 of them.
+fn bench_plan(c: &mut Criterion) {
+    const REPS: usize = 100;
+    let device = Device::ibmq_guadalupe(4);
+    let toggles = NoiseToggles::default();
+    let mut group = c.benchmark_group("plan");
+    let inputs = [
+        ("cdc_qaoa8a", "QAOA-8A", DecoyKind::Clifford),
+        (
+            "sdc_qft7a",
+            "QFT-7A",
+            DecoyKind::Seeded { max_seed_qubits: 4 },
+        ),
+    ];
+    for (name, program, kind) in inputs {
+        let spec = benchmarks::suite::by_name(program).expect("suite program");
+        let compiled = transpile(&spec.circuit, &device, &TranspileOptions::default());
+        let decoy = make_decoy(&compiled.timed, kind).expect("decoy builds");
+        let wires = mask_to_wires(DdMask::all(spec.num_qubits), &compiled.initial_layout);
+        let timed = insert_dd(&decoy.timed, &device, &wires, &DdConfig::default()).timed;
+        group.bench_function(format!("build_x100/{name}"), |b| {
+            b.iter(|| {
+                for _ in 0..REPS {
+                    black_box(CompiledPlan::build(
+                        black_box(&timed),
+                        &device,
+                        &toggles,
+                        EnginePolicy::Auto,
+                    ))
+                    .expect("plan builds");
+                }
+            });
+        });
+        group.bench_function(format!("routing_key_x100/{name}"), |b| {
+            b.iter(|| {
+                (0..REPS)
+                    .map(|_| routing_key(black_box(&timed), &toggles, EnginePolicy::Auto))
+                    .fold(0, u64::wrapping_add)
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_statevec,
     bench_noise,
     bench_chp,
-    bench_heisenberg
+    bench_heisenberg,
+    bench_plan
 );
 criterion_main!(benches);
