@@ -68,6 +68,15 @@ impl DeviceId {
             .find(|id| id.name().eq_ignore_ascii_case(name))
     }
 
+    /// Number of physical qubits of this preset, at every epoch.
+    pub fn num_qubits(self) -> usize {
+        match self {
+            DeviceId::Guadalupe => 16,
+            DeviceId::Paris | DeviceId::Toronto => 27,
+            DeviceId::Rome | DeviceId::London => 5,
+        }
+    }
+
     /// Builds the epoch-0 device for this preset.
     pub fn build(self, seed: u64) -> Device {
         match self {
@@ -204,6 +213,13 @@ mod tests {
         }
         assert_eq!(DeviceId::by_name("GUADALUPE"), Some(DeviceId::Guadalupe));
         assert_eq!(DeviceId::by_name("andromeda"), None);
+    }
+
+    #[test]
+    fn num_qubits_matches_the_built_device() {
+        for id in DeviceId::ALL {
+            assert_eq!(id.num_qubits(), id.build(7).num_qubits(), "{id}");
+        }
     }
 
     #[test]

@@ -470,6 +470,13 @@ impl Request {
         }
     }
 
+    /// The logical program this request is about.
+    pub fn circuit(&self) -> &qcirc::Circuit {
+        match self {
+            Request::RecommendMask { circuit, .. } | Request::Execute { circuit, .. } => circuit,
+        }
+    }
+
     /// The request's time budget, if any.
     pub fn deadline_ms(&self) -> Option<u64> {
         match self {
@@ -1194,6 +1201,17 @@ impl MaskService {
         let shared = &self.shared;
         let device = request.device();
         let tenancy = request.tenancy();
+        // A program wider than its device can never be laid out on it (the
+        // transpiler asserts this), so it is a client bug too.
+        let width = request.circuit().num_qubits();
+        if width > device.num_qubits() {
+            return Err(ServiceError::InvalidConfig {
+                reason: format!(
+                    "{width}-qubit circuit does not fit on {device} ({} qubits)",
+                    device.num_qubits()
+                ),
+            });
+        }
         // A budget no search can run with — or a DD protocol whose
         // parameters cannot compose an identity window (an odd UDD pulse
         // count) — is a client bug, answered with the same typed error

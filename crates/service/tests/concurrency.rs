@@ -217,11 +217,14 @@ fn worker_panic_is_contained_and_the_pool_keeps_serving() {
     // complete.
     let svc = service(vec![DeviceId::Rome], 1, FaultProfile::none());
 
-    // A 9-qubit program cannot be laid out on 5-qubit Rome; the
-    // transpiler asserts, which panics the worker mid-request.
+    // A NaN delay cannot be scheduled; `transpile` panics on it, which
+    // panics the worker mid-request. (A program wider than the device,
+    // the trigger this test used before, is now rejected at submit.)
+    let mut nan_delay = ghz(4);
+    nan_delay.delay(f64::NAN, 2);
     let err = svc
-        .call(recommend(&ghz(9), DeviceId::Rome))
-        .expect_err("oversized program must fail");
+        .call(recommend(&nan_delay, DeviceId::Rome))
+        .expect_err("unschedulable program must fail");
     assert!(
         matches!(err, adapt_service::ServiceError::Internal { .. }),
         "panic must surface as a typed Internal error, got {err:?}"

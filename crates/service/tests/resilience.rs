@@ -390,3 +390,50 @@ fn successful_executions_keep_the_breaker_closed() {
     );
     assert_eq!(svc.shutdown().breaker_trips, 0);
 }
+
+/// Both request kinds naming a program wider than the device.
+fn too_wide_requests(device: DeviceId) -> [Request; 2] {
+    let wide = ghz(device.num_qubits() as u32 + 4);
+    [
+        recommend(wide.clone(), device, None),
+        Request::Execute {
+            circuit: wide,
+            device,
+            policy: Policy::Adapt,
+            deadline_ms: None,
+            tenancy: Default::default(),
+        },
+    ]
+}
+
+#[test]
+fn circuits_wider_than_their_device_are_rejected_not_panicked() {
+    // Regression: the transpiler's layout assert used to fire on the
+    // worker, which answered `Internal` and counted a worker panic.
+    let svc = MaskService::start(ServiceConfig {
+        devices: vec![DeviceId::Guadalupe],
+        ..ServiceConfig::default()
+    });
+    for request in too_wide_requests(DeviceId::Guadalupe) {
+        match svc.submit(request) {
+            Err(ServiceError::InvalidConfig { reason }) => assert_eq!(
+                reason,
+                "20-qubit circuit does not fit on guadalupe (16 qubits)"
+            ),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+    // A program as wide as the device is still served.
+    match svc.call(Request::Execute {
+        circuit: ghz(16),
+        device: DeviceId::Guadalupe,
+        policy: Policy::NoDd,
+        deadline_ms: None,
+        tenancy: Default::default(),
+    }) {
+        Ok(Response::Execution(e)) => assert_eq!(e.mask, DdMask::none(16)),
+        other => panic!("expected an execution, got {other:?}"),
+    }
+    let stats = svc.shutdown();
+    assert_eq!(stats.worker_panics, 0);
+}
