@@ -122,6 +122,15 @@ pub enum QasmError {
         /// Declared register width.
         requested: usize,
     },
+    /// A `qreg` is wider than [`MAX_QUBITS`].
+    TooManyQubits {
+        /// 1-based line number.
+        line: usize,
+        /// 1-based column of the register name.
+        column: usize,
+        /// Declared register width.
+        requested: usize,
+    },
 }
 
 impl std::fmt::Display for QasmError {
@@ -150,6 +159,14 @@ impl std::fmt::Display for QasmError {
                 f,
                 "line {line}, column {column}: creg of {requested} bits exceeds {MAX_CLBITS}"
             ),
+            QasmError::TooManyQubits {
+                line,
+                column,
+                requested,
+            } => write!(
+                f,
+                "line {line}, column {column}: qreg of {requested} qubits exceeds {MAX_QUBITS}"
+            ),
         }
     }
 }
@@ -159,6 +176,12 @@ impl std::error::Error for QasmError {}
 /// Widest accepted `creg`: the width of [`Counts`](crate::Counts) and of
 /// every simulator's outcome word.
 const MAX_CLBITS: usize = u64::BITS as usize;
+
+/// Widest accepted `qreg`: every qubit index a compiled execution plan can
+/// address with its `u16` operands, far above the largest device preset
+/// (27 qubits). A parsed circuit's width sizes per-qubit tables in every
+/// later layer, so an unchecked `qreg q[4000000000]` must not get through.
+pub const MAX_QUBITS: usize = u16::MAX as usize + 1;
 
 /// Source location of the statement being parsed; locates error tokens by
 /// their offset inside the statement slice.
@@ -238,6 +261,13 @@ pub fn from_qasm(text: &str) -> Result<Circuit, QasmError> {
             }
             if let Some(rest) = piece.strip_prefix("qreg") {
                 num_qubits = parse_reg_size(rest, &ctx)?;
+                if num_qubits > MAX_QUBITS {
+                    return Err(QasmError::TooManyQubits {
+                        line,
+                        column: ctx.col_of(rest.trim_start()),
+                        requested: num_qubits,
+                    });
+                }
                 continue;
             }
             if let Some(rest) = piece.strip_prefix("creg") {
@@ -268,8 +298,9 @@ fn parse_reg_size(rest: &str, ctx: &Ctx<'_>) -> Result<usize, QasmError> {
     let open = rest
         .find('[')
         .ok_or_else(|| ctx.syntax(rest, "expected register size"))?;
-    let close = rest
+    let close = rest[open..]
         .find(']')
+        .map(|i| open + i)
         .ok_or_else(|| ctx.syntax(rest, "unterminated register size"))?;
     let digits = &rest[open + 1..close];
     digits
@@ -281,8 +312,9 @@ fn parse_index(token: &str, ctx: &Ctx<'_>) -> Result<u32, QasmError> {
     let open = token
         .find('[')
         .ok_or_else(|| ctx.syntax(token, format!("expected indexed operand, got {token:?}")))?;
-    let close = token
+    let close = token[open..]
         .find(']')
+        .map(|i| open + i)
         .ok_or_else(|| ctx.syntax(token, "unterminated index"))?;
     let digits = &token[open + 1..close];
     digits
@@ -330,8 +362,9 @@ fn parse_statement(c: &mut Circuit, stmt: &str, ctx: &Ctx<'_>) -> Result<(), Qas
     };
     let (name, params) = match head.find('(') {
         Some(i) => {
-            let close = head
+            let close = head[i..]
                 .rfind(')')
+                .map(|j| i + j)
                 .ok_or_else(|| ctx.syntax(head, "unterminated parameter list"))?;
             let plist = &head[i + 1..close];
             let params: Result<Vec<f64>, _> =
@@ -541,6 +574,44 @@ mod tests {
         );
         let text = "qreg q[1]; creg c[64]; x q[0]; measure q[0] -> c[63];";
         assert_eq!(from_qasm(text).unwrap().num_clbits(), 64);
+    }
+
+    #[test]
+    fn qreg_wider_than_the_cap_is_rejected() {
+        let text = format!("qreg q[{}]; creg c[1];", MAX_QUBITS + 1);
+        assert_eq!(
+            from_qasm(&text).unwrap_err(),
+            QasmError::TooManyQubits {
+                line: 1,
+                column: 6,
+                requested: MAX_QUBITS + 1
+            }
+        );
+        let err = from_qasm("qreg q[4000000000];").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("line 1, column 6: qreg of 4000000000 qubits exceeds {MAX_QUBITS}")
+        );
+        let text = format!("qreg q[{MAX_QUBITS}]; creg c[1]; x q[{}];", MAX_QUBITS - 1);
+        let c = from_qasm(&text).unwrap();
+        assert_eq!((c.num_qubits(), c.len()), (MAX_QUBITS, 1));
+    }
+
+    #[test]
+    fn closing_brackets_before_opening_ones_are_syntax_errors() {
+        // Each of these sliced `text[open + 1..close]` with `close < open`
+        // and panicked.
+        for text in [
+            "qreg q]1[;",
+            "qreg q[2]; x ]q[;",
+            "qreg q[2]; measure q[0] -> ]c[;",
+            "qreg q[1]; rz)0.5( q[0];",
+        ] {
+            assert!(
+                matches!(from_qasm(text), Err(QasmError::Syntax { .. })),
+                "{text}"
+            );
+        }
     }
 
     #[test]
