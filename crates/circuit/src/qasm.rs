@@ -122,7 +122,8 @@ pub enum QasmError {
         /// Declared register width.
         requested: usize,
     },
-    /// A `qreg` is wider than [`MAX_QUBITS`].
+    /// A `qreg` is wider than 65536 qubits, the range a `u16` qubit index
+    /// addresses.
     TooManyQubits {
         /// 1-based line number.
         line: usize,
@@ -181,7 +182,7 @@ const MAX_CLBITS: usize = u64::BITS as usize;
 /// address with its `u16` operands, far above the largest device preset
 /// (27 qubits). A parsed circuit's width sizes per-qubit tables in every
 /// later layer, so an unchecked `qreg q[4000000000]` must not get through.
-pub const MAX_QUBITS: usize = u16::MAX as usize + 1;
+const MAX_QUBITS: usize = u16::MAX as usize + 1;
 
 /// Source location of the statement being parsed; locates error tokens by
 /// their offset inside the statement slice.
@@ -599,8 +600,8 @@ mod tests {
 
     #[test]
     fn closing_brackets_before_opening_ones_are_syntax_errors() {
-        // Each of these sliced `text[open + 1..close]` with `close < open`
-        // and panicked.
+        // The closing bracket is searched for after the opening one, so
+        // none of these slices `[open + 1..close]` with `close < open`.
         for text in [
             "qreg q]1[;",
             "qreg q[2]; x ]q[;",

@@ -26,6 +26,19 @@
 //!   depolarize uniformly) and classifies each kernel as
 //!   diagonal/anti-diagonal/full so the SoA simulator can use its cheap
 //!   specialized paths.
+//!
+//!   Every search mask is a new schedule, so a build runs for most
+//!   lookups, and it is one linear pass. The walk lowers each event
+//!   straight into the selected engine's stream, fusing dense one-qubit
+//!   gates in place and classifying kernels once at the end. Crosstalk
+//!   overlaps come from a per-qubit sweep: episodes are in start order
+//!   (events are, see [`TimedCircuit::from_events`]) and a qubit's idle
+//!   windows only move forward, so a cursor skips for good the episodes
+//!   that ended before a window, and the scan stops at the first episode
+//!   that starts after it. The overlaps of all windows share one arena,
+//!   `CompiledPlan::overlaps`, and Pauli floors are memoised by
+//!   (qubit, duration) within a build. The result is the same op stream,
+//!   bit for bit, that testing every episode against every window gave.
 //! - [`structural_hash`]: a cheap, collision-resistant fingerprint of a
 //!   timed circuit covering the *full* event stream (kinds, gate
 //!   parameters, operands, timestamps). The full stream is deliberate:
@@ -302,8 +315,8 @@ impl CompiledPlan {
             let compact = |i: usize| self.compact_of[e.instr.qubits[i].index()].expect("active");
             match &e.instr.kind {
                 OpKind::Gate(g) => {
-                    let ops = [compact(0), e.instr.qubits.get(1).map_or(0, |_| compact(1))];
-                    let qs = &ops[..e.instr.qubits.len()];
+                    let pair = [compact(0), e.instr.qubits.get(1).map_or(0, |_| compact(1))];
+                    let qs = &pair[..e.instr.qubits.len()];
                     for &q in qs {
                         st.idle(self, toggles, cal, q, e.start_ns);
                     }
@@ -453,12 +466,10 @@ impl Lowering {
             .idle_floor
             .then(|| self.floors.get(cal.qubit(plan.phys_of[q]), q, dt));
         if toggles.idle_coherent || floor.is_some() || !xtalk.is_empty() {
-            let detune = toggles.idle_coherent;
-            let q16 = q as u16;
             let idle = IdleOp {
-                q: q16,
+                q: q as u16,
                 dt_ns: dt,
-                detune,
+                detune: toggles.idle_coherent,
                 xtalk,
                 floor,
             };

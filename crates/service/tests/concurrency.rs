@@ -218,8 +218,8 @@ fn worker_panic_is_contained_and_the_pool_keeps_serving() {
     let svc = service(vec![DeviceId::Rome], 1, FaultProfile::none());
 
     // A NaN delay cannot be scheduled; `transpile` panics on it, which
-    // panics the worker mid-request. (A program wider than the device,
-    // the trigger this test used before, is now rejected at submit.)
+    // panics the worker mid-request. (A program wider than the device
+    // would be simpler, but submit rejects it before any worker runs.)
     let mut nan_delay = ghz(4);
     nan_delay.delay(f64::NAN, 2);
     let err = svc
