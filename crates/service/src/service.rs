@@ -1202,15 +1202,17 @@ impl MaskService {
         let device = request.device();
         let tenancy = request.tenancy();
         // A program wider than its device can never be laid out on it (the
-        // transpiler asserts this), so it is a client bug too.
+        // transpiler asserts this), so it is a client bug too. An
+        // unregistered device is answered by the worker.
         let width = request.circuit().num_qubits();
-        if width > device.num_qubits() {
-            return Err(ServiceError::InvalidConfig {
-                reason: format!(
-                    "{width}-qubit circuit does not fit on {device} ({} qubits)",
-                    device.num_qubits()
-                ),
-            });
+        if let Some(qubits) = shared.registry.num_qubits(device) {
+            if width > qubits {
+                return Err(ServiceError::InvalidConfig {
+                    reason: format!(
+                        "{width}-qubit circuit does not fit on {device} ({qubits} qubits)"
+                    ),
+                });
+            }
         }
         // A budget no search can run with — or a DD protocol whose
         // parameters cannot compose an identity window (an odd UDD pulse

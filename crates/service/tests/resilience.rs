@@ -393,7 +393,7 @@ fn successful_executions_keep_the_breaker_closed() {
 
 /// Both request kinds naming a program wider than the device.
 fn too_wide_requests(device: DeviceId) -> [Request; 2] {
-    let wide = ghz(device.num_qubits() as u32 + 4);
+    let wide = ghz(device.build(0).num_qubits() as u32 + 4);
     [
         recommend(wide.clone(), device, None),
         Request::Execute {
