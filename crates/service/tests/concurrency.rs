@@ -220,6 +220,9 @@ fn worker_panic_is_contained_and_the_pool_keeps_serving() {
     // A NaN delay cannot be scheduled; `transpile` panics on it, which
     // panics the worker mid-request. (A program wider than the device
     // would be simpler, but submit rejects it before any worker runs.)
+    // Rejecting NaN delays at submit is planned (ROADMAP 2(c)); the
+    // change that does so must give this test another request that
+    // panics a worker, and keep every assertion below.
     let mut nan_delay = ghz(4);
     nan_delay.delay(f64::NAN, 2);
     let err = svc
