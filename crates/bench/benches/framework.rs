@@ -94,12 +94,14 @@ fn bench_execution(c: &mut Criterion) {
 /// determinism property test). The program is QFT-8 rather than QFT-16
 /// because XY4 pads the 16-qubit schedule with ~52k pulses, pushing one
 /// decoy execution to ~a minute — unusable as a benchmark iteration.
+/// Each iteration searches on a fresh machine, as a new program would:
+/// on one machine, every iteration after the first would replay the
+/// first one's batch runs instead of simulating them.
 fn bench_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("search");
     group.sample_size(10);
     let n = 8usize;
     let dev = Device::ibmq_guadalupe(7);
-    let machine = Machine::new(dev.clone());
     let t = transpile(
         &benchmarks::qft_bench(n, 42),
         &dev,
@@ -108,22 +110,25 @@ fn bench_search(c: &mut Criterion) {
     let decoy = make_decoy(&t.timed, DecoyKind::Seeded { max_seed_qubits: 4 }).expect("decoy");
     let order: Vec<u32> = (0..n as u32).collect();
     for threads in [1usize, 4] {
-        let ctx = SearchContext::new(
-            &machine,
-            dev.clone(),
-            &decoy,
-            &t.initial_layout,
-            DdConfig::for_protocol(DdProtocol::Xy4),
-            ExecutionConfig {
-                shots: 128,
-                trajectories: 4,
-                seed: 11,
-                threads,
-            },
-            n,
-        );
         group.bench_function(BenchmarkId::new("localized_qft8_guadalupe", threads), |b| {
-            b.iter(|| black_box(localized_search(&ctx, &order, 4, true).expect("search")));
+            b.iter(|| {
+                let machine = Machine::new(dev.clone());
+                let ctx = SearchContext::new(
+                    &machine,
+                    dev.clone(),
+                    &decoy,
+                    &t.initial_layout,
+                    DdConfig::for_protocol(DdProtocol::Xy4),
+                    ExecutionConfig {
+                        shots: 128,
+                        trajectories: 4,
+                        seed: 11,
+                        threads,
+                    },
+                    n,
+                );
+                black_box(localized_search(&ctx, &order, 4, true).expect("search"))
+            });
         });
     }
     group.finish();

@@ -555,4 +555,98 @@ mod tests {
             .unwrap();
         let _ = ck.record("BV-7", vec!["BV-7".into(), "0.9".into()]);
     }
+
+    /// Resume decoding fuzzed: whatever bytes the manifest and partial
+    /// CSV hold, `open(.., resume = true)` returns, and every row it
+    /// resumes is whole.
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The manifest lines that make a checkpoint resumable under
+        /// seed 7 and config 1, so fuzzed rows get past the header check.
+        const VALID_HEAD: &str = "seed=7\nconfig=0000000000000001\n";
+
+        /// Byte strings built from the formats' own tokens and ASCII,
+        /// with the odd arbitrary byte: manifest keys and row separators
+        /// turn up often, and most strings stay valid UTF-8 (the rest
+        /// exercise the unreadable-file path).
+        fn bytes() -> impl Strategy<Value = Vec<u8>> {
+            const TOKENS: &[&[u8]] = &[
+                b"done=", b"seed=7", b"config=", b",", b"\n", b"\r", b"BV-7", b"0.9",
+            ];
+            let token = prop_oneof![
+                1 => any::<u8>().prop_map(|b| vec![b]),
+                4 => (0u8..128).prop_map(|b| vec![b]),
+                8 => (0..TOKENS.len()).prop_map(|i| TOKENS[i].to_vec()),
+            ];
+            prop::collection::vec(token, 0..32).prop_map(|parts| parts.concat())
+        }
+
+        /// A clean checkpoint's `(manifest, partial CSV)` bytes: three
+        /// recorded rows.
+        fn clean_files() -> (Vec<u8>, Vec<u8>) {
+            let dir = tmp("fuzz_clean");
+            let mut ck = Checkpoint::open(&dir, "exp", HDR, 7, 1, false).unwrap();
+            for (key, fid) in [("BV-7", "0.9"), ("QFT-6A", "0.8"), ("QAOA-8A", "0.7")] {
+                ck.record(key, vec![key.into(), fid.into()]).unwrap();
+            }
+            (
+                fs::read(Checkpoint::manifest_path(&dir, "exp")).unwrap(),
+                fs::read(Checkpoint::partial_path(&dir, "exp")).unwrap(),
+            )
+        }
+
+        /// Resumes from the given bytes and checks every resumed row.
+        fn resume_from(dir: &Path, manifest: &[u8], partial: &[u8]) {
+            fs::create_dir_all(dir).unwrap();
+            fs::write(Checkpoint::manifest_path(dir, "exp"), manifest).unwrap();
+            fs::write(Checkpoint::partial_path(dir, "exp"), partial).unwrap();
+            let ck = Checkpoint::open(dir, "exp", HDR, 7, 1, true).unwrap();
+            assert_eq!(ck.resumed_rows(), ck.rows().len());
+            for (key, cells) in ck.rows() {
+                assert_eq!(cells.len(), HDR.len(), "resumed row {key:?} is not whole");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn arbitrary_checkpoint_bytes_never_panic(
+                head in any::<bool>(),
+                manifest in bytes(),
+                partial in bytes(),
+            ) {
+                // Half the cases get a matching seed and config, so the
+                // row decoding sees the arbitrary bytes too.
+                let mut m = if head { VALID_HEAD.as_bytes().to_vec() } else { Vec::new() };
+                m.extend_from_slice(&manifest);
+                resume_from(&tmp("fuzz_arbitrary"), &m, &partial);
+            }
+
+            #[test]
+            fn mutated_checkpoint_never_panics(
+                in_manifest in any::<bool>(),
+                at in any::<usize>(),
+                byte in any::<u8>(),
+            ) {
+                let (manifest, partial) = clean_files();
+                let dir = tmp("fuzz_mutated");
+                let (mut target, other) = if in_manifest {
+                    (manifest, partial)
+                } else {
+                    (partial, manifest)
+                };
+                let at = at % target.len();
+                let cut = target[..at].to_vec();
+                target[at] = byte;
+                let pairs = [(&target, &other), (&cut, &other)];
+                for (mutated, other) in pairs {
+                    let (m, p) = if in_manifest { (mutated, other) } else { (other, mutated) };
+                    resume_from(&dir, m, p);
+                }
+            }
+        }
+    }
 }

@@ -7,12 +7,14 @@
 //! to the CHP stabilizer engine — the configuration that makes
 //! double-digit masks/s possible. The second pass must be served from the
 //! plan cache (the binary fails loudly when the hit counter stays at
-//! zero, so CI catches a regression in the routing-keyed cache). A
-//! scoring step then runs one neighborhood's 16 masks serially and as one
-//! batch on the CHP path (bit-identity checked, normal-memo hit rate
-//! recorded), re-scores the same masks through a seeded decoy on the
-//! state-vector engine for the routing split, and writes
-//! `results/BENCH_search.json` (schema 2).
+//! zero, so CI catches a regression in the routing-keyed cache), and its
+//! batch jobs repeat the first pass's runs, so the machine replays them.
+//! A scoring step then runs one neighborhood's 16 masks serially and as
+//! one batch on the CHP path, each on a fresh machine so both simulate
+//! (bit-identity checked, normal-memo hit rate recorded), repeats the
+//! batch to check that it is replayed bit for bit, re-scores the same
+//! masks through a seeded decoy on the state-vector engine for the
+//! routing split, and writes `results/BENCH_search.json` (schema 2).
 //!
 //! In full (non-`--quick`) mode the binary asserts the performance
 //! contract from the roadmap: batched CHP scoring sustains ≥ 10 masks/s
@@ -46,7 +48,8 @@ fn normal_memo_counts() -> (u64, u64) {
 ///
 /// Panics (failing the CI job) when the second search records no plan
 /// cache hits, when batched scoring diverges from serial scoring, when the
-/// batched CHP pass takes no normal from the per-seed memo, when no
+/// batched CHP pass takes no normal from the per-seed memo, when a
+/// repeated batch is not replayed in full and bit for bit, when no
 /// execution routed to the CHP engine, or — in full mode — when batched
 /// CHP scoring falls below `FULL_MODE_MASKS_PER_S_FLOOR`.
 pub fn run(cfg: &ExperimentCfg) {
@@ -76,9 +79,9 @@ pub fn run(cfg: &ExperimentCfg) {
         seed: cfg.seed ^ 0x5EED_DEC0,
         threads,
     };
-    let ctx = |decoy, threads: usize| {
+    let ctx = |machine, decoy, threads: usize| {
         SearchContext::new(
-            &machine,
+            machine,
             dev.clone(),
             decoy,
             &t.initial_layout,
@@ -91,20 +94,24 @@ pub fn run(cfg: &ExperimentCfg) {
     // Two identical searches on one machine: the first populates the
     // plan cache, the second must hit it for every decoy circuit.
     let order: Vec<u32> = (0..n as u32).collect();
-    let serial_ctx = ctx(&cdc, 1);
+    let search_ctx = ctx(&machine, &cdc, 1);
     let t0 = Instant::now();
-    let first = localized_search(&serial_ctx, &order, 4, true).expect("first search");
+    let first = localized_search(&search_ctx, &order, 4, true).expect("first search");
     let first_ms = t0.elapsed().as_secs_f64() * 1000.0;
     let after_first = machine.plan_cache_stats();
+    let first_replays = machine.engine_stats().batch_replays;
     let t0 = Instant::now();
-    let second = localized_search(&serial_ctx, &order, 4, true).expect("second search");
+    let second = localized_search(&search_ctx, &order, 4, true).expect("second search");
     let second_ms = t0.elapsed().as_secs_f64() * 1000.0;
     let stats = machine.plan_cache_stats();
+    let search_replays = machine.engine_stats().batch_replays;
     assert_eq!(first.best, second.best, "repeated search must be stable");
     println!(
-        "  search: first {first_ms:.0} ms ({} compilations), second {second_ms:.0} ms, \
-         cache {}/{} hits ({:.0}%)",
+        "  search: first {first_ms:.0} ms ({} compilations, {first_replays} of {} runs \
+         replayed), second {second_ms:.0} ms ({} replayed), cache {}/{} hits ({:.0}%)",
         after_first.misses,
+        first.decoy_runs(),
+        search_replays - first_replays,
         stats.hits,
         stats.hits + stats.misses,
         stats.hit_rate() * 100.0
@@ -114,10 +121,17 @@ pub fn run(cfg: &ExperimentCfg) {
         "second search recorded no plan-cache hits: {stats:?}"
     );
 
+    // The scoring passes below each run on a fresh machine: on `machine`,
+    // every mask of the first neighbourhood would replay the searches'
+    // runs, and the throughput would not measure simulation.
+    let serial_machine = Machine::new(dev.clone());
+    let batched_machine = Machine::new(dev.clone());
+
     // Mask-scoring throughput on the CHP path: one neighborhood's 16
     // masks, serial vs batched submission. The results must be
     // bit-identical however the thread budget is split.
     let masks: Vec<DdMask> = (0u64..16).map(|bits| DdMask::from_bits(bits, n)).collect();
+    let serial_ctx = ctx(&serial_machine, &cdc, 1);
     let t0 = Instant::now();
     let serial: Vec<_> = masks
         .iter()
@@ -128,7 +142,7 @@ pub fn run(cfg: &ExperimentCfg) {
     // The thread budget the batches request: at least four workers, so the
     // batched path is exercised (and reported) even on a one-core host.
     let batch_budget = host_threads.max(4);
-    let batched_ctx = ctx(&cdc, batch_budget);
+    let batched_ctx = ctx(&batched_machine, &cdc, batch_budget);
     let memo_before = normal_memo_counts();
     let t0 = Instant::now();
     let batched: Vec<_> = batched_ctx
@@ -149,7 +163,12 @@ pub fn run(cfg: &ExperimentCfg) {
     }
     // The batch's worker count, read back from the engine counters rather
     // than assumed from the host — this is what the report records.
-    let batch_workers = machine.engine_stats().last_batch_workers;
+    let batch_workers = batched_machine.engine_stats().last_batch_workers;
+    assert_eq!(
+        batched_machine.engine_stats().batch_replays,
+        0,
+        "the batched pass on a fresh machine must simulate every mask"
+    );
     // The 16 masks share trajectory seeds, so the batch serves normals
     // from the per-seed memo; the check below only asks that it does.
     let (hits, misses) = (memo_after.0 - memo_before.0, memo_after.1 - memo_before.1);
@@ -168,9 +187,38 @@ pub fn run(cfg: &ExperimentCfg) {
         "the batched CHP pass served no normal from the per-seed memo"
     );
 
+    // The same batch again on its machine: every job repeats a run the
+    // machine has made, so it is replayed, bit for bit.
+    let t0 = Instant::now();
+    let repeated: Vec<_> = batched_ctx
+        .score_batch(&masks)
+        .into_iter()
+        .map(|r| r.expect("repeated score"))
+        .collect();
+    let repeat_ms = t0.elapsed().as_secs_f64() * 1000.0;
+    let repeat_replays = batched_machine.engine_stats().batch_replays;
+    for (b, r) in batched.iter().zip(&repeated) {
+        assert_eq!(
+            b.fidelity.to_bits(),
+            r.fidelity.to_bits(),
+            "replayed scoring diverged on mask {}",
+            b.mask
+        );
+    }
+    assert_eq!(
+        repeat_replays,
+        masks.len() as u64,
+        "the repeated batch must be replayed in full"
+    );
+    println!(
+        "  repeated batch: {repeat_replays} of {} masks replayed in {repeat_ms:.1} ms, \
+         bit-identical",
+        masks.len()
+    );
+
     // The same masks through the seeded decoy: non-Clifford phases force
     // the state-vector engine, giving the CHP-vs-dense routing split.
-    let dense_ctx = ctx(&sdc, batch_budget);
+    let dense_ctx = ctx(&machine, &sdc, batch_budget);
     let t0 = Instant::now();
     let dense: Vec<_> = dense_ctx
         .score_batch(&masks)
@@ -211,12 +259,12 @@ pub fn run(cfg: &ExperimentCfg) {
          \"batch\": {{ \"budget\": {batch_budget}, \"workers\": {batch_workers} }},\n  \
          \"engines\": {{ \"chp_executions\": {}, \"statevec_executions\": {} }},\n  \
          \"search\": {{ \"decoy\": \"clifford\", \"engine\": \"chp\", \"first_ms\": {first_ms:.1}, \
-         \"second_ms\": {second_ms:.1}, \"decoy_runs\": {}, \"cache\": {{ \"hits\": {}, \
-         \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4} }} }},\n  \
+         \"second_ms\": {second_ms:.1}, \"decoy_runs\": {}, \"replays\": {search_replays}, \
+         \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4} }} }},\n  \
          \"mask_scoring\": {{ \"masks\": {}, \"chp\": {{ \"serial_ms\": {serial_ms:.1}, \
          \"batched_ms\": {batched_ms:.1}, \"serial_masks_per_s\": {chp_serial_per_s:.2}, \
          \"batched_masks_per_s\": {chp_batched_per_s:.2}, \"bit_identical\": true, \
-         \"normal_memo_hit_rate\": {memo_hit_rate:.4} }}, \
+         \"normal_memo_hit_rate\": {memo_hit_rate:.4}, \"repeat_replays\": {repeat_replays} }}, \
          \"statevector\": {{ \"batched_ms\": {dense_ms:.1}, \
          \"batched_masks_per_s\": {dense_per_s:.2} }} }}\n}}\n",
         dev.name(),

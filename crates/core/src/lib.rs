@@ -599,11 +599,14 @@ mod tests {
 
     #[test]
     fn deterministic_end_to_end() {
+        // Two machines: on one, the second search would replay the
+        // first's batch runs.
         let adapt = Adapt::new(Machine::new(Device::ibmq_guadalupe(17)));
+        let again = Adapt::new(Machine::new(Device::ibmq_guadalupe(17)));
         let cfg = small_cfg();
         let c = program();
         let a = adapt.run_policy(&c, Policy::Adapt, &cfg).unwrap();
-        let b = adapt.run_policy(&c, Policy::Adapt, &cfg).unwrap();
+        let b = again.run_policy(&c, Policy::Adapt, &cfg).unwrap();
         assert_eq!(a.mask, b.mask);
         assert_eq!(a.fidelity, b.fidelity);
     }

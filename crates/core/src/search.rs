@@ -728,8 +728,11 @@ mod tests {
     #[test]
     fn score_batch_parallel_workers_match_serial() {
         // Explicit threads > 1 routes the batch through the machine's
-        // scoped-worker pool; scores must not move by a single bit.
+        // scoped-worker pool; scores must not move by a single bit. The
+        // serial reference runs on a machine of its own, so it simulates
+        // rather than replaying the parallel batch's runs.
         let (machine, decoy, layout, n) = context_fixture();
+        let (reference, ..) = context_fixture();
         let par = SearchContext::new(
             &machine,
             machine.device().clone(),
@@ -742,7 +745,7 @@ mod tests {
             },
             n,
         );
-        let ser = ctx_over(&machine, machine.device().clone(), &decoy, &layout, n);
+        let ser = ctx_over(&reference, machine.device().clone(), &decoy, &layout, n);
         let masks = DdMask::enumerate_all(n);
         for (p, s) in par.score_batch(&masks).iter().zip(ser.score_batch(&masks)) {
             assert_eq!(p.as_ref().unwrap().fidelity, s.unwrap().fidelity);
@@ -766,9 +769,13 @@ mod tests {
     #[test]
     fn localized_with_full_neighborhood_matches_exhaustive_best_score() {
         let (machine, decoy, layout, n) = context_fixture();
+        let (reference, ..) = context_fixture();
         let ctx = ctx_over(&machine, machine.device().clone(), &decoy, &layout, n);
         let order: Vec<u32> = (0..n as u32).collect();
-        let ex = exhaustive_search(&ctx).unwrap();
+        // Exhaustive on its own machine, so the localized search's runs
+        // are simulated, not replays of the exhaustive ones.
+        let ex_ctx = ctx_over(&reference, machine.device().clone(), &decoy, &layout, n);
+        let ex = exhaustive_search(&ex_ctx).unwrap();
         let loc = localized_search(&ctx, &order, 4, false).unwrap();
         // One neighborhood spanning everything without merge = exhaustive.
         assert_eq!(loc.best, ex.best);
@@ -777,9 +784,11 @@ mod tests {
     #[test]
     fn top2_merge_is_superset_of_best() {
         let (machine, decoy, layout, n) = context_fixture();
+        let (reference, ..) = context_fixture();
         let ctx = ctx_over(&machine, machine.device().clone(), &decoy, &layout, n);
         let order: Vec<u32> = (0..n as u32).collect();
-        let plain = localized_search(&ctx, &order, 4, false).unwrap();
+        let plain_ctx = ctx_over(&reference, machine.device().clone(), &decoy, &layout, n);
+        let plain = localized_search(&plain_ctx, &order, 4, false).unwrap();
         let merged = localized_search(&ctx, &order, 4, true).unwrap();
         // The merged mask contains every bit of the locally-best mask.
         assert_eq!(merged.best.bits() & plain.best.bits(), plain.best.bits());

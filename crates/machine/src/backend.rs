@@ -148,7 +148,8 @@ pub struct JobSpec<'a> {
 /// - [`Machine`]: the pristine trajectory simulator; always returns
 ///   complete batches and overrides [`Backend::execute_batch`] with a
 ///   trajectory-major, scoped-thread parallel implementation that shares
-///   each trajectory seed's normals across the batch's jobs.
+///   each trajectory seed's normals across the batch's jobs and
+///   simulates each distinct run at most once per machine.
 /// - [`crate::fault::FaultyBackend`]: wraps a [`Machine`] and injects
 ///   seeded transient failures, timeouts, truncation, readout dropouts
 ///   and calibration staleness. Keeps the default (serial) batch path:
@@ -194,6 +195,9 @@ pub trait Backend: Send + Sync {
     /// preserves the contract because its executions are stateless, its
     /// trajectories are seeded independently of the thread layout, and
     /// its shared per-seed normals equal the ones each stream would draw.
+    /// For the same reason it may serve a job that repeats a run it has
+    /// already made (same plan, seed, shots and trajectories) with that
+    /// run's result instead of simulating it again.
     ///
     /// The contract holds *across simulator routing* too: a batch may mix
     /// CHP-routed Clifford jobs with state-vector jobs, and each job's

@@ -266,6 +266,7 @@ pub(crate) struct EngineCounters {
     pub chp: AtomicU64,
     pub statevec: AtomicU64,
     pub batch_workers: AtomicU64,
+    pub batch_replays: AtomicU64,
 }
 
 impl EngineCounters {
@@ -274,20 +275,29 @@ impl EngineCounters {
             chp_executions: self.chp.load(Ordering::Relaxed),
             statevec_executions: self.statevec.load(Ordering::Relaxed),
             last_batch_workers: self.batch_workers.load(Ordering::Relaxed),
+            batch_replays: self.batch_replays.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Snapshot of a machine's engine-routing split and the worker count of
-/// its most recent batch (see [`Machine::engine_stats`]).
+/// Snapshot of a machine's engine-routing split, the worker count of
+/// its most recent batch and its batch replays (see
+/// [`Machine::engine_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Executions routed to the CHP stabilizer engine.
+    /// Executions routed to the CHP stabilizer engine, replayed batch
+    /// jobs included.
     pub chp_executions: u64,
-    /// Executions routed to the dense state-vector engine.
+    /// Executions routed to the dense state-vector engine, replayed
+    /// batch jobs included.
     pub statevec_executions: u64,
-    /// Scoped worker threads used by the most recent `execute_batch`.
+    /// Workers the most recent `execute_batch` simulated on (1 is the
+    /// calling thread); 0 when it simulated nothing, because it was
+    /// empty or every job was replayed.
     pub last_batch_workers: u64,
+    /// Batch jobs served without simulating: duplicates of an earlier
+    /// job in their batch, and replays of an earlier batch's run.
+    pub batch_replays: u64,
 }
 
 /// Runs one noise realization of a compiled plan on its engine.

@@ -19,12 +19,13 @@
 use crate::backend::{JobSpec, ShotBatch};
 use crate::engine::{EngineCounters, EnginePolicy, EngineStats, SimEngine};
 use crate::noise::MemoCursor;
-use crate::plan::{CompiledPlan, PlanCache, PlanCacheStats};
+use crate::plan::{CompiledPlan, PlanCache, PlanCacheStats, RunKey};
 use device::{Device, SeedSpawner};
 use qcirc::{Circuit, Counts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use statevec::SimError;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -397,7 +398,7 @@ impl Machine {
         config: &ExecutionConfig,
     ) -> Result<Counts, ExecError> {
         let _span = crate::metrics::metrics().execute_us.time();
-        let compiled = self.plan_for(timed)?;
+        let (_, compiled) = self.plan_for(timed)?;
         let runs = trajectory_runs(config);
         // Capped at one thread per trajectory: extra workers would only
         // idle (and results are thread-count invariant anyway).
@@ -444,13 +445,13 @@ impl Machine {
     }
 
     /// Counts one execution, fetches (or compiles) its plan and records
-    /// which engine it routed to.
-    fn plan_for(&self, timed: &TimedCircuit) -> Result<Arc<CompiledPlan>, ExecError> {
+    /// which engine it routed to. Returns the plan with its cache key.
+    fn plan_for(&self, timed: &TimedCircuit) -> Result<(u64, Arc<CompiledPlan>), ExecError> {
         let m = crate::metrics::metrics();
         m.executions.inc();
-        let compiled = self
+        let (key, compiled) = self
             .plans
-            .get_or_build(timed, &self.device, &self.toggles, self.policy)?;
+            .lookup(timed, &self.device, &self.toggles, self.policy)?;
         match compiled.engine {
             SimEngine::Chp => {
                 self.engines.chp.fetch_add(1, Ordering::Relaxed);
@@ -461,18 +462,24 @@ impl Machine {
                 m.engine_statevec.inc();
             }
         }
-        Ok(compiled)
+        Ok((key, compiled))
     }
 
     /// Executes a slice of jobs trajectory-major, preserving the per-job
-    /// result order.
+    /// result order, and simulates each distinct run at most once.
     ///
-    /// Every job's plan is compiled first, in submission order. Then, for
-    /// each trajectory seed, the trajectories of every job deriving that
-    /// seed run back to back through one [`MemoCursor`] memo, so a batch
-    /// on common random numbers (a neighbourhood's masks all carry the
-    /// same seed) computes each Box–Muller normal once instead of once per
-    /// job. A work unit is one seed and a contiguous slice of its jobs:
+    /// Every job's plan is compiled first, in submission order. A job's
+    /// counts are a pure function of its plan and its run key (seed,
+    /// shots, trajectories; see [`RunKey`]), so a job repeating an earlier
+    /// job of the batch takes that job's result, `Ok` or `Err`, and a job
+    /// whose plan's replay slot holds its run key takes the kept counts.
+    /// Only the rest simulate, and each successful one refills its plan's
+    /// slot. Then, for each trajectory seed, the trajectories of every
+    /// job deriving that seed run back to back through one
+    /// [`MemoCursor`] memo, so a batch on common random numbers (a
+    /// neighbourhood's masks all carry the same seed) computes each
+    /// Box–Muller normal once instead of once per job. A work unit is one
+    /// seed and a contiguous slice of its jobs:
     /// with `S` seeds and a thread budget `B` (the largest per-job
     /// request, `0` counting as all cores), each seed's jobs are cut into
     /// `⌈B/S⌉` slices, and up to `B` scoped workers claim units. Each unit
@@ -492,14 +499,45 @@ impl Machine {
         m.batches.inc();
         m.batch_jobs.add(jobs.len() as u64);
         m.batch_fanout.record(jobs.len() as u64);
-        let plans: Vec<Result<Arc<CompiledPlan>, ExecError>> =
+        let plans: Vec<Result<(u64, Arc<CompiledPlan>), ExecError>> =
             jobs.iter().map(|j| self.plan_for(j.timed)).collect();
+
+        // How each job gets its counts (a job whose plan failed has no
+        // runs, and keeps `Simulate`).
+        let mut first_of: HashMap<(u64, RunKey), usize> = HashMap::new();
+        let mut sources: Vec<Source> = Vec::with_capacity(jobs.len());
+        for (job, spec) in jobs.iter().enumerate() {
+            let source = match &plans[job] {
+                Err(_) => Source::Simulate,
+                Ok((key, _)) => {
+                    let run = RunKey::of(&spec.config);
+                    match first_of.entry((*key, run)) {
+                        Entry::Occupied(first) => Source::SameAs(*first.get()),
+                        Entry::Vacant(slot) => {
+                            slot.insert(job);
+                            self.plans
+                                .replay(*key, run)
+                                .map_or(Source::Simulate, Source::Replay)
+                        }
+                    }
+                }
+            };
+            sources.push(source);
+        }
+        let replays = sources
+            .iter()
+            .filter(|s| !matches!(s, Source::Simulate))
+            .count() as u64;
+        self.engines
+            .batch_replays
+            .fetch_add(replays, Ordering::Relaxed);
+        m.batch_replays.add(replays);
 
         // Each trajectory seed with the runs deriving it, in submission order.
         let mut seeds: Vec<(u64, Vec<Run>)> = Vec::new();
         let mut slot_of: HashMap<u64, usize> = HashMap::new();
         for (job, spec) in jobs.iter().enumerate() {
-            if plans[job].is_err() {
+            if plans[job].is_err() || !matches!(sources[job], Source::Simulate) {
                 continue;
             }
             for (traj, (seed, shots)) in trajectory_runs(&spec.config).into_iter().enumerate() {
@@ -526,7 +564,7 @@ impl Machine {
                     .map(move |slice| (*seed, slice))
             })
             .collect();
-        let workers = budget.min(units.len()).max(1);
+        let workers = budget.min(units.len());
         self.engines
             .batch_workers
             .store(workers as u64, Ordering::Relaxed);
@@ -544,7 +582,7 @@ impl Machine {
         let run_unit = |&(seed, runs): &(u64, &[Run])| {
             let mut memo = Vec::new();
             for run in runs {
-                let plan = plans[run.job]
+                let (_, plan) = plans[run.job]
                     .as_ref()
                     .expect("only compiled jobs have runs");
                 let mut rng = MemoCursor::new(StdRng::seed_from_u64(seed), &mut memo);
@@ -573,20 +611,38 @@ impl Machine {
             });
         }
 
-        plans
-            .into_iter()
-            .zip(tallies)
-            .zip(jobs)
-            .map(|((plan, tally), job)| {
-                plan?;
-                let tally = tally.into_inner().expect("batch tally lock");
-                match tally.error {
-                    Some((_, e)) => Err(e),
-                    None => Ok(ShotBatch::complete(tally.counts, job.config.shots)),
+        let mut results: Vec<Result<ShotBatch, ExecError>> = Vec::with_capacity(jobs.len());
+        for (((plan, source), tally), job) in plans.into_iter().zip(sources).zip(tallies).zip(jobs)
+        {
+            let result = plan.and_then(|(key, _)| match source {
+                Source::SameAs(first) => results[first].clone(),
+                Source::Replay(counts) => Ok(ShotBatch::complete(counts, job.config.shots)),
+                Source::Simulate => {
+                    let tally = tally.into_inner().expect("batch tally lock");
+                    match tally.error {
+                        Some((_, e)) => Err(e),
+                        None => {
+                            self.plans
+                                .remember(key, RunKey::of(&job.config), &tally.counts);
+                            Ok(ShotBatch::complete(tally.counts, job.config.shots))
+                        }
+                    }
                 }
-            })
-            .collect()
+            });
+            results.push(result);
+        }
+        results
     }
+}
+
+/// How a batch job with a compiled plan gets its counts.
+enum Source {
+    /// Its trajectories run in this batch.
+    Simulate,
+    /// The earlier job at this index has the same plan and run key.
+    SameAs(usize),
+    /// Its plan's replay slot kept these counts for its run key.
+    Replay(Counts),
 }
 
 /// One trajectory of one batch job: the job's index, the trajectory's

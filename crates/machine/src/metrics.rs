@@ -30,6 +30,8 @@ pub(crate) struct Metrics {
     pub batch_fanout: Histogram,
     /// Worker threads of the most recent batch.
     pub batch_workers: Gauge,
+    /// Batch jobs served without simulating (see `EngineStats::batch_replays`).
+    pub batch_replays: Counter,
     /// Batch trajectories' normals served from, or computed into, their
     /// seed's memo (added once per trajectory).
     pub normal_memo_hits: Counter,
@@ -64,6 +66,7 @@ pub(crate) fn metrics() -> &'static Metrics {
             batch_jobs: r.counter("adapt_machine_batch_jobs_total"),
             batch_fanout: r.histogram_with_buckets("adapt_machine_batch_fanout", FANOUT_BUCKETS),
             batch_workers: r.gauge("adapt_machine_batch_workers"),
+            batch_replays: r.counter("adapt_machine_batch_replays_total"),
             normal_memo_hits: r.counter("adapt_machine_normal_memo_hits_total"),
             normal_memo_misses: r.counter("adapt_machine_normal_memo_misses_total"),
             retry_requests: r.counter("adapt_machine_retry_requests_total"),

@@ -52,17 +52,20 @@
 //!   on the wrong engine.
 //! - [`PlanCache`]: a small LRU keyed by [`routing_key`], shared by all
 //!   clones of a [`Machine`](crate::Machine), with hit/miss counters so
-//!   cache effectiveness is observable.
+//!   cache effectiveness is observable. Each entry also keeps the counts
+//!   of its plan's last successful batch run, which later batch jobs
+//!   with the same seed, shots and trajectories replay instead of
+//!   simulating (see [`Backend::execute_batch`](crate::Backend::execute_batch)).
 
 use crate::engine::{
     lower_clifford1, lower_clifford2, select_engine, CliffGate1, CliffGate2, EnginePolicy,
     SimEngine,
 };
-use crate::executor::{ExecError, NoiseToggles};
+use crate::executor::{ExecError, ExecutionConfig, NoiseToggles};
 use crate::noise::PauliFloor;
 use device::{Calibration, Device, QubitCalibration};
 use qcirc::math::{Mat2, Mat4};
-use qcirc::{Gate, OpKind};
+use qcirc::{Counts, Gate, OpKind};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -837,10 +840,40 @@ impl PlanCacheStats {
     }
 }
 
+/// What a job's counts depend on besides its compiled plan: the seed,
+/// shot and trajectory counts of its [`ExecutionConfig`]. `threads` is
+/// left out, because counts are thread-count invariant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct RunKey {
+    seed: u64,
+    shots: u64,
+    trajectories: u32,
+}
+
+impl RunKey {
+    pub(crate) fn of(config: &ExecutionConfig) -> Self {
+        RunKey {
+            seed: config.seed,
+            shots: config.shots,
+            trajectories: config.trajectories,
+        }
+    }
+}
+
+/// One resident plan.
+#[derive(Debug)]
+struct Entry {
+    plan: Arc<CompiledPlan>,
+    /// Last-use stamp backing the LRU policy.
+    stamp: u64,
+    /// The counts of the plan's last successful batch run, with its key.
+    replay: Option<(RunKey, Counts)>,
+}
+
 #[derive(Debug)]
 struct CacheInner {
-    /// routing key → (plan, last-use stamp).
-    map: HashMap<u64, (Arc<CompiledPlan>, u64)>,
+    /// routing key → resident plan.
+    map: HashMap<u64, Entry>,
     /// Monotonic use counter backing the LRU policy.
     tick: u64,
     hits: u64,
@@ -858,6 +891,11 @@ struct CacheInner {
 ///
 /// Compilation *failures* are never cached: an oversized circuit errors
 /// on every lookup, exactly as it did without the cache.
+///
+/// Each entry also holds one replay slot: the counts of the plan's last
+/// successful batch run and that run's seed, shots and trajectories. A
+/// slot lives and dies with its plan, so the memory it holds is bounded
+/// by the capacity too; [`PlanCache::clear`] drops every slot.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<CacheInner>,
@@ -893,6 +931,19 @@ impl PlanCache {
         toggles: &NoiseToggles,
         policy: EnginePolicy,
     ) -> Result<Arc<CompiledPlan>, ExecError> {
+        self.lookup(timed, device, toggles, policy)
+            .map(|(_, plan)| plan)
+    }
+
+    /// [`PlanCache::get_or_build`], also returning the plan's
+    /// [`routing_key`], which names its replay slot.
+    pub(crate) fn lookup(
+        &self,
+        timed: &TimedCircuit,
+        device: &Device,
+        toggles: &NoiseToggles,
+        policy: EnginePolicy,
+    ) -> Result<(u64, Arc<CompiledPlan>), ExecError> {
         let m = crate::metrics::metrics();
         let engine = select_engine(timed, toggles, policy);
         let key = key_for(timed, toggles, engine);
@@ -900,12 +951,12 @@ impl PlanCache {
             let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
-            if let Some((plan, stamp)) = inner.map.get_mut(&key) {
-                *stamp = tick;
-                let plan = Arc::clone(plan);
+            if let Some(entry) = inner.map.get_mut(&key) {
+                entry.stamp = tick;
+                let plan = Arc::clone(&entry.plan);
                 inner.hits += 1;
                 m.plan_hits.inc();
-                return Ok(plan);
+                return Ok((key, plan));
             }
             inner.misses += 1;
             m.plan_misses.inc();
@@ -920,7 +971,7 @@ impl PlanCache {
             if let Some(&lru) = inner
                 .map
                 .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
+                .min_by_key(|(_, entry)| entry.stamp)
                 .map(|(k, _)| k)
             {
                 inner.map.remove(&lru);
@@ -928,8 +979,32 @@ impl PlanCache {
                 m.plan_evictions.inc();
             }
         }
-        inner.map.insert(key, (Arc::clone(&plan), tick));
-        Ok(plan)
+        inner.map.insert(
+            key,
+            Entry {
+                plan: Arc::clone(&plan),
+                stamp: tick,
+                replay: None,
+            },
+        );
+        Ok((key, plan))
+    }
+
+    /// The counts kept in `key`'s replay slot, if the plan is resident
+    /// and its last successful batch run was `run`.
+    pub(crate) fn replay(&self, key: u64, run: RunKey) -> Option<Counts> {
+        match &self.lock().map.get(&key)?.replay {
+            Some((kept, counts)) if *kept == run => Some(counts.clone()),
+            _ => None,
+        }
+    }
+
+    /// Keeps `counts` as the result of `run` in `key`'s replay slot. A
+    /// plan evicted since its lookup gets no slot back.
+    pub(crate) fn remember(&self, key: u64, run: RunKey, counts: &Counts) {
+        if let Some(entry) = self.lock().map.get_mut(&key) {
+            entry.replay = Some((run, counts.clone()));
+        }
     }
 
     /// The cache map and counters are always internally consistent (no
@@ -1359,6 +1434,48 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 4);
+    }
+
+    #[test]
+    fn replay_slots_live_and_die_with_their_plans() {
+        let dev = Device::ibmq_rome(3);
+        let circuits: Vec<TimedCircuit> = (1..=3)
+            .map(|k| {
+                let mut c = Circuit::new(2);
+                for _ in 0..k {
+                    c.x(0);
+                }
+                c.measure_all();
+                timed_of(&c, &dev)
+            })
+            .collect();
+        let cache = PlanCache::new(2);
+        let t = NoiseToggles::default();
+        let p = EnginePolicy::Auto;
+        let run = RunKey::of(&ExecutionConfig::seeded(1));
+        let mut counts = Counts::new(2);
+        counts.record_many(0b01, 5);
+
+        let (k0, _) = cache.lookup(&circuits[0], &dev, &t, p).unwrap();
+        assert_eq!(cache.replay(k0, run), None, "a new plan has an empty slot");
+        cache.remember(k0, run, &counts);
+        assert_eq!(cache.replay(k0, run), Some(counts.clone()));
+        let other = RunKey::of(&ExecutionConfig::seeded(2));
+        assert_eq!(cache.replay(k0, other), None);
+
+        // Two newer plans evict the first, and its slot with it.
+        cache.lookup(&circuits[1], &dev, &t, p).unwrap();
+        cache.lookup(&circuits[2], &dev, &t, p).unwrap();
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.replay(k0, run), None);
+        // A run finishing after its plan left keeps nothing.
+        cache.remember(k0, run, &counts);
+        assert_eq!(cache.lookup(&circuits[0], &dev, &t, p).unwrap().0, k0);
+        assert_eq!(cache.replay(k0, run), None);
+
+        cache.remember(k0, run, &counts);
+        cache.clear();
+        assert_eq!(cache.replay(k0, run), None);
     }
 
     #[test]

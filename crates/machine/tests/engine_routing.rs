@@ -159,15 +159,18 @@ fn batch_is_bit_identical_to_serial_on_both_engines() {
 }
 
 /// Runs one batch of Clifford-circuit jobs, one per `(seed, trajectories,
-/// threads)` spec, and checks that every job succeeds.
+/// threads)` spec, and checks that every job succeeds. Each job gets its
+/// own shot count, so jobs sharing a seed are still distinct runs (the
+/// machine would simulate identical ones once).
 fn clifford_batch(m: &Machine, specs: &[(u64, u32, usize)]) {
     let cliff = timed_of(&clifford_circuit(), m.device());
     let jobs: Vec<JobSpec<'_>> = specs
         .iter()
-        .map(|&(seed, trajectories, threads)| JobSpec {
+        .enumerate()
+        .map(|(i, &(seed, trajectories, threads))| JobSpec {
             timed: &cliff,
             config: ExecutionConfig {
-                shots: 256,
+                shots: 256 + i as u64,
                 trajectories,
                 seed,
                 threads,
@@ -181,21 +184,33 @@ fn clifford_batch(m: &Machine, specs: &[(u64, u32, usize)]) {
 fn batch_reports_actual_thread_layout() {
     // The batch runs (trajectory seed, slice of jobs) units on one level
     // of workers: min(budget, units), where each of S seeds is cut into
-    // ⌈budget / S⌉ slices of its jobs.
-    let m = Machine::new(Device::ibmq_rome(9));
+    // ⌈budget / S⌉ slices of its jobs. Each layout runs on a fresh
+    // machine, so no job is a replay of an earlier batch's run.
+    let fresh = || Machine::new(Device::ibmq_rome(9));
     // Two master seeds × 8 trajectories = 16 trajectory seeds, one slice
     // each: 16 units, so the whole budget of 4 is used.
+    let m = fresh();
     clifford_batch(&m, &[(0, 8, 4), (1, 8, 4)]);
     assert_eq!(m.engine_stats().last_batch_workers, 4);
     // One seed shared by four jobs, budget 4: four one-job slices.
+    let m = fresh();
     clifford_batch(&m, &[(5, 1, 4); 4]);
     assert_eq!(m.engine_stats().last_batch_workers, 4);
     // One seed shared by two jobs: only two non-empty slices to run.
+    let m = fresh();
     clifford_batch(&m, &[(5, 1, 4); 2]);
     assert_eq!(m.engine_stats().last_batch_workers, 2);
     // A hint of 1 runs the batch on the calling thread.
+    let m = fresh();
     clifford_batch(&m, &[(0, 8, 1), (1, 8, 1)]);
     assert_eq!(m.engine_stats().last_batch_workers, 1);
+    // A batch whose every job repeats a run its machine kept simulates
+    // nothing, so no worker runs.
+    let m = fresh();
+    clifford_batch(&m, &[(0, 8, 4)]);
+    clifford_batch(&m, &[(0, 8, 4)]);
+    assert_eq!(m.engine_stats().last_batch_workers, 0);
+    assert_eq!(m.engine_stats().batch_replays, 1);
 }
 
 #[test]
@@ -251,7 +266,11 @@ fn mixed_batch_matches_serial_at_every_budget() {
                 config: config(seed, shots, traj, budget),
             })
             .collect();
-        let batched = m.execute_batch(&jobs);
+        // A fresh machine per budget: on `m` every budget after the first
+        // would replay the first batch's runs instead of simulating.
+        let fresh = Machine::new(m.device().clone());
+        let batched = fresh.execute_batch(&jobs);
+        assert_eq!(fresh.engine_stats().batch_replays, 0);
         assert_eq!(batched.len(), serial.len());
         for (i, (s, b)) in serial.iter().zip(&batched).enumerate() {
             match (s, b) {

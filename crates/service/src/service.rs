@@ -1204,7 +1204,8 @@ impl MaskService {
         // A program wider than its device can never be laid out on it (the
         // transpiler asserts this), so it is a client bug too. An
         // unregistered device is answered by the worker.
-        let width = request.circuit().num_qubits();
+        let circuit = request.circuit();
+        let width = circuit.num_qubits();
         if let Some(qubits) = shared.registry.num_qubits(device) {
             if width > qubits {
                 return Err(ServiceError::InvalidConfig {
@@ -1213,6 +1214,24 @@ impl MaskService {
                     ),
                 });
             }
+        }
+        // Outcomes are 64-bit words, so a wider classical register cannot
+        // be counted, and a non-finite rotation angle makes every fidelity
+        // NaN: both would panic a worker, so both are client bugs too.
+        let clbits = circuit.num_clbits();
+        if clbits > 64 {
+            return Err(ServiceError::InvalidConfig {
+                reason: format!("{clbits} classical bits exceed the 64-bit outcome register"),
+            });
+        }
+        if let Some(gate) = circuit
+            .iter()
+            .filter_map(|i| i.as_gate())
+            .find(|g| g.params().iter().any(|p| !p.is_finite()))
+        {
+            return Err(ServiceError::InvalidConfig {
+                reason: format!("{gate} has a non-finite parameter"),
+            });
         }
         // A budget no search can run with — or a DD protocol whose
         // parameters cannot compose an identity window (an odd UDD pulse

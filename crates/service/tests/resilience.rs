@@ -437,3 +437,78 @@ fn circuits_wider_than_their_device_are_rejected_not_panicked() {
     let stats = svc.shutdown();
     assert_eq!(stats.worker_panics, 0);
 }
+
+/// Both request kinds for `circuit` on `device`.
+fn both_kinds(circuit: qcirc::Circuit, device: DeviceId) -> [Request; 2] {
+    [
+        recommend(circuit.clone(), device, None),
+        Request::Execute {
+            circuit,
+            device,
+            policy: Policy::Adapt,
+            deadline_ms: None,
+            tenancy: Default::default(),
+        },
+    ]
+}
+
+#[test]
+fn non_finite_gate_parameters_are_rejected_not_panicked() {
+    // Regression: an `RZ(NaN)` reached the search, whose fidelities came
+    // out NaN and panicked the worker.
+    let svc = MaskService::start(ServiceConfig {
+        devices: vec![DeviceId::Rome],
+        ..ServiceConfig::default()
+    });
+    for angle in [f64::NAN, f64::INFINITY] {
+        let mut c = ghz(3);
+        c.rz(angle, 1);
+        for request in both_kinds(c, DeviceId::Rome) {
+            match svc.submit(request) {
+                Err(ServiceError::InvalidConfig { reason }) => {
+                    assert!(reason.ends_with("has a non-finite parameter"), "{reason}")
+                }
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+    // A finite angle is still served.
+    let mut c = ghz(3);
+    c.rz(0.25, 1);
+    match svc.call(recommend(c, DeviceId::Rome, None)) {
+        Ok(Response::Mask(_)) => {}
+        other => panic!("expected a mask, got {other:?}"),
+    }
+    let stats = svc.shutdown();
+    assert_eq!(stats.worker_panics, 0);
+}
+
+#[test]
+fn classical_registers_wider_than_64_bits_are_rejected_not_panicked() {
+    // Regression: outcomes are 64-bit words, and a 65-bit register
+    // overflowed a shift in the sampler (a worker panic in debug builds).
+    let svc = MaskService::start(ServiceConfig {
+        devices: vec![DeviceId::Rome],
+        ..ServiceConfig::default()
+    });
+    let mut wide = qcirc::Circuit::with_clbits(3, 65);
+    wide.h(0).cx(0, 1).measure(1, 64);
+    for request in both_kinds(wide, DeviceId::Rome) {
+        match svc.submit(request) {
+            Err(ServiceError::InvalidConfig { reason }) => assert_eq!(
+                reason,
+                "65 classical bits exceed the 64-bit outcome register"
+            ),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+    // Exactly 64 bits is still served.
+    let mut full = qcirc::Circuit::with_clbits(3, 64);
+    full.h(0).cx(0, 1).measure(1, 63);
+    match svc.call(recommend(full, DeviceId::Rome, None)) {
+        Ok(Response::Mask(_)) => {}
+        other => panic!("expected a mask, got {other:?}"),
+    }
+    let stats = svc.shutdown();
+    assert_eq!(stats.worker_panics, 0);
+}

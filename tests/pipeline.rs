@@ -118,7 +118,10 @@ fn clifford_decoy_ideal_matches_dense_simulation() {
 
 #[test]
 fn full_adapt_run_is_deterministic_and_bounded() {
+    // Each run on its own machine: on one, the second search would
+    // replay the first's batch runs rather than simulate them.
     let framework = Adapt::new(Machine::new(Device::ibmq_guadalupe(23)));
+    let again = Adapt::new(Machine::new(Device::ibmq_guadalupe(23)));
     let program = benchmarks::bernstein_vazirani(5, 0b1011);
     let cfg = AdaptConfig {
         search_exec: ExecutionConfig {
@@ -138,7 +141,7 @@ fn full_adapt_run_is_deterministic_and_bounded() {
     let a = framework
         .run_policy(&program, Policy::Adapt, &cfg)
         .expect("run");
-    let b = framework
+    let b = again
         .run_policy(&program, Policy::Adapt, &cfg)
         .expect("run");
     assert_eq!(a.mask, b.mask);
