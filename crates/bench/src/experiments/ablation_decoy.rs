@@ -3,7 +3,7 @@
 //! the decoy's ideal output (§4.2.3's motivation for seeding).
 
 use crate::report::{Csv, Table};
-use crate::runner::ExperimentCfg;
+use crate::runner::{fidelities, real_fidelities, ExperimentCfg};
 use adapt::decoy::{make_decoy, DecoyKind};
 use adapt::search::SearchContext;
 use adapt::{metrics, Adapt, DdMask};
@@ -25,19 +25,7 @@ pub fn run(cfg: &ExperimentCfg) {
 
     // Real-circuit fidelity per mask (reference ranking).
     let masks = DdMask::enumerate_all(6);
-    let sweep_cfg = adapt::AdaptConfig {
-        final_exec: acfg.search_exec,
-        ..acfg
-    };
-    let real: Vec<f64> = masks
-        .iter()
-        .map(|&m| {
-            adapt
-                .run_with_mask(&compiled, &ideal, m, &sweep_cfg)
-                .expect("real run")
-                .1
-        })
-        .collect();
+    let real = real_fidelities(&adapt, &compiled, &ideal, &acfg, &masks);
 
     let kinds = [
         ("CDC (all Clifford)", DecoyKind::Clifford),
@@ -67,12 +55,7 @@ pub fn run(cfg: &ExperimentCfg) {
             },
             6,
         );
-        let scores: Vec<f64> = ctx
-            .score_batch(&masks)
-            .into_iter()
-            .map(|r| r.expect("decoy run").fidelity)
-            .collect();
-        let rho = metrics::spearman(&real, &scores);
+        let rho = metrics::spearman(&real, &fidelities(&ctx, &masks));
         let entropy = metrics::entropy_bits(&decoy.ideal);
         table.row_owned(vec![
             label.to_string(),

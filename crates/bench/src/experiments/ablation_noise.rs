@@ -76,7 +76,8 @@ pub fn run(cfg: &ExperimentCfg) {
         "ablation_noise_tau",
         &["tau_us", "free", "xy4", "ibmq_dd"],
     );
-    use crate::probes::{probe_fidelity, ProbeDd};
+    use crate::probes::probe_fidelity;
+    use adapt::{DdConfig, DdProtocol};
     let base = Device::ibmq_guadalupe(cfg.seed);
     let (probe, link) = super::fig04::strongest_pair(&base);
     let (a, b) = base.topology().link_endpoints(link);
@@ -93,19 +94,19 @@ pub fn run(cfg: &ExperimentCfg) {
             reps,
         );
         let exec = cfg.probe_exec(spawner.derive(40 + ti as u64));
-        let free = probe_fidelity(&machine, &c, probe, ProbeDd::Free, &exec);
+        let free = probe_fidelity(&machine, &c, probe, None, &exec);
         let xy4 = probe_fidelity(
             &machine,
             &c,
             probe,
-            ProbeDd::Protocol(adapt::DdProtocol::Xy4),
+            Some(DdConfig::for_protocol(DdProtocol::Xy4)),
             &exec,
         );
         let ibmq = probe_fidelity(
             &machine,
             &c,
             probe,
-            ProbeDd::Protocol(adapt::DdProtocol::IbmqDd),
+            Some(DdConfig::for_protocol(DdProtocol::IbmqDd)),
             &exec,
         );
         table.row_owned(vec![

@@ -2,7 +2,7 @@
 //! CPMG, XY8 and UDD extensions, compared on the Fig. 16 probe and at the
 //! application level (QFT-6A, ADAPT policy).
 
-use crate::probes::probe_fidelity_with;
+use crate::probes::probe_fidelity;
 use crate::report::{Csv, Table};
 use crate::runner::ExperimentCfg;
 use adapt::{Adapt, AdaptConfig, DdConfig, DdProtocol, Policy};
@@ -48,7 +48,7 @@ pub fn run(cfg: &ExperimentCfg) {
                 segment_ns: f64::INFINITY,
                 ..DdConfig::default()
             };
-            let f = probe_fidelity_with(&machine, &c, probe, dd, &exec);
+            let f = probe_fidelity(&machine, &c, probe, Some(dd), &exec);
             row.push(format!("{f:.3}"));
             record.push(format!("{f:.4}"));
         }

@@ -4,10 +4,10 @@
 //! (g,h) fidelity distribution over every qubit–link combination on
 //! IBMQ-Guadalupe, 8 µs idle, without and with DD.
 
-use crate::probes::{probe_fidelity, ProbeDd};
+use crate::probes::probe_fidelity;
 use crate::report::{text_histogram, Csv, Table};
 use crate::runner::ExperimentCfg;
-use adapt::DdProtocol;
+use adapt::{DdConfig, DdProtocol};
 use benchmarks::characterization::{idle_probe, idle_probe_with_cnots, theta_grid};
 use device::{Device, SeedSpawner};
 use machine::Machine;
@@ -23,13 +23,14 @@ pub fn run(cfg: &ExperimentCfg) {
 fn part_c(cfg: &ExperimentCfg, spawner: &SeedSpawner) {
     println!("\n== Fig 4c: free vs DD probe fidelity vs theta (London, 1.2us idle) ==");
     let machine = Machine::new(Device::ibmq_london(cfg.seed));
+    let xy4 = Some(DdConfig::for_protocol(DdProtocol::Xy4));
     let mut table = Table::new(&["theta", "free", "XY4-DD"]);
     let mut csv = Csv::create(&cfg.out_dir(), "fig04c", &["theta", "free", "dd"]);
     for (i, theta) in theta_grid(9).into_iter().enumerate() {
         let c = idle_probe(5, 0, theta, 1200.0);
         let exec = cfg.probe_exec(spawner.derive(100 + i as u64));
-        let free = probe_fidelity(&machine, &c, 0, ProbeDd::Free, &exec);
-        let dd = probe_fidelity(&machine, &c, 0, ProbeDd::Protocol(DdProtocol::Xy4), &exec);
+        let free = probe_fidelity(&machine, &c, 0, None, &exec);
+        let dd = probe_fidelity(&machine, &c, 0, xy4, &exec);
         table.row_owned(vec![
             format!("{theta:.2}"),
             format!("{free:.3}"),
@@ -52,6 +53,7 @@ fn part_f(cfg: &ExperimentCfg, spawner: &SeedSpawner) {
         dev.calibration().crosstalk(probe, link)
     );
     let machine = Machine::new(dev.clone());
+    let xy4 = Some(DdConfig::for_protocol(DdProtocol::Xy4));
     // ~2.4 µs of CNOT activity.
     let reps = (2400.0 / dev.link(link).dur_ns).round() as usize;
     let mut table = Table::new(&["theta", "free", "XY4-DD"]);
@@ -61,14 +63,8 @@ fn part_f(cfg: &ExperimentCfg, spawner: &SeedSpawner) {
     for (i, theta) in theta_grid(5).into_iter().enumerate() {
         let c = idle_probe_with_cnots(5, probe, theta, a, b, reps);
         let exec = cfg.probe_exec(spawner.derive(200 + i as u64));
-        let free = probe_fidelity(&machine, &c, probe, ProbeDd::Free, &exec);
-        let dd = probe_fidelity(
-            &machine,
-            &c,
-            probe,
-            ProbeDd::Protocol(DdProtocol::Xy4),
-            &exec,
-        );
+        let free = probe_fidelity(&machine, &c, probe, None, &exec);
+        let dd = probe_fidelity(&machine, &c, probe, xy4, &exec);
         worst_free = worst_free.min(free);
         worst_dd = worst_dd.min(dd);
         table.row_owned(vec![
@@ -87,6 +83,7 @@ fn parts_gh(cfg: &ExperimentCfg, spawner: &SeedSpawner) {
     println!("\n== Fig 4g,h: fidelity over all qubit-link combos (Guadalupe, 8us idle) ==");
     let dev = Device::ibmq_guadalupe(cfg.seed);
     let machine = Machine::new(dev.clone());
+    let xy4 = Some(DdConfig::for_protocol(DdProtocol::Xy4));
     let combos = dev.topology().qubit_link_combinations();
     println!("  {} combinations", combos.len());
     let thetas = if cfg.quick {
@@ -107,8 +104,8 @@ fn parts_gh(cfg: &ExperimentCfg, spawner: &SeedSpawner) {
         for (ti, &theta) in thetas.iter().enumerate() {
             let c = idle_probe_with_cnots(16, q, theta, a, b, reps);
             let exec = cfg.probe_exec(spawner.derive(300 + (ci * 16 + ti) as u64));
-            let free = probe_fidelity(&machine, &c, q, ProbeDd::Free, &exec);
-            let dd = probe_fidelity(&machine, &c, q, ProbeDd::Protocol(DdProtocol::Xy4), &exec);
+            let free = probe_fidelity(&machine, &c, q, None, &exec);
+            let dd = probe_fidelity(&machine, &c, q, xy4, &exec);
             free_all.push(free);
             dd_all.push(dd);
             csv.rowd(&[&q, &a, &b, &theta, &free, &dd]);

@@ -3,10 +3,10 @@
 //! paper's headline: DD helps up to ~4x and hurts down to ~0.2x, so
 //! applying it indiscriminately is unsafe.
 
-use crate::probes::{probe_fidelity, ProbeDd};
+use crate::probes::probe_fidelity;
 use crate::report::{text_histogram, Csv};
 use crate::runner::ExperimentCfg;
-use adapt::DdProtocol;
+use adapt::{DdConfig, DdProtocol};
 use benchmarks::characterization::{idle_probe_with_cnots, theta_grid};
 use device::{Device, SeedSpawner};
 use machine::Machine;
@@ -17,6 +17,7 @@ pub fn run(cfg: &ExperimentCfg) {
     let spawner = SeedSpawner::new(cfg.seed ^ 0xF165);
     let dev = Device::ibmq_toronto(cfg.seed);
     let machine = Machine::new(dev.clone());
+    let xy4 = Some(DdConfig::for_protocol(DdProtocol::Xy4));
     let combos = dev.topology().qubit_link_combinations();
     let thetas = if cfg.quick {
         vec![std::f64::consts::FRAC_PI_2]
@@ -37,8 +38,8 @@ pub fn run(cfg: &ExperimentCfg) {
         for (ti, &theta) in thetas.iter().enumerate() {
             let c = idle_probe_with_cnots(27, q, theta, a, b, reps);
             let exec = cfg.probe_exec(spawner.derive((ci * 8 + ti) as u64));
-            free_sum += probe_fidelity(&machine, &c, q, ProbeDd::Free, &exec);
-            dd_sum += probe_fidelity(&machine, &c, q, ProbeDd::Protocol(DdProtocol::Xy4), &exec);
+            free_sum += probe_fidelity(&machine, &c, q, None, &exec);
+            dd_sum += probe_fidelity(&machine, &c, q, xy4, &exec);
         }
         let rel = dd_sum / free_sum.max(1e-6);
         rels.push(rel);

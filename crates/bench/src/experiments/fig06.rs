@@ -2,10 +2,10 @@
 //! active link across calibration cycles: DD that helps in one cycle can
 //! hurt in the next.
 
-use crate::probes::{probe_fidelity, ProbeDd};
+use crate::probes::probe_fidelity;
 use crate::report::{Csv, Table};
 use crate::runner::ExperimentCfg;
-use adapt::DdProtocol;
+use adapt::{DdConfig, DdProtocol};
 use benchmarks::characterization::{idle_probe_with_cnots, theta_grid};
 use device::{Device, SeedSpawner};
 use machine::Machine;
@@ -52,12 +52,13 @@ pub fn run(cfg: &ExperimentCfg) {
             dev.calibration().crosstalk(q, link)
         );
         let machine = Machine::new(dev.clone());
+        let xy4 = Some(DdConfig::for_protocol(DdProtocol::Xy4));
         let reps = (8000.0 / dev.link(link).dur_ns).round() as usize;
         for (ti, &theta) in thetas.iter().enumerate() {
             let c = idle_probe_with_cnots(27, q, theta, a, b, reps);
             let exec = cfg.probe_exec(spawner.derive(cycle * 100 + ti as u64));
-            let free = probe_fidelity(&machine, &c, q, ProbeDd::Free, &exec);
-            let dd = probe_fidelity(&machine, &c, q, ProbeDd::Protocol(DdProtocol::Xy4), &exec);
+            let free = probe_fidelity(&machine, &c, q, None, &exec);
+            let dd = probe_fidelity(&machine, &c, q, xy4, &exec);
             let rel = dd / free.max(1e-6);
             rows[ti].push(format!("{rel:.2}x"));
             csv.rowd(&[&theta, &cycle, &free, &dd, &rel]);

@@ -4,7 +4,7 @@
 //! optimal, and the best mask is workload-specific.
 
 use crate::report::{Csv, Table};
-use crate::runner::ExperimentCfg;
+use crate::runner::{real_fidelities, ExperimentCfg};
 use adapt::{Adapt, DdMask};
 use benchmarks::{bernstein_vazirani, qft_bench};
 use device::{Device, SeedSpawner};
@@ -34,20 +34,14 @@ pub fn run(cfg: &ExperimentCfg) {
     ]);
     // Sweep at search budget (64 runs per workload), mirroring the paper's
     // per-mask executions.
-    let sweep_cfg = adapt::AdaptConfig {
-        final_exec: acfg.search_exec,
-        ..acfg
-    };
+    let masks = DdMask::enumerate_all(6);
     for (name, circuit) in workloads {
         let compiled = adapt.compile(&circuit, &acfg);
         let ideal = adapt.ideal_output(&circuit).expect("ideal");
-        let mut fids = Vec::with_capacity(64);
-        for mask in DdMask::enumerate_all(6) {
-            let (_, f, _) = adapt
-                .run_with_mask(&compiled, &ideal, mask, &sweep_cfg)
-                .expect("mask run");
-            fids.push((mask, f));
-            csv.rowd(&[&mask.bits(), &name, &f]);
+        let real = real_fidelities(&adapt, &compiled, &ideal, &acfg, &masks);
+        let fids: Vec<(DdMask, f64)> = masks.iter().copied().zip(real).collect();
+        for (mask, f) in &fids {
+            csv.rowd(&[&mask.bits(), &name, f]);
         }
         let baseline = fids[0].1;
         let all_dd = fids[63].1;

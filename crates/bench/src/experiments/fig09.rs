@@ -3,7 +3,7 @@
 //! (the paper reports Spearman ρ ≈ 0.78).
 
 use crate::report::{Csv, Table};
-use crate::runner::ExperimentCfg;
+use crate::runner::{fidelities, real_fidelities, ExperimentCfg};
 use adapt::decoy::{make_decoy, DecoyKind};
 use adapt::search::SearchContext;
 use adapt::{metrics, Adapt, DdMask};
@@ -63,10 +63,6 @@ pub fn run(cfg: &ExperimentCfg) {
         },
         4,
     );
-    let sweep_cfg = adapt::AdaptConfig {
-        final_exec: acfg.search_exec,
-        ..acfg
-    };
 
     let mut table = Table::new(&["mask", "real", "decoy", "decoy (drifted)"]);
     let mut csv = Csv::create(
@@ -74,26 +70,13 @@ pub fn run(cfg: &ExperimentCfg) {
         "fig09",
         &["mask", "real", "decoy_shared", "decoy_drifted"],
     );
-    // Both decoy sweeps go down as single batched submissions; the real
-    // sweep stays serial because it re-scores against the ideal output.
+    // Each sweep goes down as one batched submission.
     let masks = DdMask::enumerate_all(4);
-    let dec: Vec<f64> = ctx
-        .score_batch(&masks)
-        .into_iter()
-        .map(|r| r.expect("decoy run").fidelity)
-        .collect();
-    let dec_drift: Vec<f64> = ctx_drifted
-        .score_batch(&masks)
-        .into_iter()
-        .map(|r| r.expect("decoy run").fidelity)
-        .collect();
-    let mut real = Vec::new();
-    for (i, &mask) in masks.iter().enumerate() {
-        let (_, f_real, _) = adapt
-            .run_with_mask(&compiled, &ideal, mask, &sweep_cfg)
-            .expect("real run");
-        let (f_decoy, f_drift) = (dec[i], dec_drift[i]);
-        real.push(f_real);
+    let dec = fidelities(&ctx, &masks);
+    let dec_drift = fidelities(&ctx_drifted, &masks);
+    let real = real_fidelities(&adapt, &compiled, &ideal, &acfg, &masks);
+    for (i, mask) in masks.iter().enumerate() {
+        let (f_real, f_decoy, f_drift) = (real[i], dec[i], dec_drift[i]);
         table.row_owned(vec![
             mask.to_string(),
             format!("{f_real:.3}"),

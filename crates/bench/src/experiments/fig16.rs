@@ -4,10 +4,10 @@
 //! sequence as idle windows grow, because long gaps between the two X
 //! pulses let (finite-correlation-time) noise re-accumulate.
 
-use crate::probes::{probe_fidelity, ProbeDd};
+use crate::probes::probe_fidelity;
 use crate::report::{Csv, Table};
 use crate::runner::ExperimentCfg;
-use adapt::DdProtocol;
+use adapt::{DdConfig, DdProtocol};
 use benchmarks::characterization::idle_probe_with_cnots;
 use device::{Device, SeedSpawner};
 use machine::Machine;
@@ -34,6 +34,14 @@ pub fn run(cfg: &ExperimentCfg) {
         "fig16",
         &["idle_us", "free", "xy4", "ibmq_dd"],
     );
+    let xy4 = DdConfig::for_protocol(DdProtocol::Xy4);
+    // The standalone protocol of Fig. 16: two pulses over the whole
+    // window, no conservative segmenting.
+    let standalone_ibmq = DdConfig {
+        protocol: DdProtocol::IbmqDd,
+        segment_ns: f64::INFINITY,
+        ..DdConfig::default()
+    };
     for (ii, idle_us) in [1.0f64, 2.0, 4.0, 8.0, 12.0].into_iter().enumerate() {
         let mut sums = [0.0f64; 3];
         for (ci, &(q, link)) in sample.iter().enumerate() {
@@ -41,21 +49,9 @@ pub fn run(cfg: &ExperimentCfg) {
             let reps = (idle_us * 1000.0 / dev.link(link).dur_ns).round().max(1.0) as usize;
             let c = idle_probe_with_cnots(16, q, std::f64::consts::FRAC_PI_2, a, b, reps);
             let exec = cfg.probe_exec(spawner.derive((ii * 1000 + ci) as u64));
-            sums[0] += probe_fidelity(&machine, &c, q, ProbeDd::Free, &exec);
-            sums[1] += probe_fidelity(&machine, &c, q, ProbeDd::Protocol(DdProtocol::Xy4), &exec);
-            sums[2] += crate::probes::probe_fidelity_with(
-                &machine,
-                &c,
-                q,
-                adapt::DdConfig {
-                    protocol: DdProtocol::IbmqDd,
-                    // The standalone protocol of Fig. 16: two pulses over
-                    // the whole window, no conservative segmenting.
-                    segment_ns: f64::INFINITY,
-                    ..adapt::DdConfig::default()
-                },
-                &exec,
-            );
+            sums[0] += probe_fidelity(&machine, &c, q, None, &exec);
+            sums[1] += probe_fidelity(&machine, &c, q, Some(xy4), &exec);
+            sums[2] += probe_fidelity(&machine, &c, q, Some(standalone_ibmq), &exec);
         }
         let n = sample.len() as f64;
         let (free, xy4, ibmq) = (sums[0] / n, sums[1] / n, sums[2] / n);

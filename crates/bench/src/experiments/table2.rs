@@ -3,7 +3,7 @@
 //! simulation time and a large-circuit scalability check.
 
 use crate::report::{Csv, Table};
-use crate::runner::ExperimentCfg;
+use crate::runner::{fidelities, real_fidelities, sample_masks, ExperimentCfg};
 use adapt::decoy::{decoy_ideal_distribution, make_decoy, DecoyKind};
 use adapt::search::SearchContext;
 use adapt::{metrics, Adapt, DdMask};
@@ -55,33 +55,12 @@ pub fn run(cfg: &ExperimentCfg) {
         let masks: Vec<DdMask> = if (1usize << n) <= 32 {
             DdMask::enumerate_all(n)
         } else {
-            use rand::Rng;
-            let mut rng = SeedSpawner::new(spawner.derive(50 + bi as u64)).rng();
-            let mut m = vec![DdMask::none(n), DdMask::all(n)];
             let budget = if cfg.quick { 12 } else { 32 };
-            while m.len() < budget {
-                let candidate = DdMask::from_bits(rng.gen(), n);
-                if !m.contains(&candidate) {
-                    m.push(candidate);
-                }
-            }
-            m
+            sample_masks(n, budget, spawner.derive(50 + bi as u64))
         };
 
         // Real-circuit fidelities per mask (search budget).
-        let sweep_cfg = adapt::AdaptConfig {
-            final_exec: acfg.search_exec,
-            ..acfg
-        };
-        let real: Vec<f64> = masks
-            .iter()
-            .map(|&m| {
-                adapt
-                    .run_with_mask(&compiled, &ideal, m, &sweep_cfg)
-                    .expect("real run")
-                    .1
-            })
-            .collect();
+        let real = real_fidelities(&adapt, &compiled, &ideal, &acfg, &masks);
 
         let corr_for = |kind: DecoyKind| -> f64 {
             let decoy = make_decoy(&compiled.timed, kind).expect("decoy");
@@ -101,12 +80,7 @@ pub fn run(cfg: &ExperimentCfg) {
             );
             // One batched submission per decoy kind: the backend sees all
             // masks at once and may score them in parallel.
-            let scores: Vec<f64> = ctx
-                .score_batch(&masks)
-                .into_iter()
-                .map(|r| r.expect("decoy run").fidelity)
-                .collect();
-            metrics::spearman(&real, &scores)
+            metrics::spearman(&real, &fidelities(&ctx, &masks))
         };
 
         let cdc = corr_for(DecoyKind::Clifford);

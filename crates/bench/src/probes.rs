@@ -3,27 +3,18 @@
 //! the probe's idle window, execute, and report the survival probability
 //! of the correct (all-zeros) outcome.
 
-use adapt::dd::{insert_dd, DdConfig, DdProtocol};
+use adapt::dd::{insert_dd, DdConfig};
 use machine::{ExecutionConfig, Machine};
 use qcirc::Circuit;
 use transpiler::{decompose_circuit, schedule, SchedulePolicy};
-
-/// DD treatment of a probe's idle window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeDd {
-    /// Free evolution.
-    Free,
-    /// Framework-inserted sequence of the given protocol.
-    Protocol(DdProtocol),
-}
 
 /// Runs a characterization circuit on the machine and returns the
 /// probability of the ideal outcome `0` (probe fidelity).
 ///
 /// The circuit is decomposed and ASAP-scheduled (ASAP keeps the prepared
-/// state exposed during the idle window); for [`ProbeDd::Protocol`], the
-/// configured DD sequence is inserted into every eligible idle window of
-/// `probe_wire` before execution.
+/// state exposed during the idle window). With `dd`, that DD sequence is
+/// inserted into every eligible idle window of `probe_wire` before
+/// execution; without it the probe evolves freely.
 ///
 /// # Panics
 ///
@@ -32,42 +23,14 @@ pub fn probe_fidelity(
     machine: &Machine,
     circuit: &Circuit,
     probe_wire: u32,
-    dd: ProbeDd,
+    dd: Option<DdConfig>,
     exec: &ExecutionConfig,
 ) -> f64 {
     let physical = decompose_circuit(circuit);
-    let timed = schedule(&physical, machine.device(), SchedulePolicy::Asap);
-    let timed = match dd {
-        ProbeDd::Free => timed,
-        ProbeDd::Protocol(p) => {
-            insert_dd(
-                &timed,
-                machine.device(),
-                &[probe_wire],
-                &DdConfig::for_protocol(p),
-            )
-            .timed
-        }
-    };
-    let counts = machine
-        .execute_timed(&timed, exec)
-        .expect("probe execution");
-    counts.probability(0)
-}
-
-/// Like [`probe_fidelity`] but with an explicit DD configuration (used by
-/// the Fig. 16 standalone protocol comparison, which disables the
-/// conservative window segmenting).
-pub fn probe_fidelity_with(
-    machine: &Machine,
-    circuit: &Circuit,
-    probe_wire: u32,
-    dd: DdConfig,
-    exec: &ExecutionConfig,
-) -> f64 {
-    let physical = decompose_circuit(circuit);
-    let timed = schedule(&physical, machine.device(), SchedulePolicy::Asap);
-    let timed = insert_dd(&timed, machine.device(), &[probe_wire], &dd).timed;
+    let mut timed = schedule(&physical, machine.device(), SchedulePolicy::Asap);
+    if let Some(dd) = dd {
+        timed = insert_dd(&timed, machine.device(), &[probe_wire], &dd).timed;
+    }
     let counts = machine
         .execute_timed(&timed, exec)
         .expect("probe execution");
@@ -90,8 +53,9 @@ mod tests {
             seed: 9,
             threads: 1,
         };
-        let free = probe_fidelity(&machine, &c, 0, ProbeDd::Free, &exec);
-        let dd = probe_fidelity(&machine, &c, 0, ProbeDd::Protocol(DdProtocol::Xy4), &exec);
+        let free = probe_fidelity(&machine, &c, 0, None, &exec);
+        let xy4 = DdConfig::for_protocol(adapt::DdProtocol::Xy4);
+        let dd = probe_fidelity(&machine, &c, 0, Some(xy4), &exec);
         assert!(dd > free, "XY4 {dd} must beat free {free} at 12µs idle");
     }
 }

@@ -1,6 +1,8 @@
-//! Shared experiment infrastructure: budgets, policy sweeps, and the
-//! Runtime-Best oracle with a bounded mask budget.
+//! Shared experiment infrastructure: budgets, policy sweeps, the
+//! Runtime-Best oracle with a bounded mask budget, and per-mask fidelity
+//! sweeps.
 
+use adapt::search::SearchContext;
 use adapt::{Adapt, AdaptConfig, DdMask, DdProtocol, Policy};
 use benchmarks::BenchmarkSpec;
 use device::{Device, SeedSpawner};
@@ -8,8 +10,10 @@ use machine::{
     ExecutionConfig, FaultProfile, FaultStats, FaultyBackend, Machine, ResilientExecutor,
     RetryPolicy,
 };
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use transpiler::TranspiledCircuit;
 
 /// Experiment-wide budget knobs. `quick` mode cuts shots/trajectories and
 /// oracle sweeps so the full suite finishes on a laptop-class core; the
@@ -312,8 +316,12 @@ pub fn policy_sweep(
 }
 
 /// Bounded Runtime-Best oracle: sweeps all masks when `2^n ≤ budget`,
-/// otherwise a seeded random sample (always including none/all). Returns
-/// the best *final-budget* fidelity achieved.
+/// otherwise [`sample_masks`]'s seeded sample, through
+/// [`Adapt::runtime_best`]. Returns the winner's *final-budget* fidelity.
+///
+/// # Panics
+///
+/// Panics on framework errors, like [`policy_sweep`].
 pub fn oracle_best(
     adapt: &Adapt,
     bench: &BenchmarkSpec,
@@ -321,45 +329,70 @@ pub fn oracle_best(
     budget: usize,
     seed: u64,
 ) -> f64 {
-    use rand::Rng;
     let n = bench.circuit.num_qubits();
     let compiled = adapt.compile(&bench.circuit, acfg);
     let ideal = adapt.ideal_output(&bench.circuit).expect("ideal output");
-    let masks: Vec<DdMask> = if n <= 16 && (1usize << n) <= budget {
+    let masks = if n <= 16 && (1usize << n) <= budget {
         DdMask::enumerate_all(n)
     } else {
-        let mut rng = SeedSpawner::new(seed).rng();
-        let mut masks = vec![DdMask::none(n), DdMask::all(n)];
-        while masks.len() < budget {
-            let bits: u64 = rng.gen();
-            let m = DdMask::from_bits(bits, n);
-            if !masks.contains(&m) {
-                masks.push(m);
-            }
-        }
-        masks
+        sample_masks(n, budget, seed)
     };
-    // Scoring uses the (cheaper) search budget, like ADAPT's own search.
-    let score_cfg = AdaptConfig {
-        final_exec: acfg.search_exec,
-        ..*acfg
-    };
-    let mut best = f64::MIN;
-    let mut best_mask = DdMask::none(n);
-    for m in masks {
-        let (_, f, _) = adapt
-            .run_with_mask(&compiled, &ideal, m, &score_cfg)
-            .expect("oracle run");
-        if f > best {
-            best = f;
-            best_mask = m;
+    adapt
+        .runtime_best(&compiled, &ideal, &masks, acfg)
+        .expect("oracle run")
+        .fidelity
+}
+
+/// `budget` distinct `n`-qubit masks: none and all first, then seeded
+/// random masks. `budget` must not exceed `2^n`.
+pub fn sample_masks(n: usize, budget: usize, seed: u64) -> Vec<DdMask> {
+    use rand::Rng;
+    let mut rng = SeedSpawner::new(seed).rng();
+    let mut masks = vec![DdMask::none(n), DdMask::all(n)];
+    while masks.len() < budget {
+        let m = DdMask::from_bits(rng.gen(), n);
+        if !masks.contains(&m) {
+            masks.push(m);
         }
     }
-    // Re-run the winner at final budget for a fair comparison.
-    let (_, f, _) = adapt
-        .run_with_mask(&compiled, &ideal, best_mask, acfg)
-        .expect("oracle final run");
-    f
+    masks
+}
+
+/// Each mask's fidelity through `ctx`, scored as one batch.
+///
+/// # Panics
+///
+/// Panics when a run fails.
+pub fn fidelities(ctx: &SearchContext<'_>, masks: &[DdMask]) -> Vec<f64> {
+    ctx.score_batch(masks)
+        .into_iter()
+        .map(|r| r.expect("mask run").fidelity)
+        .collect()
+}
+
+/// Each mask's fidelity on the compiled program itself, against its
+/// exact output `ideal`, at the search budget: the real side of the
+/// real-vs-decoy studies.
+///
+/// # Panics
+///
+/// Panics when a run fails.
+pub fn real_fidelities(
+    adapt: &Adapt,
+    compiled: &TranspiledCircuit,
+    ideal: &BTreeMap<u64, f64>,
+    acfg: &AdaptConfig,
+    masks: &[DdMask],
+) -> Vec<f64> {
+    let ctx = SearchContext::for_program(
+        adapt.backend(),
+        adapt.device().clone(),
+        compiled,
+        ideal,
+        acfg.dd,
+        acfg.search_exec,
+    );
+    fidelities(&ctx, masks)
 }
 
 fn hash_name(name: &str) -> u64 {

@@ -355,7 +355,7 @@ impl Adapt {
             cfg.search_exec,
             num_program_qubits,
         )
-        .with_deadline(deadline.clone());
+        .with_deadline(deadline);
         // Order program qubits most-idle-first (on their physical wires).
         let gst = GateSequenceTable::build(&compiled.timed);
         let mut order: Vec<u32> = (0..num_program_qubits as u32).collect();
@@ -372,37 +372,22 @@ impl Adapt {
         // ≤ 4·N search budget — and keep the best. An extreme whose run
         // is unavailable simply drops out of the contest; if even the
         // committed mask cannot be re-scored, it stands as selected.
-        // Skipped entirely on an interrupted search (or a deadline that
-        // expired right after it): the referee is an optimization, and
-        // the conservative committed mask must stand.
-        if result.partial || deadline.check().is_err() {
-            result.partial = true;
+        // Skipped on an interrupted search, and abandoned if the deadline
+        // expires before or during it: the referee is an optimization,
+        // and the conservative committed mask must stand.
+        if result.partial {
             return Ok(result);
         }
-        let mut best: Option<MaskScore> = None;
-        for outcome in ctx.score_batch(&[
+        let referee = ctx.sweep(&[
             result.best,
             DdMask::all(num_program_qubits),
             DdMask::none(num_program_qubits),
-        ]) {
-            match outcome {
-                Ok(score) => {
-                    result.evaluations.push(score);
-                    if best.is_none_or(|b| score.fidelity > b.fidelity) {
-                        best = Some(score);
-                    }
-                }
-                // Interrupted mid-referee: keep the search's mask.
-                Err(e) if e.is_interruption() => {
-                    result.partial = true;
-                    best = None;
-                    break;
-                }
-                Err(e) if search::is_availability(&e) => result.unavailable_runs += 1,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if let Some(best) = best {
+        ])?;
+        result.evaluations.extend_from_slice(&referee.scored);
+        result.unavailable_runs += referee.unavailable.len();
+        if referee.interruption.is_some() {
+            result.partial = true;
+        } else if let Ok(best) = referee.best() {
             result.best = best.mask;
         }
         Ok(result)
@@ -428,6 +413,66 @@ impl Adapt {
             .execute_timed(&inserted.timed, &cfg.final_exec)?;
         let fidelity = metrics::fidelity(ideal, &batch.counts);
         Ok((batch.counts, fidelity, inserted.pulse_count))
+    }
+
+    /// The Runtime-Best oracle (§5.6) over `masks`: scores each mask on
+    /// the program itself at the search budget, against its exact output
+    /// `ideal`, and re-runs the best at the final budget. The first best
+    /// score wins ties, and a mask lost to backend availability drops out
+    /// of the sweep. [`PolicyRun::search_runs`] counts every mask
+    /// attempted.
+    ///
+    /// # Errors
+    ///
+    /// Propagates execution failures, including an interruption at any
+    /// point of the sweep: the oracle never stands behind a partial
+    /// sweep. Fails when no mask scored.
+    pub fn runtime_best(
+        &self,
+        compiled: &TranspiledCircuit,
+        ideal: &BTreeMap<u64, f64>,
+        masks: &[DdMask],
+        cfg: &AdaptConfig,
+    ) -> Result<PolicyRun, AdaptError> {
+        let ctx = search::SearchContext::for_program(
+            self.backend.as_ref(),
+            self.device.clone(),
+            compiled,
+            ideal,
+            cfg.dd,
+            cfg.search_exec,
+        );
+        let sweep = ctx.sweep(masks)?;
+        if let Some(e) = sweep.interruption {
+            return Err(e.into());
+        }
+        let best = sweep.best()?;
+        Ok(PolicyRun {
+            search_runs: sweep.scored.len() + sweep.unavailable.len(),
+            ..self.final_run(Policy::RuntimeBest, compiled, ideal, best.mask, cfg)?
+        })
+    }
+
+    /// The run every policy ends with: `mask`'s DD in the program at the
+    /// final budget, with no search runs or degraded groups recorded.
+    fn final_run(
+        &self,
+        policy: Policy,
+        compiled: &TranspiledCircuit,
+        ideal: &BTreeMap<u64, f64>,
+        mask: DdMask,
+        cfg: &AdaptConfig,
+    ) -> Result<PolicyRun, AdaptError> {
+        let (counts, fidelity, pulse_count) = self.run_with_mask(compiled, ideal, mask, cfg)?;
+        Ok(PolicyRun {
+            policy,
+            mask,
+            counts,
+            fidelity,
+            pulse_count,
+            search_runs: 0,
+            degraded: Vec::new(),
+        })
     }
 
     /// Compiles and executes a program under one policy (§5.6), returning
@@ -465,55 +510,13 @@ impl Adapt {
                     }
                     .into());
                 }
-                let mut best: Option<(DdMask, f64)> = None;
-                let mut runs = 0;
-                let mut last_unavailable = None;
-                for mask in DdMask::enumerate_all(n) {
-                    match self.run_with_mask(
-                        &compiled,
-                        &ideal,
-                        mask,
-                        &AdaptConfig {
-                            final_exec: cfg.search_exec,
-                            ..*cfg
-                        },
-                    ) {
-                        Ok((_, fidelity, _)) => {
-                            runs += 1;
-                            if best.is_none_or(|b| fidelity > b.1) {
-                                best = Some((mask, fidelity));
-                            }
-                        }
-                        // An unavailable mask drops out of the oracle
-                        // sweep; the rest still compete.
-                        Err(AdaptError::Exec(e)) if search::is_availability(&e) => {
-                            last_unavailable = Some(e);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                match best {
-                    Some((mask, _)) => (mask, runs, Vec::new()),
-                    None => {
-                        return Err(AdaptError::Exec(last_unavailable.unwrap_or(
-                            ExecError::JobFailed {
-                                job: 0,
-                                reason: "no masks to sweep".to_string(),
-                            },
-                        )))
-                    }
-                }
+                return self.runtime_best(&compiled, &ideal, &DdMask::enumerate_all(n), cfg);
             }
         };
-        let (counts, fidelity, pulse_count) = self.run_with_mask(&compiled, &ideal, mask, cfg)?;
         Ok(PolicyRun {
-            policy,
-            mask,
-            counts,
-            fidelity,
-            pulse_count,
             search_runs,
             degraded,
+            ..self.final_run(policy, &compiled, &ideal, mask, cfg)?
         })
     }
 }
@@ -595,6 +598,47 @@ mod tests {
         c.h(0).t(0).cx(0, 1).cx(0, 1).cx(0, 1).measure_all();
         let rb = adapt.run_policy(&c, Policy::RuntimeBest, &cfg).unwrap();
         assert_eq!(rb.search_runs, 4); // 2^2 masks swept
+    }
+
+    /// Charges 10 ms of virtual time per run against `deadline` and
+    /// refuses to run once it has expired.
+    struct DeadlineCharging {
+        inner: Machine,
+        deadline: Deadline,
+    }
+
+    impl Backend for DeadlineCharging {
+        fn execute_timed(
+            &self,
+            timed: &transpiler::TimedCircuit,
+            config: &ExecutionConfig,
+        ) -> Result<machine::ShotBatch, ExecError> {
+            self.deadline.check()?;
+            self.deadline.charge_ms(10.0);
+            Backend::execute_timed(&self.inner, timed, config)
+        }
+
+        fn device_snapshot(&self) -> Device {
+            self.inner.device().clone()
+        }
+    }
+
+    #[test]
+    fn interrupted_runtime_best_sweep_is_an_error() {
+        // Expired before the first mask, and after three of the eight.
+        for budget_ms in [0, 25] {
+            let adapt = Adapt::with_backend(Arc::new(DeadlineCharging {
+                inner: Machine::new(Device::ibmq_guadalupe(17)),
+                deadline: Deadline::virtual_only(budget_ms),
+            }));
+            let err = adapt
+                .run_policy(&program(), Policy::RuntimeBest, &small_cfg())
+                .unwrap_err();
+            assert!(
+                matches!(err, AdaptError::Exec(ExecError::DeadlineExceeded { .. })),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -11,18 +11,21 @@
 //! the *decoy* schedule, executing it on the noisy machine, and measuring
 //! fidelity against the decoy's known ideal output. All candidates share
 //! one execution seed (common random numbers), so scores differ by mask
-//! effect rather than by sampling luck.
+//! effect rather than by sampling luck. The Runtime-Best oracle and the
+//! real-vs-decoy studies score masks the same way on the *program* and
+//! its exact output ([`SearchContext::for_program`]), through the same
+//! batches and the same outcome classifier.
 //!
 //! # Execution-plan pipeline
 //!
 //! Scoring is built on three layers of reuse so the hot loop pays only
 //! per-mask marginal cost:
 //!
-//! 1. the decoy's idle-window analysis ([`crate::dd::IdleAnalysis`]) is
+//! 1. the target's idle-window analysis ([`crate::dd::IdleAnalysis`]) is
 //!    computed once per [`SearchContext`] and shared by every mask;
-//! 2. each neighborhood's masks are submitted as **one batch** through
-//!    [`Backend::execute_batch`], which pristine machines execute with
-//!    scoped worker threads;
+//! 2. each neighborhood's masks are submitted as **one batch** (64 masks
+//!    at most per batch) through [`Backend::execute_batch`], which
+//!    pristine machines execute with scoped worker threads;
 //! 3. the machine's plan cache recognizes repeated circuit structures,
 //!    so recompilation is skipped across retries and repeated searches.
 //!
@@ -44,12 +47,12 @@ use crate::dd::{
 use crate::decoy::Decoy;
 use device::Device;
 use machine::{Backend, Deadline, ExecError, ExecutionConfig, JobSpec};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use transpiler::Layout;
+use transpiler::{Layout, TimedCircuit, TranspiledCircuit};
 
-/// Pre-resolved handles into the global metrics registry
-/// (`adapt_search_<name>`). Observational only: the seeded search path
-/// never reads these back.
+/// Pre-resolved handles into a metrics registry (`adapt_search_<name>`).
+/// Observational only: the seeded search path never reads these back.
 struct SearchMetrics {
     searches: adapt_obs::Counter,
     decoy_runs_scored: adapt_obs::Counter,
@@ -60,19 +63,24 @@ struct SearchMetrics {
     neighborhood_us: adapt_obs::Histogram,
 }
 
-fn search_metrics() -> &'static SearchMetrics {
-    static M: OnceLock<SearchMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = adapt_obs::global();
-        SearchMetrics {
-            searches: r.counter("adapt_search_searches_total"),
-            decoy_runs_scored: r.counter("adapt_search_decoy_runs_scored_total"),
-            decoy_runs_unavailable: r.counter("adapt_search_decoy_runs_unavailable_total"),
-            degraded_groups: r.counter("adapt_search_degraded_groups_total"),
-            searches_interrupted: r.counter("adapt_search_interrupted_total"),
-            neighborhood_us: r.histogram("adapt_search_neighborhood_us"),
-        }
-    })
+/// The global registry's search metrics for a decoy context, inert ones
+/// for a program context: program-side sweeps are not decoy runs.
+fn search_metrics(decoy: bool) -> &'static SearchMetrics {
+    static GLOBAL: OnceLock<SearchMetrics> = OnceLock::new();
+    static INERT: OnceLock<SearchMetrics> = OnceLock::new();
+    let resolve = |r: &adapt_obs::Registry| SearchMetrics {
+        searches: r.counter("adapt_search_searches_total"),
+        decoy_runs_scored: r.counter("adapt_search_decoy_runs_scored_total"),
+        decoy_runs_unavailable: r.counter("adapt_search_decoy_runs_unavailable_total"),
+        degraded_groups: r.counter("adapt_search_degraded_groups_total"),
+        searches_interrupted: r.counter("adapt_search_interrupted_total"),
+        neighborhood_us: r.histogram("adapt_search_neighborhood_us"),
+    };
+    if decoy {
+        GLOBAL.get_or_init(|| resolve(&adapt_obs::global()))
+    } else {
+        INERT.get_or_init(|| resolve(&adapt_obs::Registry::noop()))
+    }
 }
 
 /// One scored mask.
@@ -80,7 +88,8 @@ fn search_metrics() -> &'static SearchMetrics {
 pub struct MaskScore {
     /// The candidate mask.
     pub mask: DdMask,
-    /// Decoy fidelity achieved with it.
+    /// Fidelity achieved with it on the scored target (the decoy, or the
+    /// program for a [`SearchContext::for_program`] context).
     pub fidelity: f64,
 }
 
@@ -202,19 +211,25 @@ impl From<ExecError> for SearchError {
 /// unavailable" as opposed to "this request can never work". Transient
 /// errors and exhausted retry budgets degrade the search; permanent
 /// errors abort it.
-pub(crate) fn is_availability(e: &ExecError) -> bool {
+fn is_availability(e: &ExecError) -> bool {
     e.is_transient() || matches!(e, ExecError::RetriesExhausted { .. })
 }
 
-/// Everything needed to score a mask on the decoy.
+/// Everything needed to score a mask against a target schedule with a
+/// known exact output.
 ///
-/// Construct with [`SearchContext::new`]. The context owns the
-/// once-per-decoy idle-window analysis: the first score computes it,
-/// every later mask (serial or batched) reuses it.
+/// Construct with [`SearchContext::new`] to score on a decoy (ADAPT's
+/// search) or [`SearchContext::for_program`] to score on the program
+/// itself (the Runtime-Best oracle, the real-vs-decoy studies). The
+/// context owns the once-per-target idle-window analysis: the first
+/// score computes it, every later mask (serial or batched) reuses it.
 pub struct SearchContext<'a> {
     backend: &'a dyn Backend,
     device: Device,
-    decoy: &'a Decoy,
+    /// The schedule masks are inserted into.
+    target: &'a TimedCircuit,
+    /// The target's exact output distribution.
+    ideal: &'a BTreeMap<u64, f64>,
     layout: &'a Layout,
     dd: DdConfig,
     exec: ExecutionConfig,
@@ -222,7 +237,10 @@ pub struct SearchContext<'a> {
     /// The request deadline searches through this context check at their
     /// cancellation points. Defaults to [`Deadline::none`].
     deadline: Deadline,
-    /// Lazily-built idle-window analysis of the decoy schedule, shared
+    /// Where runs are counted: the global `adapt_search_*` metrics for a
+    /// decoy target, inert ones for the program.
+    metrics: &'static SearchMetrics,
+    /// Lazily-built idle-window analysis of the target schedule, shared
     /// by every mask scored through this context.
     idle: OnceLock<IdleAnalysis>,
 }
@@ -256,12 +274,41 @@ impl<'a> SearchContext<'a> {
         SearchContext {
             backend,
             device,
-            decoy,
+            target: &decoy.timed,
+            ideal: &decoy.ideal,
             layout,
             dd,
             exec,
             num_program_qubits,
             deadline: Deadline::none(),
+            metrics: search_metrics(true),
+            idle: OnceLock::new(),
+        }
+    }
+
+    /// Binds a sweep to the compiled program itself, scored against its
+    /// exact output `ideal`. The mask width is the program's qubit count.
+    /// Its runs are not decoy runs, so they touch no `adapt_search_*`
+    /// metric.
+    pub fn for_program(
+        backend: &'a dyn Backend,
+        device: Device,
+        compiled: &'a TranspiledCircuit,
+        ideal: &'a BTreeMap<u64, f64>,
+        dd: DdConfig,
+        exec: ExecutionConfig,
+    ) -> Self {
+        SearchContext {
+            backend,
+            device,
+            target: &compiled.timed,
+            ideal,
+            layout: &compiled.initial_layout,
+            dd,
+            exec,
+            num_program_qubits: compiled.initial_layout.num_prog(),
+            deadline: Deadline::none(),
+            metrics: search_metrics(false),
             idle: OnceLock::new(),
         }
     }
@@ -290,11 +337,6 @@ impl<'a> SearchContext<'a> {
         &self.device
     }
 
-    /// The decoy circuit being scored against.
-    pub fn decoy(&self) -> &Decoy {
-        self.decoy
-    }
-
     /// The program's initial layout.
     pub fn layout(&self) -> &Layout {
         self.layout
@@ -305,7 +347,7 @@ impl<'a> SearchContext<'a> {
         &self.dd
     }
 
-    /// Execution budget per decoy run.
+    /// Execution budget per run.
     pub fn exec(&self) -> &ExecutionConfig {
         &self.exec
     }
@@ -315,21 +357,22 @@ impl<'a> SearchContext<'a> {
         self.num_program_qubits
     }
 
-    /// The decoy's idle-window analysis, built on first use.
+    /// The target's idle-window analysis, built on first use.
     fn analysis(&self) -> &IdleAnalysis {
         self.idle
-            .get_or_init(|| analyze_idle_windows(&self.decoy.timed, &self.device, &self.dd))
+            .get_or_init(|| analyze_idle_windows(self.target, &self.device, &self.dd))
     }
 
-    /// Builds the decoy schedule with `mask`'s DD pulses spliced in.
-    fn prepare(&self, mask: DdMask) -> transpiler::TimedCircuit {
+    /// Builds the target schedule with `mask`'s DD pulses spliced in.
+    fn prepare(&self, mask: DdMask) -> TimedCircuit {
         let wires = mask_to_wires(mask, self.layout);
-        insert_dd_prepared(&self.decoy.timed, self.analysis(), &wires).timed
+        insert_dd_prepared(self.target, self.analysis(), &wires).timed
     }
 
-    /// Scores one mask: decoy fidelity under that DD assignment. Partial
-    /// batches are scored as delivered — their counts are weighted by
-    /// the shots that actually arrived.
+    /// Scores one mask: the target's fidelity under that DD assignment.
+    /// Partial batches are scored as delivered — their counts are
+    /// weighted by the shots that actually arrived. The serial reference
+    /// for [`SearchContext::score_batch`].
     ///
     /// # Errors
     ///
@@ -337,7 +380,7 @@ impl<'a> SearchContext<'a> {
     pub fn score(&self, mask: DdMask) -> Result<MaskScore, ExecError> {
         let timed = self.prepare(mask);
         let batch = self.backend.execute_timed(&timed, &self.exec)?;
-        let fidelity = crate::metrics::fidelity(&self.decoy.ideal, &batch.counts);
+        let fidelity = crate::metrics::fidelity(self.ideal, &batch.counts);
         Ok(MaskScore { mask, fidelity })
     }
 
@@ -349,8 +392,7 @@ impl<'a> SearchContext<'a> {
     /// determinism contract the results are bit-identical to calling
     /// [`SearchContext::score`] on each mask in order.
     pub fn score_batch(&self, masks: &[DdMask]) -> Vec<Result<MaskScore, ExecError>> {
-        let prepared: Vec<transpiler::TimedCircuit> =
-            masks.iter().map(|&m| self.prepare(m)).collect();
+        let prepared: Vec<TimedCircuit> = masks.iter().map(|&m| self.prepare(m)).collect();
         let jobs: Vec<JobSpec<'_>> = prepared
             .iter()
             .map(|timed| JobSpec {
@@ -365,21 +407,105 @@ impl<'a> SearchContext<'a> {
             .map(|(r, &mask)| {
                 r.map(|batch| MaskScore {
                     mask,
-                    fidelity: crate::metrics::fidelity(&self.decoy.ideal, &batch.counts),
+                    fidelity: crate::metrics::fidelity(self.ideal, &batch.counts),
                 })
             })
             .collect()
     }
+
+    /// Scores `masks` in batches of [`SWEEP_BATCH`], checking the
+    /// deadline before each batch, and classifies every outcome. This is
+    /// the one place batch outcomes become scores, for the searches, the
+    /// referee and the Runtime-Best oracle alike.
+    ///
+    /// A mask lost to backend availability drops out and the rest still
+    /// compete. The first interruption (deadline expiry or cancellation)
+    /// stops the sweep: the outcomes after it go unscored. A decoy context
+    /// counts each scored and each unavailable run.
+    ///
+    /// # Errors
+    ///
+    /// A permanent execution error before any interruption aborts the
+    /// sweep.
+    pub(crate) fn sweep(&self, masks: &[DdMask]) -> Result<Sweep, ExecError> {
+        let mut sweep = Sweep::default();
+        for chunk in masks.chunks(SWEEP_BATCH) {
+            if let Err(e) = self.deadline.check() {
+                sweep.interruption = Some(e);
+                break;
+            }
+            for outcome in self.score_batch(chunk) {
+                match outcome {
+                    Ok(score) => {
+                        self.metrics.decoy_runs_scored.inc();
+                        sweep.scored.push(score);
+                    }
+                    Err(e) if e.is_interruption() => {
+                        sweep.interruption = Some(e);
+                        return Ok(sweep);
+                    }
+                    Err(e) if is_availability(&e) => {
+                        self.metrics.decoy_runs_unavailable.inc();
+                        sweep.unavailable.push(e);
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        Ok(sweep)
+    }
 }
 
-/// How many masks to submit per backend batch in the exhaustive sweep —
+/// How many masks [`SearchContext::sweep`] submits per backend batch —
 /// bounds peak memory (each in-flight mask holds a pulse-padded copy of
-/// the decoy schedule) while keeping workers saturated.
-const EXHAUSTIVE_BATCH: usize = 64;
+/// the target schedule) while keeping workers saturated.
+const SWEEP_BATCH: usize = 64;
 
-/// Exhaustively scores all `2^N` masks (the Runtime-Best oracle uses the
-/// same sweep on the real circuit). Masks are submitted in batches of
-/// `EXHAUSTIVE_BATCH`, which pristine machines score in parallel.
+/// A mask list's outcomes, classified by [`SearchContext::sweep`].
+#[derive(Debug, Default)]
+pub(crate) struct Sweep {
+    /// The masks that scored, in submission order.
+    pub(crate) scored: Vec<MaskScore>,
+    /// The runs lost to backend availability, in submission order.
+    pub(crate) unavailable: Vec<ExecError>,
+    /// The interruption that stopped the sweep, if one did.
+    pub(crate) interruption: Option<ExecError>,
+}
+
+impl Sweep {
+    /// The best score; the first one scored wins ties.
+    ///
+    /// # Errors
+    ///
+    /// When nothing scored: the last availability error, or a job
+    /// failure when there was no mask to score.
+    pub(crate) fn best(&self) -> Result<MaskScore, ExecError> {
+        let best =
+            self.scored.iter().copied().reduce(
+                |best, s| {
+                    if s.fidelity > best.fidelity {
+                        s
+                    } else {
+                        best
+                    }
+                },
+            );
+        best.ok_or_else(|| {
+            self.unavailable
+                .last()
+                .cloned()
+                .unwrap_or(ExecError::JobFailed {
+                    job: 0,
+                    reason: "no masks to evaluate".to_string(),
+                })
+        })
+    }
+}
+
+/// Exhaustively scores all `2^N` masks, as the Runtime-Best oracle
+/// sweeps the real circuit ([`crate::Adapt::runtime_best`]), through
+/// `SearchContext::sweep`: pristine machines score each batch in
+/// parallel.
 ///
 /// # Errors
 ///
@@ -396,71 +522,22 @@ pub fn exhaustive_search(ctx: &SearchContext<'_>) -> Result<SearchResult, Search
             limit: EXHAUSTIVE_MAX_QUBITS,
         });
     }
-    let mtr = search_metrics();
-    mtr.searches.inc();
-    let mut evaluations = Vec::new();
-    let mut unavailable_runs = 0;
-    let mut last_unavailable = None;
-    let mut interruption: Option<ExecError> = None;
-    'sweep: for chunk in DdMask::enumerate_all(n).chunks(EXHAUSTIVE_BATCH) {
-        // Cooperative cancellation point between batch submissions.
-        if let Err(e) = ctx.deadline.check() {
-            interruption = Some(e);
-            break;
-        }
-        for outcome in ctx.score_batch(chunk) {
-            match outcome {
-                Ok(score) => {
-                    mtr.decoy_runs_scored.inc();
-                    evaluations.push(score);
-                }
-                // The deadline tripped mid-batch: keep what scored,
-                // stop sweeping.
-                Err(e) if e.is_interruption() => {
-                    interruption = Some(e);
-                    break 'sweep;
-                }
-                // A mask whose runs outlasted the retry budget drops out
-                // of the sweep; the remaining candidates still compete.
-                Err(e) if is_availability(&e) => {
-                    unavailable_runs += 1;
-                    mtr.decoy_runs_unavailable.inc();
-                    last_unavailable = Some(e);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-    if let Some(ref e) = interruption {
-        mtr.searches_interrupted.inc();
+    ctx.metrics.searches.inc();
+    let sweep = ctx.sweep(&DdMask::enumerate_all(n))?;
+    if let Some(e) = &sweep.interruption {
+        ctx.metrics.searches_interrupted.inc();
         // Nothing scored before the interruption: there is no mask to
         // stand behind, so the interruption propagates as an error.
-        if evaluations.is_empty() {
+        if sweep.scored.is_empty() {
             return Err(SearchError::Exec(e.clone()));
         }
     }
-    if evaluations.is_empty() {
-        return Err(SearchError::Exec(last_unavailable.unwrap_or(
-            ExecError::JobFailed {
-                job: 0,
-                reason: "no masks to evaluate".to_string(),
-            },
-        )));
-    }
-    // First-evaluated wins ties, matching the stable ranking used by the
-    // localized search.
-    let mut best = evaluations[0];
-    for e in &evaluations[1..] {
-        if e.fidelity > best.fidelity {
-            best = *e;
-        }
-    }
     Ok(SearchResult {
-        best: best.mask,
-        evaluations,
+        best: sweep.best()?.mask,
+        unavailable_runs: sweep.unavailable.len(),
+        partial: sweep.interruption.is_some(),
+        evaluations: sweep.scored,
         degraded: Vec::new(),
-        unavailable_runs,
-        partial: interruption.is_some(),
     })
 }
 
@@ -472,11 +549,11 @@ pub fn exhaustive_search(ctx: &SearchContext<'_>) -> Result<SearchResult, Search
 /// `top2_merge` is set, each neighborhood commits the bitwise OR of its
 /// two best local masks (§4.3), otherwise just the best.
 ///
-/// Each neighborhood's `2^|group|` candidate masks are submitted as one
-/// [`Backend::execute_batch`] — pristine machines score them with
-/// worker threads; stateful backends (fault injectors, retry wrappers)
-/// run them serially in order. Either way the scores are bit-identical
-/// to a serial mask-by-mask loop.
+/// Each neighborhood's `2^|group|` candidate masks go through one
+/// `SearchContext::sweep`, in batches of at most 64 — pristine machines
+/// score them with worker threads; stateful backends (fault injectors, retry wrappers) run them
+/// serially in order. Either way the scores are bit-identical to a
+/// serial mask-by-mask loop.
 ///
 /// # Errors
 ///
@@ -493,10 +570,9 @@ pub fn exhaustive_search(ctx: &SearchContext<'_>) -> Result<SearchResult, Search
 /// search: its qubits fall back to the conservative all-DD assignment —
 /// protection is never *silently* dropped by a flaky backend — and the
 /// group is reported in [`SearchResult::degraded`]. Every mask of the
-/// group is still attempted (they are submitted together as one batch),
-/// so completed evaluations are reported and every lost run is counted
-/// in [`SearchResult::unavailable_runs`]. Permanent errors still
-/// propagate.
+/// group is still attempted, so completed evaluations are reported and
+/// every lost run is counted in [`SearchResult::unavailable_runs`].
+/// Permanent errors still propagate.
 pub fn localized_search(
     ctx: &SearchContext<'_>,
     qubit_order: &[u32],
@@ -504,7 +580,7 @@ pub fn localized_search(
     top2_merge: bool,
 ) -> Result<SearchResult, ExecError> {
     assert!(neighborhood > 0 && neighborhood <= 16, "neighborhood size");
-    let mtr = search_metrics();
+    let mtr = ctx.metrics;
     mtr.searches.inc();
     let n = ctx.num_program_qubits;
     let mut committed = DdMask::none(n);
@@ -517,16 +593,10 @@ pub fn localized_search(
     let mut visited = 0;
     while visited < groups.len() {
         let group = groups[visited];
-        // Cooperative cancellation point: checked before each
-        // neighborhood's batch is submitted.
-        if let Err(e) = ctx.deadline.check() {
-            interruption = Some(e);
-            break;
-        }
         let _neighborhood_span = mtr.neighborhood_us.time();
         // All 2^|group| settings of this neighborhood's bits, with
-        // already-committed bits fixed and future bits at 0, scored as
-        // one batch.
+        // already-committed bits fixed and future bits at 0. The sweep
+        // checks the deadline before submitting them.
         let masks: Vec<DdMask> = (0u64..(1 << group.len()))
             .map(|combo| {
                 let mut mask = committed;
@@ -536,36 +606,17 @@ pub fn localized_search(
                 mask
             })
             .collect();
-        let mut local: Vec<MaskScore> = Vec::with_capacity(masks.len());
-        let mut group_outage: Option<String> = None;
-        for outcome in ctx.score_batch(&masks) {
-            match outcome {
-                Ok(score) => {
-                    mtr.decoy_runs_scored.inc();
-                    local.push(score);
-                    evaluations.push(score);
-                }
-                // The deadline tripped mid-batch: this neighborhood is
-                // incomplete and falls into the all-DD sweep below.
-                Err(e) if e.is_interruption() => {
-                    interruption = Some(e);
-                    break;
-                }
-                Err(e) if is_availability(&e) => {
-                    unavailable_runs += 1;
-                    mtr.decoy_runs_unavailable.inc();
-                    if group_outage.is_none() {
-                        group_outage = Some(e.to_string());
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if interruption.is_some() {
+        let sweep = ctx.sweep(&masks)?;
+        evaluations.extend_from_slice(&sweep.scored);
+        unavailable_runs += sweep.unavailable.len();
+        // Interrupted: this neighborhood is incomplete and falls into the
+        // all-DD sweep below.
+        if sweep.interruption.is_some() {
+            interruption = sweep.interruption;
             break;
         }
         visited += 1;
-        if let Some(reason) = group_outage {
+        if let Some(outage) = sweep.unavailable.first() {
             // Degrade this neighborhood: all-DD fallback.
             mtr.degraded_groups.inc();
             for &q in group {
@@ -573,10 +624,11 @@ pub fn localized_search(
             }
             degraded.push(DegradedGroup {
                 qubits: group.to_vec(),
-                reason,
+                reason: outage.to_string(),
             });
             continue;
         }
+        let mut local = sweep.scored;
         local.sort_by(|a, b| {
             b.fidelity
                 .partial_cmp(&a.fidelity)
@@ -803,19 +855,6 @@ mod tests {
     }
 
     impl machine::Backend for ScriptedFailures {
-        fn execute(
-            &self,
-            circuit: &qcirc::Circuit,
-            config: &ExecutionConfig,
-        ) -> Result<machine::ShotBatch, ExecError> {
-            let timed = transpiler::schedule(
-                circuit,
-                self.inner.device(),
-                transpiler::SchedulePolicy::Alap,
-            );
-            self.execute_timed(&timed, config)
-        }
-
         fn execute_timed(
             &self,
             timed: &transpiler::TimedCircuit,
@@ -931,19 +970,6 @@ mod tests {
     }
 
     impl machine::Backend for DeadlineCharging {
-        fn execute(
-            &self,
-            circuit: &qcirc::Circuit,
-            config: &ExecutionConfig,
-        ) -> Result<machine::ShotBatch, ExecError> {
-            let timed = transpiler::schedule(
-                circuit,
-                self.inner.device(),
-                transpiler::SchedulePolicy::Alap,
-            );
-            self.execute_timed(&timed, config)
-        }
-
         fn execute_timed(
             &self,
             timed: &transpiler::TimedCircuit,

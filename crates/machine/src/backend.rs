@@ -17,7 +17,7 @@
 use crate::executor::{ExecError, ExecutionConfig, Machine};
 use device::Device;
 use qcirc::{Circuit, Counts};
-use transpiler::TimedCircuit;
+use transpiler::{try_schedule, SchedulePolicy, TimedCircuit};
 
 /// A degradation that occurred while producing a batch. Anomalies are not
 /// errors: the counts are usable, but downstream consumers may weight,
@@ -159,13 +159,18 @@ pub struct JobSpec<'a> {
 ///   retry/backoff and partial-result accumulation; each batch job runs
 ///   through its own full retry loop, in order.
 pub trait Backend: Send + Sync {
-    /// Schedules (ALAP) and executes a plain circuit.
+    /// Schedules (ALAP) and executes a plain circuit. By default it
+    /// schedules on [`Backend::device_snapshot`] and calls
+    /// [`Backend::execute_timed`].
     ///
     /// # Errors
     ///
     /// Returns a typed [`ExecError`]; transient variants
     /// ([`ExecError::is_transient`]) may succeed on retry.
-    fn execute(&self, circuit: &Circuit, config: &ExecutionConfig) -> Result<ShotBatch, ExecError>;
+    fn execute(&self, circuit: &Circuit, config: &ExecutionConfig) -> Result<ShotBatch, ExecError> {
+        let timed = try_schedule(circuit, &self.device_snapshot(), SchedulePolicy::Alap)?;
+        self.execute_timed(&timed, config)
+    }
 
     /// Executes an already-scheduled circuit.
     ///
@@ -221,11 +226,6 @@ pub trait Backend: Send + Sync {
 }
 
 impl Backend for Machine {
-    fn execute(&self, circuit: &Circuit, config: &ExecutionConfig) -> Result<ShotBatch, ExecError> {
-        let counts = Machine::execute(self, circuit, config)?;
-        Ok(ShotBatch::complete(counts, config.shots))
-    }
-
     fn execute_timed(
         &self,
         timed: &TimedCircuit,

@@ -19,12 +19,12 @@
 use crate::backend::{Anomaly, Backend, ShotBatch};
 use crate::executor::{ExecError, ExecutionConfig, Machine};
 use device::{Device, SeedSpawner};
-use qcirc::{Circuit, Counts};
+use qcirc::Counts;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
-use transpiler::{try_schedule, SchedulePolicy, TimedCircuit};
+use transpiler::TimedCircuit;
 
 /// Per-fault-class probabilities and parameters of an injection campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -398,14 +398,6 @@ fn drop_clbit(counts: &Counts, clbit: usize) -> Counts {
 }
 
 impl Backend for FaultyBackend {
-    fn execute(&self, circuit: &Circuit, config: &ExecutionConfig) -> Result<ShotBatch, ExecError> {
-        let timed = {
-            let m = self.inner.read().expect("machine lock");
-            try_schedule(circuit, m.device(), SchedulePolicy::Alap)?
-        };
-        self.run(&timed, config)
-    }
-
     fn execute_timed(
         &self,
         timed: &TimedCircuit,
@@ -422,6 +414,7 @@ impl Backend for FaultyBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcirc::Circuit;
 
     fn bell() -> Circuit {
         let mut c = Circuit::new(2);
