@@ -480,16 +480,12 @@ impl Sweep {
     /// When nothing scored: the last availability error, or a job
     /// failure when there was no mask to score.
     pub(crate) fn best(&self) -> Result<MaskScore, ExecError> {
-        let best =
-            self.scored.iter().copied().reduce(
-                |best, s| {
-                    if s.fidelity > best.fidelity {
-                        s
-                    } else {
-                        best
-                    }
-                },
-            );
+        let mut best: Option<MaskScore> = None;
+        for &s in &self.scored {
+            if best.is_none_or(|b| s.fidelity > b.fidelity) {
+                best = Some(s);
+            }
+        }
         best.ok_or_else(|| {
             self.unavailable
                 .last()
