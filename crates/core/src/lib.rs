@@ -492,6 +492,15 @@ impl Adapt {
         cfg: &AdaptConfig,
     ) -> Result<PolicyRun, AdaptError> {
         let n = program.num_qubits();
+        // Reject an oversized oracle sweep before compiling or simulating
+        // anything.
+        if policy == Policy::RuntimeBest && n > RUNTIME_BEST_MAX_QUBITS {
+            return Err(SearchError::TooLarge {
+                qubits: n,
+                limit: RUNTIME_BEST_MAX_QUBITS,
+            }
+            .into());
+        }
         let compiled = self.compile(program, cfg);
         let ideal = self.ideal_output(program)?;
         let (mask, search_runs, degraded) = match policy {
@@ -503,13 +512,6 @@ impl Adapt {
                 (result.best, runs, result.degraded)
             }
             Policy::RuntimeBest => {
-                if n > RUNTIME_BEST_MAX_QUBITS {
-                    return Err(SearchError::TooLarge {
-                        qubits: n,
-                        limit: RUNTIME_BEST_MAX_QUBITS,
-                    }
-                    .into());
-                }
                 return self.runtime_best(&compiled, &ideal, &DdMask::enumerate_all(n), cfg);
             }
         };

@@ -46,15 +46,15 @@ fn runtime_best_execution_is_pinned_and_oversized_programs_are_rejected() {
         }
         other => panic!("expected an execution, got {other:?}"),
     }
-    match svc.call(execute(ghz(17), DeviceId::Toronto)) {
-        Err(ServiceError::Failed(AdaptError::Search(e))) => assert_eq!(
-            e,
-            SearchError::TooLarge {
-                qubits: 17,
-                limit: 16
+    // 27 qubits would also overflow the dense simulator: the size check
+    // must come before any compile or simulation.
+    for qubits in [17, 27] {
+        match svc.call(execute(ghz(qubits), DeviceId::Toronto)) {
+            Err(ServiceError::Failed(AdaptError::Search(e))) => {
+                assert_eq!(e, SearchError::TooLarge { qubits, limit: 16 })
             }
-        ),
-        other => panic!("expected a TooLarge rejection, got {other:?}"),
+            other => panic!("expected a TooLarge rejection for {qubits} qubits, got {other:?}"),
+        }
     }
     assert_eq!(svc.shutdown().worker_panics, 0);
 }
