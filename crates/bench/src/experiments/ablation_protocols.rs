@@ -46,7 +46,6 @@ pub fn run(cfg: &ExperimentCfg) {
                 protocol,
                 // Standalone comparison (no conservative segmenting).
                 segment_ns: f64::INFINITY,
-                ..DdConfig::default()
             };
             let f = probe_fidelity(&machine, &c, probe, Some(dd), &exec);
             row.push(format!("{f:.3}"));

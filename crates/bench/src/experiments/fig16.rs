@@ -40,7 +40,6 @@ pub fn run(cfg: &ExperimentCfg) {
     let standalone_ibmq = DdConfig {
         protocol: DdProtocol::IbmqDd,
         segment_ns: f64::INFINITY,
-        ..DdConfig::default()
     };
     for (ii, idle_us) in [1.0f64, 2.0, 4.0, 8.0, 12.0].into_iter().enumerate() {
         let mut sums = [0.0f64; 3];

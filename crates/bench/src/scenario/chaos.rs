@@ -266,7 +266,6 @@ fn run_tiered_phase(cfg: &ExperimentCfg) -> TieredReport {
             // requests search as usual.
             min_search_ms: 1_000,
             max_stale_epochs: 2,
-            ..TierConfig::default()
         },
         ..soak_config(cfg)
     });

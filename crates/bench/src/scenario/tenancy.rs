@@ -151,7 +151,6 @@ fn replay_config(cfg: &ExperimentCfg) -> ServiceConfig {
         tiers: TierConfig {
             min_search_ms: 600_000,
             max_stale_epochs: 2,
-            ..TierConfig::default()
         },
         tenancy: tenancy_config(),
         ..service_config(cfg, &DeviceId::ALL, 2, 64, 256)

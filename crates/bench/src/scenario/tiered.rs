@@ -91,7 +91,6 @@ fn ladder_config(cfg: &ExperimentCfg) -> ServiceConfig {
             // requests search inline as before.
             min_search_ms: 600_000,
             max_stale_epochs: 2,
-            ..TierConfig::default()
         },
         ..service_config(cfg, &[DeviceId::Guadalupe, DeviceId::Rome], 2, 16, 64)
     }

@@ -62,14 +62,15 @@ impl fmt::Display for DdProtocol {
     }
 }
 
+/// Free-evolution buffer after each pulse (10 ns on IBM systems, per
+/// Pokharel et al.).
+const BUFFER_NS: f64 = 10.0;
+
 /// Insertion parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdConfig {
     /// Pulse protocol.
     pub protocol: DdProtocol,
-    /// Free-evolution buffer after each pulse (10 ns on IBM systems, per
-    /// Pokharel et al.).
-    pub buffer_ns: f64,
     /// Maximum segment length for the two-pulse protocols; longer windows
     /// are split so pulse spacing stays bounded (§6.4).
     pub segment_ns: f64,
@@ -79,7 +80,6 @@ impl Default for DdConfig {
     fn default() -> Self {
         DdConfig {
             protocol: DdProtocol::Xy4,
-            buffer_ns: 10.0,
             segment_ns: 2000.0,
         }
     }
@@ -93,32 +93,10 @@ impl DdConfig {
             ..Default::default()
         }
     }
-
-    /// Rejects insertion parameters no protocol can compose an identity
-    /// window from: a UDD pulse count that is odd or zero, or non-finite
-    /// / non-positive timing parameters.
-    ///
-    /// # Errors
-    ///
-    /// The first violation found, as a typed [`DdConfigError`].
-    pub fn validate(&self) -> Result<(), DdConfigError> {
-        self.protocol.validate()?;
-        if !self.buffer_ns.is_finite() || self.buffer_ns < 0.0 {
-            return Err(DdConfigError::BadBuffer {
-                buffer_ns: self.buffer_ns,
-            });
-        }
-        if !self.segment_ns.is_finite() || self.segment_ns <= 0.0 {
-            return Err(DdConfigError::BadSegment {
-                segment_ns: self.segment_ns,
-            });
-        }
-        Ok(())
-    }
 }
 
-/// A [`DdConfig`] (or bare [`DdProtocol`]) that cannot produce a valid
-/// identity-composing pulse sequence.
+/// A [`DdProtocol`] that cannot produce a valid identity-composing pulse
+/// sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DdConfigError {
     /// `Udd { pulses }` with an odd count: an odd number of X pulses
@@ -131,16 +109,6 @@ pub enum DdConfigError {
     /// `Udd { pulses: 0 }`: the protocol would insert nothing while
     /// claiming to protect the window.
     ZeroUddPulses,
-    /// Non-finite or negative free-evolution buffer.
-    BadBuffer {
-        /// The rejected buffer length.
-        buffer_ns: f64,
-    },
-    /// Non-finite or non-positive segment bound.
-    BadSegment {
-        /// The rejected segment length.
-        segment_ns: f64,
-    },
 }
 
 impl fmt::Display for DdConfigError {
@@ -153,18 +121,6 @@ impl fmt::Display for DdConfigError {
             ),
             DdConfigError::ZeroUddPulses => {
                 write!(f, "UDD pulse count 0 would insert no pulses at all")
-            }
-            DdConfigError::BadBuffer { buffer_ns } => {
-                write!(
-                    f,
-                    "pulse buffer of {buffer_ns} ns is not a finite non-negative length"
-                )
-            }
-            DdConfigError::BadSegment { segment_ns } => {
-                write!(
-                    f,
-                    "segment bound of {segment_ns} ns is not a finite positive length"
-                )
             }
         }
     }
@@ -404,10 +360,10 @@ pub fn analyze_idle_windows(
     let gst = GateSequenceTable::build(timed);
     let pulse_ns = device.calibration().sq_dur_ns;
     let min_window_ns = match config.protocol {
-        DdProtocol::Xy4 => 4.0 * (pulse_ns + config.buffer_ns),
-        DdProtocol::Xy8 => 8.0 * (pulse_ns + config.buffer_ns),
-        DdProtocol::IbmqDd | DdProtocol::Cpmg => 2.0 * pulse_ns + 4.0 * config.buffer_ns,
-        DdProtocol::Udd { pulses } => (pulses.max(2) as f64) * (pulse_ns + config.buffer_ns),
+        DdProtocol::Xy4 => 4.0 * (pulse_ns + BUFFER_NS),
+        DdProtocol::Xy8 => 8.0 * (pulse_ns + BUFFER_NS),
+        DdProtocol::IbmqDd | DdProtocol::Cpmg => 2.0 * pulse_ns + 4.0 * BUFFER_NS,
+        DdProtocol::Udd { pulses } => (pulses.max(2) as f64) * (pulse_ns + BUFFER_NS),
     };
     let windows = (0..timed.num_qubits() as u32)
         .map(|q| {
@@ -513,12 +469,12 @@ fn fill_window(
                     Gate::X,
                 ]
             };
-            let rep = pattern.len() as f64 * (pulse_ns + config.buffer_ns);
+            let rep = pattern.len() as f64 * (pulse_ns + BUFFER_NS);
             let mut t = start;
             while t + rep <= end + 1e-9 {
                 for &gate in pattern {
                     push(gate, t);
-                    t += pulse_ns + config.buffer_ns;
+                    t += pulse_ns + BUFFER_NS;
                     placed += 1;
                 }
             }
@@ -528,7 +484,7 @@ fn fill_window(
             // t_j = T·sin²(πj / (2N+2)), pulse centered at t_j.
             let n_pulses = (pulses.max(2) & !1) as usize;
             let duration = end - start;
-            if duration < n_pulses as f64 * (pulse_ns + config.buffer_ns) {
+            if duration < n_pulses as f64 * (pulse_ns + BUFFER_NS) {
                 return 0;
             }
             for j in 1..=n_pulses {
@@ -550,7 +506,7 @@ fn fill_window(
             let duration = end - start;
             let segments = (duration / config.segment_ns).ceil().max(1.0) as usize;
             let seg_len = duration / segments as f64;
-            if seg_len < 2.0 * pulse_ns + 4.0 * config.buffer_ns {
+            if seg_len < 2.0 * pulse_ns + 4.0 * BUFFER_NS {
                 return 0;
             }
             for s in 0..segments {
@@ -711,9 +667,7 @@ mod tests {
     fn validate_rejects_odd_udd_pulses() {
         let err = DdProtocol::Udd { pulses: 5 }.validate().unwrap_err();
         assert_eq!(err, DdConfigError::OddUddPulses { pulses: 5 });
-        let err = DdConfig::for_protocol(DdProtocol::Udd { pulses: 3 })
-            .validate()
-            .unwrap_err();
+        let err = DdProtocol::Udd { pulses: 3 }.validate().unwrap_err();
         assert_eq!(err, DdConfigError::OddUddPulses { pulses: 3 });
     }
 
@@ -736,28 +690,7 @@ mod tests {
             DdProtocol::Udd { pulses: 8 },
         ] {
             assert_eq!(protocol.validate(), Ok(()));
-            assert_eq!(DdConfig::for_protocol(protocol).validate(), Ok(()));
         }
-    }
-
-    #[test]
-    fn validate_rejects_bad_timing_parameters() {
-        let cfg = DdConfig {
-            buffer_ns: -1.0,
-            ..DdConfig::default()
-        };
-        assert!(matches!(
-            cfg.validate(),
-            Err(DdConfigError::BadBuffer { .. })
-        ));
-        let cfg = DdConfig {
-            segment_ns: 0.0,
-            ..DdConfig::default()
-        };
-        assert!(matches!(
-            cfg.validate(),
-            Err(DdConfigError::BadSegment { .. })
-        ));
     }
 
     #[test]

@@ -4,29 +4,19 @@
 //! decoy executions, far too slow for a cold cache miss under a tight
 //! serving deadline. Calibration data alone, however, already predicts
 //! *where* DD helps: a qubit benefits from decoupling when it idles for
-//! a significant fraction of its dephasing time, and DD pulses earn
-//! their keep where crosstalk keeps pushing the qubit off resonance.
-//! That is the insertion strategy studied by Niu & Todri-Sanial
-//! (arXiv:2204.14251): gate each qubit on its `T_idle/T2` ratio and on
-//! a crosstalk-density band.
+//! a significant fraction of its dephasing time. That is the insertion
+//! strategy studied by Niu & Todri-Sanial (arXiv:2204.14251): gate each
+//! qubit on its `T_idle/T2` ratio.
 //!
-//! [`heuristic_mask`] reproduces that strategy as a deterministic
-//! `O(qubits + links)` pass over the compiled schedule and the device
-//! calibration — no execution, no randomness, no search:
-//!
-//! 1. **Idle-ratio gate** — program qubit `p` (on physical wire
-//!    `layout.phys_of(p)`) is a DD candidate only when its DD-eligible
-//!    idle time (interior + trailing windows, the same windows
-//!    [`insert_dd`](crate::dd::insert_dd) would pad) is at least
-//!    [`HeuristicConfig::t2_threshold_ratio`] of the wire's `T2`.
-//!    Qubits that barely idle, or idle only in leading `|0⟩` windows,
-//!    gain nothing from pulses.
-//! 2. **Crosstalk-density band** — the candidate survives only when the
-//!    mean |crosstalk| across the wire's incident links falls inside
-//!    `[crosstalk_min_density, crosstalk_max_density]`. The defaults
-//!    leave the band wide open; a deployment can close it to skip
-//!    isolated qubits (DD adds pulse error but removes little) or
-//!    extremely coupled ones (pulses themselves crosstalk).
+//! [`heuristic_mask`] reproduces that gate as a deterministic
+//! `O(qubits)` pass over the compiled schedule and the device
+//! calibration — no execution, no randomness, no search. Program qubit
+//! `p` (on physical wire `layout.phys_of(p)`) gets DD exactly when its
+//! DD-eligible idle time (interior + trailing windows of at least 1 ns,
+//! the same windows [`insert_dd`](crate::dd::insert_dd) would pad) is at
+//! least 0.001 of the wire's `T2`: a qubit idling for ≥ 0.1 % of its
+//! dephasing time is worth decoupling. Qubits that barely idle, or idle
+//! only in leading `|0⟩` windows, gain nothing from pulses.
 //!
 //! The result is strictly better than the all-DD fallback a deadline
 //! would otherwise force — it never pulses a qubit with no eligible
@@ -39,73 +29,13 @@ use crate::DdMask;
 use device::Device;
 use transpiler::TranspiledCircuit;
 
-/// Thresholds of the calibration-only heuristic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HeuristicConfig {
-    /// Minimum `T_idle/T2` ratio for applying DD to a qubit (0.001 in
-    /// the insertion-strategy study: a qubit idling for ≥ 0.1 % of its
-    /// dephasing time is worth decoupling).
-    pub t2_threshold_ratio: f64,
-    /// Lower edge of the admissible crosstalk-density band (mean
-    /// |crosstalk| over the wire's incident links).
-    pub crosstalk_min_density: f64,
-    /// Upper edge of the admissible crosstalk-density band.
-    pub crosstalk_max_density: f64,
-    /// Idle windows shorter than this (ns) are ignored when summing a
-    /// wire's DD-eligible idle time — too short to host even one pulse
-    /// pair.
-    pub min_idle_window_ns: f64,
-}
+/// Minimum `T_idle/T2` ratio for applying DD to a qubit (0.001 in the
+/// insertion-strategy study).
+const T2_THRESHOLD_RATIO: f64 = 0.001;
 
-impl Default for HeuristicConfig {
-    fn default() -> Self {
-        HeuristicConfig {
-            t2_threshold_ratio: 0.001,
-            crosstalk_min_density: 0.0,
-            crosstalk_max_density: f64::INFINITY,
-            min_idle_window_ns: 1.0,
-        }
-    }
-}
-
-impl HeuristicConfig {
-    /// Rejects threshold combinations that can never admit a qubit or
-    /// are numerically meaningless. Returns the first violation as a
-    /// human-readable reason (mirroring `BreakerConfig::validate`).
-    ///
-    /// # Errors
-    ///
-    /// A description of the first violation found.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.t2_threshold_ratio.is_finite() || self.t2_threshold_ratio < 0.0 {
-            return Err(format!(
-                "t2_threshold_ratio = {} is invalid: must be finite and >= 0",
-                self.t2_threshold_ratio
-            ));
-        }
-        if self.crosstalk_min_density.is_nan() || self.crosstalk_min_density < 0.0 {
-            return Err(format!(
-                "crosstalk_min_density = {} is invalid: must be >= 0",
-                self.crosstalk_min_density
-            ));
-        }
-        if self.crosstalk_max_density.is_nan()
-            || self.crosstalk_max_density < self.crosstalk_min_density
-        {
-            return Err(format!(
-                "crosstalk density band [{}, {}] is contradictory: min exceeds max",
-                self.crosstalk_min_density, self.crosstalk_max_density
-            ));
-        }
-        if !self.min_idle_window_ns.is_finite() || self.min_idle_window_ns < 0.0 {
-            return Err(format!(
-                "min_idle_window_ns = {} is invalid: must be finite and >= 0",
-                self.min_idle_window_ns
-            ));
-        }
-        Ok(())
-    }
-}
+/// Idle windows shorter than this (ns) are ignored when summing a wire's
+/// DD-eligible idle time — too short to host even one pulse pair.
+const MIN_IDLE_WINDOW_NS: f64 = 1.0;
 
 /// Per-qubit evidence behind one heuristic decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,8 +48,6 @@ pub struct QubitAssessment {
     pub idle_ns: f64,
     /// `T_idle/T2` ratio the idle-ratio gate compared.
     pub idle_t2_ratio: f64,
-    /// Mean |crosstalk| over the wire's incident links.
-    pub crosstalk_density: f64,
     /// Whether the qubit made it into the mask.
     pub dd: bool,
 }
@@ -141,7 +69,6 @@ pub fn heuristic_mask(
     compiled: &TranspiledCircuit,
     device: &Device,
     num_program_qubits: usize,
-    cfg: &HeuristicConfig,
 ) -> HeuristicMask {
     let gst = GateSequenceTable::build(&compiled.timed);
     let cal = device.calibration();
@@ -151,22 +78,14 @@ pub fn heuristic_mask(
     for p in 0..num_program_qubits as u32 {
         let q = compiled.initial_layout.phys_of(p);
         let idle_ns: f64 = gst
-            .dd_eligible_windows(q, cfg.min_idle_window_ns)
+            .dd_eligible_windows(q, MIN_IDLE_WINDOW_NS)
             .iter()
             .map(|w| w.duration_ns())
             .sum();
         let t2_ns = cal.qubit(q).t2_us * 1_000.0;
         let idle_t2_ratio = if t2_ns > 0.0 { idle_ns / t2_ns } else { 0.0 };
-        let incident = cal.crosstalk_on(q);
-        let crosstalk_density = if incident.is_empty() {
-            0.0
-        } else {
-            incident.iter().map(|(_, x)| x.abs()).sum::<f64>() / incident.len() as f64
-        };
         debug_assert!(q < topo.num_qubits() as u32, "layout maps inside topology");
-        let dd = idle_t2_ratio >= cfg.t2_threshold_ratio
-            && crosstalk_density >= cfg.crosstalk_min_density
-            && crosstalk_density <= cfg.crosstalk_max_density;
+        let dd = idle_t2_ratio >= T2_THRESHOLD_RATIO;
         if dd {
             mask = mask.with(p as usize, true);
         }
@@ -175,7 +94,6 @@ pub fn heuristic_mask(
             physical_qubit: q,
             idle_ns,
             idle_t2_ratio,
-            crosstalk_density,
             dd,
         });
     }
@@ -207,7 +125,7 @@ mod tests {
     fn idle_heavy_qubits_get_dd_and_busy_ones_do_not() {
         let dev = Device::ibmq_guadalupe(7);
         let c = ghz(6);
-        let h = heuristic_mask(&compiled_on(&dev, &c), &dev, 6, &HeuristicConfig::default());
+        let h = heuristic_mask(&compiled_on(&dev, &c), &dev, 6);
         assert_eq!(h.mask.num_qubits(), 6);
         assert!(
             h.mask.count_ones() >= 1,
@@ -217,6 +135,7 @@ mod tests {
         // Evidence rows agree with the mask bit for bit.
         for a in &h.assessments {
             assert_eq!(h.mask.is_set(a.program_qubit as usize), a.dd);
+            assert_eq!(a.dd, a.idle_t2_ratio >= T2_THRESHOLD_RATIO);
             assert!(a.idle_ns >= 0.0 && a.idle_t2_ratio >= 0.0);
         }
     }
@@ -225,57 +144,8 @@ mod tests {
     fn is_deterministic() {
         let dev = Device::ibmq_toronto(3);
         let c = ghz(5);
-        let a = heuristic_mask(&compiled_on(&dev, &c), &dev, 5, &HeuristicConfig::default());
-        let b = heuristic_mask(&compiled_on(&dev, &c), &dev, 5, &HeuristicConfig::default());
+        let a = heuristic_mask(&compiled_on(&dev, &c), &dev, 5);
+        let b = heuristic_mask(&compiled_on(&dev, &c), &dev, 5);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn raising_the_ratio_threshold_shrinks_the_mask_monotonically() {
-        let dev = Device::ibmq_rome(11);
-        let c = ghz(5);
-        let compiled = compiled_on(&dev, &c);
-        let mut prev = u32::MAX;
-        for ratio in [0.0, 0.0005, 0.001, 0.01, 0.1, 10.0] {
-            let cfg = HeuristicConfig {
-                t2_threshold_ratio: ratio,
-                ..HeuristicConfig::default()
-            };
-            let h = heuristic_mask(&compiled, &dev, 5, &cfg);
-            assert!(
-                h.mask.count_ones() <= prev,
-                "mask must shrink as the gate tightens"
-            );
-            prev = h.mask.count_ones();
-        }
-    }
-
-    #[test]
-    fn impossible_crosstalk_band_empties_the_mask() {
-        let dev = Device::ibmq_london(5);
-        let c = ghz(4);
-        let cfg = HeuristicConfig {
-            crosstalk_min_density: f64::MAX,
-            crosstalk_max_density: f64::INFINITY,
-            ..HeuristicConfig::default()
-        };
-        let h = heuristic_mask(&compiled_on(&dev, &c), &dev, 4, &cfg);
-        assert_eq!(h.mask.count_ones(), 0);
-    }
-
-    #[test]
-    fn validate_rejects_contradictory_bands() {
-        assert!(HeuristicConfig::default().validate().is_ok());
-        let bad = HeuristicConfig {
-            crosstalk_min_density: 0.5,
-            crosstalk_max_density: 0.1,
-            ..HeuristicConfig::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("contradictory"));
-        let neg = HeuristicConfig {
-            t2_threshold_ratio: -1.0,
-            ..HeuristicConfig::default()
-        };
-        assert!(neg.validate().is_err());
     }
 }

@@ -47,7 +47,7 @@ pub mod search;
 pub use dd::{DdConfig, DdConfigError, DdMask, DdProtocol, IdleAnalysis};
 pub use decoy::{Decoy, DecoyKind};
 pub use gst::GateSequenceTable;
-pub use heuristic::{heuristic_mask, HeuristicConfig, HeuristicMask, QubitAssessment};
+pub use heuristic::{heuristic_mask, HeuristicMask, QubitAssessment};
 pub use search::{DegradedGroup, MaskScore, SearchError, SearchResult, EXHAUSTIVE_MAX_QUBITS};
 
 use device::Device;
@@ -56,7 +56,7 @@ use qcirc::{Circuit, Counts};
 use statevec::SimError;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use transpiler::{transpile, TranspileOptions, TranspiledCircuit};
+use transpiler::{transpile, LayoutStrategy, SchedulePolicy, TranspileOptions, TranspiledCircuit};
 
 /// Largest program (in qubits) [`Policy::RuntimeBest`] will sweep. The
 /// oracle runs all `2^N` masks on the *real* program, so it is held to a
@@ -145,6 +145,13 @@ impl From<SearchError> for AdaptError {
     }
 }
 
+/// Compiler options of [`Adapt::compile`].
+const TRANSPILE: TranspileOptions = TranspileOptions {
+    layout: LayoutStrategy::NoiseAdaptive,
+    scheduling: SchedulePolicy::Alap,
+    skip_optimization: false,
+};
+
 /// Framework configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
@@ -160,8 +167,6 @@ pub struct AdaptConfig {
     pub search_exec: ExecutionConfig,
     /// Execution budget for the final program run.
     pub final_exec: ExecutionConfig,
-    /// Compiler options.
-    pub transpile: TranspileOptions,
 }
 
 impl Default for AdaptConfig {
@@ -183,7 +188,6 @@ impl Default for AdaptConfig {
                 seed: 0xF1DE,
                 threads: 0,
             },
-            transpile: TranspileOptions::default(),
         }
     }
 }
@@ -275,9 +279,12 @@ impl Adapt {
         Ok(statevec::ideal_distribution(&compact)?)
     }
 
-    /// Transpiles a program for this backend's device snapshot.
-    pub fn compile(&self, program: &Circuit, cfg: &AdaptConfig) -> TranspiledCircuit {
-        transpile(program, &self.device, &cfg.transpile)
+    /// Transpiles a program for this backend's device snapshot with the
+    /// paper's compile configuration: noise-adaptive placement, ALAP
+    /// scheduling (§2.4) and the peephole optimizer. No field of the
+    /// config changes how a program compiles.
+    pub fn compile(&self, program: &Circuit, _cfg: &AdaptConfig) -> TranspiledCircuit {
+        transpile(program, &self.device, &TRANSPILE)
     }
 
     /// Runs the decoy-driven localized search and returns the chosen mask

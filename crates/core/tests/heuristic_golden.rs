@@ -10,7 +10,7 @@
 //! A mismatch means the tier-0 answer changed: fix the code, do not
 //! re-pin.
 
-use adapt::{heuristic_mask, HeuristicConfig};
+use adapt::heuristic_mask;
 use device::Device;
 use transpiler::{transpile, TranspileOptions};
 
@@ -46,12 +46,7 @@ fn digests() -> Vec<(String, u64)> {
                 continue;
             }
             let compiled = transpile(&spec.circuit, &dev, &TranspileOptions::default());
-            let h = heuristic_mask(
-                &compiled,
-                &dev,
-                spec.num_qubits,
-                &HeuristicConfig::default(),
-            );
+            let h = heuristic_mask(&compiled, &dev, spec.num_qubits);
             let mut d = fnv64(FNV_OFFSET, &h.mask.bits().to_le_bytes());
             for a in &h.assessments {
                 d = fnv64(d, &a.idle_t2_ratio.to_bits().to_le_bytes());

@@ -324,14 +324,14 @@ proptest! {
     /// hardware presets: the mask covers exactly the program qubits, the
     /// layout maps every assessed qubit onto a distinct physical wire
     /// inside the topology, evidence rows agree with the mask bit for
-    /// bit, every set bit clears the configured ratio gate, and the
-    /// whole computation replays bit-identically.
+    /// bit, a bit is set exactly when the qubit's idle/T2 ratio clears
+    /// the heuristic's 0.001 gate, and the whole computation replays
+    /// bit-identically.
     #[test]
     fn heuristic_masks_are_valid_on_every_preset(
         preset in 0usize..5,
         seed in 0u64..10_000,
         n in 2usize..=5,
-        ratio in 0.0..0.01f64,
     ) {
         let dev = [
             Device::ibmq_guadalupe as fn(u64) -> Device,
@@ -347,11 +347,7 @@ proptest! {
         }
         c.measure_all();
         let compiled = transpile(&c, &dev, &TranspileOptions::default());
-        let cfg = adapt::heuristic::HeuristicConfig {
-            t2_threshold_ratio: ratio,
-            ..adapt::heuristic::HeuristicConfig::default()
-        };
-        let h = adapt::heuristic::heuristic_mask(&compiled, &dev, n, &cfg);
+        let h = adapt::heuristic::heuristic_mask(&compiled, &dev, n);
 
         prop_assert_eq!(h.mask.num_qubits(), n);
         prop_assert_eq!(h.assessments.len(), n);
@@ -365,16 +361,15 @@ proptest! {
             );
             prop_assert!(wires.insert(a.physical_qubit), "layout must be injective");
             prop_assert_eq!(h.mask.is_set(a.program_qubit as usize), a.dd);
-            prop_assert!(a.idle_ns >= 0.0 && a.crosstalk_density >= 0.0);
-            if a.dd {
-                prop_assert!(
-                    a.idle_t2_ratio >= cfg.t2_threshold_ratio,
-                    "set bit must clear the ratio gate: {} < {}",
-                    a.idle_t2_ratio, cfg.t2_threshold_ratio
-                );
-            }
+            prop_assert!(a.idle_ns >= 0.0);
+            prop_assert_eq!(
+                a.dd,
+                a.idle_t2_ratio >= 0.001,
+                "bit must be set exactly when the ratio clears the gate: {}",
+                a.idle_t2_ratio
+            );
         }
-        let replay = adapt::heuristic::heuristic_mask(&compiled, &dev, n, &cfg);
+        let replay = adapt::heuristic::heuristic_mask(&compiled, &dev, n);
         prop_assert_eq!(replay, h);
     }
 }

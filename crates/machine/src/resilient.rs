@@ -10,7 +10,7 @@
 //! discarded and retried.
 //!
 //! Determinism contract: the backoff schedule (including jitter) is a
-//! pure function of `(RetryPolicy, ExecutionConfig::seed, attempt)`, and
+//! pure function of `(ExecutionConfig::seed, attempt)`, and
 //! attempt 0 runs under the caller's exact seed — a fault-free backend
 //! behind a `ResilientExecutor` is bit-identical to the bare backend.
 //! Backoff delays are *virtual* by default (computed and recorded, not
@@ -32,23 +32,26 @@ use transpiler::TimedCircuit;
 /// collide with trajectory/shot randomness derived from the same seed.
 const BACKOFF_SALT: u64 = 0x42AC_0FF5_7E7A_11CE;
 
-/// Retry behaviour of a [`ResilientExecutor`].
+/// Backoff before the second attempt, in milliseconds.
+const BASE_BACKOFF_MS: f64 = 10.0;
+/// Multiplier applied to the backoff after every failed attempt.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Ceiling on the (pre-jitter) backoff, in milliseconds.
+const MAX_BACKOFF_MS: f64 = 1_000.0;
+/// Symmetric jitter as a fraction of the nominal delay: the actual delay
+/// is `nominal * (1 ± JITTER_FRAC)`, drawn deterministically.
+const JITTER_FRAC: f64 = 0.25;
+/// Minimum delivered fraction at which an exhausted request is still
+/// accepted as a (flagged) partial result instead of an error.
+const MIN_SHOT_FRACTION: f64 = 0.5;
+
+/// Retry behaviour of a [`ResilientExecutor`]. The backoff schedule
+/// (10 ms doubling per attempt up to 1 s, ±25% seeded jitter) and the
+/// 50% partial-acceptance floor are fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum backend attempts per request (first try included).
     pub max_attempts: u32,
-    /// Backoff before the second attempt, in milliseconds.
-    pub base_backoff_ms: f64,
-    /// Multiplier applied to the backoff after every failed attempt.
-    pub backoff_factor: f64,
-    /// Ceiling on the (pre-jitter) backoff, in milliseconds.
-    pub max_backoff_ms: f64,
-    /// Symmetric jitter as a fraction of the nominal delay: the actual
-    /// delay is `nominal * (1 ± jitter_frac)`, drawn deterministically.
-    pub jitter_frac: f64,
-    /// Minimum delivered fraction at which an exhausted request is still
-    /// accepted as a (flagged) partial result instead of an error.
-    pub min_shot_fraction: f64,
     /// Actually sleep the backoff delays. Off by default: simulated
     /// backends fail instantly and the schedule is fully recorded in
     /// [`FaultStats`] either way.
@@ -59,33 +62,17 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 4,
-            base_backoff_ms: 10.0,
-            backoff_factor: 2.0,
-            max_backoff_ms: 1_000.0,
-            jitter_frac: 0.25,
-            min_shot_fraction: 0.5,
             sleep: false,
         }
     }
 }
 
-/// A [`RetryPolicy`] field combination that cannot express a sane retry
-/// schedule. Produced by [`RetryPolicy::validate`]; before PR 5 such
-/// configs were accepted silently and produced nonsense (zero attempts
-/// never execute anything, NaN backoff poisons every delay).
+/// A [`RetryPolicy`] that cannot express a retry schedule. Produced by
+/// [`RetryPolicy::validate`]; zero attempts would never execute anything.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RetryPolicyError {
     /// `max_attempts == 0`: the executor would never dispatch anything.
     ZeroAttempts,
-    /// A numeric field is NaN, infinite, or outside its valid range.
-    InvalidField {
-        /// The offending `RetryPolicy` field name.
-        field: &'static str,
-        /// The rejected value.
-        value: f64,
-        /// Human-readable constraint the value violates.
-        constraint: &'static str,
-    },
 }
 
 impl std::fmt::Display for RetryPolicyError {
@@ -94,11 +81,6 @@ impl std::fmt::Display for RetryPolicyError {
             RetryPolicyError::ZeroAttempts => {
                 write!(f, "max_attempts must be at least 1 (got 0)")
             }
-            RetryPolicyError::InvalidField {
-                field,
-                value,
-                constraint,
-            } => write!(f, "{field} = {value} is invalid: must be {constraint}"),
         }
     }
 }
@@ -114,43 +96,14 @@ impl RetryPolicy {
         }
     }
 
-    /// Checks the policy for field combinations that silently produce
-    /// nonsense: zero attempts, negative/NaN/infinite backoff fields,
-    /// fractions outside `[0, 1]`. Returns the first violation found.
+    /// Rejects a policy with zero attempts.
     ///
     /// # Errors
     ///
-    /// Returns a typed [`RetryPolicyError`] naming the offending field.
+    /// [`RetryPolicyError::ZeroAttempts`] when `max_attempts` is 0.
     pub fn validate(&self) -> Result<(), RetryPolicyError> {
         if self.max_attempts == 0 {
             return Err(RetryPolicyError::ZeroAttempts);
-        }
-        let finite_nonneg: [(&'static str, f64); 3] = [
-            ("base_backoff_ms", self.base_backoff_ms),
-            ("backoff_factor", self.backoff_factor),
-            ("max_backoff_ms", self.max_backoff_ms),
-        ];
-        for (field, value) in finite_nonneg {
-            if !value.is_finite() || value < 0.0 {
-                return Err(RetryPolicyError::InvalidField {
-                    field,
-                    value,
-                    constraint: "finite and non-negative",
-                });
-            }
-        }
-        let unit_fracs: [(&'static str, f64); 2] = [
-            ("jitter_frac", self.jitter_frac),
-            ("min_shot_fraction", self.min_shot_fraction),
-        ];
-        for (field, value) in unit_fracs {
-            if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-                return Err(RetryPolicyError::InvalidField {
-                    field,
-                    value,
-                    constraint: "within [0, 1]",
-                });
-            }
         }
         Ok(())
     }
@@ -159,12 +112,11 @@ impl RetryPolicy {
     /// (0-based), for a request executing under `seed`. Pure function —
     /// the whole schedule can be predicted (and asserted) in advance.
     pub fn delay_ms(&self, seed: u64, attempt: u32) -> f64 {
-        let nominal = (self.base_backoff_ms * self.backoff_factor.powi(attempt as i32))
-            .min(self.max_backoff_ms);
+        let nominal = (BASE_BACKOFF_MS * BACKOFF_FACTOR.powi(attempt as i32)).min(MAX_BACKOFF_MS);
         let spawner = SeedSpawner::new(seed ^ BACKOFF_SALT);
         let mut rng = StdRng::seed_from_u64(spawner.derive(attempt as u64));
         let u: f64 = rng.gen();
-        (nominal * (1.0 + self.jitter_frac * (2.0 * u - 1.0))).max(0.0)
+        (nominal * (1.0 + JITTER_FRAC * (2.0 * u - 1.0))).max(0.0)
     }
 
     /// The full backoff schedule for `attempts` failed attempts under
@@ -449,7 +401,7 @@ impl ResilientExecutor {
             if m.delivered_shots() >= config.shots {
                 return Ok(m);
             }
-            if m.delivered_fraction() >= self.policy.min_shot_fraction {
+            if m.delivered_fraction() >= MIN_SHOT_FRACTION {
                 self.stats_lock().partial_accepted += 1;
                 return Ok(m);
             }
@@ -776,38 +728,6 @@ mod tests {
         };
         assert_eq!(zero.validate(), Err(RetryPolicyError::ZeroAttempts));
         assert!(ResilientExecutor::try_with_policy(backend(), zero).is_err());
-
-        let nan = RetryPolicy {
-            base_backoff_ms: f64::NAN,
-            ..Default::default()
-        };
-        let err = nan.validate().unwrap_err();
-        assert!(matches!(
-            err,
-            RetryPolicyError::InvalidField {
-                field: "base_backoff_ms",
-                ..
-            }
-        ));
-        assert!(err.to_string().contains("base_backoff_ms"));
-
-        let negative = RetryPolicy {
-            max_backoff_ms: -1.0,
-            ..Default::default()
-        };
-        assert!(negative.validate().is_err());
-
-        let jitter = RetryPolicy {
-            jitter_frac: 1.5,
-            ..Default::default()
-        };
-        assert!(matches!(
-            jitter.validate(),
-            Err(RetryPolicyError::InvalidField {
-                field: "jitter_frac",
-                ..
-            })
-        ));
         assert!(RetryPolicy::default().validate().is_ok());
         assert!(RetryPolicy::no_retries().validate().is_ok());
     }

@@ -33,8 +33,7 @@ use crate::sched::TenantScheduler;
 use crate::tenancy::{QuotaBook, Tenancy, TenancyConfig, TenantId};
 use adapt::decoy::make_decoy;
 use adapt::{
-    heuristic_mask, Adapt, AdaptConfig, AdaptError, DdConfig, DdMask, DdProtocol, DecoyKind,
-    HeuristicConfig, Policy,
+    heuristic_mask, Adapt, AdaptConfig, AdaptError, DdConfig, DdMask, DdProtocol, DecoyKind, Policy,
 };
 use machine::{
     Deadline, ExecutionConfig, FaultProfile, FaultyBackend, Machine, ResilientExecutor, RetryPolicy,
@@ -156,12 +155,26 @@ impl SearchBudget {
     }
 }
 
+/// Bound of the background-refine lane; refines past it are dropped
+/// (their single-flight tickets released) rather than queued without
+/// limit.
+const REFINE_QUEUE_CAPACITY: usize = 8;
+
+/// How many workers may run refine searches at once. Refines are
+/// strictly lower priority than client jobs: a worker only picks one up
+/// when the client queue is empty.
+const REFINE_CONCURRENCY: usize = 1;
+
+/// How many hot keys [`MaskService::prewarm_epoch`] re-characterizes
+/// against the next epoch's calibration.
+const PREWARM_TOP_K: usize = 4;
+
 /// Tuning of the degradation ladder (tiers 0–2). The defaults disable
 /// every new behavior — `min_search_ms = 0` means [`TierPolicy::Auto`]
 /// always searches inline and `max_stale_epochs = 0` means nothing is
 /// ever served stale — so a config that never mentions tiers behaves
 /// exactly like the pre-ladder service, bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TierConfig {
     /// Minimum remaining deadline (ms) for an [`TierPolicy::Auto`]
     /// request to attempt an inline search; below it the request is
@@ -172,73 +185,6 @@ pub struct TierConfig {
     /// be served as [`Provenance::StaleServed`]. `0` disables stale
     /// serving.
     pub max_stale_epochs: u64,
-    /// Bound of the superseded-epoch stale store.
-    pub stale_capacity: usize,
-    /// Bound of the background-refine lane; refines past it are dropped
-    /// (their single-flight tickets released) rather than queued without
-    /// limit.
-    pub refine_queue_capacity: usize,
-    /// How many workers may run refine searches at once. Refines are
-    /// strictly lower priority than client jobs: a worker only picks one
-    /// up when the client queue is empty.
-    pub refine_concurrency: usize,
-    /// Length of the cache's hot-key accounting ring (top-K input of
-    /// the proactive pre-epoch refresh).
-    pub hot_ring_capacity: usize,
-    /// How many hot keys [`MaskService::prewarm_epoch`] re-characterizes
-    /// against the next epoch's calibration.
-    pub prewarm_top_k: usize,
-    /// Thresholds of the tier-0 calibration-only heuristic.
-    pub heuristic: HeuristicConfig,
-}
-
-impl Default for TierConfig {
-    fn default() -> Self {
-        TierConfig {
-            min_search_ms: 0,
-            max_stale_epochs: 0,
-            stale_capacity: crate::cache::DEFAULT_STALE_CAPACITY,
-            refine_queue_capacity: 8,
-            refine_concurrency: 1,
-            hot_ring_capacity: crate::cache::DEFAULT_HOT_RING_CAPACITY,
-            prewarm_top_k: 4,
-            heuristic: HeuristicConfig::default(),
-        }
-    }
-}
-
-impl TierConfig {
-    /// Rejects ladder tunings that contradict themselves.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first violation found.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_stale_epochs > 0 && self.stale_capacity == 0 {
-            return Err(format!(
-                "contradictory tier config: max_stale_epochs = {} but the stale store \
-                 has capacity 0 — nothing could ever be served stale",
-                self.max_stale_epochs
-            ));
-        }
-        if self.prewarm_top_k > 0 && self.hot_ring_capacity == 0 {
-            return Err(format!(
-                "contradictory tier config: prewarm_top_k = {} but the hot-key ring \
-                 has capacity 0 — there would never be a hot key to prewarm",
-                self.prewarm_top_k
-            ));
-        }
-        if self.refine_queue_capacity > 0 && self.refine_concurrency == 0 {
-            return Err(format!(
-                "contradictory tier config: refine_queue_capacity = {} but \
-                 refine_concurrency = 0 — queued refines could never run",
-                self.refine_queue_capacity
-            ));
-        }
-        self.heuristic
-            .validate()
-            .map_err(|e| format!("invalid heuristic thresholds: {e}"))
-    }
 }
 
 /// The rung of the degradation ladder a request is served from, as
@@ -388,8 +334,8 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// Rejects configurations the service cannot run with (invalid
-    /// retry policy, breaker tuning, default search budget, or
-    /// contradictory tier ladder).
+    /// retry policy, breaker tuning, default search budget, or tenancy
+    /// policy).
     ///
     /// # Errors
     ///
@@ -408,9 +354,6 @@ impl ServiceConfig {
             .map_err(|e| ServiceError::InvalidConfig {
                 reason: e.to_string(),
             })?;
-        self.tiers
-            .validate()
-            .map_err(|reason| ServiceError::InvalidConfig { reason })?;
         self.tenancy
             .validate()
             .map_err(|reason| ServiceError::InvalidConfig { reason })?;
@@ -945,7 +888,7 @@ struct QueueState {
     /// lock so accept/reject order equals submission order.
     quotas: QuotaBook,
     /// Low-priority refine lane: a worker only pops from it when `jobs`
-    /// is empty and fewer than `refine_concurrency` refines are running.
+    /// is empty and fewer than `REFINE_CONCURRENCY` refines are running.
     refine: VecDeque<RefineJob>,
     /// Refine searches currently executing on workers.
     refine_active: usize,
@@ -1114,12 +1057,7 @@ impl MaskService {
         } else {
             Arc::new(adapt_obs::Registry::new())
         };
-        let cache = Arc::new(MaskCache::with_tiers(
-            config.cache_capacity,
-            config.tiers.stale_capacity,
-            config.tiers.hot_ring_capacity,
-            &obs,
-        ));
+        let cache = Arc::new(MaskCache::with_registry(config.cache_capacity, &obs));
         let health = HealthTracker::new(config.breaker, &config.devices, &obs);
         // Durability: replay snapshot + journal into the fresh cache and
         // registry (quarantining anything that fails validation), then
@@ -1366,9 +1304,9 @@ impl MaskService {
     /// against its *next* calibration epoch — call right before the
     /// epoch is advanced, so the hot working set is already cached when
     /// [`Self::advance_epoch`] invalidates the current one and drift
-    /// never turns into a cold-miss storm. Uses the top
-    /// [`TierConfig::prewarm_top_k`] identities of the cache's hot-key
-    /// ring whose logical program is still in the program book. Returns
+    /// never turns into a cold-miss storm. Uses the top four identities
+    /// of the cache's hot-key ring whose logical program is still in the
+    /// program book. Returns
     /// how many refines were scheduled (keys already cached, already in
     /// flight, or with a full refine lane are skipped).
     ///
@@ -1381,9 +1319,7 @@ impl MaskService {
             .registry
             .peek_next_epoch(device)
             .ok_or(ServiceError::DeviceNotServed(device))?;
-        let hot = shared
-            .cache
-            .hot_keys(device, shared.config.tiers.prewarm_top_k);
+        let hot = shared.cache.hot_keys(device, PREWARM_TOP_K);
         let mut scheduled = 0usize;
         for stale_key in hot {
             let Some(circuit) = lock(&shared.programs).get(&stale_key) else {
@@ -1725,19 +1661,18 @@ fn worker_loop(shared: &Arc<Shared>) {
                     // refine with a free slot — pass the signal on so a
                     // still-parked sibling picks it up.
                     let more = !state.jobs.is_empty()
-                        || (state.refine_active < shared.config.tiers.refine_concurrency
-                            && !state.refine.is_empty());
+                        || (state.refine_active < REFINE_CONCURRENCY && !state.refine.is_empty());
                     break (Work::Client(job), more);
                 }
                 // Refines are strictly lower priority: only an otherwise
                 // idle worker picks one up, and at most
-                // `refine_concurrency` run at once so a refine burst can
+                // `REFINE_CONCURRENCY` run at once so a refine burst can
                 // never starve the client lane of the whole pool.
-                if state.refine_active < shared.config.tiers.refine_concurrency {
+                if state.refine_active < REFINE_CONCURRENCY {
                     if let Some(refine) = state.refine.pop_front() {
                         state.refine_active += 1;
-                        let more = state.refine_active < shared.config.tiers.refine_concurrency
-                            && !state.refine.is_empty();
+                        let more =
+                            state.refine_active < REFINE_CONCURRENCY && !state.refine.is_empty();
                         break (Work::Refine(refine), more);
                     }
                 }
@@ -2120,7 +2055,7 @@ fn enqueue_refine(
     let mut state = lock(&shared.queue.state);
     let accepted = !shared.shutdown.load(Ordering::SeqCst)
         && state.refiner_enabled
-        && state.refine.len() < shared.config.tiers.refine_queue_capacity;
+        && state.refine.len() < REFINE_QUEUE_CAPACITY;
     if accepted {
         state.refine.push_back(job);
     }
@@ -2256,12 +2191,7 @@ fn recommend(
             // Tier 0: answer from calibration alone, instantly.
             TieredLookup::Miss(ticket) => {
                 refine_with(ticket);
-                let h = heuristic_mask(
-                    &r.compiled,
-                    machine.device(),
-                    circuit.num_qubits(),
-                    &tiers.heuristic,
-                );
+                let h = heuristic_mask(&r.compiled, machine.device(), circuit.num_qubits());
                 shared.metrics.heuristic_served.inc();
                 let cached = CachedMask {
                     mask: h.mask,

@@ -25,7 +25,6 @@ fn ladder(min_search_ms: u64, max_stale_epochs: u64) -> TierConfig {
     TierConfig {
         min_search_ms,
         max_stale_epochs,
-        ..TierConfig::default()
     }
 }
 

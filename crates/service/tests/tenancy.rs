@@ -36,7 +36,6 @@ fn ladder_config(tenancy: TenancyConfig) -> ServiceConfig {
         tiers: TierConfig {
             min_search_ms: 600_000,
             max_stale_epochs: 2,
-            ..TierConfig::default()
         },
         tenancy,
         ..ServiceConfig::default()
