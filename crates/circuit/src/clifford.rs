@@ -149,12 +149,6 @@ pub fn nearest_clifford_in(classes: &[CliffordClass], u: &Mat2) -> NearestCliffo
     best.expect("class table is never empty")
 }
 
-/// Convenience wrapper enumerating the class table internally. Prefer
-/// [`nearest_clifford_in`] with a cached table inside loops.
-pub fn nearest_clifford(u: &Mat2) -> NearestClifford {
-    nearest_clifford_in(&single_qubit_cliffords(), u)
-}
-
 /// Replaces a single-qubit gate by its nearest Clifford word.
 ///
 /// Gates that are already Clifford are returned unchanged (as a one-element

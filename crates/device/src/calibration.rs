@@ -332,24 +332,9 @@ impl Calibration {
         }
     }
 
-    /// Applies an in-place adjustment to every crosstalk coupling (qubit,
-    /// link, rate).
-    pub fn adjust_crosstalk<F: FnMut(u32, LinkId, &mut f64)>(&mut self, mut f: F) {
-        for (q, row) in self.chi.iter_mut().enumerate() {
-            for (l, rate) in row.iter_mut().enumerate() {
-                f(q as u32, LinkId(l as u32), rate);
-            }
-        }
-    }
-
     /// Mean CNOT error over links.
     pub fn mean_cnot_err(&self) -> f64 {
         self.links.iter().map(|l| l.err_2q).sum::<f64>() / self.links.len().max(1) as f64
-    }
-
-    /// Mean readout error over qubits.
-    pub fn mean_readout_err(&self) -> f64 {
-        self.qubits.iter().map(|q| q.err_readout).sum::<f64>() / self.qubits.len().max(1) as f64
     }
 }
 

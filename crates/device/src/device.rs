@@ -91,13 +91,6 @@ impl Device {
         out
     }
 
-    /// A copy of the device with its crosstalk table adjusted in place.
-    pub fn with_adjusted_crosstalk<F: FnMut(u32, LinkId, &mut f64)>(&self, f: F) -> Device {
-        let mut out = self.clone();
-        out.calibration.adjust_crosstalk(f);
-        out
-    }
-
     /// Machine name from the profile.
     pub fn name(&self) -> &'static str {
         self.profile.name

@@ -155,11 +155,6 @@ impl FaultPlan {
         &self.profile
     }
 
-    /// Number of jobs dispatched so far.
-    pub fn jobs_dispatched(&self) -> u64 {
-        self.next_job.load(Ordering::SeqCst)
-    }
-
     /// Claims the next job index and samples its faults.
     pub fn next_job_faults(&self) -> JobFaults {
         let job = self.next_job.fetch_add(1, Ordering::SeqCst);

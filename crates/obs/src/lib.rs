@@ -244,13 +244,6 @@ pub struct SpanTimer {
     start: Instant,
 }
 
-impl SpanTimer {
-    /// Elapsed time so far, without stopping the timer.
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-}
-
 impl Drop for SpanTimer {
     fn drop(&mut self) {
         let us = self.start.elapsed().as_micros() as u64;

@@ -310,15 +310,6 @@ impl PauliSum {
     pub fn num_qubits(&self) -> usize {
         self.n
     }
-
-    /// Debug view: `(x_bits, z_bits, phase, weight)` per term (first word
-    /// of each mask only — diagnostics for ≤64-qubit states).
-    pub fn debug_terms(&self) -> Vec<(u64, u64, u8, f64)> {
-        self.terms
-            .iter()
-            .map(|((x, z, p), w)| (x[0], z[0], *p, *w))
-            .collect()
-    }
 }
 
 /// Error raised for gates the propagator cannot handle.
