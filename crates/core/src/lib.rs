@@ -56,7 +56,7 @@ use qcirc::{Circuit, Counts};
 use statevec::SimError;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use transpiler::{transpile, LayoutStrategy, SchedulePolicy, TranspileOptions, TranspiledCircuit};
+use transpiler::{transpile, TranspileOptions, TranspiledCircuit};
 
 /// Largest program (in qubits) [`Policy::RuntimeBest`] will sweep. The
 /// oracle runs all `2^N` masks on the *real* program, so it is held to a
@@ -144,13 +144,6 @@ impl From<SearchError> for AdaptError {
         }
     }
 }
-
-/// Compiler options of [`Adapt::compile`].
-const TRANSPILE: TranspileOptions = TranspileOptions {
-    layout: LayoutStrategy::NoiseAdaptive,
-    scheduling: SchedulePolicy::Alap,
-    skip_optimization: false,
-};
 
 /// Framework configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -280,11 +273,12 @@ impl Adapt {
     }
 
     /// Transpiles a program for this backend's device snapshot with the
-    /// paper's compile configuration: noise-adaptive placement, ALAP
-    /// scheduling (§2.4) and the peephole optimizer. No field of the
-    /// config changes how a program compiles.
+    /// paper's compile configuration, [`TranspileOptions::default`]:
+    /// noise-adaptive placement, ALAP scheduling (§2.4) and the peephole
+    /// optimizer. The mask service keys its cache on the same options.
+    /// No field of the config changes how a program compiles.
     pub fn compile(&self, program: &Circuit, _cfg: &AdaptConfig) -> TranspiledCircuit {
-        transpile(program, &self.device, &TRANSPILE)
+        transpile(program, &self.device, &TranspileOptions::default())
     }
 
     /// Runs the decoy-driven localized search and returns the chosen mask
