@@ -24,8 +24,9 @@
 //! 1. the target's idle-window analysis ([`crate::dd::IdleAnalysis`]) is
 //!    computed once per [`SearchContext`] and shared by every mask;
 //! 2. each neighborhood's masks are submitted as **one batch** (64 masks
-//!    at most per batch) through [`Backend::execute_batch`], which
-//!    pristine machines execute with scoped worker threads;
+//!    at most per batch) through [`Backend::execute_batch`], which the
+//!    machine executes trajectory-major, behind the fault and retry
+//!    wrappers too;
 //! 3. the machine's plan cache recognizes repeated circuit structures,
 //!    so recompilation is skipped across retries and repeated searches.
 //!

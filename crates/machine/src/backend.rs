@@ -152,12 +152,13 @@ pub struct JobSpec<'a> {
 ///   simulates each distinct run at most once per machine.
 /// - [`crate::fault::FaultyBackend`]: wraps a [`Machine`] and injects
 ///   seeded transient failures, timeouts, truncation, readout dropouts
-///   and calibration staleness. Keeps the default (serial) batch path:
-///   its fault schedule depends on job submission order, so in-order
-///   dispatch is what keeps batches bit-identical to serial execution.
+///   and calibration staleness. Its fault draws are keyed by each job's
+///   address (circuit and config), so it decides a batch's faults up
+///   front and simulates the survivors as one [`Machine`] batch.
 /// - [`crate::resilient::ResilientExecutor`]: wraps any backend with
-///   retry/backoff and partial-result accumulation; each batch job runs
-///   through its own full retry loop, in order.
+///   retry/backoff and partial-result accumulation. It runs a batch in
+///   rounds: each round sends the current attempt of every unfinished
+///   job as one inner batch.
 pub trait Backend: Send + Sync {
     /// Schedules (ALAP) and executes a plain circuit. By default it
     /// schedules on [`Backend::device_snapshot`] and calls
@@ -193,16 +194,26 @@ pub trait Backend: Send + Sync {
     /// `execute_timed(jobs[i].timed, &jobs[i].config)` called serially in
     /// submission order on a backend in the same state — batching is a
     /// throughput optimization, never a semantic one. The default
-    /// implementation *is* that serial loop, which is what keeps
-    /// stateful backends (fault injectors with job counters, retry
-    /// wrappers) exactly equivalent to serial execution. [`Machine`]
-    /// overrides it with a trajectory-major loop on scoped threads, which
-    /// preserves the contract because its executions are stateless, its
-    /// trajectories are seeded independently of the thread layout, and
-    /// its shared per-seed normals equal the ones each stream would draw.
-    /// For the same reason it may serve a job that repeats a run it has
-    /// already made (same plan, seed, shots and trajectories) with that
-    /// run's result instead of simulating it again.
+    /// implementation *is* that serial loop. [`Machine`] overrides it with
+    /// a trajectory-major loop on scoped threads, which preserves the
+    /// contract because its executions are stateless, its trajectories
+    /// are seeded independently of the thread layout, and its shared
+    /// per-seed normals equal the ones each stream would draw. For the
+    /// same reason it may serve a job that repeats a run it has already
+    /// made (same plan, seed, shots and trajectories) with that run's
+    /// result instead of simulating it again.
+    ///
+    /// The fault and retry wrappers override it too.
+    /// [`crate::fault::FaultyBackend`] keeps the contract exactly: a
+    /// job's faults are a pure function of its address, and the batch
+    /// claims its dispatch indices (which calibration staleness follows)
+    /// in submission order. [`crate::resilient::ResilientExecutor`] keeps
+    /// it for each job's result and for the fault and retry tallies,
+    /// except for what is counted in dispatch order: its rounds send
+    /// every job's first attempt before any retry, so calibration
+    /// staleness, the dispatch index an injected error names, and the
+    /// virtual time charged to a shared deadline follow the rounds, not
+    /// the one-by-one order.
     ///
     /// The contract holds *across simulator routing* too: a batch may mix
     /// CHP-routed Clifford jobs with state-vector jobs, and each job's

@@ -9,15 +9,24 @@
 //! of everything upstream (retry loops, the ADAPT search, experiment
 //! drivers) can be tested end-to-end without a flaky test suite.
 //!
-//! Determinism contract: every job the backend receives gets a global
-//! job index from an atomic counter, and all fault draws for that job
-//! come from a [`SeedSpawner`]-derived stream keyed on the index alone.
-//! The fault sequence therefore depends only on `(seed, job order)` —
-//! not on wall-clock, thread interleaving inside a job, or the circuit
-//! being run.
+//! Determinism contract: a job's fault draws are a pure function of the
+//! plan seed and the job's *address* ([`job_address`]): the structural
+//! hash of its circuit plus the seed, shots and trajectories of its
+//! [`ExecutionConfig`]. The circuit is in the address because a search
+//! neighbourhood's masks share one seed under common random numbers; the
+//! config is, because a retry runs under its own seed and shot count. A
+//! job therefore draws the same faults alone or in a batch, early or
+//! late, and repeating a job repeats its faults. Only calibration
+//! staleness follows dispatch order: every job claims the next index of
+//! a counter (a batch claims consecutive indices in submission order),
+//! the device drifts once an index reaches
+//! [`FaultProfile::staleness_after_jobs`], and injected errors name the
+//! index. A batch is thus bit-identical to its jobs submitted serially
+//! in order, as the [`Backend::execute_batch`] contract asks.
 
-use crate::backend::{Anomaly, Backend, ShotBatch};
+use crate::backend::{Anomaly, Backend, JobSpec, ShotBatch};
 use crate::executor::{ExecError, ExecutionConfig, Machine};
+use crate::plan::{structural_hash, StructuralHasher};
 use device::{Device, SeedSpawner};
 use qcirc::Counts;
 use rand::rngs::StdRng;
@@ -116,11 +125,10 @@ impl FaultProfile {
     }
 }
 
-/// The fault decisions for one job, fully determined by `(seed, job)`.
+/// The fault decisions for one job, fully determined by the plan seed
+/// and the job's address.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobFaults {
-    /// Global job index.
-    pub job: u64,
     /// Fail the job outright.
     pub fail: bool,
     /// Time the job out.
@@ -131,12 +139,44 @@ pub struct JobFaults {
     pub dropout_bit: Option<u64>,
 }
 
-/// Deterministic fault schedule: maps an atomic job counter to
-/// [`JobFaults`] via seed derivation.
+impl JobFaults {
+    /// No fault at all: what every draw of a zero-rate profile gives.
+    const CLEAN: JobFaults = JobFaults {
+        fail: false,
+        timeout: false,
+        deliver_fraction: 1.0,
+        dropout_bit: None,
+    };
+
+    /// The shots delivered to a job that asked for `shots`: the
+    /// delivered fraction, rounded, but at least one shot unless none
+    /// were asked for.
+    pub fn delivered_shots(&self, shots: u64) -> u64 {
+        ((shots as f64 * self.deliver_fraction).round() as u64).clamp(shots.min(1), shots)
+    }
+}
+
+/// The address a job's fault draws are keyed by: the circuit's
+/// [`structural_hash`] mixed with the seed, shots and trajectories of
+/// its config. `threads` is left out, because results do not depend on
+/// it.
+pub fn job_address(job: &JobSpec<'_>) -> u64 {
+    let mut h = StructuralHasher::new();
+    h.mix(structural_hash(job.timed));
+    h.mix(job.config.seed);
+    h.mix(job.config.shots);
+    h.mix(job.config.trajectories as u64);
+    h.finish()
+}
+
+/// Deterministic fault schedule: maps a job's address to its
+/// [`JobFaults`] via seed derivation, and numbers jobs in dispatch order
+/// for calibration staleness.
 #[derive(Debug)]
 pub struct FaultPlan {
     profile: FaultProfile,
     spawner: SeedSpawner,
+    /// The next dispatch index.
     next_job: AtomicU64,
 }
 
@@ -155,16 +195,35 @@ impl FaultPlan {
         &self.profile
     }
 
-    /// Claims the next job index and samples its faults.
-    pub fn next_job_faults(&self) -> JobFaults {
-        let job = self.next_job.fetch_add(1, Ordering::SeqCst);
-        self.faults_for(job)
+    /// Claims `n` consecutive dispatch indices and returns the first.
+    fn claim(&self, n: usize) -> u64 {
+        self.next_job.fetch_add(n as u64, Ordering::SeqCst)
     }
 
-    /// The fault decisions for a specific job index (pure function of
-    /// the plan seed — used by tests to predict the schedule).
-    pub fn faults_for(&self, job: u64) -> JobFaults {
-        let mut rng = StdRng::seed_from_u64(self.spawner.derive(job));
+    /// The fault decisions for `job`: [`FaultPlan::faults_for`] its
+    /// [`job_address`]. A profile whose rates are all zero draws no
+    /// fault for any address, so it skips the structural hash the
+    /// address costs.
+    pub fn faults_of(&self, job: &JobSpec<'_>) -> JobFaults {
+        let p = &self.profile;
+        if [
+            p.transient_failure,
+            p.timeout,
+            p.shot_truncation,
+            p.readout_dropout,
+        ]
+        .iter()
+        .all(|&rate| rate == 0.0)
+        {
+            return JobFaults::CLEAN;
+        }
+        self.faults_for(job_address(job))
+    }
+
+    /// The fault decisions for the job at `address` (a pure function of
+    /// the plan seed, so tests can predict the schedule).
+    pub fn faults_for(&self, address: u64) -> JobFaults {
+        let mut rng = StdRng::seed_from_u64(self.spawner.derive(address));
         // Draw every class unconditionally so each class consumes a fixed
         // position in the stream; decisions stay independent of each other.
         let fail = rng.gen_bool(self.profile.transient_failure);
@@ -180,7 +239,6 @@ impl FaultPlan {
             1.0
         };
         JobFaults {
-            job,
             fail,
             timeout,
             deliver_fraction,
@@ -188,7 +246,8 @@ impl FaultPlan {
         }
     }
 
-    /// Whether calibration has gone stale by the time `job` runs.
+    /// Whether calibration has gone stale by the time dispatch index
+    /// `job` runs.
     pub fn stale_at(&self, job: u64) -> bool {
         self.profile.staleness_after_jobs.is_some_and(|n| job >= n)
     }
@@ -239,10 +298,11 @@ impl std::fmt::Display for FaultCounts {
 /// let backend = FaultyBackend::new(machine, FaultProfile::flaky(), 7);
 /// let mut c = Circuit::new(1);
 /// c.h(0).measure(0, 0);
-/// let cfg = ExecutionConfig { shots: 64, trajectories: 4, seed: 1, threads: 1 };
-/// // Some jobs fail, some succeed — deterministically under seed 7.
+/// // Some jobs fail, some succeed — deterministically under seed 7. The
+/// // draws follow each job's address, so the jobs differ in their seeds.
 /// let mut outcomes = Vec::new();
-/// for _ in 0..20 {
+/// for seed in 0..20 {
+///     let cfg = ExecutionConfig { shots: 64, trajectories: 4, seed, threads: 1 };
 ///     outcomes.push(backend.execute(&c, &cfg).is_ok());
 /// }
 /// assert!(outcomes.iter().any(|&ok| ok));
@@ -250,22 +310,29 @@ impl std::fmt::Display for FaultCounts {
 /// ```
 #[derive(Debug)]
 pub struct FaultyBackend {
-    /// The wrapped machine; behind a lock because calibration staleness
-    /// swaps the device mid-run.
-    inner: RwLock<Machine>,
+    /// The wrapped machine and whether it has drifted, under one lock:
+    /// the staleness check and the swap happen under the write lock, so
+    /// a job flagged stale always runs on the drifted machine.
+    inner: RwLock<Calibrated>,
     plan: FaultPlan,
-    /// Whether the staleness transition has been applied yet.
-    drifted: AtomicU64,
     counts: Mutex<FaultCounts>,
+}
+
+#[derive(Debug)]
+struct Calibrated {
+    machine: Machine,
+    drifted: bool,
 }
 
 impl FaultyBackend {
     /// Wraps a machine with a fault profile under a master seed.
     pub fn new(machine: Machine, profile: FaultProfile, seed: u64) -> Self {
         FaultyBackend {
-            inner: RwLock::new(machine),
+            inner: RwLock::new(Calibrated {
+                machine,
+                drifted: false,
+            }),
             plan: FaultPlan::new(profile, seed),
-            drifted: AtomicU64::new(0),
             counts: Mutex::new(FaultCounts::default()),
         }
     }
@@ -280,105 +347,35 @@ impl FaultyBackend {
         *self.counts.lock().expect("fault counter lock")
     }
 
-    /// Applies the staleness transition (once) when `job` crosses the
-    /// profile threshold, swapping the machine's device for its
-    /// next-calibration-cycle drift. Returns the stale cycle when the
-    /// batch should be flagged.
-    fn maybe_drift(&self, job: u64) -> Option<u64> {
-        if !self.plan.stale_at(job) {
-            return None;
+    /// Applies the staleness transition once, swapping the machine's
+    /// device for its next-calibration-cycle drift.
+    fn drift(&self) {
+        let mut cal = self.inner.write().expect("machine lock");
+        if !cal.drifted {
+            let toggles = *cal.machine.toggles();
+            let next_cycle = cal.machine.device().calibration().cycle + 1;
+            let drifted = cal.machine.device().at_calibration_cycle(next_cycle);
+            cal.machine = Machine::with_toggles(drifted, toggles);
+            cal.drifted = true;
         }
-        if self.drifted.swap(1, Ordering::SeqCst) == 0 {
-            let mut m = self.inner.write().expect("machine lock");
-            let toggles = *m.toggles();
-            let next_cycle = m.device().calibration().cycle + 1;
-            let drifted = m.device().at_calibration_cycle(next_cycle);
-            *m = Machine::with_toggles(drifted, toggles);
-        }
-        let cycle = self
-            .inner
-            .read()
-            .expect("machine lock")
-            .device()
-            .calibration()
-            .cycle;
-        Some(cycle)
     }
 
-    fn run(&self, timed: &TimedCircuit, config: &ExecutionConfig) -> Result<ShotBatch, ExecError> {
-        let faults = self.plan.next_job_faults();
-        {
-            let mut c = self.counts.lock().expect("fault counter lock");
-            c.jobs += 1;
-            if faults.fail {
-                c.failures += 1;
-            } else if faults.timeout {
-                c.timeouts += 1;
+    /// Runs `runs` (batch slot, job as delivered) as one machine batch,
+    /// storing each job's counts in its slot of `out`. Returns the
+    /// calibration cycle the batch ran under.
+    fn simulate(
+        &self,
+        runs: &[(usize, JobSpec<'_>)],
+        out: &mut [Option<Result<Counts, ExecError>>],
+    ) -> u64 {
+        let cal = self.inner.read().expect("machine lock");
+        if !runs.is_empty() {
+            let specs: Vec<JobSpec<'_>> = runs.iter().map(|&(_, job)| job).collect();
+            for (&(slot, _), result) in runs.iter().zip(cal.machine.execute_batch(&specs)) {
+                out[slot] = Some(result.map(|batch| batch.counts));
             }
         }
-        let stale_cycle = self.maybe_drift(faults.job);
-        if faults.fail {
-            return Err(ExecError::JobFailed {
-                job: faults.job,
-                reason: "injected transient backend failure".to_string(),
-            });
-        }
-        if faults.timeout {
-            return Err(ExecError::Timeout {
-                job: faults.job,
-                budget_ms: self.plan.profile.timeout_budget_ms,
-            });
-        }
-
-        let delivered_shots = ((config.shots as f64 * faults.deliver_fraction).round() as u64)
-            .clamp(1, config.shots.max(1));
-        let run_config = ExecutionConfig {
-            shots: delivered_shots,
-            ..*config
-        };
-        let counts = self
-            .inner
-            .read()
-            .expect("machine lock")
-            .execute_timed(timed, &run_config)?;
-
-        let mut anomalies = Vec::new();
-        if delivered_shots < config.shots {
-            anomalies.push(Anomaly::ShotTruncation {
-                requested: config.shots,
-                delivered: delivered_shots,
-            });
-        }
-        let counts = if let Some(raw) = faults.dropout_bit {
-            if counts.num_bits() > 0 {
-                let clbit = (raw % counts.num_bits() as u64) as usize;
-                anomalies.push(Anomaly::ReadoutDropout { clbit });
-                drop_clbit(&counts, clbit)
-            } else {
-                counts
-            }
-        } else {
-            counts
-        };
-        if let Some(cycle) = stale_cycle {
-            anomalies.push(Anomaly::StaleCalibration { cycle });
-        }
-
-        {
-            let mut c = self.counts.lock().expect("fault counter lock");
-            for a in &anomalies {
-                match a {
-                    Anomaly::ShotTruncation { .. } => c.truncated += 1,
-                    Anomaly::ReadoutDropout { .. } => c.dropouts += 1,
-                    Anomaly::StaleCalibration { .. } => c.stale_batches += 1,
-                }
-            }
-        }
-        Ok(ShotBatch {
-            counts,
-            requested_shots: config.shots,
-            anomalies,
-        })
+        cal.machine.device().calibration().cycle
     }
 }
 
@@ -398,11 +395,114 @@ impl Backend for FaultyBackend {
         timed: &TimedCircuit,
         config: &ExecutionConfig,
     ) -> Result<ShotBatch, ExecError> {
-        self.run(timed, config)
+        let job = JobSpec {
+            timed,
+            config: *config,
+        };
+        self.execute_batch(&[job])
+            .pop()
+            .expect("one result per job")
+    }
+
+    /// Decides every job's faults up front, then simulates the survivors
+    /// as one machine batch, split in two where the batch's dispatch
+    /// indices cross the staleness threshold: the jobs before it run on
+    /// the current machine, the device drifts, and the rest run on the
+    /// drifted machine, flagged stale.
+    fn execute_batch(&self, jobs: &[JobSpec<'_>]) -> Vec<Result<ShotBatch, ExecError>> {
+        let first = self.plan.claim(jobs.len());
+        let faults: Vec<JobFaults> = jobs.iter().map(|j| self.plan.faults_of(j)).collect();
+        let runs: Vec<(usize, JobSpec<'_>)> = jobs
+            .iter()
+            .zip(&faults)
+            .enumerate()
+            .filter(|(_, (_, f))| !f.fail && !f.timeout)
+            .map(|(slot, (job, f))| {
+                let config = ExecutionConfig {
+                    shots: f.delivered_shots(job.config.shots),
+                    ..job.config
+                };
+                (slot, JobSpec { config, ..*job })
+            })
+            .collect();
+        let fresh = (0..jobs.len())
+            .find(|&slot| self.plan.stale_at(first + slot as u64))
+            .unwrap_or(jobs.len());
+        let split = runs.partition_point(|&(slot, _)| slot < fresh);
+        let mut simulated: Vec<Option<Result<Counts, ExecError>>> = vec![None; jobs.len()];
+        self.simulate(&runs[..split], &mut simulated);
+        let stale_cycle = (fresh < jobs.len()).then(|| {
+            self.drift();
+            self.simulate(&runs[split..], &mut simulated)
+        });
+
+        let mut tally = self.counts.lock().expect("fault counter lock");
+        tally.jobs += jobs.len() as u64;
+        let mut results = Vec::with_capacity(jobs.len());
+        for (slot, ((job, f), counts)) in jobs.iter().zip(faults).zip(simulated).enumerate() {
+            let index = first + slot as u64;
+            if f.fail {
+                tally.failures += 1;
+                results.push(Err(ExecError::JobFailed {
+                    job: index,
+                    reason: "injected transient backend failure".to_string(),
+                }));
+                continue;
+            }
+            if f.timeout {
+                tally.timeouts += 1;
+                results.push(Err(ExecError::Timeout {
+                    job: index,
+                    budget_ms: self.plan.profile.timeout_budget_ms,
+                }));
+                continue;
+            }
+            let counts = match counts.expect("every surviving job ran") {
+                Ok(counts) => counts,
+                Err(e) => {
+                    results.push(Err(e));
+                    continue;
+                }
+            };
+            let requested = job.config.shots;
+            let delivered = f.delivered_shots(requested);
+            let mut anomalies = Vec::new();
+            if delivered < requested {
+                tally.truncated += 1;
+                anomalies.push(Anomaly::ShotTruncation {
+                    requested,
+                    delivered,
+                });
+            }
+            let counts = match f.dropout_bit {
+                Some(raw) if counts.num_bits() > 0 => {
+                    let clbit = (raw % counts.num_bits() as u64) as usize;
+                    tally.dropouts += 1;
+                    anomalies.push(Anomaly::ReadoutDropout { clbit });
+                    drop_clbit(&counts, clbit)
+                }
+                _ => counts,
+            };
+            if let Some(cycle) = stale_cycle.filter(|_| slot >= fresh) {
+                tally.stale_batches += 1;
+                anomalies.push(Anomaly::StaleCalibration { cycle });
+            }
+            results.push(Ok(ShotBatch {
+                counts,
+                requested_shots: requested,
+                anomalies,
+            }));
+        }
+        results
     }
 
     fn device_snapshot(&self) -> Device {
-        self.inner.read().expect("machine lock").device().clone()
+        self.inner
+            .read()
+            .expect("machine lock")
+            .machine
+            .device()
+            .clone()
     }
 }
 
@@ -427,7 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_is_deterministic_and_index_addressable() {
+    fn fault_plan_is_deterministic_and_address_keyed() {
         let a = FaultPlan::new(FaultProfile::lossy(), 123);
         let b = FaultPlan::new(FaultProfile::lossy(), 123);
         for job in 0..200 {
@@ -462,6 +562,52 @@ mod tests {
         assert!(batch.is_complete());
         assert_eq!(batch.counts, direct);
         assert_eq!(backend.injected().failures, 0);
+
+        // A 0-shot request comes back as the bare machine returns it,
+        // alone and in a batch: no shot anybody did not ask for.
+        let timed = transpiler::schedule(&bell(), m.device(), transpiler::SchedulePolicy::Alap);
+        let zero = ExecutionConfig { shots: 0, ..cfg() };
+        let bare = Backend::execute_timed(&m, &timed, &zero).unwrap();
+        assert_eq!(bare.delivered_shots(), 0);
+        assert_eq!(backend.execute_timed(&timed, &zero).unwrap(), bare);
+        let jobs = [JobSpec {
+            timed: &timed,
+            config: zero,
+        }; 2];
+        for result in backend.execute_batch(&jobs) {
+            assert_eq!(result.unwrap(), bare);
+        }
+    }
+
+    #[test]
+    fn faults_follow_the_job_address() {
+        let plan = FaultPlan::new(FaultProfile::lossy(), 6);
+        let rome = Device::ibmq_rome(3);
+        let timed = transpiler::schedule(&bell(), &rome, transpiler::SchedulePolicy::Alap);
+        let mut other = Circuit::new(2);
+        other.h(0).measure_all();
+        let other = transpiler::schedule(&other, &rome, transpiler::SchedulePolicy::Alap);
+        let job = |timed, seed| JobSpec {
+            timed,
+            config: ExecutionConfig { seed, ..cfg() },
+        };
+        // Repeating a job repeats its faults, whatever its dispatch index
+        // and thread count.
+        let threaded = JobSpec {
+            config: ExecutionConfig {
+                threads: 4,
+                ..cfg()
+            },
+            ..job(&timed, 9)
+        };
+        assert_eq!(plan.faults_of(&job(&timed, 9)), plan.faults_of(&threaded));
+        // Another seed or another circuit is another address.
+        let seeds = (0..64).map(|seed| plan.faults_of(&job(&timed, seed)));
+        assert!(seeds.collect::<Vec<_>>().windows(2).any(|w| w[0] != w[1]));
+        let circuits = (0..64).filter(|&seed| {
+            plan.faults_of(&job(&timed, seed)) != plan.faults_of(&job(&other, seed))
+        });
+        assert!(circuits.count() > 0);
     }
 
     #[test]
@@ -550,7 +696,10 @@ mod tests {
         };
         let run = |b: &FaultyBackend| -> Vec<bool> {
             (0..30)
-                .map(|_| Backend::execute(b, &bell(), &cfg()).is_ok())
+                .map(|seed| {
+                    let cfg = ExecutionConfig { seed, ..cfg() };
+                    Backend::execute(b, &bell(), &cfg).is_ok()
+                })
                 .collect()
         };
         assert_eq!(run(&mk()), run(&mk()));

@@ -695,25 +695,25 @@ fn is_terminal_measured(timed: &TimedCircuit) -> bool {
 }
 
 /// SplitMix64-style avalanche combiner for the structural hash.
-struct StructuralHasher {
+pub(crate) struct StructuralHasher {
     state: u64,
 }
 
 impl StructuralHasher {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StructuralHasher {
             state: 0x5851_F42D_4C95_7F2D,
         }
     }
 
-    fn mix(&mut self, v: u64) {
+    pub(crate) fn mix(&mut self, v: u64) {
         let mut z = self.state ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         self.state = z ^ (z >> 31);
     }
 
-    fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.state
     }
 }

@@ -9,20 +9,33 @@
 //! the distribution rather than widening its error bars, so they are
 //! discarded and retried.
 //!
+//! Batches run in rounds. Each round checks the deadline once, then
+//! sends the current attempt of every unfinished request as one inner
+//! [`Backend::execute_batch`], and charges each failed request's backoff
+//! in submission order. Only the requests that failed or came back short
+//! go into the next round, as a smaller batch. A single request is a
+//! batch of one, so its rounds are the classic retry loop.
+//!
 //! Determinism contract: the backoff schedule (including jitter) is a
 //! pure function of `(ExecutionConfig::seed, attempt)`, and
 //! attempt 0 runs under the caller's exact seed — a fault-free backend
 //! behind a `ResilientExecutor` is bit-identical to the bare backend.
+//! Over a backend whose fault draws follow each job's address (as
+//! [`crate::FaultyBackend`]'s do), a batch gets the same per-request
+//! results and [`FaultStats`] as the same requests submitted one by one,
+//! except for what is counted in dispatch order: calibration staleness,
+//! the dispatch index an injected error names, and the virtual time a
+//! [`Deadline`] accumulates. Rounds dispatch every request's attempt 0
+//! before any retry, so those follow the rounds.
 //! Backoff delays are *virtual* by default (computed and recorded, not
 //! slept): against a simulator, wall-clock waiting buys nothing, and
 //! tests must not take minutes. Set [`RetryPolicy::sleep`] for real
 //! deployments.
 
-use crate::backend::{Backend, ShotBatch};
+use crate::backend::{Anomaly, Backend, JobSpec, ShotBatch};
 use crate::deadline::Deadline;
 use crate::executor::{ExecError, ExecutionConfig};
 use device::{Device, SeedSpawner};
-use qcirc::Circuit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -295,110 +308,87 @@ impl ResilientExecutor {
         *self.stats_lock() = FaultStats::default();
     }
 
-    /// The retry loop shared by both execute paths. `dispatch` runs one
-    /// attempt under an attempt-specific config.
-    fn run_resilient(
+    /// Folds one attempt's result into `request`. Returns whether the
+    /// request needs another attempt.
+    fn absorb(
         &self,
-        config: &ExecutionConfig,
-        dispatch: &dyn Fn(&ExecutionConfig) -> Result<ShotBatch, ExecError>,
-    ) -> Result<ShotBatch, ExecError> {
+        request: &mut Request,
+        attempt: u32,
+        result: Result<ShotBatch, ExecError>,
+    ) -> bool {
         let mtr = crate::metrics::metrics();
-        self.stats_lock().requests += 1;
-        mtr.retry_requests.inc();
-        let topup_seeds = SeedSpawner::new(config.seed ^ BACKOFF_SALT);
-        let mut merged: Option<ShotBatch> = None;
-        let mut last_err: Option<ExecError> = None;
-        let mut interruption: Option<ExecError> = None;
-        let mut attempts = 0u32;
-
-        for attempt in 0..self.policy.max_attempts.max(1) {
-            // Cooperative cancellation point: no attempt starts once the
-            // request's deadline is gone or its token is raised.
-            if let Err(e) = self.deadline.check() {
-                interruption = Some(e);
-                break;
+        let seed = request.config.seed;
+        match result {
+            Ok(batch) if batch.has_dropout() => {
+                // A zeroed register bit corrupts the distribution;
+                // discard the batch and treat the attempt as failed.
+                self.stats_lock().dropout_discards += 1;
+                mtr.dropout_discards.inc();
+                request.last_err = Some(ExecError::JobFailed {
+                    job: attempt as u64,
+                    reason: "readout register dropout (batch discarded)".to_string(),
+                });
             }
-            let have = merged.as_ref().map_or(0, ShotBatch::delivered_shots);
-            let need = config.shots.saturating_sub(have);
-            if need == 0 {
-                break;
-            }
-            // Attempt 0 runs under the caller's exact seed so a clean
-            // backend is bit-identical to the bare path; top-up attempts
-            // draw fresh sub-seeds for independent shots.
-            let attempt_cfg = ExecutionConfig {
-                shots: need,
-                seed: if attempt == 0 {
-                    config.seed
-                } else {
-                    topup_seeds.derive(0x7070 + attempt as u64)
-                },
-                ..*config
-            };
-            attempts += 1;
-            self.stats_lock().attempts += 1;
-            mtr.retry_attempts.inc();
-
-            match dispatch(&attempt_cfg) {
-                Ok(batch) if batch.has_dropout() => {
-                    // A zeroed register bit corrupts the distribution;
-                    // discard the batch and treat the attempt as failed.
-                    drop(batch);
-                    self.stats_lock().dropout_discards += 1;
-                    mtr.dropout_discards.inc();
-                    last_err = Some(ExecError::JobFailed {
-                        job: attempt as u64,
-                        reason: "readout register dropout (batch discarded)".to_string(),
-                    });
-                    self.charge_backoff(config.seed, attempt);
-                }
-                Ok(batch) => {
+            Ok(batch) => {
+                {
+                    let mut s = self.stats_lock();
+                    if !batch.is_complete() {
+                        s.partial_batches += 1;
+                        mtr.partial_batches.inc();
+                    }
+                    if batch
+                        .anomalies
+                        .iter()
+                        .any(|a| matches!(a, Anomaly::StaleCalibration { .. }))
                     {
-                        let mut s = self.stats_lock();
-                        if !batch.is_complete() {
-                            s.partial_batches += 1;
-                            mtr.partial_batches.inc();
-                        }
-                        if batch
-                            .anomalies
-                            .iter()
-                            .any(|a| matches!(a, crate::backend::Anomaly::StaleCalibration { .. }))
-                        {
-                            s.stale_batches += 1;
-                            mtr.stale_batches.inc();
-                        }
+                        s.stale_batches += 1;
+                        mtr.stale_batches.inc();
                     }
-                    match merged.as_mut() {
-                        Some(m) => m.absorb(batch),
-                        None => merged = Some(batch),
+                }
+                let merged = match request.merged.take() {
+                    Some(mut m) => {
+                        m.absorb(batch);
+                        m
                     }
-                    let m = merged.as_ref().expect("just set");
-                    if m.delivered_shots() >= config.shots {
-                        break;
-                    }
-                    // Partial delivery: top up on the next attempt.
-                    self.charge_backoff(config.seed, attempt);
+                    None => batch,
+                };
+                let done = merged.delivered_shots() >= request.config.shots;
+                request.merged = Some(merged);
+                if done {
+                    return false;
                 }
-                // An inner layer noticed the deadline/cancellation mid
-                // attempt: stop the loop, keep whatever already merged.
-                Err(e) if e.is_interruption() => {
-                    interruption = Some(e);
-                    break;
-                }
-                Err(e) if e.is_transient() => {
-                    self.stats_lock().transient_errors += 1;
-                    mtr.retry_error(e.kind()).inc();
-                    last_err = Some(e);
-                    self.charge_backoff(config.seed, attempt);
-                }
-                Err(e) => return Err(e),
+                // Partial delivery: top up on the next attempt.
+            }
+            // An inner layer noticed the deadline/cancellation mid
+            // attempt: stop, keep whatever already merged.
+            Err(e) if e.is_interruption() => {
+                request.interruption = Some(e);
+                return false;
+            }
+            Err(e) if e.is_transient() => {
+                self.stats_lock().transient_errors += 1;
+                mtr.retry_error(e.kind()).inc();
+                request.last_err = Some(e);
+            }
+            Err(e) => {
+                request.permanent = Some(e);
+                return false;
             }
         }
+        self.charge_backoff(seed, attempt);
+        true
+    }
 
+    /// Resolves a request once its rounds are over.
+    fn finish(&self, request: Request) -> Result<ShotBatch, ExecError> {
+        let mtr = crate::metrics::metrics();
+        if let Some(e) = request.permanent {
+            return Err(e);
+        }
         // Normalize the accumulated result against the original request.
-        if let Some(mut m) = merged {
-            m.requested_shots = config.shots;
-            if m.delivered_shots() >= config.shots {
+        if let Some(mut m) = request.merged {
+            m.requested_shots = request.config.shots;
+            if m.delivered_shots() >= request.config.shots {
                 return Ok(m);
             }
             if m.delivered_fraction() >= MIN_SHOT_FRACTION {
@@ -409,16 +399,18 @@ impl ResilientExecutor {
         // An interrupted request reports the interruption, not an
         // exhausted retry budget: the budget wasn't exhausted, the caller
         // stopped waiting.
-        if let Some(e) = interruption {
+        if let Some(e) = request.interruption {
             self.stats_lock().deadline_aborts += 1;
             mtr.deadline_aborts.inc();
             return Err(e);
         }
         self.stats_lock().exhausted += 1;
         mtr.retry_exhausted.inc();
+        // Only a request still open after the last round gets here, so
+        // it made every attempt the policy allows.
         Err(ExecError::RetriesExhausted {
-            attempts,
-            last: Box::new(last_err.unwrap_or(ExecError::JobFailed {
+            attempts: self.policy.max_attempts,
+            last: Box::new(request.last_err.unwrap_or(ExecError::JobFailed {
                 job: 0,
                 reason: "no shots delivered".to_string(),
             })),
@@ -444,7 +436,13 @@ impl ResilientExecutor {
         // can then never sum past the budget.
         let delay_us = (delay * 1000.0) as u64;
         self.deadline.charge_us(delay_us);
-        self.stats_lock().total_backoff_ms += delay_us as f64 / 1000.0;
+        {
+            // The total is kept as a sum of whole µs, so it does not
+            // depend on the order requests are charged in.
+            let mut s = self.stats_lock();
+            let total_us = (s.total_backoff_ms * 1000.0).round() as u64 + delay_us;
+            s.total_backoff_ms = total_us as f64 / 1000.0;
+        }
         crate::metrics::metrics().retry_backoff_us.add(delay_us);
         if self.policy.sleep {
             std::thread::sleep(std::time::Duration::from_micros(delay_us));
@@ -452,23 +450,102 @@ impl ResilientExecutor {
     }
 }
 
-impl Backend for ResilientExecutor {
-    fn execute(&self, circuit: &Circuit, config: &ExecutionConfig) -> Result<ShotBatch, ExecError> {
-        let backend = Arc::clone(&self.backend);
-        self.run_resilient(config, &move |cfg: &ExecutionConfig| {
-            backend.execute(circuit, cfg)
-        })
-    }
+/// One request's retry state across rounds.
+struct Request {
+    config: ExecutionConfig,
+    /// Everything delivered so far, merged.
+    merged: Option<ShotBatch>,
+    last_err: Option<ExecError>,
+    /// The deadline expiry or cancellation that stopped the request.
+    interruption: Option<ExecError>,
+    /// The permanent error that ended the request.
+    permanent: Option<ExecError>,
+}
 
+impl Request {
+    /// The config of attempt `attempt`: the shots still missing, under
+    /// the caller's exact seed first (so a clean backend is bit-identical
+    /// to the bare path), then under fresh sub-seeds for independent
+    /// top-up shots.
+    fn attempt_config(&self, attempt: u32) -> ExecutionConfig {
+        let have = self.merged.as_ref().map_or(0, ShotBatch::delivered_shots);
+        ExecutionConfig {
+            shots: self.config.shots.saturating_sub(have),
+            seed: if attempt == 0 {
+                self.config.seed
+            } else {
+                SeedSpawner::new(self.config.seed ^ BACKOFF_SALT).derive(0x7070 + attempt as u64)
+            },
+            ..self.config
+        }
+    }
+}
+
+impl Backend for ResilientExecutor {
     fn execute_timed(
         &self,
         timed: &TimedCircuit,
         config: &ExecutionConfig,
     ) -> Result<ShotBatch, ExecError> {
-        let backend = Arc::clone(&self.backend);
-        self.run_resilient(config, &move |cfg: &ExecutionConfig| {
-            backend.execute_timed(timed, cfg)
-        })
+        let job = JobSpec {
+            timed,
+            config: *config,
+        };
+        self.execute_batch(&[job])
+            .pop()
+            .expect("one result per job")
+    }
+
+    /// Runs the batch in rounds (see the module docs): one deadline
+    /// check and one inner batch per round, each failed request's
+    /// backoff charged as the one-by-one loop would charge it, and only
+    /// the requests still open in the next round.
+    fn execute_batch(&self, jobs: &[JobSpec<'_>]) -> Vec<Result<ShotBatch, ExecError>> {
+        let mtr = crate::metrics::metrics();
+        self.stats_lock().requests += jobs.len() as u64;
+        mtr.retry_requests.add(jobs.len() as u64);
+        let mut requests: Vec<Request> = jobs
+            .iter()
+            .map(|j| Request {
+                config: j.config,
+                merged: None,
+                last_err: None,
+                interruption: None,
+                permanent: None,
+            })
+            .collect();
+        let mut open: Vec<usize> = (0..jobs.len()).collect();
+        for attempt in 0..self.policy.max_attempts {
+            if open.is_empty() {
+                break;
+            }
+            // Cooperative cancellation point: no round starts once the
+            // deadline is gone or its token is raised.
+            if let Err(e) = self.deadline.check() {
+                for &i in &open {
+                    requests[i].interruption = Some(e.clone());
+                }
+                break;
+            }
+            let round: Vec<JobSpec<'_>> = open
+                .iter()
+                .map(|&i| JobSpec {
+                    timed: jobs[i].timed,
+                    config: requests[i].attempt_config(attempt),
+                })
+                .collect();
+            self.stats_lock().attempts += round.len() as u64;
+            mtr.retry_attempts.add(round.len() as u64);
+            let results = self.backend.execute_batch(&round);
+            open = open
+                .into_iter()
+                .zip(results)
+                .filter_map(|(i, result)| {
+                    self.absorb(&mut requests[i], attempt, result).then_some(i)
+                })
+                .collect();
+        }
+        requests.into_iter().map(|r| self.finish(r)).collect()
     }
 
     fn device_snapshot(&self) -> Device {
@@ -481,7 +558,7 @@ mod tests {
     use super::*;
     use crate::executor::Machine;
     use crate::fault::{FaultProfile, FaultyBackend};
-    use qcirc::Counts;
+    use qcirc::{Circuit, Counts};
 
     fn bell() -> Circuit {
         let mut c = Circuit::new(2);
@@ -552,6 +629,31 @@ mod tests {
         assert_eq!(batch.counts, direct);
         assert!(batch.is_complete());
         assert_eq!(exec.stats().attempts, 1);
+    }
+
+    #[test]
+    fn zero_shot_request_passes_through_unchanged() {
+        // The bare machine answers a 0-shot request with empty counts;
+        // the executor must dispatch it and return the same, alone and in
+        // a batch, over a fault-free FaultyBackend too.
+        let m = Machine::new(Device::ibmq_rome(3));
+        let timed = transpiler::schedule(&bell(), m.device(), transpiler::SchedulePolicy::Alap);
+        let zero = ExecutionConfig { shots: 0, ..cfg(5) };
+        let bare = Backend::execute_timed(&m, &timed, &zero).unwrap();
+        let faulty = FaultyBackend::new(m.clone(), FaultProfile::none(), 1);
+        for inner in [Arc::new(m) as Arc<dyn Backend>, Arc::new(faulty)] {
+            let exec = ResilientExecutor::new(inner);
+            assert_eq!(exec.execute_timed(&timed, &zero).unwrap(), bare);
+            let jobs = [JobSpec {
+                timed: &timed,
+                config: zero,
+            }; 2];
+            for result in exec.execute_batch(&jobs) {
+                assert_eq!(result.unwrap(), bare);
+            }
+            let s = exec.stats();
+            assert_eq!((s.requests, s.attempts, s.exhausted), (3, 3, 0));
+        }
     }
 
     #[test]

@@ -222,10 +222,11 @@ fn an_evicted_plan_loses_its_replay_slot() {
 }
 
 #[test]
-fn faulty_backends_keep_their_serial_job_stream() {
-    // `FaultyBackend` keeps the default serial batch path: its fault plan
-    // follows the job counter, so it sees (and the machine simulates)
-    // every job, repeats included, exactly as a serial loop would.
+fn faulty_backends_batch_their_survivors() {
+    // `FaultyBackend` simulates a batch's surviving jobs as one machine
+    // batch. A repeated job has the same address, so it draws the same
+    // faults, and the machine replays its run instead of simulating it
+    // again; the results still equal a serial loop's.
     let dev = Device::ibmq_rome(9);
     let cliff = timed_of(&clifford_circuit(), &dev);
     let dense = timed_of(&dense_circuit(), &dev);
@@ -248,7 +249,6 @@ fn faulty_backends_keep_their_serial_job_stream() {
     let machine = Machine::new(dev.clone());
     let faulty = FaultyBackend::new(machine.clone(), profile, 13);
     let batched: Vec<_> = (0..3).flat_map(|_| faulty.execute_batch(&jobs)).collect();
-    assert_eq!(machine.engine_stats().batch_replays, 0);
 
     let serial_backend = FaultyBackend::new(Machine::new(dev), profile, 13);
     let serial: Vec<_> = (0..3)
@@ -261,4 +261,9 @@ fn faulty_backends_keep_their_serial_job_stream() {
     assert_eq!(batched, serial);
     assert_eq!(faulty.injected(), serial_backend.injected());
     assert!(faulty.injected() != Default::default(), "faults fired");
+    for repeat in [1, 3] {
+        assert_eq!(batched[repeat], batched[0], "a repeat repeats its faults");
+    }
+    assert!(batched[0].is_ok(), "seed 13 lets the repeated job through");
+    assert!(machine.engine_stats().batch_replays > 0);
 }

@@ -6,12 +6,17 @@
 //! Every fresh search runs on a backend stack built *per request* and
 //! seeded purely from the request's [`MaskKey`] fingerprint and the
 //! service seed: a fresh [`FaultyBackend`] over a clone of the device's
-//! epoch machine, wrapped in a [`ResilientExecutor`]. The search outcome
-//! is therefore a pure function of `(service seed, key, budget)` — two
-//! services built from the same seed return bit-identical masks and
-//! fidelities for the same key, whether the answer comes from cache or a
-//! fresh search, and regardless of worker count, queue order or which
-//! worker picks the job up.
+//! epoch machine, wrapped in a [`ResilientExecutor`]. The search's decoy
+//! batches go through both wrappers to the machine's batch engine,
+//! whether faults are on or off: the fault draws are keyed by each job's
+//! address, and retries run in rounds of smaller batches. The search
+//! outcome is therefore a pure function of `(service seed, key, budget)`
+//! — two services built from the same seed return bit-identical masks
+//! and fidelities for the same key, whether the answer comes from cache
+//! or a fresh search, and regardless of worker count, queue order or
+//! which worker picks the job up. (Clones of an epoch machine share its
+//! plan cache, so a later search may replay a run an earlier one made;
+//! a replayed run's counts equal a simulated one's.)
 //!
 //! # Failure containment
 //!
