@@ -151,7 +151,7 @@ impl JobFaults {
     /// The shots delivered to a job that asked for `shots`: the
     /// delivered fraction, rounded, but at least one shot unless none
     /// were asked for.
-    pub fn delivered_shots(&self, shots: u64) -> u64 {
+    fn delivered_shots(&self, shots: u64) -> u64 {
         ((shots as f64 * self.deliver_fraction).round() as u64).clamp(shots.min(1), shots)
     }
 }
