@@ -269,8 +269,9 @@ impl ResilientExecutor {
         })
     }
 
-    /// Binds a request deadline: every attempt checks it first, and
-    /// backoff never sleeps (or charges) past the remaining budget.
+    /// Binds a request deadline: every round of attempts checks it
+    /// first, and backoff never sleeps (or charges) past the remaining
+    /// budget.
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = deadline;
         self
