@@ -41,6 +41,7 @@
 use crate::registry::DeviceId;
 use adapt::{DdMask, DdProtocol, DecoyKind};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Default number of masks a [`MaskCache`] retains.
@@ -91,11 +92,9 @@ impl MaskKey {
             DecoyKind::CnotOnly => 2,
             DecoyKind::Seeded { max_seed_qubits } => 0x100 | max_seed_qubits as u64,
         };
-        let protocol_tag = format!("{:?}", self.protocol)
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
-            });
+        let mut protocol_tag = Fnv1a::new();
+        let _ = write!(protocol_tag, "{:?}", self.protocol);
+        let protocol_tag = protocol_tag.0;
         let mut h = 0x9e37_79b9_7f4a_7c15u64;
         for word in [
             self.device.name().len() as u64 ^ protocol_tag,
@@ -157,19 +156,44 @@ pub struct StaleKey {
 /// Debug rendering as the byte stream — deterministic for the closed
 /// instruction set, and insensitive to scheduling (the logical circuit
 /// has none).
+///
+/// The value is persisted: it is the program identity in every
+/// [`StaleKey`] the write-ahead journal and snapshots store, and the
+/// fleet ring places programs by it. Its bytes are therefore fixed (a
+/// golden test pins them); the rendering streams straight into the hash
+/// instead of through a `String` per instruction, so hashing allocates
+/// nothing.
 pub fn logical_hash(circuit: &qcirc::Circuit) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(&(circuit.num_qubits() as u64).to_le_bytes());
-    mix(&(circuit.num_clbits() as u64).to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.mix(&(circuit.num_qubits() as u64).to_le_bytes());
+    h.mix(&(circuit.num_clbits() as u64).to_le_bytes());
     for instr in circuit.instructions() {
-        mix(format!("{instr:?}").as_bytes());
+        // Writing into the hash cannot fail.
+        let _ = write!(h, "{instr:?}");
     }
-    h
+    h.0
+}
+
+/// An FNV-1a hash state that formatted text can be written into.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn mix(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.mix(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// A journaled cache mutation, emitted to the installed journal sink in

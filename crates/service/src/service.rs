@@ -877,7 +877,7 @@ struct Job {
 struct RefineJob {
     ticket: SearchTicket,
     /// The program compiled for the key's epoch.
-    compiled: transpiler::TranspiledCircuit,
+    compiled: Arc<transpiler::TranspiledCircuit>,
     /// Qubits of the logical program.
     qubits: usize,
     budget: SearchBudget,
@@ -947,10 +947,12 @@ struct Shared {
     /// Runtime per-device fault-profile overrides (chaos schedules flip
     /// these mid-run); devices not in the map use the config profile.
     fault_overrides: Mutex<HashMap<DeviceId, FaultProfile>>,
-    /// Bounded book of recently served logical programs by their
-    /// epoch-independent identity — what [`MaskService::prewarm_epoch`]
-    /// re-transpiles hot keys from (a [`StaleKey`] alone cannot rebuild
-    /// the circuit).
+    /// Bounded LRU book of recently resolved logical programs by device
+    /// and [`logical_hash`], holding at most `cache_capacity` programs.
+    /// It is the resolution memo: each entry keeps its program's compiled
+    /// circuit for the newest epoch, so [`resolve`] answers a repeat
+    /// without transpiling. [`MaskService::prewarm_epoch`] also rebuilds
+    /// hot keys' programs from it (a [`StaleKey`] alone cannot).
     programs: Mutex<ProgramBook>,
     /// Lazily-created per-tenant metric sets, merged into one
     /// tenant-labelled exposition by
@@ -971,31 +973,115 @@ fn tenant_metrics(shared: &Shared, tenant: TenantId) -> Arc<TenantMetrics> {
     )
 }
 
-/// Bounded insertion-ordered map of logical programs by [`StaleKey`].
+/// A logical program on one device: the key of the [`ProgramBook`].
+type ProgramKey = (DeviceId, u64);
+
+/// One transpile of a logical program against one calibration epoch.
+#[derive(Clone)]
+struct Resolution {
+    epoch: u64,
+    compiled: Arc<transpiler::TranspiledCircuit>,
+    /// [`machine::structural_hash`] of `compiled.timed`.
+    circuit_hash: u64,
+}
+
+impl Resolution {
+    /// Transpiles `circuit` for `machine`, the device at `epoch`.
+    fn new(circuit: &qcirc::Circuit, epoch: u64, machine: &Machine) -> Self {
+        let compiled = transpile(circuit, machine.device(), &TranspileOptions::default());
+        Resolution {
+            epoch,
+            circuit_hash: machine::structural_hash(&compiled.timed),
+            compiled: Arc::new(compiled),
+        }
+    }
+}
+
+/// A book entry: the program and its newest resolution.
+struct Program {
+    circuit: qcirc::Circuit,
+    resolution: Resolution,
+    /// Last-use stamp backing the LRU policy.
+    stamp: u64,
+}
+
+/// Bounded LRU book of logical programs by device and [`logical_hash`],
+/// each with its resolution at the newest epoch a request resolved it
+/// at (the [`PlanCache`](machine::PlanCache) stamp idiom: every hit
+/// touches its entry, eviction drops the smallest stamp).
 #[derive(Default)]
 struct ProgramBook {
-    map: HashMap<StaleKey, qcirc::Circuit>,
-    order: VecDeque<StaleKey>,
+    map: HashMap<ProgramKey, Program>,
+    /// Monotonic use counter backing the LRU policy.
+    tick: u64,
 }
 
 impl ProgramBook {
-    fn record(&mut self, key: StaleKey, circuit: &qcirc::Circuit, capacity: usize) {
-        if capacity == 0 || self.map.contains_key(&key) {
-            return;
-        }
-        self.map.insert(key, circuit.clone());
-        self.order.push_back(key);
-        while self.map.len() > capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.map.remove(&oldest);
-            } else {
-                break;
-            }
-        }
+    /// The entry under `key`, touched as most recently used.
+    fn touch(&mut self, key: &ProgramKey) -> Option<&Program> {
+        self.tick += 1;
+        let entry = self.map.get_mut(key)?;
+        entry.stamp = self.tick;
+        Some(entry)
     }
 
-    fn get(&self, key: &StaleKey) -> Option<qcirc::Circuit> {
-        self.map.get(key).cloned()
+    /// The memoized resolution of `circuit` at `epoch`. The circuit
+    /// comparison guards against two programs colliding on one hash.
+    fn resolution(
+        &mut self,
+        key: &ProgramKey,
+        circuit: &qcirc::Circuit,
+        epoch: u64,
+    ) -> Option<Resolution> {
+        self.touch(key)
+            .filter(|p| p.resolution.epoch == epoch && p.circuit == *circuit)
+            .map(|p| p.resolution.clone())
+    }
+
+    /// The program recorded under `key`.
+    fn circuit(&mut self, key: &ProgramKey) -> Option<qcirc::Circuit> {
+        self.touch(key).map(|p| p.circuit.clone())
+    }
+
+    /// Records `resolution` of `circuit` under `key`, evicting the least
+    /// recently used program when the book is full. An entry for the same
+    /// program keeps whichever resolution is of the newer epoch; a
+    /// different program colliding on `key` replaces it.
+    fn record(
+        &mut self,
+        key: ProgramKey,
+        circuit: &qcirc::Circuit,
+        resolution: Resolution,
+        capacity: usize,
+    ) {
+        if capacity == 0 {
+            return;
+        }
+        self.tick += 1;
+        let stamp = self.tick;
+        if let Some(entry) = self.map.get_mut(&key) {
+            entry.stamp = stamp;
+            if entry.circuit != *circuit {
+                entry.circuit = circuit.clone();
+                entry.resolution = resolution;
+            } else if resolution.epoch >= entry.resolution.epoch {
+                entry.resolution = resolution;
+            }
+            return;
+        }
+        if self.map.len() >= capacity {
+            if let Some(&lru) = self.map.iter().min_by_key(|(_, p)| p.stamp).map(|(k, _)| k) {
+                self.map.remove(&lru);
+            }
+        }
+        self.map.insert(
+            key,
+            Program {
+                circuit: circuit.clone(),
+                resolution,
+                stamp,
+            },
+        );
     }
 }
 
@@ -1327,17 +1413,14 @@ impl MaskService {
         let hot = shared.cache.hot_keys(device, PREWARM_TOP_K);
         let mut scheduled = 0usize;
         for stale_key in hot {
-            let Some(circuit) = lock(&shared.programs).get(&stale_key) else {
+            let program = (stale_key.device, stale_key.logical_hash);
+            let Some(circuit) = lock(&shared.programs).circuit(&program) else {
                 continue;
             };
-            let r = resolve(
-                shared,
-                &circuit,
-                device,
-                next_epoch,
-                &machine,
-                stale_key.protocol,
-            );
+            // Not recorded: the book keeps the current epoch's resolution,
+            // which requests keep hitting until the epoch advances.
+            let resolution = Resolution::new(&circuit, next_epoch, &machine);
+            let r = Resolved::new(shared, program, stale_key.protocol, resolution);
             if let Some(ticket) = MaskCache::try_ticket(&shared.cache, r.key, r.stale_key) {
                 let budget = shared.config.default_budget;
                 if enqueue_refine(shared, ticket, &r.compiled, circuit.num_qubits(), budget) {
@@ -1962,13 +2045,40 @@ fn snapshot(shared: &Shared, device: DeviceId) -> Result<(u64, Machine), Service
 /// A logical program resolved against one calibration epoch: the
 /// compiled circuit and both of its cache identities.
 struct Resolved {
-    compiled: transpiler::TranspiledCircuit,
+    compiled: Arc<transpiler::TranspiledCircuit>,
     key: MaskKey,
     stale_key: StaleKey,
 }
 
-/// Transpiles `circuit` for `machine` (the device at `epoch`) and builds
-/// its [`MaskKey`] and [`StaleKey`].
+impl Resolved {
+    /// The cache identities of `resolution`, a resolution of `program`.
+    fn new(
+        shared: &Shared,
+        (device, logical): ProgramKey,
+        protocol: DdProtocol,
+        resolution: Resolution,
+    ) -> Self {
+        let key = MaskKey {
+            device,
+            epoch: resolution.epoch,
+            circuit_hash: resolution.circuit_hash,
+            protocol,
+            decoy: shared.config.decoy,
+        };
+        Resolved {
+            compiled: resolution.compiled,
+            key,
+            stale_key: key.stale_key(logical),
+        }
+    }
+}
+
+/// Resolves `circuit` against `machine` (the device at `epoch`) and
+/// builds its [`MaskKey`] and [`StaleKey`]. The program book memoizes
+/// the transpile: a program already resolved at `epoch` costs its
+/// [`logical_hash`], one book lookup and a circuit comparison. A miss
+/// transpiles outside the book's lock and records the result, so a
+/// transpile that panics leaves the book as it was.
 fn resolve(
     shared: &Shared,
     circuit: &qcirc::Circuit,
@@ -1977,19 +2087,19 @@ fn resolve(
     machine: &Machine,
     protocol: DdProtocol,
 ) -> Resolved {
-    let compiled = transpile(circuit, machine.device(), &TranspileOptions::default());
-    let key = MaskKey {
-        device,
-        epoch,
-        circuit_hash: machine::structural_hash(&compiled.timed),
-        protocol,
-        decoy: shared.config.decoy,
-    };
-    Resolved {
-        compiled,
-        key,
-        stale_key: key.stale_key(logical_hash(circuit)),
-    }
+    let program = (device, logical_hash(circuit));
+    let memo = lock(&shared.programs).resolution(&program, circuit, epoch);
+    let resolution = memo.unwrap_or_else(|| {
+        let resolution = Resolution::new(circuit, epoch, machine);
+        lock(&shared.programs).record(
+            program,
+            circuit,
+            resolution.clone(),
+            shared.config.cache_capacity,
+        );
+        resolution
+    });
+    Resolved::new(shared, program, protocol, resolution)
 }
 
 /// Builds the deterministic per-request backend stack for `key` (see the
@@ -2046,13 +2156,13 @@ fn adapt_config(
 fn enqueue_refine(
     shared: &Arc<Shared>,
     ticket: SearchTicket,
-    compiled: &transpiler::TranspiledCircuit,
+    compiled: &Arc<transpiler::TranspiledCircuit>,
     qubits: usize,
     budget: SearchBudget,
 ) -> bool {
     let job = RefineJob {
         ticket,
-        compiled: compiled.clone(),
+        compiled: Arc::clone(compiled),
         qubits,
         budget,
         enqueued: Instant::now(),
@@ -2169,9 +2279,6 @@ fn recommend(
             Rung::Search { max_stale } => (max_stale, true, true),
             Rung::Instant { max_stale, refine } => (max_stale, false, refine),
         };
-    // Remember the logical program under its epoch-independent identity,
-    // so a later prewarm of this (hot) key can rebuild the circuit.
-    lock(&shared.programs).record(r.stale_key, circuit, shared.config.cache_capacity);
     // A ticket the rung may not refine drops here, releasing the key.
     let refine_with = |ticket: Option<SearchTicket>| {
         if let Some(ticket) = ticket.filter(|_| refine) {
@@ -2349,6 +2456,162 @@ mod tests {
         assert_eq!(retry_estimate_ms(4, 1, 0, 0, 0, 0), 200);
         // Never zero, and worker count of zero is clamped.
         assert_eq!(retry_estimate_ms(0, 0, 0, 0, 0, 0), 1);
+    }
+
+    fn ghz(n: usize) -> qcirc::Circuit {
+        let mut c = qcirc::Circuit::new(n);
+        c.h(0);
+        for q in 1..n as u32 {
+            c.cx(q - 1, q);
+        }
+        c.measure_all();
+        c
+    }
+
+    fn rome_service() -> MaskService {
+        MaskService::start(ServiceConfig {
+            devices: vec![DeviceId::Rome],
+            workers: 1,
+            cache_capacity: 8,
+            ..ServiceConfig::default()
+        })
+    }
+
+    fn small_recommend(circuit: &qcirc::Circuit) -> Request {
+        Request::RecommendMask {
+            circuit: circuit.clone(),
+            device: DeviceId::Rome,
+            protocol: DdProtocol::default(),
+            budget: SearchBudget {
+                shots: 64,
+                trajectories: 2,
+                neighborhood: 4,
+                tier: TierPolicy::default(),
+            },
+            deadline_ms: None,
+            tenancy: Default::default(),
+        }
+    }
+
+    /// `circuit` resolved at the device's current epoch.
+    fn resolve_now(svc: &MaskService, circuit: &qcirc::Circuit) -> Resolved {
+        let (epoch, machine) = snapshot(&svc.shared, DeviceId::Rome).expect("served");
+        let protocol = DdProtocol::default();
+        resolve(
+            &svc.shared,
+            circuit,
+            DeviceId::Rome,
+            epoch,
+            &machine,
+            protocol,
+        )
+    }
+
+    #[test]
+    fn program_book_evicts_the_least_recently_used_program() {
+        let (_, machine) = DeviceRegistry::new(&[DeviceId::Rome], 7)
+            .snapshot(DeviceId::Rome)
+            .expect("registered");
+        let (a, b, c) = (ghz(2), ghz(3), ghz(4));
+        let key = |circuit: &qcirc::Circuit| (DeviceId::Rome, logical_hash(circuit));
+        let mut book = ProgramBook::default();
+        for circuit in [&a, &b] {
+            book.record(
+                key(circuit),
+                circuit,
+                Resolution::new(circuit, 0, &machine),
+                2,
+            );
+        }
+        assert!(book.resolution(&key(&a), &a, 0).is_some(), "A is a hit");
+        book.record(key(&c), &c, Resolution::new(&c, 0, &machine), 2);
+        assert!(
+            book.circuit(&key(&b)).is_none(),
+            "B was least recently used"
+        );
+        assert_eq!(book.circuit(&key(&a)), Some(a));
+        assert_eq!(book.circuit(&key(&c)), Some(c));
+    }
+
+    #[test]
+    fn programs_colliding_on_one_hash_never_share_a_resolution() {
+        let (_, machine) = DeviceRegistry::new(&[DeviceId::Rome], 7)
+            .snapshot(DeviceId::Rome)
+            .expect("registered");
+        let (a, b) = (ghz(3), ghz(4));
+        let forced = (DeviceId::Rome, 42);
+        let mut book = ProgramBook::default();
+        book.record(forced, &a, Resolution::new(&a, 0, &machine), 8);
+        assert!(book.resolution(&forced, &b, 0).is_none());
+        let rb = Resolution::new(&b, 0, &machine);
+        book.record(forced, &b, rb.clone(), 8);
+        assert!(book.resolution(&forced, &a, 0).is_none());
+        let hit = book.resolution(&forced, &b, 0).expect("B is resolved");
+        assert!(Arc::ptr_eq(&hit.compiled, &rb.compiled));
+    }
+
+    #[test]
+    fn a_program_resolves_once_per_epoch() {
+        let svc = rome_service();
+        let circuit = ghz(4);
+        let first = resolve_now(&svc, &circuit);
+        let second = resolve_now(&svc, &circuit);
+        assert!(
+            Arc::ptr_eq(&first.compiled, &second.compiled),
+            "no second transpile"
+        );
+        assert_eq!(first.key, second.key);
+
+        let epoch = svc.advance_epoch(DeviceId::Rome).expect("served");
+        let fresh = resolve_now(&svc, &circuit);
+        assert!(!Arc::ptr_eq(&first.compiled, &fresh.compiled));
+        assert_eq!(fresh.key.epoch, epoch);
+        let (_, machine) = snapshot(&svc.shared, DeviceId::Rome).expect("served");
+        let compiled = transpile(&circuit, machine.device(), &TranspileOptions::default());
+        assert_eq!(
+            fresh.key.circuit_hash,
+            machine::structural_hash(&compiled.timed)
+        );
+        assert_eq!(fresh.stale_key, first.stale_key, "same program identity");
+        let again = resolve_now(&svc, &circuit);
+        assert!(
+            Arc::ptr_eq(&fresh.compiled, &again.compiled),
+            "new epoch memo"
+        );
+
+        // A late resolution at the old epoch does not displace the newer one.
+        let late = Resolution {
+            epoch: first.key.epoch,
+            compiled: first.compiled,
+            circuit_hash: first.key.circuit_hash,
+        };
+        let program = (DeviceId::Rome, first.stale_key.logical_hash);
+        lock(&svc.shared.programs).record(program, &circuit, late, 8);
+        let kept = resolve_now(&svc, &circuit);
+        assert!(Arc::ptr_eq(&fresh.compiled, &kept.compiled));
+    }
+
+    #[test]
+    fn prewarm_keeps_the_current_epoch_resolution() {
+        let svc = rome_service();
+        let circuit = ghz(4);
+        svc.call(small_recommend(&circuit)).expect("served");
+        let before = resolve_now(&svc, &circuit);
+        assert_eq!(svc.prewarm_epoch(DeviceId::Rome).expect("served"), 1);
+        svc.drain_refines();
+        let after = resolve_now(&svc, &circuit);
+        assert!(Arc::ptr_eq(&before.compiled, &after.compiled), "memo hit");
+    }
+
+    #[test]
+    fn a_transpile_panic_leaves_no_book_entry() {
+        let svc = rome_service();
+        let mut nan_delay = ghz(4);
+        nan_delay.delay(f64::NAN, 2);
+        let err = svc.call(small_recommend(&nan_delay)).expect_err("panics");
+        assert!(matches!(err, ServiceError::Internal { .. }), "got {err:?}");
+        assert!(!svc.shared.programs.is_poisoned());
+        assert!(lock(&svc.shared.programs).map.is_empty());
     }
 
     #[test]
