@@ -2507,11 +2507,14 @@ mod tests {
         )
     }
 
+    fn rome_machine() -> Machine {
+        let registry = DeviceRegistry::new(&[DeviceId::Rome], 7);
+        registry.snapshot(DeviceId::Rome).expect("registered").1
+    }
+
     #[test]
     fn program_book_evicts_the_least_recently_used_program() {
-        let (_, machine) = DeviceRegistry::new(&[DeviceId::Rome], 7)
-            .snapshot(DeviceId::Rome)
-            .expect("registered");
+        let machine = rome_machine();
         let (a, b, c) = (ghz(2), ghz(3), ghz(4));
         let key = |circuit: &qcirc::Circuit| (DeviceId::Rome, logical_hash(circuit));
         let mut book = ProgramBook::default();
@@ -2535,9 +2538,7 @@ mod tests {
 
     #[test]
     fn programs_colliding_on_one_hash_never_share_a_resolution() {
-        let (_, machine) = DeviceRegistry::new(&[DeviceId::Rome], 7)
-            .snapshot(DeviceId::Rome)
-            .expect("registered");
+        let machine = rome_machine();
         let (a, b) = (ghz(3), ghz(4));
         let forced = (DeviceId::Rome, 42);
         let mut book = ProgramBook::default();
