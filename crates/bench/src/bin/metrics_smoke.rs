@@ -10,7 +10,8 @@
 //! 2. **The pipeline is wired**: one small recommendation driven through
 //!    the full stack (service → search → resilient executor → machine)
 //!    must leave non-zero `adapt_service_*`, `adapt_search_*` and
-//!    `adapt_machine_*` counters in the global registry, and the
+//!    `adapt_machine_*` counters in the global registry (among them the
+//!    ops the search's batches skipped through prefix forks), and the
 //!    Prometheus exposition must parse.
 //!
 //! Exits nonzero (panics) when either property breaks.
@@ -92,6 +93,7 @@ fn workload() {
         "adapt_search_decoy_runs_scored_total",
         "adapt_machine_executions_total",
         "adapt_machine_retry_requests_total",
+        "adapt_machine_batch_forked_ops_total",
     ] {
         let v = sample_value(&samples, name).unwrap_or(0.0);
         assert!(v > 0.0, "{name} must be non-zero, exposition:\n{prom}");

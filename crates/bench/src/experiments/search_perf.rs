@@ -9,6 +9,8 @@
 //! plan cache (the binary fails loudly when the hit counter stays at
 //! zero, so CI catches a regression in the routing-keyed cache), and its
 //! batch jobs repeat the first pass's runs, so the machine replays them.
+//! The first pass's batch jobs must also fork: resume an earlier job's
+//! trajectory after their shared op prefix (`search.forked_ops`).
 //! A scoring step then runs one neighborhood's 16 masks serially and as
 //! one batch on the CHP path, each on a fresh machine so both simulate
 //! (bit-identity checked, normal-memo hit rate recorded), repeats the
@@ -47,7 +49,8 @@ fn normal_memo_counts() -> (u64, u64) {
 /// # Panics
 ///
 /// Panics (failing the CI job) when the second search records no plan
-/// cache hits, when batched scoring diverges from serial scoring, when the
+/// cache hits, when the first search's batches fork no trajectory, when
+/// batched scoring diverges from serial scoring, when the
 /// batched CHP pass takes no normal from the per-seed memo, when a
 /// repeated batch is not replayed in full and bit for bit, when no
 /// execution routed to the CHP engine, or — in full mode — when batched
@@ -100,6 +103,9 @@ pub fn run(cfg: &ExperimentCfg) {
     let first_ms = t0.elapsed().as_secs_f64() * 1000.0;
     let after_first = machine.plan_cache_stats();
     let first_replays = machine.engine_stats().batch_replays;
+    // Ops the first search's batch jobs skipped by resuming an earlier
+    // job's trajectory after their shared op prefix.
+    let forked_ops = machine.engine_stats().forked_ops;
     let t0 = Instant::now();
     let second = localized_search(&search_ctx, &order, 4, true).expect("second search");
     let second_ms = t0.elapsed().as_secs_f64() * 1000.0;
@@ -108,7 +114,8 @@ pub fn run(cfg: &ExperimentCfg) {
     assert_eq!(first.best, second.best, "repeated search must be stable");
     println!(
         "  search: first {first_ms:.0} ms ({} compilations, {first_replays} of {} runs \
-         replayed), second {second_ms:.0} ms ({} replayed), cache {}/{} hits ({:.0}%)",
+         replayed, {forked_ops} ops forked), second {second_ms:.0} ms ({} replayed), \
+         cache {}/{} hits ({:.0}%)",
         after_first.misses,
         first.decoy_runs(),
         search_replays - first_replays,
@@ -119,6 +126,10 @@ pub fn run(cfg: &ExperimentCfg) {
     assert!(
         stats.hits > after_first.hits,
         "second search recorded no plan-cache hits: {stats:?}"
+    );
+    assert!(
+        forked_ops > 0,
+        "no batch job of the first search resumed another job's trajectory"
     );
 
     // The scoring passes below each run on a fresh machine: on `machine`,
@@ -260,6 +271,7 @@ pub fn run(cfg: &ExperimentCfg) {
          \"engines\": {{ \"chp_executions\": {}, \"statevec_executions\": {} }},\n  \
          \"search\": {{ \"decoy\": \"clifford\", \"engine\": \"chp\", \"first_ms\": {first_ms:.1}, \
          \"second_ms\": {second_ms:.1}, \"decoy_runs\": {}, \"replays\": {search_replays}, \
+         \"forked_ops\": {forked_ops}, \
          \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4} }} }},\n  \
          \"mask_scoring\": {{ \"masks\": {}, \"chp\": {{ \"serial_ms\": {serial_ms:.1}, \
          \"batched_ms\": {batched_ms:.1}, \"serial_masks_per_s\": {chp_serial_per_s:.2}, \

@@ -104,6 +104,13 @@
 //! become memo hits. Every draw, and so every count, equals the plain
 //! run's (`memo_cursor_matches_plain_runs`).
 //!
+//! A run is a `Trajectory` started, advanced over its op stream and
+//! finished. The split lets a batch save a trajectory after an op and
+//! resume the copy under another job whose plan shares every op up to
+//! there: the shared prefix then runs once per seed instead of once per
+//! job (`a_saved_trajectory_resumes_under_a_plan_with_the_same_prefix`;
+//! DESIGN.md §7, "Prefix forking").
+//!
 //! # Determinism contract
 //!
 //! Each engine's results are a pure function of `(plan, seed)`. The two
@@ -123,6 +130,7 @@ use stab::Tableau;
 use statevec::SoaStateVector;
 use std::f64::consts::FRAC_PI_2;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use transpiler::TimedCircuit;
 
 /// Which simulation substrate a compiled plan runs on.
@@ -267,6 +275,7 @@ pub(crate) struct EngineCounters {
     pub statevec: AtomicU64,
     pub batch_workers: AtomicU64,
     pub batch_replays: AtomicU64,
+    pub forked_ops: AtomicU64,
 }
 
 impl EngineCounters {
@@ -276,13 +285,14 @@ impl EngineCounters {
             statevec_executions: self.statevec.load(Ordering::Relaxed),
             last_batch_workers: self.batch_workers.load(Ordering::Relaxed),
             batch_replays: self.batch_replays.load(Ordering::Relaxed),
+            forked_ops: self.forked_ops.load(Ordering::Relaxed),
         }
     }
 }
 
 /// Snapshot of a machine's engine-routing split, the worker count of
-/// its most recent batch and its batch replays (see
-/// [`Machine::engine_stats`]).
+/// its most recent batch, its batch replays and the ops its batches
+/// skipped through prefix forks (see [`Machine::engine_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Executions routed to the CHP stabilizer engine, replayed batch
@@ -298,33 +308,38 @@ pub struct EngineStats {
     /// Batch jobs served without simulating: duplicates of an earlier
     /// job in their batch, and replays of an earlier batch's run.
     pub batch_replays: u64,
+    /// Ops that batch trajectories did not simulate because they resumed
+    /// an earlier job's trajectory after a shared op prefix, summed over
+    /// trajectories (prefix forking, DESIGN.md §7).
+    pub forked_ops: u64,
 }
 
-/// Runs one noise realization of a compiled plan on its engine.
+/// Runs one noise realization of a compiled plan on its engine: a
+/// [`Trajectory`] started, advanced over the whole op stream, and
+/// finished.
 pub(crate) fn run_trajectory<R: NormalSource>(
     machine: &Machine,
     plan: &CompiledPlan,
     shots: u64,
     rng: &mut R,
 ) -> Result<Counts, ExecError> {
-    match plan.engine {
-        SimEngine::StateVector => run_trajectory_dense(machine, plan, shots, rng),
-        SimEngine::Chp => run_trajectory_chp(machine, plan, shots, rng),
-    }
+    let mut traj = Trajectory::start(machine, plan, rng)?;
+    traj.advance(plan, plan.op_count(), rng)?;
+    traj.finish(plan, shots, rng)
 }
 
 /// Per-trajectory stochastic context shared by both engines: sampled
 /// detunings (when the coherent channel is on) and per-episode crosstalk
-/// jitter (when the crosstalk channel is on), beside the plan's overlap
-/// arena that idle windows index into.
-struct IdleContext<'p> {
+/// jitter (when the crosstalk channel is on). The jitter is drawn once and
+/// never written, so the forks of a trajectory share one table.
+#[derive(Debug, Clone)]
+struct IdleContext {
     detuning: Vec<QubitDetuning>,
-    jitter: Vec<Vec<f64>>,
-    overlaps: &'p [(u32, f64)],
+    jitter: Arc<Vec<Vec<f64>>>,
 }
 
-impl<'p> IdleContext<'p> {
-    fn sample<R: NormalSource>(machine: &Machine, plan: &'p CompiledPlan, rng: &mut R) -> Self {
+impl IdleContext {
+    fn sample<R: NormalSource>(machine: &Machine, plan: &CompiledPlan, rng: &mut R) -> Self {
         let cal = machine.device().calibration();
         let detuning = if plan.needs_detuning {
             plan.phys_of
@@ -353,13 +368,18 @@ impl<'p> IdleContext<'p> {
         };
         IdleContext {
             detuning,
-            jitter,
-            overlaps: &plan.overlaps,
+            jitter: Arc::new(jitter),
         }
     }
 
-    /// The coherent phase accumulated over one idle window.
-    fn phase<R: NormalSource>(&mut self, idle: &IdleOp, rng: &mut R) -> f64 {
+    /// The coherent phase accumulated over one idle window, whose
+    /// crosstalk entries lie in `overlaps`, its plan's overlap arena.
+    fn phase<R: NormalSource>(
+        &mut self,
+        idle: &IdleOp,
+        overlaps: &[(u32, f64)],
+        rng: &mut R,
+    ) -> f64 {
         let q = idle.q as usize;
         let mut phase = if idle.detune {
             self.detuning[q].advance(idle.dt_ns, rng)
@@ -367,10 +387,103 @@ impl<'p> IdleContext<'p> {
             0.0
         };
         let xtalk = idle.xtalk.start as usize..idle.xtalk.end as usize;
-        for &(ei, chi_overlap) in &self.overlaps[xtalk] {
+        for &(ei, chi_overlap) in &overlaps[xtalk] {
             phase += chi_overlap * self.jitter[q][ei as usize];
         }
         phase
+    }
+}
+
+/// One trajectory between two ops of its plan's op stream: the engine
+/// state, the mid-circuit classical record, the idle processes, and how
+/// many ops it has applied. The random stream stays with the caller.
+///
+/// A run is [`Trajectory::start`], then [`Trajectory::advance`] to the end
+/// of the stream, then [`Trajectory::finish`]. A trajectory cloned after op
+/// `p`, advanced under another plan whose first `p` ops are the same, and
+/// fed the stream as it stood at the clone, is exactly the run that plan
+/// makes from op 0: batches fork at shared op prefixes this way
+/// ([`crate::fork`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Trajectory {
+    pos: usize,
+    clbits: u64,
+    ctx: IdleContext,
+    state: EngineState,
+}
+
+/// A trajectory's quantum state on its engine.
+#[derive(Debug, Clone)]
+enum EngineState {
+    /// The tableau, and each qubit's pending idle phase `θ`.
+    Chp { tab: Tableau, theta: Vec<f64> },
+    /// The state vector with its pending one-qubit monomials.
+    Dense(DenseFrame),
+}
+
+impl Trajectory {
+    /// Samples the idle processes and prepares `|0…0⟩` on the plan's
+    /// engine, before the first op.
+    pub(crate) fn start<R: NormalSource>(
+        machine: &Machine,
+        plan: &CompiledPlan,
+        rng: &mut R,
+    ) -> Result<Self, ExecError> {
+        let ctx = IdleContext::sample(machine, plan, rng);
+        let k = plan.active_qubits();
+        let state = match plan.engine {
+            SimEngine::Chp => EngineState::Chp {
+                tab: Tableau::new(k),
+                theta: vec![0.0; k],
+            },
+            SimEngine::StateVector => EngineState::Dense(DenseFrame::new(k)?),
+        };
+        Ok(Trajectory {
+            pos: 0,
+            clbits: 0,
+            ctx,
+            state,
+        })
+    }
+
+    /// How many ops of the plan's stream the trajectory has applied.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Applies ops `pos..end` of the plan's stream, where `pos` is the
+    /// number of ops applied so far.
+    pub(crate) fn advance<R: NormalSource>(
+        &mut self,
+        plan: &CompiledPlan,
+        end: usize,
+        rng: &mut R,
+    ) -> Result<(), ExecError> {
+        let ops = self.pos..end;
+        let (clbits, ctx, overlaps) = (&mut self.clbits, &mut self.ctx, &plan.overlaps[..]);
+        match &mut self.state {
+            EngineState::Chp { tab, theta } => {
+                evolve_chp(tab, theta, clbits, &plan.cliff[ops], ctx, overlaps, rng)
+            }
+            EngineState::Dense(frame) => {
+                evolve_dense(frame, clbits, &plan.dense[ops], ctx, overlaps, rng)?
+            }
+        }
+        self.pos = end;
+        Ok(())
+    }
+
+    /// Samples `shots` outcomes from the state after the last op.
+    pub(crate) fn finish<R: NormalSource>(
+        self,
+        plan: &CompiledPlan,
+        shots: u64,
+        rng: &mut R,
+    ) -> Result<Counts, ExecError> {
+        match self.state {
+            EngineState::Chp { tab, .. } => Ok(sample_chp(plan, tab, self.clbits, shots, rng)),
+            EngineState::Dense(frame) => sample_dense(plan, frame, self.clbits, shots, rng),
+        }
     }
 }
 
@@ -429,6 +542,7 @@ impl Monomial {
 /// The state vector plus one pending [`Monomial`] per qubit: one-qubit
 /// diagonal and anti-diagonal ops compose into the frame, and reach the
 /// amplitudes only when a flush point needs them (see the module docs).
+#[derive(Debug, Clone)]
 struct DenseFrame {
     sv: SoaStateVector,
     pending: Vec<Monomial>,
@@ -464,21 +578,21 @@ impl DenseFrame {
     }
 }
 
-/// Runs the plan's dense op stream through the [`DenseFrame`], returning
-/// the evolved (unnormalized) state and the mid-circuit classical record.
+/// Runs dense ops through the [`DenseFrame`], keeping the mid-circuit
+/// classical record in `clbits`.
 fn evolve_dense<R: NormalSource>(
+    f: &mut DenseFrame,
+    clbits: &mut u64,
     ops: &[DenseOp],
-    k: usize,
     ctx: &mut IdleContext,
+    overlaps: &[(u32, f64)],
     rng: &mut R,
-) -> Result<(SoaStateVector, u64), statevec::SimError> {
-    let mut f = DenseFrame::new(k)?;
-    let mut clbits = 0u64;
+) -> Result<(), statevec::SimError> {
     for op in ops {
         match op {
             DenseOp::Idle(idle) => {
                 let q = idle.q as usize;
-                let phase = ctx.phase(idle, rng);
+                let phase = ctx.phase(idle, overlaps, rng);
                 if phase != 0.0 {
                     f.pending[q].diag(C64::cis(-phase / 2.0), C64::cis(phase / 2.0));
                 }
@@ -533,9 +647,9 @@ fn evolve_dense<R: NormalSource>(
                     bit = !bit;
                 }
                 if bit {
-                    clbits |= 1 << *c;
+                    *clbits |= 1 << *c;
                 } else {
-                    clbits &= !(1 << *c);
+                    *clbits &= !(1 << *c);
                 }
             }
             DenseOp::Reset { q } => {
@@ -545,19 +659,18 @@ fn evolve_dense<R: NormalSource>(
             }
         }
     }
-    Ok((f.into_state()?, clbits))
+    Ok(())
 }
 
-/// Dense-engine trajectory over the plan's lowered kernel stream.
-fn run_trajectory_dense<R: NormalSource>(
-    machine: &Machine,
+/// Samples a dense trajectory's shots from its frame after the last op.
+fn sample_dense<R: NormalSource>(
     plan: &CompiledPlan,
+    frame: DenseFrame,
+    clbits: u64,
     shots: u64,
     rng: &mut R,
 ) -> Result<Counts, ExecError> {
-    let mut ctx = IdleContext::sample(machine, plan, rng);
-    let (mut sv, clbits) = evolve_dense(&plan.dense, plan.active_qubits(), &mut ctx, rng)?;
-
+    let mut sv = frame.into_state()?;
     let mut counts = Counts::new(plan.num_clbits);
     if plan.terminal_measurements {
         sv.normalize();
@@ -612,25 +725,24 @@ fn chp_flush<R: Rng>(tab: &mut Tableau, theta: &mut [f64], q: usize, rng: &mut R
     }
 }
 
-/// CHP-engine trajectory: tableau evolution with the toggling-frame
-/// phase twirl described in the module docs.
-fn run_trajectory_chp<R: NormalSource>(
-    machine: &Machine,
-    plan: &CompiledPlan,
-    shots: u64,
+/// Runs CHP ops on the tableau with the toggling-frame phase twirl
+/// described in the module docs, keeping the mid-circuit classical record
+/// in `clbits`.
+fn evolve_chp<R: NormalSource>(
+    tab: &mut Tableau,
+    theta: &mut [f64],
+    clbits: &mut u64,
+    ops: &[CliffOp],
+    ctx: &mut IdleContext,
+    overlaps: &[(u32, f64)],
     rng: &mut R,
-) -> Result<Counts, ExecError> {
-    let k = plan.active_qubits();
-    let mut tab = Tableau::new(k);
-    let mut theta = vec![0.0f64; k];
-    let mut ctx = IdleContext::sample(machine, plan, rng);
-    let mut clbits = 0u64;
-    for op in &plan.cliff {
+) {
+    for op in ops {
         match op {
             CliffOp::Idle(idle) => {
-                theta[idle.q as usize] += ctx.phase(idle, rng);
+                theta[idle.q as usize] += ctx.phase(idle, overlaps, rng);
                 if let Some(floor) = &idle.floor {
-                    chp_pauli1(&mut tab, &mut theta, idle.q as usize, floor.sample(rng));
+                    chp_pauli1(tab, theta, idle.q as usize, floor.sample(rng));
                 }
             }
             CliffOp::G1 { q, g } => {
@@ -652,15 +764,15 @@ fn run_trajectory_chp<R: NormalSource>(
                     }
                     // Frame-mixing: flush, then apply.
                     CliffGate1::H => {
-                        chp_flush(&mut tab, &mut theta, q, rng);
+                        chp_flush(tab, theta, q, rng);
                         tab.h(q);
                     }
                     CliffGate1::Sx => {
-                        chp_flush(&mut tab, &mut theta, q, rng);
+                        chp_flush(tab, theta, q, rng);
                         tab.sx(q);
                     }
                     CliffGate1::Sxdg => {
-                        chp_flush(&mut tab, &mut theta, q, rng);
+                        chp_flush(tab, theta, q, rng);
                         tab.sxdg(q);
                     }
                 }
@@ -671,7 +783,7 @@ fn run_trajectory_chp<R: NormalSource>(
                     CliffGate2::Cx => {
                         // RZ commutes with the control; the target frame
                         // mixes under the conditional X.
-                        chp_flush(&mut tab, &mut theta, b, rng);
+                        chp_flush(tab, theta, b, rng);
                         tab.cx(a, b);
                     }
                     CliffGate2::Cz => tab.cz(a, b),
@@ -683,20 +795,20 @@ fn run_trajectory_chp<R: NormalSource>(
             }
             CliffOp::Err1 { q, p } => {
                 if rng.gen::<f64>() < *p {
-                    chp_pauli1(&mut tab, &mut theta, *q as usize, rng.gen_range(1..4));
+                    chp_pauli1(tab, theta, *q as usize, rng.gen_range(1..4));
                 }
             }
             CliffOp::Err2 { a, b, p, reps } => {
                 for _ in 0..*reps {
                     if rng.gen::<f64>() < *p {
                         let idx = rng.gen_range(1..16);
-                        chp_pauli1(&mut tab, &mut theta, *a as usize, (idx & 3) as u8);
-                        chp_pauli1(&mut tab, &mut theta, *b as usize, (idx >> 2) as u8);
+                        chp_pauli1(tab, theta, *a as usize, (idx & 3) as u8);
+                        chp_pauli1(tab, theta, *b as usize, (idx >> 2) as u8);
                     }
                 }
             }
             CliffOp::Floor { q, floor } => {
-                chp_pauli1(&mut tab, &mut theta, *q as usize, floor.sample(rng));
+                chp_pauli1(tab, theta, *q as usize, floor.sample(rng));
             }
             CliffOp::Measure { q, c, p_flip } => {
                 let q = *q as usize;
@@ -708,9 +820,9 @@ fn run_trajectory_chp<R: NormalSource>(
                     bit = !bit;
                 }
                 if bit {
-                    clbits |= 1 << *c;
+                    *clbits |= 1 << *c;
                 } else {
-                    clbits &= !(1 << *c);
+                    *clbits &= !(1 << *c);
                 }
             }
             CliffOp::Reset { q } => {
@@ -722,7 +834,16 @@ fn run_trajectory_chp<R: NormalSource>(
             }
         }
     }
+}
 
+/// Samples a CHP trajectory's shots from its tableau after the last op.
+fn sample_chp<R: NormalSource>(
+    plan: &CompiledPlan,
+    tab: Tableau,
+    clbits: u64,
+    shots: u64,
+    rng: &mut R,
+) -> Counts {
     let mut counts = Counts::new(plan.num_clbits);
     if plan.terminal_measurements {
         // Pending phases are diagonal: they cannot change Z-basis
@@ -749,7 +870,7 @@ fn run_trajectory_chp<R: NormalSource>(
     } else {
         counts.record_many(clbits, shots);
     }
-    Ok(counts)
+    counts
 }
 
 #[cfg(test)]
@@ -769,6 +890,7 @@ mod tests {
         ops: &[DenseOp],
         k: usize,
         ctx: &mut IdleContext,
+        overlaps: &[(u32, f64)],
         rng: &mut StdRng,
     ) -> (SoaStateVector, u64) {
         fn pauli(sv: &mut SoaStateVector, q: usize, which: u8) {
@@ -785,7 +907,7 @@ mod tests {
             match op {
                 DenseOp::Idle(idle) => {
                     let q = idle.q as usize;
-                    let phase = ctx.phase(idle, rng);
+                    let phase = ctx.phase(idle, overlaps, rng);
                     if phase != 0.0 {
                         let (d0, d1) = (C64::cis(-phase / 2.0), C64::cis(phase / 2.0));
                         sv.apply_diag1(d0, d1, q).unwrap();
@@ -841,19 +963,19 @@ mod tests {
         (sv, clbits)
     }
 
-    /// A detuning/jitter context with coherent and crosstalk channels on,
-    /// over the overlap arena `overlaps`.
-    fn idle_context(k: usize, seed: u64, overlaps: &[(u32, f64)]) -> IdleContext<'_> {
+    /// A detuning/jitter context with coherent and crosstalk channels on.
+    fn idle_context(k: usize, seed: u64) -> IdleContext {
         let dev = Device::ibmq_toronto(3);
         let mut rng = StdRng::seed_from_u64(seed);
         IdleContext {
             detuning: (0..k)
                 .map(|q| QubitDetuning::sample(dev.qubit(q as u32), &mut rng))
                 .collect(),
-            jitter: (0..k)
-                .map(|_| (0..3).map(|_| 1.0 + standard_normal(&mut rng)).collect())
-                .collect(),
-            overlaps,
+            jitter: Arc::new(
+                (0..k)
+                    .map(|_| (0..3).map(|_| 1.0 + standard_normal(&mut rng)).collect())
+                    .collect(),
+            ),
         }
     }
 
@@ -1078,10 +1200,12 @@ mod tests {
             let ops: Vec<DenseOp> = raw.into_iter().map(|r| dense_op(k, r, &mut overlaps)).collect();
             let n = k as usize;
             let (mut r_frame, mut r_eager) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-            let mut ctx = idle_context(n, seed ^ 1, &overlaps);
-            let (frame, c_frame) = evolve_dense(&ops, n, &mut ctx, &mut r_frame).unwrap();
-            let mut ctx = idle_context(n, seed ^ 1, &overlaps);
-            let (eager, c_eager) = evolve_eager(&ops, n, &mut ctx, &mut r_eager);
+            let mut ctx = idle_context(n, seed ^ 1);
+            let (mut frame, mut c_frame) = (DenseFrame::new(n).unwrap(), 0);
+            evolve_dense(&mut frame, &mut c_frame, &ops, &mut ctx, &overlaps, &mut r_frame).unwrap();
+            let frame = frame.into_state().unwrap();
+            let mut ctx = idle_context(n, seed ^ 1);
+            let (eager, c_eager) = evolve_eager(&ops, n, &mut ctx, &overlaps, &mut r_eager);
 
             prop_assert_eq!(&r_frame, &r_eager, "the frame must consume the same draws");
             prop_assert_eq!(c_frame, c_eager);
@@ -1135,6 +1259,42 @@ mod tests {
             let replay = run_trajectory(&machine, &run, shots, &mut cursor).unwrap();
             prop_assert_eq!(cursor.misses(), 0);
             prop_assert_eq!(&replay, &expected);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn a_saved_trajectory_resumes_under_a_plan_with_the_same_prefix(
+            k in 1u16..6,
+            prefix in raw_ops(),
+            tails in (raw_ops(), raw_ops()),
+            chp in any::<bool>(),
+            shots in 1u64..24,
+            seed in any::<u64>(),
+        ) {
+            // Run `a` up to the end of the shared prefix, save it, and
+            // finish it; then resume the saved state under `b`. Both must
+            // equal their plans' plain runs.
+            let machine = Machine::new(Device::ibmq_toronto(3));
+            let a = plan_of(k, &[prefix.clone(), tails.0].concat(), chp);
+            let b = plan_of(k, &[prefix.clone(), tails.1].concat(), chp);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut traj = Trajectory::start(&machine, &a, &mut rng).unwrap();
+            traj.advance(&a, prefix.len(), &mut rng).unwrap();
+            let (mut saved, mut saved_rng) = (traj.clone(), rng.clone());
+            traj.advance(&a, a.op_count(), &mut rng).unwrap();
+            let finished = traj.finish(&a, shots, &mut rng).unwrap();
+            let plain = |plan: &CompiledPlan| {
+                run_trajectory(&machine, plan, shots, &mut StdRng::seed_from_u64(seed)).unwrap()
+            };
+            prop_assert_eq!(&finished, &plain(&a));
+
+            prop_assert_eq!(saved.pos(), prefix.len());
+            saved.advance(&b, b.op_count(), &mut saved_rng).unwrap();
+            let resumed = saved.finish(&b, shots, &mut saved_rng).unwrap();
+            prop_assert_eq!(&resumed, &plain(&b));
         }
     }
 

@@ -17,7 +17,8 @@
 //! so X/Y pulses echo them out exactly as the dense path does).
 
 use crate::backend::{JobSpec, ShotBatch};
-use crate::engine::{EngineCounters, EnginePolicy, EngineStats, SimEngine};
+use crate::engine::{EngineCounters, EnginePolicy, EngineStats, SimEngine, Trajectory};
+use crate::fork::{fork_table, UnitForks};
 use crate::noise::MemoCursor;
 use crate::plan::{CompiledPlan, PlanCache, PlanCacheStats, RunKey};
 use device::{Device, SeedSpawner};
@@ -28,7 +29,7 @@ use statevec::SimError;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use transpiler::{try_schedule, ScheduleError, SchedulePolicy, TimedCircuit};
 
 /// Relative std-dev of the per-CNOT crosstalk kick around its calibrated
@@ -483,14 +484,20 @@ impl Machine {
     /// with `S` seeds and a thread budget `B` (the largest per-job
     /// request, `0` counting as all cores), each seed's jobs are cut into
     /// `⌈B/S⌉` slices, and up to `B` scoped workers claim units. Each unit
-    /// owns its memo and drops it when done.
+    /// owns its memo and drops it when done. Within a unit, a job whose
+    /// op stream starts like an earlier job's resumes that job's
+    /// trajectory after their longest common op prefix (see
+    /// `crate::fork`); the fork table that picks the earlier job is built
+    /// once per batch.
     ///
     /// Results are bit-identical to executing the jobs serially: a memo
     /// hit returns exactly the normal the stream would compute there and
-    /// leaves the stream where a plain run leaves it, and a job's counts
-    /// are integer sums over its trajectories, whatever the order. A
-    /// failing job reports the error of its earliest failing trajectory,
-    /// as [`Machine::execute_timed`] does.
+    /// leaves the stream where a plain run leaves it, a resumed trajectory
+    /// holds exactly the state and stream position the job's own run
+    /// reaches there, and a job's counts are integer sums over its
+    /// trajectories, whatever the order. A failing job reports the error
+    /// of its earliest failing trajectory, as [`Machine::execute_timed`]
+    /// does.
     pub(crate) fn execute_batch_jobs(
         &self,
         jobs: &[JobSpec<'_>],
@@ -532,6 +539,20 @@ impl Machine {
             .batch_replays
             .fetch_add(replays, Ordering::Relaxed);
         m.batch_replays.add(replays);
+
+        // Where each simulated job resumes an earlier one: the same for
+        // every seed, so built once.
+        let table = fork_table(
+            &jobs
+                .iter()
+                .zip(&plans)
+                .zip(&sources)
+                .map(|((spec, plan), source)| match (plan, source) {
+                    (Ok((_, plan)), Source::Simulate) => Some((&**plan, spec.config.seed)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>(),
+        );
 
         // Each trajectory seed with the runs deriving it, in submission order.
         let mut seeds: Vec<(u64, Vec<Run>)> = Vec::new();
@@ -581,12 +602,32 @@ impl Machine {
             .collect();
         let run_unit = |&(seed, runs): &(u64, &[Run])| {
             let mut memo = Vec::new();
-            for run in runs {
+            let jobs: Vec<usize> = runs.iter().map(|run| run.job).collect();
+            let mut forks = UnitForks::new(&jobs, &table);
+            let mut forked = 0;
+            for (i, run) in runs.iter().enumerate() {
                 let (_, plan) = plans[run.job]
                     .as_ref()
                     .expect("only compiled jobs have runs");
-                let mut rng = MemoCursor::new(StdRng::seed_from_u64(seed), &mut memo);
-                let result = crate::engine::run_trajectory(self, plan, run.shots, &mut rng);
+                let (mut rng, start) = match forks.resume(i) {
+                    Some((traj, gen, pos)) => {
+                        forked += traj.pos() as u64;
+                        (MemoCursor::resume(gen, pos, &mut memo), Ok(traj))
+                    }
+                    None => {
+                        let mut rng = MemoCursor::new(StdRng::seed_from_u64(seed), &mut memo);
+                        let start = Trajectory::start(self, plan, &mut rng);
+                        (rng, start)
+                    }
+                };
+                let result = start.and_then(|mut traj| {
+                    for at in forks.save_points(i) {
+                        traj.advance(plan, at, &mut rng)?;
+                        forks.save(i, at, &traj, &rng);
+                    }
+                    traj.advance(plan, plan.op_count(), &mut rng)?;
+                    traj.finish(plan, run.shots, &mut rng)
+                });
                 m.normal_memo_hits.add(rng.hits());
                 m.normal_memo_misses.add(rng.misses());
                 tallies[run.job]
@@ -594,6 +635,8 @@ impl Machine {
                     .expect("batch tally lock")
                     .add(run.traj, result);
             }
+            self.engines.forked_ops.fetch_add(forked, Ordering::Relaxed);
+            m.batch_forked_ops.add(forked);
         };
 
         if workers <= 1 {
@@ -694,10 +737,18 @@ fn trajectory_runs(config: &ExecutionConfig) -> Vec<(u64, u64)> {
 /// A thread request resolved to a count: `0` means every available core.
 fn thread_budget(threads: usize) -> usize {
     if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        available_cores()
     } else {
         threads
     }
+}
+
+/// The host's available parallelism, read once per process: the standard
+/// library re-reads the cgroup files on every call, tens of µs each, and
+/// every `threads: 0` execution asks.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 #[cfg(test)]
@@ -989,6 +1040,14 @@ mod tests {
         huge.threads = 512;
         let b = m.execute(&c, &huge).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_zero_thread_request_resolves_to_the_available_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(thread_budget(0), cores);
+        assert_eq!(thread_budget(0), cores, "the second read is the cached one");
+        assert_eq!(thread_budget(3), 3);
     }
 
     #[test]

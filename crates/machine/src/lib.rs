@@ -37,6 +37,7 @@ pub mod deadline;
 pub mod engine;
 pub mod executor;
 pub mod fault;
+mod fork;
 mod metrics;
 pub mod noise;
 pub mod plan;

@@ -32,6 +32,9 @@ pub(crate) struct Metrics {
     pub batch_workers: Gauge,
     /// Batch jobs served without simulating (see `EngineStats::batch_replays`).
     pub batch_replays: Counter,
+    /// Ops batch trajectories skipped by resuming an earlier job's
+    /// trajectory (see `EngineStats::forked_ops`).
+    pub batch_forked_ops: Counter,
     /// Batch trajectories' normals served from, or computed into, their
     /// seed's memo (added once per trajectory).
     pub normal_memo_hits: Counter,
@@ -67,6 +70,7 @@ pub(crate) fn metrics() -> &'static Metrics {
             batch_fanout: r.histogram_with_buckets("adapt_machine_batch_fanout", FANOUT_BUCKETS),
             batch_workers: r.gauge("adapt_machine_batch_workers"),
             batch_replays: r.counter("adapt_machine_batch_replays_total"),
+            batch_forked_ops: r.counter("adapt_machine_batch_forked_ops_total"),
             normal_memo_hits: r.counter("adapt_machine_normal_memo_hits_total"),
             normal_memo_misses: r.counter("adapt_machine_normal_memo_misses_total"),
             retry_requests: r.counter("adapt_machine_retry_requests_total"),

@@ -89,6 +89,21 @@ impl<'m> MemoCursor<'m> {
         }
     }
 
+    /// Resumes a run of the memo's seed at stream position `pos`, with the
+    /// generator as a run left it there (see [`MemoCursor::checkpoint`]).
+    pub(crate) fn resume(rng: StdRng, pos: usize, memo: &'m mut Vec<f64>) -> Self {
+        MemoCursor {
+            pos,
+            ..MemoCursor::new(rng, memo)
+        }
+    }
+
+    /// The generator and its stream position, for a later run to resume
+    /// from.
+    pub(crate) fn checkpoint(&self) -> (StdRng, usize) {
+        (self.rng.clone(), self.pos)
+    }
+
     /// Normals served from the memo so far.
     pub fn hits(&self) -> u64 {
         self.hits

@@ -417,6 +417,14 @@ impl CompiledPlan {
     pub fn active_qubits(&self) -> usize {
         self.phys_of.len()
     }
+
+    /// Length of the op stream of the plan's engine.
+    pub(crate) fn op_count(&self) -> usize {
+        match self.engine {
+            SimEngine::Chp => self.cliff.len(),
+            SimEngine::StateVector => self.dense.len(),
+        }
+    }
 }
 
 /// One build's walk state beside the plan being filled, per compact
