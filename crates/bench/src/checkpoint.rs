@@ -25,23 +25,22 @@
 //! datapoint: on resume, trailing rows without a matching `done=` entry
 //! are discarded and recomputed.
 
+use device::hash::Fnv1aLegacy;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-/// FNV-1a hash of the configuration facets that must match for a
-/// checkpoint to be resumable (budgets, protocol, benchmark list, fault
-/// profile...). Order-sensitive by design.
+/// [Legacy](Fnv1aLegacy) FNV-1a hash of the configuration facets that
+/// must match for a checkpoint to be resumable (budgets, protocol,
+/// benchmark list, fault profile...). Order-sensitive by design.
 pub fn config_hash(parts: &[&str]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1aLegacy::new();
     for p in parts {
-        for b in p.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
+        h.mix(p.as_bytes());
         // Separate parts so ["ab","c"] != ["a","bc"].
-        h = (h ^ 0x1f).wrapping_mul(0x1000_0000_01b3);
+        h.mix(&[0x1f]);
     }
-    h
+    h.finish()
 }
 
 /// Why an existing checkpoint was ignored on a `--resume` request.

@@ -12,19 +12,23 @@
 //! The first pass's batch jobs must also fork: resume an earlier job's
 //! trajectory after their shared op prefix (`search.forked_ops`).
 //! A scoring step then runs one neighborhood's 16 masks serially and as
-//! one batch on the CHP path, each on a fresh machine so both simulate
-//! (bit-identity checked, normal-memo hit rate recorded), repeats the
-//! batch to check that it is replayed bit for bit, re-scores the same
-//! masks through a seeded decoy on the state-vector engine for the
-//! routing split, and writes `results/BENCH_search.json` (schema 2).
+//! one batch on the CHP path (bit-identity checked, normal-memo hit rate
+//! recorded), repeats a batch on its machine to check that it is
+//! replayed bit for bit, re-scores the same masks through a seeded decoy
+//! on the state-vector engine for the routing split, and writes
+//! `results/BENCH_search.json` (schema 2). Each scoring pass runs
+//! five times, each time on a fresh machine so that it simulates,
+//! and every repeat must agree bit for bit; the report gives the median,
+//! min and max time of each pass, and the throughputs follow the median.
 //!
 //! In full (non-`--quick`) mode the binary asserts the performance
 //! contract from the roadmap: batched CHP scoring sustains ≥ 10 masks/s
-//! on QFT-10, and at least one decoy execution actually routed to CHP.
+//! (median) on QFT-10, and at least one decoy execution actually routed
+//! to CHP.
 
 use crate::runner::ExperimentCfg;
 use adapt::decoy::{make_decoy, DecoyKind};
-use adapt::search::{localized_search, SearchContext};
+use adapt::search::{localized_search, MaskScore, SearchContext};
 use adapt::{DdConfig, DdMask, DdProtocol};
 use device::Device;
 use machine::{ExecutionConfig, Machine};
@@ -33,6 +37,74 @@ use transpiler::{transpile, TranspileOptions};
 
 /// Minimum batched CHP throughput (masks/s) asserted in full mode.
 const FULL_MODE_MASKS_PER_S_FLOOR: f64 = 10.0;
+/// Timed repeats of each scoring pass.
+const REPEATS: usize = 5;
+
+/// Median, min and max wall time of a pass's repeats, in ms.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut ms: Vec<f64>) -> Spread {
+        ms.sort_by(f64::total_cmp);
+        Spread {
+            median: ms[ms.len() / 2],
+            min: ms[0],
+            max: ms[ms.len() - 1],
+        }
+    }
+
+    /// `"<name>": median, "<name>_min": min, "<name>_max": max`.
+    fn json(&self, name: &str) -> String {
+        format!(
+            "\"{name}\": {:.1}, \"{name}_min\": {:.1}, \"{name}_max\": {:.1}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
+impl std::fmt::Display for Spread {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.0} ms [{:.0}-{:.0}]", self.median, self.min, self.max)
+    }
+}
+
+/// Runs `pass` once on each of `machines`, timing each run. Returns the
+/// outputs in machine order and the spread of their times.
+fn timed_on<'m, T>(
+    machines: &'m [Machine],
+    mut pass: impl FnMut(&'m Machine) -> T,
+) -> (Vec<T>, Spread) {
+    let mut ms = Vec::with_capacity(machines.len());
+    let out = machines
+        .iter()
+        .map(|machine| {
+            let t0 = Instant::now();
+            let out = pass(machine);
+            ms.push(t0.elapsed().as_secs_f64() * 1000.0);
+            out
+        })
+        .collect();
+    (out, Spread::of(ms))
+}
+
+/// Panics unless every repeat's scores equal `reference`'s bit for bit.
+fn assert_bit_identical(what: &str, reference: &[MaskScore], repeats: &[Vec<MaskScore>]) {
+    for scores in repeats {
+        for (r, s) in reference.iter().zip(scores) {
+            assert_eq!(r.mask, s.mask);
+            assert_eq!(
+                r.fidelity.to_bits(),
+                s.fidelity.to_bits(),
+                "{what} diverged on mask {}",
+                s.mask
+            );
+        }
+    }
+}
 
 /// The process-wide normal-memo `(hits, misses)` counters of the machine
 /// crate.
@@ -132,64 +204,57 @@ pub fn run(cfg: &ExperimentCfg) {
         "no batch job of the first search resumed another job's trajectory"
     );
 
-    // The scoring passes below each run on a fresh machine: on `machine`,
+    // The scoring passes below run on fresh machines: on `machine`,
     // every mask of the first neighbourhood would replay the searches'
     // runs, and the throughput would not measure simulation.
-    let serial_machine = Machine::new(dev.clone());
-    let batched_machine = Machine::new(dev.clone());
+    let fresh = || -> Vec<Machine> { (0..REPEATS).map(|_| Machine::new(dev.clone())).collect() };
+    let (serial_machines, batched_machines, dense_machines) = (fresh(), fresh(), fresh());
 
     // Mask-scoring throughput on the CHP path: one neighborhood's 16
     // masks, serial vs batched submission. The results must be
     // bit-identical however the thread budget is split.
     let masks: Vec<DdMask> = (0u64..16).map(|bits| DdMask::from_bits(bits, n)).collect();
-    let serial_ctx = ctx(&serial_machine, &cdc, 1);
-    let t0 = Instant::now();
-    let serial: Vec<_> = masks
-        .iter()
-        .map(|&m| serial_ctx.score(m).expect("serial score"))
-        .collect();
-    let serial_ms = t0.elapsed().as_secs_f64() * 1000.0;
+    println!("  scoring passes: median [min-max] of {REPEATS} runs, each on a fresh machine");
+    let (serial, serial_ms) = timed_on(&serial_machines, |m| {
+        let serial_ctx = ctx(m, &cdc, 1);
+        let scores = masks.iter().map(|&mask| serial_ctx.score(mask));
+        scores.collect::<Result<Vec<_>, _>>().expect("serial score")
+    });
+    assert_bit_identical("repeated serial scoring", &serial[0], &serial);
     let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     // The thread budget the batches request: at least four workers, so the
     // batched path is exercised (and reported) even on a one-core host.
     let batch_budget = host_threads.max(4);
-    let batched_ctx = ctx(&batched_machine, &cdc, batch_budget);
+    let score_batch = |ctx: &SearchContext<'_>| -> Vec<MaskScore> {
+        let scores = ctx.score_batch(&masks).into_iter();
+        scores.collect::<Result<_, _>>().expect("batched score")
+    };
     let memo_before = normal_memo_counts();
-    let t0 = Instant::now();
-    let batched: Vec<_> = batched_ctx
-        .score_batch(&masks)
-        .into_iter()
-        .map(|r| r.expect("batched score"))
-        .collect();
-    let batched_ms = t0.elapsed().as_secs_f64() * 1000.0;
+    let (batched, batched_ms) = timed_on(&batched_machines, |m| {
+        score_batch(&ctx(m, &cdc, batch_budget))
+    });
     let memo_after = normal_memo_counts();
-    for (s, b) in serial.iter().zip(&batched) {
-        assert_eq!(s.mask, b.mask);
-        assert_eq!(
-            s.fidelity.to_bits(),
-            b.fidelity.to_bits(),
-            "batched scoring diverged from serial on mask {}",
-            s.mask
-        );
-    }
-    // The batch's worker count, read back from the engine counters rather
-    // than assumed from the host — this is what the report records.
-    let batch_workers = batched_machine.engine_stats().last_batch_workers;
-    assert_eq!(
-        batched_machine.engine_stats().batch_replays,
-        0,
+    assert_bit_identical("batched scoring", &serial[0], &batched);
+    assert!(
+        batched_machines
+            .iter()
+            .all(|m| m.engine_stats().batch_replays == 0),
         "the batched pass on a fresh machine must simulate every mask"
     );
+    // The batch's worker count, read back from the engine counters rather
+    // than assumed from the host — this is what the report records.
+    let batched_machine = &batched_machines[0];
+    let batch_workers = batched_machine.engine_stats().last_batch_workers;
     // The 16 masks share trajectory seeds, so the batch serves normals
     // from the per-seed memo; the check below only asks that it does.
     let (hits, misses) = (memo_after.0 - memo_before.0, memo_after.1 - memo_before.1);
     let memo_hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-    let per_s = |ms: f64| masks.len() as f64 / (ms / 1000.0).max(1e-9);
-    let chp_serial_per_s = per_s(serial_ms);
-    let chp_batched_per_s = per_s(batched_ms);
+    let per_s = |spread: &Spread| masks.len() as f64 / (spread.median / 1000.0).max(1e-9);
+    let chp_serial_per_s = per_s(&serial_ms);
+    let chp_batched_per_s = per_s(&batched_ms);
     println!(
-        "  chp scoring: serial {serial_ms:.0} ms ({chp_serial_per_s:.1} masks/s), \
-         batched {batched_ms:.0} ms ({chp_batched_per_s:.1} masks/s, \
+        "  chp scoring: serial {serial_ms} ({chp_serial_per_s:.1} masks/s), \
+         batched {batched_ms} ({chp_batched_per_s:.1} masks/s, \
          {batch_workers} workers), bit-identical; normal memo hit rate {memo_hit_rate:.3} \
          ({hits} hits / {misses} misses)"
     );
@@ -198,24 +263,13 @@ pub fn run(cfg: &ExperimentCfg) {
         "the batched CHP pass served no normal from the per-seed memo"
     );
 
-    // The same batch again on its machine: every job repeats a run the
-    // machine has made, so it is replayed, bit for bit.
+    // The same batch again on a machine that ran it: every job repeats a
+    // run the machine has made, so it is replayed, bit for bit.
     let t0 = Instant::now();
-    let repeated: Vec<_> = batched_ctx
-        .score_batch(&masks)
-        .into_iter()
-        .map(|r| r.expect("repeated score"))
-        .collect();
+    let repeated = score_batch(&ctx(batched_machine, &cdc, batch_budget));
     let repeat_ms = t0.elapsed().as_secs_f64() * 1000.0;
     let repeat_replays = batched_machine.engine_stats().batch_replays;
-    for (b, r) in batched.iter().zip(&repeated) {
-        assert_eq!(
-            b.fidelity.to_bits(),
-            r.fidelity.to_bits(),
-            "replayed scoring diverged on mask {}",
-            b.mask
-        );
-    }
+    assert_bit_identical("replayed scoring", &serial[0], &[repeated]);
     assert_eq!(
         repeat_replays,
         masks.len() as u64,
@@ -229,29 +283,28 @@ pub fn run(cfg: &ExperimentCfg) {
 
     // The same masks through the seeded decoy: non-Clifford phases force
     // the state-vector engine, giving the CHP-vs-dense routing split.
-    let dense_ctx = ctx(&machine, &sdc, batch_budget);
-    let t0 = Instant::now();
-    let dense: Vec<_> = dense_ctx
-        .score_batch(&masks)
-        .into_iter()
-        .map(|r| r.expect("dense score"))
-        .collect();
-    let dense_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    assert_eq!(dense.len(), masks.len());
-    let dense_per_s = per_s(dense_ms);
-    let engines = machine.engine_stats();
+    let (dense, dense_ms) = timed_on(&dense_machines, |m| {
+        score_batch(&ctx(m, &sdc, batch_budget))
+    });
+    assert_bit_identical("repeated dense scoring", &dense[0], &dense);
+    let dense_per_s = per_s(&dense_ms);
+    // The split over the two searches and one dense pass.
+    let (searched, densed) = (machine.engine_stats(), dense_machines[0].engine_stats());
+    let (chp_executions, statevec_executions) = (
+        searched.chp_executions + densed.chp_executions,
+        searched.statevec_executions + densed.statevec_executions,
+    );
     println!(
-        "  statevector scoring: batched {dense_ms:.0} ms ({dense_per_s:.1} masks/s); \
-         engine split: {} chp / {} statevector executions",
-        engines.chp_executions, engines.statevec_executions
+        "  statevector scoring: batched {dense_ms} ({dense_per_s:.1} masks/s); \
+         engine split: {chp_executions} chp / {statevec_executions} statevector executions"
     );
     assert!(
-        engines.chp_executions > 0,
-        "no decoy execution routed to CHP: {engines:?}"
+        chp_executions > 0,
+        "no decoy execution routed to CHP: {searched:?} {densed:?}"
     );
     assert!(
-        engines.statevec_executions > 0,
-        "seeded decoy never reached the state-vector engine: {engines:?}"
+        statevec_executions > 0,
+        "seeded decoy never reached the state-vector engine: {densed:?}"
     );
     if !cfg.quick {
         assert!(
@@ -273,21 +326,24 @@ pub fn run(cfg: &ExperimentCfg) {
          \"second_ms\": {second_ms:.1}, \"decoy_runs\": {}, \"replays\": {search_replays}, \
          \"forked_ops\": {forked_ops}, \
          \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4} }} }},\n  \
-         \"mask_scoring\": {{ \"masks\": {}, \"chp\": {{ \"serial_ms\": {serial_ms:.1}, \
-         \"batched_ms\": {batched_ms:.1}, \"serial_masks_per_s\": {chp_serial_per_s:.2}, \
+         \"mask_scoring\": {{ \"masks\": {}, \"repeats\": {REPEATS}, \"chp\": {{ {}, \
+         {}, \"serial_masks_per_s\": {chp_serial_per_s:.2}, \
          \"batched_masks_per_s\": {chp_batched_per_s:.2}, \"bit_identical\": true, \
          \"normal_memo_hit_rate\": {memo_hit_rate:.4}, \"repeat_replays\": {repeat_replays} }}, \
-         \"statevector\": {{ \"batched_ms\": {dense_ms:.1}, \
+         \"statevector\": {{ {}, \
          \"batched_masks_per_s\": {dense_per_s:.2} }} }}\n}}\n",
         dev.name(),
-        engines.chp_executions,
-        engines.statevec_executions,
+        chp_executions,
+        statevec_executions,
         first.decoy_runs(),
         stats.hits,
         stats.misses,
         stats.evictions,
         stats.hit_rate(),
         masks.len(),
+        serial_ms.json("serial_ms"),
+        batched_ms.json("batched_ms"),
+        dense_ms.json("batched_ms"),
     );
     let path = out_dir.join("BENCH_search.json");
     std::fs::write(&path, json).expect("write BENCH_search.json");

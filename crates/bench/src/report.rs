@@ -1,5 +1,6 @@
 //! Result emission: terminal tables and CSV files under `results/`.
 
+use device::hash::Fnv1aLegacy;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -149,19 +150,18 @@ pub fn text_histogram(values: &[f64], lo: f64, hi: f64, bins: usize) -> String {
 }
 
 /// The `replay_digest` a seeded harness writes to its `BENCH_*.json`:
-/// the 64-bit FNV-1a hash of the digest lines its determinism replay
-/// compares, each terminated by a newline, as 16 hex digits. CI pins the
-/// quick-mode values in `results/replay_digests.json`, so a change that
-/// alters any answer fails the smoke job rather than only the two-run
-/// comparison.
+/// the 64-bit [legacy](Fnv1aLegacy) FNV-1a hash of the digest lines
+/// its determinism replay compares, each terminated by a newline, as 16
+/// hex digits. CI pins the quick-mode values in
+/// `results/replay_digests.json`, so a change that alters any answer
+/// fails the smoke job rather than only the two-run comparison.
 pub fn replay_digest<'a>(lines: impl IntoIterator<Item = &'a String>) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1aLegacy::new();
     for line in lines {
-        for &b in line.as_bytes().iter().chain(b"\n") {
-            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
+        h.mix(line.as_bytes());
+        h.mix(b"\n");
     }
-    format!("{h:016x}")
+    format!("{:016x}", h.finish())
 }
 
 #[cfg(test)]

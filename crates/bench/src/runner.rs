@@ -5,6 +5,7 @@
 use adapt::search::SearchContext;
 use adapt::{Adapt, AdaptConfig, DdMask, DdProtocol, Policy};
 use benchmarks::BenchmarkSpec;
+use device::hash::Fnv1aLegacy;
 use device::{Device, SeedSpawner};
 use machine::{
     ExecutionConfig, FaultProfile, FaultStats, FaultyBackend, Machine, ResilientExecutor,
@@ -233,10 +234,7 @@ pub fn make_adapt(
     let faulty = FaultyBackend::new(machine, cfg.fault_profile, seed);
     // Experiments are long: give the retry loop a little extra headroom
     // over the library default so a whole-suite run rarely exhausts.
-    let policy = RetryPolicy {
-        max_attempts: 6,
-        ..RetryPolicy::default()
-    };
+    let policy = RetryPolicy { max_attempts: 6 };
     let exec = Arc::new(ResilientExecutor::with_policy(Arc::new(faulty), policy));
     (Adapt::with_backend(exec.clone()), Some(exec))
 }
@@ -277,7 +275,7 @@ pub fn policy_sweep(
     cfg: &ExperimentCfg,
     with_oracle: bool,
 ) -> BenchResult {
-    let spawner = SeedSpawner::new(cfg.seed ^ hash_name(bench.name));
+    let spawner = SeedSpawner::new(cfg.seed ^ Fnv1aLegacy::hash(bench.name.as_bytes()));
     let (adapt, resilient) = make_adapt(device, cfg, spawner.derive(11));
     let acfg = cfg.adapt_cfg(protocol, spawner.derive(7));
 
@@ -395,12 +393,6 @@ pub fn real_fidelities(
     fidelities(&ctx, masks)
 }
 
-fn hash_name(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,11 +409,6 @@ mod tests {
         assert!(r.adapt_rel > 0.0);
         assert!(r.adapt_search_runs <= 4 * 5 + 3);
         assert_eq!(r.adapt_mask.len(), 5);
-    }
-
-    #[test]
-    fn hash_name_distinguishes() {
-        assert_ne!(hash_name("BV-7"), hash_name("BV-8"));
     }
 
     fn parse(args: &[&str]) -> Result<ExperimentCfg, String> {

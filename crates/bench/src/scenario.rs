@@ -545,12 +545,19 @@ pub fn latency_ms(samples_us: &[u64]) -> Json {
     ])
 }
 
-/// One point of the 1→N-shard throughput curve. `BENCH_service.json`'s
-/// single-instance baseline and `BENCH_fleet.json`'s scaling entries
-/// share it, so the two files compose into one curve.
-pub fn load_point(shards: usize, latencies_us: &[u64], throughput_rps: f64) -> Json {
+/// One point of the throughput curve over shards and workers per
+/// shard. `BENCH_service.json`'s single-instance baseline and
+/// `BENCH_fleet.json`'s scaling entries share it, so the two files
+/// compose into one curve.
+pub fn load_point(
+    shards: usize,
+    workers: usize,
+    latencies_us: &[u64],
+    throughput_rps: f64,
+) -> Json {
     Json::obj([
         ("shards", shards.into()),
+        ("workers", workers.into()),
         ("requests", latencies_us.len().into()),
         ("throughput_rps", Json::Num(throughput_rps, 2)),
         ("latency_ms", latency_ms(latencies_us)),

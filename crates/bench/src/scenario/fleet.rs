@@ -1,30 +1,30 @@
 //! **Fleet chaos** — runs the `adapt-fleet` shard fabric end to end:
-//! real sockets, whole-shard kills and restarts, and a 1→2→4-shard
-//! scaling curve.
+//! real sockets, whole-shard kills and restarts, and a CPU-bound
+//! scaling curve over shards and workers.
 //!
 //! Three phases, all over loopback TCP:
 //!
-//! 1. **Scaling.** For each shard count (1 and 2 in `--quick`, plus 4 in
-//!    full mode) a fresh fleet is started and a fixed number of
-//!    closed-loop client threads drive distinct-key `RecommendMask`
-//!    requests through the [`FleetRouter`]. Every shard runs the same
-//!    seed under a flaky fault profile with *real* (slept) retry
-//!    backoff, so request latency is wait-dominated and shards overlap
-//!    their sleeps — the regime where adding shards buys throughput
-//!    even on a single-core host. Keys are chosen owner-balanced per
-//!    ring so the curve measures shard parallelism, not hash luck. Full
-//!    mode asserts 4-shard aggregate throughput ≥ 2.5× the 1-shard
-//!    baseline.
-//! 2. **Chaos.** A two-shard fleet serves a warmed key pool
-//!    sequentially; one shard is killed mid-run (`ShardServer::stop`
-//!    shuts its sockets down abruptly, like a crash). Invariants:
-//!    every orphaned key is served by exactly the shard
-//!    `owner_among(key, live)` predicts (deterministic rerouting), the
-//!    failover answers are semantically identical to the dead shard's
-//!    (fleet determinism: same seed → same mask), and the healthy
-//!    shard's p99 over its own keys stays within 2× its steady-state
-//!    p99 (+5 ms scheduler epsilon). The shard is then restarted under
-//!    its old identity — ownership must return, again bit-identically.
+//! 1. **Scaling.** Each point starts a fresh fleet with faults off and
+//!    drives the same number of distinct-key `RecommendMask` requests
+//!    through the [`FleetRouter`] from a fixed pool of closed-loop
+//!    client threads. Every request is a fresh search and nothing
+//!    sleeps, so a point measures CPU-bound search and serving. Two
+//!    axes: shards at one worker each (1 and 2 in `--quick`, plus 4 in
+//!    full mode), and workers on one shard (1 and 2). Keys are chosen
+//!    owner-balanced per ring, so the shard axis measures shard
+//!    parallelism, not hash luck. Full mode asserts that 2 shards serve
+//!    at least 1.1× the 1-shard throughput.
+//! 2. **Chaos.** A two-shard fleet whose backends fail at random serves
+//!    a warmed key pool sequentially; one shard is killed mid-run
+//!    (`ShardServer::stop` shuts its sockets down abruptly, like a
+//!    crash). Invariants: every orphaned key is served by exactly the
+//!    shard `owner_among(key, live)` predicts (deterministic
+//!    rerouting), the failover answers are semantically identical to
+//!    the dead shard's (fleet determinism: same seed → same mask), and
+//!    the healthy shard's p99 over its own keys stays within 2× its
+//!    steady-state p99 (+5 ms scheduler epsilon). The shard is then
+//!    restarted under its old identity — ownership must return, again
+//!    bit-identically.
 //! 3. **Replay.** The chaos phase runs [`twice`] from
 //!    scratch; the per-shard response logs (provenance, mask, fidelity
 //!    bits — everything except wall-clock timing) must match line for
@@ -34,8 +34,7 @@
 //! `results/BENCH_fleet.json`; the scaling entries are
 //! [`load_point`]s, like the single-instance
 //! `fleet_baseline` of `BENCH_service.json`, so the two files compose
-//! into one curve. The curve measures overlapped *slept* backoff, not
-//! CPU-bound serving.
+//! into one curve.
 
 use super::{
     ghz_xz, latency_ms, load_point, response_line, semantic, small_budget, twice, write_report,
@@ -45,25 +44,29 @@ use crate::runner::ExperimentCfg;
 use adapt::DdProtocol;
 use adapt_fleet::ring::route_key;
 use adapt_fleet::{FleetMap, FleetRouter, Ring, RouterConfig, ShardConfig, ShardId, ShardServer};
-use adapt_service::{logical_hash, DeviceId, Request, ServiceConfig};
-use machine::{FaultProfile, RetryPolicy};
+use adapt_service::{logical_hash, DeviceId, Request, SearchBudget, ServiceConfig};
+use machine::FaultProfile;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// Qubits in the workload circuits (Clifford, so the CHP fast path
-/// serves them and CPU stays far below the slept retry backoff).
+/// serves them).
 const QUBITS: u32 = 6;
-/// Closed-loop client threads during the scaling phase.
+/// Closed-loop client threads during the scaling phase: enough to keep
+/// every worker of the largest fleet busy.
 const CLIENTS: usize = 8;
+/// Full-mode floor on 2-shard over 1-shard throughput (see
+/// EXPERIMENTS.md, "Fleet chaos", for the runs it was set from).
+const MIN_SHARD_SPEEDUP: f64 = 1.1;
 
-fn request(tag: usize) -> Request {
+fn request(tag: usize, budget: SearchBudget) -> Request {
     Request::RecommendMask {
         circuit: ghz_xz(QUBITS, tag),
         device: DeviceId::Guadalupe,
         protocol: DdProtocol::Cpmg,
-        budget: small_budget(),
+        budget,
         deadline_ms: None,
         tenancy: Default::default(),
     }
@@ -74,11 +77,10 @@ fn ring_key(tag: usize) -> u64 {
     route_key(DeviceId::Guadalupe, logical_hash(&ghz_xz(QUBITS, tag)))
 }
 
-/// Every backend job flips a coin on failing or timing out, and the
-/// retry executor *sleeps* its backoff: latency becomes wait-dominated,
-/// which is what makes shard count — not core count — the throughput
-/// lever this harness measures.
-fn service_config(cfg: &ExperimentCfg) -> ServiceConfig {
+/// The chaos phase's shards: every backend job flips a coin on failing
+/// or timing out, so retries, virtual backoff and the degradation
+/// ladder all run while shards die and come back.
+fn chaos_config(cfg: &ExperimentCfg) -> ServiceConfig {
     ServiceConfig {
         devices: vec![DeviceId::Guadalupe],
         workers: 1,
@@ -90,13 +92,19 @@ fn service_config(cfg: &ExperimentCfg) -> ServiceConfig {
             timeout: 0.10,
             ..FaultProfile::none()
         },
-        retry: RetryPolicy {
-            sleep: true,
-            ..RetryPolicy::default()
-        },
         default_budget: small_budget(),
         virtual_time: true,
         ..ServiceConfig::default()
+    }
+}
+
+/// The scaling phase's shards: faults off and `workers` workers each,
+/// so throughput is bounded by CPU, not by retries.
+fn scaling_config(cfg: &ExperimentCfg, workers: usize) -> ServiceConfig {
+    ServiceConfig {
+        workers,
+        fault_profile: FaultProfile::none(),
+        ..chaos_config(cfg)
     }
 }
 
@@ -104,7 +112,7 @@ fn shard_ids(n: usize) -> Vec<ShardId> {
     (0..n as u32).map(|i| ShardId(i * 7 + 1)).collect()
 }
 
-fn start_fleet(cfg: &ExperimentCfg, n: usize) -> (Vec<ShardServer>, Ring, FleetMap) {
+fn start_fleet(n: usize, service: &ServiceConfig) -> (Vec<ShardServer>, Ring, FleetMap) {
     let ring = Ring::new(shard_ids(n));
     let map = FleetMap::new();
     let shards = shard_ids(n)
@@ -112,7 +120,7 @@ fn start_fleet(cfg: &ExperimentCfg, n: usize) -> (Vec<ShardServer>, Ring, FleetM
         .map(|shard| {
             ShardServer::start(ShardConfig {
                 shard,
-                service: service_config(cfg),
+                service: service.clone(),
                 max_frame_bytes: 1 << 20,
                 fleet: Some((ring.clone(), map.clone())),
             })
@@ -148,25 +156,33 @@ fn balanced_tags(ring: &Ring, per_shard: usize, salt: usize) -> Vec<usize> {
     tags
 }
 
-/// One point of the scaling curve: its throughput and its
-/// [`load_point`] report.
-fn scaling_point(cfg: &ExperimentCfg, n: usize, per_shard_keys: usize) -> (f64, Json) {
-    let (shards, ring, _map) = start_fleet(cfg, n);
-    let endpoints: Vec<_> = shards.iter().map(|s| (s.shard(), s.addr())).collect();
+/// One point of the scaling curve: `requests` fresh searches over
+/// `shards` shards of `workers` workers each. Returns its throughput and
+/// its [`load_point`] report.
+fn scaling_point(
+    cfg: &ExperimentCfg,
+    shards: usize,
+    workers: usize,
+    requests: usize,
+) -> (f64, Json) {
+    let (servers, ring, _map) = start_fleet(shards, &scaling_config(cfg, workers));
+    let endpoints: Vec<_> = servers.iter().map(|s| (s.shard(), s.addr())).collect();
     let router = FleetRouter::new(RouterConfig::default(), &endpoints);
-    let tags = balanced_tags(&ring, per_shard_keys, 0);
-    let requests = tags.len();
+    let tags = balanced_tags(&ring, requests / shards, 0);
 
     // Closed-loop clients pull the next tag until none are left.
     let next = AtomicUsize::new(0);
-    let latencies = Mutex::new(Vec::with_capacity(requests));
+    let latencies = Mutex::new(Vec::with_capacity(tags.len()));
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..CLIENTS {
             scope.spawn(|| {
                 while let Some(&tag) = tags.get(next.fetch_add(1, Ordering::Relaxed)) {
                     let sent = Instant::now();
-                    router.call(request(tag)).expect("scaling call succeeds");
+                    // The default budget (256 shots x 8 trajectories), so
+                    // the search outweighs the trip through wire and router.
+                    let req = request(tag, SearchBudget::default());
+                    router.call(req).expect("scaling call succeeds");
                     let us = sent.elapsed().as_micros() as u64;
                     latencies.lock().unwrap().push(us);
                 }
@@ -175,12 +191,20 @@ fn scaling_point(cfg: &ExperimentCfg, n: usize, per_shard_keys: usize) -> (f64, 
     });
     let elapsed = t0.elapsed().as_secs_f64();
     let latencies_us = latencies.into_inner().unwrap();
-    for shard in shards {
-        let report = shard.stop();
+    for server in servers {
+        let report = server.stop();
         assert_eq!(report.stats.worker_panics, 0, "{} panicked", report.shard);
     }
-    let throughput_rps = requests as f64 / elapsed.max(1e-9);
-    (throughput_rps, load_point(n, &latencies_us, throughput_rps))
+    let throughput_rps = tags.len() as f64 / elapsed.max(1e-9);
+    println!(
+        "    {shards} shard(s) x {workers} worker(s): {} requests in {:.0} ms, {throughput_rps:.1} req/s",
+        tags.len(),
+        elapsed * 1000.0
+    );
+    (
+        throughput_rps,
+        load_point(shards, workers, &latencies_us, throughput_rps),
+    )
 }
 
 /// One full chaos pass (steady → kill → restart); run twice for the
@@ -210,7 +234,7 @@ impl Replay for ChaosReport {
 }
 
 fn run_chaos(cfg: &ExperimentCfg, rounds: usize) -> ChaosReport {
-    let (mut shards, ring, map) = start_fleet(cfg, 2);
+    let (mut shards, ring, map) = start_fleet(2, &chaos_config(cfg));
     let endpoints: Vec<_> = shards.iter().map(|s| (s.shard(), s.addr())).collect();
     let router = FleetRouter::new(
         RouterConfig {
@@ -235,7 +259,9 @@ fn run_chaos(cfg: &ExperimentCfg, rounds: usize) -> ChaosReport {
     for _ in 0..rounds {
         for &tag in &tags {
             let sent = Instant::now();
-            let routed = router.call(request(tag)).expect("steady call");
+            let routed = router
+                .call(request(tag, small_budget()))
+                .expect("steady call");
             let us = sent.elapsed().as_micros() as u64;
             report.steady_us.push(us);
             assert!(!routed.rerouted, "no reroutes before the kill");
@@ -256,7 +282,9 @@ fn run_chaos(cfg: &ExperimentCfg, rounds: usize) -> ChaosReport {
         for &tag in &tags {
             let owner = ring.owner(ring_key(tag)).unwrap();
             let sent = Instant::now();
-            let routed = router.call(request(tag)).expect("kill-phase call");
+            let routed = router
+                .call(request(tag, small_budget()))
+                .expect("kill-phase call");
             let us = sent.elapsed().as_micros() as u64;
             if owner == victim {
                 // Deterministic failover: exactly the shard a ring
@@ -289,7 +317,7 @@ fn run_chaos(cfg: &ExperimentCfg, rounds: usize) -> ChaosReport {
     // cache) on a fresh port. Ownership must return at once.
     let reborn = ShardServer::start(ShardConfig {
         shard: victim,
-        service: service_config(cfg),
+        service: chaos_config(cfg),
         max_frame_bytes: 1 << 20,
         fleet: Some((ring.clone(), map.clone())),
     })
@@ -299,7 +327,9 @@ fn run_chaos(cfg: &ExperimentCfg, rounds: usize) -> ChaosReport {
     for _ in 0..rounds.div_ceil(2) {
         for &tag in &tags {
             let owner = ring.owner(ring_key(tag)).unwrap();
-            let routed = router.call(request(tag)).expect("post-restart call");
+            let routed = router
+                .call(request(tag, small_budget()))
+                .expect("post-restart call");
             assert_eq!(routed.shard, owner, "ownership must return after restart");
             assert!(!routed.rerouted);
             let line = response_line(tag, &routed.response);
@@ -343,28 +373,33 @@ fn run_chaos(cfg: &ExperimentCfg, rounds: usize) -> ChaosReport {
 ///
 /// Panics on any violated invariant: a worker
 /// panic, a non-deterministic reroute, a failover or replay divergence,
-/// a degraded healthy-shard p99, or — in full mode — a 4-shard scaling
-/// factor below 2.5×.
+/// a degraded healthy-shard p99, or — in full mode — 2-shard throughput
+/// below 1.1× the 1-shard point's.
 pub fn run(cfg: &ExperimentCfg) {
     println!("\n== Fleet chaos: sharded wire service under kill/restart ==");
 
-    println!("  scaling curve (owner-balanced keys, slept retries):");
+    println!("  scaling curve (faults off, owner-balanced fresh searches):");
+    // The same requests at every point (divisible by every shard count),
+    // so throughputs compare; each point runs for a measurable time.
+    let requests = if cfg.quick { 256 } else { 768 };
     let shard_counts: &[usize] = if cfg.quick { &[1, 2] } else { &[1, 2, 4] };
-    let per_shard_keys = if cfg.quick { 12 } else { 14 };
-    let (throughputs, points): (Vec<f64>, Vec<Json>) = shard_counts
-        .iter()
-        // Equal aggregate request count per point, so throughput is
-        // comparable: total = per_shard_keys * max_shards for every n.
-        .map(|&n| {
-            let keys = per_shard_keys * shard_counts.last().unwrap() / n;
-            scaling_point(cfg, n, keys)
-        })
-        .collect();
-    let speedup = throughputs.last().unwrap() / throughputs[0].max(1e-9);
+    let mut throughput = BTreeMap::new();
+    let mut points = Vec::new();
+    let axes = shard_counts.iter().map(|&n| (n, 1)).chain([(1, 2)]);
+    for (shards, workers) in axes {
+        let (rps, point) = scaling_point(cfg, shards, workers, requests);
+        throughput.insert((shards, workers), rps);
+        points.push(point);
+    }
+    let speedup = |key| throughput[&key] / throughput[&(1, 1)].max(1e-9);
+    let (shard_speedup, worker_speedup) = (speedup((2, 1)), speedup((1, 2)));
+    println!(
+        "    speedup vs 1x1: {shard_speedup:.2}x at 2 shards, {worker_speedup:.2}x at 2 workers"
+    );
     if !cfg.quick {
         assert!(
-            speedup >= 2.5,
-            "4-shard throughput must reach 2.5x the 1-shard baseline, got {speedup:.2}x"
+            shard_speedup >= MIN_SHARD_SPEEDUP,
+            "2-shard throughput must reach {MIN_SHARD_SPEEDUP}x the 1-shard point, got {shard_speedup:.2}x"
         );
     }
 
@@ -376,7 +411,8 @@ pub fn run(cfg: &ExperimentCfg) {
         "BENCH_fleet.json",
         vec![
             ("scaling", Json::Arr(points)),
-            ("scaling_speedup_vs_1", Json::Num(speedup, 2)),
+            ("shard_speedup_vs_1", Json::Num(shard_speedup, 2)),
+            ("worker_speedup_vs_1", Json::Num(worker_speedup, 2)),
             (
                 "chaos",
                 Json::obj([

@@ -245,7 +245,10 @@ pub fn run(cfg: &ExperimentCfg) {
             ),
             ("throughput_rps", Json::Num(throughput, 2)),
             ("latency_ms", latency_ms(&latencies_us)),
-            ("fleet_baseline", load_point(1, &latencies_us, throughput)),
+            (
+                "fleet_baseline",
+                load_point(1, 4, &latencies_us, throughput),
+            ),
             ("time_to_first_usable_ms", Json::Num(ttfur_ms, 2)),
             // Cold-miss storm: requests that piled up behind another
             // caller's in-flight search for the same key (single-flight

@@ -32,7 +32,6 @@
 pub mod circuit;
 pub mod clifford;
 pub mod counts;
-pub mod draw;
 pub mod gate;
 pub mod math;
 pub mod qasm;

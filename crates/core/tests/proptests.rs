@@ -151,10 +151,7 @@ fn dd_insertion_invariants_over_mask_grid() {
 fn faulty_search(profile: FaultProfile, fault_seed: u64) -> (usize, adapt::SearchResult) {
     let machine = Machine::new(Device::ibmq_rome(23));
     let faulty = FaultyBackend::new(machine, profile, fault_seed);
-    let policy = RetryPolicy {
-        max_attempts: 6,
-        ..RetryPolicy::default()
-    };
+    let policy = RetryPolicy { max_attempts: 6 };
     let adapt = Adapt::with_backend(Arc::new(ResilientExecutor::with_policy(
         Arc::new(faulty),
         policy,
@@ -234,10 +231,7 @@ fn searched(
         None => Adapt::new(machine),
         Some(p) => {
             let faulty = FaultyBackend::new(machine, p, fault_seed);
-            let policy = RetryPolicy {
-                max_attempts: 6,
-                ..RetryPolicy::default()
-            };
+            let policy = RetryPolicy { max_attempts: 6 };
             Adapt::with_backend(Arc::new(ResilientExecutor::with_policy(
                 Arc::new(faulty),
                 policy,

@@ -29,6 +29,7 @@
 pub mod calibration;
 #[allow(clippy::module_inception)]
 pub mod device;
+pub mod hash;
 pub mod seeds;
 pub mod topology;
 

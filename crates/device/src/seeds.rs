@@ -6,6 +6,7 @@
 //! [`SeedSpawner`] splits one master seed into an arbitrary stream of
 //! independent child seeds using the SplitMix64 generator.
 
+use crate::hash::splitmix64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,11 +34,7 @@ impl SeedSpawner {
 
     /// The next child seed (SplitMix64 step).
     pub fn next_seed(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     /// A fresh RNG seeded from the next child seed.

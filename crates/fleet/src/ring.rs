@@ -21,6 +21,7 @@
 //! to what a ring built without the dead shard would compute.
 
 use adapt_service::DeviceId;
+use device::hash::{splitmix64_of, Fnv1a};
 
 /// A shard's identity in the fleet. Stable across restarts: a shard
 /// that dies and comes back keeps its id (and thus its key ownership).
@@ -33,15 +34,6 @@ impl std::fmt::Display for ShardId {
     }
 }
 
-/// splitmix64 finalizer: the standard 64-bit avalanche mix.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The 64-bit route key for a request: the target device mixed with the
 /// structural (`adapt_service::logical_hash`) hash of the circuit.
 /// Epoch is deliberately *not* part of the key — a device's keys stay
@@ -50,18 +42,13 @@ fn splitmix64(mut x: u64) -> u64 {
 pub fn route_key(device: DeviceId, logical_hash: u64) -> u64 {
     // FNV-1a over the stable device name, then avalanche together with
     // the circuit hash.
-    let dev = device
-        .name()
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-    splitmix64(dev ^ splitmix64(logical_hash))
+    let dev = Fnv1a::hash(device.name().as_bytes());
+    splitmix64_of(dev ^ splitmix64_of(logical_hash))
 }
 
 /// The pseudo-random weight of `(key, shard)` — the rendezvous score.
 fn weight(key: u64, shard: ShardId) -> u64 {
-    splitmix64(key ^ splitmix64(0x5bd1_e995 ^ u64::from(shard.0)))
+    splitmix64_of(key ^ splitmix64_of(0x5bd1_e995 ^ u64::from(shard.0)))
 }
 
 /// A rendezvous-hash ring: the set of shards a fleet routes across.

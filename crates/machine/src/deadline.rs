@@ -12,8 +12,8 @@
 //!
 //! Two clocks feed a deadline. *Charged* (virtual) time is added
 //! explicitly via [`Deadline::charge_ms`] — the resilient executor
-//! charges every backoff delay whether or not it actually sleeps. *Wall*
-//! time is the real elapsed time since the deadline was created.
+//! charges every backoff delay, which it never sleeps. *Wall* time is
+//! the real elapsed time since the deadline was created.
 //! [`Deadline::within_ms`] counts both; [`Deadline::virtual_only`]
 //! counts only charged time, making expiry a pure function of the seeded
 //! execution schedule — the determinism mode used by tests and the chaos
@@ -128,8 +128,8 @@ impl Deadline {
         self.0.budget_ms
     }
 
-    /// Adds `ms` of virtual time (e.g. a backoff delay that was charged
-    /// rather than slept). Negative or non-finite charges are ignored.
+    /// Adds `ms` of virtual time (e.g. a retry backoff delay). Negative
+    /// or non-finite charges are ignored.
     /// Charges are quantized to whole microseconds.
     pub fn charge_ms(&self, ms: f64) {
         if ms.is_finite() && ms > 0.0 {

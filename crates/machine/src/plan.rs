@@ -926,25 +926,13 @@ impl PlanCache {
     }
 
     /// Returns the plan for `timed` under the given noise toggles and
-    /// routing policy, compiling (and caching) on a miss.
+    /// routing policy, compiling (and caching) on a miss, with the
+    /// plan's [`routing_key`], which names its replay slot.
     ///
     /// # Errors
     ///
     /// Propagates [`CompiledPlan::build`] failures; errors are not
     /// cached.
-    pub fn get_or_build(
-        &self,
-        timed: &TimedCircuit,
-        device: &Device,
-        toggles: &NoiseToggles,
-        policy: EnginePolicy,
-    ) -> Result<Arc<CompiledPlan>, ExecError> {
-        self.lookup(timed, device, toggles, policy)
-            .map(|(_, plan)| plan)
-    }
-
-    /// [`PlanCache::get_or_build`], also returning the plan's
-    /// [`routing_key`], which names its replay slot.
     pub(crate) fn lookup(
         &self,
         timed: &TimedCircuit,
@@ -1360,11 +1348,13 @@ mod tests {
             ..NoiseToggles::default()
         };
         let a = cache
-            .get_or_build(&timed, &dev, &NoiseToggles::default(), EnginePolicy::Auto)
-            .unwrap();
+            .lookup(&timed, &dev, &NoiseToggles::default(), EnginePolicy::Auto)
+            .unwrap()
+            .1;
         let b = cache
-            .get_or_build(&timed, &dev, &twirl_off, EnginePolicy::Auto)
-            .unwrap();
+            .lookup(&timed, &dev, &twirl_off, EnginePolicy::Auto)
+            .unwrap()
+            .1;
         assert_eq!(a.engine, SimEngine::Chp);
         assert_eq!(b.engine, SimEngine::StateVector);
         let stats = cache.stats();
@@ -1384,7 +1374,7 @@ mod tests {
         let cache = PlanCache::new(4);
         for _ in 0..2 {
             let err = cache
-                .get_or_build(&timed, &dev, &NoiseToggles::default(), EnginePolicy::Auto)
+                .lookup(&timed, &dev, &NoiseToggles::default(), EnginePolicy::Auto)
                 .unwrap_err();
             assert!(matches!(err, ExecError::TooManyActiveQubits { .. }));
         }
@@ -1402,11 +1392,13 @@ mod tests {
         let cache = PlanCache::default();
         let t = NoiseToggles::default();
         let a = cache
-            .get_or_build(&timed, &dev, &t, EnginePolicy::Auto)
-            .unwrap();
+            .lookup(&timed, &dev, &t, EnginePolicy::Auto)
+            .unwrap()
+            .1;
         let b = cache
-            .get_or_build(&timed.clone(), &dev, &t, EnginePolicy::Auto)
-            .unwrap();
+            .lookup(&timed.clone(), &dev, &t, EnginePolicy::Auto)
+            .unwrap()
+            .1;
         assert!(Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -1429,16 +1421,16 @@ mod tests {
         let cache = PlanCache::new(2);
         let t = NoiseToggles::default();
         let p = EnginePolicy::Auto;
-        cache.get_or_build(&circuits[0], &dev, &t, p).unwrap(); // {0}
-        cache.get_or_build(&circuits[1], &dev, &t, p).unwrap(); // {0,1}
-        cache.get_or_build(&circuits[0], &dev, &t, p).unwrap(); // touch 0
-        cache.get_or_build(&circuits[2], &dev, &t, p).unwrap(); // evicts 1
+        cache.lookup(&circuits[0], &dev, &t, p).unwrap(); // {0}
+        cache.lookup(&circuits[1], &dev, &t, p).unwrap(); // {0,1}
+        cache.lookup(&circuits[0], &dev, &t, p).unwrap(); // touch 0
+        cache.lookup(&circuits[2], &dev, &t, p).unwrap(); // evicts 1
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.len, 2);
         // 0 survived (hit), 1 was evicted (miss again).
-        cache.get_or_build(&circuits[0], &dev, &t, p).unwrap();
-        cache.get_or_build(&circuits[1], &dev, &t, p).unwrap();
+        cache.lookup(&circuits[0], &dev, &t, p).unwrap();
+        cache.lookup(&circuits[1], &dev, &t, p).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 4);
@@ -1494,7 +1486,7 @@ mod tests {
         let timed = timed_of(&c, &dev);
         let cache = PlanCache::default();
         cache
-            .get_or_build(&timed, &dev, &NoiseToggles::default(), EnginePolicy::Auto)
+            .lookup(&timed, &dev, &NoiseToggles::default(), EnginePolicy::Auto)
             .unwrap();
         cache.clear();
         let stats = cache.stats();

@@ -27,10 +27,9 @@
 //! the dispatch index an injected error names, and the virtual time a
 //! [`Deadline`] accumulates. Rounds dispatch every request's attempt 0
 //! before any retry, so those follow the rounds.
-//! Backoff delays are *virtual* by default (computed and recorded, not
-//! slept): against a simulator, wall-clock waiting buys nothing, and
-//! tests must not take minutes. Set [`RetryPolicy::sleep`] for real
-//! deployments.
+//! Backoff delays are *virtual* (computed and recorded, never slept):
+//! against a simulator, wall-clock waiting buys nothing, and tests must
+//! not take minutes.
 
 use crate::backend::{Anomaly, Backend, JobSpec, ShotBatch};
 use crate::deadline::Deadline;
@@ -65,18 +64,11 @@ const MIN_SHOT_FRACTION: f64 = 0.5;
 pub struct RetryPolicy {
     /// Maximum backend attempts per request (first try included).
     pub max_attempts: u32,
-    /// Actually sleep the backoff delays. Off by default: simulated
-    /// backends fail instantly and the schedule is fully recorded in
-    /// [`FaultStats`] either way.
-    pub sleep: bool,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            sleep: false,
-        }
+        RetryPolicy { max_attempts: 4 }
     }
 }
 
@@ -103,10 +95,7 @@ impl std::error::Error for RetryPolicyError {}
 impl RetryPolicy {
     /// A policy that never retries (attempt 0 only, no partial top-up).
     pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..Default::default()
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
     /// Rejects a policy with zero attempts.
@@ -161,7 +150,7 @@ pub struct FaultStats {
     /// Requests abandoned because their deadline expired or they were
     /// cancelled mid-retry-loop.
     pub deadline_aborts: u64,
-    /// Total (virtual or real) backoff charged, in milliseconds.
+    /// Total (virtual) backoff charged, in milliseconds.
     pub total_backoff_ms: f64,
 }
 
@@ -270,8 +259,7 @@ impl ResilientExecutor {
     }
 
     /// Binds a request deadline: every round of attempts checks it
-    /// first, and backoff never sleeps (or charges) past the remaining
-    /// budget.
+    /// first, and backoff never charges past the remaining budget.
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = deadline;
         self
@@ -418,10 +406,9 @@ impl ResilientExecutor {
         })
     }
 
-    /// Records (and optionally sleeps) the backoff after a failed
-    /// attempt, except after the final one where no retry follows. The
-    /// delay is clamped to the deadline's remaining budget — backoff
-    /// never sleeps past the deadline — and charged to the deadline as
+    /// Records the backoff after a failed attempt, except after the
+    /// final one where no retry follows. The delay is clamped to the
+    /// deadline's remaining budget and charged to the deadline as
     /// virtual time, so under [`Deadline::virtual_only`] the expiry
     /// point is a pure function of the seeded schedule.
     fn charge_backoff(&self, seed: u64, attempt: u32) {
@@ -432,9 +419,9 @@ impl ResilientExecutor {
         if let Some(remaining) = self.deadline.remaining_ms_f64() {
             delay = delay.min(remaining);
         }
-        // Quantize once to whole µs so the deadline charge, the stats
-        // and the slept duration are the same number — clamped delays
-        // can then never sum past the budget.
+        // Quantize once to whole µs so the deadline charge and the stats
+        // are the same number — clamped delays can then never sum past
+        // the budget.
         let delay_us = (delay * 1000.0) as u64;
         self.deadline.charge_us(delay_us);
         {
@@ -445,9 +432,6 @@ impl ResilientExecutor {
             s.total_backoff_ms = total_us as f64 / 1000.0;
         }
         crate::metrics::metrics().retry_backoff_us.add(delay_us);
-        if self.policy.sleep {
-            std::thread::sleep(std::time::Duration::from_micros(delay_us));
-        }
     }
 }
 
@@ -825,10 +809,7 @@ mod tests {
     #[test]
     fn invalid_policies_are_rejected_with_typed_errors() {
         let backend = || Arc::new(Machine::new(Device::ibmq_rome(3))) as Arc<dyn Backend>;
-        let zero = RetryPolicy {
-            max_attempts: 0,
-            ..Default::default()
-        };
+        let zero = RetryPolicy { max_attempts: 0 };
         assert_eq!(zero.validate(), Err(RetryPolicyError::ZeroAttempts));
         assert!(ResilientExecutor::try_with_policy(backend(), zero).is_err());
         assert!(RetryPolicy::default().validate().is_ok());
@@ -839,13 +820,7 @@ mod tests {
     #[should_panic(expected = "invalid RetryPolicy")]
     fn with_policy_panics_on_invalid_config() {
         let backend = Arc::new(Machine::new(Device::ibmq_rome(3)));
-        let _ = ResilientExecutor::with_policy(
-            backend,
-            RetryPolicy {
-                max_attempts: 0,
-                ..Default::default()
-            },
-        );
+        let _ = ResilientExecutor::with_policy(backend, RetryPolicy { max_attempts: 0 });
     }
 
     #[test]
@@ -884,10 +859,7 @@ mod tests {
             inner: Machine::new(Device::ibmq_rome(3)),
             remaining: Mutex::new(100),
         };
-        let policy = RetryPolicy {
-            max_attempts: 16,
-            ..Default::default()
-        };
+        let policy = RetryPolicy { max_attempts: 16 };
         let budget_ms = 25;
         let exec = ResilientExecutor::with_policy(Arc::new(backend), policy)
             .with_deadline(Deadline::virtual_only(budget_ms));
@@ -915,10 +887,7 @@ mod tests {
                 inner: Machine::new(Device::ibmq_rome(3)),
                 remaining: Mutex::new(100),
             };
-            let policy = RetryPolicy {
-                max_attempts: 16,
-                ..Default::default()
-            };
+            let policy = RetryPolicy { max_attempts: 16 };
             let exec = ResilientExecutor::with_policy(Arc::new(backend), policy)
                 .with_deadline(Deadline::virtual_only(40));
             let _ = exec.execute(&bell(), &cfg(77));

@@ -222,10 +222,7 @@ fn retry_rounds_share_a_virtual_deadline_in_dispatch_order() {
         transient_failure: 1.0,
         ..FaultProfile::none()
     };
-    let policy = RetryPolicy {
-        max_attempts: 16,
-        ..RetryPolicy::default()
-    };
+    let policy = RetryPolicy { max_attempts: 16 };
     let exec = ResilientExecutor::with_policy(Arc::new(faulty(profile)), policy)
         .with_deadline(Deadline::virtual_only(25));
     for result in exec.execute_batch(&jobs) {

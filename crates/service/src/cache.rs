@@ -40,8 +40,9 @@
 
 use crate::registry::DeviceId;
 use adapt::{DdMask, DdProtocol, DecoyKind};
+use device::hash::Fnv1aLegacy;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Default number of masks a [`MaskCache`] retains.
@@ -92,9 +93,9 @@ impl MaskKey {
             DecoyKind::CnotOnly => 2,
             DecoyKind::Seeded { max_seed_qubits } => 0x100 | max_seed_qubits as u64,
         };
-        let mut protocol_tag = Fnv1a::new();
+        let mut protocol_tag = Fnv1aLegacy::new();
         let _ = write!(protocol_tag, "{:?}", self.protocol);
-        let protocol_tag = protocol_tag.0;
+        let protocol_tag = protocol_tag.finish();
         let mut h = 0x9e37_79b9_7f4a_7c15u64;
         for word in [
             self.device.name().len() as u64 ^ protocol_tag,
@@ -150,12 +151,12 @@ pub struct StaleKey {
     pub decoy: DecoyKind,
 }
 
-/// Stable FNV-1a fingerprint of a *logical* (pre-transpile) circuit:
-/// identical across processes, runs and calibration epochs, which is
-/// exactly what cross-epoch stale matching needs. Uses the instruction
-/// Debug rendering as the byte stream — deterministic for the closed
-/// instruction set, and insensitive to scheduling (the logical circuit
-/// has none).
+/// Stable FNV-1a fingerprint (the [legacy](Fnv1aLegacy) multiplier) of a
+/// *logical* (pre-transpile) circuit: identical across processes, runs
+/// and calibration epochs, which is exactly what cross-epoch stale
+/// matching needs. Uses the instruction Debug rendering as the byte
+/// stream — deterministic for the closed instruction set, and
+/// insensitive to scheduling (the logical circuit has none).
 ///
 /// The value is persisted: it is the program identity in every
 /// [`StaleKey`] the write-ahead journal and snapshots store, and the
@@ -164,36 +165,14 @@ pub struct StaleKey {
 /// instead of through a `String` per instruction, so hashing allocates
 /// nothing.
 pub fn logical_hash(circuit: &qcirc::Circuit) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = Fnv1aLegacy::new();
     h.mix(&(circuit.num_qubits() as u64).to_le_bytes());
     h.mix(&(circuit.num_clbits() as u64).to_le_bytes());
     for instr in circuit.instructions() {
         // Writing into the hash cannot fail.
         let _ = write!(h, "{instr:?}");
     }
-    h.0
-}
-
-/// An FNV-1a hash state that formatted text can be written into.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn mix(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-}
-
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.mix(s.as_bytes());
-        Ok(())
-    }
+    h.finish()
 }
 
 /// A journaled cache mutation, emitted to the installed journal sink in

@@ -33,6 +33,7 @@ use crate::codec::{
     put_device, put_mask, put_mask_key, put_protocol, unknown_tag, CodecError, Reader, Writer,
 };
 use crate::registry::{DeviceId, DeviceRegistry};
+use device::hash::splitmix64;
 use device::SeedSpawner;
 use std::fmt;
 use std::fs;
@@ -606,14 +607,6 @@ impl fmt::Display for StorageFaultCounts {
             self.ops, self.torn, self.truncated, self.flipped, self.kills
         )
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn unit_draw(state: &mut u64) -> f64 {

@@ -17,6 +17,7 @@
 //! epoch swaps in a fresh machine (plans are calibration-dependent, so the
 //! old cache must not leak into the new epoch).
 
+use device::hash::Fnv1aLegacy;
 use device::{Device, SeedSpawner};
 use machine::Machine;
 use std::collections::HashMap;
@@ -111,13 +112,9 @@ impl DeviceRegistry {
     /// device's calibration).
     pub fn new(devices: &[DeviceId], seed: u64) -> Self {
         let spawner = SeedSpawner::new(seed);
-        // FNV-1a of the preset name: a stable u64 label per device, so
+        // (Legacy) FNV-1a of the preset name: a stable u64 label per device, so
         // registration order never shifts any device's seed stream.
-        let label = |id: DeviceId| {
-            id.name().bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
-            })
-        };
+        let label = |id: DeviceId| Fnv1aLegacy::hash(id.name().as_bytes());
         let entries = devices
             .iter()
             .map(|&id| {

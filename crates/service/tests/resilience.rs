@@ -312,10 +312,7 @@ fn open_breaker_in_fail_fast_mode_rejects_at_submission() {
 #[test]
 fn invalid_configs_surface_typed_errors_instead_of_panics() {
     let bad_retry = ServiceConfig {
-        retry: RetryPolicy {
-            max_attempts: 0,
-            ..RetryPolicy::default()
-        },
+        retry: RetryPolicy { max_attempts: 0 },
         ..ServiceConfig::default()
     };
     assert!(matches!(

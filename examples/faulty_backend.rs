@@ -32,10 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let faulty = FaultyBackend::new(machine, profile, seed ^ 0xFA17);
     let exec = Arc::new(ResilientExecutor::with_policy(
         Arc::new(faulty),
-        RetryPolicy {
-            max_attempts: 6,
-            ..RetryPolicy::default()
-        },
+        RetryPolicy { max_attempts: 6 },
     ));
     let framework = Adapt::with_backend(exec.clone());
 
