@@ -91,9 +91,15 @@ fn timed_on<'m, T>(
     (out, Spread::of(ms))
 }
 
-/// Panics unless every repeat's scores equal `reference`'s bit for bit.
+/// Panics unless every repeat's scores equal `reference`'s bit for bit,
+/// one score per mask.
 fn assert_bit_identical(what: &str, reference: &[MaskScore], repeats: &[Vec<MaskScore>]) {
     for scores in repeats {
+        assert_eq!(
+            scores.len(),
+            reference.len(),
+            "{what} scored a different mask count"
+        );
         for (r, s) in reference.iter().zip(scores) {
             assert_eq!(r.mask, s.mask);
             assert_eq!(
@@ -220,6 +226,7 @@ pub fn run(cfg: &ExperimentCfg) {
         let scores = masks.iter().map(|&mask| serial_ctx.score(mask));
         scores.collect::<Result<Vec<_>, _>>().expect("serial score")
     });
+    assert_eq!(serial[0].len(), masks.len(), "serial scoring lost a mask");
     assert_bit_identical("repeated serial scoring", &serial[0], &serial);
     let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     // The thread budget the batches request: at least four workers, so the
@@ -286,6 +293,7 @@ pub fn run(cfg: &ExperimentCfg) {
     let (dense, dense_ms) = timed_on(&dense_machines, |m| {
         score_batch(&ctx(m, &sdc, batch_budget))
     });
+    assert_eq!(dense[0].len(), masks.len(), "dense scoring lost a mask");
     assert_bit_identical("repeated dense scoring", &dense[0], &dense);
     let dense_per_s = per_s(&dense_ms);
     // The split over the two searches and one dense pass.

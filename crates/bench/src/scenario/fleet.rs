@@ -58,7 +58,10 @@ const QUBITS: u32 = 6;
 /// every worker of the largest fleet busy.
 const CLIENTS: usize = 8;
 /// Full-mode floor on 2-shard over 1-shard throughput (see
-/// EXPERIMENTS.md, "Fleet chaos", for the runs it was set from).
+/// EXPERIMENTS.md, "Fleet chaos", for the runs it was set from). It
+/// measures CPU parallelism, so it is checked only on a host with at
+/// least two cores: one core cannot run two single-worker shards faster
+/// than one.
 const MIN_SHARD_SPEEDUP: f64 = 1.1;
 
 fn request(tag: usize, budget: SearchBudget) -> Request {
@@ -373,14 +376,16 @@ fn run_chaos(cfg: &ExperimentCfg, rounds: usize) -> ChaosReport {
 ///
 /// Panics on any violated invariant: a worker
 /// panic, a non-deterministic reroute, a failover or replay divergence,
-/// a degraded healthy-shard p99, or — in full mode — 2-shard throughput
-/// below 1.1× the 1-shard point's.
+/// a degraded healthy-shard p99, or — in full mode on a host with at
+/// least two cores — 2-shard throughput below 1.1× the 1-shard point's.
 pub fn run(cfg: &ExperimentCfg) {
     println!("\n== Fleet chaos: sharded wire service under kill/restart ==");
 
     println!("  scaling curve (faults off, owner-balanced fresh searches):");
-    // The same requests at every point (divisible by every shard count),
-    // so throughputs compare; each point runs for a measurable time.
+    // The same number of requests at every point (divisible by every
+    // shard count), so throughputs compare; each point runs for a
+    // measurable time. The keys differ: each ring gets its own
+    // owner-balanced set.
     let requests = if cfg.quick { 256 } else { 768 };
     let shard_counts: &[usize] = if cfg.quick { &[1, 2] } else { &[1, 2, 4] };
     let mut throughput = BTreeMap::new();
@@ -397,10 +402,15 @@ pub fn run(cfg: &ExperimentCfg) {
         "    speedup vs 1x1: {shard_speedup:.2}x at 2 shards, {worker_speedup:.2}x at 2 workers"
     );
     if !cfg.quick {
-        assert!(
-            shard_speedup >= MIN_SHARD_SPEEDUP,
-            "2-shard throughput must reach {MIN_SHARD_SPEEDUP}x the 1-shard point, got {shard_speedup:.2}x"
-        );
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        if cores >= 2 {
+            assert!(
+                shard_speedup >= MIN_SHARD_SPEEDUP,
+                "2-shard throughput must reach {MIN_SHARD_SPEEDUP}x the 1-shard point, got {shard_speedup:.2}x"
+            );
+        } else {
+            println!("    shard-speedup bar skipped: it needs 2 cores, the host has {cores}");
+        }
     }
 
     let rounds = if cfg.quick { 2 } else { 3 };

@@ -55,11 +55,14 @@ struct Observed {
 
 const DEVICES: [DeviceId; 3] = [DeviceId::Guadalupe, DeviceId::Toronto, DeviceId::Rome];
 
-/// Four workers over [`DEVICES`]. The queue is smaller than a
+/// Worker threads of the load-generation service.
+const WORKERS: usize = 4;
+
+/// [`WORKERS`] workers over [`DEVICES`]. The queue is smaller than a
 /// submission burst: workers that fall behind make admission control
 /// visible in the rejection metrics.
 fn loadgen_config(cfg: &ExperimentCfg) -> ServiceConfig {
-    service_config(cfg, &DEVICES, 4, 6, 64)
+    service_config(cfg, &DEVICES, WORKERS, 6, 64)
 }
 
 /// Runs the load generation and writes `results/BENCH_service.json`.
@@ -231,7 +234,7 @@ pub fn run(cfg: &ExperimentCfg) {
         "BENCH_service.json",
         vec![
             ("faults", cfg.fault_name.into()),
-            ("workers", 4u32.into()),
+            ("workers", WORKERS.into()),
             ("devices", DEVICES.map(|d| d.name()).to_vec().into()),
             (
                 "requests",
@@ -247,7 +250,7 @@ pub fn run(cfg: &ExperimentCfg) {
             ("latency_ms", latency_ms(&latencies_us)),
             (
                 "fleet_baseline",
-                load_point(1, 4, &latencies_us, throughput),
+                load_point(1, WORKERS, &latencies_us, throughput),
             ),
             ("time_to_first_usable_ms", Json::Num(ttfur_ms, 2)),
             // Cold-miss storm: requests that piled up behind another

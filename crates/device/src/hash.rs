@@ -3,8 +3,8 @@
 //! avalanche mixing.
 //!
 //! FNV-1a comes with two multipliers. [`Fnv1a`] is standard FNV-1a 64.
-//! [`Fnv1aLegacy`] multiplies by [`LEGACY_PRIME`], the FNV prime with
-//! one zero digit too many: `logical_hash`, the scenario replay digests,
+//! [`Fnv1aLegacy`] multiplies by the FNV prime with one zero digit too
+//! many (`0x1000_0000_01b3` against `0x100_0000_01b3`): `logical_hash`, the scenario replay digests,
 //! checkpoint config hashes and the seeds of registry devices and
 //! experiment benchmarks were built with it, and their values are pinned
 //! (goldens, `results/replay_digests.json`, the quick CSV digests), so
@@ -18,10 +18,10 @@ use std::fmt;
 /// FNV-1a 64 offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64 prime.
-pub const FNV_PRIME: u64 = 0x0100_0000_01b3;
-/// The multiplier of [`Fnv1aLegacy`]: [`FNV_PRIME`] with one more zero
-/// digit (`0x1000_0000_01b3` against `0x100_0000_01b3`).
-pub const LEGACY_PRIME: u64 = 0x1000_0000_01b3;
+const FNV_PRIME: u64 = 0x0100_0000_01b3;
+/// The multiplier of [`Fnv1aLegacy`]: `FNV_PRIME` with one more zero
+/// digit.
+const LEGACY_PRIME: u64 = 0x1000_0000_01b3;
 /// SplitMix64's increment (the golden-ratio gamma).
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -33,7 +33,7 @@ pub struct Fnv1aWith<const PRIME: u64>(u64);
 
 /// Standard FNV-1a 64.
 pub type Fnv1a = Fnv1aWith<FNV_PRIME>;
-/// FNV-1a 64 over [`LEGACY_PRIME`] (see the module docs).
+/// FNV-1a 64 over the legacy multiplier (see the module docs).
 pub type Fnv1aLegacy = Fnv1aWith<LEGACY_PRIME>;
 
 impl<const PRIME: u64> Fnv1aWith<PRIME> {
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn written_text_hashes_like_its_bytes() {
-        let (mut standard, mut legacy) = (Fnv1a::new(), Fnv1aLegacy::default());
+        let (mut standard, mut legacy) = (Fnv1a::new(), Fnv1aLegacy::new());
         write!(standard, "{}-{:?}", 7, "x").unwrap();
         write!(legacy, "{}-{:?}", 7, "x").unwrap();
         assert_eq!(standard.finish(), Fnv1a::hash(b"7-\"x\""));
