@@ -1,6 +1,7 @@
 //! Criterion benchmarks of the transpiler pipeline: decomposition,
 //! routing/layout, peephole optimization and scheduling on the paper's
-//! workloads and machines.
+//! workloads and machines, and of the two program identities the
+//! service computes before it can look a compiled program up.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use device::Device;
@@ -53,5 +54,38 @@ fn bench_passes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_transpile, bench_passes);
+/// The service's program identities on every paper program: the
+/// persisted `logical_hash` (paid once per program, and by the fleet
+/// router per request) and the in-memory `program_fingerprint` (paid by
+/// every request the program book answers).
+fn bench_program_identity(c: &mut Criterion) {
+    let suite = benchmarks::paper_suite();
+    let mut group = c.benchmark_group("logical_hash");
+    for bench in &suite {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(bench.name),
+            &bench.circuit,
+            |b, circuit| b.iter(|| black_box(adapt_service::logical_hash(black_box(circuit)))),
+        );
+    }
+    group.finish();
+    let mut group = c.benchmark_group("program_fingerprint");
+    for bench in &suite {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(bench.name),
+            &bench.circuit,
+            |b, circuit| {
+                b.iter(|| black_box(adapt_service::program_fingerprint(black_box(circuit))))
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_transpile,
+    bench_passes,
+    bench_program_identity
+);
 criterion_main!(benches);

@@ -23,9 +23,7 @@ use crate::ring::{route_key, Ring, ShardId};
 use crate::wire::{
     self, FrameError, FrameKind, WireError, DEFAULT_MAX_FRAME_BYTES, FLAG_CHECKSUM, FLAG_FORWARDED,
 };
-use adapt_service::{
-    logical_hash, CodecError, MaskService, Request, ServiceConfig, ServiceError, ServiceStats,
-};
+use adapt_service::{CodecError, MaskService, Request, ServiceConfig, ServiceError, ServiceStats};
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -363,6 +361,8 @@ fn serve_request(stream: &mut TcpStream, shared: &ServerShared, payload: &[u8], 
     // Ownership check: a key we don't own is forwarded to its owner —
     // unless this frame already took that hop (FLAG_FORWARDED), in
     // which case we are the authority the sender chose and must answer.
+    // The program's logical hash comes from the service's program book,
+    // so a program this shard has served is not hashed again.
     if !forwarded {
         if let Some((ring, map)) = &shared.fleet {
             let key = match &request {
@@ -371,7 +371,7 @@ fn serve_request(stream: &mut TcpStream, shared: &ServerShared, payload: &[u8], 
                 }
                 | Request::Execute {
                     circuit, device, ..
-                } => route_key(*device, logical_hash(circuit)),
+                } => route_key(*device, shared.service.logical_hash_of(*device, circuit)),
             };
             if let Some(owner) = ring.owner(key) {
                 if owner != shared.shard {

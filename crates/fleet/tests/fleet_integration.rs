@@ -180,6 +180,47 @@ fn forwarding_lands_keys_on_their_ring_owner_with_identical_answers() {
 }
 
 #[test]
+fn an_owner_shard_hashes_a_served_program_no_more() {
+    let (shards, ring, _map) = start_fleet();
+    let req = request(5);
+    let owner = ring.owner(ring_key(&req)).unwrap();
+    let owner_server = shards.iter().find(|s| s.shard() == owner).unwrap();
+    let hashes = || owner_server.service().stats().logical_hashes;
+    let mut client = ShardClient::new(owner_server.addr());
+    let first = client
+        .call(&req, WireDeadline::unbounded())
+        .expect("served");
+    let after_first = hashes();
+    // Once for the ownership check, once for the resolve: neither finds
+    // the program in the book yet.
+    assert_eq!(after_first, 2, "an unbooked program is hashed");
+
+    // Repeats, and a repeat after a drift tick, find the program in the
+    // book for both the ownership check and the resolve.
+    for _ in 0..3 {
+        let again = client
+            .call(&req, WireDeadline::unbounded())
+            .expect("served");
+        match (&first, &again) {
+            (Response::Mask(f), Response::Mask(a)) => assert_eq!((f.key, f.mask), (a.key, a.mask)),
+            _ => panic!("expected mask recommendations"),
+        }
+    }
+    owner_server
+        .service()
+        .advance_epoch(DeviceId::Guadalupe)
+        .expect("served");
+    client
+        .call(&req, WireDeadline::unbounded())
+        .expect("served");
+    assert_eq!(hashes(), after_first, "no hash after the first request");
+
+    for shard in shards {
+        shard.stop();
+    }
+}
+
+#[test]
 fn router_reroutes_deterministically_across_kill_and_restart() {
     let (mut shards, ring, map) = start_fleet();
     let endpoints: Vec<_> = shards.iter().map(|s| (s.shard(), s.addr())).collect();

@@ -40,7 +40,8 @@
 
 use crate::registry::DeviceId;
 use adapt::{DdMask, DdProtocol, DecoyKind};
-use device::hash::Fnv1aLegacy;
+use device::hash::{splitmix64_of, Fnv1aLegacy};
+use qcirc::{Gate, Instruction, OpKind};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -154,25 +155,223 @@ pub struct StaleKey {
 /// Stable FNV-1a fingerprint (the [legacy](Fnv1aLegacy) multiplier) of a
 /// *logical* (pre-transpile) circuit: identical across processes, runs
 /// and calibration epochs, which is exactly what cross-epoch stale
-/// matching needs. Uses the instruction Debug rendering as the byte
-/// stream — deterministic for the closed instruction set, and
-/// insensitive to scheduling (the logical circuit has none).
+/// matching needs. The byte stream is the register sizes followed by
+/// each instruction's `Debug` rendering — deterministic for the closed
+/// instruction set, and insensitive to scheduling (the logical circuit
+/// has none).
 ///
 /// The value is persisted: it is the program identity in every
 /// [`StaleKey`] the write-ahead journal and snapshots store, and the
 /// fleet ring places programs by it. Its bytes are therefore fixed (a
-/// golden test pins them); the rendering streams straight into the hash
-/// instead of through a `String` per instruction, so hashing allocates
-/// nothing.
+/// golden test pins them, and a property test checks that they stay
+/// equal to `format!("{instr:?}")`). The encoder writes those bytes
+/// itself — static strings for names and punctuation, decimal digits
+/// for qubit and clbit indices — and formats only the `f64` fields, so
+/// float text stays exact; hashing allocates nothing.
+///
+/// The service computes it once per program: its program book keys on
+/// the cheaper [`program_fingerprint`] and keeps each program's
+/// `logical_hash` beside it.
 pub fn logical_hash(circuit: &qcirc::Circuit) -> u64 {
     let mut h = Fnv1aLegacy::new();
     h.mix(&(circuit.num_qubits() as u64).to_le_bytes());
     h.mix(&(circuit.num_clbits() as u64).to_le_bytes());
     for instr in circuit.instructions() {
-        // Writing into the hash cannot fail.
-        let _ = write!(h, "{instr:?}");
+        mix_debug(&mut h, instr);
     }
     h.finish()
+}
+
+/// Mixes exactly the bytes of `format!("{instr:?}")` into `h`.
+fn mix_debug(h: &mut Fnv1aLegacy, instr: &Instruction) {
+    h.mix(b"Instruction { kind: ");
+    match instr.kind {
+        OpKind::Gate(gate) => {
+            let parts = KindParts::of_gate(gate);
+            h.mix(b"Gate(");
+            h.mix(parts.name.as_bytes());
+            if !parts.floats().is_empty() {
+                h.mix(b"(");
+                for (i, &angle) in parts.floats().iter().enumerate() {
+                    if i > 0 {
+                        h.mix(b", ");
+                    }
+                    mix_f64(h, angle);
+                }
+                h.mix(b")");
+            }
+            h.mix(b")");
+        }
+        OpKind::Measure(clbit) => {
+            h.mix(b"Measure(Clbit(");
+            mix_decimal(h, clbit.index());
+            h.mix(b"))");
+        }
+        OpKind::Reset => h.mix(b"Reset"),
+        OpKind::Delay(ns) => {
+            h.mix(b"Delay(");
+            mix_f64(h, ns);
+            h.mix(b")");
+        }
+        OpKind::Barrier => h.mix(b"Barrier"),
+    }
+    h.mix(b", qubits: [");
+    for (i, q) in instr.qubits.iter().enumerate() {
+        if i > 0 {
+            h.mix(b", ");
+        }
+        h.mix(b"Qubit(");
+        mix_decimal(h, q.index());
+        h.mix(b")");
+    }
+    h.mix(b"] }");
+}
+
+/// Mixes the `Debug` text of `x`: the one field left to `core::fmt`,
+/// whose shortest round-trip notation is not worth re-deriving.
+#[inline]
+fn mix_f64(h: &mut Fnv1aLegacy, x: f64) {
+    // Writing into the hash cannot fail.
+    let _ = write!(h, "{x:?}");
+}
+
+/// Mixes the decimal digits of `n`.
+#[inline]
+fn mix_decimal(h: &mut Fnv1aLegacy, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    h.mix(&digits[start..]);
+}
+
+/// An instruction kind taken apart: a tag (a gate's place in [`Gate`]'s
+/// declaration order, or 19–22 for measure, reset, delay and barrier,
+/// with a measurement's clbit above bit 8), a gate's `Debug` variant
+/// name, and its floats (angles or delay). Two kinds are equal bit for
+/// bit exactly when their tags and the bits of their floats are.
+struct KindParts {
+    tag: u64,
+    name: &'static str,
+    floats: [f64; 3],
+    len: usize,
+}
+
+impl KindParts {
+    fn of_gate(gate: Gate) -> Self {
+        let fixed = |tag, name| KindParts {
+            tag,
+            name,
+            floats: [0.0; 3],
+            len: 0,
+        };
+        let rotation = |tag, name, angle| KindParts {
+            tag,
+            name,
+            floats: [angle, 0.0, 0.0],
+            len: 1,
+        };
+        match gate {
+            Gate::I => fixed(0, "I"),
+            Gate::X => fixed(1, "X"),
+            Gate::Y => fixed(2, "Y"),
+            Gate::Z => fixed(3, "Z"),
+            Gate::H => fixed(4, "H"),
+            Gate::S => fixed(5, "S"),
+            Gate::Sdg => fixed(6, "Sdg"),
+            Gate::T => fixed(7, "T"),
+            Gate::Tdg => fixed(8, "Tdg"),
+            Gate::SX => fixed(9, "SX"),
+            Gate::SXdg => fixed(10, "SXdg"),
+            Gate::RX(t) => rotation(11, "RX", t),
+            Gate::RY(t) => rotation(12, "RY", t),
+            Gate::RZ(t) => rotation(13, "RZ", t),
+            Gate::P(t) => rotation(14, "P", t),
+            Gate::U(theta, phi, lambda) => KindParts {
+                tag: 15,
+                name: "U",
+                floats: [theta, phi, lambda],
+                len: 3,
+            },
+            Gate::CX => fixed(16, "CX"),
+            Gate::CZ => fixed(17, "CZ"),
+            Gate::Swap => fixed(18, "Swap"),
+        }
+    }
+
+    fn of(kind: &OpKind) -> Self {
+        let other = |tag, delay: Option<f64>| KindParts {
+            tag,
+            name: "",
+            floats: [delay.unwrap_or(0.0), 0.0, 0.0],
+            len: usize::from(delay.is_some()),
+        };
+        match *kind {
+            OpKind::Gate(gate) => Self::of_gate(gate),
+            OpKind::Measure(clbit) => other(19 | (clbit.index() as u64) << 8, None),
+            OpKind::Reset => other(20, None),
+            OpKind::Delay(ns) => other(21, Some(ns)),
+            OpKind::Barrier => other(22, None),
+        }
+    }
+
+    fn floats(&self) -> &[f64] {
+        &self.floats[..self.len]
+    }
+
+    fn same_bits(&self, other: &KindParts) -> bool {
+        self.tag == other.tag && self.floats.map(f64::to_bits) == other.floats.map(f64::to_bits)
+    }
+}
+
+/// In-memory identity of a logical circuit, far cheaper than
+/// [`logical_hash`]: a [`splitmix64_of`] chain, seeded with the register
+/// sizes, that takes one step per instruction. The step's word folds
+/// the instruction's kind tag, operand count, the bits of its angles or
+/// delay ([`f64::to_bits`]) and its qubit indices (two per word), each
+/// through one more mix.
+///
+/// It keys the service's program book, which keeps each program's
+/// persisted [`logical_hash`] beside it, so a booked program is never
+/// hashed by `logical_hash` again. Because it hashes float *bits*, it
+/// separates `rz(0.0)` from `rz(-0.0)` as `logical_hash` does, although
+/// `PartialEq` calls them equal. The value is never persisted and may
+/// change between versions; the book confirms a match by comparing the
+/// circuits bit for bit.
+pub fn program_fingerprint(circuit: &qcirc::Circuit) -> u64 {
+    let mut h = splitmix64_of(circuit.num_qubits() as u64) ^ circuit.num_clbits() as u64;
+    for instr in circuit.instructions() {
+        let parts = KindParts::of(&instr.kind);
+        let mut word = parts.tag | (instr.qubits.len() as u64) << 40;
+        for x in parts.floats() {
+            word = splitmix64_of(word) ^ x.to_bits();
+        }
+        for pair in instr.qubits.chunks(2) {
+            let second = pair.get(1).map_or(0, |q| q.index() as u64);
+            word = splitmix64_of(word) ^ pair[0].index() as u64 ^ second << 32;
+        }
+        h = splitmix64_of(h ^ word);
+    }
+    h
+}
+
+/// Whether `a` and `b` are the same program bit for bit: `PartialEq`,
+/// except that angles and delays compare by their bits, so `rz(0.0)` and
+/// `rz(-0.0)` — which [`logical_hash`] tells apart — differ, and a NaN
+/// equals itself.
+pub(crate) fn same_program(a: &qcirc::Circuit, b: &qcirc::Circuit) -> bool {
+    a.num_qubits() == b.num_qubits()
+        && a.num_clbits() == b.num_clbits()
+        && a.len() == b.len()
+        && a.instructions().iter().zip(b.instructions()).all(|(x, y)| {
+            x.qubits == y.qubits && KindParts::of(&x.kind).same_bits(&KindParts::of(&y.kind))
+        })
 }
 
 /// A journaled cache mutation, emitted to the installed journal sink in
@@ -940,6 +1139,42 @@ mod tests {
         let empty4 = qcirc::Circuit::new(4);
         let empty5 = qcirc::Circuit::new(5);
         assert_ne!(logical_hash(&empty4), logical_hash(&empty5));
+    }
+
+    #[test]
+    fn program_fingerprint_separates_what_logical_hash_separates() {
+        let program = |angle: f64, target: u32| {
+            let mut c = qcirc::Circuit::new(3);
+            c.h(0).rz(angle, 1).cx(0, target).measure_all();
+            c
+        };
+        let base = program(0.5, 1);
+        assert_eq!(
+            program_fingerprint(&base),
+            program_fingerprint(&base.clone())
+        );
+        assert!(same_program(&base, &base.clone()));
+        for other in [program(0.25, 1), program(0.5, 2), qcirc::Circuit::new(3)] {
+            assert_ne!(program_fingerprint(&base), program_fingerprint(&other));
+            assert!(!same_program(&base, &other));
+        }
+        let mut wider = qcirc::Circuit::with_clbits(3, 4);
+        wider.h(0).rz(0.5, 1).cx(0, 1).measure_all();
+        assert_ne!(program_fingerprint(&base), program_fingerprint(&wider));
+        assert!(!same_program(&base, &wider));
+
+        // Equal under `PartialEq`, apart under `logical_hash`: the
+        // fingerprint and the bit comparison keep them apart too.
+        let (pos, neg) = (program(0.0, 1), program(-0.0, 1));
+        assert_eq!(pos, neg);
+        assert_ne!(logical_hash(&pos), logical_hash(&neg));
+        assert_ne!(program_fingerprint(&pos), program_fingerprint(&neg));
+        assert!(!same_program(&pos, &neg));
+
+        // Unequal under `PartialEq`, yet one program bit for bit.
+        let nan = program(f64::NAN, 1);
+        assert_ne!(nan, nan.clone());
+        assert!(same_program(&nan, &nan.clone()));
     }
 
     #[test]

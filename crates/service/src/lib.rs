@@ -120,8 +120,8 @@ pub use breaker::{
     Admission, BreakerConfig, BreakerFallback, BreakerState, HealthTracker, Transition,
 };
 pub use cache::{
-    logical_hash, CacheEvent, CachedMask, MaskCache, MaskCacheStats, MaskKey, SearchTicket,
-    StaleKey, TieredLookup,
+    logical_hash, program_fingerprint, CacheEvent, CachedMask, MaskCache, MaskCacheStats, MaskKey,
+    SearchTicket, StaleKey, TieredLookup,
 };
 pub use codec::CodecError;
 pub use persist::{

@@ -29,8 +29,8 @@
 
 use crate::breaker::{Admission, BreakerConfig, BreakerState, HealthTracker, Transition};
 use crate::cache::{
-    logical_hash, CachedMask, MaskCache, MaskCacheStats, MaskKey, SearchTicket, StaleKey,
-    TieredLookup,
+    logical_hash, program_fingerprint, same_program, CachedMask, MaskCache, MaskCacheStats,
+    MaskKey, SearchTicket, StaleKey, TieredLookup,
 };
 use crate::persist::{PersistConfig, PersistStats, Persister, RecoveryReport};
 use crate::registry::{DeviceId, DeviceRegistry};
@@ -739,6 +739,11 @@ pub struct ServiceStats {
     /// Hot keys scheduled for next-epoch characterization by
     /// [`MaskService::prewarm_epoch`].
     pub prewarm_scheduled: u64,
+    /// [`logical_hash`] computations on the request path: one per
+    /// program the program book does not hold yet (in `resolve` or in
+    /// [`MaskService::logical_hash_of`]). A hit on a booked program adds
+    /// none, at any epoch.
+    pub logical_hashes: u64,
     /// Deepest queue observed at submission.
     pub peak_queue_depth: usize,
 }
@@ -773,6 +778,7 @@ struct Metrics {
     refines_completed: adapt_obs::Counter,
     refines_dropped: adapt_obs::Counter,
     prewarm_scheduled: adapt_obs::Counter,
+    logical_hashes: adapt_obs::Counter,
     /// Enqueue-to-upgrade latency of completed refines.
     refine_us: adapt_obs::Histogram,
     queue_depth: adapt_obs::Gauge,
@@ -819,6 +825,7 @@ impl Metrics {
             refines_completed: r.counter("adapt_service_refines_completed_total"),
             refines_dropped: r.counter("adapt_service_refines_dropped_total"),
             prewarm_scheduled: r.counter("adapt_service_prewarm_scheduled_total"),
+            logical_hashes: r.counter("adapt_service_logical_hashes_total"),
             refine_us: r.histogram("adapt_service_refine_us"),
             queue_depth: r.gauge("adapt_service_queue_depth"),
             peak_queue_depth: r.gauge("adapt_service_peak_queue_depth"),
@@ -948,11 +955,13 @@ struct Shared {
     /// these mid-run); devices not in the map use the config profile.
     fault_overrides: Mutex<HashMap<DeviceId, FaultProfile>>,
     /// Bounded LRU book of recently resolved logical programs by device
-    /// and [`logical_hash`], holding at most `cache_capacity` programs.
-    /// It is the resolution memo: each entry keeps its program's compiled
-    /// circuit for the newest epoch, so [`resolve`] answers a repeat
-    /// without transpiling. [`MaskService::prewarm_epoch`] also rebuilds
-    /// hot keys' programs from it (a [`StaleKey`] alone cannot).
+    /// and [`program_fingerprint`], holding at most `cache_capacity`
+    /// programs. It is the resolution memo: each entry keeps its
+    /// program's [`logical_hash`] and compiled circuit for the newest
+    /// epoch, so [`resolve`] answers a repeat without hashing or
+    /// transpiling. [`MaskService::prewarm_epoch`] also rebuilds hot
+    /// keys' programs from it (a [`StaleKey`] alone cannot) and leaves
+    /// their next-epoch resolutions in it.
     programs: Mutex<ProgramBook>,
     /// Lazily-created per-tenant metric sets, merged into one
     /// tenant-labelled exposition by
@@ -973,7 +982,8 @@ fn tenant_metrics(shared: &Shared, tenant: TenantId) -> Arc<TenantMetrics> {
     )
 }
 
-/// A logical program on one device: the key of the [`ProgramBook`].
+/// A logical program on one device, `(device, program_fingerprint)`: the
+/// key of the [`ProgramBook`].
 type ProgramKey = (DeviceId, u64);
 
 /// One transpile of a logical program against one calibration epoch.
@@ -997,18 +1007,30 @@ impl Resolution {
     }
 }
 
-/// A book entry: the program and its newest resolution.
+/// A book entry: the program, its persisted identity and its
+/// resolutions.
 struct Program {
     circuit: qcirc::Circuit,
+    /// [`logical_hash`] of `circuit`, computed once when the entry was
+    /// made.
+    logical_hash: u64,
+    /// The resolution at the newest epoch a request resolved it at.
     resolution: Resolution,
+    /// A resolution at a later epoch, made by
+    /// [`MaskService::prewarm_epoch`]; the first request at that epoch
+    /// promotes it to `resolution`.
+    prewarmed: Option<Resolution>,
     /// Last-use stamp backing the LRU policy.
     stamp: u64,
 }
 
-/// Bounded LRU book of logical programs by device and [`logical_hash`],
-/// each with its resolution at the newest epoch a request resolved it
-/// at (the [`PlanCache`](machine::PlanCache) stamp idiom: every hit
-/// touches its entry, eviction drops the smallest stamp).
+/// Bounded LRU book of logical programs by device and
+/// [`program_fingerprint`], each with its [`logical_hash`] and its
+/// resolution at the newest epoch a request resolved it at (the
+/// [`PlanCache`](machine::PlanCache) stamp idiom: every hit touches its
+/// entry, eviction drops the smallest stamp). Entries match only a
+/// circuit equal bit for bit, so two programs colliding on one
+/// fingerprint never share a resolution or a logical hash.
 #[derive(Default)]
 struct ProgramBook {
     map: HashMap<ProgramKey, Program>,
@@ -1017,40 +1039,78 @@ struct ProgramBook {
 }
 
 impl ProgramBook {
-    /// The entry under `key`, touched as most recently used.
-    fn touch(&mut self, key: &ProgramKey) -> Option<&Program> {
+    /// The entry of `circuit` under `key`, touched as most recently used.
+    fn touch(&mut self, key: &ProgramKey, circuit: &qcirc::Circuit) -> Option<&mut Program> {
         self.tick += 1;
         let entry = self.map.get_mut(key)?;
         entry.stamp = self.tick;
-        Some(entry)
+        Some(entry).filter(|p| same_program(&p.circuit, circuit))
     }
 
-    /// The memoized resolution of `circuit` at `epoch`. The circuit
-    /// comparison guards against two programs colliding on one hash.
-    fn resolution(
+    /// What the book holds for `circuit` at `epoch`: its logical hash,
+    /// and its resolution at `epoch` if one is booked (a prewarmed one is
+    /// promoted).
+    fn lookup(
         &mut self,
         key: &ProgramKey,
         circuit: &qcirc::Circuit,
         epoch: u64,
-    ) -> Option<Resolution> {
-        self.touch(key)
-            .filter(|p| p.resolution.epoch == epoch && p.circuit == *circuit)
-            .map(|p| p.resolution.clone())
+    ) -> Option<(u64, Option<Resolution>)> {
+        let entry = self.touch(key, circuit)?;
+        if let Some(prewarmed) = entry.prewarmed.take_if(|r| r.epoch == epoch) {
+            entry.resolution = prewarmed;
+        }
+        let resolution = (entry.resolution.epoch == epoch).then(|| entry.resolution.clone());
+        Some((entry.logical_hash, resolution))
     }
 
-    /// The program recorded under `key`.
-    fn circuit(&mut self, key: &ProgramKey) -> Option<qcirc::Circuit> {
-        self.touch(key).map(|p| p.circuit.clone())
+    /// The logical hash of `circuit` if it is booked under `key`; the
+    /// entry is not touched.
+    fn logical_hash(&self, key: &ProgramKey, circuit: &qcirc::Circuit) -> Option<u64> {
+        let entry = self.map.get(key)?;
+        same_program(&entry.circuit, circuit).then_some(entry.logical_hash)
     }
 
-    /// Records `resolution` of `circuit` under `key`, evicting the least
-    /// recently used program when the book is full. An entry for the same
-    /// program keeps whichever resolution is of the newer epoch; a
-    /// different program colliding on `key` replaces it.
+    /// The program of `device` whose logical hash is `logical`, touched:
+    /// its key, its circuit and its prewarmed resolution at `epoch`, if
+    /// any. A scan of the whole book, so for [`MaskService::prewarm_epoch`]
+    /// only.
+    fn find(
+        &mut self,
+        device: DeviceId,
+        logical: u64,
+        epoch: u64,
+    ) -> Option<(ProgramKey, qcirc::Circuit, Option<Resolution>)> {
+        self.tick += 1;
+        let (key, entry) = self
+            .map
+            .iter_mut()
+            .find(|(key, p)| key.0 == device && p.logical_hash == logical)?;
+        entry.stamp = self.tick;
+        let prewarmed = entry.prewarmed.clone().filter(|r| r.epoch == epoch);
+        Some((*key, entry.circuit.clone(), prewarmed))
+    }
+
+    /// Keeps `resolution` of `circuit` as its prewarmed resolution, when
+    /// the program is still booked under `key` at an older epoch.
+    fn prewarm(&mut self, key: &ProgramKey, circuit: &qcirc::Circuit, resolution: Resolution) {
+        if let Some(entry) = self.map.get_mut(key) {
+            if same_program(&entry.circuit, circuit) && resolution.epoch > entry.resolution.epoch {
+                entry.prewarmed = Some(resolution);
+            }
+        }
+    }
+
+    /// Records `resolution` of `circuit` (whose logical hash is
+    /// `logical`) under `key`, evicting the least recently used program
+    /// when the book is full. An entry for the same program keeps
+    /// whichever resolution is of the newer epoch; a different program
+    /// colliding on `key` replaces it.
     fn record(
         &mut self,
         key: ProgramKey,
         circuit: &qcirc::Circuit,
+        logical: u64,
         resolution: Resolution,
         capacity: usize,
     ) {
@@ -1061,10 +1121,16 @@ impl ProgramBook {
         let stamp = self.tick;
         if let Some(entry) = self.map.get_mut(&key) {
             entry.stamp = stamp;
-            if entry.circuit != *circuit {
-                entry.circuit = circuit.clone();
-                entry.resolution = resolution;
+            if !same_program(&entry.circuit, circuit) {
+                *entry = Program {
+                    circuit: circuit.clone(),
+                    logical_hash: logical,
+                    resolution,
+                    prewarmed: None,
+                    stamp,
+                };
             } else if resolution.epoch >= entry.resolution.epoch {
+                entry.prewarmed.take_if(|r| r.epoch <= resolution.epoch);
                 entry.resolution = resolution;
             }
             return;
@@ -1078,7 +1144,9 @@ impl ProgramBook {
             key,
             Program {
                 circuit: circuit.clone(),
+                logical_hash: logical,
                 resolution,
+                prewarmed: None,
                 stamp,
             },
         );
@@ -1391,15 +1459,28 @@ impl MaskService {
         self.shared.registry.epoch(device)
     }
 
+    /// The persisted [`logical_hash`] of `circuit` on `device`: the
+    /// program book's copy when the program is booked, else computed
+    /// (and counted in [`ServiceStats::logical_hashes`]). A fleet shard
+    /// checks ownership with it, so a booked program is not hashed again.
+    pub fn logical_hash_of(&self, device: DeviceId, circuit: &qcirc::Circuit) -> u64 {
+        let program = (device, program_fingerprint(circuit));
+        let booked = lock(&self.shared.programs).logical_hash(&program, circuit);
+        booked.unwrap_or_else(|| hash_program(&self.shared, circuit))
+    }
+
     /// Schedules background characterization of `device`'s hottest keys
     /// against its *next* calibration epoch — call right before the
     /// epoch is advanced, so the hot working set is already cached when
     /// [`Self::advance_epoch`] invalidates the current one and drift
     /// never turns into a cold-miss storm. Uses the top four identities
     /// of the cache's hot-key ring whose logical program is still in the
-    /// program book. Returns
-    /// how many refines were scheduled (keys already cached, already in
-    /// flight, or with a full refine lane are skipped).
+    /// program book (found by a scan of the book, at most
+    /// `cache_capacity` entries). Each program's next-epoch transpile is
+    /// kept in its book entry, so the first request after the advance
+    /// does not transpile it again. Returns how many refines were
+    /// scheduled (keys already cached, already in flight, or with a full
+    /// refine lane are skipped).
     ///
     /// # Errors
     ///
@@ -1413,14 +1494,20 @@ impl MaskService {
         let hot = shared.cache.hot_keys(device, PREWARM_TOP_K);
         let mut scheduled = 0usize;
         for stale_key in hot {
-            let program = (stale_key.device, stale_key.logical_hash);
-            let Some(circuit) = lock(&shared.programs).circuit(&program) else {
+            let logical = stale_key.logical_hash;
+            let found = lock(&shared.programs).find(device, logical, next_epoch);
+            let Some((program, circuit, prewarmed)) = found else {
                 continue;
             };
-            // Not recorded: the book keeps the current epoch's resolution,
-            // which requests keep hitting until the epoch advances.
-            let resolution = Resolution::new(&circuit, next_epoch, &machine);
-            let r = Resolved::new(shared, program, stale_key.protocol, resolution);
+            // Kept beside the current epoch's resolution, which requests
+            // keep hitting until the epoch advances; the first request
+            // after that promotes it.
+            let resolution = prewarmed.unwrap_or_else(|| {
+                let resolution = Resolution::new(&circuit, next_epoch, &machine);
+                lock(&shared.programs).prewarm(&program, &circuit, resolution.clone());
+                resolution
+            });
+            let r = Resolved::new(shared, device, logical, stale_key.protocol, resolution);
             if let Some(ticket) = MaskCache::try_ticket(&shared.cache, r.key, r.stale_key) {
                 let budget = shared.config.default_budget;
                 if enqueue_refine(shared, ticket, &r.compiled, circuit.num_qubits(), budget) {
@@ -1500,6 +1587,7 @@ impl MaskService {
             refines_completed: m.refines_completed.get(),
             refines_dropped: m.refines_dropped.get(),
             prewarm_scheduled: m.prewarm_scheduled.get(),
+            logical_hashes: m.logical_hashes.get(),
             peak_queue_depth: m.peak_queue_depth.get().max(0) as usize,
         }
     }
@@ -2051,10 +2139,12 @@ struct Resolved {
 }
 
 impl Resolved {
-    /// The cache identities of `resolution`, a resolution of `program`.
+    /// The cache identities of `resolution`, a resolution of the program
+    /// on `device` whose logical hash is `logical`.
     fn new(
         shared: &Shared,
-        (device, logical): ProgramKey,
+        device: DeviceId,
+        logical: u64,
         protocol: DdProtocol,
         resolution: Resolution,
     ) -> Self {
@@ -2075,10 +2165,13 @@ impl Resolved {
 
 /// Resolves `circuit` against `machine` (the device at `epoch`) and
 /// builds its [`MaskKey`] and [`StaleKey`]. The program book memoizes
-/// the transpile: a program already resolved at `epoch` costs its
-/// [`logical_hash`], one book lookup and a circuit comparison. A miss
-/// transpiles outside the book's lock and records the result, so a
-/// transpile that panics leaves the book as it was.
+/// both the transpile and the [`logical_hash`]: a program already
+/// resolved at `epoch` costs its [`program_fingerprint`], one book lookup
+/// and a circuit comparison. A booked program at a new epoch reuses its
+/// logical hash (and its prewarmed resolution, if any); only an unbooked
+/// program is hashed. A miss transpiles outside the book's lock and
+/// records the result, so a transpile that panics leaves the book as it
+/// was.
 fn resolve(
     shared: &Shared,
     circuit: &qcirc::Circuit,
@@ -2087,19 +2180,32 @@ fn resolve(
     machine: &Machine,
     protocol: DdProtocol,
 ) -> Resolved {
-    let program = (device, logical_hash(circuit));
-    let memo = lock(&shared.programs).resolution(&program, circuit, epoch);
-    let resolution = memo.unwrap_or_else(|| {
-        let resolution = Resolution::new(circuit, epoch, machine);
-        lock(&shared.programs).record(
-            program,
-            circuit,
-            resolution.clone(),
-            shared.config.cache_capacity,
-        );
-        resolution
-    });
-    Resolved::new(shared, program, protocol, resolution)
+    let program = (device, program_fingerprint(circuit));
+    let booked = lock(&shared.programs).lookup(&program, circuit, epoch);
+    let (logical, resolution) = match booked {
+        Some((logical, Some(resolution))) => (logical, resolution),
+        booked => {
+            let logical =
+                booked.map_or_else(|| hash_program(shared, circuit), |(logical, _)| logical);
+            let resolution = Resolution::new(circuit, epoch, machine);
+            lock(&shared.programs).record(
+                program,
+                circuit,
+                logical,
+                resolution.clone(),
+                shared.config.cache_capacity,
+            );
+            (logical, resolution)
+        }
+    };
+    Resolved::new(shared, device, logical, protocol, resolution)
+}
+
+/// [`logical_hash`] of `circuit`, counted in
+/// [`ServiceStats::logical_hashes`].
+fn hash_program(shared: &Shared, circuit: &qcirc::Circuit) -> u64 {
+    shared.metrics.logical_hashes.inc();
+    logical_hash(circuit)
 }
 
 /// Builds the deterministic per-request backend stack for `key` (see the
@@ -2512,28 +2618,35 @@ mod tests {
         registry.snapshot(DeviceId::Rome).expect("registered").1
     }
 
+    /// A two-qubit program whose only angle is `angle`.
+    fn rz_program(angle: f64) -> qcirc::Circuit {
+        let mut c = qcirc::Circuit::new(2);
+        c.h(0).rz(angle, 0).cx(0, 1).measure_all();
+        c
+    }
+
     #[test]
     fn program_book_evicts_the_least_recently_used_program() {
         let machine = rome_machine();
         let (a, b, c) = (ghz(2), ghz(3), ghz(4));
-        let key = |circuit: &qcirc::Circuit| (DeviceId::Rome, logical_hash(circuit));
+        let key = |circuit: &qcirc::Circuit| (DeviceId::Rome, program_fingerprint(circuit));
         let mut book = ProgramBook::default();
         for circuit in [&a, &b] {
-            book.record(
-                key(circuit),
-                circuit,
-                Resolution::new(circuit, 0, &machine),
-                2,
-            );
+            let resolution = Resolution::new(circuit, 0, &machine);
+            book.record(key(circuit), circuit, logical_hash(circuit), resolution, 2);
         }
-        assert!(book.resolution(&key(&a), &a, 0).is_some(), "A is a hit");
-        book.record(key(&c), &c, Resolution::new(&c, 0, &machine), 2);
-        assert!(
-            book.circuit(&key(&b)).is_none(),
+        let (logical, hit) = book.lookup(&key(&a), &a, 0).expect("A is booked");
+        assert!(hit.is_some(), "A is a hit");
+        assert_eq!(logical, logical_hash(&a));
+        let resolution = Resolution::new(&c, 0, &machine);
+        book.record(key(&c), &c, logical_hash(&c), resolution, 2);
+        assert_eq!(
+            book.logical_hash(&key(&b), &b),
+            None,
             "B was least recently used"
         );
-        assert_eq!(book.circuit(&key(&a)), Some(a));
-        assert_eq!(book.circuit(&key(&c)), Some(c));
+        assert_eq!(book.logical_hash(&key(&a), &a), Some(logical_hash(&a)));
+        assert_eq!(book.logical_hash(&key(&c), &c), Some(logical_hash(&c)));
     }
 
     #[test]
@@ -2542,13 +2655,28 @@ mod tests {
         let (a, b) = (ghz(3), ghz(4));
         let forced = (DeviceId::Rome, 42);
         let mut book = ProgramBook::default();
-        book.record(forced, &a, Resolution::new(&a, 0, &machine), 8);
-        assert!(book.resolution(&forced, &b, 0).is_none());
+        let ra = Resolution::new(&a, 0, &machine);
+        book.record(forced, &a, logical_hash(&a), ra, 8);
+        assert!(book.lookup(&forced, &b, 0).is_none());
+        assert_eq!(book.logical_hash(&forced, &b), None);
         let rb = Resolution::new(&b, 0, &machine);
-        book.record(forced, &b, rb.clone(), 8);
-        assert!(book.resolution(&forced, &a, 0).is_none());
-        let hit = book.resolution(&forced, &b, 0).expect("B is resolved");
+        book.record(forced, &b, logical_hash(&b), rb.clone(), 8);
+        assert!(book.lookup(&forced, &a, 0).is_none());
+        let (logical, hit) = book.lookup(&forced, &b, 0).expect("B is booked");
+        let hit = hit.expect("B is resolved");
         assert!(Arc::ptr_eq(&hit.compiled, &rb.compiled));
+        assert_eq!(logical, logical_hash(&b));
+        assert_ne!(logical, logical_hash(&a), "no shared logical hash");
+
+        // Signed zeros compare equal under `PartialEq`, yet they are two
+        // programs with two logical hashes.
+        let (pos, neg) = (rz_program(0.0), rz_program(-0.0));
+        assert_eq!(pos, neg);
+        let rpos = Resolution::new(&pos, 0, &machine);
+        book.record(forced, &pos, logical_hash(&pos), rpos, 8);
+        assert!(book.lookup(&forced, &neg, 0).is_none());
+        assert_eq!(book.logical_hash(&forced, &neg), None);
+        assert_eq!(book.logical_hash(&forced, &pos), Some(logical_hash(&pos)));
     }
 
     #[test]
@@ -2586,8 +2714,9 @@ mod tests {
             compiled: first.compiled,
             circuit_hash: first.key.circuit_hash,
         };
-        let program = (DeviceId::Rome, first.stale_key.logical_hash);
-        lock(&svc.shared.programs).record(program, &circuit, late, 8);
+        let program = (DeviceId::Rome, program_fingerprint(&circuit));
+        let logical = first.stale_key.logical_hash;
+        lock(&svc.shared.programs).record(program, &circuit, logical, late, 8);
         let kept = resolve_now(&svc, &circuit);
         assert!(Arc::ptr_eq(&fresh.compiled, &kept.compiled));
     }
@@ -2602,6 +2731,71 @@ mod tests {
         svc.drain_refines();
         let after = resolve_now(&svc, &circuit);
         assert!(Arc::ptr_eq(&before.compiled, &after.compiled), "memo hit");
+    }
+
+    #[test]
+    fn the_first_request_after_the_advance_takes_the_prewarmed_resolution() {
+        let svc = rome_service();
+        let circuit = ghz(4);
+        svc.call(small_recommend(&circuit)).expect("served");
+        assert_eq!(svc.prewarm_epoch(DeviceId::Rome).expect("served"), 1);
+        svc.drain_refines();
+        let prewarmed = lock(&svc.shared.programs)
+            .map
+            .values()
+            .find_map(|p| p.prewarmed.clone())
+            .expect("kept beside the current resolution");
+        let epoch = svc.advance_epoch(DeviceId::Rome).expect("served");
+        assert_eq!(prewarmed.epoch, epoch);
+        let after = resolve_now(&svc, &circuit);
+        assert!(
+            Arc::ptr_eq(&prewarmed.compiled, &after.compiled),
+            "promoted, not transpiled again"
+        );
+        assert_eq!(after.key.epoch, epoch);
+        assert_eq!(after.key.circuit_hash, prewarmed.circuit_hash);
+    }
+
+    #[test]
+    fn hits_on_a_booked_program_compute_no_logical_hash() {
+        let svc = rome_service();
+        let circuit = ghz(4);
+        svc.call(small_recommend(&circuit)).expect("served");
+        assert_eq!(svc.stats().logical_hashes, 1, "hashed once, on the miss");
+        for _ in 0..5 {
+            svc.call(small_recommend(&circuit)).expect("served");
+        }
+        let logical = svc.logical_hash_of(DeviceId::Rome, &circuit);
+        assert_eq!(logical, logical_hash(&circuit));
+        svc.advance_epoch(DeviceId::Rome).expect("served");
+        let fresh = resolve_now(&svc, &circuit);
+        assert_eq!(fresh.stale_key.logical_hash, logical);
+        assert_eq!(svc.stats().logical_hashes, 1, "warmed hits add none");
+        assert_eq!(
+            svc.logical_hash_of(DeviceId::Rome, &ghz(3)),
+            logical_hash(&ghz(3))
+        );
+        assert_eq!(
+            svc.stats().logical_hashes,
+            2,
+            "an unbooked program is hashed"
+        );
+    }
+
+    #[test]
+    fn signed_zero_programs_keep_their_own_logical_hash() {
+        let svc = rome_service();
+        let (pos, neg) = (rz_program(0.0), rz_program(-0.0));
+        assert_ne!(logical_hash(&pos), logical_hash(&neg));
+        for circuit in [&pos, &neg, &pos, &neg] {
+            let r = resolve_now(&svc, circuit);
+            assert_eq!(r.stale_key.logical_hash, logical_hash(circuit));
+            assert_eq!(
+                svc.logical_hash_of(DeviceId::Rome, circuit),
+                logical_hash(circuit)
+            );
+        }
+        assert_eq!(svc.stats().logical_hashes, 2, "one per program");
     }
 
     #[test]
