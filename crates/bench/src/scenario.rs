@@ -31,8 +31,8 @@ use crate::report::replay_digest;
 use crate::runner::ExperimentCfg;
 use adapt::DdProtocol;
 use adapt_service::{
-    BreakerConfig, BreakerFallback, DeviceId, MaskService, PersistConfig, Provenance, Request,
-    Response, SearchBudget, ServiceConfig, ServiceStats, TierPolicy,
+    DeviceId, MaskService, PersistConfig, Provenance, Request, Response, SearchBudget,
+    ServiceConfig, ServiceStats, TierPolicy,
 };
 use machine::FaultProfile;
 use qcirc::Circuit;
@@ -144,21 +144,6 @@ pub fn dead_device() -> FaultProfile {
     }
 }
 
-/// The breaker of the chaos and tiered scenarios: trips on half of an
-/// 8-request window (4 samples minimum), probes after 2 requests, and
-/// serves the conservative fallback mask while open.
-pub fn tripwire_breaker() -> BreakerConfig {
-    BreakerConfig {
-        window: 8,
-        min_samples: 4,
-        failure_threshold: 0.5,
-        cooldown_requests: 2,
-        open_retry_hint_ms: 200,
-        fallback: BreakerFallback::ConservativeMask,
-        ..BreakerConfig::enabled()
-    }
-}
-
 /// `config` made durable under `dir`. Snapshots come from the shutdown
 /// path and explicit calls only (long interval, no fsync), so the
 /// on-disk state is a pure function of the schedule.
@@ -248,12 +233,11 @@ pub fn twice<R: Replay>(what: &str, mut run: impl FnMut() -> R) -> R {
 /// Every [`ServiceStats`] counter by name, and whether a sequential,
 /// virtual-time schedule fully determines it (admission, searches, the
 /// deadline and breaker paths, every tier of the degradation ladder).
-fn stats_fields(s: &ServiceStats) -> [(&'static str, u64, bool); 23] {
+fn stats_fields(s: &ServiceStats) -> [(&'static str, u64, bool); 22] {
     [
         ("accepted", s.accepted, true),
         ("rejected", s.rejected, true),
         ("rejected_queue", s.rejected_queue, false),
-        ("rejected_breaker", s.rejected_breaker, false),
         ("rejected_deadline", s.rejected_deadline, false),
         ("rejected_quota", s.rejected_quota, true),
         ("completed", s.completed, true),

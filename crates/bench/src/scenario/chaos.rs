@@ -51,7 +51,7 @@
 
 use super::{
     budget, dead_device, ghz_x, latency_ms, recommend, schedule_pure, service_config, stats_json,
-    tripwire_breaker, twice, write_report, Json, Replay,
+    twice, write_report, Json, Replay,
 };
 use crate::runner::ExperimentCfg;
 use adapt_service::{
@@ -104,7 +104,7 @@ fn soak_config(cfg: &ExperimentCfg) -> ServiceConfig {
         // Expiry as a pure function of the seeded schedule: two
         // identical runs cancel at identical points.
         virtual_time: true,
-        breaker: tripwire_breaker(),
+        breaker: true,
         ..service_config(cfg, &DEVICES, 2, 8, 64)
     }
 }

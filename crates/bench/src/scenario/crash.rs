@@ -332,7 +332,6 @@ fn fleet_restart(cfg: &ExperimentCfg, keys: usize) -> (usize, u64) {
         ShardServer::start(ShardConfig {
             shard: shard_id,
             service: durable_config(cfg, dir.clone()),
-            max_frame_bytes: 1 << 20,
             fleet: None,
         })
         .expect("shard starts")

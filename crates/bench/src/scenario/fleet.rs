@@ -124,7 +124,6 @@ fn start_fleet(n: usize, service: &ServiceConfig) -> (Vec<ShardServer>, Ring, Fl
             ShardServer::start(ShardConfig {
                 shard,
                 service: service.clone(),
-                max_frame_bytes: 1 << 20,
                 fleet: Some((ring.clone(), map.clone())),
             })
             .expect("shard starts")
@@ -321,7 +320,6 @@ fn run_chaos(cfg: &ExperimentCfg, rounds: usize) -> ChaosReport {
     let reborn = ShardServer::start(ShardConfig {
         shard: victim,
         service: chaos_config(cfg),
-        max_frame_bytes: 1 << 20,
         fleet: Some((ring.clone(), map.clone())),
     })
     .expect("restart");

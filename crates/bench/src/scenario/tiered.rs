@@ -39,7 +39,7 @@
 
 use super::{
     budget, dead_device, ghz_x, latency_ms, recommend, schedule_pure, service_config, stats_json,
-    tripwire_breaker, twice, write_report, Json, Replay,
+    twice, write_report, Json, Replay,
 };
 use crate::runner::ExperimentCfg;
 use adapt_service::{
@@ -84,7 +84,7 @@ fn ladder_config(cfg: &ExperimentCfg) -> ServiceConfig {
         // Expiry as a pure function of the seeded schedule: two
         // identical runs ladder at identical points.
         virtual_time: true,
-        breaker: tripwire_breaker(),
+        breaker: true,
         tiers: TierConfig {
             // No finite client deadline fits a cold search, so every
             // deadline-carrying request rides the ladder; deadline-free

@@ -48,7 +48,6 @@ impl From<FrameError> for ClientError {
 pub struct ShardClient {
     addr: SocketAddr,
     stream: Option<TcpStream>,
-    max_frame: u32,
     connect_timeout: Duration,
 }
 
@@ -59,7 +58,6 @@ impl ShardClient {
         ShardClient {
             addr,
             stream: None,
-            max_frame: DEFAULT_MAX_FRAME_BYTES,
             connect_timeout: Duration::from_millis(500),
         }
     }
@@ -84,12 +82,11 @@ impl ShardClient {
         kind: FrameKind,
         payload: &[u8],
     ) -> Result<(FrameKind, Vec<u8>), ClientError> {
-        let max_frame = self.max_frame;
         let result = (|| {
             let stream = self.connected()?;
             wire::write_frame(stream, kind, wire::FLAG_CHECKSUM, payload)
                 .map_err(ClientError::Transport)?;
-            let (header, body) = wire::read_frame(stream, max_frame)?;
+            let (header, body) = wire::read_frame(stream, DEFAULT_MAX_FRAME_BYTES)?;
             Ok((header.kind, body))
         })();
         if matches!(result, Err(ClientError::Transport(_))) {

@@ -25,7 +25,7 @@ use crate::wire::{
 };
 use adapt_service::{CodecError, MaskService, Request, ServiceConfig, ServiceError, ServiceStats};
 use std::collections::HashMap;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -73,7 +73,9 @@ impl FleetMap {
     }
 }
 
-/// Configuration of one shard server.
+/// Configuration of one shard server. Every shard reads request frames,
+/// and forwarded replies, up to [`DEFAULT_MAX_FRAME_BYTES`], the bound a
+/// [`crate::ShardClient`] applies to its replies.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// This shard's stable identity in the ring.
@@ -82,8 +84,6 @@ pub struct ShardConfig {
     /// answers every shard must carry the *same* seed (responses are a
     /// pure function of `(seed, key, budget)`).
     pub service: ServiceConfig,
-    /// Upper bound on accepted frame payloads.
-    pub max_frame_bytes: u32,
     /// The fleet ring this shard checks key ownership against, plus the
     /// shared address directory for forwarding. `None` disables
     /// forwarding (single-shard deployments).
@@ -96,7 +96,6 @@ impl ShardConfig {
         ShardConfig {
             shard,
             service,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             fleet: None,
         }
     }
@@ -117,7 +116,6 @@ struct ServerShared {
     shard: ShardId,
     stop: AtomicBool,
     service: MaskService,
-    max_frame: u32,
     fleet: Option<(Ring, FleetMap)>,
     // Live connection streams, kept so `stop` can shut them down and
     // unblock their handler threads mid-read.
@@ -162,7 +160,6 @@ impl ShardServer {
             shard: config.shard,
             stop: AtomicBool::new(false),
             service,
-            max_frame: config.max_frame_bytes,
             fleet: config.fleet,
             conns: Mutex::new(Vec::new()),
             frames_total: registry.counter("adapt_fleet_frames_total"),
@@ -276,12 +273,48 @@ fn is_poll_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
+/// A connection as [`wire::read_frame`] reads one frame from it. The
+/// connection's read timeout only polls the stop flag *between* frames:
+/// once a frame's first byte has arrived, a timeout waits on for the
+/// rest (until stop), since giving up would drop the bytes already read
+/// and leave the stream mid-frame, and the client would wait forever
+/// for a reply to a request the shard never saw whole. A sender writes
+/// a frame's header, payload and checksum separately, so a sender
+/// descheduled between them for longer than the timeout is enough.
+struct FrameRead<'a> {
+    stream: &'a mut TcpStream,
+    stop: &'a AtomicBool,
+    started: bool,
+}
+
+impl Read for FrameRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if is_poll_timeout(&e) && self.started && !self.stop.load(Ordering::SeqCst) => {
+                }
+                Ok(n) => {
+                    self.started |= n > 0;
+                    return Ok(n);
+                }
+                other => return other,
+            }
+        }
+    }
+}
+
 fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        let (header, payload) = match wire::read_frame(&mut stream, shared.max_frame) {
+        let mut conn = FrameRead {
+            stream: &mut stream,
+            stop: &shared.stop,
+            started: false,
+        };
+        let (header, payload) = match wire::read_frame(&mut conn, DEFAULT_MAX_FRAME_BYTES) {
             Ok(frame) => frame,
             Err(FrameError::Io(e)) if is_poll_timeout(&e) => continue,
             Err(FrameError::Io(_)) => return, // peer hung up / kill
@@ -376,7 +409,7 @@ fn serve_request(stream: &mut TcpStream, shared: &ServerShared, payload: &[u8], 
             if let Some(owner) = ring.owner(key) {
                 if owner != shared.shard {
                     if let Some(owner_addr) = map.get(owner) {
-                        match forward(owner_addr, payload, shared.max_frame) {
+                        match forward(owner_addr, payload) {
                             Ok((kind, body)) => {
                                 shared.forwards_total.inc();
                                 let _ = wire::write_frame(stream, kind, FLAG_CHECKSUM, &body);
@@ -419,11 +452,7 @@ fn serve_request(stream: &mut TcpStream, shared: &ServerShared, payload: &[u8], 
 
 /// One forwarding hop: replay the raw request payload at the owner with
 /// [`FLAG_FORWARDED`] set, return its raw answer frame.
-fn forward(
-    owner: SocketAddr,
-    payload: &[u8],
-    max_frame: u32,
-) -> Result<(FrameKind, Vec<u8>), FrameError> {
+fn forward(owner: SocketAddr, payload: &[u8]) -> Result<(FrameKind, Vec<u8>), FrameError> {
     let mut stream = TcpStream::connect_timeout(&owner, Duration::from_millis(500))?;
     stream.set_nodelay(true)?;
     wire::write_frame(
@@ -432,7 +461,7 @@ fn forward(
         FLAG_FORWARDED | FLAG_CHECKSUM,
         payload,
     )?;
-    let (header, body) = wire::read_frame(&mut stream, max_frame)?;
+    let (header, body) = wire::read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES)?;
     match header.kind {
         FrameKind::Response | FrameKind::Error => Ok((header.kind, body)),
         other => Err(WireError::from(CodecError::UnknownTag {

@@ -78,7 +78,6 @@ fn start_shard(shard: ShardId, ring: &Ring, map: &FleetMap) -> ShardServer {
     ShardServer::start(ShardConfig {
         shard,
         service: service_config(),
-        max_frame_bytes: 1 << 20,
         fleet: Some((ring.clone(), map.clone())),
     })
     .expect("shard starts")
@@ -326,4 +325,54 @@ fn born_expired_wire_deadline_is_rejected_typed_not_served() {
     for shard in shards {
         shard.stop();
     }
+}
+
+/// A request frame whose pieces reach the shard far apart is still
+/// served. The shard polls its stop flag with a 25 ms read timeout;
+/// that poll must not drop the part of a frame already read. Split
+/// after the header, the shard used to read the payload as the next
+/// header and answer a wire error; split before the checksum trailer,
+/// it lost the whole frame and the client waited forever.
+#[test]
+fn a_frame_split_across_the_poll_timeout_is_still_served() {
+    use adapt_fleet::wire;
+    use adapt_fleet::FrameKind;
+    use std::io::Write;
+    use std::time::Duration;
+
+    let shard = ShardServer::start(ShardConfig::standalone(ShardId(3), service_config()))
+        .expect("shard starts");
+    let payload = wire::encode_request(&request(0), WireDeadline::unbounded());
+    let mut frame = Vec::new();
+    wire::write_frame(
+        &mut frame,
+        FrameKind::Request,
+        wire::FLAG_CHECKSUM,
+        &payload,
+    )
+    .expect("encode");
+    for split in [wire::HEADER_BYTES, frame.len() - 4] {
+        let mut stream = std::net::TcpStream::connect(shard.addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        // A lost frame shows as this timeout instead of a hung test.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        stream.write_all(&frame[..split]).expect("first part");
+        std::thread::sleep(Duration::from_millis(200));
+        stream.write_all(&frame[split..]).expect("second part");
+        let (header, body) = wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES)
+            .unwrap_or_else(|e| panic!("split at byte {split}: no reply ({e:?})"));
+        assert_eq!(
+            header.kind,
+            FrameKind::Response,
+            "split at byte {split}: {:?}",
+            wire::decode_error(&body)
+        );
+        assert!(matches!(
+            wire::decode_response(&body),
+            Ok(Response::Mask(_))
+        ));
+    }
+    shard.stop();
 }

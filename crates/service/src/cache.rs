@@ -49,10 +49,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// Default number of masks a [`MaskCache`] retains.
 pub const DEFAULT_MASK_CACHE_CAPACITY: usize = 256;
 
-/// Default bound of the superseded-epoch stale store.
+/// Bound of every cache's superseded-epoch stale store.
 pub const DEFAULT_STALE_CAPACITY: usize = 64;
 
-/// Default length of the hot-key accounting ring.
+/// Length of every cache's hot-key accounting ring.
 pub const DEFAULT_HOT_RING_CAPACITY: usize = 128;
 
 /// Cache key: everything the chosen mask depends on.
@@ -544,8 +544,6 @@ pub struct MaskCache {
     /// Signalled when an in-flight search completes or abandons.
     resolved: Condvar,
     capacity: usize,
-    stale_capacity: usize,
-    hot_ring_capacity: usize,
     metrics: CacheMetrics,
     /// Write-ahead journal sink (see [`CacheEvent`]); `None` until the
     /// persistence layer installs one after recovery.
@@ -556,7 +554,6 @@ impl std::fmt::Debug for MaskCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MaskCache")
             .field("capacity", &self.capacity)
-            .field("stale_capacity", &self.stale_capacity)
             .finish_non_exhaustive()
     }
 }
@@ -646,15 +643,14 @@ impl Drop for SearchTicket {
 }
 
 impl MaskCache {
-    /// Creates a cache retaining at most `capacity` masks (min 1), with
-    /// default stale-store and hot-ring bounds.
+    /// Creates a cache retaining at most `capacity` masks (min 1), at
+    /// most [`DEFAULT_STALE_CAPACITY`] stale values, and the last
+    /// [`DEFAULT_HOT_RING_CAPACITY`] lookups for [`Self::hot_keys`].
     pub fn new(capacity: usize) -> Self {
         MaskCache {
             inner: Mutex::new(Inner::default()),
             resolved: Condvar::new(),
             capacity: capacity.max(1),
-            stale_capacity: DEFAULT_STALE_CAPACITY,
-            hot_ring_capacity: DEFAULT_HOT_RING_CAPACITY,
             metrics: CacheMetrics::default(),
             journal: Mutex::new(None),
         }
@@ -667,21 +663,6 @@ impl MaskCache {
         MaskCache {
             metrics: CacheMetrics::for_registry(registry),
             ..Self::new(capacity)
-        }
-    }
-
-    /// Full-control constructor: serving capacity, stale-store bound and
-    /// hot-ring length, with counters mirrored into `registry`.
-    pub fn with_tiers(
-        capacity: usize,
-        stale_capacity: usize,
-        hot_ring_capacity: usize,
-        registry: &adapt_obs::Registry,
-    ) -> Self {
-        MaskCache {
-            stale_capacity,
-            hot_ring_capacity,
-            ..Self::with_registry(capacity, registry)
         }
     }
 
@@ -702,7 +683,7 @@ impl MaskCache {
         let mut inner = cache.lock();
         inner.lookups += 1;
         cache.metrics.lookups.inc();
-        cache.record_hot(&mut inner, stale_key);
+        Self::record_hot(&mut inner, stale_key);
         let ticket = || SearchTicket {
             cache: Arc::clone(cache),
             key,
@@ -800,7 +781,6 @@ impl MaskCache {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let stale_cap = self.stale_capacity;
         let mut moved: Vec<(StaleKey, StaleEntry)> = Vec::new();
         inner.map.retain(|k, e| {
             let drop = k.device == device && k.epoch < min_epoch;
@@ -817,18 +797,16 @@ impl MaskCache {
             !drop
         });
         let dropped = moved.len();
-        if stale_cap > 0 {
-            for (sk, se) in moved {
-                // Never let an older epoch shadow a newer stale value.
-                match inner.stale.get(&sk) {
-                    Some(prev) if prev.epoch >= se.epoch => {}
-                    _ => {
-                        inner.stale.insert(sk, se);
-                    }
+        for (sk, se) in moved {
+            // Never let an older epoch shadow a newer stale value.
+            match inner.stale.get(&sk) {
+                Some(prev) if prev.epoch >= se.epoch => {}
+                _ => {
+                    inner.stale.insert(sk, se);
                 }
             }
-            Self::evict_stale_over(&mut inner, stale_cap);
         }
+        Self::evict_stale(&mut inner);
         inner.invalidated += dropped as u64;
         self.metrics.invalidated.add(dropped as u64);
         self.metrics.len.set(inner.map.len() as i64);
@@ -921,9 +899,6 @@ impl MaskCache {
     /// Returns whether the value was stored. Recovery-only; never emits
     /// a journal event.
     pub fn restore_stale(&self, key: StaleKey, value: CachedMask, epoch: u64) -> bool {
-        if self.stale_capacity == 0 {
-            return false;
-        }
         let mut inner = self.lock();
         inner.tick += 1;
         let stored = inner.tick;
@@ -940,13 +915,13 @@ impl MaskCache {
                 );
             }
         }
-        Self::evict_stale_over(&mut inner, self.stale_capacity);
+        Self::evict_stale(&mut inner);
         self.metrics.stale_len.set(inner.stale.len() as i64);
         true
     }
 
-    fn evict_stale_over(inner: &mut Inner, cap: usize) {
-        while inner.stale.len() > cap {
+    fn evict_stale(inner: &mut Inner) {
+        while inner.stale.len() > DEFAULT_STALE_CAPACITY {
             if let Some(&oldest) = inner
                 .stale
                 .iter()
@@ -993,15 +968,12 @@ impl MaskCache {
             len: inner.map.len(),
             capacity: self.capacity,
             stale_len: inner.stale.len(),
-            stale_capacity: self.stale_capacity,
+            stale_capacity: DEFAULT_STALE_CAPACITY,
         }
     }
 
-    fn record_hot(&self, inner: &mut Inner, stale_key: StaleKey) {
-        if self.hot_ring_capacity == 0 {
-            return;
-        }
-        if inner.hot_ring.len() >= self.hot_ring_capacity {
+    fn record_hot(inner: &mut Inner, stale_key: StaleKey) {
+        if inner.hot_ring.len() >= DEFAULT_HOT_RING_CAPACITY {
             inner.hot_ring.pop_front();
         }
         inner.hot_ring.push_back(stale_key);
@@ -1344,7 +1316,7 @@ mod tests {
     #[test]
     fn invalidation_moves_entries_to_the_stale_store_and_lookup_serves_them() {
         let registry = adapt_obs::Registry::new();
-        let cache = Arc::new(MaskCache::with_tiers(8, 4, 16, &registry));
+        let cache = Arc::new(MaskCache::with_registry(8, &registry));
         seed_tiered(&cache, 0, 1, mask(3));
         assert_eq!(cache.invalidate_before(DeviceId::Rome, 1), 1);
         assert_eq!(cache.stats().stale_len, 1);
@@ -1386,7 +1358,7 @@ mod tests {
     #[test]
     fn stale_serving_respects_the_age_bound() {
         let registry = adapt_obs::Registry::new();
-        let cache = Arc::new(MaskCache::with_tiers(8, 4, 16, &registry));
+        let cache = Arc::new(MaskCache::with_registry(8, &registry));
         seed_tiered(&cache, 0, 1, mask(3));
         cache.invalidate_before(DeviceId::Rome, 1);
         // Age 3 exceeds the bound of 2: cold, caller becomes searcher.
@@ -1404,18 +1376,21 @@ mod tests {
     #[test]
     fn stale_store_is_bounded_oldest_first() {
         let registry = adapt_obs::Registry::new();
-        let cache = Arc::new(MaskCache::with_tiers(8, 2, 16, &registry));
-        for hash in 0..4u64 {
+        let over = DEFAULT_STALE_CAPACITY as u64 + 2;
+        let cache = Arc::new(MaskCache::with_registry(2 * over as usize, &registry));
+        for hash in 0..over {
             seed_tiered(&cache, 0, hash, mask(hash));
         }
-        cache.invalidate_before(DeviceId::Rome, 1);
-        assert_eq!(cache.stats().stale_len, 2, "stale store holds its bound");
+        assert_eq!(cache.invalidate_before(DeviceId::Rome, 1), over as usize);
+        let stats = cache.stats();
+        assert_eq!(stats.stale_len, 64, "stale store holds its bound");
+        assert_eq!(stats.stale_capacity, 64);
     }
 
     #[test]
     fn non_blocking_lookup_never_waits_and_hands_out_one_cold_ticket() {
         let registry = adapt_obs::Registry::new();
-        let cache = Arc::new(MaskCache::with_tiers(8, 4, 16, &registry));
+        let cache = Arc::new(MaskCache::with_registry(8, &registry));
         let k = key(0, 5);
         let sk = stale_key_of(5);
         let TieredLookup::Miss(Some(ticket)) = MaskCache::lookup(&cache, k, sk, 2, false) else {
@@ -1444,7 +1419,7 @@ mod tests {
     #[test]
     fn try_ticket_skips_cached_and_inflight_keys_without_counting() {
         let registry = adapt_obs::Registry::new();
-        let cache = Arc::new(MaskCache::with_tiers(8, 4, 16, &registry));
+        let cache = Arc::new(MaskCache::with_registry(8, &registry));
         let k = key(1, 6);
         let sk = stale_key_of(6);
         let t = MaskCache::try_ticket(&cache, k, sk).expect("first taker wins");
@@ -1457,7 +1432,7 @@ mod tests {
     #[test]
     fn hot_keys_ranks_by_frequency_then_first_seen() {
         let registry = adapt_obs::Registry::new();
-        let cache = Arc::new(MaskCache::with_tiers(8, 4, 8, &registry));
+        let cache = Arc::new(MaskCache::with_registry(8, &registry));
         let serve = |hash: u64| match MaskCache::lookup(
             &cache,
             key(0, hash),
@@ -1478,10 +1453,18 @@ mod tests {
             vec![1, 2]
         );
         assert!(cache.hot_keys(DeviceId::London, 4).is_empty());
-        // The ring is bounded: old observations age out.
-        for hash in [4u64, 4, 4, 4, 4, 4, 4, 4] {
-            serve(hash);
+        // The ring holds the last 128 lookups: old observations age out.
+        for _ in 0..127 {
+            serve(4);
         }
-        assert_eq!(cache.hot_keys(DeviceId::Rome, 1)[0].logical_hash, 4);
+        let hot = cache.hot_keys(DeviceId::Rome, 4);
+        assert_eq!(
+            hot.iter().map(|sk| sk.logical_hash).collect::<Vec<_>>(),
+            vec![4, 2],
+            "of the first six lookups, only the last 2 is still in the ring"
+        );
+        serve(4);
+        assert_eq!(cache.hot_keys(DeviceId::Rome, 4)[0].logical_hash, 4);
+        assert_eq!(cache.hot_keys(DeviceId::Rome, 4).len(), 1);
     }
 }

@@ -26,11 +26,11 @@
 //!   boundary and serves a conservative partial mask
 //!   ([`Provenance::PartialSearch`], never cached).
 //! - Per-device circuit breakers ([`HealthTracker`], opt-in via
-//!   [`ServiceConfig::breaker`]): a device failing most of its recent
-//!   searches trips open, and its requests fail fast
-//!   ([`ServiceError::DeviceUnhealthy`]) or get the cached/all-DD
-//!   conservative mask ([`Provenance::BreakerFallback`]) until a
-//!   half-open probe closes the breaker again.
+//!   [`ServiceConfig::breaker`]): a device failing half of its recent
+//!   searches trips open, and its recommendations get the cached/all-DD
+//!   conservative mask ([`Provenance::BreakerFallback`]), its executions
+//!   a typed [`ServiceError::DeviceUnhealthy`], until a half-open probe
+//!   closes the breaker again.
 //! - A three-tier degradation ladder (opt-in via
 //!   [`ServiceConfig::tiers`]): the pure [`choose_rung`] picks, per
 //!   request, the breaker fallback, a blocking search, or an instant
@@ -116,9 +116,7 @@ pub mod sched;
 pub mod service;
 pub mod tenancy;
 
-pub use breaker::{
-    Admission, BreakerConfig, BreakerFallback, BreakerState, HealthTracker, Transition,
-};
+pub use breaker::{Admission, BreakerState, HealthTracker, Transition};
 pub use cache::{
     logical_hash, program_fingerprint, CacheEvent, CachedMask, MaskCache, MaskCacheStats, MaskKey,
     SearchTicket, StaleKey, TieredLookup,

@@ -27,7 +27,7 @@
 //! impl, so blocked waiters never deadlock — one of them becomes the new
 //! searcher.
 
-use crate::breaker::{Admission, BreakerConfig, BreakerState, HealthTracker, Transition};
+use crate::breaker::{Admission, BreakerState, HealthTracker, Transition};
 use crate::cache::{
     logical_hash, program_fingerprint, same_program, CachedMask, MaskCache, MaskCacheStats,
     MaskKey, SearchTicket, StaleKey, TieredLookup,
@@ -40,9 +40,7 @@ use adapt::decoy::make_decoy;
 use adapt::{
     heuristic_mask, Adapt, AdaptConfig, AdaptError, DdConfig, DdMask, DdProtocol, DecoyKind, Policy,
 };
-use machine::{
-    Deadline, ExecutionConfig, FaultProfile, FaultyBackend, Machine, ResilientExecutor, RetryPolicy,
-};
+use machine::{Deadline, ExecutionConfig, FaultProfile, FaultyBackend, Machine, ResilientExecutor};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -136,7 +134,7 @@ impl std::error::Error for BudgetError {}
 
 impl SearchBudget {
     /// Rejects budgets no search can run with (mirroring
-    /// [`RetryPolicy::validate`]). A [`TierPolicy::HeuristicOnly`]
+    /// [`machine::RetryPolicy::validate`]). A [`TierPolicy::HeuristicOnly`]
     /// budget is exempt from the search-parameter checks — it never
     /// searches, so zero decoy parameters are not contradictory for it.
     ///
@@ -239,7 +237,7 @@ pub fn choose_rung(
     let max_stale = tiers.max_stale_epochs;
     let fits_search = remaining_ms.is_none_or(|ms| ms >= tiers.min_search_ms);
     match (admission, tier) {
-        (Admission::Fallback | Admission::FailFast { .. }, _) => Rung::Breaker,
+        (Admission::Fallback, _) => Rung::Breaker,
         (_, TierPolicy::SearchOnly) => Rung::Search { max_stale: 0 },
         (_, TierPolicy::Auto) if fits_search => Rung::Search { max_stale },
         (_, TierPolicy::Auto) => Rung::Instant {
@@ -269,8 +267,6 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Fault profile every per-request backend is built with.
     pub fault_profile: FaultProfile,
-    /// Retry/backoff policy of the per-request resilient executor.
-    pub retry: RetryPolicy,
     /// Decoy construction mode (part of the cache key).
     pub decoy: DecoyKind,
     /// Default budget for [`Request::Execute`]-triggered searches.
@@ -279,13 +275,14 @@ pub struct ServiceConfig {
     /// stale-while-revalidate, tier 2 proactive refresh). The default
     /// disables all three — see [`TierConfig`].
     pub tiers: TierConfig,
-    /// Per-device circuit breaker. Disabled by default: breaker
+    /// Run a per-device circuit breaker ([`HealthTracker`]; its tuning
+    /// is fixed, see [`crate::breaker`]). Off by default: breaker
     /// decisions couple requests to each other (an open breaker changes
     /// what *other* keys' requests get back), which intentionally trades
     /// the service's pure per-key determinism for failure isolation —
     /// opt in where that trade is wanted (production, the chaos
     /// harness).
-    pub breaker: BreakerConfig,
+    pub breaker: bool,
     /// Run the service on virtual time instead of wall time. Request
     /// deadlines count charged virtual time only
     /// ([`Deadline::virtual_only`] instead of [`Deadline::within_ms`]),
@@ -324,11 +321,10 @@ impl Default for ServiceConfig {
             cache_capacity: crate::cache::DEFAULT_MASK_CACHE_CAPACITY,
             seed: 2021,
             fault_profile: FaultProfile::none(),
-            retry: RetryPolicy::default(),
             decoy: DecoyKind::default(),
             default_budget: SearchBudget::default(),
             tiers: TierConfig::default(),
-            breaker: BreakerConfig::disabled(),
+            breaker: false,
             virtual_time: false,
             registry: Arc::new(adapt_obs::Registry::new()),
             tenancy: TenancyConfig::default(),
@@ -338,22 +334,13 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Rejects configurations the service cannot run with (invalid
-    /// retry policy, breaker tuning, default search budget, or tenancy
-    /// policy).
+    /// Rejects configurations the service cannot run with (an invalid
+    /// default search budget or tenancy policy).
     ///
     /// # Errors
     ///
     /// [`ServiceError::InvalidConfig`] naming the first violation.
     pub fn validate(&self) -> Result<(), ServiceError> {
-        self.retry
-            .validate()
-            .map_err(|e| ServiceError::InvalidConfig {
-                reason: e.to_string(),
-            })?;
-        self.breaker
-            .validate()
-            .map_err(|reason| ServiceError::InvalidConfig { reason })?;
         self.default_budget
             .validate()
             .map_err(|e| ServiceError::InvalidConfig {
@@ -603,8 +590,9 @@ pub enum ServiceError {
         /// Time until the bucket refills one token.
         retry_after_ms: u64,
     },
-    /// The device's circuit breaker is open and configured to fail
-    /// fast. Back off for about `retry_after_ms`, or retarget.
+    /// The device's circuit breaker is open and the request is an
+    /// execution, which no conservative mask can stand in for. Back off
+    /// for about `retry_after_ms`, or retarget.
     DeviceUnhealthy {
         /// The device whose breaker is open.
         device: DeviceId,
@@ -692,9 +680,6 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Rejections because the queue was full.
     pub rejected_queue: u64,
-    /// Rejections because the target device's breaker was open in
-    /// fail-fast mode.
-    pub rejected_breaker: u64,
     /// Rejections because the request's deadline was already expired at
     /// submission.
     pub rejected_deadline: u64,
@@ -757,7 +742,6 @@ struct Metrics {
     accepted: adapt_obs::Counter,
     rejected: adapt_obs::Counter,
     rejected_queue: adapt_obs::Counter,
-    rejected_breaker: adapt_obs::Counter,
     rejected_deadline: adapt_obs::Counter,
     rejected_quota: adapt_obs::Counter,
     completed: adapt_obs::Counter,
@@ -806,7 +790,6 @@ impl Metrics {
             accepted: r.counter("adapt_service_accepted_total"),
             rejected: r.counter("adapt_service_rejected_total"),
             rejected_queue: r.counter("adapt_service_rejected_queue_total"),
-            rejected_breaker: r.counter("adapt_service_rejected_breaker_total"),
             rejected_deadline: r.counter("adapt_service_rejected_deadline_total"),
             rejected_quota: r.counter("adapt_service_rejected_quota_total"),
             completed: r.counter("adapt_service_completed_total"),
@@ -1204,8 +1187,8 @@ impl MaskService {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::InvalidConfig`] when the retry policy or breaker
-    /// tuning fails [`ServiceConfig::validate`].
+    /// [`ServiceError::InvalidConfig`] when the configuration fails
+    /// [`ServiceConfig::validate`].
     pub fn try_start(config: ServiceConfig) -> Result<Self, ServiceError> {
         config.validate()?;
         let registry = DeviceRegistry::new(&config.devices, config.seed);
@@ -1291,9 +1274,8 @@ impl MaskService {
     /// the larger of the queue-drain estimate and the target device's
     /// breaker-open hint), [`ServiceError::DeadlineExceeded`] when the
     /// request's deadline is already expired at submission (not
-    /// enqueued), [`ServiceError::DeviceUnhealthy`] when the device's
-    /// breaker is open in fail-fast mode, and
-    /// [`ServiceError::ShuttingDown`] after [`Self::shutdown`] began.
+    /// enqueued), and [`ServiceError::ShuttingDown`] after
+    /// [`Self::shutdown`] began.
     pub fn submit(&self, request: Request) -> Result<Pending, ServiceError> {
         let shared = &self.shared;
         let device = request.device();
@@ -1397,14 +1379,6 @@ impl MaskService {
             // admission sequence (which drives cooldown counting and
             // probe hand-out) is exactly the accepted-submission order.
             let admission = shared.health.admit(device);
-            if let Admission::FailFast { retry_after_ms } = admission {
-                shared.metrics.rejected.inc();
-                shared.metrics.rejected_breaker.inc();
-                return Err(ServiceError::DeviceUnhealthy {
-                    device,
-                    retry_after_ms,
-                });
-            }
             let key_us = deadline.edf_key_us();
             state.jobs.push(
                 tenancy.tenant,
@@ -1568,7 +1542,6 @@ impl MaskService {
             accepted: m.accepted.get(),
             rejected: m.rejected.get(),
             rejected_queue: m.rejected_queue.get(),
-            rejected_breaker: m.rejected_breaker.get(),
             rejected_deadline: m.rejected_deadline.get(),
             rejected_quota: m.rejected_quota.get(),
             completed: m.completed.get(),
@@ -2226,8 +2199,7 @@ fn backend_for(
         .copied()
         .unwrap_or(shared.config.fault_profile);
     let faulty = FaultyBackend::new(machine, profile, seed);
-    let resilient = ResilientExecutor::with_policy(Arc::new(faulty), shared.config.retry)
-        .with_deadline(deadline.clone());
+    let resilient = ResilientExecutor::new(Arc::new(faulty)).with_deadline(deadline.clone());
     Adapt::with_backend(Arc::new(resilient))
 }
 

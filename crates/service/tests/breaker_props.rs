@@ -1,38 +1,21 @@
-//! Property tests over the circuit-breaker state machine: an
-//! all-success outcome stream can never trip a breaker, and any finite
-//! failure burst is always recovered from within the probe budget once
-//! the device is healthy again. Every scenario is a pure function of
-//! the printed inputs, so a failing case replays exactly.
+//! Property tests over the circuit-breaker state machine at its fixed
+//! tuning: an all-success outcome stream can never trip a breaker, and
+//! any finite failure burst is always recovered from within the probe
+//! budget once the device is healthy again. Every scenario is a pure
+//! function of the printed inputs, so a failing case replays exactly.
 
-use adapt_service::{
-    Admission, BreakerConfig, BreakerFallback, BreakerState, DeviceId, HealthTracker,
-};
+use adapt_service::{Admission, BreakerState, DeviceId, HealthTracker};
 use proptest::prelude::*;
 
-fn tracker(config: BreakerConfig) -> HealthTracker {
-    HealthTracker::new(config, &[DeviceId::Rome], &adapt_obs::Registry::new())
-}
+/// The breaker's outcome window.
+const WINDOW: usize = 8;
+/// Outcomes the window needs before it may trip.
+const MIN_SAMPLES: usize = 4;
+/// Denied admissions before the half-open probe.
+const COOLDOWN_REQUESTS: usize = 2;
 
-/// Valid enabled configs. The failure threshold stays strictly positive:
-/// a zero threshold is the (valid, pathological) "trip on any full
-/// window" tuning, for which no-trip-on-success does not hold.
-fn config_strategy() -> impl Strategy<Value = BreakerConfig> {
-    (1usize..24, 0.05f64..1.0, 1u64..12, 1u64..2_000, 0.0f64..1.0).prop_map(
-        |(window, failure_threshold, cooldown_requests, open_retry_hint_ms, min_frac)| {
-            // min_samples uniform over [1, window] via a fraction, since
-            // this proptest fork has no dependent (flat-mapped) ranges.
-            let min_samples = 1 + ((window - 1) as f64 * min_frac) as usize;
-            BreakerConfig {
-                enabled: true,
-                window,
-                failure_threshold,
-                min_samples,
-                cooldown_requests,
-                open_retry_hint_ms,
-                fallback: BreakerFallback::ConservativeMask,
-            }
-        },
-    )
+fn tracker() -> HealthTracker {
+    HealthTracker::new(true, &[DeviceId::Rome], &adapt_obs::Registry::new())
 }
 
 /// One healthy round-trip: admit, and answer whatever slot was handed
@@ -41,7 +24,7 @@ fn healthy_step(t: &HealthTracker, dev: DeviceId) {
     match t.admit(dev) {
         Admission::Proceed => t.record(dev, false),
         Admission::Probe => t.record_probe(dev, false),
-        Admission::Fallback | Admission::FailFast { .. } => {}
+        Admission::Fallback => {}
     }
 }
 
@@ -49,9 +32,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn all_success_traffic_never_trips(config in config_strategy(), n in 0usize..256) {
-        prop_assert!(config.validate().is_ok());
-        let t = tracker(config);
+    fn all_success_traffic_never_trips(n in 0usize..256) {
+        let t = tracker();
         let dev = DeviceId::Rome;
         for _ in 0..n {
             prop_assert_eq!(t.admit(dev), Admission::Proceed);
@@ -63,41 +45,44 @@ proptest! {
 
     #[test]
     fn finite_failure_burst_always_returns_to_closed(
-        config in config_strategy(),
         burst in 1usize..128,
+        tail in prop::collection::vec(any::<bool>(), 0..16),
     ) {
-        let t = tracker(config);
+        let t = tracker();
         let dev = DeviceId::Rome;
-        // The sick phase: every admitted request fails, every probe
-        // fails. Outcomes are always recorded in the same step, so no
-        // probe slot is ever left dangling.
-        for _ in 0..burst {
+        // The sick phase: a failure burst, then an arbitrary outcome
+        // tail (`true` = failure) that can leave any window behind.
+        // Outcomes are always recorded in the same step, so no probe
+        // slot is ever left dangling.
+        for failure in std::iter::repeat_n(true, burst).chain(tail) {
             match t.admit(dev) {
-                Admission::Proceed => t.record(dev, true),
-                Admission::Probe => t.record_probe(dev, true),
-                Admission::Fallback | Admission::FailFast { .. } => {}
+                Admission::Proceed => t.record(dev, failure),
+                Admission::Probe => t.record_probe(dev, failure),
+                Admission::Fallback => {}
             }
         }
         // The device heals. From any reachable state the breaker must
-        // close within the probe budget: at most `cooldown_requests`
-        // denials to earn the half-open probe, plus the probe itself.
-        let budget = config.cooldown_requests as usize + 2;
-        let mut steps = 0usize;
-        while t.state(dev) != Some(BreakerState::Closed) {
-            prop_assert!(
-                steps < budget,
-                "breaker still {:?} after {} healthy admissions (budget {})",
-                t.state(dev),
-                steps,
-                budget
-            );
-            healthy_step(&t, dev);
-            steps += 1;
-        }
-        // And it stays closed under further healthy traffic.
-        for _ in 0..config.window {
+        // close for good within the probe budget. A closed window still
+        // holding fewer than `MIN_SAMPLES` failures can trip on the
+        // healthy outcomes that complete it (at most `MIN_SAMPLES - 2`
+        // of them: 2 of 4 is already half), then the open breaker takes
+        // at most `COOLDOWN_REQUESTS` admissions, the last of which is the
+        // half-open probe that closes it.
+        let budget = MIN_SAMPLES - 2 + COOLDOWN_REQUESTS;
+        let mut last_unclosed = None;
+        for step in 0..budget + 4 * WINDOW {
+            if t.state(dev) != Some(BreakerState::Closed) {
+                last_unclosed = Some(step);
+            }
             healthy_step(&t, dev);
         }
+        prop_assert!(
+            last_unclosed.is_none_or(|step| step < budget),
+            "breaker still {:?} at healthy admission {:?} (budget {})",
+            t.state(dev),
+            last_unclosed,
+            budget
+        );
         prop_assert_eq!(t.state(dev), Some(BreakerState::Closed));
     }
 }

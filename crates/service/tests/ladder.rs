@@ -6,14 +6,7 @@
 use adapt_service::{choose_rung, Admission, Rung, TierConfig, TierPolicy};
 use proptest::prelude::*;
 
-const ADMISSIONS: [Admission; 4] = [
-    Admission::Proceed,
-    Admission::Probe,
-    Admission::FailFast {
-        retry_after_ms: 200,
-    },
-    Admission::Fallback,
-];
+const ADMISSIONS: [Admission; 3] = [Admission::Proceed, Admission::Probe, Admission::Fallback];
 
 const TIERS: [TierPolicy; 3] = [
     TierPolicy::Auto,
@@ -37,7 +30,7 @@ fn check(admission: Admission, tier: TierPolicy, remaining_ms: Option<u64>, tier
     );
     // An open breaker always answers from the breaker rung, and nothing
     // else ever does.
-    if matches!(admission, Admission::Fallback | Admission::FailFast { .. }) {
+    if admission == Admission::Fallback {
         assert_eq!(rung, Rung::Breaker, "{ctx}");
         return;
     }
@@ -108,7 +101,7 @@ proptest! {
         remaining in 0u64..2_000_000,
         bounded in any::<bool>(),
         max_stale in 0u64..5,
-        admission in 0usize..4,
+        admission in 0usize..3,
         tier in 0usize..3,
     ) {
         let remaining = bounded.then_some(remaining);

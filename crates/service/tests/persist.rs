@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use adapt::{DdMask, DdProtocol, DecoyKind};
-use adapt_service::cache::TieredLookup;
+use adapt_service::cache::{TieredLookup, DEFAULT_STALE_CAPACITY};
 use adapt_service::persist::{
     decode_store, encode_record, journal_path, snapshot_path, PersistRecord, JOURNAL_MAGIC,
     PERSIST_VERSION, SNAPSHOT_MAGIC,
@@ -227,7 +227,9 @@ fn invalidate_after_recovery_respects_stale_bound_and_accounting() {
     let dir = tmp("demote_bound");
     let obs = adapt_obs::Registry::new();
     let registry = DeviceRegistry::new(&[DeviceId::Rome], 7);
-    let cache = Arc::new(MaskCache::with_tiers(16, 2, 8, &obs));
+    // Two more warm entries than the stale store holds.
+    let warm = DEFAULT_STALE_CAPACITY as u64 + 2;
+    let cache = Arc::new(MaskCache::with_registry(2 * warm as usize, &obs));
 
     let key = |hash: u64| MaskKey {
         device: DeviceId::Rome,
@@ -237,29 +239,33 @@ fn invalidate_after_recovery_respects_stale_bound_and_accounting() {
         decoy: DecoyKind::Clifford,
     };
     let value = |bits: u64| CachedMask {
-        mask: DdMask::from_bits(bits, 5),
+        mask: DdMask::from_bits(bits, 7),
         decoy_fidelity: 0.75,
         decoy_runs: 8,
         degraded: false,
     };
-    for h in 0..4u64 {
+    for h in 0..warm {
         cache.insert(key(h), value(h + 1));
     }
     let persister = Persister::new(&dir, false, &obs).expect("persister");
     let records = persister.snapshot(&cache, &registry).expect("snapshot");
-    assert_eq!(records, 1 + 4, "one epoch record plus four warm entries");
+    assert_eq!(
+        records,
+        1 + warm as usize,
+        "one epoch record plus the warm entries"
+    );
 
     // Fresh process: recover, then drift demotes every reloaded entry.
     let obs2 = adapt_obs::Registry::new();
     let registry2 = DeviceRegistry::new(&[DeviceId::Rome], 7);
-    let cache2 = Arc::new(MaskCache::with_tiers(16, 2, 8, &obs2));
+    let cache2 = Arc::new(MaskCache::with_registry(2 * warm as usize, &obs2));
     let persister2 = Persister::new(&dir, false, &obs2).expect("persister");
     let report = persister2.recover(&cache2, &registry2).expect("recover");
-    assert_eq!(report.recovered_warm, 4);
+    assert_eq!(report.recovered_warm, warm as usize);
     assert_eq!(report.quarantined, 0);
 
     let demoted = cache2.invalidate_before(DeviceId::Rome, 1);
-    assert_eq!(demoted, 4);
+    assert_eq!(demoted, warm as usize);
     let stats = cache2.stats();
     assert!(
         stats.stale_len <= stats.stale_capacity,
@@ -267,12 +273,13 @@ fn invalidate_after_recovery_respects_stale_bound_and_accounting() {
         stats.stale_len,
         stats.stale_capacity
     );
-    assert_eq!(stats.stale_capacity, 2);
+    assert_eq!(stats.stale_capacity, 64);
+    assert_eq!(stats.stale_len, 64);
 
     // Exercise all three lookup outcomes against the recovered cache.
     // Stale serve: a demoted survivor within the staleness bound.
     let mut stale_served = 0;
-    for h in 0..4u64 {
+    for h in 0..warm {
         let k1 = MaskKey { epoch: 1, ..key(h) };
         // `insert` records the synthetic stale identity
         // `stale_key(circuit_hash)`, so the epoch-1 request matches the
@@ -298,7 +305,7 @@ fn invalidate_after_recovery_respects_stale_bound_and_accounting() {
         "bounded stale store must still serve survivors"
     );
     // Hit: the completed searches above are warm at epoch 1 now.
-    for h in 0..4u64 {
+    for h in 0..warm {
         let k1 = MaskKey { epoch: 1, ..key(h) };
         match MaskCache::lookup(&cache2, k1, k1.stale_key(h), 0, true) {
             TieredLookup::Hit(v) => assert_eq!(v.mask, value(h + 1).mask),
@@ -412,7 +419,7 @@ fn published_store_bytes_are_pinned() {
     let dir = tmp("golden_store");
     let obs = adapt_obs::Registry::noop();
     let registry = DeviceRegistry::new(&[DeviceId::Rome], 7);
-    let cache = MaskCache::with_tiers(16, 2, 8, &obs);
+    let cache = MaskCache::with_registry(16, &obs);
     for h in 0..2u64 {
         cache.insert(
             MaskKey {
