@@ -1,14 +1,17 @@
 //! Criterion benchmarks of the ADAPT framework itself: decoy
-//! construction, DD insertion, one noisy trajectory execution, and the
+//! construction, DD insertion, one noisy trajectory execution, the
 //! full localized mask search serial vs batched (worker threads score a
-//! neighborhood's masks in parallel).
+//! neighborhood's masks in parallel), and the fleet wire's request codec
+//! and frame round trip.
 
 use adapt::dd::{insert_dd, DdConfig, DdMask, DdProtocol};
 use adapt::decoy::{make_decoy, DecoyKind};
 use adapt::search::{localized_search, SearchContext};
+use adapt_fleet::wire::{self, FrameKind};
+use adapt_service::{DeviceId, Request, SearchBudget};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use device::Device;
-use machine::{ExecutionConfig, Machine};
+use machine::{ExecutionConfig, Machine, WireDeadline};
 use std::hint::black_box;
 use transpiler::{transpile, TranspileOptions};
 
@@ -134,6 +137,49 @@ fn bench_search(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fleet wire's per-request CPU work: `encode_request` and
+/// `decode_request` of a mask request for each `paper_suite()` program
+/// of at most 8 qubits (the programs `adapt_bench`'s serving workloads
+/// send), and a checksummed `write_frame` → `read_frame` round trip of
+/// that payload through a `Vec` buffer (no socket).
+fn bench_wire(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire");
+    let deadline = WireDeadline::fresh(Some(250));
+    for bench in benchmarks::suite::paper_suite()
+        .into_iter()
+        .filter(|b| b.num_qubits <= 8)
+    {
+        let request = Request::RecommendMask {
+            circuit: bench.circuit,
+            device: DeviceId::Guadalupe,
+            protocol: DdProtocol::Xy4,
+            budget: SearchBudget::default(),
+            deadline_ms: None,
+            tenancy: Default::default(),
+        };
+        let payload = wire::encode_request(&request, deadline);
+        group.bench_function(BenchmarkId::new("encode_request", bench.name), |b| {
+            b.iter(|| black_box(wire::encode_request(black_box(&request), deadline)));
+        });
+        group.bench_function(BenchmarkId::new("decode_request", bench.name), |b| {
+            b.iter(|| black_box(wire::decode_request(black_box(&payload)).expect("decodes")));
+        });
+        group.bench_function(BenchmarkId::new("frame_round_trip", bench.name), |b| {
+            let mut buf = Vec::with_capacity(payload.len() + 2 * wire::HEADER_BYTES);
+            b.iter(|| {
+                buf.clear();
+                wire::write_frame(&mut buf, FrameKind::Request, wire::FLAG_CHECKSUM, &payload)
+                    .expect("a Vec takes every write");
+                black_box(
+                    wire::read_frame(&mut buf.as_slice(), wire::DEFAULT_MAX_FRAME_BYTES)
+                        .expect("reads back"),
+                )
+            });
+        });
+    }
+    group.finish();
+}
+
 /// Recording cost of the observability facade, enabled vs noop. The
 /// `search` group above runs with instrumentation live (its inner loops
 /// increment `adapt_search_*`/`adapt_machine_*` metrics), so these
@@ -168,6 +214,7 @@ criterion_group!(
     bench_dd_insertion,
     bench_execution,
     bench_search,
+    bench_wire,
     bench_obs
 );
 criterion_main!(benches);

@@ -6,7 +6,11 @@
 //! pass inserts DD sequences into it, and the simulators execute it.
 
 use crate::gate::Gate;
+use std::collections::HashSet;
 use std::fmt;
+
+/// Longest operand list [`Circuit::try_push`] checks for repeats pairwise.
+const PAIRWISE_OPERANDS: usize = 32;
 
 /// Index of a qubit within a circuit or device.
 ///
@@ -170,9 +174,10 @@ pub enum CircuitError {
         /// The repeated index.
         qubit: usize,
     },
-    /// A gate received the wrong number of qubit operands.
+    /// A gate, or a one-qubit measure, reset or delay, received the
+    /// wrong number of qubit operands.
     WrongArity {
-        /// Gate mnemonic.
+        /// Gate mnemonic, or `measure`, `reset` or `delay`.
         gate: &'static str,
         /// Expected operand count.
         expected: usize,
@@ -286,7 +291,8 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns a [`CircuitError`] when an operand is out of range, repeated,
-    /// or the operand count does not match the gate arity.
+    /// or the operand count does not match the gate arity (one qubit for
+    /// a measure, reset or delay; any number for a barrier).
     pub fn try_push(&mut self, instr: Instruction) -> Result<(), CircuitError> {
         for q in &instr.qubits {
             if q.index() >= self.num_qubits {
@@ -296,21 +302,22 @@ impl Circuit {
                 });
             }
         }
-        for (i, q) in instr.qubits.iter().enumerate() {
-            if instr.qubits[..i].contains(q) {
-                return Err(CircuitError::DuplicateOperand { qubit: q.index() });
-            }
+        // Both scans report the first operand that repeats an earlier one.
+        // The pairwise scan is quadratic, so a long list (a barrier across
+        // a wide register, as a peer may send one) goes through a set.
+        let repeated = if instr.qubits.len() <= PAIRWISE_OPERANDS {
+            (1..instr.qubits.len())
+                .find(|&i| instr.qubits[..i].contains(&instr.qubits[i]))
+                .map(|i| instr.qubits[i])
+        } else {
+            let mut seen = HashSet::with_capacity(instr.qubits.len());
+            instr.qubits.iter().copied().find(|&q| !seen.insert(q))
+        };
+        if let Some(q) = repeated {
+            return Err(CircuitError::DuplicateOperand { qubit: q.index() });
         }
-        match &instr.kind {
-            OpKind::Gate(g) => {
-                if g.arity() != instr.qubits.len() {
-                    return Err(CircuitError::WrongArity {
-                        gate: g.name(),
-                        expected: g.arity(),
-                        actual: instr.qubits.len(),
-                    });
-                }
-            }
+        let expected = match &instr.kind {
+            OpKind::Gate(g) => g.arity(),
             OpKind::Measure(c) => {
                 if c.index() >= self.num_clbits {
                     return Err(CircuitError::ClbitOutOfRange {
@@ -318,8 +325,23 @@ impl Circuit {
                         num_clbits: self.num_clbits,
                     });
                 }
+                1
             }
-            OpKind::Reset | OpKind::Delay(_) | OpKind::Barrier => {}
+            OpKind::Reset | OpKind::Delay(_) => 1,
+            OpKind::Barrier => instr.qubits.len(),
+        };
+        if expected != instr.qubits.len() {
+            return Err(CircuitError::WrongArity {
+                gate: match &instr.kind {
+                    OpKind::Gate(g) => g.name(),
+                    OpKind::Measure(_) => "measure",
+                    OpKind::Reset => "reset",
+                    OpKind::Delay(_) => "delay",
+                    OpKind::Barrier => "barrier",
+                },
+                expected,
+                actual: instr.qubits.len(),
+            });
         }
         self.instrs.push(instr);
         Ok(())
@@ -694,6 +716,34 @@ mod tests {
     }
 
     #[test]
+    fn a_long_operand_list_reports_its_first_repeat() {
+        let mut c = Circuit::new(4096);
+        for len in [PAIRWISE_OPERANDS, PAIRWISE_OPERANDS + 1, 4096] {
+            let mut qubits: Vec<Qubit> = (0..len as u32).rev().map(Qubit::new).collect();
+            // Two repeats: the scan must name the earlier one.
+            qubits.insert(len - 4, Qubit::new(9));
+            qubits.push(Qubit::new(3));
+            let err = c
+                .try_push(Instruction {
+                    kind: OpKind::Barrier,
+                    qubits,
+                })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                CircuitError::DuplicateOperand { qubit: 9 },
+                "len {len}"
+            );
+        }
+        let wide: Vec<Qubit> = (0..4096).map(Qubit::new).collect();
+        c.try_push(Instruction {
+            kind: OpKind::Barrier,
+            qubits: wide,
+        })
+        .expect("distinct operands");
+    }
+
+    #[test]
     fn wrong_arity_rejected() {
         let mut c = Circuit::new(3);
         let err = c
@@ -707,6 +757,40 @@ mod tests {
                 actual: 1
             }
         ));
+    }
+
+    #[test]
+    fn measure_reset_and_delay_take_exactly_one_qubit() {
+        let mut c = Circuit::new(3);
+        for (kind, name) in [
+            (OpKind::Measure(Clbit::new(0)), "measure"),
+            (OpKind::Reset, "reset"),
+            (OpKind::Delay(96.0), "delay"),
+        ] {
+            for qubits in [vec![], vec![Qubit::new(0), Qubit::new(1)]] {
+                let actual = qubits.len();
+                let err = c
+                    .try_push(Instruction {
+                        kind: kind.clone(),
+                        qubits,
+                    })
+                    .unwrap_err();
+                assert_eq!(
+                    err,
+                    CircuitError::WrongArity {
+                        gate: name,
+                        expected: 1,
+                        actual
+                    }
+                );
+            }
+        }
+        c.try_push(Instruction {
+            kind: OpKind::Barrier,
+            qubits: vec![],
+        })
+        .expect("a barrier takes any operand count");
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -175,14 +175,16 @@ impl std::fmt::Display for QasmError {
 impl std::error::Error for QasmError {}
 
 /// Widest accepted `creg`: the width of [`Counts`](crate::Counts) and of
-/// every simulator's outcome word.
-const MAX_CLBITS: usize = u64::BITS as usize;
+/// every simulator's outcome word. Every import of a circuit from
+/// outside the process (this parser, the fleet wire) applies it.
+pub const MAX_CLBITS: usize = u64::BITS as usize;
 
 /// Widest accepted `qreg`: every qubit index a compiled execution plan can
 /// address with its `u16` operands, far above the largest device preset
 /// (27 qubits). A parsed circuit's width sizes per-qubit tables in every
 /// later layer, so an unchecked `qreg q[4000000000]` must not get through.
-const MAX_QUBITS: usize = u16::MAX as usize + 1;
+/// Every import of a circuit from outside the process applies it.
+pub const MAX_QUBITS: usize = u16::MAX as usize + 1;
 
 /// Source location of the statement being parsed; locates error tokens by
 /// their offset inside the statement slice.

@@ -278,9 +278,10 @@ fn is_poll_timeout(e: &std::io::Error) -> bool {
 /// once a frame's first byte has arrived, a timeout waits on for the
 /// rest (until stop), since giving up would drop the bytes already read
 /// and leave the stream mid-frame, and the client would wait forever
-/// for a reply to a request the shard never saw whole. A sender writes
-/// a frame's header, payload and checksum separately, so a sender
-/// descheduled between them for longer than the timeout is enough.
+/// for a reply to a request the shard never saw whole. A sender hands
+/// each frame to its socket in one write, but TCP may still deliver it
+/// in pieces (a frame larger than a segment, a send buffer that takes
+/// part of it, or a peer that writes it piecewise), so the wait stays.
 struct FrameRead<'a> {
     stream: &'a mut TcpStream,
     stop: &'a AtomicBool,
@@ -435,7 +436,7 @@ fn serve_request(stream: &mut TcpStream, shared: &ServerShared, payload: &[u8], 
             let _ = wire::write_frame(
                 stream,
                 FrameKind::Response,
-                0,
+                FLAG_CHECKSUM,
                 &wire::encode_response(&response),
             );
         }

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic       0x4144464C ("ADFL"), little-endian u32
-//! 4       1     version     protocol version (2; peers ≥ MIN_VERSION accepted)
+//! 4       1     version     protocol version (3; peers ≥ MIN_VERSION accepted)
 //! 5       1     kind        frame type (FrameKind)
 //! 6       1     flags       bit 0: FORWARDED; bit 1: CHECKSUM trailer
 //! 7       1     reserved    must be 0
@@ -20,7 +20,8 @@
 //! [`read_frame`] verifies and strips the trailer, turning in-flight
 //! corruption into a typed [`WireError::ChecksumMismatch`] instead of a
 //! garbled payload. The flag is opt-in per sender, so `MIN_VERSION`
-//! peers that never set it are unaffected.
+//! peers that never set it are unaffected. [`write_frame`] hands the
+//! header, payload and trailer to the stream in one write.
 //!
 //! # Versioning and extensions
 //!
@@ -39,8 +40,28 @@
 //! exact IEEE-754 bit pattern (loss-free, including NaN and infinities
 //! inside error payloads), length-prefixed UTF-8 strings, and one
 //! encoding each for devices, protocols, decoy kinds, masks and cache
-//! keys. Circuits travel as their OpenQASM rendering, which
-//! `qcirc::qasm` round-trips exactly.
+//! keys.
+//!
+//! # Circuit body
+//!
+//! Version 3 carries a request's circuit as a binary body (request tags
+//! 2 and 3):
+//!
+//! ```text
+//! u32 qubits, u32 clbits, u32 op count, then per op:
+//!   u8 kind   0 gate (a gate tag, then each angle as f64 bits)
+//!             1 measure (u32 clbit)   2 reset   3 delay (f64 ns)   4 barrier
+//!   u32 operand count, then one u32 qubit index per operand
+//! ```
+//!
+//! Every op, delays and the exact bits of every angle included, arrives
+//! as it was sent. The decoder keeps the OpenQASM importer's width caps
+//! ([`qcirc::qasm::MAX_QUBITS`], [`qcirc::qasm::MAX_CLBITS`]), checks
+//! each count against the bytes that remain before allocating for it,
+//! and appends every op through [`Circuit::try_push`], so an
+//! out-of-range, repeated or miscounted operand is a typed
+//! [`WireError::BadCircuit`]. Request tags 0 and 1, whose circuit is
+//! OpenQASM text, are what v1 and v2 senders write; they still decode.
 //!
 //! Enums are encoded as a `u8` tag plus variant payload. Decoders
 //! reject unknown tags with a typed [`CodecError::UnknownTag`] rather
@@ -69,7 +90,8 @@ use adapt_service::{
     ServiceError, Tenancy, TenantId, TierPolicy, Timing,
 };
 use machine::{ExecError, WireDeadline};
-use qcirc::Gate;
+use qcirc::qasm::{MAX_CLBITS, MAX_QUBITS};
+use qcirc::{Circuit, Clbit, Gate, Instruction, OpKind, Qubit};
 use statevec::SimError;
 use std::io::{Read, Write};
 use transpiler::ScheduleError;
@@ -78,8 +100,10 @@ use transpiler::ScheduleError;
 pub const MAGIC: u32 = 0x4144_464c;
 /// Current protocol version. Version 2 added the request extension
 /// block (tenancy in-band); v1 frames are still accepted and decode
-/// with default tenancy.
-pub const VERSION: u8 = 2;
+/// with default tenancy. Version 3 sends request circuits as the binary
+/// body (module docs); the OpenQASM bodies of older senders still
+/// decode.
+pub const VERSION: u8 = 3;
 /// Oldest protocol version this build still accepts.
 pub const MIN_VERSION: u8 = 1;
 /// Fixed frame-header size in bytes.
@@ -147,7 +171,9 @@ pub enum WireError {
     BadVersion(u8),
     /// Unknown frame type byte.
     UnknownFrame(u8),
-    /// The circuit payload failed to parse back from QASM.
+    /// The circuit payload is not a valid circuit: an OpenQASM body that
+    /// does not parse, or a binary body with a register wider than the
+    /// import caps or an op [`Circuit::try_push`] rejects.
     BadCircuit(String),
     /// The payload length exceeds the configured frame cap.
     Oversize {
@@ -331,7 +357,7 @@ fn get_deadline(r: &mut Reader<'_>) -> Result<WireDeadline, CodecError> {
     })
 }
 
-// --- error taxonomy ---------------------------------------------------------
+// --- circuits ---------------------------------------------------------------
 
 fn put_gate(w: &mut Writer, g: Gate) {
     match g {
@@ -398,6 +424,105 @@ fn get_gate(r: &mut Reader<'_>) -> Result<Gate, CodecError> {
         tag => unknown_tag("Gate", tag)?,
     })
 }
+
+/// A length or count as its `u32` field, saturated: a count too large
+/// for the field cannot be followed by that many items, so the decoder
+/// fails on it instead of reading a truncated value.
+fn put_count(w: &mut Writer, n: usize) {
+    w.u32(u32::try_from(n).unwrap_or(u32::MAX));
+}
+
+/// Bytes of the smallest encoded op: its kind tag and operand count.
+const MIN_OP_BYTES: usize = 1 + 4;
+/// Bytes of one encoded qubit operand.
+const OPERAND_BYTES: usize = 4;
+
+/// Writes the binary circuit body (module docs).
+fn put_circuit(w: &mut Writer, circuit: &Circuit) {
+    put_count(w, circuit.num_qubits());
+    put_count(w, circuit.num_clbits());
+    put_count(w, circuit.len());
+    for instr in circuit.iter() {
+        match instr.kind {
+            OpKind::Gate(g) => {
+                w.u8(0);
+                put_gate(w, g);
+            }
+            OpKind::Measure(c) => {
+                w.u8(1);
+                put_count(w, c.index());
+            }
+            OpKind::Reset => w.u8(2),
+            OpKind::Delay(ns) => {
+                w.u8(3);
+                w.f64(ns);
+            }
+            OpKind::Barrier => w.u8(4),
+        }
+        put_count(w, instr.qubits.len());
+        for q in &instr.qubits {
+            put_count(w, q.index());
+        }
+    }
+}
+
+/// Reads a count of items that take at least `min_bytes` each, refusing
+/// it before anything is allocated for it unless that many could fit in
+/// the bytes that remain.
+fn get_count(r: &mut Reader<'_>, min_bytes: usize) -> Result<usize, CodecError> {
+    let count = r.u32()? as usize;
+    let needed = count.saturating_mul(min_bytes);
+    if needed > r.remaining() {
+        return Err(CodecError::UnexpectedEof {
+            needed,
+            have: r.remaining(),
+        });
+    }
+    Ok(count)
+}
+
+fn bad_circuit(e: impl std::fmt::Display) -> WireError {
+    WireError::BadCircuit(e.to_string())
+}
+
+/// Reads the binary circuit body (module docs).
+fn get_circuit(r: &mut Reader<'_>) -> Result<Circuit, WireError> {
+    let num_qubits = r.u32()? as usize;
+    let num_clbits = r.u32()? as usize;
+    if num_qubits > MAX_QUBITS {
+        return Err(bad_circuit(format_args!(
+            "qreg of {num_qubits} qubits exceeds {MAX_QUBITS}"
+        )));
+    }
+    if num_clbits > MAX_CLBITS {
+        return Err(bad_circuit(format_args!(
+            "creg of {num_clbits} bits exceeds {MAX_CLBITS}"
+        )));
+    }
+    let ops = get_count(r, MIN_OP_BYTES)?;
+    let mut circuit = Circuit::with_clbits(num_qubits, num_clbits);
+    for _ in 0..ops {
+        let kind = match r.u8()? {
+            0 => OpKind::Gate(get_gate(r)?),
+            1 => OpKind::Measure(Clbit::new(r.u32()?)),
+            2 => OpKind::Reset,
+            3 => OpKind::Delay(r.f64()?),
+            4 => OpKind::Barrier,
+            tag => unknown_tag("OpKind", tag)?,
+        };
+        let operands = get_count(r, OPERAND_BYTES)?;
+        let mut qubits = Vec::with_capacity(operands);
+        for _ in 0..operands {
+            qubits.push(Qubit::new(r.u32()?));
+        }
+        circuit
+            .try_push(Instruction { kind, qubits })
+            .map_err(bad_circuit)?;
+    }
+    Ok(circuit)
+}
+
+// --- error taxonomy ---------------------------------------------------------
 
 /// `SimError` tags. Tag 2 is reserved: it named a variant that no longer
 /// exists, so it decodes as [`CodecError::UnknownTag`].
@@ -728,6 +853,17 @@ fn get_service_error(r: &mut Reader<'_>) -> Result<ServiceError, CodecError> {
 // Top-level payload codecs
 // ---------------------------------------------------------------------------
 
+/// Request tag: `RecommendMask` with an OpenQASM circuit (v1 and v2
+/// senders; decoded, never encoded).
+const REQ_RECOMMEND_QASM: u8 = 0;
+/// Request tag: `Execute` with an OpenQASM circuit (v1 and v2 senders;
+/// decoded, never encoded).
+const REQ_EXECUTE_QASM: u8 = 1;
+/// Request tag: `RecommendMask` with the binary circuit body.
+const REQ_RECOMMEND: u8 = 2;
+/// Request tag: `Execute` with the binary circuit body.
+const REQ_EXECUTE: u8 = 3;
+
 /// Encode a request payload: the request body plus the in-band deadline.
 ///
 /// The `deadline_ms` field *inside* the [`Request`] is not sent — the
@@ -744,11 +880,11 @@ pub fn encode_request(req: &Request, deadline: WireDeadline) -> Vec<u8> {
             budget,
             ..
         } => {
-            w.u8(0);
+            w.u8(REQ_RECOMMEND);
             put_device(&mut w, *device);
             put_protocol(&mut w, *protocol);
             put_budget(&mut w, budget);
-            w.str(&qcirc::qasm::to_qasm(circuit));
+            put_circuit(&mut w, circuit);
         }
         Request::Execute {
             circuit,
@@ -756,10 +892,10 @@ pub fn encode_request(req: &Request, deadline: WireDeadline) -> Vec<u8> {
             policy,
             ..
         } => {
-            w.u8(1);
+            w.u8(REQ_EXECUTE);
             put_device(&mut w, *device);
             put_policy(&mut w, *policy);
-            w.str(&qcirc::qasm::to_qasm(circuit));
+            put_circuit(&mut w, circuit);
         }
     }
     // Version-2 extension block (see module docs): count, then
@@ -789,13 +925,11 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
     let remaining = deadline.remaining_ms();
     let tag = r.u8()?;
     let mut body = match tag {
-        0 => {
+        REQ_RECOMMEND | REQ_RECOMMEND_QASM => {
             let device = get_device(&mut r)?;
             let protocol = get_protocol(&mut r)?;
             let budget = get_budget(&mut r)?;
-            let qasm = r.str()?;
-            let circuit =
-                qcirc::qasm::from_qasm(qasm).map_err(|e| WireError::BadCircuit(e.to_string()))?;
+            let circuit = get_request_circuit(&mut r, tag)?;
             Request::RecommendMask {
                 circuit,
                 device,
@@ -805,12 +939,10 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
                 tenancy: Tenancy::default(),
             }
         }
-        1 => {
+        REQ_EXECUTE | REQ_EXECUTE_QASM => {
             let device = get_device(&mut r)?;
             let policy = get_policy(&mut r)?;
-            let qasm = r.str()?;
-            let circuit =
-                qcirc::qasm::from_qasm(qasm).map_err(|e| WireError::BadCircuit(e.to_string()))?;
+            let circuit = get_request_circuit(&mut r, tag)?;
             Request::Execute {
                 circuit,
                 device,
@@ -847,6 +979,17 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
     }
     r.finish()?;
     Ok((body, deadline))
+}
+
+/// The circuit of a request with body tag `tag`: the binary body, or
+/// the OpenQASM text an older sender wrote.
+fn get_request_circuit(r: &mut Reader<'_>, tag: u8) -> Result<Circuit, WireError> {
+    match tag {
+        REQ_RECOMMEND_QASM | REQ_EXECUTE_QASM => {
+            qcirc::qasm::from_qasm(r.str()?).map_err(bad_circuit)
+        }
+        _ => get_circuit(r),
+    }
 }
 
 /// Encode a successful response payload.
@@ -979,7 +1122,8 @@ impl From<WireError> for FrameError {
 /// Write one frame (header + payload) to `stream`. With
 /// [`FLAG_CHECKSUM`] in `flags`, a CRC32 trailer is appended (and
 /// counted in the declared length) so the receiver can detect in-flight
-/// corruption.
+/// corruption. The frame is assembled in one buffer and handed to the
+/// stream in one `write_all`: one syscall per frame on a socket.
 ///
 /// # Errors
 ///
@@ -990,20 +1134,19 @@ pub fn write_frame(
     flags: u8,
     payload: &[u8],
 ) -> std::io::Result<()> {
-    let checksummed = flags & FLAG_CHECKSUM != 0;
-    let len = payload.len() as u32 + if checksummed { 4 } else { 0 };
-    let mut head = [0u8; HEADER_BYTES];
-    head[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    head[4] = VERSION;
-    head[5] = kind as u8;
-    head[6] = flags;
-    head[7] = 0;
-    head[8..12].copy_from_slice(&len.to_le_bytes());
-    stream.write_all(&head)?;
-    stream.write_all(payload)?;
-    if checksummed {
-        stream.write_all(&crc32(payload).to_le_bytes())?;
+    let trailer = if flags & FLAG_CHECKSUM != 0 { 4 } else { 0 };
+    let mut frame = Writer::with_capacity(HEADER_BYTES + payload.len() + trailer);
+    frame.u32(MAGIC);
+    frame.u8(VERSION);
+    frame.u8(kind as u8);
+    frame.u8(flags);
+    frame.u8(0);
+    frame.u32(payload.len() as u32 + trailer as u32);
+    frame.bytes(payload);
+    if trailer != 0 {
+        frame.u32(crc32(payload));
     }
+    stream.write_all(frame.as_bytes())?;
     stream.flush()
 }
 
@@ -1202,8 +1345,8 @@ mod tests {
 
     #[test]
     fn v1_payload_without_extensions_decodes_with_default_tenancy() {
-        // A v1 sender's payload ends right after the qasm string. Build
-        // one by truncating a v2 payload at its extension block: the
+        // A v1 sender's payload ends right after the circuit. Build one
+        // by truncating a current payload at its extension block: the
         // block is the last 1 + 1 + 4 + 5 bytes (count, tag, len, body).
         let tenancy = Tenancy::with_class(3, PriorityClass::Interactive);
         let payload = encode_request(&tenancy_request(tenancy), WireDeadline::unbounded());
@@ -1225,6 +1368,146 @@ mod tests {
         payload.extend_from_slice(&[0xde, 0xad, 0xbe]);
         let (decoded, _) = decode_request(&payload).unwrap();
         assert_eq!(decoded.tenancy(), tenancy, "known ext still decoded");
+    }
+
+    /// A `RecommendMask` payload around a hand-built circuit body.
+    fn request_with_body(body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::default();
+        put_deadline(&mut w, WireDeadline::unbounded());
+        w.u8(REQ_RECOMMEND);
+        put_device(&mut w, DeviceId::Rome);
+        put_protocol(&mut w, DdProtocol::Xy4);
+        put_budget(&mut w, &SearchBudget::default());
+        body(&mut w);
+        w.u8(0); // no extensions
+        w.into_bytes()
+    }
+
+    /// A circuit body header: widths and op count.
+    fn head(w: &mut Writer, qubits: u32, clbits: u32, ops: u32) {
+        w.u32(qubits);
+        w.u32(clbits);
+        w.u32(ops);
+    }
+
+    /// One gate op with the given operands.
+    fn gate_op(w: &mut Writer, gate: Gate, operands: &[u32]) {
+        w.u8(0);
+        put_gate(w, gate);
+        w.u32(operands.len() as u32);
+        for &q in operands {
+            w.u32(q);
+        }
+    }
+
+    fn is_eof(r: Result<(Request, WireDeadline), WireError>) -> bool {
+        matches!(r, Err(WireError::Codec(CodecError::UnexpectedEof { .. })))
+    }
+
+    fn is_bad_circuit(r: Result<(Request, WireDeadline), WireError>) -> bool {
+        matches!(r, Err(WireError::BadCircuit(_)))
+    }
+
+    #[test]
+    fn a_hand_built_circuit_body_decodes() {
+        let payload = request_with_body(|w| {
+            head(w, 2, 2, 2);
+            gate_op(w, Gate::H, &[0]);
+            gate_op(w, Gate::CX, &[0, 1]);
+        });
+        let mut want = qcirc::Circuit::new(2);
+        want.h(0).cx(0, 1);
+        match decode_request(&payload) {
+            Ok((Request::RecommendMask { circuit, .. }, _)) => assert_eq!(circuit, want),
+            other => panic!("want a RecommendMask, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn counts_past_the_remaining_bytes_are_refused_before_allocation() {
+        // An op count no payload of this size can hold: every op takes
+        // at least MIN_OP_BYTES.
+        let ops = request_with_body(|w| head(w, 2, 2, u32::MAX));
+        assert_eq!(
+            decode_request(&ops).err(),
+            Some(WireError::Codec(CodecError::UnexpectedEof {
+                needed: u32::MAX as usize * MIN_OP_BYTES,
+                have: 1,
+            }))
+        );
+        // An operand count past the end, on an op that fits.
+        let operands = request_with_body(|w| {
+            head(w, 2, 2, 1);
+            w.u8(2); // reset
+            w.u32(1 << 30);
+        });
+        assert_eq!(
+            decode_request(&operands).err(),
+            Some(WireError::Codec(CodecError::UnexpectedEof {
+                needed: (1 << 30) * OPERAND_BYTES,
+                have: 1,
+            }))
+        );
+        // Counts that fit but bytes that do not arrive are still EOF.
+        assert!(is_eof(decode_request(&request_with_body(|w| {
+            head(w, 2, 2, 3);
+            gate_op(w, Gate::H, &[0]);
+        }))));
+    }
+
+    #[test]
+    fn register_widths_keep_the_qasm_importers_caps() {
+        let widths =
+            |qubits, clbits| decode_request(&request_with_body(|w| head(w, qubits, clbits, 0)));
+        assert!(widths(MAX_QUBITS as u32, MAX_CLBITS as u32).is_ok());
+        assert!(is_bad_circuit(widths(MAX_QUBITS as u32 + 1, 1)));
+        assert!(is_bad_circuit(widths(u32::MAX, 1)));
+        assert!(is_bad_circuit(widths(1, MAX_CLBITS as u32 + 1)));
+    }
+
+    #[test]
+    fn an_unknown_op_tag_is_typed() {
+        let payload = request_with_body(|w| {
+            head(w, 2, 2, 1);
+            w.u8(5);
+            w.u32(0);
+        });
+        assert_eq!(
+            decode_request(&payload).err(),
+            Some(WireError::Codec(CodecError::UnknownTag {
+                what: "OpKind",
+                tag: 5
+            }))
+        );
+    }
+
+    #[test]
+    fn ops_try_push_rejects_are_bad_circuits() {
+        let one_op = |op: &dyn Fn(&mut Writer)| {
+            decode_request(&request_with_body(|w| {
+                head(w, 2, 1, 1);
+                op(w);
+            }))
+        };
+        // Out-of-range qubit, wrong arity, duplicate operand.
+        assert!(is_bad_circuit(one_op(&|w| gate_op(w, Gate::X, &[2]))));
+        assert!(is_bad_circuit(one_op(&|w| gate_op(w, Gate::CX, &[0]))));
+        assert!(is_bad_circuit(one_op(&|w| gate_op(w, Gate::CX, &[1, 1]))));
+        // Out-of-range clbit, and a measure on two qubits.
+        let measure = |clbit: u32, operands: &[u32]| {
+            let operands = operands.to_vec();
+            move |w: &mut Writer| {
+                w.u8(1);
+                w.u32(clbit);
+                w.u32(operands.len() as u32);
+                for &q in &operands {
+                    w.u32(q);
+                }
+            }
+        };
+        assert!(one_op(&measure(0, &[1])).is_ok());
+        assert!(is_bad_circuit(one_op(&measure(1, &[1]))));
+        assert!(is_bad_circuit(one_op(&measure(0, &[0, 1]))));
     }
 
     #[test]

@@ -38,8 +38,12 @@ fn tagged(n: u32, tag: usize) -> qcirc::Circuit {
 }
 
 fn request(tag: usize) -> Request {
+    recommend(tagged(3, tag))
+}
+
+fn recommend(circuit: qcirc::Circuit) -> Request {
     Request::RecommendMask {
-        circuit: tagged(3, tag),
+        circuit,
         device: DeviceId::Guadalupe,
         protocol: DdProtocol::Cpmg,
         budget: SearchBudget {
@@ -374,5 +378,74 @@ fn a_frame_split_across_the_poll_timeout_is_still_served() {
             Ok(Response::Mask(_))
         ));
     }
+    shard.stop();
+}
+
+/// A routed request keeps its delays. The router keys a request by the
+/// `logical_hash` of the program it was given; the shard must search
+/// that same program, so its answer is the one a local `MaskService`
+/// gives for it, not the one for the program with its delay stripped.
+#[test]
+fn a_delay_crosses_the_wire_and_keys_the_same_program() {
+    let mut circuit = tagged(3, 0);
+    let stripped = circuit.clone();
+    circuit.delay(96.0, 1);
+    assert_ne!(logical_hash(&circuit), logical_hash(&stripped));
+    let local = adapt_service::MaskService::try_start(service_config()).expect("service starts");
+    let key_of = |circuit: &qcirc::Circuit| match local.call(recommend(circuit.clone())) {
+        Ok(Response::Mask(r)) => r.key,
+        other => panic!("expected a mask recommendation, got {other:?}"),
+    };
+    let (want, stripped_key) = (key_of(&circuit), key_of(&stripped));
+    assert_ne!(want.circuit_hash, stripped_key.circuit_hash);
+    local.shutdown();
+
+    let shard = ShardServer::start(ShardConfig::standalone(ShardId(3), service_config()))
+        .expect("shard starts");
+    let mut client = ShardClient::new(shard.addr());
+    match client.call(&recommend(circuit.clone()), WireDeadline::unbounded()) {
+        Ok(Response::Mask(r)) => assert_eq!(r.key, want),
+        other => panic!("expected a mask recommendation, got {other:?}"),
+    }
+    // The shard booked the program the router hashed, delay included:
+    // its logical hash comes from the book, not from hashing again.
+    let hashes = shard.service().stats().logical_hashes;
+    assert_eq!(
+        shard
+            .service()
+            .logical_hash_of(DeviceId::Guadalupe, &circuit),
+        logical_hash(&circuit)
+    );
+    assert_eq!(shard.service().stats().logical_hashes, hashes);
+    assert_eq!(shard.stop().stats.worker_panics, 0);
+}
+
+/// Every frame a shard sends is checksummed, a successful reply
+/// included, so a mask corrupted in flight is a typed error at the
+/// router rather than a wrong answer.
+#[test]
+fn a_shards_success_reply_carries_the_checksum_flag() {
+    use adapt_fleet::wire;
+    use adapt_fleet::FrameKind;
+
+    let shard = ShardServer::start(ShardConfig::standalone(ShardId(3), service_config()))
+        .expect("shard starts");
+    let mut stream = std::net::TcpStream::connect(shard.addr()).expect("connect");
+    let payload = wire::encode_request(&request(1), WireDeadline::unbounded());
+    wire::write_frame(
+        &mut stream,
+        FrameKind::Request,
+        wire::FLAG_CHECKSUM,
+        &payload,
+    )
+    .expect("send");
+    let (header, body) =
+        wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES).expect("reply");
+    assert_eq!(header.kind, FrameKind::Response);
+    assert_eq!(header.flags & wire::FLAG_CHECKSUM, wire::FLAG_CHECKSUM);
+    assert!(matches!(
+        wire::decode_response(&body),
+        Ok(Response::Mask(_))
+    ));
     shard.stop();
 }

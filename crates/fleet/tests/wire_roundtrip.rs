@@ -474,8 +474,8 @@ fn requests_round_trip_including_circuit_and_deadline() {
                 assert_eq!(d1, d2);
                 assert_eq!(p1, p2);
                 assert_eq!(b1, b2);
-                // The circuit's structural identity survives the QASM
-                // hop — the property routing and caching key on.
+                // The circuit's structural identity survives the hop —
+                // the property routing and caching key on.
                 assert_eq!(
                     adapt_service::logical_hash(c1),
                     adapt_service::logical_hash(c2)
@@ -503,6 +503,174 @@ fn requests_round_trip_including_circuit_and_deadline() {
                 );
             }
             _ => panic!("request variant changed in flight"),
+        }
+    }
+}
+
+/// Each op of `circuit` as bits: its name, every angle, delay or clbit
+/// as its exact bit pattern, then the operands. Two circuits with equal
+/// `op_bits` are equal bit for bit, NaN payloads and the sign of zero
+/// included, which `PartialEq` on `f64` cannot tell.
+fn op_bits(circuit: &qcirc::Circuit) -> Vec<(&'static str, Vec<u64>, Vec<usize>)> {
+    use qcirc::OpKind;
+    circuit
+        .iter()
+        .map(|instr| {
+            let (name, bits) = match instr.kind {
+                OpKind::Gate(g) => (g.name(), g.params().iter().map(|p| p.to_bits()).collect()),
+                OpKind::Measure(c) => ("measure", vec![c.index() as u64]),
+                OpKind::Reset => ("reset", vec![]),
+                OpKind::Delay(ns) => ("delay", vec![ns.to_bits()]),
+                OpKind::Barrier => ("barrier", vec![]),
+            };
+            (name, bits, instr.qubits.iter().map(|q| q.index()).collect())
+        })
+        .collect()
+}
+
+/// A circuit holding every `OpKind`, every gate, and the angles a text
+/// rendering can lose: `-0.0`, a NaN with a payload, and both infinities.
+fn every_op_circuit() -> qcirc::Circuit {
+    use qcirc::{Gate, Instruction, OpKind, Qubit};
+    let odd_nan = f64::from_bits(0x7ff8_0000_dead_beef);
+    let mut c = qcirc::Circuit::with_clbits(3, 2);
+    c.h(0).x(1).y(2).z(0).s(1).sdg(2).t(0).tdg(1).sx(2);
+    c.gate(Gate::I, &[0]).gate(Gate::SXdg, &[1]);
+    c.rz(-0.0, 0).rx(odd_nan, 1).ry(f64::INFINITY, 2);
+    c.gate(Gate::P(f64::NEG_INFINITY), &[0]);
+    c.gate(Gate::U(0.1, f64::NAN, -2.5e-300), &[1]);
+    c.cx(0, 1).cz(1, 2).swap(2, 0);
+    c.delay(96.0, 1).delay(-0.0, 2).delay(f64::NAN, 0);
+    c.barrier_all();
+    c.push(Instruction {
+        kind: OpKind::Barrier,
+        qubits: vec![Qubit::new(2), Qubit::new(0)],
+    });
+    c.push(Instruction {
+        kind: OpKind::Reset,
+        qubits: vec![Qubit::new(1)],
+    });
+    c.measure(2, 1).measure(0, 0);
+    c
+}
+
+#[test]
+fn every_op_kind_round_trips_bit_for_bit() {
+    let circuit = every_op_circuit();
+    let names: std::collections::BTreeSet<_> = op_bits(&circuit).iter().map(|op| op.0).collect();
+    for name in ["measure", "reset", "delay", "barrier"] {
+        assert!(names.contains(name), "no {name} sampled");
+    }
+    assert_eq!(names.len(), 19 + 4, "every gate and every other OpKind");
+    for request in [
+        Request::RecommendMask {
+            circuit: circuit.clone(),
+            device: DeviceId::Guadalupe,
+            protocol: DdProtocol::Xy4,
+            budget: SearchBudget::default(),
+            deadline_ms: None,
+            tenancy: Default::default(),
+        },
+        Request::Execute {
+            circuit: circuit.clone(),
+            device: DeviceId::Rome,
+            policy: Policy::Adapt,
+            deadline_ms: None,
+            tenancy: Default::default(),
+        },
+    ] {
+        let (decoded, _) =
+            decode_request(&encode_request(&request, WireDeadline::unbounded())).expect("decodes");
+        let (Request::RecommendMask { circuit: back, .. } | Request::Execute { circuit: back, .. }) =
+            &decoded;
+        assert_eq!(
+            (back.num_qubits(), back.num_clbits()),
+            (circuit.num_qubits(), circuit.num_clbits())
+        );
+        assert_eq!(op_bits(back), op_bits(&circuit));
+        assert_eq!(
+            adapt_service::logical_hash(back),
+            adapt_service::logical_hash(&circuit)
+        );
+    }
+}
+
+/// What a version-2 sender wrote: the circuit as OpenQASM text under
+/// request tags 0 (`RecommendMask`) and 1 (`Execute`), in a frame whose
+/// header says version 2. This build still reads it.
+#[test]
+fn a_v2_payload_with_a_qasm_body_still_decodes() {
+    use adapt_fleet::wire::{read_frame, write_frame, FrameKind, FLAG_CHECKSUM};
+    use adapt_service::codec::{put_device, put_protocol, Writer};
+    use adapt_service::{PriorityClass, Tenancy};
+
+    let circuit = benchmarks::ghz(4);
+    let tenancy = Tenancy::with_class(9, PriorityClass::Batch);
+    let budget = SearchBudget {
+        shots: 128,
+        trajectories: 4,
+        neighborhood: 3,
+        tier: TierPolicy::SearchOnly,
+    };
+    let deadline = WireDeadline {
+        budget_ms: Some(400),
+        elapsed_ms: 150,
+    };
+    for tag in [0u8, 1] {
+        let mut w = Writer::default();
+        w.u64(400);
+        w.u64(150);
+        w.u8(tag);
+        if tag == 0 {
+            put_device(&mut w, DeviceId::Rome);
+            put_protocol(&mut w, DdProtocol::Cpmg);
+            w.u64(budget.shots);
+            w.u32(budget.trajectories);
+            w.u64(budget.neighborhood as u64);
+            w.u8(2); // TierPolicy::SearchOnly
+        } else {
+            put_device(&mut w, DeviceId::Guadalupe);
+            w.u8(3); // Policy::RuntimeBest
+        }
+        w.str(&qcirc::qasm::to_qasm(&circuit));
+        // The tenancy extension: count, tag, length, tenant, class.
+        w.u8(1);
+        w.u8(1);
+        w.u32(5);
+        w.u32(9);
+        w.u8(2);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, FrameKind::Request, FLAG_CHECKSUM, w.as_bytes()).unwrap();
+        frame[4] = 2;
+        let (_, payload) = read_frame(&mut frame.as_slice(), 1 << 16).expect("v2 frame");
+        let (decoded, got_deadline) = decode_request(&payload).expect("v2 payload");
+        assert_eq!(got_deadline, deadline);
+        assert_eq!(decoded.deadline_ms(), Some(250));
+        assert_eq!(decoded.tenancy(), tenancy);
+        match decoded {
+            Request::RecommendMask {
+                circuit: back,
+                device,
+                protocol,
+                budget: got_budget,
+                ..
+            } if tag == 0 => {
+                assert_eq!(back, circuit);
+                assert_eq!(device, DeviceId::Rome);
+                assert_eq!(protocol, DdProtocol::Cpmg);
+                assert_eq!(got_budget, budget);
+            }
+            Request::Execute {
+                circuit: back,
+                device,
+                policy,
+                ..
+            } if tag == 1 => {
+                assert_eq!(back, circuit);
+                assert_eq!(device, DeviceId::Guadalupe);
+                assert_eq!(policy, Policy::RuntimeBest);
+            }
+            other => panic!("tag {tag} decoded as {other:?}"),
         }
     }
 }
@@ -610,9 +778,10 @@ mod checksum_frames {
 //
 // Round trips pass even when encoder and decoder change a format
 // together; these pins do not. Each entry is the FNV-1a 64 digest of
-// one encoded payload (or frame), recorded from the v2 codec. A
-// mismatch means a byte format changed: that needs a version bump, not
-// a new digest.
+// one encoded payload (or frame). The request and frame digests were
+// recorded from the v3 codec (binary circuit bodies), the rest from v2.
+// A mismatch means a byte format changed: that needs a version bump,
+// not a new digest.
 
 mod golden {
     use super::*;
@@ -791,14 +960,14 @@ mod golden {
     }
 
     const REQUEST_GOLDEN: [u64; 8] = [
-        0x8b59_c410_57ed_961a,
-        0x494f_5792_f4b0_88b0,
-        0x5c58_5a0b_d44c_9be5,
-        0x275a_cfa0_04f0_95a3,
-        0xa261_4ab7_1cc0_bc4f,
-        0x5e00_9d8b_83b7_fea1,
-        0x1295_46bb_1a3b_cc24,
-        0x3c0c_1398_93f8_082e,
+        0x2960_9bb2_79b1_70f5,
+        0x114b_f7c1_762c_022b,
+        0xe509_1f5f_f374_a3ac,
+        0xe9f6_4132_60aa_ee12,
+        0x0b56_5301_137b_39f4,
+        0x2f56_3e72_dc62_35c6,
+        0xf9ba_6558_827c_199d,
+        0xa033_2fe1_a69a_21b7,
     ];
     const RESPONSE_GOLDEN: [u64; 18] = [
         0xeeea_d624_4e37_a9ed,
@@ -863,7 +1032,7 @@ mod golden {
         0xdac3_6f4a_723e_f145,
         0x3c89_82dd_5fee_f094,
     ];
-    const FRAME_GOLDEN: [u64; 1] = [0xe358_8bb9_fe20_e6b7];
+    const FRAME_GOLDEN: [u64; 1] = [0xe00c_2dfd_f357_9a5a];
 }
 
 // --- untrusted bytes ----------------------------------------------------------

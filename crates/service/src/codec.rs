@@ -246,6 +246,12 @@ impl<'a> Reader<'a> {
         self.pos < self.buf.len()
     }
 
+    /// How many bytes remain: the bound a decoder checks a count
+    /// against before allocating for it.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Consumes and discards `n` bytes.
     ///
     /// # Errors
@@ -261,7 +267,7 @@ impl<'a> Reader<'a> {
     ///
     /// [`CodecError::TrailingBytes`] when bytes remain.
     pub fn finish(self) -> Result<(), CodecError> {
-        match self.buf.len() - self.pos {
+        match self.remaining() {
             0 => Ok(()),
             extra => Err(CodecError::TrailingBytes { extra }),
         }
