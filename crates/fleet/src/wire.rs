@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic       0x4144464C ("ADFL"), little-endian u32
-//! 4       1     version     protocol version (3; peers ≥ MIN_VERSION accepted)
+//! 4       1     version     protocol version (3; MIN_VERSION..=VERSION accepted)
 //! 5       1     kind        frame type (FrameKind)
 //! 6       1     flags       bit 0: FORWARDED; bit 1: CHECKSUM trailer
 //! 7       1     reserved    must be 0
@@ -19,9 +19,9 @@
 //! CRC the durability store's records carry too);
 //! [`read_frame`] verifies and strips the trailer, turning in-flight
 //! corruption into a typed [`WireError::ChecksumMismatch`] instead of a
-//! garbled payload. The flag is opt-in per sender, so `MIN_VERSION`
-//! peers that never set it are unaffected. [`write_frame`] hands the
-//! header, payload and trailer to the stream in one write.
+//! garbled payload. The flag is opt-in per frame; a frame without it
+//! is read unchecked. [`write_frame`] hands the header, payload and
+//! trailer to the stream in one write.
 //!
 //! # Versioning and extensions
 //!
@@ -29,9 +29,9 @@
 //! the fixed fields: a `u8` extension count, then per extension a `u8`
 //! tag, a `u32` byte length, and that many bytes. Decoders skip
 //! extensions with unknown tags by their length — new in-band fields
-//! (tenancy today) ride through old-but-v2-aware peers untouched — and
-//! a payload that ends before any extension block (a v1 sender) decodes
-//! with default values for every extension. This is the one place the
+//! (tenancy today) ride through peers that predate them untouched — and
+//! a payload that ends before any extension block decodes with default
+//! values for every extension. This is the one place the
 //! protocol is deliberately tolerant; unknown *enum tags* inside known
 //! fields are still typed errors (below).
 //!
@@ -45,7 +45,7 @@
 //! # Circuit body
 //!
 //! Version 3 carries a request's circuit as a binary body (request tags
-//! 2 and 3):
+//! 0 and 1):
 //!
 //! ```text
 //! u32 qubits, u32 clbits, u32 op count, then per op:
@@ -60,8 +60,15 @@
 //! each count against the bytes that remain before allocating for it,
 //! and appends every op through [`Circuit::try_push`], so an
 //! out-of-range, repeated or miscounted operand is a typed
-//! [`WireError::BadCircuit`]. Request tags 0 and 1, whose circuit is
-//! OpenQASM text, are what v1 and v2 senders write; they still decode.
+//! [`WireError::BadCircuit`]. So is a delay that is negative or not
+//! finite, or delays summing past [`MAX_DELAY_NS`]: the noise model
+//! integrates an idle wire in 40 ns steps, so an unbounded delay would
+//! hold a shard's worker without end.
+//!
+//! Versions 1 and 2 sent the circuit as OpenQASM text, which dropped
+//! delays. Their frames are rejected as [`WireError::BadVersion`]: this
+//! build replies only in version 3, which those peers reject in turn,
+//! so no exchange with them could complete.
 //!
 //! Enums are encoded as a `u8` tag plus variant payload. Decoders
 //! reject unknown tags with a typed [`CodecError::UnknownTag`] rather
@@ -99,13 +106,11 @@ use transpiler::ScheduleError;
 /// Frame magic: "ADFL" as a little-endian u32.
 pub const MAGIC: u32 = 0x4144_464c;
 /// Current protocol version. Version 2 added the request extension
-/// block (tenancy in-band); v1 frames are still accepted and decode
-/// with default tenancy. Version 3 sends request circuits as the binary
-/// body (module docs); the OpenQASM bodies of older senders still
-/// decode.
+/// block (tenancy in-band); version 3 sends request circuits as the
+/// binary body (module docs).
 pub const VERSION: u8 = 3;
 /// Oldest protocol version this build still accepts.
-pub const MIN_VERSION: u8 = 1;
+pub const MIN_VERSION: u8 = 3;
 /// Fixed frame-header size in bytes.
 pub const HEADER_BYTES: usize = 12;
 /// Default cap on payload size; larger frames are rejected before
@@ -115,8 +120,7 @@ pub const DEFAULT_MAX_FRAME_BYTES: u32 = 8 << 20;
 /// be served locally (never re-forwarded), breaking forwarding cycles.
 pub const FLAG_FORWARDED: u8 = 0x01;
 /// Flag bit: the payload carries a 4-byte CRC32 trailer (included in
-/// the declared length). Senders opt in per frame; v1 peers never set
-/// it and decode unchanged.
+/// the declared length). Senders opt in per frame.
 pub const FLAG_CHECKSUM: u8 = 0x02;
 
 /// Frame types.
@@ -171,9 +175,9 @@ pub enum WireError {
     BadVersion(u8),
     /// Unknown frame type byte.
     UnknownFrame(u8),
-    /// The circuit payload is not a valid circuit: an OpenQASM body that
-    /// does not parse, or a binary body with a register wider than the
-    /// import caps or an op [`Circuit::try_push`] rejects.
+    /// The circuit body is not a valid circuit: a register wider than
+    /// the import caps, an op [`Circuit::try_push`] rejects, or a delay
+    /// that is negative, not finite or past [`MAX_DELAY_NS`] in sum.
     BadCircuit(String),
     /// The payload length exceeds the configured frame cap.
     Oversize {
@@ -436,6 +440,12 @@ fn put_count(w: &mut Writer, n: usize) {
 const MIN_OP_BYTES: usize = 1 + 4;
 /// Bytes of one encoded qubit operand.
 const OPERAND_BYTES: usize = 4;
+/// The most delay a request circuit may carry, in ns, summed over its
+/// delay ops: 1 ms, about ten times the longest mean T1 of the device
+/// profiles (105 µs), so a longer idle adds nothing but full
+/// relaxation. Serving it costs well under a second (the noise model
+/// integrates idle time in 40 ns steps).
+pub const MAX_DELAY_NS: f64 = 1e6;
 
 /// Writes the binary circuit body (module docs).
 fn put_circuit(w: &mut Writer, circuit: &Circuit) {
@@ -501,12 +511,25 @@ fn get_circuit(r: &mut Reader<'_>) -> Result<Circuit, WireError> {
     }
     let ops = get_count(r, MIN_OP_BYTES)?;
     let mut circuit = Circuit::with_clbits(num_qubits, num_clbits);
+    let mut delay_ns = 0.0;
     for _ in 0..ops {
         let kind = match r.u8()? {
             0 => OpKind::Gate(get_gate(r)?),
             1 => OpKind::Measure(Clbit::new(r.u32()?)),
             2 => OpKind::Reset,
-            3 => OpKind::Delay(r.f64()?),
+            3 => {
+                let ns = r.f64()?;
+                if !(ns >= 0.0 && ns.is_finite()) {
+                    return Err(bad_circuit(format_args!("delay of {ns} ns")));
+                }
+                delay_ns += ns;
+                if delay_ns > MAX_DELAY_NS {
+                    return Err(bad_circuit(format_args!(
+                        "delays sum past {MAX_DELAY_NS} ns"
+                    )));
+                }
+                OpKind::Delay(ns)
+            }
             4 => OpKind::Barrier,
             tag => unknown_tag("OpKind", tag)?,
         };
@@ -853,16 +876,10 @@ fn get_service_error(r: &mut Reader<'_>) -> Result<ServiceError, CodecError> {
 // Top-level payload codecs
 // ---------------------------------------------------------------------------
 
-/// Request tag: `RecommendMask` with an OpenQASM circuit (v1 and v2
-/// senders; decoded, never encoded).
-const REQ_RECOMMEND_QASM: u8 = 0;
-/// Request tag: `Execute` with an OpenQASM circuit (v1 and v2 senders;
-/// decoded, never encoded).
-const REQ_EXECUTE_QASM: u8 = 1;
-/// Request tag: `RecommendMask` with the binary circuit body.
-const REQ_RECOMMEND: u8 = 2;
-/// Request tag: `Execute` with the binary circuit body.
-const REQ_EXECUTE: u8 = 3;
+/// Request tag: `RecommendMask`.
+const REQ_RECOMMEND: u8 = 0;
+/// Request tag: `Execute`.
+const REQ_EXECUTE: u8 = 1;
 
 /// Encode a request payload: the request body plus the in-band deadline.
 ///
@@ -923,13 +940,12 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
     let mut r = Reader::new(payload);
     let deadline = get_deadline(&mut r)?;
     let remaining = deadline.remaining_ms();
-    let tag = r.u8()?;
-    let mut body = match tag {
-        REQ_RECOMMEND | REQ_RECOMMEND_QASM => {
+    let mut body = match r.u8()? {
+        REQ_RECOMMEND => {
             let device = get_device(&mut r)?;
             let protocol = get_protocol(&mut r)?;
             let budget = get_budget(&mut r)?;
-            let circuit = get_request_circuit(&mut r, tag)?;
+            let circuit = get_circuit(&mut r)?;
             Request::RecommendMask {
                 circuit,
                 device,
@@ -939,10 +955,10 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
                 tenancy: Tenancy::default(),
             }
         }
-        REQ_EXECUTE | REQ_EXECUTE_QASM => {
+        REQ_EXECUTE => {
             let device = get_device(&mut r)?;
             let policy = get_policy(&mut r)?;
-            let circuit = get_request_circuit(&mut r, tag)?;
+            let circuit = get_circuit(&mut r)?;
             Request::Execute {
                 circuit,
                 device,
@@ -953,8 +969,8 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
         }
         tag => unknown_tag("Request", tag)?,
     };
-    // Optional extension block: absent on a v1 payload (defaults
-    // already in place), present on v2. Unknown extension tags are
+    // Optional extension block: when absent, the defaults already in
+    // place stand. Unknown extension tags are
     // skipped by their declared length; a known extension with a bad
     // body is still a typed error.
     if r.has_remaining() {
@@ -979,17 +995,6 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
     }
     r.finish()?;
     Ok((body, deadline))
-}
-
-/// The circuit of a request with body tag `tag`: the binary body, or
-/// the OpenQASM text an older sender wrote.
-fn get_request_circuit(r: &mut Reader<'_>, tag: u8) -> Result<Circuit, WireError> {
-    match tag {
-        REQ_RECOMMEND_QASM | REQ_EXECUTE_QASM => {
-            qcirc::qasm::from_qasm(r.str()?).map_err(bad_circuit)
-        }
-        _ => get_circuit(r),
-    }
 }
 
 /// Encode a successful response payload.
@@ -1344,14 +1349,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_payload_without_extensions_decodes_with_default_tenancy() {
-        // A v1 sender's payload ends right after the circuit. Build one
-        // by truncating a current payload at its extension block: the
-        // block is the last 1 + 1 + 4 + 5 bytes (count, tag, len, body).
+    fn a_payload_without_extensions_decodes_with_default_tenancy() {
+        // Truncate a payload at its extension block: the block is the
+        // last 1 + 1 + 4 + 5 bytes (count, tag, len, body).
         let tenancy = Tenancy::with_class(3, PriorityClass::Interactive);
         let payload = encode_request(&tenancy_request(tenancy), WireDeadline::unbounded());
-        let v1 = &payload[..payload.len() - 11];
-        let (decoded, _) = decode_request(v1).unwrap();
+        let bare = &payload[..payload.len() - 11];
+        let (decoded, _) = decode_request(bare).unwrap();
         assert_eq!(decoded.tenancy(), Tenancy::default());
     }
 
@@ -1511,6 +1515,29 @@ mod tests {
     }
 
     #[test]
+    fn delays_must_be_finite_non_negative_and_bounded_in_sum() {
+        let delays = |delays: &[f64]| {
+            decode_request(&request_with_body(|w| {
+                head(w, 2, 0, delays.len() as u32);
+                for &ns in delays {
+                    w.u8(3);
+                    w.f64(ns);
+                    w.u32(1);
+                    w.u32(1);
+                }
+            }))
+        };
+        assert!(delays(&[96.0, -0.0]).is_ok());
+        assert!(delays(&[MAX_DELAY_NS]).is_ok());
+        for ns in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 1e300] {
+            assert!(is_bad_circuit(delays(&[ns])), "delay of {ns} ns");
+        }
+        // Each within the bound, their sum past it.
+        assert!(is_bad_circuit(delays(&[MAX_DELAY_NS, 1.0])));
+        assert!(is_bad_circuit(delays(&[MAX_DELAY_NS / 2.0; 3])));
+    }
+
+    #[test]
     fn retired_sim_error_tag_is_unknown() {
         assert_eq!(
             get_sim_error(&mut Reader::new(&[2])),
@@ -1563,17 +1590,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_are_still_accepted() {
+    fn frames_before_the_binary_circuit_body_are_rejected() {
         let mut buf = Vec::new();
         write_frame(&mut buf, FrameKind::Request, 0, b"abc").unwrap();
-        buf[4] = 1; // a v1 peer's header
         let (head, payload) = read_frame(&mut buf.as_slice(), 1024).unwrap();
         assert_eq!(head.kind, FrameKind::Request);
         assert_eq!(payload, b"abc");
-        buf[4] = 0; // below MIN_VERSION: rejected
-        assert!(matches!(
-            read_frame(&mut buf.as_slice(), 1024),
-            Err(FrameError::Wire(WireError::BadVersion(0)))
-        ));
+        // Versions 1 and 2 sent OpenQASM request bodies.
+        for old in 0..MIN_VERSION {
+            buf[4] = old;
+            assert!(matches!(
+                read_frame(&mut buf.as_slice(), 1024),
+                Err(FrameError::Wire(WireError::BadVersion(v))) if v == old
+            ));
+        }
     }
 }

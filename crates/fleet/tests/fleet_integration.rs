@@ -8,8 +8,8 @@
 use adapt::DdProtocol;
 use adapt_fleet::ring::route_key;
 use adapt_fleet::{
-    FleetMap, FleetRouter, Ring, RouterConfig, ShardClient, ShardConfig, ShardId, ShardServer,
-    ShardState,
+    ClientError, FleetMap, FleetRouter, Ring, RouterConfig, ShardClient, ShardConfig, ShardId,
+    ShardServer, ShardState,
 };
 use adapt_service::{
     logical_hash, DeviceId, Request, Response, SearchBudget, ServiceConfig, ServiceError,
@@ -418,6 +418,32 @@ fn a_delay_crosses_the_wire_and_keys_the_same_program() {
     );
     assert_eq!(shard.service().stats().logical_hashes, hashes);
     assert_eq!(shard.stop().stats.worker_panics, 0);
+}
+
+/// A delay no worker could serve — not finite, or so long the noise
+/// model's 40 ns idle steps would never finish — is refused where it
+/// enters the shard, as a typed error, and the shard keeps serving.
+#[test]
+fn an_unservable_delay_is_refused_at_the_wire() {
+    let shard = ShardServer::start(ShardConfig::standalone(ShardId(3), service_config()))
+        .expect("shard starts");
+    let mut client = ShardClient::new(shard.addr());
+    for ns in [f64::NAN, 1e300] {
+        let mut circuit = tagged(3, 0);
+        circuit.delay(ns, 1);
+        match client.call(&recommend(circuit), WireDeadline::unbounded()) {
+            Err(ClientError::Service(ServiceError::Internal { reason })) => {
+                assert!(reason.contains("delay"), "delay {ns}: {reason}")
+            }
+            other => panic!("delay {ns}: expected a typed wire error, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        client.call(&request(1), WireDeadline::unbounded()),
+        Ok(Response::Mask(_))
+    ));
+    let stats = shard.stop().stats;
+    assert_eq!(stats.worker_panics, 0);
 }
 
 /// Every frame a shard sends is checksummed, a successful reply

@@ -528,8 +528,9 @@ fn op_bits(circuit: &qcirc::Circuit) -> Vec<(&'static str, Vec<u64>, Vec<usize>)
         .collect()
 }
 
-/// A circuit holding every `OpKind`, every gate, and the angles a text
-/// rendering can lose: `-0.0`, a NaN with a payload, and both infinities.
+/// A circuit holding every `OpKind`, every gate, the angles a text
+/// rendering can lose (`-0.0`, a NaN with a payload, both infinities),
+/// and delays of `-0.0` and the least subnormal.
 fn every_op_circuit() -> qcirc::Circuit {
     use qcirc::{Gate, Instruction, OpKind, Qubit};
     let odd_nan = f64::from_bits(0x7ff8_0000_dead_beef);
@@ -540,7 +541,7 @@ fn every_op_circuit() -> qcirc::Circuit {
     c.gate(Gate::P(f64::NEG_INFINITY), &[0]);
     c.gate(Gate::U(0.1, f64::NAN, -2.5e-300), &[1]);
     c.cx(0, 1).cz(1, 2).swap(2, 0);
-    c.delay(96.0, 1).delay(-0.0, 2).delay(f64::NAN, 0);
+    c.delay(96.0, 1).delay(-0.0, 2).delay(5e-324, 0);
     c.barrier_all();
     c.push(Instruction {
         kind: OpKind::Barrier,
@@ -592,86 +593,6 @@ fn every_op_kind_round_trips_bit_for_bit() {
             adapt_service::logical_hash(back),
             adapt_service::logical_hash(&circuit)
         );
-    }
-}
-
-/// What a version-2 sender wrote: the circuit as OpenQASM text under
-/// request tags 0 (`RecommendMask`) and 1 (`Execute`), in a frame whose
-/// header says version 2. This build still reads it.
-#[test]
-fn a_v2_payload_with_a_qasm_body_still_decodes() {
-    use adapt_fleet::wire::{read_frame, write_frame, FrameKind, FLAG_CHECKSUM};
-    use adapt_service::codec::{put_device, put_protocol, Writer};
-    use adapt_service::{PriorityClass, Tenancy};
-
-    let circuit = benchmarks::ghz(4);
-    let tenancy = Tenancy::with_class(9, PriorityClass::Batch);
-    let budget = SearchBudget {
-        shots: 128,
-        trajectories: 4,
-        neighborhood: 3,
-        tier: TierPolicy::SearchOnly,
-    };
-    let deadline = WireDeadline {
-        budget_ms: Some(400),
-        elapsed_ms: 150,
-    };
-    for tag in [0u8, 1] {
-        let mut w = Writer::default();
-        w.u64(400);
-        w.u64(150);
-        w.u8(tag);
-        if tag == 0 {
-            put_device(&mut w, DeviceId::Rome);
-            put_protocol(&mut w, DdProtocol::Cpmg);
-            w.u64(budget.shots);
-            w.u32(budget.trajectories);
-            w.u64(budget.neighborhood as u64);
-            w.u8(2); // TierPolicy::SearchOnly
-        } else {
-            put_device(&mut w, DeviceId::Guadalupe);
-            w.u8(3); // Policy::RuntimeBest
-        }
-        w.str(&qcirc::qasm::to_qasm(&circuit));
-        // The tenancy extension: count, tag, length, tenant, class.
-        w.u8(1);
-        w.u8(1);
-        w.u32(5);
-        w.u32(9);
-        w.u8(2);
-        let mut frame = Vec::new();
-        write_frame(&mut frame, FrameKind::Request, FLAG_CHECKSUM, w.as_bytes()).unwrap();
-        frame[4] = 2;
-        let (_, payload) = read_frame(&mut frame.as_slice(), 1 << 16).expect("v2 frame");
-        let (decoded, got_deadline) = decode_request(&payload).expect("v2 payload");
-        assert_eq!(got_deadline, deadline);
-        assert_eq!(decoded.deadline_ms(), Some(250));
-        assert_eq!(decoded.tenancy(), tenancy);
-        match decoded {
-            Request::RecommendMask {
-                circuit: back,
-                device,
-                protocol,
-                budget: got_budget,
-                ..
-            } if tag == 0 => {
-                assert_eq!(back, circuit);
-                assert_eq!(device, DeviceId::Rome);
-                assert_eq!(protocol, DdProtocol::Cpmg);
-                assert_eq!(got_budget, budget);
-            }
-            Request::Execute {
-                circuit: back,
-                device,
-                policy,
-                ..
-            } if tag == 1 => {
-                assert_eq!(back, circuit);
-                assert_eq!(device, DeviceId::Guadalupe);
-                assert_eq!(policy, Policy::RuntimeBest);
-            }
-            other => panic!("tag {tag} decoded as {other:?}"),
-        }
     }
 }
 
@@ -761,9 +682,8 @@ mod checksum_frames {
 
     #[test]
     fn unchecksummed_frames_from_older_peers_still_decode() {
-        // A MIN_VERSION peer never sets FLAG_CHECKSUM; corruption is not
-        // detected (that is the pre-v2-flag contract) but clean frames
-        // must keep decoding unchanged.
+        // FLAG_CHECKSUM is opt-in per frame: without it corruption is
+        // not detected, but clean frames must keep decoding unchanged.
         let payload = b"legacy peer";
         let mut buf = Vec::new();
         write_frame(&mut buf, FrameKind::Response, 0, payload).unwrap();
@@ -960,14 +880,14 @@ mod golden {
     }
 
     const REQUEST_GOLDEN: [u64; 8] = [
-        0x2960_9bb2_79b1_70f5,
-        0x114b_f7c1_762c_022b,
-        0xe509_1f5f_f374_a3ac,
-        0xe9f6_4132_60aa_ee12,
-        0x0b56_5301_137b_39f4,
-        0x2f56_3e72_dc62_35c6,
-        0xf9ba_6558_827c_199d,
-        0xa033_2fe1_a69a_21b7,
+        0xf2a7_c4e7_36b6_6817,
+        0x80e4_41cb_2a2d_61b9,
+        0x3804_62d6_97bd_f58e,
+        0xd8bd_516c_8135_a270,
+        0x3c6a_d637_f0c7_3472,
+        0x62d9_f919_c3f7_2ab8,
+        0x4f0b_e97d_5c91_1bc3,
+        0xed6e_9765_103d_1861,
     ];
     const RESPONSE_GOLDEN: [u64; 18] = [
         0xeeea_d624_4e37_a9ed,
@@ -1032,7 +952,7 @@ mod golden {
         0xdac3_6f4a_723e_f145,
         0x3c89_82dd_5fee_f094,
     ];
-    const FRAME_GOLDEN: [u64; 1] = [0xe00c_2dfd_f357_9a5a];
+    const FRAME_GOLDEN: [u64; 1] = [0x5ffa_fa9c_1629_fedc];
 }
 
 // --- untrusted bytes ----------------------------------------------------------
