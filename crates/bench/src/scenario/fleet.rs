@@ -238,14 +238,7 @@ impl Replay for ChaosReport {
 fn run_chaos(cfg: &ExperimentCfg, rounds: usize) -> ChaosReport {
     let (mut shards, ring, map) = start_fleet(2, &chaos_config(cfg));
     let endpoints: Vec<_> = shards.iter().map(|s| (s.shard(), s.addr())).collect();
-    let router = FleetRouter::new(
-        RouterConfig {
-            failure_threshold: 1,
-            cooldown_requests: 4,
-            max_attempts: 2,
-        },
-        &endpoints,
-    );
+    let router = FleetRouter::new(RouterConfig::default(), &endpoints);
     let victim = shards[0].shard();
     let healthy = shards[1].shard();
     // A warmed pool, half owned by each shard; requests are sequential

@@ -21,14 +21,17 @@
 //!   to the owning shard (cross-shard cache fill), so the owner's
 //!   in-process single-flight stays the *fleet-wide* single-flight: one
 //!   search per key, no matter which shard a client hits.
-//! - [`client`] — a blocking wire client with reconnect.
+//! - [`client`] — a blocking wire client with reconnect. A bounded
+//!   request reads its reply for at most its remaining budget plus a
+//!   margin; an unbounded one waits for the reply.
 //! - [`router`] — [`router::FleetRouter`] routes each request to its
-//!   ring owner, keeps a per-shard transport breaker (consecutive
-//!   connection failures open it; a request-count cooldown closes it
-//!   through a half-open probe), fails fast over open shards by
-//!   rerouting to the next shard in the key's deterministic preference
-//!   order, and aggregates every shard's Prometheus exposition into one
-//!   fleet document with per-shard labels
+//!   ring owner, keeps a per-shard transport breaker (the service's
+//!   [`adapt_service::Breaker`] at [`adapt_service::BreakerTuning::SHARD`]:
+//!   three consecutive transport failures open it; a request-count
+//!   cooldown closes it through one half-open probe at a time), fails
+//!   fast over open shards by rerouting to the next shard in the key's
+//!   deterministic preference order, and aggregates every shard's
+//!   Prometheus exposition into one fleet document with per-shard labels
 //!   ([`adapt_obs::merge_expositions`]).
 //!
 //! # Determinism across the fleet
@@ -50,6 +53,6 @@ pub mod wire;
 
 pub use client::{ClientError, ShardClient};
 pub use ring::{route_key, Ring, ShardId};
-pub use router::{FleetError, FleetRouter, RoutedResponse, RouterConfig, ShardState};
+pub use router::{FleetError, FleetRouter, RoutedResponse, RouterConfig};
 pub use server::{FleetMap, ShardConfig, ShardReport, ShardServer};
 pub use wire::{FrameHeader, FrameKind, WireError, FLAG_CHECKSUM, FLAG_FORWARDED, MAGIC, VERSION};

@@ -4,68 +4,42 @@
 //!
 //! Each request's route key gets a deterministic preference order over
 //! shards from the rendezvous ring ([`crate::ring::Ring::ranked`]).
-//! The router walks that order: shards whose breaker is open are
-//! skipped without a connection attempt (fail-fast), transport failures
-//! count against the shard and open its breaker after a threshold, and
-//! the first live shard answers. Because the order is a pure function
-//! of the key and the set of open breakers changes only on observed
-//! failures, *rerouting is deterministic*: while shard S is down, every
-//! key S owned is served by exactly the shard
-//! `owner_among(key, live \ {S})` — the same shard a ring without S
-//! would name.
+//! The router walks that order: shards whose breaker denies admission
+//! are skipped without a connection attempt (fail-fast), transport
+//! failures count against the shard, and the first live shard answers.
+//! Each shard's breaker is the service's [`Breaker`] at
+//! [`BreakerTuning::SHARD`]: three consecutive transport failures open
+//! it, and the 65th routed request after that probes it. Because the
+//! order is a pure function of the key and the set of open breakers
+//! changes only on observed failures, *rerouting is deterministic*:
+//! while shard S is down, every key S owned is served by exactly the
+//! shard `owner_among(key, live \ {S})` — the same shard a ring without
+//! S would name.
 //!
 //! Breaker cooldown is counted in *routed requests*, not wall time, so
 //! failover schedules replay identically run-to-run.
 
 use crate::client::{ClientError, ShardClient};
 use crate::ring::{route_key, Ring, ShardId};
-use adapt_service::{logical_hash, Request, Response, ServiceError};
+use adapt_service::{
+    logical_hash, Admission, Breaker, BreakerState, BreakerTuning, Request, Response, ServiceError,
+};
 use machine::WireDeadline;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Router tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterConfig {
-    /// Consecutive transport failures that open a shard's breaker.
-    pub failure_threshold: u32,
-    /// Routed requests that must skip an open shard before it is
-    /// probed again (request-count cooldown: deterministic, no clocks).
-    pub cooldown_requests: u32,
     /// Maximum shards tried per request before giving up.
     pub max_attempts: u32,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig {
-            failure_threshold: 3,
-            cooldown_requests: 64,
-            max_attempts: 3,
-        }
+        RouterConfig { max_attempts: 3 }
     }
-}
-
-/// A shard's breaker state as the router sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardState {
-    /// Healthy: requests flow.
-    Closed,
-    /// Failing: skipped without a connection attempt for the remaining
-    /// cooldown requests.
-    Open {
-        /// Routed requests left before the next probe.
-        cooldown_left: u32,
-    },
-    /// Cooldown elapsed: the next request owning this shard probes it.
-    HalfOpen,
-}
-
-#[derive(Debug)]
-struct Health {
-    consecutive_failures: u32,
-    state: ShardState,
 }
 
 struct Slot {
@@ -74,7 +48,7 @@ struct Slot {
     /// dropped on failure. Callers never block on another call's
     /// network round-trip.
     pool: Mutex<Vec<ShardClient>>,
-    health: Mutex<Health>,
+    breaker: Mutex<Breaker>,
 }
 
 impl Slot {
@@ -82,11 +56,12 @@ impl Slot {
         Slot {
             addr: RwLock::new(addr),
             pool: Mutex::new(Vec::new()),
-            health: Mutex::new(Health {
-                consecutive_failures: 0,
-                state: ShardState::Closed,
-            }),
+            breaker: Mutex::new(Breaker::new(BreakerTuning::SHARD)),
         }
+    }
+
+    fn breaker(&self) -> MutexGuard<'_, Breaker> {
+        self.breaker.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -195,29 +170,25 @@ impl FleetRouter {
         if let Some(slot) = self.inner.slots.get(&shard) {
             *slot.addr.write().unwrap_or_else(|e| e.into_inner()) = addr;
             slot.pool.lock().unwrap_or_else(|e| e.into_inner()).clear();
-            let mut health = slot.health.lock().unwrap_or_else(|e| e.into_inner());
-            health.consecutive_failures = 0;
-            health.state = ShardState::Closed;
+            *slot.breaker() = Breaker::new(BreakerTuning::SHARD);
         }
     }
 
     /// Current breaker state per shard.
-    pub fn shard_states(&self) -> Vec<(ShardId, ShardState)> {
+    pub fn shard_states(&self) -> Vec<(ShardId, BreakerState)> {
         self.inner
             .slots
             .iter()
-            .map(|(&shard, slot)| {
-                (
-                    shard,
-                    slot.health.lock().unwrap_or_else(|e| e.into_inner()).state,
-                )
-            })
+            .map(|(&shard, slot)| (shard, slot.breaker().state()))
             .collect()
     }
 
     /// Routes one request: deterministic shard preference order,
     /// fail-fast over open breakers, at most
-    /// [`RouterConfig::max_attempts`] live attempts.
+    /// [`RouterConfig::max_attempts`] live attempts. A bounded request
+    /// gives up on a shard whose reply has not arrived within its
+    /// remaining budget plus [`ShardClient::call`]'s margin, and fails
+    /// over; an unbounded one waits for the reply.
     ///
     /// # Errors
     ///
@@ -261,14 +232,14 @@ impl FleetRouter {
                 break;
             }
             let slot = inner.slots.get(&shard).expect("ring matches slots");
-            if !self.admit(slot) {
+            let admission = slot.breaker().admit();
+            if admission == Admission::Fallback {
                 inner.failfast_skips_total.inc();
                 continue;
             }
             attempts += 1;
-            match self.try_shard(slot, &request, deadline) {
+            match self.attempt(slot, admission, &request, deadline) {
                 Ok(response) => {
-                    self.record_success(slot);
                     if shard != owner {
                         inner.rerouted_total.inc();
                     }
@@ -278,16 +249,8 @@ impl FleetRouter {
                         rerouted: shard != owner,
                     });
                 }
-                Err(ClientError::Service(e)) => {
-                    // The shard answered; its typed error is the
-                    // answer. It also proves the transport works.
-                    self.record_success(slot);
-                    return Err(FleetError::Service(e));
-                }
-                Err(e) => {
-                    self.record_failure(slot);
-                    last = Some(e);
-                }
+                Err(ClientError::Service(e)) => return Err(FleetError::Service(e)),
+                Err(e) => last = Some(e),
             }
         }
         Err(FleetError::AllShardsDown {
@@ -301,80 +264,45 @@ impl FleetRouter {
         })
     }
 
-    /// Breaker admission for one shard. Open shards burn one unit of
-    /// their request-count cooldown per skip; at zero they go half-open
-    /// and admit a single probe.
-    fn admit(&self, slot: &Slot) -> bool {
-        let mut health = slot.health.lock().unwrap_or_else(|e| e.into_inner());
-        match health.state {
-            ShardState::Closed | ShardState::HalfOpen => true,
-            ShardState::Open { cooldown_left } => {
-                if cooldown_left <= 1 {
-                    health.state = ShardState::HalfOpen;
-                } else {
-                    health.state = ShardState::Open {
-                        cooldown_left: cooldown_left - 1,
-                    };
-                }
-                false
-            }
-        }
-    }
-
-    fn try_shard(
+    /// One attempt at a shard over a pooled connection, its transport
+    /// outcome recorded on the shard's breaker. A typed service error is
+    /// the shard's answer: it proves the transport works.
+    fn attempt(
         &self,
         slot: &Slot,
+        admission: Admission,
         request: &Request,
         deadline: WireDeadline,
     ) -> Result<Response, ClientError> {
         let addr = *slot.addr.read().unwrap_or_else(|e| e.into_inner());
-        let mut client = slot
-            .pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        let pool = || slot.pool.lock().unwrap_or_else(|e| e.into_inner());
+        let mut client = pool()
             .pop()
             .filter(|c| c.addr() == addr)
             .unwrap_or_else(|| ShardClient::new(addr));
         let result = client.call(request, deadline);
-        match &result {
-            Ok(_) | Err(ClientError::Service(_)) => {
-                slot.pool
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(client);
-            }
-            Err(_) => drop(client),
+        let failure = !matches!(result, Ok(_) | Err(ClientError::Service(_)));
+        if !failure {
+            pool().push(client);
         }
-        result
-    }
-
-    fn record_success(&self, slot: &Slot) {
-        let mut health = slot.health.lock().unwrap_or_else(|e| e.into_inner());
-        health.consecutive_failures = 0;
-        health.state = ShardState::Closed;
-    }
-
-    fn record_failure(&self, slot: &Slot) {
-        let mut health = slot.health.lock().unwrap_or_else(|e| e.into_inner());
-        health.consecutive_failures += 1;
-        let reopen = match health.state {
-            // A failed half-open probe re-opens immediately.
-            ShardState::HalfOpen => true,
-            ShardState::Closed => health.consecutive_failures >= self.inner.cfg.failure_threshold,
-            ShardState::Open { .. } => false,
-        };
-        if reopen {
-            health.state = ShardState::Open {
-                cooldown_left: self.inner.cfg.cooldown_requests,
-            };
+        let mut breaker = slot.breaker();
+        let was_open = breaker.state() == BreakerState::Open;
+        if admission == Admission::Probe {
+            breaker.record_probe(failure);
+        } else {
+            breaker.record(failure);
+        }
+        if !was_open && breaker.state() == BreakerState::Open {
             self.inner.breaker_opens_total.inc();
         }
+        result
     }
 
     /// Scrapes every reachable shard's exposition and merges them into
     /// one fleet document with per-shard `shard="N"` labels (see
     /// [`adapt_obs::merge_expositions`]). The router's own counters are
-    /// appended under `shard="router"`. Unreachable shards are skipped.
+    /// appended under `shard="router"`. Shards that do not answer
+    /// within the client's connect timeout are skipped.
     pub fn metrics(&self) -> String {
         let mut parts = Vec::new();
         for (&shard, slot) in &self.inner.slots {

@@ -5,7 +5,8 @@
 //! [`FrameKind::Request`] frames are decoded, checked against the
 //! fleet's hash ring, and either served locally or — when the key
 //! belongs to another shard — *forwarded* to the owner over a fresh
-//! connection, with the response relayed back verbatim.
+//! [`crate::ShardClient`] connection, whose reply read the request's
+//! deadline bounds, with the response relayed back verbatim.
 //!
 //! # Cross-shard single-flight
 //!
@@ -19,11 +20,12 @@
 //! cycle (and never a duplicate search: the hop still ends at exactly
 //! one instance per key).
 
+use crate::client::ShardClient;
 use crate::ring::{route_key, Ring, ShardId};
 use crate::wire::{
-    self, FrameError, FrameKind, WireError, DEFAULT_MAX_FRAME_BYTES, FLAG_CHECKSUM, FLAG_FORWARDED,
+    self, FrameError, FrameKind, DEFAULT_MAX_FRAME_BYTES, FLAG_CHECKSUM, FLAG_FORWARDED,
 };
-use adapt_service::{CodecError, MaskService, Request, ServiceConfig, ServiceError, ServiceStats};
+use adapt_service::{MaskService, Request, ServiceConfig, ServiceError, ServiceStats};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -322,17 +324,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
             Err(FrameError::Wire(e)) => {
                 // A malformed frame leaves the stream unsynchronized:
                 // answer with a typed error and drop the connection.
-                shared.wire_errors_total.inc();
-                let err = ServiceError::Internal {
-                    reason: format!("wire: {e}"),
-                };
-                let _ = wire::write_frame(
-                    &mut stream,
-                    FrameKind::Error,
-                    FLAG_CHECKSUM,
-                    &wire::encode_error(&err),
-                );
-                return;
+                return reject(&mut stream, &shared, format!("wire: {e}"));
             }
         };
         shared.frames_total.inc();
@@ -356,17 +348,8 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
             }
             // Response frames arriving at a server are protocol misuse.
             FrameKind::Response | FrameKind::Error | FrameKind::MetricsResponse => {
-                shared.wire_errors_total.inc();
-                let err = ServiceError::Internal {
-                    reason: format!("unexpected client frame {:?}", header.kind),
-                };
-                let _ = wire::write_frame(
-                    &mut stream,
-                    FrameKind::Error,
-                    FLAG_CHECKSUM,
-                    &wire::encode_error(&err),
-                );
-                return;
+                let reason = format!("unexpected client frame {:?}", header.kind);
+                return reject(&mut stream, &shared, reason);
             }
         }
     }
@@ -375,21 +358,9 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
 /// Serve one request frame: decode, decide ownership, forward or answer
 /// locally, write exactly one Response/Error frame back.
 fn serve_request(stream: &mut TcpStream, shared: &ServerShared, payload: &[u8], forwarded: bool) {
-    let request = match wire::decode_request(payload) {
-        Ok((request, _deadline)) => request,
-        Err(e) => {
-            shared.wire_errors_total.inc();
-            let err = ServiceError::Internal {
-                reason: format!("wire: {e}"),
-            };
-            let _ = wire::write_frame(
-                stream,
-                FrameKind::Error,
-                FLAG_CHECKSUM,
-                &wire::encode_error(&err),
-            );
-            return;
-        }
+    let (request, deadline) = match wire::decode_request(payload) {
+        Ok(decoded) => decoded,
+        Err(e) => return reject(stream, shared, format!("wire: {e}")),
     };
 
     // Ownership check: a key we don't own is forwarded to its owner —
@@ -407,68 +378,33 @@ fn serve_request(stream: &mut TcpStream, shared: &ServerShared, payload: &[u8], 
                     circuit, device, ..
                 } => route_key(*device, shared.service.logical_hash_of(*device, circuit)),
             };
-            if let Some(owner) = ring.owner(key) {
-                if owner != shared.shard {
-                    if let Some(owner_addr) = map.get(owner) {
-                        match forward(owner_addr, payload) {
-                            Ok((kind, body)) => {
-                                shared.forwards_total.inc();
-                                let _ = wire::write_frame(stream, kind, FLAG_CHECKSUM, &body);
-                                return;
-                            }
-                            Err(_) => {
-                                // Owner unreachable: serve locally (the
-                                // answer is seed-deterministic anyway;
-                                // only cache locality is lost).
-                                shared.forward_failures_total.inc();
-                            }
-                        }
-                    } else {
-                        shared.forward_failures_total.inc();
-                    }
+            if let Some(owner) = ring.owner(key).filter(|&owner| owner != shared.shard) {
+                let hop = map
+                    .get(owner)
+                    .map(|addr| ShardClient::new(addr).forward(payload, deadline));
+                if let Some(Ok((kind, body))) = hop {
+                    shared.forwards_total.inc();
+                    let _ = wire::write_frame(stream, kind, FLAG_CHECKSUM, &body);
+                    return;
                 }
+                // Owner unregistered, unreachable or overdue: serve
+                // locally (the answer is seed-deterministic anyway; only
+                // cache locality is lost).
+                shared.forward_failures_total.inc();
             }
         }
     }
 
-    match shared.service.call(request) {
-        Ok(response) => {
-            let _ = wire::write_frame(
-                stream,
-                FrameKind::Response,
-                FLAG_CHECKSUM,
-                &wire::encode_response(&response),
-            );
-        }
-        Err(err) => {
-            let _ = wire::write_frame(
-                stream,
-                FrameKind::Error,
-                FLAG_CHECKSUM,
-                &wire::encode_error(&err),
-            );
-        }
-    }
+    let (kind, body) = match shared.service.call(request) {
+        Ok(response) => (FrameKind::Response, wire::encode_response(&response)),
+        Err(err) => (FrameKind::Error, wire::encode_error(&err)),
+    };
+    let _ = wire::write_frame(stream, kind, FLAG_CHECKSUM, &body);
 }
 
-/// One forwarding hop: replay the raw request payload at the owner with
-/// [`FLAG_FORWARDED`] set, return its raw answer frame.
-fn forward(owner: SocketAddr, payload: &[u8]) -> Result<(FrameKind, Vec<u8>), FrameError> {
-    let mut stream = TcpStream::connect_timeout(&owner, Duration::from_millis(500))?;
-    stream.set_nodelay(true)?;
-    wire::write_frame(
-        &mut stream,
-        FrameKind::Request,
-        FLAG_FORWARDED | FLAG_CHECKSUM,
-        payload,
-    )?;
-    let (header, body) = wire::read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES)?;
-    match header.kind {
-        FrameKind::Response | FrameKind::Error => Ok((header.kind, body)),
-        other => Err(WireError::from(CodecError::UnknownTag {
-            what: "forwarded reply kind",
-            tag: other as u8,
-        })
-        .into()),
-    }
+/// Counts a protocol violation and answers it with a typed error.
+fn reject(stream: &mut TcpStream, shared: &ServerShared, reason: String) {
+    shared.wire_errors_total.inc();
+    let err = wire::encode_error(&ServiceError::Internal { reason });
+    let _ = wire::write_frame(stream, FrameKind::Error, FLAG_CHECKSUM, &err);
 }

@@ -9,13 +9,16 @@ use adapt::DdProtocol;
 use adapt_fleet::ring::route_key;
 use adapt_fleet::{
     ClientError, FleetMap, FleetRouter, Ring, RouterConfig, ShardClient, ShardConfig, ShardId,
-    ShardServer, ShardState,
+    ShardServer,
 };
 use adapt_service::{
-    logical_hash, DeviceId, Request, Response, SearchBudget, ServiceConfig, ServiceError,
-    TierPolicy,
+    logical_hash, BreakerState, DeviceId, Request, Response, SearchBudget, ServiceConfig,
+    ServiceError, TierPolicy,
 };
 use machine::WireDeadline;
+use std::net::SocketAddr;
+use std::sync::mpsc::RecvTimeoutError;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 1117;
 const SHARD_IDS: [ShardId; 2] = [ShardId(1), ShardId(8)];
@@ -111,6 +114,11 @@ fn mask_digest(response: &Response) -> String {
         ),
         Response::Execution(_) => panic!("expected a mask recommendation"),
     }
+}
+
+fn breaker_state(router: &FleetRouter, shard: ShardId) -> BreakerState {
+    let states = router.shard_states();
+    states.into_iter().find(|&(s, _)| s == shard).unwrap().1
 }
 
 fn metric_value(exposition: &str, name: &str) -> u64 {
@@ -227,14 +235,7 @@ fn an_owner_shard_hashes_a_served_program_no_more() {
 fn router_reroutes_deterministically_across_kill_and_restart() {
     let (mut shards, ring, map) = start_fleet();
     let endpoints: Vec<_> = shards.iter().map(|s| (s.shard(), s.addr())).collect();
-    let router = FleetRouter::new(
-        RouterConfig {
-            failure_threshold: 1,
-            cooldown_requests: 4,
-            max_attempts: 2,
-        },
-        &endpoints,
-    );
+    let router = FleetRouter::new(RouterConfig::default(), &endpoints);
 
     // A key owned by the shard we are about to kill.
     let victim = shards[0].shard();
@@ -249,23 +250,22 @@ fn router_reroutes_deterministically_across_kill_and_restart() {
     let steady_digest = mask_digest(&steady.response);
 
     // Kill the owner. The router must fail over to the surviving shard
-    // and — same seed — get the bit-identical semantic answer.
+    // and — same seed — get the bit-identical semantic answer, each of
+    // the three times it takes to open the victim's breaker: searched
+    // afresh the first time, from the stand-in's cache after that.
     let report = shards.remove(0).stop();
     assert_eq!(report.stats.worker_panics, 0);
-    let failover = router.call(req.clone()).expect("failover call");
-    assert_eq!(failover.shard, shards[0].shard());
-    assert!(failover.rerouted);
-    assert_eq!(mask_digest(&failover.response), steady_digest);
+    let cached_digest = steady_digest.replace("|FreshSearch", "|CacheHit");
+    for want in [&steady_digest, &cached_digest, &cached_digest] {
+        let failover = router.call(req.clone()).expect("failover call");
+        assert_eq!(failover.shard, shards[0].shard());
+        assert!(failover.rerouted);
+        assert_eq!(&mask_digest(&failover.response), want);
+    }
 
-    // One transport failure (threshold 1) opened the victim's breaker:
+    // Three consecutive transport failures opened the victim's breaker:
     // the next call skips it without paying a connection attempt.
-    let state = router
-        .shard_states()
-        .into_iter()
-        .find(|&(s, _)| s == victim)
-        .unwrap()
-        .1;
-    assert!(matches!(state, ShardState::Open { .. }), "got {state:?}");
+    assert_eq!(breaker_state(&router, victim), BreakerState::Open);
     let again = router.call(req.clone()).expect("fail-fast call");
     assert!(again.rerouted);
 
@@ -474,4 +474,136 @@ fn a_shards_success_reply_carries_the_checksum_flag() {
         Ok(Response::Mask(_))
     ));
     shard.stop();
+}
+
+/// How long a test waits on a call into a fleet with a stalled shard
+/// before it fails; a call that hangs would otherwise hang the test.
+const WATCHDOG: Duration = Duration::from_secs(30);
+
+/// The budget of a bounded request aimed at a stalled shard.
+const BUDGET_MS: u64 = 100;
+
+/// Runs `call` on its own thread and waits at most [`WATCHDOG`] for it.
+fn watched<T: Send + 'static>(call: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(call()));
+    match rx.recv_timeout(WATCHDOG) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => panic!("no answer within {WATCHDOG:?}"),
+        Err(RecvTimeoutError::Disconnected) => panic!("the watched call panicked"),
+    }
+}
+
+/// A shard that takes connections and reads request frames, but never
+/// replies. Its threads end with the test process.
+fn stalled_shard() -> SocketAddr {
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            std::thread::spawn(move || {
+                while adapt_fleet::wire::read_frame(&mut stream, 1 << 20).is_ok() {}
+            });
+        }
+    });
+    addr
+}
+
+/// A fleet of the two ring shards where the first stalls and the second
+/// serves, plus a [`BUDGET_MS`]-bounded request the stalled shard owns.
+fn stalled_fleet() -> (SocketAddr, ShardServer, Ring, FleetMap, Request) {
+    let ring = Ring::new(SHARD_IDS);
+    let map = FleetMap::new();
+    let live = start_shard(SHARD_IDS[1], &ring, &map);
+    let tag = (0..64)
+        .find(|&t| ring.owner(ring_key(&request(t))) == Some(SHARD_IDS[0]))
+        .expect("some tag lands on the stalled shard");
+    let mut req = request(tag);
+    if let Request::RecommendMask { deadline_ms, .. } = &mut req {
+        *deadline_ms = Some(BUDGET_MS);
+    }
+    (stalled_shard(), live, ring, map, req)
+}
+
+/// A bounded call whose ring owner takes the request and never replies
+/// gives up on it after its budget plus the client's margin and fails
+/// over to the live shard. Each timeout counts against the stalled
+/// shard's breaker; the third opens it, and later calls skip the shard.
+#[test]
+fn a_stalled_owner_fails_over_and_opens_its_breaker() {
+    let (stalled, live, _ring, _map, req) = stalled_fleet();
+    let endpoints = [(SHARD_IDS[0], stalled), (SHARD_IDS[1], live.addr())];
+    let router = FleetRouter::new(RouterConfig::default(), &endpoints);
+    for n in 1..=4 {
+        let (r, q) = (router.clone(), req.clone());
+        let sent = Instant::now();
+        let routed = watched(move || r.call(q)).expect("failover call");
+        assert_eq!(routed.shard, SHARD_IDS[1]);
+        assert!(routed.rerouted);
+        if n <= 3 {
+            // It waited out the stalled shard's budget before failing over.
+            assert!(sent.elapsed() >= Duration::from_millis(BUDGET_MS));
+        }
+        let want = if n < 3 {
+            BreakerState::Closed
+        } else {
+            BreakerState::Open
+        };
+        assert_eq!(breaker_state(&router, SHARD_IDS[0]), want, "call {n}");
+    }
+    let router_doc = router.registry().render_prometheus();
+    assert_eq!(
+        metric_value(&router_doc, "adapt_fleet_router_failfast_skips_total"),
+        1
+    );
+    assert_eq!(live.stop().stats.worker_panics, 0);
+}
+
+/// A shard asked for a key whose owner in the fleet map is stalled gives
+/// up on the forwarding hop after the request's budget plus the margin,
+/// serves the key itself, and counts the failed forward.
+#[test]
+fn a_stalled_forward_target_is_served_locally() {
+    use adapt_fleet::{wire, FrameKind};
+
+    let (stalled, entry, _ring, map, req) = stalled_fleet();
+    map.set(SHARD_IDS[0], stalled);
+    let payload = wire::encode_request(&req, WireDeadline::fresh(req.deadline_ms()));
+    let addr = entry.addr();
+    // A raw connection with no read timeout: the shard's own hop bound
+    // is under test, not the client's.
+    let (kind, body) = watched(move || {
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        let flags = wire::FLAG_CHECKSUM;
+        wire::write_frame(&mut stream, FrameKind::Request, flags, &payload).expect("send");
+        let (header, body) =
+            wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES).expect("reply");
+        (header.kind, body)
+    });
+    assert_eq!(kind, FrameKind::Response, "{:?}", wire::decode_error(&body));
+    assert!(matches!(
+        wire::decode_response(&body),
+        Ok(Response::Mask(_))
+    ));
+    let doc = ShardClient::new(addr).metrics().expect("metrics");
+    assert_eq!(metric_value(&doc, "adapt_fleet_forward_failures_total"), 1);
+    assert_eq!(metric_value(&doc, "adapt_fleet_forwards_total"), 0);
+    assert_eq!(entry.stop().stats.worker_panics, 0);
+}
+
+/// The fleet scrape reads each shard's exposition with a bound, so a
+/// stalled shard is skipped rather than hanging the scrape.
+#[test]
+fn fleet_metrics_skip_a_stalled_shard() {
+    let (stalled, live, _ring, _map, _req) = stalled_fleet();
+    let endpoints = [(SHARD_IDS[0], stalled), (SHARD_IDS[1], live.addr())];
+    let router = FleetRouter::new(RouterConfig::default(), &endpoints);
+    let doc = watched(move || router.metrics());
+    assert!(doc.contains("shard=\"8\""), "live shard missing in:\n{doc}");
+    assert!(doc.contains("shard=\"router\""));
+    assert!(
+        !doc.contains("shard=\"1\""),
+        "stalled shard scraped:\n{doc}"
+    );
+    live.stop();
 }

@@ -1,10 +1,9 @@
-//! Per-device circuit breakers and health tracking.
-//!
-//! A sick device must not drag healthy ones down: without a breaker,
-//! every request aimed at a flapping device climbs the full retry
-//! ladder, holding a worker for the whole climb. The [`HealthTracker`]
-//! watches a sliding window of backend-touching outcomes per device and
-//! runs the classic three-state machine:
+//! Circuit breakers: one closed/open/half-open state machine
+//! ([`Breaker`]) at two tunings. A sick device must not drag healthy
+//! ones down, and a dead shard must not cost every request a connection
+//! attempt. The [`HealthTracker`] keeps a [`Breaker`] per device at
+//! [`BreakerTuning::DEVICE`], the fleet router one per shard at
+//! [`BreakerTuning::SHARD`]. Device numbers shown:
 //!
 //! ```text
 //!             failure fraction ≥ 0.5
@@ -17,11 +16,10 @@
 //!                   probe fails ──▶ Open  (one probe at a time)
 //! ```
 //!
-//! The tuning is fixed: an 8-outcome window, at least 4 samples before
-//! a trip, a trip at half of them failing, a probe on the second denied
-//! admission, and a 200 ms `retry_after_ms` hint while not closed. An
-//! open breaker always serves the conservative fallback
-//! ([`Admission::Fallback`]); it never rejects a recommendation.
+//! Outcomes count only while closed: a success arriving after the trip
+//! does not close the breaker, only the probe does. An open device
+//! breaker serves the conservative fallback ([`Admission::Fallback`]);
+//! it never rejects a recommendation.
 //!
 //! # Determinism
 //!
@@ -29,7 +27,7 @@
 //! and outcomes* — the open→half-open cooldown is counted in denied
 //! admissions, not wall time. Under a single worker and a seeded fault
 //! schedule, two identical runs therefore produce identical transition
-//! logs (asserted by the chaos harness). The breaker is **off by
+//! logs (asserted by the chaos harness). The device breaker is **off by
 //! default** ([`crate::ServiceConfig::breaker`] is `false`): its
 //! admission decisions couple requests to each other, which
 //! intentionally trades the service's pure per-key determinism for
@@ -39,27 +37,53 @@ use crate::registry::DeviceId;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
-/// Sliding-window length of per-device outcomes.
-const WINDOW: usize = 8;
-/// Minimum outcomes in the window before the breaker may trip.
-const MIN_SAMPLES: usize = 4;
-/// Failure fraction (within the window) at which a closed breaker trips
-/// open.
-const FAILURE_THRESHOLD: f64 = 0.5;
-/// Denied admissions an open breaker waits before moving to half-open
-/// (a request-count cooldown keeps transitions deterministic; wall time
-/// would not).
-const COOLDOWN_REQUESTS: u64 = 2;
-/// `retry_after_ms` hint for requests aimed at a breaker that is not
-/// closed.
-const OPEN_RETRY_HINT_MS: u64 = 200;
+/// A breaker's fixed tuning: [`Self::DEVICE`] or [`Self::SHARD`].
+#[derive(Debug, Clone, Copy)]
+pub struct BreakerTuning {
+    /// Sliding-window length of outcomes.
+    pub window: usize,
+    /// Minimum outcomes in the window before the breaker may trip.
+    pub min_samples: usize,
+    /// Failure fraction (within the window) at which a closed breaker
+    /// trips open.
+    pub trip_fraction: f64,
+    /// The denied admission, counted since the breaker opened, that
+    /// becomes the half-open probe (a request-count cooldown keeps
+    /// transitions deterministic; wall time would not).
+    pub probe_on_denial: u64,
+    /// `retry_after_ms` hint for requests aimed at a breaker that is not
+    /// closed.
+    pub retry_hint_ms: u64,
+}
+
+impl BreakerTuning {
+    /// A served device (the diagram in the module docs).
+    pub const DEVICE: BreakerTuning = BreakerTuning {
+        window: 8,
+        min_samples: 4,
+        trip_fraction: 0.5,
+        probe_on_denial: 2,
+        retry_hint_ms: 200,
+    };
+
+    /// A shard's transport, as the router sees it: three consecutive
+    /// failures open it, and the 65th request after that probes it.
+    pub const SHARD: BreakerTuning = BreakerTuning {
+        window: 3,
+        min_samples: 3,
+        trip_fraction: 1.0,
+        probe_on_denial: 65,
+        retry_hint_ms: 0,
+    };
+}
 
 /// The three breaker states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Healthy: requests flow, outcomes are recorded.
     Closed,
-    /// Tripped: requests get the conservative fallback.
+    /// Tripped: requests are denied (served the conservative fallback,
+    /// or skipped by the router).
     Open,
     /// Cooling down: exactly one probe request runs for real; its
     /// outcome decides Closed vs Open.
@@ -87,7 +111,7 @@ impl std::fmt::Display for BreakerState {
     }
 }
 
-/// The tracker's verdict for one admission.
+/// A breaker's verdict for one admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// Breaker closed (or disabled): run the request normally.
@@ -95,9 +119,118 @@ pub enum Admission {
     /// Breaker half-open and this request won the probe slot: run it for
     /// real; its outcome closes or re-opens the breaker.
     Probe,
-    /// Breaker open (or half-open with the probe slot taken): serve the
-    /// cached/all-DD fallback without touching the backend.
+    /// Breaker open (or half-open with the probe slot taken): do not
+    /// touch the backend. The service serves the cached/all-DD
+    /// fallback; the router skips the shard.
     Fallback,
+}
+
+/// One closed/open/half-open state machine (see module docs), held
+/// under its owner's lock.
+#[derive(Debug)]
+pub struct Breaker {
+    tuning: BreakerTuning,
+    state: BreakerState,
+    /// Sliding window of outcomes; `true` = failure.
+    window: VecDeque<bool>,
+    /// Admissions denied since the breaker opened (cooldown counter).
+    denied_since_open: u64,
+    /// A half-open probe is currently in flight.
+    probe_in_flight: bool,
+}
+
+impl Breaker {
+    /// A closed breaker with an empty window.
+    pub fn new(tuning: BreakerTuning) -> Self {
+        Breaker {
+            tuning,
+            state: BreakerState::Closed,
+            window: VecDeque::with_capacity(tuning.window + 1),
+            denied_since_open: 0,
+            probe_in_flight: false,
+        }
+    }
+
+    /// The current state.
+    pub fn state(&self) -> BreakerState {
+        self.state
+    }
+
+    /// The `retry_after_ms` hint while not closed, 0 while closed.
+    pub fn retry_hint_ms(&self) -> u64 {
+        match self.state {
+            BreakerState::Closed => 0,
+            BreakerState::Open | BreakerState::HalfOpen => self.tuning.retry_hint_ms,
+        }
+    }
+
+    /// Admission decision for one request. An open breaker counts the
+    /// denial, and the [`BreakerTuning::probe_on_denial`]th goes
+    /// half-open as the probe.
+    pub fn admit(&mut self) -> Admission {
+        match self.state {
+            BreakerState::Closed => Admission::Proceed,
+            BreakerState::Open => {
+                self.denied_since_open += 1;
+                if self.denied_since_open < self.tuning.probe_on_denial {
+                    return Admission::Fallback;
+                }
+                self.state = BreakerState::HalfOpen;
+                self.probe_in_flight = true;
+                Admission::Probe
+            }
+            BreakerState::HalfOpen if self.probe_in_flight => Admission::Fallback,
+            BreakerState::HalfOpen => {
+                self.probe_in_flight = true;
+                Admission::Probe
+            }
+        }
+    }
+
+    /// Records the outcome of an [`Admission::Proceed`] request; a
+    /// window at or past the trip fraction opens the breaker. Ignored
+    /// unless closed: a pre-trip request finishing late must not
+    /// double-trip, and its success must not close an open breaker.
+    pub fn record(&mut self, failure: bool) {
+        if self.state != BreakerState::Closed {
+            return;
+        }
+        self.window.push_back(failure);
+        if self.window.len() > self.tuning.window {
+            self.window.pop_front();
+        }
+        let samples = self.window.len();
+        let failures = self.window.iter().filter(|&&f| f).count();
+        if samples >= self.tuning.min_samples
+            && failures as f64 / samples as f64 >= self.tuning.trip_fraction
+        {
+            self.open();
+        }
+    }
+
+    /// Records the outcome of an [`Admission::Probe`] request: success
+    /// closes the breaker, failure re-opens it (with a fresh cooldown).
+    pub fn record_probe(&mut self, failure: bool) {
+        self.probe_in_flight = false;
+        if failure {
+            self.open();
+        } else {
+            self.state = BreakerState::Closed;
+        }
+    }
+
+    /// Releases the probe slot without a verdict (the probe was
+    /// interrupted by its deadline, or could not reach a conclusion):
+    /// the breaker stays half-open and the next admission probes again.
+    pub fn probe_inconclusive(&mut self) {
+        self.probe_in_flight = false;
+    }
+
+    fn open(&mut self) {
+        self.state = BreakerState::Open;
+        self.denied_since_open = 0;
+        self.window.clear();
+    }
 }
 
 /// One recorded state transition, in global sequence order.
@@ -124,13 +257,7 @@ impl std::fmt::Display for Transition {
 }
 
 struct DeviceHealth {
-    state: BreakerState,
-    /// Sliding window of outcomes; `true` = failure.
-    window: VecDeque<bool>,
-    /// Admissions denied since the breaker opened (cooldown counter).
-    denied_since_open: u64,
-    /// A half-open probe is currently in flight.
-    probe_in_flight: bool,
+    breaker: Breaker,
     state_gauge: adapt_obs::Gauge,
 }
 
@@ -150,7 +277,8 @@ struct TrackerState {
     transitions: Vec<Transition>,
 }
 
-/// Per-device circuit breakers (see module docs).
+/// Per-device circuit breakers at [`BreakerTuning::DEVICE`] (see module
+/// docs).
 pub struct HealthTracker {
     /// When false the tracker admits everything and records nothing.
     enabled: bool,
@@ -178,13 +306,11 @@ impl HealthTracker {
                 let state_gauge =
                     registry.gauge(&format!("adapt_service_breaker_state_{}", id.name()));
                 state_gauge.set(BreakerState::Closed.gauge_value());
+                let breaker = Breaker::new(BreakerTuning::DEVICE);
                 (
                     id,
                     DeviceHealth {
-                        state: BreakerState::Closed,
-                        window: VecDeque::new(),
-                        denied_since_open: 0,
-                        probe_in_flight: false,
+                        breaker,
                         state_gauge,
                     },
                 )
@@ -209,62 +335,53 @@ impl HealthTracker {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn transition(ts: &mut TrackerState, device: DeviceId, to: BreakerState) {
-        let seq = ts.transitions.len() as u64;
-        let health = ts.devices.get_mut(&device).expect("registered device");
-        let from = health.state;
-        if from == to {
-            return;
+    /// Runs `step` on `device`'s breaker under the lock, then logs the
+    /// transition it made, if any, to the log, the state gauge and the
+    /// trip/recovery counters. `None` when the tracker is disabled or
+    /// does not know the device.
+    fn step<R>(&self, device: DeviceId, step: impl FnOnce(&mut Breaker) -> R) -> Option<R> {
+        if !self.enabled {
+            return None;
         }
-        health.state = to;
-        health.state_gauge.set(to.gauge_value());
-        ts.transitions.push(Transition {
-            seq,
-            device,
-            from,
-            to,
-        });
+        let mut ts = self.lock();
+        let TrackerState {
+            devices,
+            transitions,
+        } = &mut *ts;
+        let health = devices.get_mut(&device)?;
+        let from = health.breaker.state();
+        let out = step(&mut health.breaker);
+        let to = health.breaker.state();
+        if from != to {
+            health.state_gauge.set(to.gauge_value());
+            transitions.push(Transition {
+                seq: transitions.len() as u64,
+                device,
+                from,
+                to,
+            });
+            match (from, to) {
+                (BreakerState::Closed, BreakerState::Open) => self.metrics.trips.inc(),
+                (_, BreakerState::Closed) => self.metrics.recoveries.inc(),
+                _ => {}
+            }
+        }
+        Some(out)
     }
 
     /// Admission decision for one request aimed at `device`. Unknown
     /// devices (not in this tracker) always proceed — the service
     /// rejects them later as not-served.
     pub fn admit(&self, device: DeviceId) -> Admission {
-        if !self.enabled {
-            return Admission::Proceed;
+        let admission = self
+            .step(device, Breaker::admit)
+            .unwrap_or(Admission::Proceed);
+        match admission {
+            Admission::Proceed => {}
+            Admission::Probe => self.metrics.probes.inc(),
+            Admission::Fallback => self.metrics.fallbacks.inc(),
         }
-        let mut ts = self.lock();
-        let Some(health) = ts.devices.get_mut(&device) else {
-            return Admission::Proceed;
-        };
-        match health.state {
-            BreakerState::Closed => Admission::Proceed,
-            BreakerState::Open => {
-                health.denied_since_open += 1;
-                if health.denied_since_open >= COOLDOWN_REQUESTS {
-                    health.probe_in_flight = true;
-                    Self::transition(&mut ts, device, BreakerState::HalfOpen);
-                    self.metrics.probes.inc();
-                    return Admission::Probe;
-                }
-                self.denied()
-            }
-            BreakerState::HalfOpen => {
-                if health.probe_in_flight {
-                    self.denied()
-                } else {
-                    health.probe_in_flight = true;
-                    self.metrics.probes.inc();
-                    Admission::Probe
-                }
-            }
-        }
-    }
-
-    /// The open-breaker response: the conservative fallback.
-    fn denied(&self) -> Admission {
-        self.metrics.fallbacks.inc();
-        Admission::Fallback
+        admission
     }
 
     /// Records the outcome of a normally-admitted ([`Admission::Proceed`])
@@ -272,68 +389,24 @@ impl HealthTracker {
     /// search that degraded to the all-DD fallback — both are symptoms
     /// of a device that cannot serve its decoy runs.
     pub fn record(&self, device: DeviceId, failure: bool) {
-        if !self.enabled {
-            return;
-        }
-        let mut ts = self.lock();
-        let Some(health) = ts.devices.get_mut(&device) else {
-            return;
-        };
-        if health.state != BreakerState::Closed {
-            // A pre-trip request finishing late must not double-trip.
-            return;
-        }
-        health.window.push_back(failure);
-        while health.window.len() > WINDOW {
-            health.window.pop_front();
-        }
-        let samples = health.window.len();
-        let failures = health.window.iter().filter(|&&f| f).count();
-        if samples >= MIN_SAMPLES && failures as f64 / samples as f64 >= FAILURE_THRESHOLD {
-            health.denied_since_open = 0;
-            health.window.clear();
-            Self::transition(&mut ts, device, BreakerState::Open);
-            self.metrics.trips.inc();
-        }
+        self.step(device, |b| b.record(failure));
     }
 
-    /// Records the outcome of an [`Admission::Probe`] request: success
-    /// closes the breaker, failure re-opens it (with a fresh cooldown).
+    /// Records the outcome of an [`Admission::Probe`] request (see
+    /// [`Breaker::record_probe`]).
     pub fn record_probe(&self, device: DeviceId, failure: bool) {
-        if !self.enabled {
-            return;
-        }
-        let mut ts = self.lock();
-        let Some(health) = ts.devices.get_mut(&device) else {
-            return;
-        };
-        health.probe_in_flight = false;
-        if failure {
-            health.denied_since_open = 0;
-            Self::transition(&mut ts, device, BreakerState::Open);
-        } else {
-            health.window.clear();
-            Self::transition(&mut ts, device, BreakerState::Closed);
-            self.metrics.recoveries.inc();
-        }
+        self.step(device, |b| b.record_probe(failure));
     }
 
-    /// Releases the probe slot without a verdict (the probe was
-    /// interrupted by its deadline, or could not reach a conclusion):
-    /// the breaker stays half-open and the next admission probes again.
+    /// Releases `device`'s probe slot without a verdict (see
+    /// [`Breaker::probe_inconclusive`]).
     pub fn probe_inconclusive(&self, device: DeviceId) {
-        if !self.enabled {
-            return;
-        }
-        let mut ts = self.lock();
-        if let Some(health) = ts.devices.get_mut(&device) {
-            health.probe_in_flight = false;
-        }
+        self.step(device, Breaker::probe_inconclusive);
     }
 
     /// Current state of `device`'s breaker (None for unknown devices).
     pub fn state(&self, device: DeviceId) -> Option<BreakerState> {
-        self.lock().devices.get(&device).map(|h| h.state)
+        self.lock().devices.get(&device).map(|h| h.breaker.state())
     }
 
     /// The `retry_after_ms` hint a request for `device` should carry
@@ -342,10 +415,10 @@ impl HealthTracker {
         if !self.enabled {
             return 0;
         }
-        match self.state(device) {
-            Some(BreakerState::Open | BreakerState::HalfOpen) => OPEN_RETRY_HINT_MS,
-            _ => 0,
-        }
+        self.lock()
+            .devices
+            .get(&device)
+            .map_or(0, |h| h.breaker.retry_hint_ms())
     }
 
     /// The full transition log, in decision order.
@@ -366,7 +439,7 @@ mod tests {
         )
     }
 
-    /// Trips `dev` with `MIN_SAMPLES` failures.
+    /// Trips `dev` with the device tuning's 4-sample minimum of failures.
     fn trip(t: &HealthTracker, dev: DeviceId) {
         for _ in 0..4 {
             assert_eq!(t.admit(dev), Admission::Proceed);
@@ -387,9 +460,9 @@ mod tests {
         assert!(t.transitions().is_empty());
     }
 
-    /// The fixed tuning, by its observable effects: 8-outcome window,
-    /// 4-sample minimum, trip at half failing, probe on the second
-    /// denied admission, 200 ms hint while not closed.
+    /// The two fixed tunings, by their observable effects. The device's:
+    /// 8-outcome window, 4-sample minimum, trip at half failing, probe on
+    /// the second denied admission, 200 ms hint while not closed.
     #[test]
     fn the_tuning_constants_are_pinned() {
         let t = tracker(true);
@@ -425,6 +498,39 @@ mod tests {
         // window: 4 of 8 is exactly the threshold.
         t.record(other, true);
         assert_eq!(t.state(other), Some(BreakerState::Open));
+
+        // The shard tuning: three consecutive failures open it, the 65th
+        // admission after that probes, one probe at a time, no hint.
+        let mut b = Breaker::new(BreakerTuning::SHARD);
+        // Two failures and a success, then two more failures: never
+        // three in a row.
+        for failure in [true, true, false, true, true] {
+            assert_eq!(b.admit(), Admission::Proceed);
+            b.record(failure);
+            assert_eq!(b.state(), BreakerState::Closed);
+        }
+        b.record(true);
+        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.retry_hint_ms(), 0);
+        // A late success from before the trip does not close it.
+        b.record(false);
+        assert_eq!(b.state(), BreakerState::Open);
+        // 64 denials, then the probe; while it is out, others are denied.
+        for _ in 0..64 {
+            assert_eq!(b.admit(), Admission::Fallback);
+        }
+        assert_eq!(b.admit(), Admission::Probe);
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.admit(), Admission::Fallback);
+        // A failed probe re-opens with a fresh cooldown.
+        b.record_probe(true);
+        assert_eq!(b.state(), BreakerState::Open);
+        for _ in 0..64 {
+            assert_eq!(b.admit(), Admission::Fallback);
+        }
+        assert_eq!(b.admit(), Admission::Probe);
+        b.record_probe(false);
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub mod sched;
 pub mod service;
 pub mod tenancy;
 
-pub use breaker::{Admission, BreakerState, HealthTracker, Transition};
+pub use breaker::{Admission, Breaker, BreakerState, BreakerTuning, HealthTracker, Transition};
 pub use cache::{
     logical_hash, program_fingerprint, CacheEvent, CachedMask, MaskCache, MaskCacheStats, MaskKey,
     SearchTicket, StaleKey, TieredLookup,
