@@ -140,7 +140,7 @@ fn bench_search(c: &mut Criterion) {
 /// The fleet wire's per-request CPU work: `encode_request` and
 /// `decode_request` of a mask request for each `paper_suite()` program
 /// of at most 8 qubits (the programs `adapt_bench`'s serving workloads
-/// send), and a checksummed `write_frame` → `read_frame` round trip of
+/// send), and a `write_frame` → `read_frame` round trip (CRC included) of
 /// that payload through a `Vec` buffer (no socket).
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire");
@@ -168,7 +168,7 @@ fn bench_wire(c: &mut Criterion) {
             let mut buf = Vec::with_capacity(payload.len() + 2 * wire::HEADER_BYTES);
             b.iter(|| {
                 buf.clear();
-                wire::write_frame(&mut buf, FrameKind::Request, wire::FLAG_CHECKSUM, &payload)
+                wire::write_frame(&mut buf, FrameKind::Request, 0, &payload)
                     .expect("a Vec takes every write");
                 black_box(
                     wire::read_frame(&mut buf.as_slice(), wire::DEFAULT_MAX_FRAME_BYTES)

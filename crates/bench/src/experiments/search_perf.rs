@@ -27,6 +27,7 @@
 //! to CHP.
 
 use crate::runner::ExperimentCfg;
+use crate::scenario::Json;
 use adapt::decoy::{make_decoy, DecoyKind};
 use adapt::search::{localized_search, MaskScore, SearchContext};
 use adapt::{DdConfig, DdMask, DdProtocol};
@@ -57,12 +58,15 @@ impl Spread {
         }
     }
 
-    /// `"<name>": median, "<name>_min": min, "<name>_max": max`.
-    fn json(&self, name: &str) -> String {
-        format!(
-            "\"{name}\": {:.1}, \"{name}_min\": {:.1}, \"{name}_max\": {:.1}",
-            self.median, self.min, self.max
-        )
+    /// `<name>: median, <name>_min: min, <name>_max: max`, as report
+    /// fields.
+    fn fields(&self, name: &str) -> [(String, Json); 3] {
+        let ms = |v| Json::Num(v, 1);
+        [
+            (name.to_string(), ms(self.median)),
+            (format!("{name}_min"), ms(self.min)),
+            (format!("{name}_max"), ms(self.max)),
+        ]
     }
 }
 
@@ -325,35 +329,77 @@ pub fn run(cfg: &ExperimentCfg) {
 
     let out_dir = cfg.out_dir();
     std::fs::create_dir_all(&out_dir).expect("create results dir");
-    let json = format!(
-        "{{\n  \"schema\": 2,\n  \"device\": \"{}\",\n  \"benchmark\": \"QFT-{n}\",\n  \
-         \"shots\": {shots},\n  \"trajectories\": {trajectories},\n  \"host_threads\": {host_threads},\n  \
-         \"batch\": {{ \"budget\": {batch_budget}, \"workers\": {batch_workers} }},\n  \
-         \"engines\": {{ \"chp_executions\": {}, \"statevec_executions\": {} }},\n  \
-         \"search\": {{ \"decoy\": \"clifford\", \"engine\": \"chp\", \"first_ms\": {first_ms:.1}, \
-         \"second_ms\": {second_ms:.1}, \"decoy_runs\": {}, \"replays\": {search_replays}, \
-         \"forked_ops\": {forked_ops}, \
-         \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4} }} }},\n  \
-         \"mask_scoring\": {{ \"masks\": {}, \"repeats\": {REPEATS}, \"chp\": {{ {}, \
-         {}, \"serial_masks_per_s\": {chp_serial_per_s:.2}, \
-         \"batched_masks_per_s\": {chp_batched_per_s:.2}, \"bit_identical\": true, \
-         \"normal_memo_hit_rate\": {memo_hit_rate:.4}, \"repeat_replays\": {repeat_replays} }}, \
-         \"statevector\": {{ {}, \
-         \"batched_masks_per_s\": {dense_per_s:.2} }} }}\n}}\n",
-        dev.name(),
-        chp_executions,
-        statevec_executions,
-        first.decoy_runs(),
-        stats.hits,
-        stats.misses,
-        stats.evictions,
-        stats.hit_rate(),
-        masks.len(),
-        serial_ms.json("serial_ms"),
-        batched_ms.json("batched_ms"),
-        dense_ms.json("batched_ms"),
-    );
+    let num = Json::Num;
+    let chp: Json = serial_ms
+        .fields("serial_ms")
+        .into_iter()
+        .chain(batched_ms.fields("batched_ms"))
+        .chain([
+            ("serial_masks_per_s".to_string(), num(chp_serial_per_s, 2)),
+            ("batched_masks_per_s".to_string(), num(chp_batched_per_s, 2)),
+            ("bit_identical".to_string(), true.into()),
+            ("normal_memo_hit_rate".to_string(), num(memo_hit_rate, 4)),
+            ("repeat_replays".to_string(), repeat_replays.into()),
+        ])
+        .collect();
+    let statevector: Json = dense_ms
+        .fields("batched_ms")
+        .into_iter()
+        .chain([("batched_masks_per_s".to_string(), num(dense_per_s, 2))])
+        .collect();
+    let report = Json::obj([
+        ("schema", 2u32.into()),
+        ("device", dev.name().into()),
+        ("benchmark", format!("QFT-{n}").into()),
+        ("shots", shots.into()),
+        ("trajectories", trajectories.into()),
+        ("host_threads", host_threads.into()),
+        (
+            "batch",
+            Json::obj([
+                ("budget", batch_budget.into()),
+                ("workers", batch_workers.into()),
+            ]),
+        ),
+        (
+            "engines",
+            Json::obj([
+                ("chp_executions", chp_executions.into()),
+                ("statevec_executions", statevec_executions.into()),
+            ]),
+        ),
+        (
+            "search",
+            Json::obj([
+                ("decoy", "clifford".into()),
+                ("engine", "chp".into()),
+                ("first_ms", num(first_ms, 1)),
+                ("second_ms", num(second_ms, 1)),
+                ("decoy_runs", first.decoy_runs().into()),
+                ("replays", search_replays.into()),
+                ("forked_ops", forked_ops.into()),
+                (
+                    "cache",
+                    Json::obj([
+                        ("hits", stats.hits.into()),
+                        ("misses", stats.misses.into()),
+                        ("evictions", stats.evictions.into()),
+                        ("hit_rate", num(stats.hit_rate(), 4)),
+                    ]),
+                ),
+            ]),
+        ),
+        (
+            "mask_scoring",
+            Json::obj([
+                ("masks", masks.len().into()),
+                ("repeats", REPEATS.into()),
+                ("chp", chp),
+                ("statevector", statevector),
+            ]),
+        ),
+    ]);
     let path = out_dir.join("BENCH_search.json");
-    std::fs::write(&path, json).expect("write BENCH_search.json");
+    std::fs::write(&path, report.render()).expect("write BENCH_search.json");
     println!("  wrote {}", path.display());
 }

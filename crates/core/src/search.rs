@@ -170,6 +170,10 @@ impl SearchResult {
 /// `2^N` enumeration would not terminate in reasonable time beyond this.
 pub const EXHAUSTIVE_MAX_QUBITS: usize = 20;
 
+/// Largest neighborhood [`localized_search`] takes: each group's sweep
+/// builds and scores all `2^neighborhood` of its masks, 65,536 here.
+pub const MAX_NEIGHBORHOOD: usize = 16;
+
 /// Errors from a mask search.
 ///
 /// Splits request-shaped failures (the sweep is infeasible for this many
@@ -558,7 +562,7 @@ pub fn exhaustive_search(ctx: &SearchContext<'_>) -> Result<SearchResult, Search
 ///
 /// # Panics
 ///
-/// Panics when `neighborhood` is 0 or exceeds 16 bits.
+/// Panics when `neighborhood` is 0 or exceeds [`MAX_NEIGHBORHOOD`].
 ///
 /// # Graceful degradation
 ///
@@ -576,7 +580,10 @@ pub fn localized_search(
     neighborhood: usize,
     top2_merge: bool,
 ) -> Result<SearchResult, ExecError> {
-    assert!(neighborhood > 0 && neighborhood <= 16, "neighborhood size");
+    assert!(
+        (1..=MAX_NEIGHBORHOOD).contains(&neighborhood),
+        "neighborhood size"
+    );
     let mtr = ctx.metrics;
     mtr.searches.inc();
     let n = ctx.num_program_qubits;

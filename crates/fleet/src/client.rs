@@ -1,7 +1,7 @@
 //! Blocking wire client for one shard.
 
 use crate::wire::{
-    self, FrameError, FrameKind, WireError, DEFAULT_MAX_FRAME_BYTES, FLAG_CHECKSUM, FLAG_FORWARDED,
+    self, FrameError, FrameKind, WireError, DEFAULT_MAX_FRAME_BYTES, FLAG_FORWARDED,
 };
 use adapt_service::{CodecError, Request, Response, ServiceError};
 use machine::WireDeadline;
@@ -76,8 +76,8 @@ impl ShardClient {
         self.addr
     }
 
-    /// Sends one frame with `flags` and [`FLAG_CHECKSUM`], and reads the
-    /// reply, each read waiting at most `read_timeout`.
+    /// Sends one frame with `flags`, and reads the reply, each read
+    /// waiting at most `read_timeout`.
     fn roundtrip(
         &mut self,
         kind: FrameKind,
@@ -97,7 +97,7 @@ impl ShardClient {
                 stream.set_read_timeout(read_timeout)?;
                 *timeout = read_timeout;
             }
-            wire::write_frame(stream, kind, flags | FLAG_CHECKSUM, payload)?;
+            wire::write_frame(stream, kind, flags, payload)?;
             wire::read_frame(stream, DEFAULT_MAX_FRAME_BYTES)
         })()
         .map_err(ClientError::from);

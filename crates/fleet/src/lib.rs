@@ -10,7 +10,9 @@
 //!   exhaustive round-trip test), and the request deadline crosses the
 //!   wire in-band as a [`machine::WireDeadline`] (total budget + time
 //!   already spent upstream), so deadline propagation keeps working
-//!   across hops.
+//!   across hops. The wire only decodes: whether a request is servable
+//!   is decided by the service's admission rule at
+//!   [`adapt_service::MaskService::submit`], as for a local caller.
 //! - [`ring`] — a rendezvous (highest-random-weight) hash ring mapping
 //!   `(device, logical circuit hash)` route keys onto shard ids.
 //!   Insertion-order independent, and exactly monotone under single

@@ -22,9 +22,7 @@
 
 use crate::client::ShardClient;
 use crate::ring::{route_key, Ring, ShardId};
-use crate::wire::{
-    self, FrameError, FrameKind, DEFAULT_MAX_FRAME_BYTES, FLAG_CHECKSUM, FLAG_FORWARDED,
-};
+use crate::wire::{self, FrameError, FrameKind, DEFAULT_MAX_FRAME_BYTES, FLAG_FORWARDED};
 use adapt_service::{MaskService, Request, ServiceConfig, ServiceError, ServiceStats};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
@@ -335,14 +333,8 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
             }
             FrameKind::MetricsRequest => {
                 let text = shared.service.metrics_registry().render_prometheus();
-                if wire::write_frame(
-                    &mut stream,
-                    FrameKind::MetricsResponse,
-                    FLAG_CHECKSUM,
-                    text.as_bytes(),
-                )
-                .is_err()
-                {
+                let kind = FrameKind::MetricsResponse;
+                if wire::write_frame(&mut stream, kind, 0, text.as_bytes()).is_err() {
                     return;
                 }
             }
@@ -384,7 +376,7 @@ fn serve_request(stream: &mut TcpStream, shared: &ServerShared, payload: &[u8], 
                     .map(|addr| ShardClient::new(addr).forward(payload, deadline));
                 if let Some(Ok((kind, body))) = hop {
                     shared.forwards_total.inc();
-                    let _ = wire::write_frame(stream, kind, FLAG_CHECKSUM, &body);
+                    let _ = wire::write_frame(stream, kind, 0, &body);
                     return;
                 }
                 // Owner unregistered, unreachable or overdue: serve
@@ -399,12 +391,12 @@ fn serve_request(stream: &mut TcpStream, shared: &ServerShared, payload: &[u8], 
         Ok(response) => (FrameKind::Response, wire::encode_response(&response)),
         Err(err) => (FrameKind::Error, wire::encode_error(&err)),
     };
-    let _ = wire::write_frame(stream, kind, FLAG_CHECKSUM, &body);
+    let _ = wire::write_frame(stream, kind, 0, &body);
 }
 
 /// Counts a protocol violation and answers it with a typed error.
 fn reject(stream: &mut TcpStream, shared: &ServerShared, reason: String) {
     shared.wire_errors_total.inc();
     let err = wire::encode_error(&ServiceError::Internal { reason });
-    let _ = wire::write_frame(stream, FrameKind::Error, FLAG_CHECKSUM, &err);
+    let _ = wire::write_frame(stream, FrameKind::Error, 0, &err);
 }

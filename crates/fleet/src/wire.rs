@@ -8,32 +8,32 @@
 //! 0       4     magic       0x4144464C ("ADFL"), little-endian u32
 //! 4       1     version     protocol version (3; MIN_VERSION..=VERSION accepted)
 //! 5       1     kind        frame type (FrameKind)
-//! 6       1     flags       bit 0: FORWARDED; bit 1: CHECKSUM trailer
+//! 6       1     flags       bit 0: FORWARDED; bit 1: CHECKSUM (always set)
 //! 7       1     reserved    must be 0
 //! 8       4     length      payload length in bytes, little-endian
 //! 12      len   payload     kind-specific body
 //! ```
 //!
-//! With [`FLAG_CHECKSUM`] set, the declared length covers the payload
-//! *plus* a 4-byte CRC32 trailer ([`adapt_service::codec::crc32`], the
-//! CRC the durability store's records carry too);
-//! [`read_frame`] verifies and strips the trailer, turning in-flight
-//! corruption into a typed [`WireError::ChecksumMismatch`] instead of a
-//! garbled payload. The flag is opt-in per frame; a frame without it
-//! is read unchecked. [`write_frame`] hands the header, payload and
-//! trailer to the stream in one write.
+//! Every frame carries a 4-byte CRC32 trailer
+//! ([`adapt_service::codec::crc32`], the CRC the durability store's
+//! records carry too), marks it with [`FLAG_CHECKSUM`], and counts it in
+//! the declared length. [`read_frame`] verifies and strips the trailer,
+//! turning in-flight corruption into a typed
+//! [`WireError::ChecksumMismatch`] instead of a garbled payload, and
+//! refuses a frame without the flag as [`WireError::MissingChecksum`].
+//! [`write_frame`] hands the header, payload and trailer to the stream
+//! in one write.
 //!
 //! # Versioning and extensions
 //!
-//! Version 2 appends an *extension block* to the request payload after
-//! the fixed fields: a `u8` extension count, then per extension a `u8`
-//! tag, a `u32` byte length, and that many bytes. Decoders skip
-//! extensions with unknown tags by their length — new in-band fields
-//! (tenancy today) ride through peers that predate them untouched — and
-//! a payload that ends before any extension block decodes with default
-//! values for every extension. This is the one place the
-//! protocol is deliberately tolerant; unknown *enum tags* inside known
-//! fields are still typed errors (below).
+//! Every request payload ends in an *extension block* after the fixed
+//! fields: a `u8` extension count, then per extension a `u8` tag, a
+//! `u32` byte length, and that many bytes. Decoders skip extensions with
+//! unknown tags by their length, so new in-band fields (tenancy today)
+//! ride through peers that predate them untouched. This is the one place
+//! the protocol is deliberately tolerant; a payload that ends before the
+//! block is truncated, and unknown *enum tags* inside known fields are
+//! still typed errors (below).
 //!
 //! Every field goes through [`adapt_service::codec`], the byte codec
 //! the durability store shares: little-endian integers, `f64` as its
@@ -55,15 +55,15 @@
 //! ```
 //!
 //! Every op, delays and the exact bits of every angle included, arrives
-//! as it was sent. The decoder keeps the OpenQASM importer's width caps
-//! ([`qcirc::qasm::MAX_QUBITS`], [`qcirc::qasm::MAX_CLBITS`]), checks
-//! each count against the bytes that remain before allocating for it,
-//! and appends every op through [`Circuit::try_push`], so an
-//! out-of-range, repeated or miscounted operand is a typed
-//! [`WireError::BadCircuit`]. So is a delay that is negative or not
-//! finite, or delays summing past [`MAX_DELAY_NS`]: the noise model
-//! integrates an idle wire in 40 ns steps, so an unbounded delay would
-//! hold a shard's worker without end.
+//! as it was sent. The decoder only decodes: it keeps the OpenQASM
+//! importer's width caps ([`qcirc::qasm::MAX_QUBITS`],
+//! [`qcirc::qasm::MAX_CLBITS`]), checks each count against the bytes
+//! that remain before allocating for it, and appends every op through
+//! [`Circuit::try_push`], so an out-of-range, repeated or miscounted
+//! operand is a typed [`WireError::BadCircuit`]. Whether the circuit and
+//! budget are servable (delays and angles included) is the service's
+//! admission rule, [`adapt_service::check_circuit`], which every request
+//! meets at [`adapt_service::MaskService::submit`].
 //!
 //! Versions 1 and 2 sent the circuit as OpenQASM text, which dropped
 //! delays. Their frames are rejected as [`WireError::BadVersion`]: this
@@ -120,7 +120,8 @@ pub const DEFAULT_MAX_FRAME_BYTES: u32 = 8 << 20;
 /// be served locally (never re-forwarded), breaking forwarding cycles.
 pub const FLAG_FORWARDED: u8 = 0x01;
 /// Flag bit: the payload carries a 4-byte CRC32 trailer (included in
-/// the declared length). Senders opt in per frame.
+/// the declared length). [`write_frame`] sets it on every frame, and
+/// [`read_frame`] refuses a frame without it.
 pub const FLAG_CHECKSUM: u8 = 0x02;
 
 /// Frame types.
@@ -176,8 +177,7 @@ pub enum WireError {
     /// Unknown frame type byte.
     UnknownFrame(u8),
     /// The circuit body is not a valid circuit: a register wider than
-    /// the import caps, an op [`Circuit::try_push`] rejects, or a delay
-    /// that is negative, not finite or past [`MAX_DELAY_NS`] in sum.
+    /// the import caps, or an op [`Circuit::try_push`] rejects.
     BadCircuit(String),
     /// The payload length exceeds the configured frame cap.
     Oversize {
@@ -186,6 +186,9 @@ pub enum WireError {
         /// The cap it exceeded.
         max: u32,
     },
+    /// The frame lacks [`FLAG_CHECKSUM`]: every version-3 frame carries
+    /// the trailer.
+    MissingChecksum,
     /// The payload's CRC32 trailer did not match its content — the
     /// frame was corrupted in flight.
     ChecksumMismatch {
@@ -207,6 +210,7 @@ impl std::fmt::Display for WireError {
             WireError::Oversize { len, max } => {
                 write!(f, "frame payload of {len} bytes exceeds the {max}-byte cap")
             }
+            WireError::MissingChecksum => write!(f, "frame carries no checksum trailer"),
             WireError::ChecksumMismatch { expected, got } => write!(
                 f,
                 "payload checksum mismatch: sender {expected:#010x}, received {got:#010x}"
@@ -440,12 +444,6 @@ fn put_count(w: &mut Writer, n: usize) {
 const MIN_OP_BYTES: usize = 1 + 4;
 /// Bytes of one encoded qubit operand.
 const OPERAND_BYTES: usize = 4;
-/// The most delay a request circuit may carry, in ns, summed over its
-/// delay ops: 1 ms, about ten times the longest mean T1 of the device
-/// profiles (105 µs), so a longer idle adds nothing but full
-/// relaxation. Serving it costs well under a second (the noise model
-/// integrates idle time in 40 ns steps).
-pub const MAX_DELAY_NS: f64 = 1e6;
 
 /// Writes the binary circuit body (module docs).
 fn put_circuit(w: &mut Writer, circuit: &Circuit) {
@@ -511,25 +509,12 @@ fn get_circuit(r: &mut Reader<'_>) -> Result<Circuit, WireError> {
     }
     let ops = get_count(r, MIN_OP_BYTES)?;
     let mut circuit = Circuit::with_clbits(num_qubits, num_clbits);
-    let mut delay_ns = 0.0;
     for _ in 0..ops {
         let kind = match r.u8()? {
             0 => OpKind::Gate(get_gate(r)?),
             1 => OpKind::Measure(Clbit::new(r.u32()?)),
             2 => OpKind::Reset,
-            3 => {
-                let ns = r.f64()?;
-                if !(ns >= 0.0 && ns.is_finite()) {
-                    return Err(bad_circuit(format_args!("delay of {ns} ns")));
-                }
-                delay_ns += ns;
-                if delay_ns > MAX_DELAY_NS {
-                    return Err(bad_circuit(format_args!(
-                        "delays sum past {MAX_DELAY_NS} ns"
-                    )));
-                }
-                OpKind::Delay(ns)
-            }
+            3 => OpKind::Delay(r.f64()?),
             4 => OpKind::Barrier,
             tag => unknown_tag("OpKind", tag)?,
         };
@@ -915,8 +900,8 @@ pub fn encode_request(req: &Request, deadline: WireDeadline) -> Vec<u8> {
             put_circuit(&mut w, circuit);
         }
     }
-    // Version-2 extension block (see module docs): count, then
-    // tag/length-prefixed bodies. Tenancy is the only extension today.
+    // Extension block (see module docs): count, then tag/length-prefixed
+    // bodies. Tenancy is the only extension today.
     w.u8(1);
     w.u8(EXT_TENANCY);
     let mut body = Writer::default();
@@ -969,28 +954,23 @@ pub fn decode_request(payload: &[u8]) -> Result<(Request, WireDeadline), WireErr
         }
         tag => unknown_tag("Request", tag)?,
     };
-    // Optional extension block: when absent, the defaults already in
-    // place stand. Unknown extension tags are
-    // skipped by their declared length; a known extension with a bad
-    // body is still a typed error.
-    if r.has_remaining() {
-        let count = r.u8()?;
-        for _ in 0..count {
-            let ext = r.u8()?;
-            let len = r.u32()? as usize;
-            match ext {
-                EXT_TENANCY => {
-                    let bytes = r.take(len)?;
-                    let mut er = Reader::new(bytes);
-                    let tenancy = get_tenancy_body(&mut er)?;
-                    er.finish()?;
-                    match &mut body {
-                        Request::RecommendMask { tenancy: t, .. }
-                        | Request::Execute { tenancy: t, .. } => *t = tenancy,
-                    }
+    // Extension block: unknown extension tags are skipped by their
+    // declared length; a known extension with a bad body is still a typed
+    // error. An extension a payload leaves out keeps its default.
+    for _ in 0..r.u8()? {
+        let ext = r.u8()?;
+        let len = r.u32()? as usize;
+        match ext {
+            EXT_TENANCY => {
+                let mut er = Reader::new(r.take(len)?);
+                let tenancy = get_tenancy_body(&mut er)?;
+                er.finish()?;
+                match &mut body {
+                    Request::RecommendMask { tenancy: t, .. }
+                    | Request::Execute { tenancy: t, .. } => *t = tenancy,
                 }
-                _ => r.skip(len)?,
             }
+            _ => r.skip(len)?,
         }
     }
     r.finish()?;
@@ -1124,11 +1104,11 @@ impl From<WireError> for FrameError {
     }
 }
 
-/// Write one frame (header + payload) to `stream`. With
-/// [`FLAG_CHECKSUM`] in `flags`, a CRC32 trailer is appended (and
-/// counted in the declared length) so the receiver can detect in-flight
-/// corruption. The frame is assembled in one buffer and handed to the
-/// stream in one `write_all`: one syscall per frame on a socket.
+/// Write one frame (header + payload + CRC32 trailer) to `stream`, with
+/// `flags` and [`FLAG_CHECKSUM`] set. The trailer is counted in the
+/// declared length so the receiver can detect in-flight corruption. The
+/// frame is assembled in one buffer and handed to the stream in one
+/// `write_all`: one syscall per frame on a socket.
 ///
 /// # Errors
 ///
@@ -1139,24 +1119,22 @@ pub fn write_frame(
     flags: u8,
     payload: &[u8],
 ) -> std::io::Result<()> {
-    let trailer = if flags & FLAG_CHECKSUM != 0 { 4 } else { 0 };
-    let mut frame = Writer::with_capacity(HEADER_BYTES + payload.len() + trailer);
+    let mut frame = Writer::with_capacity(HEADER_BYTES + payload.len() + 4);
     frame.u32(MAGIC);
     frame.u8(VERSION);
     frame.u8(kind as u8);
-    frame.u8(flags);
+    frame.u8(flags | FLAG_CHECKSUM);
     frame.u8(0);
-    frame.u32(payload.len() as u32 + trailer as u32);
+    frame.u32(payload.len() as u32 + 4);
     frame.bytes(payload);
-    if trailer != 0 {
-        frame.u32(crc32(payload));
-    }
+    frame.u32(crc32(payload));
     stream.write_all(frame.as_bytes())?;
     stream.flush()
 }
 
-/// Read one frame from `stream`, rejecting bad magic/version and
-/// payloads over `max_payload` before allocating them.
+/// Read one frame from `stream`, rejecting bad magic/version, a missing
+/// checksum flag and payloads over `max_payload` before allocating
+/// them, then verifying and stripping the CRC32 trailer.
 ///
 /// # Errors
 ///
@@ -1177,6 +1155,9 @@ pub fn read_frame(
     }
     let kind = FrameKind::from_u8(head[5])?;
     let flags = head[6];
+    if flags & FLAG_CHECKSUM == 0 {
+        return Err(WireError::MissingChecksum.into());
+    }
     let len = u32::from_le_bytes(head[8..12].try_into().unwrap());
     if len > max_payload {
         return Err(WireError::Oversize {
@@ -1187,14 +1168,12 @@ pub fn read_frame(
     }
     let mut payload = vec![0u8; len as usize];
     stream.read_exact(&mut payload)?;
-    if flags & FLAG_CHECKSUM != 0 {
-        let at = payload.len().saturating_sub(4);
-        let expected = Reader::new(&payload[at..]).u32().map_err(WireError::from)?;
-        payload.truncate(at);
-        let got = crc32(&payload);
-        if got != expected {
-            return Err(WireError::ChecksumMismatch { expected, got }.into());
-        }
+    let at = payload.len().saturating_sub(4);
+    let expected = Reader::new(&payload[at..]).u32().map_err(WireError::from)?;
+    payload.truncate(at);
+    let got = crc32(&payload);
+    if got != expected {
+        return Err(WireError::ChecksumMismatch { expected, got }.into());
     }
     // `len` reports the payload as returned (trailer verified + stripped).
     let len = payload.len() as u32;
@@ -1211,10 +1190,10 @@ mod tests {
     fn frame_header_round_trips_over_a_buffer() {
         let mut buf = Vec::new();
         write_frame(&mut buf, FrameKind::Request, FLAG_FORWARDED, b"abc").unwrap();
-        assert_eq!(buf.len(), HEADER_BYTES + 3);
+        assert_eq!(buf.len(), HEADER_BYTES + 3 + 4);
         let (head, payload) = read_frame(&mut buf.as_slice(), 1024).unwrap();
         assert_eq!(head.kind, FrameKind::Request);
-        assert_eq!(head.flags, FLAG_FORWARDED);
+        assert_eq!(head.flags, FLAG_FORWARDED | FLAG_CHECKSUM);
         assert_eq!(payload, b"abc");
     }
 
@@ -1242,7 +1221,7 @@ mod tests {
         write_frame(&mut buf, FrameKind::Request, 0, &[0u8; 64]).unwrap();
         assert!(matches!(
             read_frame(&mut buf.as_slice(), 16),
-            Err(FrameError::Wire(WireError::Oversize { len: 64, max: 16 }))
+            Err(FrameError::Wire(WireError::Oversize { len: 68, max: 16 }))
         ));
     }
 
@@ -1349,13 +1328,24 @@ mod tests {
     }
 
     #[test]
-    fn a_payload_without_extensions_decodes_with_default_tenancy() {
-        // Truncate a payload at its extension block: the block is the
-        // last 1 + 1 + 4 + 5 bytes (count, tag, len, body).
+    fn a_payload_without_the_extension_block_is_truncated() {
+        // Cut a payload at its extension block: the block is the last
+        // 1 + 1 + 4 + 5 bytes (count, tag, len, body).
         let tenancy = Tenancy::with_class(3, PriorityClass::Interactive);
         let payload = encode_request(&tenancy_request(tenancy), WireDeadline::unbounded());
         let bare = &payload[..payload.len() - 11];
-        let (decoded, _) = decode_request(bare).unwrap();
+        assert_eq!(
+            decode_request(bare).err(),
+            Some(WireError::Codec(CodecError::UnexpectedEof {
+                needed: 1,
+                have: 0
+            }))
+        );
+        // An empty block is the whole of it: every extension keeps its
+        // default.
+        let mut empty = bare.to_vec();
+        empty.push(0);
+        let (decoded, _) = decode_request(&empty).unwrap();
         assert_eq!(decoded.tenancy(), Tenancy::default());
     }
 
@@ -1514,27 +1504,43 @@ mod tests {
         assert!(is_bad_circuit(one_op(&measure(0, &[0, 1]))));
     }
 
+    /// The decoder does not judge delays: any `f64`, the values the
+    /// service's admission rule refuses included, decodes bit for bit.
     #[test]
-    fn delays_must_be_finite_non_negative_and_bounded_in_sum() {
-        let delays = |delays: &[f64]| {
-            decode_request(&request_with_body(|w| {
-                head(w, 2, 0, delays.len() as u32);
-                for &ns in delays {
-                    w.u8(3);
-                    w.f64(ns);
-                    w.u32(1);
-                    w.u32(1);
-                }
-            }))
+    fn every_delay_decodes_bit_for_bit() {
+        let delays = [
+            96.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            1e300,
+            adapt_service::MAX_DELAY_NS,
+            adapt_service::MAX_DELAY_NS,
+        ];
+        let payload = request_with_body(|w| {
+            head(w, 2, 0, delays.len() as u32);
+            for &ns in &delays {
+                w.u8(3);
+                w.f64(ns);
+                w.u32(1);
+                w.u32(1);
+            }
+        });
+        let circuit = match decode_request(&payload) {
+            Ok((Request::RecommendMask { circuit, .. }, _)) => circuit,
+            other => panic!("want a RecommendMask, got {other:?}"),
         };
-        assert!(delays(&[96.0, -0.0]).is_ok());
-        assert!(delays(&[MAX_DELAY_NS]).is_ok());
-        for ns in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 1e300] {
-            assert!(is_bad_circuit(delays(&[ns])), "delay of {ns} ns");
-        }
-        // Each within the bound, their sum past it.
-        assert!(is_bad_circuit(delays(&[MAX_DELAY_NS, 1.0])));
-        assert!(is_bad_circuit(delays(&[MAX_DELAY_NS / 2.0; 3])));
+        let got: Vec<u64> = circuit
+            .iter()
+            .map(|i| match &i.kind {
+                OpKind::Delay(ns) => ns.to_bits(),
+                other => panic!("want a delay, got {other:?}"),
+            })
+            .collect();
+        let want: Vec<u64> = delays.iter().map(|ns| ns.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use adapt_fleet::{
 };
 use adapt_service::{
     logical_hash, BreakerState, DeviceId, Request, Response, SearchBudget, ServiceConfig,
-    ServiceError, TierPolicy,
+    ServiceError, TierPolicy, MAX_DELAY_NS,
 };
 use machine::WireDeadline;
 use std::net::SocketAddr;
@@ -348,13 +348,7 @@ fn a_frame_split_across_the_poll_timeout_is_still_served() {
         .expect("shard starts");
     let payload = wire::encode_request(&request(0), WireDeadline::unbounded());
     let mut frame = Vec::new();
-    wire::write_frame(
-        &mut frame,
-        FrameKind::Request,
-        wire::FLAG_CHECKSUM,
-        &payload,
-    )
-    .expect("encode");
+    wire::write_frame(&mut frame, FrameKind::Request, 0, &payload).expect("encode");
     for split in [wire::HEADER_BYTES, frame.len() - 4] {
         let mut stream = std::net::TcpStream::connect(shard.addr()).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
@@ -420,29 +414,93 @@ fn a_delay_crosses_the_wire_and_keys_the_same_program() {
     assert_eq!(shard.stop().stats.worker_panics, 0);
 }
 
-/// A delay no worker could serve — not finite, or so long the noise
-/// model's 40 ns idle steps would never finish — is refused where it
-/// enters the shard, as a typed error, and the shard keeps serving.
+/// Requests the service's admission rule refuses, each `recommend`
+/// with one field changed, and the part of the reason that names it.
+fn unservable_requests() -> Vec<(&'static str, Request)> {
+    let with_circuit = |edit: &dyn Fn(&mut qcirc::Circuit)| {
+        let mut circuit = tagged(3, 0);
+        edit(&mut circuit);
+        recommend(circuit)
+    };
+    let with_budget = |edit: &dyn Fn(&mut SearchBudget)| {
+        let mut request = request(0);
+        if let Request::RecommendMask { budget, .. } = &mut request {
+            edit(budget);
+        }
+        request
+    };
+    let mut out = Vec::new();
+    for (names, ns) in [
+        ("delay of NaN", f64::NAN),
+        ("delay of -1", -1.0),
+        ("delays sum past", 1e300),
+    ] {
+        out.push((
+            names,
+            with_circuit(&|c| {
+                c.delay(ns, 1);
+            }),
+        ));
+    }
+    out.push((
+        "delays sum past",
+        with_circuit(&|c| {
+            c.delay(MAX_DELAY_NS, 1).delay(1.0, 2);
+        }),
+    ));
+    out.push((
+        "non-finite parameter",
+        with_circuit(&|c| {
+            c.rz(f64::NAN, 0);
+        }),
+    ));
+    out.push(("at least one qubit", recommend(qcirc::Circuit::new(0))));
+    out.push(("does not fit", recommend(tagged(17, 0))));
+    for n in [0, 17] {
+        out.push(("neighborhood", with_budget(&|b| b.neighborhood = n)));
+    }
+    for n in [0, u64::MAX] {
+        out.push(("shots", with_budget(&|b| b.shots = n)));
+    }
+    for n in [0, u32::MAX] {
+        out.push(("trajectories", with_budget(&|b| b.trajectories = n)));
+    }
+    out
+}
+
+/// A shard refuses every request the service's admission rule refuses,
+/// as the typed `InvalidConfig` a local `submit` answers, accepts none
+/// of them, and keeps serving. No worker panics: the rule runs before
+/// the queue. (A 65-bit classical register never gets that far: the
+/// wire decoder keeps the OpenQASM importer's cap on it.)
 #[test]
-fn an_unservable_delay_is_refused_at_the_wire() {
+fn a_shard_refuses_what_submit_refuses() {
     let shard = ShardServer::start(ShardConfig::standalone(ShardId(3), service_config()))
         .expect("shard starts");
     let mut client = ShardClient::new(shard.addr());
-    for ns in [f64::NAN, 1e300] {
-        let mut circuit = tagged(3, 0);
-        circuit.delay(ns, 1);
-        match client.call(&recommend(circuit), WireDeadline::unbounded()) {
-            Err(ClientError::Service(ServiceError::Internal { reason })) => {
-                assert!(reason.contains("delay"), "delay {ns}: {reason}")
+    for (names, request) in unservable_requests() {
+        match client.call(&request, WireDeadline::unbounded()) {
+            Err(ClientError::Service(ServiceError::InvalidConfig { reason })) => {
+                assert!(reason.contains(names), "want {names:?}, got {reason:?}")
             }
-            other => panic!("delay {ns}: expected a typed wire error, got {other:?}"),
+            other => panic!("{names}: expected InvalidConfig, got {other:?}"),
         }
     }
+    let mut wide = qcirc::Circuit::with_clbits(3, 65);
+    wide.h(0).measure(0, 64);
+    match client.call(&recommend(wide), WireDeadline::unbounded()) {
+        Err(ClientError::Service(ServiceError::Internal { reason })) => {
+            assert!(reason.contains("creg of 65 bits"), "{reason}")
+        }
+        other => panic!("65 clbits: expected the wire's refusal, got {other:?}"),
+    }
+    assert_eq!(shard.service().stats().accepted, 0);
     assert!(matches!(
         client.call(&request(1), WireDeadline::unbounded()),
         Ok(Response::Mask(_))
     ));
     let stats = shard.stop().stats;
+    assert_eq!(stats.accepted, 1);
     assert_eq!(stats.worker_panics, 0);
 }
 
@@ -458,13 +516,7 @@ fn a_shards_success_reply_carries_the_checksum_flag() {
         .expect("shard starts");
     let mut stream = std::net::TcpStream::connect(shard.addr()).expect("connect");
     let payload = wire::encode_request(&request(1), WireDeadline::unbounded());
-    wire::write_frame(
-        &mut stream,
-        FrameKind::Request,
-        wire::FLAG_CHECKSUM,
-        &payload,
-    )
-    .expect("send");
+    wire::write_frame(&mut stream, FrameKind::Request, 0, &payload).expect("send");
     let (header, body) =
         wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES).expect("reply");
     assert_eq!(header.kind, FrameKind::Response);
@@ -574,8 +626,7 @@ fn a_stalled_forward_target_is_served_locally() {
     // is under test, not the client's.
     let (kind, body) = watched(move || {
         let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-        let flags = wire::FLAG_CHECKSUM;
-        wire::write_frame(&mut stream, FrameKind::Request, flags, &payload).expect("send");
+        wire::write_frame(&mut stream, FrameKind::Request, 0, &payload).expect("send");
         let (header, body) =
             wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES).expect("reply");
         (header.kind, body)

@@ -596,7 +596,7 @@ fn every_op_kind_round_trips_bit_for_bit() {
     }
 }
 
-// --- checksummed frames (FLAG_CHECKSUM trailer) ----------------------------
+// --- checksummed frames (the CRC32 trailer every frame carries) ------------
 
 mod checksum_frames {
     use adapt_fleet::wire::{
@@ -607,7 +607,7 @@ mod checksum_frames {
 
     fn checksummed_frame(payload: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Request, FLAG_CHECKSUM, payload).unwrap();
+        write_frame(&mut buf, FrameKind::Request, 0, payload).unwrap();
         buf
     }
 
@@ -681,16 +681,33 @@ mod checksum_frames {
     }
 
     #[test]
-    fn unchecksummed_frames_from_older_peers_still_decode() {
-        // FLAG_CHECKSUM is opt-in per frame: without it corruption is
-        // not detected, but clean frames must keep decoding unchanged.
-        let payload = b"legacy peer";
+    fn unchecksummed_frames_are_refused() {
+        // Every v3 frame carries the trailer: a frame whose header lacks
+        // FLAG_CHECKSUM is refused before its payload is read, even when
+        // the payload would decode.
+        let payload = b"unchecked peer";
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Response, 0, payload).unwrap();
-        assert_eq!(buf.len(), HEADER_BYTES + payload.len());
-        let (head, got) = read_frame(&mut buf.as_slice(), 1024).unwrap();
-        assert_eq!(head.flags & FLAG_CHECKSUM, 0);
-        assert_eq!(got, payload);
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.push(VERSION);
+        buf.push(FrameKind::Response as u8);
+        buf.push(0);
+        buf.push(0);
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(payload);
+        match read_frame(&mut buf.as_slice(), 1024) {
+            Err(FrameError::Wire(WireError::MissingChecksum)) => {}
+            other => panic!("want MissingChecksum, got {other:?}"),
+        }
+        // The same frame with the flag and its trailer reads.
+        buf[6] = FLAG_CHECKSUM;
+        buf[8..12].copy_from_slice(&(payload.len() as u32 + 4).to_le_bytes());
+        buf.extend_from_slice(&adapt_service::codec::crc32(payload).to_le_bytes());
+        assert_eq!(buf, {
+            let mut written = Vec::new();
+            write_frame(&mut written, FrameKind::Response, 0, payload).unwrap();
+            written
+        });
+        assert_eq!(read_frame(&mut buf.as_slice(), 1024).unwrap().1, payload);
     }
 }
 
@@ -705,7 +722,7 @@ mod checksum_frames {
 
 mod golden {
     use super::*;
-    use adapt_fleet::wire::{write_frame, FrameKind, FLAG_CHECKSUM, FLAG_FORWARDED};
+    use adapt_fleet::wire::{write_frame, FrameKind, FLAG_FORWARDED};
     use adapt_service::{PriorityClass, Tenancy};
 
     fn fnv64(bytes: &[u8]) -> u64 {
@@ -846,13 +863,13 @@ mod golden {
         service_error_samples().iter().map(encode_error).collect()
     }
 
-    /// One forwarded, checksummed request frame (header, payload, CRC).
+    /// One forwarded request frame (header, payload, CRC).
     pub(super) fn frame_corpus() -> Vec<Vec<u8>> {
         let mut frame = Vec::new();
         write_frame(
             &mut frame,
             FrameKind::Request,
-            FLAG_FORWARDED | FLAG_CHECKSUM,
+            FLAG_FORWARDED,
             &request_corpus()[1],
         )
         .unwrap();

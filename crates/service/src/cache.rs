@@ -498,18 +498,11 @@ struct Inner {
     /// Recent lookup identities, newest at the back (bounded).
     hot_ring: VecDeque<StaleKey>,
     tick: u64,
-    lookups: u64,
-    hits: u64,
-    misses: u64,
-    stale_served: u64,
-    coalesced: u64,
-    evictions: u64,
-    invalidated: u64,
 }
 
-/// Observability mirrors of the cache counters (noop unless the cache
-/// was built with [`MaskCache::with_registry`]).
-#[derive(Default)]
+/// The cache's counters, kept in an enabled obs registry. Each is
+/// updated under the cache lock, so [`MaskCache::stats`], which reads
+/// them under it too, sees them consistent with each other.
 struct CacheMetrics {
     lookups: adapt_obs::Counter,
     hits: adapt_obs::Counter,
@@ -645,24 +638,29 @@ impl Drop for SearchTicket {
 impl MaskCache {
     /// Creates a cache retaining at most `capacity` masks (min 1), at
     /// most [`DEFAULT_STALE_CAPACITY`] stale values, and the last
-    /// [`DEFAULT_HOT_RING_CAPACITY`] lookups for [`Self::hot_keys`].
+    /// [`DEFAULT_HOT_RING_CAPACITY`] lookups for [`Self::hot_keys`]. Its
+    /// counters live in a private registry.
     pub fn new(capacity: usize) -> Self {
+        Self::with_registry(capacity, &adapt_obs::Registry::new())
+    }
+
+    /// Like [`Self::new`], but keeps the counters in `registry` as
+    /// `adapt_service_cache_*` metrics, which [`Self::stats`] reads. A
+    /// disabled registry is replaced with a private enabled one, since
+    /// the counters are the cache's own accounting.
+    pub fn with_registry(capacity: usize, registry: &adapt_obs::Registry) -> Self {
+        let private = adapt_obs::Registry::new();
+        let registry = if registry.is_enabled() {
+            registry
+        } else {
+            &private
+        };
         MaskCache {
             inner: Mutex::new(Inner::default()),
             resolved: Condvar::new(),
             capacity: capacity.max(1),
-            metrics: CacheMetrics::default(),
-            journal: Mutex::new(None),
-        }
-    }
-
-    /// Like [`Self::new`], but mirrors the counters into `registry` as
-    /// `adapt_service_cache_*` metrics. The [`MaskCacheStats`] struct
-    /// stays the source of truth; the registry is a read-only mirror.
-    pub fn with_registry(capacity: usize, registry: &adapt_obs::Registry) -> Self {
-        MaskCache {
             metrics: CacheMetrics::for_registry(registry),
-            ..Self::new(capacity)
+            journal: Mutex::new(None),
         }
     }
 
@@ -681,7 +679,6 @@ impl MaskCache {
         block: bool,
     ) -> TieredLookup {
         let mut inner = cache.lock();
-        inner.lookups += 1;
         cache.metrics.lookups.inc();
         Self::record_hot(&mut inner, stale_key);
         let ticket = || SearchTicket {
@@ -697,12 +694,10 @@ impl MaskCache {
             if let Some(entry) = inner.map.get_mut(&key) {
                 entry.last_used = tick;
                 let value = entry.value;
-                inner.hits += 1;
                 cache.metrics.hits.inc();
                 return TieredLookup::Hit(value);
             }
             if let Some((value, age)) = stale_within(&inner, &key, &stale_key, max_stale_epochs) {
-                inner.stale_served += 1;
                 cache.metrics.stale_served.inc();
                 // First stale serve per flight group takes the refine
                 // ticket; while the refine is in flight, later stale
@@ -716,14 +711,12 @@ impl MaskCache {
             }
             let owner = inner.inflight.insert(key);
             if owner || !block {
-                inner.misses += 1;
                 cache.metrics.misses.inc();
                 return TieredLookup::Miss(owner.then(ticket));
             }
             // Someone else is searching this key: wait for it.
             if !waited {
                 waited = true;
-                inner.coalesced += 1;
                 cache.metrics.singleflight_waits.inc();
             }
             inner = cache
@@ -807,7 +800,6 @@ impl MaskCache {
             }
         }
         Self::evict_stale(&mut inner);
-        inner.invalidated += dropped as u64;
         self.metrics.invalidated.add(dropped as u64);
         self.metrics.len.set(inner.map.len() as i64);
         self.metrics.stale_len.set(inner.stale.len() as i64);
@@ -957,14 +949,15 @@ impl MaskCache {
     /// Current effectiveness counters.
     pub fn stats(&self) -> MaskCacheStats {
         let inner = self.lock();
+        let m = &self.metrics;
         MaskCacheStats {
-            lookups: inner.lookups,
-            hits: inner.hits,
-            misses: inner.misses,
-            stale_served: inner.stale_served,
-            coalesced: inner.coalesced,
-            evictions: inner.evictions,
-            invalidated: inner.invalidated,
+            lookups: m.lookups.get(),
+            hits: m.hits.get(),
+            misses: m.misses.get(),
+            stale_served: m.stale_served.get(),
+            coalesced: m.singleflight_waits.get(),
+            evictions: m.evictions.get(),
+            invalidated: m.invalidated.get(),
             len: inner.map.len(),
             capacity: self.capacity,
             stale_len: inner.stale.len(),
@@ -996,7 +989,6 @@ impl MaskCache {
                 .map(|(k, _)| k)
             {
                 inner.map.remove(&lru);
-                inner.evictions += 1;
                 self.metrics.evictions.inc();
             }
         }
@@ -1287,7 +1279,7 @@ mod tests {
             "LRU bound violated: {} > {CAPACITY}",
             stats.len
         );
-        // The obs mirror must agree with the source-of-truth counters.
+        // The registry exports the very counters `stats` reads.
         let samples = adapt_obs::parse_prometheus(&registry.render_prometheus()).expect("parse");
         let get = |n: &str| adapt_obs::sample_value(&samples, n).unwrap_or(0.0) as u64;
         assert_eq!(get("adapt_service_cache_lookups_total"), stats.lookups);

@@ -129,9 +129,9 @@ pub use persist::{
 pub use registry::{DeviceId, DeviceRegistry};
 pub use sched::TenantScheduler;
 pub use service::{
-    choose_rung, BudgetError, Execution, MaskService, Pending, Provenance, Recommendation, Request,
-    Response, Rung, SearchBudget, ServiceConfig, ServiceError, ServiceStats, TierConfig,
-    TierPolicy, Timing,
+    check_circuit, choose_rung, BudgetError, Execution, MaskService, Pending, Provenance,
+    Recommendation, Request, Response, Rung, SearchBudget, ServiceConfig, ServiceError,
+    ServiceStats, TierConfig, TierPolicy, Timing, MAX_DELAY_NS, MAX_SHOTS, MAX_TRAJECTORIES,
 };
 pub use tenancy::{
     PriorityClass, QuotaBook, Tenancy, TenancyConfig, TenantId, TenantQuota, TenantSpec,

@@ -37,10 +37,13 @@ use crate::registry::{DeviceId, DeviceRegistry};
 use crate::sched::TenantScheduler;
 use crate::tenancy::{QuotaBook, Tenancy, TenancyConfig, TenantId};
 use adapt::decoy::make_decoy;
+use adapt::search::MAX_NEIGHBORHOOD;
 use adapt::{
     heuristic_mask, Adapt, AdaptConfig, AdaptError, DdConfig, DdMask, DdProtocol, DecoyKind, Policy,
 };
 use machine::{Deadline, ExecutionConfig, FaultProfile, FaultyBackend, Machine, ResilientExecutor};
+use qcirc::qasm::MAX_CLBITS;
+use qcirc::OpKind;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -98,64 +101,126 @@ impl Default for SearchBudget {
     }
 }
 
+/// Most shots a search budget may ask per decoy evaluation: 2^20. The
+/// sampling error of a fidelity, near `1/√shots`, is ~0.1% here, and a
+/// search checks its deadline only between batches, so more shots would
+/// only hold a worker longer.
+pub const MAX_SHOTS: u64 = 1 << 20;
+
+/// Most noise trajectories a search budget may ask per decoy
+/// evaluation: 4,096, 512 times the default. The executor lays out a
+/// seed per trajectory before running one, and each is a full noisy
+/// simulation, so the count bounds a search's memory and its time
+/// between deadline checks.
+pub const MAX_TRAJECTORIES: u32 = 4096;
+
+/// The most delay a request circuit may carry, in ns, summed over its
+/// delay ops: 1 ms, about ten times the longest mean T1 of the device
+/// profiles (105 µs), so a longer idle adds nothing but full
+/// relaxation. Serving it costs well under a second (the noise model
+/// integrates idle time in 40 ns steps).
+pub const MAX_DELAY_NS: f64 = 1e6;
+
 /// A [`SearchBudget`] the service cannot run a search with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetError {
-    /// `shots == 0`: every decoy evaluation would measure nothing.
-    ZeroShots,
-    /// `trajectories == 0`: no noise trajectory would ever run.
-    ZeroTrajectories,
-    /// `neighborhood == 0`: the localized search would sweep no masks.
-    ZeroNeighborhood,
+    /// A field lies outside `1..=max`: zero runs no search, and past
+    /// `max` a search holds a worker or its memory without bound.
+    OutOfRange {
+        /// The field's name.
+        field: &'static str,
+        /// The value asked for.
+        value: u64,
+        /// The largest value served.
+        max: u64,
+    },
 }
 
 impl std::fmt::Display for BudgetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BudgetError::ZeroShots => {
-                write!(
-                    f,
-                    "search budget has shots = 0: decoys would measure nothing"
-                )
-            }
-            BudgetError::ZeroTrajectories => write!(
-                f,
-                "search budget has trajectories = 0: no decoy execution would run"
-            ),
-            BudgetError::ZeroNeighborhood => write!(
-                f,
-                "search budget has neighborhood = 0: the localized search would sweep no masks"
-            ),
-        }
+        let BudgetError::OutOfRange { field, value, max } = self;
+        write!(f, "search budget has {field} = {value}, outside 1..={max}")
     }
 }
 
 impl std::error::Error for BudgetError {}
 
 impl SearchBudget {
-    /// Rejects budgets no search can run with (mirroring
-    /// [`machine::RetryPolicy::validate`]). A [`TierPolicy::HeuristicOnly`]
-    /// budget is exempt from the search-parameter checks — it never
-    /// searches, so zero decoy parameters are not contradictory for it.
+    /// Rejects budgets no search can run with: `shots`, `trajectories`
+    /// and `neighborhood` must lie in `1..=` [`MAX_SHOTS`],
+    /// [`MAX_TRAJECTORIES`] and [`adapt::search::MAX_NEIGHBORHOOD`]. A
+    /// [`TierPolicy::HeuristicOnly`] budget is exempt: it never searches.
     ///
     /// # Errors
     ///
-    /// The first violation found, as a typed [`BudgetError`].
+    /// The first field out of range, as a typed [`BudgetError`].
     pub fn validate(&self) -> Result<(), BudgetError> {
         if self.tier == TierPolicy::HeuristicOnly {
             return Ok(());
         }
-        if self.shots == 0 {
-            return Err(BudgetError::ZeroShots);
+        let fields = [
+            ("shots", self.shots, MAX_SHOTS),
+            (
+                "trajectories",
+                self.trajectories.into(),
+                MAX_TRAJECTORIES.into(),
+            ),
+            (
+                "neighborhood",
+                self.neighborhood as u64,
+                MAX_NEIGHBORHOOD as u64,
+            ),
+        ];
+        match fields
+            .into_iter()
+            .find(|&(_, v, max)| !(1..=max).contains(&v))
+        {
+            Some((field, value, max)) => Err(BudgetError::OutOfRange { field, value, max }),
+            None => Ok(()),
         }
-        if self.trajectories == 0 {
-            return Err(BudgetError::ZeroTrajectories);
-        }
-        if self.neighborhood == 0 {
-            return Err(BudgetError::ZeroNeighborhood);
-        }
-        Ok(())
     }
+}
+
+/// The admission rule for a request circuit on `device`, which has
+/// `device_qubits` qubits (`None`: unregistered, which the worker
+/// answers as [`ServiceError::DeviceNotServed`]). One pass over the ops
+/// checks what would panic or hold a worker: a width in
+/// `1..=device_qubits`, at most [`MAX_CLBITS`] classical bits (an
+/// outcome word), finite gate parameters, and finite, non-negative
+/// delays summing to at most [`MAX_DELAY_NS`].
+///
+/// # Errors
+///
+/// [`ServiceError::InvalidConfig`] naming the first violation.
+pub fn check_circuit(
+    circuit: &qcirc::Circuit,
+    device: DeviceId,
+    device_qubits: Option<usize>,
+) -> Result<(), ServiceError> {
+    let (width, clbits) = (circuit.num_qubits(), circuit.num_clbits());
+    let mut delay_ns = 0.0;
+    let reason = if width == 0 {
+        "a circuit needs at least one qubit".to_string()
+    } else if let Some(qubits) = device_qubits.filter(|&qubits| width > qubits) {
+        format!("{width}-qubit circuit does not fit on {device} ({qubits} qubits)")
+    } else if clbits > MAX_CLBITS {
+        format!("{clbits} classical bits exceed the {MAX_CLBITS}-bit outcome register")
+    } else if let Some(reason) = circuit.iter().find_map(|instr| match instr.kind {
+        OpKind::Gate(g) if g.params().iter().any(|p| !p.is_finite()) => {
+            Some(format!("{g} has a non-finite parameter"))
+        }
+        OpKind::Delay(ns) if !(ns >= 0.0 && ns.is_finite()) => Some(format!("delay of {ns} ns")),
+        OpKind::Delay(ns) => {
+            delay_ns += ns;
+            (delay_ns > MAX_DELAY_NS).then(|| format!("delays sum past {MAX_DELAY_NS} ns"))
+        }
+        _ => None,
+    }) {
+        reason
+    } else {
+        return Ok(());
+    };
+    Err(invalid(reason))
 }
 
 /// Bound of the background-refine lane; refines past it are dropped
@@ -341,14 +406,8 @@ impl ServiceConfig {
     ///
     /// [`ServiceError::InvalidConfig`] naming the first violation.
     pub fn validate(&self) -> Result<(), ServiceError> {
-        self.default_budget
-            .validate()
-            .map_err(|e| ServiceError::InvalidConfig {
-                reason: e.to_string(),
-            })?;
-        self.tenancy
-            .validate()
-            .map_err(|reason| ServiceError::InvalidConfig { reason })?;
+        self.default_budget.validate().map_err(invalid)?;
+        self.tenancy.validate().map_err(invalid)?;
         Ok(())
     }
 }
@@ -599,7 +658,8 @@ pub enum ServiceError {
         /// Suggested client backoff before resubmitting.
         retry_after_ms: u64,
     },
-    /// The service configuration failed validation at start.
+    /// The service configuration failed validation at start, or a
+    /// request failed the admission rule at submit.
     InvalidConfig {
         /// The first violation found.
         reason: String,
@@ -668,6 +728,13 @@ impl std::error::Error for ServiceError {}
 impl From<AdaptError> for ServiceError {
     fn from(e: AdaptError) -> Self {
         ServiceError::Failed(e)
+    }
+}
+
+/// [`ServiceError::InvalidConfig`] with `reason`.
+fn invalid(reason: impl std::fmt::Display) -> ServiceError {
+    ServiceError::InvalidConfig {
+        reason: reason.to_string(),
     }
 }
 
@@ -1207,11 +1274,8 @@ impl MaskService {
         // themselves into the WAL they are compacting.
         let persist = match &config.persist.dir {
             Some(dir) => {
-                let p = Persister::new(dir, config.persist.fsync, &obs).map_err(|e| {
-                    ServiceError::InvalidConfig {
-                        reason: format!("persist dir {}: {e}", dir.display()),
-                    }
-                })?;
+                let p = Persister::new(dir, config.persist.fsync, &obs)
+                    .map_err(|e| invalid(format_args!("persist dir {}: {e}", dir.display())))?;
                 let p = Arc::new(p);
                 p.recover(&cache, &registry)
                     .map_err(|e| ServiceError::Internal {
@@ -1265,70 +1329,40 @@ impl MaskService {
         })
     }
 
-    /// Submits a request, subject to admission control.
+    /// Submits a request: the admission rule ([`check_circuit`],
+    /// [`SearchBudget::validate`] and the DD protocol's own check), then
+    /// admission control.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Rejected`] when the queue is at capacity (the
-    /// request was *not* enqueued — back off and resubmit; the hint is
-    /// the larger of the queue-drain estimate and the target device's
-    /// breaker-open hint), [`ServiceError::DeadlineExceeded`] when the
-    /// request's deadline is already expired at submission (not
+    /// [`ServiceError::InvalidConfig`] when the request fails the
+    /// admission rule, [`ServiceError::Rejected`] when the queue is at
+    /// capacity (the request was *not* enqueued — back off and resubmit;
+    /// the hint is the larger of the queue-drain estimate and the target
+    /// device's breaker-open hint), [`ServiceError::DeadlineExceeded`]
+    /// when the request's deadline is already expired at submission (not
     /// enqueued), and [`ServiceError::ShuttingDown`] after
     /// [`Self::shutdown`] began.
     pub fn submit(&self, request: Request) -> Result<Pending, ServiceError> {
-        let shared = &self.shared;
         let device = request.device();
-        let tenancy = request.tenancy();
-        // A program wider than its device can never be laid out on it (the
-        // transpiler asserts this), so it is a client bug too. An
-        // unregistered device is answered by the worker.
-        let circuit = request.circuit();
-        let width = circuit.num_qubits();
-        if let Some(qubits) = shared.registry.num_qubits(device) {
-            if width > qubits {
-                return Err(ServiceError::InvalidConfig {
-                    reason: format!(
-                        "{width}-qubit circuit does not fit on {device} ({qubits} qubits)"
-                    ),
-                });
-            }
-        }
-        // Outcomes are 64-bit words, so a wider classical register cannot
-        // be counted, and a non-finite rotation angle makes every fidelity
-        // NaN: both would panic a worker, so both are client bugs too.
-        let clbits = circuit.num_clbits();
-        if clbits > 64 {
-            return Err(ServiceError::InvalidConfig {
-                reason: format!("{clbits} classical bits exceed the 64-bit outcome register"),
-            });
-        }
-        if let Some(gate) = circuit
-            .iter()
-            .filter_map(|i| i.as_gate())
-            .find(|g| g.params().iter().any(|p| !p.is_finite()))
-        {
-            return Err(ServiceError::InvalidConfig {
-                reason: format!("{gate} has a non-finite parameter"),
-            });
-        }
-        // A budget no search can run with — or a DD protocol whose
-        // parameters cannot compose an identity window (an odd UDD pulse
-        // count) — is a client bug, answered with the same typed error
-        // an invalid config gets at start.
+        let qubits = self.shared.registry.num_qubits(device);
+        check_circuit(request.circuit(), device, qubits)?;
         if let Request::RecommendMask {
             budget, protocol, ..
         } = &request
         {
-            budget.validate().map_err(|e| ServiceError::InvalidConfig {
-                reason: e.to_string(),
-            })?;
-            protocol
-                .validate()
-                .map_err(|e| ServiceError::InvalidConfig {
-                    reason: e.to_string(),
-                })?;
+            budget.validate().map_err(invalid)?;
+            protocol.validate().map_err(invalid)?;
         }
+        self.enqueue(request)
+    }
+
+    /// Admission control and the queue, for a request that passed the
+    /// admission rule.
+    fn enqueue(&self, request: Request) -> Result<Pending, ServiceError> {
+        let shared = &self.shared;
+        let device = request.device();
+        let tenancy = request.tenancy();
         let deadline = match request.deadline_ms() {
             Some(b) if shared.config.virtual_time => Deadline::virtual_only(b),
             Some(b) => Deadline::within_ms(b),
@@ -1618,9 +1652,9 @@ impl MaskService {
     /// snapshot, if any, is still published).
     pub fn snapshot_now(&self) -> Result<usize, ServiceError> {
         let Some(p) = &self.shared.persist else {
-            return Err(ServiceError::InvalidConfig {
-                reason: "persistence is not enabled (PersistConfig::dir is None)".to_string(),
-            });
+            return Err(invalid(
+                "persistence is not enabled (PersistConfig::dir is None)",
+            ));
         };
         p.snapshot(&self.shared.cache, &self.shared.registry)
             .map_err(|e| ServiceError::Internal {
@@ -2770,15 +2804,55 @@ mod tests {
         assert_eq!(svc.stats().logical_hashes, 2, "one per program");
     }
 
+    /// A program the admission rule refuses: a NaN delay cannot be
+    /// scheduled, so `transpile` panics on it. Sent through `enqueue`,
+    /// it reaches a worker and panics it mid-request.
+    fn nan_delay_program() -> qcirc::Circuit {
+        let mut c = ghz(4);
+        c.delay(f64::NAN, 2);
+        c
+    }
+
     #[test]
     fn a_transpile_panic_leaves_no_book_entry() {
         let svc = rome_service();
-        let mut nan_delay = ghz(4);
-        nan_delay.delay(f64::NAN, 2);
-        let err = svc.call(small_recommend(&nan_delay)).expect_err("panics");
-        assert!(matches!(err, ServiceError::Internal { .. }), "got {err:?}");
+        let request = small_recommend(&nan_delay_program());
+        let err = svc.enqueue(request).and_then(Pending::wait);
+        assert!(
+            matches!(err, Err(ServiceError::Internal { .. })),
+            "got {err:?}"
+        );
         assert!(!svc.shared.programs.is_poisoned());
         assert!(lock(&svc.shared.programs).map.is_empty());
+    }
+
+    #[test]
+    fn worker_panic_is_contained_and_the_pool_keeps_serving() {
+        // One worker: if the panic killed the thread — or poisoned a
+        // shared lock into a panic cascade — the follow-up request could
+        // never complete.
+        let svc = rome_service();
+        let err = svc
+            .enqueue(small_recommend(&nan_delay_program()))
+            .and_then(Pending::wait)
+            .expect_err("unschedulable program must fail");
+        assert!(
+            matches!(err, ServiceError::Internal { .. }),
+            "panic must surface as a typed Internal error, got {err:?}"
+        );
+        let stats = svc.stats();
+        assert_eq!(stats.worker_panics, 1);
+        assert_eq!(stats.failed, 1);
+
+        // The same worker thread must still serve the next request.
+        match svc.call(small_recommend(&ghz(4))) {
+            Ok(Response::Mask(rec)) => assert_eq!(rec.provenance, Provenance::FreshSearch),
+            other => panic!("pool must survive the panic, got {other:?}"),
+        }
+        let stats = svc.stats();
+        assert_eq!(stats.worker_panics, 1, "no further panics");
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.failed, 1);
     }
 
     #[test]

@@ -211,45 +211,6 @@ fn queue_overflow_rejects_with_typed_backpressure() {
 }
 
 #[test]
-fn worker_panic_is_contained_and_the_pool_keeps_serving() {
-    // One worker: if the panic killed the thread — or poisoned a shared
-    // lock into a panic cascade — the follow-up request could never
-    // complete.
-    let svc = service(vec![DeviceId::Rome], 1, FaultProfile::none());
-
-    // A NaN delay cannot be scheduled; `transpile` panics on it, which
-    // panics the worker mid-request. (A program wider than the device
-    // would be simpler, but submit rejects it before any worker runs.)
-    // Rejecting NaN delays at submit is planned (ROADMAP 2(c)); the
-    // change that does so must give this test another request that
-    // panics a worker, and keep every assertion below.
-    let mut nan_delay = ghz(4);
-    nan_delay.delay(f64::NAN, 2);
-    let err = svc
-        .call(recommend(&nan_delay, DeviceId::Rome))
-        .expect_err("unschedulable program must fail");
-    assert!(
-        matches!(err, adapt_service::ServiceError::Internal { .. }),
-        "panic must surface as a typed Internal error, got {err:?}"
-    );
-
-    let stats = svc.stats();
-    assert_eq!(stats.worker_panics, 1);
-    assert_eq!(stats.failed, 1);
-
-    // The same worker thread must still serve the next request.
-    let rec = unwrap_mask(
-        svc.call(recommend(&ghz(4), DeviceId::Rome))
-            .expect("pool must survive the panic"),
-    );
-    assert_eq!(rec.provenance, Provenance::FreshSearch);
-    let stats = svc.stats();
-    assert_eq!(stats.worker_panics, 1, "no further panics");
-    assert_eq!(stats.completed, 2);
-    assert_eq!(stats.failed, 1);
-}
-
-#[test]
 fn per_service_registries_keep_stats_isolated_and_exportable() {
     // Two services in one process: counters must not bleed between them
     // (each config defaults to a fresh private registry), and each
