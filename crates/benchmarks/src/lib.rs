@@ -233,96 +233,6 @@ pub fn ghz(n: usize) -> Circuit {
     c
 }
 
-/// Multi-controlled Z on all of `controls` plus `target`, decomposed via
-/// a Toffoli ladder onto `ancillas` (which must be clean and disjoint).
-fn mcz(c: &mut Circuit, controls: &[u32], target: u32, ancillas: &[u32]) {
-    match controls.len() {
-        0 => {
-            c.z(target);
-        }
-        1 => {
-            c.cz(controls[0], target);
-        }
-        _ => {
-            assert!(
-                ancillas.len() + 1 >= controls.len(),
-                "need {} ancillas for {} controls",
-                controls.len() - 1,
-                controls.len()
-            );
-            // AND-accumulate controls into ancillas.
-            toffoli(c, controls[0], controls[1], ancillas[0]);
-            for (i, &ctl) in controls[2..].iter().enumerate() {
-                toffoli(c, ctl, ancillas[i], ancillas[i + 1]);
-            }
-            let top = ancillas[controls.len() - 2];
-            c.cz(top, target);
-            // Uncompute.
-            for (i, &ctl) in controls[2..].iter().enumerate().rev() {
-                toffoli(c, ctl, ancillas[i], ancillas[i + 1]);
-            }
-            toffoli(c, controls[0], controls[1], ancillas[0]);
-        }
-    }
-}
-
-/// Grover search over `n` data qubits for the marked element `target`,
-/// running the optimal ⌊π/4·√2ⁿ⌋ iterations; the ideal output is sharply
-/// peaked at `target` (extension beyond the paper's Table 4).
-///
-/// For `n ≥ 3` data qubits the oracle/diffuser multi-controlled-Z uses
-/// `n − 2` ancilla qubits appended after the data register.
-///
-/// # Panics
-///
-/// Panics when `target` does not fit in `n` bits or `n < 2`.
-pub fn grover(n: usize, target: u64) -> Circuit {
-    assert!(n >= 2, "Grover needs at least 2 data qubits");
-    assert!(target < (1u64 << n), "target does not fit in {n} bits");
-    let ancillas: Vec<u32> = if n > 2 {
-        (n as u32..(2 * n - 2) as u32).collect()
-    } else {
-        Vec::new()
-    };
-    let total = n + ancillas.len();
-    let mut c = Circuit::new(total);
-    for q in 0..n as u32 {
-        c.h(q);
-    }
-    let iterations = ((std::f64::consts::FRAC_PI_4) * ((1u64 << n) as f64).sqrt()).floor() as usize;
-    let controls: Vec<u32> = (0..(n - 1) as u32).collect();
-    let last = (n - 1) as u32;
-    for _ in 0..iterations.max(1) {
-        // Oracle: phase-flip |target⟩ — conjugate an n-controlled Z by X
-        // on the zero bits of the target.
-        for q in 0..n as u32 {
-            if target >> q & 1 == 0 {
-                c.x(q);
-            }
-        }
-        mcz(&mut c, &controls, last, &ancillas);
-        for q in 0..n as u32 {
-            if target >> q & 1 == 0 {
-                c.x(q);
-            }
-        }
-        // Diffuser: reflection about the mean.
-        for q in 0..n as u32 {
-            c.h(q);
-            c.x(q);
-        }
-        mcz(&mut c, &controls, last, &ancillas);
-        for q in 0..n as u32 {
-            c.x(q);
-            c.h(q);
-        }
-    }
-    for q in 0..n as u32 {
-        c.measure(q, q);
-    }
-    c
-}
-
 /// Quantum phase estimation with `n−1` counting qubits reading out the
 /// phase of `P(2π·phase_num/2^{n−1})` applied to the `|1⟩` eigenstate on
 /// qubit `n−1`. The ideal answer is `phase_num` on the counting register.
@@ -499,33 +409,6 @@ mod tests {
             assert_eq!(d.len(), 2);
             assert!((d[&0] - 0.5).abs() < 1e-9);
             assert!((d[&((1u64 << n) - 1)] - 0.5).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn grover_peaks_at_marked_element() {
-        for (n, target) in [(2usize, 0b10u64), (3, 0b101), (4, 0b0110)] {
-            let c = grover(n, target);
-            let d = ideal_distribution(&c).unwrap();
-            let p = d.get(&target).copied().unwrap_or(0.0);
-            // Optimal iteration count: ≥ 0.8 success for n ≥ 2 (n = 2 hits
-            // exactly 1.0).
-            assert!(p > 0.8, "grover({n},{target}): p = {p}");
-            // And far above uniform.
-            assert!(p > 3.0 / (1 << n) as f64);
-        }
-    }
-
-    #[test]
-    fn grover_ancillas_return_clean() {
-        // Ancillas must uncompute: the joint distribution over all wires
-        // puts no mass on any outcome with an ancilla bit set.
-        let c = grover(4, 0b1011);
-        let sv = statevec::run_ideal(&c).unwrap();
-        for (idx, p) in sv.probabilities().into_iter().enumerate() {
-            if idx >> 4 != 0 {
-                assert!(p < 1e-9, "ancilla left dirty at index {idx}: {p}");
-            }
         }
     }
 

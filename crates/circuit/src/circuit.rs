@@ -492,30 +492,12 @@ impl Circuit {
         })
     }
 
-    /// Appends every instruction of `other` (registers must be compatible).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `other` references qubits or clbits outside this
-    /// circuit's registers.
-    pub fn extend_from(&mut self, other: &Circuit) -> &mut Self {
-        for instr in other.iter() {
-            self.push(instr.clone());
-        }
-        self
-    }
-
     /// Number of gate instructions (excludes measure/reset/delay/barrier).
     pub fn gate_count(&self) -> usize {
         self.instrs
             .iter()
             .filter(|i| matches!(i.kind, OpKind::Gate(_)))
             .count()
-    }
-
-    /// Number of two-qubit gates.
-    pub fn two_qubit_gate_count(&self) -> usize {
-        self.instrs.iter().filter(|i| i.is_two_qubit_gate()).count()
     }
 
     /// Circuit depth: the longest chain of operations through any qubit,
@@ -673,7 +655,6 @@ mod tests {
         assert_eq!(c.num_qubits(), 3);
         assert_eq!(c.len(), 7);
         assert_eq!(c.gate_count(), 4);
-        assert_eq!(c.two_qubit_gate_count(), 2);
         let ops = c.count_ops();
         assert_eq!(ops["cx"], 2);
         assert_eq!(ops["measure"], 3);
@@ -871,15 +852,5 @@ mod tests {
             .collect();
         assert_eq!(barriers.len(), 1);
         assert_eq!(barriers[0].qubits.len(), 2);
-    }
-
-    #[test]
-    fn extend_from_appends() {
-        let mut a = Circuit::new(2);
-        a.h(0);
-        let mut b = Circuit::new(2);
-        b.cx(0, 1);
-        a.extend_from(&b);
-        assert_eq!(a.len(), 2);
     }
 }

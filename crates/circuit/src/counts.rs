@@ -24,7 +24,6 @@ use std::fmt;
 /// counts.record(0b10);
 /// assert_eq!(counts.total(), 3);
 /// assert_eq!(counts.get(0b01), 2);
-/// assert_eq!(counts.most_frequent(), Some(0b01));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Counts {
@@ -99,21 +98,6 @@ impl Counts {
     /// Number of distinct outcomes observed.
     pub fn distinct(&self) -> usize {
         self.map.len()
-    }
-
-    /// The modal outcome, or `None` when empty. Ties break toward the
-    /// numerically smaller outcome.
-    pub fn most_frequent(&self) -> Option<u64> {
-        self.map
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-            .map(|(&k, _)| k)
-    }
-
-    /// Converts to a normalized probability map over the observed outcomes.
-    pub fn to_probabilities(&self) -> BTreeMap<u64, f64> {
-        let t = self.total.max(1) as f64;
-        self.map.iter().map(|(&k, &v)| (k, v as f64 / t)).collect()
     }
 
     /// Shannon entropy of the empirical distribution, in bits.
@@ -207,14 +191,12 @@ mod tests {
         assert_eq!(c.get(1), 0);
         assert!((c.probability(5) - 0.9).abs() < 1e-12);
         assert_eq!(c.distinct(), 2);
-        assert_eq!(c.most_frequent(), Some(5));
     }
 
     #[test]
     fn empty_histogram_behaves() {
         let c = Counts::new(2);
         assert_eq!(c.total(), 0);
-        assert_eq!(c.most_frequent(), None);
         assert_eq!(c.probability(0), 0.0);
         assert_eq!(c.entropy_bits(), 0.0);
     }
@@ -257,14 +239,6 @@ mod tests {
         let c = Counts::new(4);
         assert_eq!(c.format_outcome(0b0011), "0011");
         assert_eq!(c.format_outcome(0b1000), "1000");
-    }
-
-    #[test]
-    fn most_frequent_tie_breaks_low() {
-        let mut c = Counts::new(2);
-        c.record(2);
-        c.record(1);
-        assert_eq!(c.most_frequent(), Some(1));
     }
 
     #[test]

@@ -124,9 +124,8 @@ impl Gate {
         }
     }
 
-    /// True when the gate is in the Clifford group (exactly, not just within
-    /// tolerance — parameterized rotations at Clifford angles are reported by
-    /// [`Gate::is_clifford_approx`] instead).
+    /// True when the gate is in the Clifford group by name. Parameterized
+    /// rotations are never reported, even at Clifford angles.
     pub fn is_clifford(&self) -> bool {
         matches!(
             self,
@@ -143,24 +142,6 @@ impl Gate {
                 | Gate::CZ
                 | Gate::Swap
         )
-    }
-
-    /// True when the gate is Clifford, or a rotation whose angle lands on a
-    /// Clifford multiple of π/2 within `tol` radians.
-    pub fn is_clifford_approx(&self, tol: f64) -> bool {
-        fn near_half_pi_multiple(t: f64, tol: f64) -> bool {
-            let r = t.rem_euclid(std::f64::consts::FRAC_PI_2);
-            r < tol || (std::f64::consts::FRAC_PI_2 - r) < tol
-        }
-        match *self {
-            Gate::RX(t) | Gate::RY(t) | Gate::RZ(t) | Gate::P(t) => near_half_pi_multiple(t, tol),
-            Gate::U(t, p, l) => {
-                near_half_pi_multiple(t, tol)
-                    && near_half_pi_multiple(p, tol)
-                    && near_half_pi_multiple(l, tol)
-            }
-            _ => self.is_clifford(),
-        }
     }
 
     /// The 2×2 unitary of a single-qubit gate, or `None` for two-qubit gates.
@@ -360,10 +341,6 @@ mod tests {
         for g in [Gate::T, Gate::Tdg, Gate::RZ(0.3), Gate::U(0.1, 0.2, 0.3)] {
             assert!(!g.is_clifford(), "{g:?}");
         }
-        assert!(Gate::RZ(FRAC_PI_2).is_clifford_approx(1e-9));
-        assert!(Gate::RZ(PI).is_clifford_approx(1e-9));
-        assert!(!Gate::RZ(FRAC_PI_4).is_clifford_approx(1e-9));
-        assert!(Gate::U(FRAC_PI_2, 0.0, PI).is_clifford_approx(1e-9));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! // A 2-qubit Bell-pair circuit.
 //! let mut c = Circuit::new(2);
 //! c.h(0).cx(0, 1).measure_all();
-//! assert_eq!(c.two_qubit_gate_count(), 1);
+//! assert_eq!(c.count_ops()["cx"], 1);
 //!
 //! // Nearest-Clifford replacement of a T gate (decoy construction).
 //! let classes = qcirc::clifford::single_qubit_cliffords();
@@ -34,8 +34,21 @@ pub mod clifford;
 pub mod counts;
 pub mod gate;
 pub mod math;
-pub mod qasm;
 
 pub use circuit::{Circuit, CircuitError, Clbit, Instruction, OpKind, Qubit};
 pub use counts::Counts;
 pub use gate::Gate;
+
+/// Widest accepted classical register: the width of [`Counts`] and of
+/// every simulator's outcome word. Every import of a circuit from
+/// outside the process (the fleet wire) and every admission check
+/// applies it.
+pub const MAX_CLBITS: usize = u64::BITS as usize;
+
+/// Widest accepted quantum register: every qubit index a compiled
+/// execution plan can address with its `u16` operands, far above the
+/// largest device preset (27 qubits). A decoded circuit's width sizes
+/// per-qubit tables in every later layer, so an unchecked width of
+/// 4,000,000,000 must not get through. Every import of a circuit from
+/// outside the process applies it.
+pub const MAX_QUBITS: usize = u16::MAX as usize + 1;

@@ -2,21 +2,17 @@
 //!
 //! "The GST slices the compiled circuit into layers and captures the data
 //! dependencies between the qubits in time … using timestamps generated by
-//! physical gate latencies." Concretely: a per-qubit table of busy
-//! intervals and classified idle windows built from a scheduled
-//! [`TimedCircuit`]. ADAPT queries it to find every idle period eligible
-//! for DD insertion.
+//! physical gate latencies." Concretely: a per-qubit table of classified
+//! idle windows built from a scheduled [`TimedCircuit`]. ADAPT queries it
+//! to find every idle period eligible for DD insertion.
 
-use std::fmt;
 use transpiler::{IdleKind, IdleWindow, TimedCircuit};
 
-/// One row of the GST: a qubit's busy intervals and idle windows.
+/// One row of the GST: a qubit's idle windows.
 #[derive(Debug, Clone)]
 pub struct GstRow {
     /// Physical qubit index.
     pub qubit: u32,
-    /// `(start, end, label)` of each operation on the qubit, time-ordered.
-    pub busy: Vec<(f64, f64, String)>,
     /// Idle windows between (and around) operations.
     pub idle: Vec<IdleWindow>,
     /// Fraction of the program the qubit spends idle.
@@ -50,25 +46,24 @@ pub struct GateSequenceTable {
 impl GateSequenceTable {
     /// Builds the table from a scheduled circuit.
     pub fn build(timed: &TimedCircuit) -> Self {
+        let total_ns = timed.total_ns();
         let rows = (0..timed.num_qubits() as u32)
             .map(|q| {
-                let busy = timed
-                    .busy_intervals(q)
-                    .into_iter()
-                    .map(|e| (e.start_ns, e.end_ns, e.instr.to_string()))
-                    .collect();
+                let idle = timed.idle_windows(q);
+                // `TimedCircuit::idle_fraction` over the windows in hand.
+                let idle_fraction = if total_ns <= 0.0 {
+                    0.0
+                } else {
+                    idle.iter().map(|w| w.duration_ns()).sum::<f64>() / total_ns
+                };
                 GstRow {
                     qubit: q,
-                    busy,
-                    idle: timed.idle_windows(q),
-                    idle_fraction: timed.idle_fraction(q),
+                    idle,
+                    idle_fraction,
                 }
             })
             .collect();
-        GateSequenceTable {
-            rows,
-            total_ns: timed.total_ns(),
-        }
+        GateSequenceTable { rows, total_ns }
     }
 
     /// All rows, indexed by physical qubit.
@@ -122,41 +117,6 @@ impl GateSequenceTable {
         });
         qs
     }
-
-    /// Mean idle fraction over the given qubits (Table 1's bottom line).
-    pub fn mean_idle_fraction(&self, qubits: &[u32]) -> f64 {
-        if qubits.is_empty() {
-            return 0.0;
-        }
-        qubits
-            .iter()
-            .map(|&q| self.row(q).idle_fraction)
-            .sum::<f64>()
-            / qubits.len() as f64
-    }
-}
-
-impl fmt::Display for GateSequenceTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "GST (makespan {:.1} ns)", self.total_ns)?;
-        for row in &self.rows {
-            if row.busy.is_empty() {
-                continue;
-            }
-            write!(
-                f,
-                "q[{:>2}] idle {:>5.1}% |",
-                row.qubit,
-                row.idle_fraction * 100.0
-            )?;
-            for (s, e, label) in &row.busy {
-                let short: String = label.chars().take(12).collect();
-                write!(f, " [{s:.0}-{e:.0} {short}]")?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -173,13 +133,17 @@ mod tests {
     }
 
     #[test]
-    fn busy_rows_match_operations() {
+    fn program_qubits_are_in_use() {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1).measure_all();
         let gst = table_for(&c);
         // Physical qubits hosting the program have operations.
-        let busy_rows = gst.rows().iter().filter(|r| !r.busy.is_empty()).count();
-        assert!(busy_rows >= 2);
+        let used = gst
+            .rows()
+            .iter()
+            .filter(|r| !r.idle.iter().any(|w| w.kind == IdleKind::Unused))
+            .count();
+        assert!(used >= 2);
     }
 
     #[test]
@@ -194,6 +158,25 @@ mod tests {
                 "row {} inconsistent",
                 row.qubit
             );
+        }
+        // Every row equals the schedule's own answer bit for bit.
+        for dev in [Device::ibmq_toronto(1), Device::ibmq_guadalupe(1)] {
+            for bench in benchmarks::paper_suite() {
+                let t = transpile(&bench.circuit, &dev, &TranspileOptions::default());
+                let gst = GateSequenceTable::build(&t.timed);
+                assert_eq!(gst.total_ns(), t.timed.total_ns());
+                assert_eq!(gst.rows().len(), t.timed.num_qubits());
+                for row in gst.rows() {
+                    assert_eq!(row.idle, t.timed.idle_windows(row.qubit), "{}", bench.name);
+                    assert_eq!(
+                        row.idle_fraction.to_bits(),
+                        t.timed.idle_fraction(row.qubit).to_bits(),
+                        "{} q{}",
+                        bench.name,
+                        row.qubit
+                    );
+                }
+            }
         }
     }
 
@@ -229,25 +212,5 @@ mod tests {
         for w in order.windows(2) {
             assert!(gst.total_idle_ns(w[0]) >= gst.total_idle_ns(w[1]));
         }
-    }
-
-    #[test]
-    fn display_renders_nonempty() {
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1).measure_all();
-        let gst = table_for(&c);
-        let s = gst.to_string();
-        assert!(s.contains("GST"));
-        assert!(s.contains("idle"));
-    }
-
-    #[test]
-    fn mean_idle_fraction_over_subset() {
-        let mut c = Circuit::new(3);
-        c.h(0).cx(0, 1).cx(1, 2).measure_all();
-        let gst = table_for(&c);
-        let m = gst.mean_idle_fraction(&[0, 1, 2]);
-        assert!((0.0..=1.0).contains(&m));
-        assert_eq!(gst.mean_idle_fraction(&[]), 0.0);
     }
 }

@@ -44,41 +44,6 @@ pub fn fidelity(ideal: &BTreeMap<u64, f64>, measured: &Counts) -> f64 {
     1.0 - tvd(ideal, measured)
 }
 
-/// Fidelity of a set of (possibly partial) shot batches against the ideal
-/// distribution.
-///
-/// Resilient pipelines accumulate results across retries: a 2048-shot
-/// request may arrive as a 1200-shot truncated batch plus an 848-shot
-/// top-up. Merging the histograms before scoring weights each batch by
-/// the shots it actually delivered — a batch that delivered 60% of the
-/// total shots contributes 60% of the probability mass, not half.
-///
-/// # Panics
-///
-/// Panics when `batches` is empty or the batches' bit widths differ.
-pub fn weighted_fidelity(ideal: &BTreeMap<u64, f64>, batches: &[machine::ShotBatch]) -> f64 {
-    assert!(!batches.is_empty(), "no batches to score");
-    let mut merged = Counts::new(batches[0].counts.num_bits());
-    for batch in batches {
-        merged.merge(&batch.counts);
-    }
-    fidelity(ideal, &merged)
-}
-
-/// TVD between two exact distributions.
-pub fn tvd_dist(p: &BTreeMap<u64, f64>, q: &BTreeMap<u64, f64>) -> f64 {
-    let mut d = 0.0;
-    for (&k, &pv) in p {
-        d += (pv - q.get(&k).copied().unwrap_or(0.0)).abs();
-    }
-    for (&k, &qv) in q {
-        if !p.contains_key(&k) {
-            d += qv;
-        }
-    }
-    d / 2.0
-}
-
 /// Fractional ranks (average rank for ties), 1-based.
 fn ranks(xs: &[f64]) -> Vec<f64> {
     let n = xs.len();
@@ -193,14 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn tvd_dist_symmetry() {
-        let p = dist(&[(0, 0.7), (1, 0.3)]);
-        let q = dist(&[(0, 0.4), (2, 0.6)]);
-        assert!((tvd_dist(&p, &q) - tvd_dist(&q, &p)).abs() < 1e-12);
-        assert!(tvd_dist(&p, &p) < 1e-12);
-    }
-
-    #[test]
     fn spearman_perfect_and_inverse() {
         let xs = [1.0, 2.0, 3.0, 4.0];
         let up = [10.0, 20.0, 30.0, 40.0];
@@ -254,42 +211,5 @@ mod tests {
     #[should_panic(expected = "equal length")]
     fn spearman_length_mismatch_panics() {
         spearman(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn weighted_fidelity_weights_by_delivered_shots() {
-        use machine::ShotBatch;
-        let p = dist(&[(0, 1.0)]);
-        // A truncated batch (60 shots, all correct) plus a 40-shot top-up
-        // that is only half correct.
-        let mut a = Counts::new(1);
-        a.record_many(0, 60);
-        let mut b = Counts::new(1);
-        b.record_many(0, 20);
-        b.record_many(1, 20);
-        let batches = [ShotBatch::complete(a, 100), ShotBatch::complete(b, 40)];
-        // Merged: 80/100 correct → TVD 0.2 → fidelity 0.8. A naive
-        // unweighted average of the per-batch fidelities (1.0 and 0.5)
-        // would give 0.75.
-        let f = weighted_fidelity(&p, &batches);
-        assert!((f - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_fidelity_of_single_complete_batch_matches_fidelity() {
-        use machine::ShotBatch;
-        let p = dist(&[(0, 0.5), (1, 0.5)]);
-        let mut c = Counts::new(1);
-        c.record_many(0, 30);
-        c.record_many(1, 70);
-        let direct = fidelity(&p, &c);
-        let weighted = weighted_fidelity(&p, &[ShotBatch::complete(c, 100)]);
-        assert_eq!(direct, weighted);
-    }
-
-    #[test]
-    #[should_panic(expected = "no batches")]
-    fn weighted_fidelity_rejects_empty() {
-        weighted_fidelity(&dist(&[(0, 1.0)]), &[]);
     }
 }

@@ -331,11 +331,6 @@ impl Calibration {
             f(q);
         }
     }
-
-    /// Mean CNOT error over links.
-    pub fn mean_cnot_err(&self) -> f64 {
-        self.links.iter().map(|l| l.err_2q).sum::<f64>() / self.links.len().max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -390,7 +385,8 @@ mod tests {
         let mut errs = Vec::new();
         for cycle in 0..20 {
             let c = Calibration::generate(&t, &TORONTO_PROFILE, 7, cycle);
-            errs.push(c.mean_cnot_err());
+            let links = c.links();
+            errs.push(links.iter().map(|l| l.err_2q).sum::<f64>() / links.len() as f64);
         }
         let mean = errs.iter().sum::<f64>() / errs.len() as f64;
         assert!(

@@ -55,12 +55,11 @@
 //! ```
 //!
 //! Every op, delays and the exact bits of every angle included, arrives
-//! as it was sent. The decoder only decodes: it keeps the OpenQASM
-//! importer's width caps ([`qcirc::qasm::MAX_QUBITS`],
-//! [`qcirc::qasm::MAX_CLBITS`]), checks each count against the bytes
-//! that remain before allocating for it, and appends every op through
-//! [`Circuit::try_push`], so an out-of-range, repeated or miscounted
-//! operand is a typed [`WireError::BadCircuit`]. Whether the circuit and
+//! as it was sent. The decoder only decodes: it keeps `qcirc`'s register
+//! width caps ([`qcirc::MAX_QUBITS`], [`qcirc::MAX_CLBITS`]), checks each
+//! count against the bytes that remain before allocating for it, and
+//! appends every op through [`Circuit::try_push`], so an out-of-range,
+//! repeated or miscounted operand is a typed [`WireError::BadCircuit`]. Whether the circuit and
 //! budget are servable (delays and angles included) is the service's
 //! admission rule, [`adapt_service::check_circuit`], which every request
 //! meets at [`adapt_service::MaskService::submit`].
@@ -97,8 +96,8 @@ use adapt_service::{
     ServiceError, Tenancy, TenantId, TierPolicy, Timing,
 };
 use machine::{ExecError, WireDeadline};
-use qcirc::qasm::{MAX_CLBITS, MAX_QUBITS};
 use qcirc::{Circuit, Clbit, Gate, Instruction, OpKind, Qubit};
+use qcirc::{MAX_CLBITS, MAX_QUBITS};
 use statevec::SimError;
 use std::io::{Read, Write};
 use transpiler::ScheduleError;
@@ -1450,7 +1449,7 @@ mod tests {
     }
 
     #[test]
-    fn register_widths_keep_the_qasm_importers_caps() {
+    fn register_widths_keep_the_qcirc_caps() {
         let widths =
             |qubits, clbits| decode_request(&request_with_body(|w| head(w, qubits, clbits, 0)));
         assert!(widths(MAX_QUBITS as u32, MAX_CLBITS as u32).is_ok());

@@ -472,7 +472,7 @@ fn unservable_requests() -> Vec<(&'static str, Request)> {
 /// as the typed `InvalidConfig` a local `submit` answers, accepts none
 /// of them, and keeps serving. No worker panics: the rule runs before
 /// the queue. (A 65-bit classical register never gets that far: the
-/// wire decoder keeps the OpenQASM importer's cap on it.)
+/// wire decoder keeps `qcirc::MAX_CLBITS` on it.)
 #[test]
 fn a_shard_refuses_what_submit_refuses() {
     let shard = ShardServer::start(ShardConfig::standalone(ShardId(3), service_config()))

@@ -93,11 +93,6 @@ impl std::fmt::Display for RetryPolicyError {
 impl std::error::Error for RetryPolicyError {}
 
 impl RetryPolicy {
-    /// A policy that never retries (attempt 0 only, no partial top-up).
-    pub fn no_retries() -> Self {
-        RetryPolicy { max_attempts: 1 }
-    }
-
     /// Rejects a policy with zero attempts.
     ///
     /// # Errors
@@ -119,12 +114,6 @@ impl RetryPolicy {
         let mut rng = StdRng::seed_from_u64(spawner.derive(attempt as u64));
         let u: f64 = rng.gen();
         (nominal * (1.0 + JITTER_FRAC * (2.0 * u - 1.0))).max(0.0)
-    }
-
-    /// The full backoff schedule for `attempts` failed attempts under
-    /// `seed`.
-    pub fn backoff_schedule(&self, seed: u64, attempts: u32) -> Vec<f64> {
-        (0..attempts).map(|a| self.delay_ms(seed, a)).collect()
     }
 }
 
@@ -290,11 +279,6 @@ impl ResilientExecutor {
     /// Snapshot of the absorbed-fault counters.
     pub fn stats(&self) -> FaultStats {
         *self.stats_lock()
-    }
-
-    /// Resets the counters (e.g. between experiment phases).
-    pub fn reset_stats(&self) {
-        *self.stats_lock() = FaultStats::default();
     }
 
     /// Folds one attempt's result into `request`. Returns whether the
@@ -718,7 +702,8 @@ mod tests {
             ..FaultProfile::none()
         };
         let backend = FaultyBackend::new(Machine::new(Device::ibmq_rome(3)), profile, 3);
-        let exec = ResilientExecutor::with_policy(Arc::new(backend), RetryPolicy::no_retries());
+        let exec =
+            ResilientExecutor::with_policy(Arc::new(backend), RetryPolicy { max_attempts: 1 });
         let batch = exec.execute(&bell(), &cfg(9)).unwrap();
         assert!(batch.delivered_shots() < 240);
         assert!(batch.delivered_fraction() >= 0.5 - 1e-9);
@@ -739,12 +724,13 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedule_is_deterministic_and_seed_sensitive() {
+    fn delay_ms_is_deterministic_and_seed_sensitive() {
         let policy = RetryPolicy::default();
-        let a = policy.backoff_schedule(42, 6);
-        let b = policy.backoff_schedule(42, 6);
+        let schedule = |seed| (0..6).map(|a| policy.delay_ms(seed, a)).collect::<Vec<_>>();
+        let a = schedule(42);
+        let b = schedule(42);
         assert_eq!(a, b, "same seed must give the same schedule");
-        let c = policy.backoff_schedule(43, 6);
+        let c = schedule(43);
         assert_ne!(a, c, "different seeds must jitter differently");
         // Exponential growth up to the cap, jitter within ±25%.
         for (i, d) in a.iter().enumerate() {
@@ -779,8 +765,6 @@ mod tests {
         assert_eq!(before.requests, 1);
         exec.execute(&bell(), &cfg(6)).unwrap();
         assert_eq!(exec.stats().requests, 2);
-        exec.reset_stats();
-        assert_eq!(exec.stats(), FaultStats::default());
     }
 
     #[test]
@@ -813,7 +797,7 @@ mod tests {
         assert_eq!(zero.validate(), Err(RetryPolicyError::ZeroAttempts));
         assert!(ResilientExecutor::try_with_policy(backend(), zero).is_err());
         assert!(RetryPolicy::default().validate().is_ok());
-        assert!(RetryPolicy::no_retries().validate().is_ok());
+        assert!(RetryPolicy { max_attempts: 1 }.validate().is_ok());
     }
 
     #[test]

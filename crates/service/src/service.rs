@@ -42,8 +42,7 @@ use adapt::{
     heuristic_mask, Adapt, AdaptConfig, AdaptError, DdConfig, DdMask, DdProtocol, DecoyKind, Policy,
 };
 use machine::{Deadline, ExecutionConfig, FaultProfile, FaultyBackend, Machine, ResilientExecutor};
-use qcirc::qasm::MAX_CLBITS;
-use qcirc::OpKind;
+use qcirc::{OpKind, MAX_CLBITS};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -10,8 +10,7 @@ use adapt_service::{
     TierPolicy, MAX_DELAY_NS, MAX_SHOTS, MAX_TRAJECTORIES,
 };
 use proptest::prelude::*;
-use qcirc::qasm::MAX_CLBITS;
-use qcirc::{Circuit, Gate, OpKind};
+use qcirc::{Circuit, Gate, OpKind, MAX_CLBITS};
 
 fn ghz(n: u32) -> Circuit {
     let mut c = Circuit::new(n as usize);

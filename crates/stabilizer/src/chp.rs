@@ -569,15 +569,6 @@ impl Tableau {
         }
         Ok(())
     }
-
-    /// True when the circuit contains only Clifford gates (and
-    /// measure/reset/delay/barrier).
-    pub fn is_simulable(circuit: &Circuit) -> bool {
-        circuit.iter().all(|i| match &i.kind {
-            OpKind::Gate(g) => g.is_clifford(),
-            _ => true,
-        })
-    }
 }
 
 /// Samples `shots` outcomes of a Clifford circuit.
@@ -818,12 +809,6 @@ mod tests {
         let mut t = Tableau::new(1);
         let err = t.apply_gate(Gate::T, &[0]).unwrap_err();
         assert_eq!(err.gate, Gate::T);
-        let mut c = Circuit::new(1);
-        c.t(0);
-        assert!(!Tableau::is_simulable(&c));
-        c = Circuit::new(1);
-        c.h(0).s(0);
-        assert!(Tableau::is_simulable(&c));
     }
 
     #[test]
