@@ -233,7 +233,7 @@ pub fn twice<R: Replay>(what: &str, mut run: impl FnMut() -> R) -> R {
 /// Every [`ServiceStats`] counter by name, and whether a sequential,
 /// virtual-time schedule fully determines it (admission, searches, the
 /// deadline and breaker paths, every tier of the degradation ladder).
-fn stats_fields(s: &ServiceStats) -> [(&'static str, u64, bool); 22] {
+fn stats_fields(s: &ServiceStats) -> [(&'static str, u64, bool); 23] {
     [
         ("accepted", s.accepted, true),
         ("rejected", s.rejected, true),
@@ -241,6 +241,7 @@ fn stats_fields(s: &ServiceStats) -> [(&'static str, u64, bool); 22] {
         ("rejected_deadline", s.rejected_deadline, false),
         ("rejected_quota", s.rejected_quota, true),
         ("completed", s.completed, true),
+        ("inline_hits", s.inline_hits, false),
         ("failed", s.failed, false),
         ("searches", s.searches, true),
         ("worker_panics", s.worker_panics, false),

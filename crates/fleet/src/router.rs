@@ -28,6 +28,7 @@ use machine::WireDeadline;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::time::Instant;
 
 /// Router tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,12 +189,15 @@ impl FleetRouter {
     /// [`RouterConfig::max_attempts`] live attempts. A bounded request
     /// gives up on a shard whose reply has not arrived within its
     /// remaining budget plus [`ShardClient::call`]'s margin, and fails
-    /// over; an unbounded one waits for the reply.
+    /// over while budget is left: each attempt is charged the time the
+    /// call has taken so far, so the whole call ends within one budget
+    /// plus one margin. An unbounded request waits for the reply.
     ///
     /// # Errors
     ///
     /// [`FleetError::Service`] relays the serving shard's typed error;
-    /// [`FleetError::AllShardsDown`] means no shard could be reached.
+    /// [`FleetError::AllShardsDown`] means no shard could be reached, or
+    /// none before the request's budget ran out.
     pub fn call(&self, request: Request) -> Result<RoutedResponse, FleetError> {
         let deadline = WireDeadline::fresh(request.deadline_ms());
         self.call_with_deadline(request, deadline)
@@ -225,10 +229,19 @@ impl FleetRouter {
         };
         let ranked = inner.ring.ranked(key);
         let owner = ranked[0];
+        let started = Instant::now();
         let mut attempts = 0u32;
         let mut last: Option<ClientError> = None;
         for shard in ranked {
-            if attempts >= inner.cfg.max_attempts {
+            // What is left of the one budget: earlier attempts' time is
+            // charged to it, and a spent budget tries no further shard.
+            let deadline = WireDeadline {
+                elapsed_ms: deadline
+                    .elapsed_ms
+                    .saturating_add(started.elapsed().as_millis() as u64),
+                ..deadline
+            };
+            if attempts >= inner.cfg.max_attempts || (attempts > 0 && deadline.expired()) {
                 break;
             }
             let slot = inner.slots.get(&shard).expect("ring matches slots");

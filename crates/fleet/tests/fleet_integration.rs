@@ -8,8 +8,8 @@
 use adapt::DdProtocol;
 use adapt_fleet::ring::route_key;
 use adapt_fleet::{
-    ClientError, FleetMap, FleetRouter, Ring, RouterConfig, ShardClient, ShardConfig, ShardId,
-    ShardServer,
+    ClientError, FleetError, FleetMap, FleetRouter, Ring, RouterConfig, ShardClient, ShardConfig,
+    ShardId, ShardServer,
 };
 use adapt_service::{
     logical_hash, BreakerState, DeviceId, Request, Response, SearchBudget, ServiceConfig,
@@ -201,10 +201,10 @@ fn an_owner_shard_hashes_a_served_program_no_more() {
     let first = client
         .call(&req, WireDeadline::unbounded())
         .expect("served");
-    // At most once for the ownership check and once for the resolve:
-    // neither finds the program in the book yet.
+    // Once, by the ownership check, which books the program for the
+    // resolve.
     let after_first = hashes();
-    assert!((1..=2).contains(&after_first), "hashed {after_first} times");
+    assert_eq!(after_first, 1, "hashed {after_first} times");
 
     // Repeats, and a repeat after a drift tick, find the program in the
     // book for both the ownership check and the resolve.
@@ -535,6 +535,11 @@ const WATCHDOG: Duration = Duration::from_secs(30);
 /// The budget of a bounded request aimed at a stalled shard.
 const BUDGET_MS: u64 = 100;
 
+/// How long a bounded call with [`BUDGET_MS`] may take at most: the
+/// budget, the client's 1 s reply margin, and 400 ms of slack for a
+/// busy host. Two budgets and two margins are 2.2 s.
+const ONE_BUDGET_BOUND: Duration = Duration::from_millis(BUDGET_MS + 1000 + 400);
+
 /// Runs `call` on its own thread and waits at most [`WATCHDOG`] for it.
 fn watched<T: Send + 'static>(call: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -578,9 +583,11 @@ fn stalled_fleet() -> (SocketAddr, ShardServer, Ring, FleetMap, Request) {
 }
 
 /// A bounded call whose ring owner takes the request and never replies
-/// gives up on it after its budget plus the client's margin and fails
-/// over to the live shard. Each timeout counts against the stalled
-/// shard's breaker; the third opens it, and later calls skip the shard.
+/// gives up on it after its budget plus the client's margin. The budget
+/// is then spent, so the call ends there rather than granting the next
+/// shard a second budget. Each timeout counts against the stalled
+/// shard's breaker; the third opens it, and the fourth call skips the
+/// shard and fails over to the live one at once.
 #[test]
 fn a_stalled_owner_fails_over_and_opens_its_breaker() {
     let (stalled, live, _ring, _map, req) = stalled_fleet();
@@ -589,12 +596,19 @@ fn a_stalled_owner_fails_over_and_opens_its_breaker() {
     for n in 1..=4 {
         let (r, q) = (router.clone(), req.clone());
         let sent = Instant::now();
-        let routed = watched(move || r.call(q)).expect("failover call");
-        assert_eq!(routed.shard, SHARD_IDS[1]);
-        assert!(routed.rerouted);
+        let routed = watched(move || r.call(q));
         if n <= 3 {
-            // It waited out the stalled shard's budget before failing over.
+            // It waited out the stalled shard's budget, and no more.
+            assert!(
+                matches!(routed, Err(FleetError::AllShardsDown { attempts: 1, .. })),
+                "call {n}: {routed:?}"
+            );
             assert!(sent.elapsed() >= Duration::from_millis(BUDGET_MS));
+            assert!(sent.elapsed() < ONE_BUDGET_BOUND, "call {n}");
+        } else {
+            let routed = routed.expect("failover call");
+            assert_eq!(routed.shard, SHARD_IDS[1]);
+            assert!(routed.rerouted);
         }
         let want = if n < 3 {
             BreakerState::Closed
@@ -609,6 +623,33 @@ fn a_stalled_owner_fails_over_and_opens_its_breaker() {
         1
     );
     assert_eq!(live.stop().stats.worker_panics, 0);
+}
+
+/// A bounded call whose first two shards both stall spends one budget
+/// in all: the time the first attempt took is charged before the
+/// second, which is never made once the budget is gone. Each attempt
+/// used to get the whole budget again, so the call waited two budgets
+/// and two margins.
+#[test]
+fn failover_past_stalled_shards_keeps_one_budget() {
+    let endpoints = [
+        (SHARD_IDS[0], stalled_shard()),
+        (SHARD_IDS[1], stalled_shard()),
+    ];
+    let router = FleetRouter::new(RouterConfig::default(), &endpoints);
+    let mut req = request(3);
+    if let Request::RecommendMask { deadline_ms, .. } = &mut req {
+        *deadline_ms = Some(BUDGET_MS);
+    }
+    let sent = Instant::now();
+    let routed = watched(move || router.call(req));
+    let took = sent.elapsed();
+    assert!(
+        matches!(routed, Err(FleetError::AllShardsDown { attempts: 1, .. })),
+        "{routed:?}"
+    );
+    assert!(took >= Duration::from_millis(BUDGET_MS));
+    assert!(took < ONE_BUDGET_BOUND, "took {took:?}");
 }
 
 /// A shard asked for a key whose owner in the fleet map is stalled gives

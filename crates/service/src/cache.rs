@@ -689,12 +689,7 @@ impl MaskCache {
         };
         let mut waited = false;
         loop {
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(&key) {
-                entry.last_used = tick;
-                let value = entry.value;
-                cache.metrics.hits.inc();
+            if let Some(value) = cache.take_hit(&mut inner, &key) {
                 return TieredLookup::Hit(value);
             }
             if let Some((value, age)) = stale_within(&inner, &key, &stale_key, max_stale_epochs) {
@@ -724,6 +719,33 @@ impl MaskCache {
                 .wait(inner)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
+    }
+
+    /// Answers `key` from the serving map alone: a hit, counted exactly
+    /// as [`Self::lookup`] counts one (a lookup, a hit, and `stale_key`
+    /// on the hot ring), or `None` when `key` is not in the map. `None`
+    /// counts nothing, waits for nothing and hands out no ticket: the
+    /// caller leaves the request to a [`Self::lookup`], which counts it
+    /// then.
+    pub fn hit(&self, key: MaskKey, stale_key: StaleKey) -> Option<CachedMask> {
+        let mut inner = self.lock();
+        if !inner.map.contains_key(&key) {
+            return None;
+        }
+        self.metrics.lookups.inc();
+        Self::record_hot(&mut inner, stale_key);
+        self.take_hit(&mut inner, &key)
+    }
+
+    /// Serves `key` from the serving map if it is there: touched as most
+    /// recently used and counted as a hit.
+    fn take_hit(&self, inner: &mut Inner, key: &MaskKey) -> Option<CachedMask> {
+        inner.tick += 1;
+        let tick = inner.tick;
+        let entry = inner.map.get_mut(key)?;
+        entry.last_used = tick;
+        self.metrics.hits.inc();
+        Some(entry.value)
     }
 
     /// Tries to become the searcher for `key` without counting a lookup:
@@ -1419,6 +1441,30 @@ mod tests {
         t.complete(mask(2));
         assert!(MaskCache::try_ticket(&cache, k, sk).is_none(), "cached");
         assert_eq!(cache.stats().lookups, 0, "prewarm path counts no lookups");
+    }
+
+    #[test]
+    fn a_hit_counts_like_a_lookup_hit_and_a_miss_counts_nothing() {
+        let cache = Arc::new(MaskCache::new(8));
+        let (k, sk) = (key(1, 7), stale_key_of(7));
+        assert_eq!(cache.hit(k, sk), None, "not cached");
+        assert_eq!(cache.stats(), MaskCache::new(8).stats(), "nothing counted");
+        assert!(cache.hot_keys(DeviceId::Rome, 4).is_empty());
+        // No ticket was handed out: the key is still free to search.
+        let ticket = MaskCache::try_ticket(&cache, k, sk).expect("not in flight");
+        assert_eq!(cache.hit(k, sk), None, "in flight, not cached");
+        ticket.complete(mask(3));
+        let before = cache.stats();
+        assert_eq!(cache.hit(k, sk), Some(mask(3)));
+        assert!(matches!(
+            MaskCache::lookup(&cache, k, sk, 0, false),
+            TieredLookup::Hit(v) if v == mask(3)
+        ));
+        let after = cache.stats();
+        assert_eq!(after.lookups, before.lookups + 2);
+        assert_eq!(after.hits, before.hits + 2);
+        assert_eq!((after.misses, after.coalesced), (before.misses, 0));
+        assert_eq!(cache.hot_keys(DeviceId::Rome, 4), vec![sk]);
     }
 
     #[test]

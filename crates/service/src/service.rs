@@ -740,7 +740,8 @@ fn invalid(reason: impl std::fmt::Display) -> ServiceError {
 /// Service-wide counters (all monotonic since start).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
-    /// Requests accepted into the queue.
+    /// Requests that passed admission control (queued, or answered on
+    /// the submitting thread).
     pub accepted: u64,
     /// Requests rejected by admission control.
     pub rejected: u64,
@@ -754,6 +755,9 @@ pub struct ServiceStats {
     pub rejected_quota: u64,
     /// Requests completed (ok or typed error).
     pub completed: u64,
+    /// Of `completed`, the requests [`MaskService::submit`] answered on
+    /// the submitting thread from the serving map, without a worker.
+    pub inline_hits: u64,
     /// Requests answered with a typed error.
     pub failed: u64,
     /// Fresh searches executed (cache misses that ran to completion).
@@ -811,6 +815,7 @@ struct Metrics {
     rejected_deadline: adapt_obs::Counter,
     rejected_quota: adapt_obs::Counter,
     completed: adapt_obs::Counter,
+    inline_hits: adapt_obs::Counter,
     failed: adapt_obs::Counter,
     searches: adapt_obs::Counter,
     worker_panics: adapt_obs::Counter,
@@ -859,6 +864,7 @@ impl Metrics {
             rejected_deadline: r.counter("adapt_service_rejected_deadline_total"),
             rejected_quota: r.counter("adapt_service_rejected_quota_total"),
             completed: r.counter("adapt_service_completed_total"),
+            inline_hits: r.counter("adapt_service_inline_hits_total"),
             failed: r.counter("adapt_service_failed_total"),
             searches: r.counter("adapt_service_searches_total"),
             worker_panics: r.counter("adapt_service_worker_panics_total"),
@@ -922,8 +928,8 @@ struct Job {
     reply: Sender<Result<Response, ServiceError>>,
     enqueued: Instant,
     deadline: Deadline,
-    /// Breaker verdict taken at submission (admission order equals
-    /// queue order — decided under the queue lock).
+    /// Breaker verdict taken at submission, under the queue lock, so
+    /// admission order is submission order.
     admission: Admission,
 }
 
@@ -1063,8 +1069,10 @@ struct Program {
     /// [`logical_hash`] of `circuit`, computed once when the entry was
     /// made.
     logical_hash: u64,
-    /// The resolution at the newest epoch a request resolved it at.
-    resolution: Resolution,
+    /// The resolution at the newest epoch a request resolved it at;
+    /// `None` for a program booked by [`MaskService::logical_hash_of`]
+    /// that no request has resolved yet.
+    resolution: Option<Resolution>,
     /// A resolution at a later epoch, made by
     /// [`MaskService::prewarm_epoch`]; the first request at that epoch
     /// promotes it to `resolution`.
@@ -1107,10 +1115,10 @@ impl ProgramBook {
     ) -> Option<(u64, Option<Resolution>)> {
         let entry = self.touch(key, circuit)?;
         if let Some(prewarmed) = entry.prewarmed.take_if(|r| r.epoch == epoch) {
-            entry.resolution = prewarmed;
+            entry.resolution = Some(prewarmed);
         }
-        let resolution = (entry.resolution.epoch == epoch).then(|| entry.resolution.clone());
-        Some((entry.logical_hash, resolution))
+        let resolution = entry.resolution.as_ref().filter(|r| r.epoch == epoch);
+        Some((entry.logical_hash, resolution.cloned()))
     }
 
     /// The logical hash of `circuit` if it is booked under `key`; the
@@ -1141,26 +1149,30 @@ impl ProgramBook {
     }
 
     /// Keeps `resolution` of `circuit` as its prewarmed resolution, when
-    /// the program is still booked under `key` at an older epoch.
+    /// the program is still booked under `key` and not resolved at that
+    /// epoch or a later one.
     fn prewarm(&mut self, key: &ProgramKey, circuit: &qcirc::Circuit, resolution: Resolution) {
         if let Some(entry) = self.map.get_mut(key) {
-            if same_program(&entry.circuit, circuit) && resolution.epoch > entry.resolution.epoch {
+            let older = entry.resolution.as_ref();
+            if same_program(&entry.circuit, circuit)
+                && older.is_none_or(|older| resolution.epoch > older.epoch)
+            {
                 entry.prewarmed = Some(resolution);
             }
         }
     }
 
-    /// Records `resolution` of `circuit` (whose logical hash is
-    /// `logical`) under `key`, evicting the least recently used program
-    /// when the book is full. An entry for the same program keeps
-    /// whichever resolution is of the newer epoch; a different program
-    /// colliding on `key` replaces it.
+    /// Records `circuit` (whose logical hash is `logical`) under `key`
+    /// with `resolution`, if any, evicting the least recently used
+    /// program when the book is full. An entry for the same program
+    /// keeps whichever resolution is of the newer epoch; a different
+    /// program colliding on `key` replaces it.
     fn record(
         &mut self,
         key: ProgramKey,
         circuit: &qcirc::Circuit,
         logical: u64,
-        resolution: Resolution,
+        resolution: Option<Resolution>,
         capacity: usize,
     ) {
         if capacity == 0 {
@@ -1178,9 +1190,12 @@ impl ProgramBook {
                     prewarmed: None,
                     stamp,
                 };
-            } else if resolution.epoch >= entry.resolution.epoch {
-                entry.prewarmed.take_if(|r| r.epoch <= resolution.epoch);
-                entry.resolution = resolution;
+            } else if let Some(resolution) = resolution {
+                let older = entry.resolution.as_ref();
+                if older.is_none_or(|older| resolution.epoch >= older.epoch) {
+                    entry.prewarmed.take_if(|r| r.epoch <= resolution.epoch);
+                    entry.resolution = Some(resolution);
+                }
             }
             return;
         }
@@ -1202,16 +1217,27 @@ impl ProgramBook {
     }
 }
 
-/// In-flight response handle returned by [`MaskService::submit`].
+/// Response handle returned by [`MaskService::submit`]: the answer
+/// itself when `submit` answered a cache hit on the caller's thread,
+/// else the channel a worker answers on.
 #[derive(Debug)]
-pub struct Pending {
-    rx: Receiver<Result<Response, ServiceError>>,
+pub struct Pending(PendingAnswer);
+
+#[derive(Debug)]
+enum PendingAnswer {
+    Ready(Result<Response, ServiceError>),
+    Queued(Receiver<Result<Response, ServiceError>>),
 }
 
 impl Pending {
-    /// Blocks until the worker answers.
+    /// The answer: at once when `submit` answered the request on the
+    /// caller's thread, else once a worker answers it (blocking until
+    /// then).
     pub fn wait(self) -> Result<Response, ServiceError> {
-        self.rx.recv().unwrap_or(Err(ServiceError::Lost))
+        match self.0 {
+            PendingAnswer::Ready(answer) => answer,
+            PendingAnswer::Queued(rx) => rx.recv().unwrap_or(Err(ServiceError::Lost)),
+        }
     }
 }
 
@@ -1330,7 +1356,10 @@ impl MaskService {
 
     /// Submits a request: the admission rule ([`check_circuit`],
     /// [`SearchBudget::validate`] and the DD protocol's own check), then
-    /// admission control.
+    /// admission control. A recommendation whose program is resolved at
+    /// the device's current epoch and whose key is cached is answered on
+    /// the calling thread, with the same admission, answer and counters
+    /// as through a worker (DESIGN §10); every other request is queued.
     ///
     /// # Errors
     ///
@@ -1353,87 +1382,106 @@ impl MaskService {
             budget.validate().map_err(invalid)?;
             protocol.validate().map_err(invalid)?;
         }
-        self.enqueue(request)
+        let cached = cached_resolution(&self.shared, &request);
+        self.enqueue(request, cached)
     }
 
-    /// Admission control and the queue, for a request that passed the
-    /// admission rule.
-    fn enqueue(&self, request: Request) -> Result<Pending, ServiceError> {
+    /// Admission control, for a request that passed the admission rule;
+    /// then the answer on this thread when `cached` resolves it to a
+    /// cached key, else the queue.
+    fn enqueue(&self, request: Request, cached: Option<Resolved>) -> Result<Pending, ServiceError> {
         let shared = &self.shared;
-        let device = request.device();
-        let tenancy = request.tenancy();
+        let tenant = request.tenancy().tenant;
         let deadline = match request.deadline_ms() {
             Some(b) if shared.config.virtual_time => Deadline::virtual_only(b),
             Some(b) => Deadline::within_ms(b),
             None => Deadline::none(),
         };
-        let (tx, rx) = channel();
-        {
-            let mut state = lock(&shared.queue.state);
-            // Checked under the queue lock: shutdown drains the queue
-            // while holding it, so a submit can never slip a job in
-            // after the drain.
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Err(ServiceError::ShuttingDown);
-            }
-            let depth = state.jobs.len();
-            shared.metrics.requests.inc();
-            if depth >= shared.config.queue_capacity {
-                shared.metrics.rejected.inc();
-                shared.metrics.rejected_queue.inc();
-                return Err(ServiceError::Rejected {
-                    queue_depth: depth,
-                    retry_after_ms: self
-                        .retry_after_ms(depth)
-                        .max(shared.health.retry_hint_ms(device)),
-                });
-            }
-            // A born-expired deadline never earns a queue slot.
-            if deadline.check().is_err() {
-                shared.metrics.rejected.inc();
-                shared.metrics.rejected_deadline.inc();
-                shared.metrics.deadline_exceeded.inc();
-                return Err(deadline_error(&deadline));
-            }
-            // The tenant's token bucket is drawn under the queue lock
-            // too, so accept/reject order is exactly submission order —
-            // what makes quota rejections replay bit-identically in
-            // virtual-time mode.
-            if let Err(retry_after_ms) = state.quotas.try_take(tenancy.tenant) {
-                shared.metrics.rejected.inc();
-                shared.metrics.rejected_quota.inc();
-                tenant_metrics(shared, tenancy.tenant).rejected_quota.inc();
-                return Err(ServiceError::QuotaExhausted {
-                    tenant: tenancy.tenant,
-                    retry_after_ms,
-                });
-            }
-            // The breaker verdict is taken under the queue lock, so the
-            // admission sequence (which drives cooldown counting and
-            // probe hand-out) is exactly the accepted-submission order.
-            let admission = shared.health.admit(device);
-            let key_us = deadline.edf_key_us();
-            state.jobs.push(
-                tenancy.tenant,
-                tenancy.class,
-                key_us,
-                Job {
-                    request,
-                    reply: tx,
-                    enqueued: Instant::now(),
-                    deadline,
-                    admission,
-                },
-            );
-            shared.metrics.queue_depth.set(depth as i64 + 1);
-            shared.metrics.peak_queue_depth.set_max(depth as i64 + 1);
+        let mut state = lock(&shared.queue.state);
+        let admission = self.admit(&mut state, &request, &deadline)?;
+        let Some(r) = cached else {
+            let pending = push(shared, &mut state, request, deadline, admission);
+            drop(state);
+            count_accepted(shared, tenant);
+            shared.queue.available.notify_one();
+            return Ok(pending);
+        };
+        drop(state);
+        count_accepted(shared, tenant);
+        let inline = answer(shared, &request, &deadline, admission, 0, || {
+            cached_answer(shared, &request, &r, &deadline, admission).map(Ok)
+        });
+        if let Some(reply) = inline {
+            shared.metrics.inline_hits.inc();
+            return Ok(Pending(PendingAnswer::Ready(reply)));
         }
-        let tm = tenant_metrics(shared, tenancy.tenant);
-        tm.accepted.inc();
-        tm.inflight.add(1);
-        shared.metrics.accepted.inc();
+        // The key left the serving map after the check: a worker answers
+        // it, under the admission it already took.
+        let pending = push(
+            shared,
+            &mut lock(&shared.queue.state),
+            request,
+            deadline,
+            admission,
+        );
         shared.queue.available.notify_one();
-        Ok(Pending { rx })
+        Ok(pending)
+    }
+
+    /// The admission checks, in order, under the queue lock: shutdown,
+    /// queue depth, a deadline expired before submission, the tenant's
+    /// quota draw and the breaker's verdict, which is returned. Each
+    /// rejection is counted.
+    fn admit(
+        &self,
+        state: &mut QueueState,
+        request: &Request,
+        deadline: &Deadline,
+    ) -> Result<Admission, ServiceError> {
+        let shared = &self.shared;
+        let device = request.device();
+        let tenant = request.tenancy().tenant;
+        // Checked under the queue lock: shutdown drains the queue while
+        // holding it, so a submit can never slip a job in after the
+        // drain.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return Err(ServiceError::ShuttingDown);
+        }
+        let depth = state.jobs.len();
+        shared.metrics.requests.inc();
+        if depth >= shared.config.queue_capacity {
+            shared.metrics.rejected.inc();
+            shared.metrics.rejected_queue.inc();
+            return Err(ServiceError::Rejected {
+                queue_depth: depth,
+                retry_after_ms: self
+                    .retry_after_ms(depth)
+                    .max(shared.health.retry_hint_ms(device)),
+            });
+        }
+        // A born-expired deadline never earns a queue slot.
+        if deadline.check().is_err() {
+            shared.metrics.rejected.inc();
+            shared.metrics.rejected_deadline.inc();
+            shared.metrics.deadline_exceeded.inc();
+            return Err(deadline_error(deadline));
+        }
+        // The tenant's token bucket is drawn under the queue lock too, so
+        // accept/reject order is exactly submission order — what makes
+        // quota rejections replay bit-identically in virtual-time mode.
+        if let Err(retry_after_ms) = state.quotas.try_take(tenant) {
+            shared.metrics.rejected.inc();
+            shared.metrics.rejected_quota.inc();
+            tenant_metrics(shared, tenant).rejected_quota.inc();
+            return Err(ServiceError::QuotaExhausted {
+                tenant,
+                retry_after_ms,
+            });
+        }
+        // The breaker verdict is taken under the queue lock, so the
+        // admission sequence (which drives cooldown counting and probe
+        // hand-out) is exactly the accepted-submission order.
+        Ok(shared.health.admit(device))
     }
 
     /// Submits and waits (convenience for sequential clients).
@@ -1468,12 +1516,20 @@ impl MaskService {
 
     /// The persisted [`logical_hash`] of `circuit` on `device`: the
     /// program book's copy when the program is booked, else computed
-    /// (and counted in [`ServiceStats::logical_hashes`]). A fleet shard
-    /// checks ownership with it, so a booked program is not hashed again.
+    /// (and counted in [`ServiceStats::logical_hashes`]) and booked
+    /// without a resolution. A fleet shard checks ownership with it, so
+    /// a program is hashed once: the request's resolve reads the hash
+    /// this call booked.
     pub fn logical_hash_of(&self, device: DeviceId, circuit: &qcirc::Circuit) -> u64 {
+        let shared = &self.shared;
         let program = (device, program_fingerprint(circuit));
-        let booked = lock(&self.shared.programs).logical_hash(&program, circuit);
-        booked.unwrap_or_else(|| hash_program(&self.shared, circuit))
+        if let Some(logical) = lock(&shared.programs).logical_hash(&program, circuit) {
+            return logical;
+        }
+        let logical = hash_program(shared, circuit);
+        let capacity = shared.config.cache_capacity;
+        lock(&shared.programs).record(program, circuit, logical, None, capacity);
+        logical
     }
 
     /// Schedules background characterization of `device`'s hottest keys
@@ -1578,6 +1634,7 @@ impl MaskService {
             rejected_deadline: m.rejected_deadline.get(),
             rejected_quota: m.rejected_quota.get(),
             completed: m.completed.get(),
+            inline_hits: m.inline_hits.get(),
             failed: m.failed.get(),
             searches: m.searches.get(),
             worker_panics: m.worker_panics.get(),
@@ -1893,77 +1950,142 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         let queued_us = job.enqueued.elapsed().as_micros() as u64;
-        let device = job.request.device();
-        let tm = tenant_metrics(shared, job.request.tenancy().tenant);
-        let m = &shared.metrics;
-        // A deadline that lapsed while the job sat queued: counted and
-        // answered with the typed error, never executed.
-        if job.deadline.check().is_err() {
-            m.completed.inc();
-            m.failed.inc();
-            m.deadline_dropped.inc();
-            m.deadline_exceeded.inc();
-            m.queued_us.record(queued_us);
-            tm.completed.inc();
-            tm.deadline_exceeded.inc();
-            tm.inflight.add(-1);
-            tm.request_us.record(queued_us);
-            if job.admission == Admission::Probe {
-                shared.health.probe_inconclusive(device);
-            }
-            let _ = job.reply.send(Err(deadline_error(&job.deadline)));
-            continue;
-        }
-        let served = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_request(shared, job.request, queued_us, &job.deadline, job.admission)
-        }));
-        let service_us = served.elapsed().as_micros() as u64;
-        m.completed.inc();
-        m.service_us_total.add(service_us);
-        m.queued_us.record(queued_us);
-        m.service_us.record(service_us);
-        m.request_us.record(queued_us + service_us);
-        // Health is judged on the raw outcome, before any late-response
-        // conversion: breaker transitions then depend only on the seeded
-        // search outcomes and the admission order, not on wall-clock
-        // luck.
-        record_health(shared, device, job.admission, &outcome);
-        let reply = match outcome {
-            Ok(result) => {
-                let result = finalize_deadline(result, &job.deadline, m);
-                if result.is_err() {
-                    m.failed.inc();
-                }
-                result
-            }
-            Err(payload) => {
-                m.worker_panics.inc();
-                m.failed.inc();
-                let reason = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "panic with non-string payload".to_string());
-                Err(ServiceError::Internal { reason })
-            }
-        };
-        // Only search-running completions feed the retry-after
-        // estimator: a rejected client is waiting behind search work,
-        // not behind cache hits (see `retry_estimate_ms`).
-        if reply.as_ref().is_ok_and(|r| disposition_of(r).searched) {
-            m.fresh_service_us_total.add(service_us);
-            m.fresh_completed.inc();
-        }
-        tm.completed.inc();
-        if matches!(reply, Err(ServiceError::DeadlineExceeded { .. })) {
-            tm.deadline_exceeded.inc();
-        }
-        tm.inflight.add(-1);
-        tm.request_us.record(queued_us + service_us);
+        let (request, deadline, admission) = (&job.request, &job.deadline, job.admission);
+        let reply = answer(shared, request, deadline, admission, queued_us, || {
+            Some(handle_request(
+                shared, request, queued_us, deadline, admission,
+            ))
+        });
         // A client that dropped its Pending just doesn't read the answer.
-        let _ = job.reply.send(reply);
+        if let Some(reply) = reply {
+            let _ = job.reply.send(reply);
+        }
     }
+}
+
+/// Queues an admitted request for the workers and returns its handle.
+fn push(
+    shared: &Shared,
+    state: &mut QueueState,
+    request: Request,
+    deadline: Deadline,
+    admission: Admission,
+) -> Pending {
+    let (tx, rx) = channel();
+    let tenancy = request.tenancy();
+    let key_us = deadline.edf_key_us();
+    let job = Job {
+        request,
+        reply: tx,
+        enqueued: Instant::now(),
+        deadline,
+        admission,
+    };
+    state.jobs.push(tenancy.tenant, tenancy.class, key_us, job);
+    let depth = state.jobs.len() as i64;
+    shared.metrics.queue_depth.set(depth);
+    shared.metrics.peak_queue_depth.set_max(depth);
+    Pending(PendingAnswer::Queued(rx))
+}
+
+/// Counts a request that passed admission control, service-wide and
+/// for `tenant`, which has one more request in flight until
+/// [`answer`] answers it.
+fn count_accepted(shared: &Shared, tenant: TenantId) {
+    let tm = tenant_metrics(shared, tenant);
+    tm.accepted.inc();
+    tm.inflight.add(1);
+    shared.metrics.accepted.inc();
+}
+
+/// Answers one admitted request, with all of its bookkeeping: the
+/// lapsed-deadline check, `serve` under `catch_unwind`, the service and
+/// tenant metrics, the breaker's verdict ([`record_health`]) and the
+/// deadline boundary ([`finalize_deadline`]). It is the one answering
+/// path: a worker runs it for each job it pops, serving with
+/// [`handle_request`], and [`MaskService::submit`] runs it on the
+/// caller's thread, serving with [`cached_answer`]. `None` when `serve`
+/// returns `None`, which only the caller's thread does (the key left
+/// the serving map): nothing was counted, and the request goes to the
+/// queue.
+fn answer(
+    shared: &Shared,
+    request: &Request,
+    deadline: &Deadline,
+    admission: Admission,
+    queued_us: u64,
+    serve: impl FnOnce() -> Option<Result<Response, ServiceError>>,
+) -> Option<Result<Response, ServiceError>> {
+    let device = request.device();
+    let tm = tenant_metrics(shared, request.tenancy().tenant);
+    let m = &shared.metrics;
+    // A deadline that lapsed while the job sat queued: counted and
+    // answered with the typed error, never executed.
+    if deadline.check().is_err() {
+        m.completed.inc();
+        m.failed.inc();
+        m.deadline_dropped.inc();
+        m.deadline_exceeded.inc();
+        m.queued_us.record(queued_us);
+        tm.completed.inc();
+        tm.deadline_exceeded.inc();
+        tm.inflight.add(-1);
+        tm.request_us.record(queued_us);
+        if admission == Admission::Probe {
+            shared.health.probe_inconclusive(device);
+        }
+        return Some(Err(deadline_error(deadline)));
+    }
+    let served = Instant::now();
+    let outcome = match catch_unwind(AssertUnwindSafe(serve)) {
+        Ok(None) => return None,
+        Ok(Some(result)) => Ok(result),
+        Err(payload) => Err(payload),
+    };
+    let service_us = served.elapsed().as_micros() as u64;
+    m.completed.inc();
+    m.service_us_total.add(service_us);
+    m.queued_us.record(queued_us);
+    m.service_us.record(service_us);
+    m.request_us.record(queued_us + service_us);
+    // Health is judged on the raw outcome, before any late-response
+    // conversion: breaker transitions then depend only on the seeded
+    // search outcomes and the admission order, not on wall-clock
+    // luck.
+    record_health(shared, device, admission, &outcome);
+    let reply = match outcome {
+        Ok(result) => {
+            let result = finalize_deadline(result, deadline, m);
+            if result.is_err() {
+                m.failed.inc();
+            }
+            result
+        }
+        Err(payload) => {
+            m.worker_panics.inc();
+            m.failed.inc();
+            let reason = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "panic with non-string payload".to_string());
+            Err(ServiceError::Internal { reason })
+        }
+    };
+    // Only search-running completions feed the retry-after
+    // estimator: a rejected client is waiting behind search work,
+    // not behind cache hits (see `retry_estimate_ms`).
+    if reply.as_ref().is_ok_and(|r| disposition_of(r).searched) {
+        m.fresh_service_us_total.add(service_us);
+        m.fresh_completed.inc();
+    }
+    tm.completed.inc();
+    if matches!(reply, Err(ServiceError::DeadlineExceeded { .. })) {
+        tm.deadline_exceeded.inc();
+    }
+    tm.inflight.add(-1);
+    tm.request_us.record(queued_us + service_us);
+    Some(reply)
 }
 
 /// The typed deadline error, with the numbers read off the deadline
@@ -2070,9 +2192,12 @@ fn finalize_deadline(
     }
 }
 
+/// A worker's answer to `request`: resolves it (transpiling a program
+/// the book does not hold at the current epoch), then recommends a mask
+/// from the ladder or executes it.
 fn handle_request(
     shared: &Arc<Shared>,
-    request: Request,
+    request: &Request,
     queued_us: u64,
     deadline: &Deadline,
     admission: Admission,
@@ -2090,19 +2215,11 @@ fn handle_request(
             budget,
             ..
         } => {
-            let (epoch, machine) = snapshot(shared, device)?;
-            let r = resolve(shared, &circuit, device, epoch, &machine, protocol);
+            let (epoch, machine) = snapshot(shared, *device)?;
+            let r = resolve(shared, circuit, *device, epoch, &machine, *protocol);
             let (cached, provenance) =
-                recommend(shared, &circuit, &r, &machine, budget, deadline, admission)?;
-            Ok(Response::Mask(Recommendation {
-                key: r.key,
-                mask: cached.mask,
-                decoy_fidelity: cached.decoy_fidelity,
-                decoy_runs: cached.decoy_runs,
-                provenance,
-                degraded: cached.degraded,
-                timing: timing(),
-            }))
+                recommend(shared, circuit, &r, &machine, *budget, deadline, admission)?;
+            Ok(mask_response(r.key, cached, provenance, timing()))
         }
         Request::Execute {
             circuit,
@@ -2115,17 +2232,91 @@ fn handle_request(
             // is open.
             if admission == Admission::Fallback {
                 return Err(ServiceError::DeviceUnhealthy {
-                    device,
-                    retry_after_ms: shared.health.retry_hint_ms(device),
+                    device: *device,
+                    retry_after_ms: shared.health.retry_hint_ms(*device),
                 });
             }
-            let exec = execute(shared, &circuit, device, policy, deadline, admission)?;
+            let exec = execute(shared, circuit, *device, *policy, deadline, admission)?;
             Ok(Response::Execution(Execution {
                 timing: timing(),
                 ..exec
             }))
         }
     }
+}
+
+/// The resolution that lets [`MaskService::submit`] answer `request` on
+/// the caller's thread: a recommendation whose program is booked at the
+/// device's current epoch, with its [`MaskKey`] in the serving map. It
+/// transpiles nothing, hashes no unbooked program and counts no cache
+/// lookup; a request it returns `None` for goes to the queue, and its
+/// worker resolves and looks it up as before.
+fn cached_resolution(shared: &Shared, request: &Request) -> Option<Resolved> {
+    let Request::RecommendMask {
+        circuit,
+        device,
+        protocol,
+        ..
+    } = request
+    else {
+        return None;
+    };
+    let epoch = shared.registry.epoch(*device)?;
+    let program = (*device, program_fingerprint(circuit));
+    let (logical, resolution) = lock(&shared.programs).lookup(&program, circuit, epoch)?;
+    let r = Resolved::new(shared, *device, logical, *protocol, resolution?);
+    shared.cache.peek(&r.key).is_some().then_some(r)
+}
+
+/// The caller's-thread answer to a recommendation [`cached_resolution`]
+/// resolved to `r`: the rung [`choose_rung`] picks, served from the
+/// serving map alone — a cache hit, or under an open breaker the cached
+/// mask as its fallback. It never searches and never waits. `None` when
+/// the key has left the map since the check; nothing was counted.
+fn cached_answer(
+    shared: &Shared,
+    request: &Request,
+    r: &Resolved,
+    deadline: &Deadline,
+    admission: Admission,
+) -> Option<Response> {
+    let Request::RecommendMask { budget, .. } = request else {
+        return None;
+    };
+    let served = Instant::now();
+    let tiers = &shared.config.tiers;
+    let (cached, provenance) =
+        match choose_rung(admission, budget.tier, deadline.remaining_ms(), tiers) {
+            // The tracker already counted this fallback when it handed
+            // out the admission.
+            Rung::Breaker => (shared.cache.peek(&r.key)?, Provenance::BreakerFallback),
+            Rung::Search { .. } | Rung::Instant { .. } => {
+                (shared.cache.hit(r.key, r.stale_key)?, Provenance::CacheHit)
+            }
+        };
+    let timing = Timing {
+        queued_us: 0,
+        service_us: served.elapsed().as_micros() as u64,
+    };
+    Some(mask_response(r.key, cached, provenance, timing))
+}
+
+/// The response recommending `cached`, the mask served for `key`.
+fn mask_response(
+    key: MaskKey,
+    cached: CachedMask,
+    provenance: Provenance,
+    timing: Timing,
+) -> Response {
+    Response::Mask(Recommendation {
+        key,
+        mask: cached.mask,
+        decoy_fidelity: cached.decoy_fidelity,
+        decoy_runs: cached.decoy_runs,
+        provenance,
+        degraded: cached.degraded,
+        timing,
+    })
 }
 
 /// The current calibration epoch of `device` and its machine.
@@ -2198,7 +2389,7 @@ fn resolve(
                 program,
                 circuit,
                 logical,
-                resolution.clone(),
+                Some(resolution.clone()),
                 shared.config.cache_capacity,
             );
             (logical, resolution)
@@ -2638,13 +2829,19 @@ mod tests {
         let mut book = ProgramBook::default();
         for circuit in [&a, &b] {
             let resolution = Resolution::new(circuit, 0, &machine);
-            book.record(key(circuit), circuit, logical_hash(circuit), resolution, 2);
+            book.record(
+                key(circuit),
+                circuit,
+                logical_hash(circuit),
+                Some(resolution),
+                2,
+            );
         }
         let (logical, hit) = book.lookup(&key(&a), &a, 0).expect("A is booked");
         assert!(hit.is_some(), "A is a hit");
         assert_eq!(logical, logical_hash(&a));
         let resolution = Resolution::new(&c, 0, &machine);
-        book.record(key(&c), &c, logical_hash(&c), resolution, 2);
+        book.record(key(&c), &c, logical_hash(&c), Some(resolution), 2);
         assert_eq!(
             book.logical_hash(&key(&b), &b),
             None,
@@ -2661,11 +2858,11 @@ mod tests {
         let forced = (DeviceId::Rome, 42);
         let mut book = ProgramBook::default();
         let ra = Resolution::new(&a, 0, &machine);
-        book.record(forced, &a, logical_hash(&a), ra, 8);
+        book.record(forced, &a, logical_hash(&a), Some(ra), 8);
         assert!(book.lookup(&forced, &b, 0).is_none());
         assert_eq!(book.logical_hash(&forced, &b), None);
         let rb = Resolution::new(&b, 0, &machine);
-        book.record(forced, &b, logical_hash(&b), rb.clone(), 8);
+        book.record(forced, &b, logical_hash(&b), Some(rb.clone()), 8);
         assert!(book.lookup(&forced, &a, 0).is_none());
         let (logical, hit) = book.lookup(&forced, &b, 0).expect("B is booked");
         let hit = hit.expect("B is resolved");
@@ -2678,7 +2875,7 @@ mod tests {
         let (pos, neg) = (rz_program(0.0), rz_program(-0.0));
         assert_eq!(pos, neg);
         let rpos = Resolution::new(&pos, 0, &machine);
-        book.record(forced, &pos, logical_hash(&pos), rpos, 8);
+        book.record(forced, &pos, logical_hash(&pos), Some(rpos), 8);
         assert!(book.lookup(&forced, &neg, 0).is_none());
         assert_eq!(book.logical_hash(&forced, &neg), None);
         assert_eq!(book.logical_hash(&forced, &pos), Some(logical_hash(&pos)));
@@ -2721,7 +2918,7 @@ mod tests {
         };
         let program = (DeviceId::Rome, program_fingerprint(&circuit));
         let logical = first.stale_key.logical_hash;
-        lock(&svc.shared.programs).record(program, &circuit, logical, late, 8);
+        lock(&svc.shared.programs).record(program, &circuit, logical, Some(late), 8);
         let kept = resolve_now(&svc, &circuit);
         assert!(Arc::ptr_eq(&fresh.compiled, &kept.compiled));
     }
@@ -2785,6 +2982,18 @@ mod tests {
             2,
             "an unbooked program is hashed"
         );
+        // ... once: the ownership check booked it for the request.
+        let mut ghz3 = small_recommend(&ghz(3));
+        if let Request::RecommendMask { budget, .. } = &mut ghz3 {
+            budget.tier = TierPolicy::HeuristicOnly;
+        }
+        svc.call(ghz3).expect("served");
+        assert_eq!(svc.stats().logical_hashes, 2, "booked by the check");
+        assert_eq!(
+            svc.logical_hash_of(DeviceId::Rome, &ghz(3)),
+            logical_hash(&ghz(3))
+        );
+        assert_eq!(svc.stats().logical_hashes, 2);
     }
 
     #[test]
@@ -2816,7 +3025,7 @@ mod tests {
     fn a_transpile_panic_leaves_no_book_entry() {
         let svc = rome_service();
         let request = small_recommend(&nan_delay_program());
-        let err = svc.enqueue(request).and_then(Pending::wait);
+        let err = svc.enqueue(request, None).and_then(Pending::wait);
         assert!(
             matches!(err, Err(ServiceError::Internal { .. })),
             "got {err:?}"
@@ -2832,7 +3041,7 @@ mod tests {
         // never complete.
         let svc = rome_service();
         let err = svc
-            .enqueue(small_recommend(&nan_delay_program()))
+            .enqueue(small_recommend(&nan_delay_program()), None)
             .and_then(Pending::wait)
             .expect_err("unschedulable program must fail");
         assert!(
@@ -2852,6 +3061,53 @@ mod tests {
         assert_eq!(stats.worker_panics, 1, "no further panics");
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.failed, 1);
+    }
+
+    #[test]
+    fn the_submit_check_never_transpiles() {
+        let svc = rome_service();
+        let circuit = ghz(4);
+        let request = small_recommend(&circuit);
+        assert!(cached_resolution(&svc.shared, &request).is_none(), "cold");
+        assert!(lock(&svc.shared.programs).map.is_empty(), "not booked");
+        svc.call(request.clone()).expect("served");
+        let warm = cached_resolution(&svc.shared, &request).expect("cached");
+        assert_eq!(warm.key, resolve_now(&svc, &circuit).key);
+
+        let epoch = svc.advance_epoch(DeviceId::Rome).expect("served");
+        assert!(cached_resolution(&svc.shared, &request).is_none());
+        let program = (DeviceId::Rome, program_fingerprint(&circuit));
+        let booked = lock(&svc.shared.programs).lookup(&program, &circuit, epoch);
+        assert!(
+            booked.is_some_and(|(_, resolution)| resolution.is_none()),
+            "no resolution at the new epoch: nothing was transpiled"
+        );
+        assert_eq!(svc.cache_stats().lookups, 1, "the worker's, on the miss");
+    }
+
+    #[test]
+    fn a_panic_answering_on_the_callers_thread_is_contained() {
+        let svc = rome_service();
+        let request = small_recommend(&ghz(4));
+        let reply = answer(
+            &svc.shared,
+            &request,
+            &Deadline::none(),
+            Admission::Proceed,
+            0,
+            || panic!("answering failed"),
+        );
+        assert_eq!(
+            reply.map(|r| r.map(|_| ())),
+            Some(Err(ServiceError::Internal {
+                reason: "answering failed".to_string()
+            }))
+        );
+        let stats = svc.stats();
+        assert_eq!(
+            (stats.worker_panics, stats.failed, stats.completed),
+            (1, 1, 1)
+        );
     }
 
     #[test]
